@@ -103,6 +103,14 @@ def _method_label(config: EnetConfig) -> str:
     return "lasso" if config.l1_ratio == 1.0 else "enet"
 
 
+def _require_converged(lam: float, sweeps: int, converged: bool) -> None:
+    if not converged:
+        raise NumericalError(
+            f"coordinate descent did not converge at lambda={lam!r} "
+            f"within max_iter={sweeps} sweeps"
+        )
+
+
 def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
                     n_lambdas: int = 100,
                     lambda_min_ratio: float | None = None) -> dict[int, SelectionResult]:
@@ -126,20 +134,21 @@ def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
     results: dict[int, SelectionResult] = {}
     pending = list(wanted)
     largest_seen = 0
-    for fit in _walk_path(problem, grid, config):
-        for j in fit.active_set:
+    for lam, beta, sweeps, converged in _walk_path(problem, grid, config):
+        _require_converged(lam, sweeps, converged)
+        active = np.flatnonzero(beta).tolist()
+        for j in active:
             if j not in entry_rank:
                 entry_rank[j] = len(entry_rank)
-        largest_seen = max(largest_seen, len(fit.active_set))
-        while pending and len(fit.active_set) >= pending[0]:
+        largest_seen = max(largest_seen, len(active))
+        while pending and len(active) >= pending[0]:
             s = pending.pop(0)
-            ranked = sorted(fit.active_set, key=entry_rank.__getitem__)[:s]
-            abs_beta = np.abs(fit.beta)
+            ranked = sorted(active, key=entry_rank.__getitem__)[:s]
             results[s] = SelectionResult(
                 tuple(ranked),
                 label,
-                fit.lam,
-                tuple(float(abs_beta[j]) for j in ranked),
+                lam,
+                tuple(abs(beta.item(j)) for j in ranked),
                 subset_weighted_rss(ds, weights, ranked),
             )
         if not pending:
@@ -169,6 +178,7 @@ def sparse_select(ds: TrialDataset, *, size: int | None = None,
     if size is not None:
         return path_selections(ds, [size], config, n_lambdas, lambda_min_ratio)[size]
     fit = fit_weighted_enet(ds, weights, replace(config, lam=lam))
+    _require_converged(fit.lam, fit.iterations, fit.converged)
     abs_beta = np.abs(fit.beta)
     active = np.asarray(fit.active_set, dtype=np.intp)
     order = np.lexsort((active, -abs_beta[active])) if active.size else np.zeros(0, np.intp)

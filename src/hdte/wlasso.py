@@ -12,8 +12,20 @@ concentrated out exactly up front: the response and every outcome column are
 replaced by their residuals from a weighted regression on the centered
 covariates, which leaves the ``beta`` subproblem unchanged and makes ``alpha``
 recoverable in closed form. The ``beta`` subproblem is then solved by cyclic
-coordinate descent on precomputed weighted moment matrices, with an active-set
-sweep strategy and a final stationarity check.
+coordinate descent on precomputed weighted moment matrices (glmnet's
+covariance mode), with an active-set sweep strategy and a final stationarity
+check.
+
+Sweeps. Every sweep visits its coordinates in ascending order, either the full
+set or the current nonzero set ``A``. While no sign in ``A`` changes, such a
+sweep is one Gauss-Seidel step, so once ``|A| >= _BLOCK_MIN`` it runs as a
+single triangular solve on cached blocks of the Gram. The step is accepted
+only if every sign of ``A`` survives and, on a full sweep, every zero
+coordinate stays inside its threshold (one masked product); then it is the
+very sweep the scalar loop would make, up to rounding. Otherwise the scalar
+loop redoes the sweep. Small nonzero sets always take the scalar loop, whose
+float arithmetic gives the same bits as :func:`soft_threshold`. Sweep counts,
+active sets and the stopping rule are those of the plain coordinate loop.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsv as _trsv
 
 from .data import TrialDataset, center_columns
 from .errors import DataError, NumericalError
@@ -41,6 +54,14 @@ __all__ = [
 # Columns whose weighted second moment falls below this relative floor carry
 # no information about the response and are pinned at beta_j = 0.
 _DEGENERATE_REL = 1e-14
+
+# Sweeps over a nonzero set of at least this many coordinates try the block
+# step. Measured with one BLAS thread on a 2-vCPU Xeon, on the criterion 6
+# design (p = 500) and a p = 24 problem alike: a scalar sweep costs about
+# 3.5 us per nonzero coordinate, a block step about 20 us almost regardless of
+# size (up to 137 coordinates), so they cross near 6. The margin above that
+# pays for rebuilding the cached blocks (30-280 us) when the set changes.
+_BLOCK_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -213,6 +234,79 @@ def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
     return worst
 
 
+def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
+    """One cyclic pass over ``work`` (Python ints), updating ``beta`` and
+    ``q = gram @ beta`` in place; returns the largest coefficient change.
+
+    ``ty``, ``diag`` and ``denom`` are Python float lists, so each update runs
+    on floats. The inlined shrinkage gives the bits of :func:`soft_threshold`;
+    ``0.0 * z`` reproduces its signed zero and its NaN.
+    """
+    delta = 0.0
+    for j in work:
+        b_old = beta.item(j)
+        z = ty[j] - q.item(j) + diag[j] * b_old
+        if z > lam1:
+            b_new = (z - lam1) / denom[j]
+        elif z < -lam1:
+            b_new = (z + lam1) / denom[j]
+        else:
+            b_new = 0.0 * z
+        if b_new != b_old:
+            q += gram[j] * (b_new - b_old)
+            beta[j] = b_new
+            step = abs(b_new - b_old)
+            if step > delta:
+                delta = step
+    return delta
+
+
+class _Block:
+    """Cached moment blocks for sweeps over one nonzero set ``active``.
+
+    A cyclic sweep over ``active`` that keeps every sign ``s`` is one
+    Gauss-Seidel step, ``(tril(G_AA) + ridge I) b_new = ty_A - lam1 s -
+    triu(G_AA, 1) b_old``. A full sweep also passes the zero coordinates; each
+    zero ``j`` stays zero iff ``|z_j| <= lam1``, where ``z_j`` sees ``b_new``
+    of the active ``k < j`` and ``b_old`` of the active ``k > j``.
+    """
+
+    def __init__(self, gram, ty, active, ridge):
+        block = gram[np.ix_(active, active)]
+        self.gram, self.ty_full = gram, ty
+        self.active = active
+        self.ty = ty[active]
+        self.lower = np.asfortranarray(np.tril(block) + ridge * np.eye(active.size))
+        self.upper = np.triu(block, 1)
+        self.zeros = None   # zero-set moments, built on the first full sweep
+
+    def sweep(self, beta, lam1, full_set=None) -> float | None:
+        """Apply one sweep to ``beta`` and return its largest coefficient
+        change, or return ``None`` with ``beta`` untouched where the scalar
+        sweep would differ: an active sign changes or, on a full sweep (given
+        ``full_set``), a zero coordinate would enter."""
+        active = self.active
+        b_old = beta[active]
+        signs = np.sign(b_old)
+        b_new = _trsv(self.lower, self.ty - lam1 * signs - self.upper @ b_old, lower=1)
+        if not (b_new * signs > 0.0).all():
+            return None
+        if full_set is not None:
+            if self.zeros is None:
+                zeros = np.setdiff1d(full_set, active, assume_unique=True)
+                cross = self.gram[np.ix_(zeros, active)]
+                before = active[None, :] < zeros[:, None]
+                self.zeros = (self.ty_full[zeros],
+                              np.hstack([np.where(before, cross, 0.0),
+                                         np.where(before, 0.0, cross)]))
+            ty_zeros, rows = self.zeros
+            z = ty_zeros - rows @ np.concatenate([b_new, b_old])
+            if (np.abs(z) > lam1).any():
+                return None
+        beta[active] = b_new
+        return float(np.abs(b_new - b_old).max())
+
+
 def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
               objective_trace=None) -> tuple[np.ndarray, int, bool]:
     """Cyclic coordinate descent on the concentrated problem.
@@ -221,6 +315,10 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     Sweeps alternate between the full coordinate set and the current nonzero
     set; convergence requires a full sweep with max coefficient change below
     ``tol`` plus a stationarity check within ``10 * tol`` of the problem scale.
+    A sweep whose nonzero set has at least ``_BLOCK_MIN`` coordinates is tried
+    as one block step (:class:`_Block`); the scalar loop redoes it if the
+    block step is rejected. ``q = gram @ beta`` is refreshed only when the
+    scalar loop, the stationarity check or ``objective_trace`` reads it.
     """
     gram = problem.gram
     ty = problem.ty
@@ -230,44 +328,58 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     diag = gram.diagonal().copy()
     denom = diag + ridge
     full_set = np.flatnonzero(problem.penalized)
+    full_list = full_set.tolist()
+    ty_list, diag_list, denom_list = ty.tolist(), diag.tolist(), denom.tolist()
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     beta[~problem.penalized] = 0.0
     q = gram @ beta if beta.any() else np.zeros(p)
+    q_fresh = True
+    nonzero = np.flatnonzero(beta)
+    block = None   # a _Block for ``nonzero``, kept while that set holds
     kkt_tol = 10.0 * config.tol * max(
         1.0,
         float(np.max(np.abs(ty), initial=0.0)),
         float(diag.max(initial=0.0)),
     )
 
-    def record_objective():
-        if objective_trace is not None:
-            penalty = 2.0 * lam * (
-                config.l1_ratio * np.abs(beta).sum()
-                + (1.0 - config.l1_ratio) * (beta @ beta)
-            )
-            objective_trace.append(problem.tt - 2.0 * beta @ ty + beta @ q + penalty)
+    def current_q():
+        nonlocal q, q_fresh
+        if not q_fresh:
+            q = beta[nonzero] @ gram[nonzero]   # gram is symmetric
+            q_fresh = True
+        return q
 
     sweeps = 0
     converged = False
     on_full_set = True
     while sweeps < config.max_iter:
-        work = full_set if on_full_set else np.flatnonzero(beta)
-        delta = 0.0
-        for j in work:
-            b_old = beta[j]
-            z = ty[j] - q[j] + diag[j] * b_old
-            b_new = soft_threshold(z, lam1) / denom[j]
-            if b_new != b_old:
-                q += gram[j] * (b_new - b_old)
-                beta[j] = b_new
-                step = abs(b_new - b_old)
-                if step > delta:
-                    delta = step
+        delta = None
+        if nonzero.size >= _BLOCK_MIN:
+            if block is None:
+                block = _Block(gram, ty, nonzero, ridge)
+            delta = block.sweep(beta, lam1, full_set if on_full_set else None)
+            if delta is not None:
+                q_fresh = False
+        if delta is None:
+            work = full_list if on_full_set else nonzero.tolist()
+            delta = _scalar_sweep(work, beta, current_q(), gram, ty_list,
+                                  diag_list, denom_list, lam1)
+            changed = np.flatnonzero(beta)
+            if not np.array_equal(changed, nonzero):
+                nonzero, block = changed, None
         sweeps += 1
-        record_objective()
+        if objective_trace is not None:
+            penalty = 2.0 * lam * (
+                config.l1_ratio * np.abs(beta).sum()
+                + (1.0 - config.l1_ratio) * (beta @ beta)
+            )
+            objective_trace.append(
+                problem.tt - 2.0 * beta @ ty + beta @ current_q() + penalty
+            )
         if delta < config.tol:
             if on_full_set:
-                if _kkt_violation(beta, q, ty, lam1, ridge, problem.penalized) <= kkt_tol:
+                if _kkt_violation(beta, current_q(), ty, lam1, ridge,
+                                  problem.penalized) <= kkt_tol:
                     converged = True
                     break
             else:
@@ -279,9 +391,9 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     return beta, sweeps, converged
 
 
-def _assemble_fit(problem: _Problem, beta_scaled: np.ndarray, lam: float,
+def _assemble_fit(problem: _Problem, lam: float, beta: np.ndarray,
                   sweeps: int, converged: bool) -> EnetFit:
-    beta = beta_scaled / problem.scale
+    """Package a fresh original-scale ``beta`` with its covariate block and RSS."""
     if problem.xc is not None:
         alpha = problem.proj_t - problem.proj_y @ beta
         residual = problem.t - problem.yc @ beta - problem.xc @ alpha
@@ -290,7 +402,6 @@ def _assemble_fit(problem: _Problem, beta_scaled: np.ndarray, lam: float,
         residual = problem.t - problem.yc @ beta
     rss = float(problem.w @ residual**2 / problem.t.shape[0])
     active = tuple(int(j) for j in np.flatnonzero(beta))
-    beta = beta.copy()
     beta.setflags(write=False)
     alpha = np.array(alpha)
     alpha.setflags(write=False)
@@ -307,7 +418,8 @@ def fit_weighted_enet(ds: TrialDataset, weights: RegressionWeights,
     """
     problem = _prepare(ds, weights, config.standardize)
     beta_scaled, sweeps, converged = _cd_solve(problem, config, config.lam)
-    return _assemble_fit(problem, beta_scaled, config.lam, sweeps, converged)
+    return _assemble_fit(problem, config.lam, beta_scaled / problem.scale,
+                         sweeps, converged)
 
 
 def _lambda_max_from(problem: _Problem, l1_ratio: float) -> float:
@@ -356,16 +468,17 @@ def _path_grid(ds: TrialDataset, weights: RegressionWeights, config: EnetConfig,
 
 
 def _walk_path(problem: _Problem, grid: np.ndarray, config: EnetConfig):
-    """Yield warm-started fits down the grid. The top-of-grid solution is
+    """Yield ``(lam, beta, sweeps, converged)`` down the grid with warm
+    starts, ``beta`` a fresh original-scale array. The top-of-grid solution is
     identically zero by construction of ``lambda_max`` and is emitted without
     iterating."""
     beta = np.zeros(problem.ty.shape[0])
     for k, lam in enumerate(grid):
         if k == 0:
-            yield _assemble_fit(problem, beta, lam, 0, True)
+            yield float(lam), beta / problem.scale, 0, True
             continue
         beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
-        yield _assemble_fit(problem, beta, lam, sweeps, converged)
+        yield float(lam), beta / problem.scale, sweeps, converged
 
 
 def regularization_path(ds: TrialDataset, weights: RegressionWeights,
@@ -378,7 +491,8 @@ def regularization_path(ds: TrialDataset, weights: RegressionWeights,
     is ignored; every grid point gets its own fit.
     """
     problem, grid, lam_top = _path_grid(ds, weights, config, n_lambdas, lambda_min_ratio)
-    fits = tuple(_walk_path(problem, grid, config))
+    fits = tuple(_assemble_fit(problem, *point)
+                 for point in _walk_path(problem, grid, config))
     lambdas = grid.copy()
     lambdas.setflags(write=False)
     return EnetPath(lambdas, fits, lam_top)

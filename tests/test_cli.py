@@ -114,6 +114,15 @@ def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
     assert record["error"] == "numerical"
 
 
+def test_select_nonconvergence_is_a_numerical_error(trial_csv, tmp_path, capsys):
+    code = main(["select", str(trial_csv), "--s", "2", "--max-iter", "1",
+                 "--outdir", str(tmp_path / "o")])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical"
+    assert "did not converge" in record["message"]
+
+
 def test_multisplit_outputs(trial_csv, tmp_path):
     outdir = tmp_path / "ms"
     code = main(["multisplit", str(trial_csv), "--B", "6", "--s", "2",

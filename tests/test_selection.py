@@ -92,6 +92,16 @@ def test_sparse_select_by_lam_matches_single_fit():
     assert sel.tuning == pytest.approx(lam)
 
 
+def test_nonconverged_fit_is_a_numerical_error():
+    ds = planted_dataset(9)
+    one_sweep = EnetConfig(max_iter=1)
+    with pytest.raises(NumericalError,
+                       match=r"did not converge at lambda=\S+ within max_iter=1 sweeps"):
+        path_selections(ds, [2], one_sweep)
+    with pytest.raises(NumericalError, match=r"at lambda=0\.15 within max_iter=1"):
+        sparse_select(ds, lam=0.15, config=one_sweep)
+
+
 def test_sparse_select_needs_exactly_one_tuning():
     ds = planted_dataset(2)
     with pytest.raises(DataError, match="exactly one"):

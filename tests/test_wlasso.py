@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from hdte import wlasso
 from hdte.data import TrialDataset
 from hdte.errors import DataError, NumericalError
 from hdte.estimators import diff_in_means
@@ -8,6 +11,8 @@ from hdte.wlasso import (
     EnetConfig,
     RegressionWeights,
     _cd_solve,
+    _kkt_violation,
+    _path_grid,
     _prepare,
     fit_weighted_enet,
     lambda_max,
@@ -216,16 +221,184 @@ def test_path_structure_and_warm_start_agreement():
     assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
 
 
-def test_objective_never_increases_within_a_solve():
-    ds = random_dataset(31, n=40, p=10, effect=0.8)
+@pytest.fixture
+def sweep_log(monkeypatch):
+    """Record every sweep of ``_cd_solve`` in order: ``("block", accepted)``
+    for a block step, ``("scalar", n)`` for a scalar sweep that flipped the
+    sign of ``n`` coefficients (nonzero to nonzero of the other sign)."""
+    log = []
+    block_sweep, scalar_sweep = wlasso._Block.sweep, wlasso._scalar_sweep
+
+    def block(self, beta, lam1, full_set=None):
+        delta = block_sweep(self, beta, lam1, full_set)
+        log.append(("block", delta is not None))
+        return delta
+
+    def scalar(work, beta, *args):
+        before = np.sign(beta)
+        delta = scalar_sweep(work, beta, *args)
+        log.append(("scalar", int(np.sum(before * np.sign(beta) < 0))))
+        return delta
+
+    monkeypatch.setattr(wlasso._Block, "sweep", block)
+    monkeypatch.setattr(wlasso, "_scalar_sweep", scalar)
+    return log
+
+
+def reference_cd_solve(problem, config, lam, beta0=None):
+    """The one-coordinate-at-a-time loop that ``_cd_solve`` must reproduce:
+    same sweep schedule, stopping rule and ``soft_threshold`` update."""
+    gram, ty = problem.gram, problem.ty
+    lam1 = lam * config.l1_ratio
+    ridge = 2.0 * lam * (1.0 - config.l1_ratio)
+    diag = gram.diagonal().copy()
+    denom = diag + ridge
+    full_set = np.flatnonzero(problem.penalized)
+    beta = np.zeros(ty.shape[0]) if beta0 is None else np.array(beta0, dtype=np.float64)
+    beta[~problem.penalized] = 0.0
+    q = gram @ beta if beta.any() else np.zeros(ty.shape[0])
+    kkt_tol = 10.0 * config.tol * max(1.0, float(np.max(np.abs(ty), initial=0.0)),
+                                      float(diag.max(initial=0.0)))
+    sweeps, on_full_set = 0, True
+    while sweeps < config.max_iter:
+        work = full_set if on_full_set else np.flatnonzero(beta)
+        delta = 0.0
+        for j in work:
+            b_old = beta[j]
+            b_new = soft_threshold(ty[j] - q[j] + diag[j] * b_old, lam1) / denom[j]
+            if b_new != b_old:
+                q += gram[j] * (b_new - b_old)
+                beta[j] = b_new
+                delta = max(delta, abs(b_new - b_old))
+        sweeps += 1
+        if delta < config.tol:
+            if on_full_set:
+                if _kkt_violation(beta, q, ty, lam1, ridge, problem.penalized) <= kkt_tol:
+                    return beta, sweeps, True
+            else:
+                on_full_set = True
+        else:
+            on_full_set = False
+    return beta, sweeps, False
+
+
+def factor_dataset(seed, n=80, p=30):
+    """Outcomes driven by three shared factors, so columns are correlated."""
+    rng = np.random.default_rng(seed)
+    t = np.zeros(n, dtype=int)
+    t[: n // 2] = 1
+    rng.shuffle(t)
+    y = rng.standard_normal((n, 3)) @ rng.standard_normal((3, p))
+    y += 0.5 * rng.standard_normal((n, p))
+    y[:, :3] += 0.7 * t[:, None]
+    return TrialDataset(t, y)
+
+
+def test_deep_path_matches_scalar_reference(sweep_log):
+    """Past 50 active columns the block steps reproduce the scalar loop:
+    equal sweep counts and active sets at every grid point."""
+    ds = random_dataset(7, n=60, p=100)
+    config = EnetConfig()
+    problem, grid, _ = _path_grid(ds, propensity_weights(ds.treatments), config, 30, None)
+    beta = ref = np.zeros(ds.p)
+    largest = 0
+    for lam in grid[1:]:
+        beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
+        ref, ref_sweeps, ref_converged = reference_cd_solve(problem, config, lam, ref)
+        assert (sweeps, converged) == (ref_sweeps, ref_converged)
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+        assert np.max(np.abs(beta - ref)) <= 1e-10
+        largest = max(largest, np.count_nonzero(beta))
+    assert largest > 50
+    assert ("block", True) in sweep_log
+
+
+def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
+    """A warm start far from the solution flips coefficient signs after block
+    steps were accepted; the rejected step is redone by the scalar loop."""
+    ds = factor_dataset(1)
+    config = EnetConfig()
     w = propensity_weights(ds.treatments)
     problem = _prepare(ds, w, standardize=False)
-    lam = 0.2 * lambda_max(ds, w)
-    trace = []
-    _cd_solve(problem, EnetConfig(tol=1e-10), lam, objective_trace=trace)
-    assert len(trace) >= 2
-    diffs = np.diff(trace)
-    assert np.all(diffs <= 1e-12)
+    top = lambda_max(ds, w)
+    start, _, _ = _cd_solve(problem, config, 0.3 * top)
+    assert np.count_nonzero(start) >= wlasso._BLOCK_MIN
+    sweep_log.clear()
+    beta, sweeps, converged = _cd_solve(problem, config, 1e-3 * top, beta0=start)
+    ref, ref_sweeps, ref_converged = reference_cd_solve(problem, config, 1e-3 * top, start)
+    accepted = sweep_log.index(("block", True))
+    later = sweep_log[accepted:]
+    rejected = later.index(("block", False))
+    assert later[rejected + 1][0] == "scalar"
+    assert any(kind == "scalar" and flips > 0 for kind, flips in later)
+    assert (sweeps, converged) == (ref_sweeps, ref_converged)
+    np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+    assert np.max(np.abs(beta - ref)) <= 1e-10
+
+
+def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
+    """One full sweep whose block step keeps every active sign by
+    construction: the zero coordinates decide whether it is accepted, and
+    either way the result is the scalar sweep's."""
+    rng = np.random.default_rng(5)
+    p, k = 16, 12
+    one_sweep = EnetConfig(max_iter=1)
+    for _ in range(200):
+        root = rng.standard_normal((p, p)) + 1.0
+        gram = root.T @ root / p
+        active = np.sort(rng.choice(p, k, replace=False))
+        signs = rng.choice([-1.0, 1.0], k)
+        b_old = signs * rng.uniform(0.5, 2.0, k)
+        b_new = signs * rng.uniform(0.5, 2.0, k)
+        lam = rng.uniform(4.0, 12.0)
+        block = gram[np.ix_(active, active)]
+        ty = rng.standard_normal(p) * 3.0
+        ty[active] = np.tril(block) @ b_new + np.triu(block, 1) @ b_old + lam * signs
+        beta0 = np.zeros(p)
+        beta0[active] = b_old
+        problem = SimpleNamespace(gram=gram, ty=ty, penalized=np.ones(p, dtype=bool))
+        beta, _, _ = _cd_solve(problem, one_sweep, lam, beta0=beta0)
+        ref, _, _ = reference_cd_solve(problem, one_sweep, lam, beta0)
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+        assert np.max(np.abs(beta - ref)) <= 1e-10
+    assert ("block", True) in sweep_log and ("block", False) in sweep_log
+
+
+@pytest.mark.parametrize("l1_ratio, m", [(1.0, 0), (0.5, 2)])
+def test_small_problem_stays_bit_identical_to_scalar_reference(sweep_log, l1_ratio, m):
+    """Below ``_BLOCK_MIN`` nonzero coefficients only the scalar loop runs,
+    and its float arithmetic gives the reference loop's exact bits."""
+    ds = random_dataset(19, n=50, p=wlasso._BLOCK_MIN - 1, m=m)
+    config = EnetConfig(l1_ratio=l1_ratio)
+    weights = propensity_weights(ds.treatments)
+    path = regularization_path(ds, weights, n_lambdas=30, config=config)
+    problem, grid, _ = _path_grid(ds, weights, config, 30, None)
+    ref = np.zeros(ds.p)
+    for fit, lam in zip(path.fits[1:], grid[1:]):
+        ref, sweeps, _ = reference_cd_solve(problem, config, lam, ref)
+        assert fit.iterations == sweeps
+        assert fit.beta.tobytes() == (ref / problem.scale).tobytes()
+    assert {kind for kind, _ in sweep_log} == {"scalar"}
+
+
+def test_objective_never_increases_within_a_solve(sweep_log):
+    """Holds on the scalar loop and, with ``q`` refreshed lazily, on block
+    steps too."""
+    cases = [
+        (random_dataset(31, n=40, p=10, effect=0.8), 0.2, False),
+        (random_dataset(7, n=60, p=100), 0.05, True),
+    ]
+    for ds, ratio, takes_block_steps in cases:
+        w = propensity_weights(ds.treatments)
+        problem = _prepare(ds, w, standardize=False)
+        lam = ratio * lambda_max(ds, w)
+        trace = []
+        sweep_log.clear()
+        _cd_solve(problem, EnetConfig(tol=1e-10), lam, objective_trace=trace)
+        assert len(trace) >= 2
+        diffs = np.diff(trace)
+        assert np.all(diffs <= 1e-12)
+        assert (("block", True) in sweep_log) == takes_block_steps
 
 
 def test_standardize_matches_plain_fit_when_unpenalized():
