@@ -23,14 +23,8 @@ import scipy
 from .data import CsvSchema, load_csv
 from .errors import DataError, HdteError, NumericalError
 from .estimators import adjusted_estimate
-from .inference import (
-    SelectionSpec,
-    hotelling_pvalue,
-    hotelling_statistic,
-    multi_split,
-    z_pvalues,
-)
-from .selection import baseline_select, sparse_select
+from .inference import hotelling_pvalue, hotelling_statistic, multi_split, z_pvalues
+from .selection import SelectionSpec, method_l1_ratio, run_selection
 from .simharness import (
     LinearModelConfig,
     LinearModelGenerator,
@@ -40,7 +34,7 @@ from .simharness import (
     run_semisynth_experiment,
     write_metrics_csv,
 )
-from .wlasso import EnetConfig, propensity_weights, regularization_path
+from .wlasso import EnetConfig, regularization_path
 
 try:
     _HDTE_VERSION = _dist_version("hdte")
@@ -105,15 +99,17 @@ def _resolve_estimator(value: str | None, ds) -> str:
     return "cuped" if ds.covariates is not None else "dim"
 
 
-def _enet_config(params, selection: str) -> EnetConfig:
-    l1 = params.get("l1_ratio")
-    if l1 is None:
-        l1 = 1.0 if selection == "lasso" else 0.5
-    return EnetConfig(
-        l1_ratio=l1,
+def _selection_spec(params) -> SelectionSpec:
+    """The ``--selection``/``--s``/``--lam``/``--l1-ratio`` options as a spec."""
+    method = params["selection"]
+    if method == "baseline" and params["s"] is None:
+        raise DataError("baseline selection needs --s")
+    config = EnetConfig(
+        l1_ratio=method_l1_ratio(method, params["l1_ratio"]),
         tol=params.get("tol", 1e-7),
         max_iter=params.get("max_iter", 10_000),
     )
+    return SelectionSpec(method, params["s"], params["lam"], config=config)
 
 
 def _write_rows(path: Path, header, rows) -> None:
@@ -133,21 +129,10 @@ def _fmt(value) -> str:
 
 def _run_select(params, outdir: Path) -> None:
     ds = _load_dataset(params)
-    selection = params["selection"]
-    if selection == "baseline":
-        if params["s"] is None:
-            raise DataError("baseline selection needs --s")
-        est = adjusted_estimate(ds, _resolve_estimator(params["estimator"], ds))
-        result = baseline_select(est, params["s"])
-    else:
-        result = sparse_select(
-            ds,
-            size=params["s"],
-            lam=params["lam"],
-            config=_enet_config(params, selection),
-            n_lambdas=params["n_lambdas"],
-            lambda_min_ratio=params["lambda_min_ratio"],
-        )
+    (result,), _ = run_selection(
+        ds, _selection_spec(params), _resolve_estimator(params["estimator"], ds),
+        n_lambdas=params["n_lambdas"], lambda_min_ratio=params["lambda_min_ratio"],
+    )
     rss = "" if result.weighted_rss is None else _fmt(result.weighted_rss)
     rows = [
         [rank, j, ds.column_labels[j], _fmt(result.scores[rank]),
@@ -213,19 +198,12 @@ def _run_infer(params, outdir: Path) -> None:
 
 def _run_multisplit(params, outdir: Path) -> None:
     ds = _load_dataset(params)
-    method = _resolve_estimator(params["estimator"], ds)
-    spec = SelectionSpec(
-        method=params["selection"],
-        size=params["s"],
-        lam=params["lam"],
-        config=_enet_config(params, params["selection"]),
-    )
     report = multi_split(
         ds,
         B=params["B"],
         gamma=params["gamma"],
-        method=method,
-        sel=spec,
+        method=_resolve_estimator(params["estimator"], ds),
+        sel=_selection_spec(params),
         seed=params["seed"],
         fraction=params["fraction"],
         two_sided=params["two_sided"],
@@ -253,14 +231,13 @@ def _run_multisplit(params, outdir: Path) -> None:
 
 def _run_path(params, outdir: Path) -> None:
     ds = _load_dataset(params)
-    weights = propensity_weights(ds.treatments)
     config = EnetConfig(
         l1_ratio=params["l1_ratio"] if params["l1_ratio"] is not None else 1.0,
         tol=params["tol"],
         max_iter=params["max_iter"],
     )
     path = regularization_path(
-        ds, weights,
+        ds,
         n_lambdas=params["n_lambdas"],
         lambda_min_ratio=params["lambda_min_ratio"],
         config=config,
@@ -346,6 +323,18 @@ def _execute(command: str, params: dict, outdir: Path) -> None:
     click.echo(f"{command}: outputs written to {outdir}")
 
 
+def _execute_invoked() -> None:
+    """Run the invoked click command. Its parameters are the parsed options
+    minus ``--outdir``, with the input files resolved to absolute paths."""
+    ctx = click.get_current_context()
+    params = dict(ctx.params)
+    outdir = _resolve_outdir(params.pop("outdir"))
+    for name in ("data", "selection_csv"):
+        if name in params:
+            params[name] = str(Path(params[name]).resolve())
+    _execute(ctx.command.name, params, outdir)
+
+
 # ---------------------------------------------------------------------------
 # click wiring
 
@@ -400,25 +389,9 @@ def cli():
 @click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
 @_outdir_option
-def select(data, treatment_col, outcome_cols, covariate_cols, selection, s, lam,
-           l1_ratio, estimator, n_lambdas, lambda_min_ratio, tol, max_iter, outdir):
+def select(**_):
     """Select outcome columns; writes selection.csv."""
-    params = {
-        "data": str(Path(data).resolve()),
-        "treatment_col": treatment_col,
-        "outcome_cols": outcome_cols,
-        "covariate_cols": covariate_cols,
-        "selection": selection,
-        "s": s,
-        "lam": lam,
-        "l1_ratio": l1_ratio,
-        "estimator": estimator,
-        "n_lambdas": n_lambdas,
-        "lambda_min_ratio": lambda_min_ratio,
-        "tol": tol,
-        "max_iter": max_iter,
-    }
-    _execute("select", params, _resolve_outdir(outdir))
+    _execute_invoked()
 
 
 @cli.command()
@@ -432,24 +405,13 @@ def select(data, treatment_col, outcome_cols, covariate_cols, selection, s, lam,
               help="Multiplicity factor (default: subset size).")
 @click.option("--two-sided", is_flag=True, help="Double the normal tail.")
 @_outdir_option
-def infer(data, selection_csv, treatment_col, outcome_cols, covariate_cols,
-          estimator, correction, two_sided, outdir):
+def infer(**_):
     """Test a selected subset on held-out data; writes per_dim.csv and group.csv.
 
     DATA should be independent of the sample the selection was computed on;
     reusing the selection sample invalidates the p-values.
     """
-    params = {
-        "data": str(Path(data).resolve()),
-        "selection_csv": str(Path(selection_csv).resolve()),
-        "treatment_col": treatment_col,
-        "outcome_cols": outcome_cols,
-        "covariate_cols": covariate_cols,
-        "estimator": estimator,
-        "correction": correction,
-        "two_sided": two_sided,
-    }
-    _execute("infer", params, _resolve_outdir(outdir))
+    _execute_invoked()
 
 
 @cli.command()
@@ -471,27 +433,9 @@ def infer(data, selection_csv, treatment_col, outcome_cols, covariate_cols,
 @click.option("--two-sided", is_flag=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_outdir_option
-def multisplit(data, treatment_col, outcome_cols, covariate_cols, B, gamma,
-               selection, s, lam, l1_ratio, estimator, fraction, two_sided,
-               seed, outdir):
+def multisplit(**_):
     """Aggregate select-then-test over many random splits."""
-    params = {
-        "data": str(Path(data).resolve()),
-        "treatment_col": treatment_col,
-        "outcome_cols": outcome_cols,
-        "covariate_cols": covariate_cols,
-        "B": B,
-        "gamma": gamma,
-        "selection": selection,
-        "s": s,
-        "lam": lam,
-        "l1_ratio": l1_ratio,
-        "estimator": estimator,
-        "fraction": fraction,
-        "two_sided": two_sided,
-        "seed": seed,
-    }
-    _execute("multisplit", params, _resolve_outdir(outdir))
+    _execute_invoked()
 
 
 @cli.command()
@@ -504,21 +448,9 @@ def multisplit(data, treatment_col, outcome_cols, covariate_cols, B, gamma,
 @click.option("--tol", type=float, default=1e-7, show_default=True)
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
 @_outdir_option
-def path(data, treatment_col, outcome_cols, covariate_cols, l1_ratio, n_lambdas,
-         lambda_min_ratio, tol, max_iter, outdir):
+def path(**_):
     """Trace the penalty path; writes path.csv."""
-    params = {
-        "data": str(Path(data).resolve()),
-        "treatment_col": treatment_col,
-        "outcome_cols": outcome_cols,
-        "covariate_cols": covariate_cols,
-        "l1_ratio": l1_ratio,
-        "n_lambdas": n_lambdas,
-        "lambda_min_ratio": lambda_min_ratio,
-        "tol": tol,
-        "max_iter": max_iter,
-    }
-    _execute("path", params, _resolve_outdir(outdir))
+    _execute_invoked()
 
 
 @cli.command()
@@ -544,22 +476,9 @@ def path(data, treatment_col, outcome_cols, covariate_cols, l1_ratio, n_lambdas,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @_outdir_option
-def simulate(experiment, n, p, m, s_tau, alpha, pi, replicates, sizes, methods,
-             estimator, second_sample_size, seed, jobs, outdir):
+def simulate(**_):
     """Replicated recovery or power experiment on the linear outcome model."""
-    params = {
-        "experiment": experiment,
-        "n": n, "p": p, "m": m, "s_tau": s_tau,
-        "alpha": alpha, "pi": pi,
-        "replicates": replicates,
-        "sizes": sizes,
-        "methods": methods,
-        "estimator": estimator,
-        "second_sample_size": second_sample_size,
-        "seed": seed,
-        "jobs": jobs,
-    }
-    _execute("simulate", params, _resolve_outdir(outdir))
+    _execute_invoked()
 
 
 @cli.command()
@@ -578,22 +497,9 @@ def simulate(experiment, n, p, m, s_tau, alpha, pi, replicates, sizes, methods,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @_outdir_option
-def semisynth(n, alpha, replicates, B, gamma, s, levels, estimator, seed, jobs,
-              outdir):
+def semisynth(**_):
     """Fixed-window versus multi-resolution testing on glucose traces."""
-    params = {
-        "n": n,
-        "alpha": alpha,
-        "replicates": replicates,
-        "B": B,
-        "gamma": gamma,
-        "s": s,
-        "levels": levels,
-        "estimator": estimator,
-        "seed": seed,
-        "jobs": jobs,
-    }
-    _execute("semisynth", params, _resolve_outdir(outdir))
+    _execute_invoked()
 
 
 @cli.command()

@@ -4,21 +4,15 @@ and quantile aggregation over repeated random splits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .data import TrialDataset, aggregate_columns, random_split
 from .errors import DataError, HdteError, NumericalError
-from .estimators import EffectEstimate, adjusted_estimate, diff_in_means
-from .selection import (
-    SelectionResult,
-    baseline_select,
-    select_resolution_level,
-    sparse_select,
-)
-from .wlasso import EnetConfig
+from .estimators import EffectEstimate, adjusted_estimate
+from .selection import SelectionSpec, run_selection
 
 __all__ = [
     "PValueReport",
@@ -32,42 +26,6 @@ __all__ = [
     "multi_split",
     "split_seeds",
 ]
-
-
-@dataclass(frozen=True)
-class SelectionSpec:
-    """How the selection half of a split pipeline picks its subset.
-
-    ``method`` is ``"baseline"`` (ranked studentized effects), ``"lasso"``,
-    or ``"enet"``; penalized methods take exactly one of ``size`` / ``lam``.
-    ``levels`` (optional) switches on multi-resolution mode: a list of column
-    groupings, coarsest first, among which the best-fitting level is chosen
-    before testing (see :func:`hdte.selection.select_resolution_level`).
-    """
-
-    method: str = "lasso"
-    size: int | None = None
-    lam: float | None = None
-    levels: tuple | None = None
-    config: EnetConfig = field(default_factory=EnetConfig)
-
-    def __post_init__(self):
-        if self.method not in ("baseline", "lasso", "enet"):
-            raise DataError(f"unknown selection method {self.method!r}")
-        if self.method == "baseline":
-            if self.size is None:
-                raise DataError("baseline selection needs size=")
-            if self.levels is not None:
-                raise DataError("multi-resolution mode needs a penalized method")
-        cfg = self.config
-        if self.method == "lasso" and cfg.l1_ratio != 1.0:
-            cfg = EnetConfig(cfg.lam, 1.0, cfg.tol, cfg.max_iter, cfg.standardize)
-        elif self.method == "enet" and cfg.l1_ratio == 1.0:
-            cfg = EnetConfig(cfg.lam, 0.5, cfg.tol, cfg.max_iter, cfg.standardize)
-        object.__setattr__(self, "config", cfg)
-        if self.levels is not None:
-            frozen = tuple(tuple(tuple(int(j) for j in g) for g in lvl) for lvl in self.levels)
-            object.__setattr__(self, "levels", frozen)
 
 
 @dataclass(frozen=True)
@@ -147,40 +105,18 @@ def hotelling_pvalue(est: EffectEstimate) -> float:
     return float(stats.chi2.sf(hotelling_statistic(est), df=s))
 
 
-def _estimate(ds: TrialDataset, method: str, subset) -> EffectEstimate:
-    if method == "dim":
-        return diff_in_means(ds, subset)
-    return adjusted_estimate(ds, method, subset)
-
-
-def _select_for_split(ds: TrialDataset, method: str, sel: SelectionSpec
-                      ) -> tuple[SelectionResult, int | None]:
-    """Run the configured selection on the first half. Returns the selection
-    and, in multi-resolution mode, the chosen level index."""
-    if sel.levels is not None:
-        level, result = select_resolution_level(
-            ds, sel.levels, size=sel.size, lam=sel.lam, config=sel.config
-        )
-        return result, level
-    if sel.method == "baseline":
-        ranking_method = method if ds.covariates is not None else "dim"
-        return baseline_select(_estimate(ds, ranking_method, None), sel.size), None
-    result = sparse_select(ds, size=sel.size, lam=sel.lam, config=sel.config)
-    return result, None
-
-
 def _split_report(split, method: str, sel: SelectionSpec,
                   two_sided: bool) -> tuple[PValueReport, int | None]:
     if method not in ("dim", "cuped", "lin"):
         raise DataError(f"unknown estimation method {method!r}")
-    result, level = _select_for_split(split.first, method, sel)
+    (result,), level = run_selection(split.first, sel, method)
     subset = result.selected
     if not subset:
         return PValueReport({}, 1.0, None, (), 0), level
     second = split.second
     if level is not None:
         second = aggregate_columns(second, sel.levels[level])
-    est = _estimate(second, method, subset)
+    est = adjusted_estimate(second, method, subset)
     pvals = z_pvalues(est, correction=len(subset), two_sided=two_sided)
     per_dim = {int(j): float(p) for j, p in zip(subset, pvals)}
     return PValueReport(per_dim, hotelling_pvalue(est), est, subset, len(subset)), level

@@ -1,35 +1,93 @@
-"""Outcome subset selection: ranked effects, penalized paths, thresholding,
-and the population-level target the sparse selector estimates."""
+"""Outcome subset selection: ranked effects, penalized paths, resolution
+levels, the one dispatch between them, and the population-level target the
+sparse selector estimates."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import TrialDataset, aggregate_columns
 from .errors import DataError, NumericalError
-from .estimators import EffectEstimate
+from .estimators import EffectEstimate, adjusted_estimate
 from .wlasso import (
     EnetConfig,
-    EnetFit,
-    _path_grid,
-    _walk_path,
     fit_weighted_enet,
-    propensity_weights,
     subset_weighted_rss,
+    walk_path,
 )
 
 __all__ = [
+    "SelectionSpec",
     "SelectionResult",
     "PopulationTarget",
+    "method_l1_ratio",
+    "run_selection",
     "baseline_select",
     "sparse_select",
     "path_selections",
-    "hard_threshold_select",
     "population_beta_star",
     "select_resolution_level",
 ]
+
+_METHODS = ("baseline", "lasso", "enet")
+
+
+def method_l1_ratio(method: str, l1_ratio: float | None = None) -> float:
+    """The lasso share of the penalty that ``method`` runs with.
+
+    ``None`` gives the method's default: 1.0 for ``"lasso"``, 0.5 otherwise.
+    A given share is kept, except that the lasso is share 1 and the elastic
+    net is any other share: ``"lasso"`` with a share below 1, or ``"enet"``
+    with share 1, is a contradiction and raises.
+    """
+    if l1_ratio is None:
+        return 1.0 if method == "lasso" else 0.5
+    if (method == "lasso" and l1_ratio != 1.0) or (method == "enet" and l1_ratio == 1.0):
+        raise DataError(
+            f"selection {method!r} contradicts l1_ratio={l1_ratio!r}: the lasso "
+            "is l1_ratio 1, the elastic net ('enet') any share below 1"
+        )
+    return l1_ratio
+
+
+@dataclass(frozen=True)
+class SelectionSpec:
+    """How a subset is selected (see :func:`run_selection`).
+
+    ``method`` is ``"baseline"`` (ranked studentized effects), ``"lasso"``,
+    or ``"enet"``; penalized methods take exactly one of ``size`` / ``lam``.
+    ``levels`` (optional) switches on multi-resolution mode: a list of column
+    groupings, coarsest first, among which the best-fitting level is chosen
+    (see :func:`select_resolution_level`). ``config.l1_ratio`` follows
+    :func:`method_l1_ratio`, with ``EnetConfig``'s default share 1 standing
+    for the method's default.
+    """
+
+    method: str = "lasso"
+    size: int | None = None
+    lam: float | None = None
+    levels: tuple | None = None
+    config: EnetConfig = field(default_factory=EnetConfig)
+
+    def __post_init__(self):
+        if self.method not in _METHODS:
+            raise DataError(f"unknown selection method {self.method!r}")
+        if self.method == "baseline":
+            if self.size is None:
+                raise DataError("baseline selection needs size=")
+            if self.levels is not None:
+                raise DataError("multi-resolution mode needs a penalized method")
+        else:
+            if (self.size is None) == (self.lam is None):
+                raise DataError("pass exactly one of size= or lam=")
+            l1 = self.config.l1_ratio
+            l1 = method_l1_ratio(self.method, None if l1 == 1.0 else l1)
+            object.__setattr__(self, "config", replace(self.config, l1_ratio=l1))
+        if self.levels is not None:
+            frozen = tuple(tuple(tuple(int(j) for j in g) for g in lvl) for lvl in self.levels)
+            object.__setattr__(self, "levels", frozen)
 
 
 @dataclass(frozen=True)
@@ -51,7 +109,7 @@ class SelectionResult:
     weighted_rss: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("baseline", "lasso", "enet"):
+        if self.method not in _METHODS:
             raise DataError(f"unknown selection method {self.method!r}")
         if len(self.scores) != len(self.selected):
             raise DataError("scores and selected must have equal length")
@@ -127,14 +185,12 @@ def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
         raise DataError("sizes must be nonempty")
     if wanted[0] < 1 or wanted[-1] > ds.p:
         raise DataError(f"sizes must be within [1, p={ds.p}], got {wanted}")
-    weights = propensity_weights(ds.treatments)
-    problem, grid, _ = _path_grid(ds, weights, config, n_lambdas, lambda_min_ratio)
     label = _method_label(config)
     entry_rank: dict[int, int] = {}
     results: dict[int, SelectionResult] = {}
     pending = list(wanted)
     largest_seen = 0
-    for lam, beta, sweeps, converged in _walk_path(problem, grid, config):
+    for lam, beta, sweeps, converged in walk_path(ds, n_lambdas, lambda_min_ratio, config):
         _require_converged(lam, sweeps, converged)
         active = np.flatnonzero(beta).tolist()
         for j in active:
@@ -149,7 +205,7 @@ def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
                 label,
                 lam,
                 tuple(abs(beta.item(j)) for j in ranked),
-                subset_weighted_rss(ds, weights, ranked),
+                subset_weighted_rss(ds, ranked),
             )
         if not pending:
             break
@@ -174,10 +230,9 @@ def sparse_select(ds: TrialDataset, *, size: int | None = None,
     """
     if (size is None) == (lam is None):
         raise DataError("pass exactly one of size= or lam=")
-    weights = propensity_weights(ds.treatments)
     if size is not None:
         return path_selections(ds, [size], config, n_lambdas, lambda_min_ratio)[size]
-    fit = fit_weighted_enet(ds, weights, replace(config, lam=lam))
+    fit = fit_weighted_enet(ds, replace(config, lam=lam))
     _require_converged(fit.lam, fit.iterations, fit.converged)
     abs_beta = np.abs(fit.beta)
     active = np.asarray(fit.active_set, dtype=np.intp)
@@ -188,27 +243,7 @@ def sparse_select(ds: TrialDataset, *, size: int | None = None,
         _method_label(config),
         float(lam),
         tuple(float(abs_beta[j]) for j in chosen),
-        subset_weighted_rss(ds, weights, chosen),
-    )
-
-
-def hard_threshold_select(fit: EnetFit, threshold: float) -> SelectionResult:
-    """Keep coefficients with ``|beta_j| > threshold``, largest first.
-
-    Ties break toward the lower index. The result is labeled ``"lasso"``
-    since thresholding post-processes a penalized fit.
-    """
-    if threshold <= 0:
-        raise DataError(f"threshold must be positive, got {threshold}")
-    abs_beta = np.abs(fit.beta)
-    keep = np.flatnonzero(abs_beta > threshold)
-    order = np.lexsort((keep, -abs_beta[keep])) if keep.size else np.zeros(0, np.intp)
-    chosen = tuple(int(keep[i]) for i in order)
-    return SelectionResult(
-        chosen,
-        "lasso",
-        float(threshold),
-        tuple(float(abs_beta[j]) for j in chosen),
+        subset_weighted_rss(ds, chosen),
     )
 
 
@@ -286,3 +321,37 @@ def select_resolution_level(ds: TrialDataset, levels, *, size: int | None = None
         if best is None or sel.weighted_rss < best[1].weighted_rss:
             best = (li, sel)
     return best
+
+
+def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
+                  sizes=None, n_lambdas: int = 100,
+                  lambda_min_ratio: float | None = None
+                  ) -> tuple[tuple[SelectionResult, ...], int | None]:
+    """Apply ``spec`` to ``ds``: the one place that tells the selection methods apart.
+
+    The baseline ranks effects estimated with ``estimator`` when ``ds`` has
+    covariates to adjust on, and unadjusted (``"dim"``) otherwise. ``sizes``
+    asks a size-based selection for several sizes at once, from one ranking
+    or one path walk; by default the spec's own ``size`` (or ``lam``) is used.
+    ``n_lambdas`` and ``lambda_min_ratio`` shape the penalty grid of
+    :func:`path_selections`.
+
+    Returns one selection per size and, in multi-resolution mode, the index
+    of the chosen level (``None`` otherwise).
+    """
+    if sizes is not None and (spec.lam is not None or spec.levels is not None):
+        raise DataError("several sizes need a size-based selection without levels")
+    if spec.levels is not None:
+        level, result = select_resolution_level(
+            ds, spec.levels, size=spec.size, lam=spec.lam, config=spec.config,
+            n_lambdas=n_lambdas, lambda_min_ratio=lambda_min_ratio,
+        )
+        return (result,), level
+    if spec.method == "baseline":
+        est = adjusted_estimate(ds, estimator if ds.covariates is not None else "dim")
+        return tuple(baseline_select(est, s) for s in sizes or (spec.size,)), None
+    if sizes is None:
+        return (sparse_select(ds, size=spec.size, lam=spec.lam, config=spec.config,
+                              n_lambdas=n_lambdas, lambda_min_ratio=lambda_min_ratio),), None
+    picks = path_selections(ds, sizes, spec.config, n_lambdas, lambda_min_ratio)
+    return tuple(picks[s] for s in sizes), None

@@ -20,9 +20,8 @@ from scipy.signal import lfilter
 from .data import TrialDataset, aggregate_columns
 from .errors import DataError, HdteError
 from .estimators import adjusted_estimate
-from .inference import SelectionSpec, hotelling_pvalue, multi_split, z_pvalues
-from .selection import baseline_select, path_selections
-from .wlasso import EnetConfig
+from .inference import hotelling_pvalue, multi_split, z_pvalues
+from .selection import SelectionSpec, run_selection
 
 __all__ = [
     "LinearModelConfig",
@@ -163,23 +162,22 @@ class IndependentOutcomesGenerator:
         if not 0.0 < self.pi < 1.0:
             raise DataError(f"pi must be in (0, 1), got {self.pi}")
 
-    def replicate(self, seed) -> tuple[TrialDataset, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        t = (rng.random(self.n) < self.pi).astype(np.int64)
-        y = rng.standard_normal((self.n, self.d))
+    def _sample(self, rng: np.random.Generator, n: int) -> TrialDataset:
+        """Draw one dataset of ``n`` rows. Draw order: treatments, noise."""
+        t = (rng.random(n) < self.pi).astype(np.int64)
+        y = rng.standard_normal((n, self.d))
         y[:, : self.s_star] += self.alpha * t[:, None]
-        return TrialDataset(t, y), np.arange(self.s_star)
+        return TrialDataset(t, y)
+
+    def replicate(self, seed) -> tuple[TrialDataset, np.ndarray]:
+        return self._sample(np.random.default_rng(seed), self.n), np.arange(self.s_star)
 
     def replicate_pair(self, seed, n_second: int
                        ) -> tuple[TrialDataset, TrialDataset, np.ndarray]:
+        """A selection dataset, then an independent evaluation dataset."""
         rng = np.random.default_rng(seed)
-        t1 = (rng.random(self.n) < self.pi).astype(np.int64)
-        y1 = rng.standard_normal((self.n, self.d))
-        y1[:, : self.s_star] += self.alpha * t1[:, None]
-        t2 = (rng.random(n_second) < self.pi).astype(np.int64)
-        y2 = rng.standard_normal((n_second, self.d))
-        y2[:, : self.s_star] += self.alpha * t2[:, None]
-        return TrialDataset(t1, y1), TrialDataset(t2, y2), np.arange(self.s_star)
+        ds1 = self._sample(rng, self.n)
+        return ds1, self._sample(rng, n_second), np.arange(self.s_star)
 
 
 def gen_independent_outcomes(n: int, d: int, s_star: int, alpha: float,
@@ -353,7 +351,6 @@ def window_level_groupings(level_window_minutes) -> list[tuple[tuple[int, ...], 
     if not durations:
         raise DataError("need at least one window level")
     finest = min(durations)
-    n_base = 1440 // finest
     levels = []
     for d in durations:
         if d % finest != 0 or 1440 % d != 0:
@@ -391,37 +388,28 @@ def _method_key(method, position: int) -> str:
     return getattr(method, "__name__", f"custom{position}")
 
 
-def _select_all_sizes(ds: TrialDataset, method, sizes, estimator: str,
-                      lasso_config: EnetConfig, enet_config: EnetConfig,
-                      n_lambdas: int, lambda_min_ratio: float | None
-                      ) -> dict[int, tuple[int, ...]]:
-    """Selections per size for one method on one dataset."""
+def _subsets_by_size(ds: TrialDataset, method, sizes, estimator: str
+                     ) -> dict[int, tuple[int, ...]]:
+    """Selected subsets per size for one experiment method on one dataset:
+    a custom callable per size, a built-in through :func:`run_selection`.
+    ``"baseline_dim"`` is the baseline ranked without adjustment."""
     if callable(method):
         return {s: tuple(int(j) for j in method(ds, s)) for s in sizes}
-    if method in ("baseline", "baseline_dim"):
-        ranking = estimator if (method == "baseline" and ds.covariates is not None) else "dim"
-        ranked = baseline_select(adjusted_estimate(ds, ranking), max(sizes))
-        return {s: ranked.selected[:s] for s in sizes}
-    if method in ("lasso", "enet"):
-        config = lasso_config if method == "lasso" else enet_config
-        picks = path_selections(ds, sizes, config, n_lambdas, lambda_min_ratio)
-        return {s: picks[s].selected for s in sizes}
-    raise DataError(f"unknown method {method!r}")
+    if method == "baseline_dim":
+        method, estimator = "baseline", "dim"
+    results, _ = run_selection(ds, SelectionSpec(method, size=sizes[-1]), estimator, sizes)
+    return {s: result.selected for s, result in zip(sizes, results)}
 
 
 def _recovery_replicate(args):
-    (generator, methods, sizes, estimator, lasso_config, enet_config,
-     n_lambdas, lambda_min_ratio, child) = args
+    generator, methods, sizes, estimator, child = args
     ds, s_true = generator.replicate(child)
     truth = set(int(j) for j in s_true)
     out = {}
     for pos, method in enumerate(methods):
         key = _method_key(method, pos)
         try:
-            picks = _select_all_sizes(
-                ds, method, sizes, estimator, lasso_config, enet_config,
-                n_lambdas, lambda_min_ratio,
-            )
+            picks = _subsets_by_size(ds, method, sizes, estimator)
             out[key] = {s: len(truth & set(sel)) / s for s, sel in picks.items()}
         except HdteError:
             out[key] = None
@@ -430,16 +418,13 @@ def _recovery_replicate(args):
 
 def _power_replicate(args):
     (generator, methods, sizes, estimator, test_estimator, alpha_level,
-     n_second, lasso_config, enet_config, n_lambdas, lambda_min_ratio, child) = args
+     n_second, child) = args
     ds1, ds2, _ = generator.replicate_pair(child, n_second)
     out = {}
     for pos, method in enumerate(methods):
         key = _method_key(method, pos)
         try:
-            picks = _select_all_sizes(
-                ds1, method, sizes, estimator, lasso_config, enet_config,
-                n_lambdas, lambda_min_ratio,
-            )
+            picks = _subsets_by_size(ds1, method, sizes, estimator)
             rejections = {}
             for s, sel in picks.items():
                 est = adjusted_estimate(ds2, test_estimator, sel)
@@ -474,10 +459,6 @@ def _aggregate_by_size(raw: list, methods, replicates: int) -> dict[str, dict]:
 
 def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: int, *,
                             estimator: str = "cuped",
-                            lasso_config: EnetConfig = EnetConfig(),
-                            enet_config: EnetConfig = EnetConfig(l1_ratio=0.5),
-                            n_lambdas: int = 100,
-                            lambda_min_ratio: float | None = None,
                             n_jobs: int = 1) -> dict[str, ExperimentMetrics]:
     """Mean recovery rate ``|selected ∩ true| / s`` per method and size.
 
@@ -489,11 +470,8 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
     """
     children = np.random.SeedSequence(seed).spawn(replicates)
     sizes = sorted(set(int(s) for s in sizes))
-    args = [
-        (generator, tuple(methods), tuple(sizes), estimator, lasso_config,
-         enet_config, n_lambdas, lambda_min_ratio, child)
-        for child in children
-    ]
+    args = [(generator, tuple(methods), tuple(sizes), estimator, child)
+            for child in children]
     raw = _run_replicates(_recovery_replicate, args, n_jobs)
     out = {}
     for key, (by_size, failures) in _aggregate_by_size(raw, methods, replicates).items():
@@ -508,10 +486,6 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
                          estimator: str = "cuped",
                          test_estimator: str = "lin",
                          alpha_level: float = 0.05,
-                         lasso_config: EnetConfig = EnetConfig(),
-                         enet_config: EnetConfig = EnetConfig(l1_ratio=0.5),
-                         n_lambdas: int = 100,
-                         lambda_min_ratio: float | None = None,
                          n_jobs: int = 1) -> dict[str, ExperimentMetrics]:
     """Rejection frequency of the group test at ``alpha_level`` per method
     and size.
@@ -525,8 +499,7 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
     sizes = sorted(set(int(s) for s in sizes))
     args = [
         (generator, tuple(methods), tuple(sizes), estimator, test_estimator,
-         alpha_level, second_sample_size, lasso_config, enet_config,
-         n_lambdas, lambda_min_ratio, child)
+         alpha_level, second_sample_size, child)
         for child in children
     ]
     raw = _run_replicates(_power_replicate, args, n_jobs)

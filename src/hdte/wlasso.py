@@ -39,7 +39,6 @@ from .data import TrialDataset, center_columns
 from .errors import DataError, NumericalError
 
 __all__ = [
-    "RegressionWeights",
     "EnetConfig",
     "EnetFit",
     "EnetPath",
@@ -48,6 +47,7 @@ __all__ = [
     "fit_weighted_enet",
     "lambda_max",
     "regularization_path",
+    "walk_path",
     "subset_weighted_rss",
 ]
 
@@ -62,23 +62,6 @@ _DEGENERATE_REL = 1e-14
 # size (up to 137 coordinates), so they cross near 6. The margin above that
 # pays for rebuilding the cached blocks (30-280 us) when the set changes.
 _BLOCK_MIN = 8
-
-
-@dataclass(frozen=True)
-class RegressionWeights:
-    """Per-unit weights ``1 / pi_hat**2`` (treated) and ``1 / (1 - pi_hat)**2``
-    (control), with ``pi_hat`` the empirical treated fraction."""
-
-    w: np.ndarray
-    pi_hat: float
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise DataError("weights must be a 1-d vector of positive finite values")
-        if not 0.0 < self.pi_hat < 1.0:
-            raise DataError(f"pi_hat must be in (0, 1), got {self.pi_hat}")
-        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True)
@@ -134,16 +117,17 @@ class EnetPath:
     lambda_max: float
 
 
-def propensity_weights(treatments) -> RegressionWeights:
-    """Inverse-propensity-squared weights from a binary treatment vector."""
+def propensity_weights(treatments) -> np.ndarray:
+    """Per-unit weights ``1 / pi_hat**2`` (treated) and ``1 / (1 - pi_hat)**2``
+    (control), with ``pi_hat`` the empirical treated fraction. Every solver
+    entry point derives its weights from the dataset's treatments this way."""
     t = np.asarray(treatments, dtype=np.float64)
     n_t = t.sum()
     n = t.shape[0]
     if n_t == 0 or n_t == n:
         raise DataError("weights need both arms present (all-treated or all-control sample)")
     pi_hat = n_t / n
-    w = np.where(t == 1.0, 1.0 / pi_hat**2, 1.0 / (1.0 - pi_hat) ** 2)
-    return RegressionWeights(w, float(pi_hat))
+    return np.where(t == 1.0, 1.0 / pi_hat**2, 1.0 / (1.0 - pi_hat) ** 2)
 
 
 def soft_threshold(x, threshold):
@@ -168,21 +152,10 @@ class _Problem:
     w: np.ndarray             # regression weights
 
 
-def _check_weights(ds: TrialDataset, weights: RegressionWeights) -> None:
-    if weights.w.shape[0] != ds.n:
-        raise DataError(
-            f"weights length {weights.w.shape[0]} does not match n={ds.n}"
-        )
-    expected = propensity_weights(ds.treatments)
-    if not np.allclose(weights.w, expected.w, rtol=1e-10, atol=0.0):
-        raise DataError("weights are inconsistent with the dataset's treatment vector")
-
-
-def _prepare(ds: TrialDataset, weights: RegressionWeights, standardize: bool) -> _Problem:
-    _check_weights(ds, weights)
+def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
     n = ds.n
     t = ds.treatments.astype(np.float64)
-    w = weights.w
+    w = propensity_weights(t)
     yc, _ = center_columns(ds.outcomes)
     if ds.m > 0:
         xc, _ = center_columns(ds.covariates)
@@ -408,15 +381,14 @@ def _assemble_fit(problem: _Problem, lam: float, beta: np.ndarray,
     return EnetFit(beta, alpha, active, rss, float(lam), sweeps, converged)
 
 
-def fit_weighted_enet(ds: TrialDataset, weights: RegressionWeights,
-                      config: EnetConfig) -> EnetFit:
+def fit_weighted_enet(ds: TrialDataset, config: EnetConfig) -> EnetFit:
     """Solve the weighted penalized regression at ``config.lam``.
 
     At ``lam = 0`` this is the weighted least-squares fit of the treatment
     indicator on centered outcomes (and covariates). Zero-variance outcome
     columns are excluded from the fit with their coefficient pinned at zero.
     """
-    problem = _prepare(ds, weights, config.standardize)
+    problem = _prepare(ds, config.standardize)
     beta_scaled, sweeps, converged = _cd_solve(problem, config, config.lam)
     return _assemble_fit(problem, config.lam, beta_scaled / problem.scale,
                          sweeps, converged)
@@ -428,8 +400,8 @@ def _lambda_max_from(problem: _Problem, l1_ratio: float) -> float:
     return float(np.max(np.abs(problem.ty[problem.penalized]))) / l1_ratio
 
 
-def lambda_max(ds: TrialDataset, weights: RegressionWeights,
-               l1_ratio: float = 1.0, standardize: bool = False) -> float:
+def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
+               standardize: bool = False) -> float:
     """Smallest penalty at which the fitted ``beta`` is identically zero.
 
     Derived from the stationarity condition at zero: the largest absolute
@@ -439,7 +411,7 @@ def lambda_max(ds: TrialDataset, weights: RegressionWeights,
     """
     if not 0.0 < l1_ratio <= 1.0:
         raise DataError(f"l1_ratio must be in (0, 1], got {l1_ratio}")
-    problem = _prepare(ds, weights, standardize)
+    problem = _prepare(ds, standardize)
     return _lambda_max_from(problem, l1_ratio)
 
 
@@ -447,8 +419,8 @@ def _default_min_ratio(n: int, p: int) -> float:
     return 0.01 if p > n else 1e-4
 
 
-def _path_grid(ds: TrialDataset, weights: RegressionWeights, config: EnetConfig,
-               n_lambdas: int, lambda_min_ratio: float | None):
+def _path_grid(ds: TrialDataset, config: EnetConfig, n_lambdas: int,
+               lambda_min_ratio: float | None):
     """Shared setup for path walks: concentrated problem plus penalty grid."""
     if n_lambdas < 2:
         raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
@@ -456,7 +428,7 @@ def _path_grid(ds: TrialDataset, weights: RegressionWeights, config: EnetConfig,
         lambda_min_ratio = _default_min_ratio(ds.n, ds.p)
     if not 0.0 < lambda_min_ratio < 1.0:
         raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
-    problem = _prepare(ds, weights, config.standardize)
+    problem = _prepare(ds, config.standardize)
     lam_top = _lambda_max_from(problem, config.l1_ratio)
     if lam_top <= 0.0:
         raise NumericalError(
@@ -481,8 +453,8 @@ def _walk_path(problem: _Problem, grid: np.ndarray, config: EnetConfig):
         yield float(lam), beta / problem.scale, sweeps, converged
 
 
-def regularization_path(ds: TrialDataset, weights: RegressionWeights,
-                        n_lambdas: int = 100, lambda_min_ratio: float | None = None,
+def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
+                        lambda_min_ratio: float | None = None,
                         config: EnetConfig = EnetConfig()) -> EnetPath:
     """Fits along a log-spaced descending penalty grid with warm starts.
 
@@ -490,7 +462,7 @@ def regularization_path(ds: TrialDataset, weights: RegressionWeights,
     lambda_max`` (default ratio 0.01 when p > n, else 1e-4). ``config.lam``
     is ignored; every grid point gets its own fit.
     """
-    problem, grid, lam_top = _path_grid(ds, weights, config, n_lambdas, lambda_min_ratio)
+    problem, grid, lam_top = _path_grid(ds, config, n_lambdas, lambda_min_ratio)
     fits = tuple(_assemble_fit(problem, *point)
                  for point in _walk_path(problem, grid, config))
     lambdas = grid.copy()
@@ -498,14 +470,25 @@ def regularization_path(ds: TrialDataset, weights: RegressionWeights,
     return EnetPath(lambdas, fits, lam_top)
 
 
-def subset_weighted_rss(ds: TrialDataset, weights: RegressionWeights, subset) -> float:
+def walk_path(ds: TrialDataset, n_lambdas: int = 100,
+              lambda_min_ratio: float | None = None, config: EnetConfig = EnetConfig()):
+    """The grid of :func:`regularization_path`, walked lazily: an iterator of
+    ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh original-scale
+    array. Builds no :class:`EnetFit`, so a caller that stops early pays only
+    for the grid points it reads. Arguments are checked on the call."""
+    problem, grid, _ = _path_grid(ds, config, n_lambdas, lambda_min_ratio)
+    return _walk_path(problem, grid, config)
+
+
+def subset_weighted_rss(ds: TrialDataset, subset) -> float:
     """Mean weighted squared residual of the unpenalized regression of the
     treatment indicator on the centered outcome columns in ``subset``.
 
     The empty subset returns ``(1/n) * sum_i w_i * t_i**2`` (no regressors, no
     intercept). Covariates are not part of this regression.
     """
-    _check_weights(ds, weights)
+    t = ds.treatments.astype(np.float64)
+    w = propensity_weights(t)
     idx = np.asarray(subset, dtype=np.intp)
     if idx.size != np.unique(idx).size:
         raise DataError("subset contains duplicate indices")
@@ -515,8 +498,6 @@ def subset_weighted_rss(ds: TrialDataset, weights: RegressionWeights, subset) ->
         raise DataError(
             f"subset size {idx.size} exceeds min(n - 2, p) = {min(ds.n - 2, ds.p)}"
         )
-    t = ds.treatments.astype(np.float64)
-    w = weights.w
     n = ds.n
     if idx.size == 0:
         return float(w @ t**2 / n)

@@ -65,10 +65,9 @@ def test_criterion_01_rss_hotelling_equivalence(criterion_log):
     checked = 0
     for _ in range(50):
         ds = _balanced_dataset(rng, 30, 6)
-        w = propensity_weights(ds.treatments)
         for size in (1, 2, 3):
             subsets = list(itertools.combinations(range(6), size))
-            rss = [subset_weighted_rss(ds, w, s) for s in subsets]
+            rss = [subset_weighted_rss(ds, s) for s in subsets]
             stat = [hotelling_statistic(diff_in_means(ds, s)) for s in subsets]
             if set(subsets[int(np.argmin(rss))]) != set(subsets[int(np.argmax(stat))]):
                 _report(criterion_log, 1, "RSS argmin = group-statistic argmax",
@@ -91,7 +90,7 @@ def test_criterion_02_weighted_moment_identity(criterion_log):
         w = propensity_weights(ds.treatments)
         est = diff_in_means(ds)
         yc = ds.outcomes - ds.outcomes.mean(axis=0)
-        lhs = (yc * w.w[:, None]).T @ yc / n
+        lhs = (yc * w[:, None]).T @ yc / n
         n_t = ds.n_treated
         n_c = n - n_t
         c = n_c / n_t + n_t / n_c - 1.0
@@ -108,11 +107,11 @@ def _kkt_gap(ds, fit, lam, l1_ratio):
     if ds.m:
         xc = ds.covariates - ds.covariates.mean(axis=0)
         r = t - yc @ fit.beta - xc @ fit.alpha_cov
-        worst = float(np.max(np.abs(xc.T @ (w.w * r) / ds.n)))
+        worst = float(np.max(np.abs(xc.T @ (w * r) / ds.n)))
     else:
         r = t - yc @ fit.beta
         worst = 0.0
-    grad = -2.0 * yc.T @ (w.w * r) / ds.n
+    grad = -2.0 * yc.T @ (w * r) / ds.n
     lam1 = lam * l1_ratio
     for j in range(ds.p):
         if fit.beta[j] != 0.0:
@@ -134,11 +133,11 @@ def test_criterion_03_solver_certificates(criterion_log):
         m = int(rng.integers(0, 4))
         ds = _balanced_dataset(rng, n, p, m)
         w = propensity_weights(ds.treatments)
-        fit = fit_weighted_enet(ds, w, EnetConfig(lam=0.0, tol=1e-12))
+        fit = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
         yc = ds.outcomes - ds.outcomes.mean(axis=0)
         z = yc if not m else np.hstack([yc, ds.covariates - ds.covariates.mean(axis=0)])
-        coef = np.linalg.solve(z.T @ (w.w[:, None] * z),
-                               z.T @ (w.w * ds.treatments))
+        coef = np.linalg.solve(z.T @ (w[:, None] * z),
+                               z.T @ (w * ds.treatments))
         got = fit.beta if not m else np.concatenate([fit.beta, fit.alpha_cov])
         worst_ls = max(worst_ls,
                        np.linalg.norm(got - coef) / np.linalg.norm(coef))
@@ -149,20 +148,18 @@ def test_criterion_03_solver_certificates(criterion_log):
         p = int(rng.integers(2, 11))
         m = int(rng.integers(0, 4))
         ds = _balanced_dataset(rng, n, p, m)
-        w = propensity_weights(ds.treatments)
         l1 = 1.0 if rng.random() < 0.5 else float(rng.uniform(0.3, 1.0))
-        lam = float(rng.uniform(0.05, 1.1)) * lambda_max(ds, w, l1)
-        fit = fit_weighted_enet(ds, w, EnetConfig(lam=lam, l1_ratio=l1, tol=1e-10))
+        lam = float(rng.uniform(0.05, 1.1)) * lambda_max(ds, l1)
+        fit = fit_weighted_enet(ds, EnetConfig(lam=lam, l1_ratio=l1, tol=1e-10))
         assert fit.converged
         worst_kkt = max(worst_kkt, _kkt_gap(ds, fit, lam, l1))
     # the all-zero region starts exactly at lambda_max
     zero_ok = True
     for _ in range(20):
         ds = _balanced_dataset(rng, int(rng.integers(30, 60)), 5)
-        w = propensity_weights(ds.treatments)
-        lmax = lambda_max(ds, w)
+        lmax = lambda_max(ds)
         for lam in (lmax, 1.3 * lmax):
-            fit = fit_weighted_enet(ds, w, EnetConfig(lam=lam, tol=1e-10))
+            fit = fit_weighted_enet(ds, EnetConfig(lam=lam, tol=1e-10))
             zero_ok = zero_ok and not np.any(fit.beta)
     ok = worst_ls < 1e-8 and worst_kkt < 1e-6 and zero_ok
     _report(criterion_log, 3, "solver matches normal equations, passes stationarity checks, "

@@ -240,3 +240,64 @@ def test_version_and_help_exit_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "select" in out and "multisplit" in out
+
+
+def test_lasso_with_a_mixed_share_is_rejected_by_select_and_multisplit(
+        trial_csv, tmp_path, capsys):
+    records = []
+    for command in (["select"], ["multisplit", "--B", "2"]):
+        code = main([*command, str(trial_csv), "--s", "2", "--selection", "lasso",
+                     "--l1-ratio", "0.3", "--outdir", str(tmp_path / command[0])])
+        assert code == 2
+        records.append(json.loads(capsys.readouterr().err.strip()))
+    assert records[0] == records[1]
+    assert records[0]["error"] == "data" and "l1_ratio" in records[0]["message"]
+
+
+MANIFEST_KEYS = {
+    "select": {"data", "treatment_col", "outcome_cols", "covariate_cols",
+               "selection", "s", "lam", "l1_ratio", "estimator", "n_lambdas",
+               "lambda_min_ratio", "tol", "max_iter"},
+    "infer": {"data", "selection_csv", "treatment_col", "outcome_cols",
+              "covariate_cols", "estimator", "correction", "two_sided"},
+    "multisplit": {"data", "treatment_col", "outcome_cols", "covariate_cols",
+                   "B", "gamma", "selection", "s", "lam", "l1_ratio",
+                   "estimator", "fraction", "two_sided", "seed"},
+    "path": {"data", "treatment_col", "outcome_cols", "covariate_cols",
+             "l1_ratio", "n_lambdas", "lambda_min_ratio", "tol", "max_iter"},
+    "simulate": {"experiment", "n", "p", "m", "s_tau", "alpha", "pi",
+                 "replicates", "sizes", "methods", "estimator",
+                 "second_sample_size", "seed", "jobs"},
+    "semisynth": {"n", "alpha", "replicates", "B", "gamma", "s", "levels",
+                  "estimator", "seed", "jobs"},
+}
+
+
+def test_manifest_keys_are_pinned(trial_csv, tmp_path):
+    """Every command records the same parameter names as earlier versions,
+    so their manifests keep replaying; input files are recorded resolved."""
+    sel_dir = tmp_path / "sel_for_infer"
+    assert main(["select", str(trial_csv), "--s", "2", "--outdir", str(sel_dir)]) == 0
+    argv = {
+        "select": ["select", str(trial_csv), "--s", "2"],
+        "infer": ["infer", str(trial_csv), str(sel_dir / "selection.csv")],
+        "multisplit": ["multisplit", str(trial_csv), "--B", "2", "--s", "1"],
+        "path": ["path", str(trial_csv), "--n-lambdas", "5"],
+        "simulate": ["simulate", "--n", "60", "--p", "4", "--m", "1",
+                     "--s-tau", "1", "--replicates", "1", "--sizes", "1",
+                     "--methods", "lasso"],
+        "semisynth": ["semisynth", "--n", "60", "--alpha", "20", "--replicates",
+                      "1", "--B", "2", "--gamma", "0.5", "--estimator", "dim"],
+    }
+    assert set(argv) == set(MANIFEST_KEYS)
+    resolved = {"data": str(trial_csv.resolve()),
+                "selection_csv": str((sel_dir / "selection.csv").resolve())}
+    for command, args in argv.items():
+        outdir = tmp_path / command
+        assert main([*args, "--outdir", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["params"]) == MANIFEST_KEYS[command], command
+        for name, path in resolved.items():
+            if name in manifest["params"]:
+                assert manifest["params"][name] == path

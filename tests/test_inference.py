@@ -199,6 +199,14 @@ def test_selection_spec_validation_and_l1_defaults():
     assert SelectionSpec(method="enet", size=1).config.l1_ratio == 0.5
     custom = SelectionSpec(method="enet", size=1, config=EnetConfig(l1_ratio=0.7))
     assert custom.config.l1_ratio == 0.7
+    tuned = SelectionSpec(method="enet", lam=0.1, config=EnetConfig(l1_ratio=0.7, tol=1e-9))
+    assert (tuned.config.l1_ratio, tuned.config.tol) == (0.7, 1e-9)
+    with pytest.raises(DataError, match="l1_ratio"):
+        SelectionSpec(method="lasso", size=1, config=EnetConfig(l1_ratio=0.3))
+    with pytest.raises(DataError, match="exactly one"):
+        SelectionSpec(method="lasso")
+    with pytest.raises(DataError, match="exactly one"):
+        SelectionSpec(method="enet", size=1, lam=0.1)
 
 
 def test_multi_split_deterministic_and_bounded():

@@ -3,17 +3,19 @@ import pytest
 
 from hdte.data import TrialDataset
 from hdte.errors import DataError, NumericalError
-from hdte.estimators import EffectEstimate, diff_in_means
+from hdte.estimators import EffectEstimate, adjusted_estimate, diff_in_means
 from hdte.selection import (
     SelectionResult,
+    SelectionSpec,
     baseline_select,
-    hard_threshold_select,
+    method_l1_ratio,
     path_selections,
     population_beta_star,
+    run_selection,
     select_resolution_level,
     sparse_select,
 )
-from hdte.wlasso import EnetConfig, EnetFit, fit_weighted_enet, propensity_weights
+from hdte.wlasso import EnetConfig, fit_weighted_enet
 
 
 def planted_dataset(seed, n=200, p=8, effects=(1.5, 1.0, 0.6)):
@@ -82,10 +84,9 @@ def test_path_selections_are_nested_prefixes():
 
 def test_sparse_select_by_lam_matches_single_fit():
     ds = planted_dataset(9)
-    w = propensity_weights(ds.treatments)
     lam = 0.15
     sel = sparse_select(ds, lam=lam)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=lam))
+    fit = fit_weighted_enet(ds, EnetConfig(lam=lam))
     assert set(sel.selected) == set(fit.active_set)
     mags = [abs(fit.beta[j]) for j in sel.selected]
     assert mags == sorted(mags, reverse=True)
@@ -129,19 +130,6 @@ def test_path_selections_size_validation():
         path_selections(ds, [0])
     with pytest.raises(DataError, match="within"):
         path_selections(ds, [5])
-
-
-def test_hard_threshold_select():
-    fit = EnetFit(
-        np.array([0.05, -0.8, 0.0, 0.3]), np.zeros(0), (0, 1, 3), 1.0, 0.1, 5, True
-    )
-    sel = hard_threshold_select(fit, 0.1)
-    assert sel.selected == (1, 3)
-    assert sel.scores == (0.8, 0.3)
-    assert sel.weighted_rss is None
-    assert hard_threshold_select(fit, 2.0).selected == ()
-    with pytest.raises(DataError, match="threshold"):
-        hard_threshold_select(fit, 0.0)
 
 
 def test_population_beta_star_identity_example():
@@ -242,3 +230,42 @@ def test_baseline_and_sparse_agree_on_strong_signal():
     base = baseline_select(diff_in_means(ds), 3)
     sparse = sparse_select(ds, size=3)
     assert base.selected == sparse.selected == (0, 1, 2)
+
+
+def test_method_l1_ratio_defaults_and_contradictions():
+    assert method_l1_ratio("lasso") == 1.0
+    assert method_l1_ratio("enet") == 0.5
+    assert method_l1_ratio("lasso", 1.0) == 1.0
+    assert method_l1_ratio("enet", 0.3) == 0.3
+    with pytest.raises(DataError, match="contradicts"):
+        method_l1_ratio("lasso", 0.3)
+    with pytest.raises(DataError, match="contradicts"):
+        method_l1_ratio("enet", 1.0)
+
+
+def test_run_selection_dispatches_to_each_selector():
+    ds = planted_dataset(21, n=300, p=10)
+    rng = np.random.default_rng(21)
+    with_cov = TrialDataset(ds.treatments, ds.outcomes, rng.standard_normal((ds.n, 2)))
+    # baseline: ranked with the estimator when covariates exist, else unadjusted
+    (base,), level = run_selection(with_cov, SelectionSpec("baseline", size=3), "lin")
+    assert level is None
+    assert base == baseline_select(adjusted_estimate(with_cov, "lin"), 3)
+    (plain,), _ = run_selection(ds, SelectionSpec("baseline", size=3), "lin")
+    assert plain == baseline_select(diff_in_means(ds), 3)
+    # several sizes from one ranking or one path walk
+    ranked, _ = run_selection(ds, SelectionSpec("baseline", size=4), "dim", (2, 4))
+    assert ranked == (baseline_select(diff_in_means(ds), 2),
+                      baseline_select(diff_in_means(ds), 4))
+    spec = SelectionSpec("enet", size=4)
+    walked, _ = run_selection(ds, spec, sizes=(1, 4))
+    picks = path_selections(ds, (1, 4), spec.config)
+    assert walked == (picks[1], picks[4])
+    assert walked[1].method == "enet"
+    (fixed,), _ = run_selection(ds, SelectionSpec("lasso", lam=0.15))
+    assert fixed == sparse_select(ds, lam=0.15)
+    levels = [[tuple(range(10))], [(j,) for j in range(10)]]
+    (chosen,), level = run_selection(ds, SelectionSpec(size=1, levels=levels))
+    assert (level, chosen) == select_resolution_level(ds, levels, size=1)
+    with pytest.raises(DataError, match="several sizes"):
+        run_selection(ds, SelectionSpec(lam=0.15), sizes=(1, 2))

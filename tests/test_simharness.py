@@ -79,6 +79,23 @@ def test_replicate_pair_shares_the_coefficient_draw():
     assert ds2.n == 20
 
 
+@pytest.mark.parametrize("generator", [
+    LinearModelGenerator(LinearModelConfig(n=30, p=5, m=2, s_tau=2, alpha=1.0,
+                                           pi=0.5, seed=0)),
+    IndependentOutcomesGenerator(n=30, d=5, s_star=2, alpha=1.0, pi=0.5),
+])
+def test_replicate_pair_starts_with_the_replicate(generator):
+    first, second, s_true = generator.replicate_pair(13, n_second=17)
+    single, s_single = generator.replicate(13)
+    assert first.treatments.tobytes() == single.treatments.tobytes()
+    assert first.outcomes.tobytes() == single.outcomes.tobytes()
+    assert (first.covariates is None) == (single.covariates is None)
+    if first.covariates is not None:
+        assert first.covariates.tobytes() == single.covariates.tobytes()
+    np.testing.assert_array_equal(s_true, s_single)
+    assert second.n == 17
+
+
 def test_linear_model_config_validation():
     with pytest.raises(DataError, match="n must be"):
         LinearModelConfig(n=3, p=2, m=0, s_tau=1, alpha=1.0, pi=0.5, seed=0)

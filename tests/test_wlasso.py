@@ -9,7 +9,6 @@ from hdte.errors import DataError, NumericalError
 from hdte.estimators import diff_in_means
 from hdte.wlasso import (
     EnetConfig,
-    RegressionWeights,
     _cd_solve,
     _kkt_violation,
     _path_grid,
@@ -38,10 +37,9 @@ def random_dataset(seed, n=40, p=6, m=0, effect=1.0):
 
 def test_propensity_weights_hand_example():
     w = propensity_weights([1, 0, 0, 0])
-    assert w.pi_hat == pytest.approx(0.25)
-    np.testing.assert_allclose(w.w, [16.0, 16.0 / 9.0, 16.0 / 9.0, 16.0 / 9.0])
+    np.testing.assert_allclose(w, [16.0, 16.0 / 9.0, 16.0 / 9.0, 16.0 / 9.0])
     # weighted mean of the treatment indicator is n_c / n
-    assert (w.w * [1, 0, 0, 0]).sum() / w.w.sum() == pytest.approx(0.75)
+    assert (w * [1, 0, 0, 0]).sum() / w.sum() == pytest.approx(0.75)
 
 
 def test_propensity_weights_need_both_arms():
@@ -59,13 +57,13 @@ def test_weight_moment_identities():
     t = ds.treatments.astype(float)
     n, n_t = ds.n, ds.n_treated
     n_c = n - n_t
-    assert (w.w * t).sum() / n == pytest.approx(n / n_t, rel=1e-12)
+    assert (w * t).sum() / n == pytest.approx(n / n_t, rel=1e-12)
     yc = ds.outcomes - ds.outcomes.mean(axis=0)
     est = diff_in_means(ds)
-    lhs = yc.T @ (w.w * t) / n
+    lhs = yc.T @ (w * t) / n
     np.testing.assert_allclose(lhs, (n_c / n_t) * est.tau_hat, rtol=1e-10)
     c = n_c / n_t + n_t / n_c - 1.0
-    moment = (yc * w.w[:, None]).T @ yc / n
+    moment = (yc * w[:, None]).T @ yc / n
     np.testing.assert_allclose(
         moment, est.sigma_hat + c * np.outer(est.tau_hat, est.tau_hat), rtol=1e-9
     )
@@ -83,11 +81,11 @@ def test_soft_threshold():
 def test_unpenalized_fit_matches_normal_equations():
     ds = random_dataset(10, n=60, p=5)
     w = propensity_weights(ds.treatments)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=0.0, tol=1e-12))
+    fit = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
     yc = ds.outcomes - ds.outcomes.mean(axis=0)
     t = ds.treatments.astype(float)
-    gram = (yc * w.w[:, None]).T @ yc / ds.n
-    rhs = yc.T @ (w.w * t) / ds.n
+    gram = (yc * w[:, None]).T @ yc / ds.n
+    rhs = yc.T @ (w * t) / ds.n
     expected = np.linalg.solve(gram, rhs)
     np.testing.assert_allclose(fit.beta, expected, rtol=1e-8, atol=1e-10)
     assert fit.converged
@@ -98,11 +96,11 @@ def test_unpenalized_fit_with_covariates_matches_joint_wls():
     least squares on [outcomes, covariates], both centered, no intercept."""
     ds = random_dataset(11, n=80, p=4, m=3)
     w = propensity_weights(ds.treatments)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=0.0, tol=1e-12))
+    fit = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
     yc = ds.outcomes - ds.outcomes.mean(axis=0)
     xc = ds.covariates - ds.covariates.mean(axis=0)
     design = np.hstack([yc, xc])
-    sw = np.sqrt(w.w)
+    sw = np.sqrt(w)
     coef = np.linalg.lstsq(design * sw[:, None], sw * ds.treatments, rcond=None)[0]
     np.testing.assert_allclose(fit.beta, coef[: ds.p], rtol=1e-7, atol=1e-9)
     np.testing.assert_allclose(fit.alpha_cov, coef[ds.p :], rtol=1e-7, atol=1e-9)
@@ -117,12 +115,12 @@ def kkt_gap(ds, fit, lam, l1_ratio):
         xc = ds.covariates - ds.covariates.mean(axis=0)
         r = t - yc @ fit.beta - xc @ fit.alpha_cov
         # stationarity of the unpenalized block
-        cov_grad = xc.T @ (w.w * r) / ds.n
+        cov_grad = xc.T @ (w * r) / ds.n
         worst = float(np.max(np.abs(cov_grad)))
     else:
         r = t - yc @ fit.beta
         worst = 0.0
-    grad = -2.0 * yc.T @ (w.w * r) / ds.n
+    grad = -2.0 * yc.T @ (w * r) / ds.n
     lam1 = lam * l1_ratio
     for j in range(ds.p):
         if fit.beta[j] != 0.0:
@@ -142,23 +140,21 @@ def test_kkt_conditions_hold_at_solution():
         m = int(rng.integers(0, 3))
         ds = random_dataset(int(rng.integers(1 << 30)), n=n, p=p, m=m,
                             effect=float(rng.uniform(0.0, 2.0)))
-        w = propensity_weights(ds.treatments)
         l1 = float(rng.choice([1.0, 0.5, 0.8]))
-        top = lambda_max(ds, w, l1_ratio=l1)
+        top = lambda_max(ds, l1_ratio=l1)
         lam = float(rng.uniform(0.05, 0.9)) * top
-        fit = fit_weighted_enet(ds, w, EnetConfig(lam=lam, l1_ratio=l1, tol=1e-10))
+        fit = fit_weighted_enet(ds, EnetConfig(lam=lam, l1_ratio=l1, tol=1e-10))
         assert fit.converged, f"case {case} did not converge"
         assert kkt_gap(ds, fit, lam, l1) < 1e-6, f"case {case} violates stationarity"
 
 
 def test_beta_is_zero_at_and_above_lambda_max():
     ds = random_dataset(5, n=50, p=6, effect=1.5)
-    w = propensity_weights(ds.treatments)
-    top = lambda_max(ds, w)
+    top = lambda_max(ds)
     for lam in (top, 1.5 * top):
-        fit = fit_weighted_enet(ds, w, EnetConfig(lam=lam))
+        fit = fit_weighted_enet(ds, EnetConfig(lam=lam))
         assert fit.active_set == ()
-    below = fit_weighted_enet(ds, w, EnetConfig(lam=0.95 * top))
+    below = fit_weighted_enet(ds, EnetConfig(lam=0.95 * top))
     assert len(below.active_set) >= 1
 
 
@@ -167,10 +163,10 @@ def test_lambda_max_matches_cross_moment_oracle():
     w = propensity_weights(ds.treatments)
     yc = ds.outcomes - ds.outcomes.mean(axis=0)
     t = ds.treatments.astype(float)
-    expected = np.max(np.abs(yc.T @ (w.w * t) / ds.n))
-    assert lambda_max(ds, w) == pytest.approx(expected, rel=1e-12)
+    expected = np.max(np.abs(yc.T @ (w * t) / ds.n))
+    assert lambda_max(ds) == pytest.approx(expected, rel=1e-12)
     # scaling: halving l1_ratio doubles the threshold exactly
-    assert lambda_max(ds, w, l1_ratio=0.5) == 2.0 * lambda_max(ds, w)
+    assert lambda_max(ds, l1_ratio=0.5) == 2.0 * lambda_max(ds)
 
 
 def test_lambda_max_with_covariates_uses_residualized_response():
@@ -179,12 +175,12 @@ def test_lambda_max_with_covariates_uses_residualized_response():
     yc = ds.outcomes - ds.outcomes.mean(axis=0)
     xc = ds.covariates - ds.covariates.mean(axis=0)
     t = ds.treatments.astype(float)
-    sw = np.sqrt(w.w)
+    sw = np.sqrt(w)
     theta = np.linalg.lstsq(xc * sw[:, None], sw * t, rcond=None)[0]
     r = t - xc @ theta
-    expected = np.max(np.abs(yc.T @ (w.w * r) / ds.n))
-    assert lambda_max(ds, w) == pytest.approx(expected, rel=1e-10)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=lambda_max(ds, w)))
+    expected = np.max(np.abs(yc.T @ (w * r) / ds.n))
+    assert lambda_max(ds) == pytest.approx(expected, rel=1e-10)
+    fit = fit_weighted_enet(ds, EnetConfig(lam=lambda_max(ds)))
     assert fit.active_set == ()
 
 
@@ -197,24 +193,22 @@ def test_enet_pulls_duplicate_columns_together():
     base = rng.standard_normal(n) + 1.2 * t
     y = np.column_stack([base, base, rng.standard_normal(n)])
     ds = TrialDataset(t, y)
-    w = propensity_weights(t)
-    lam = 0.3 * lambda_max(ds, w, l1_ratio=0.5)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=lam, l1_ratio=0.5, tol=1e-12))
+    lam = 0.3 * lambda_max(ds, l1_ratio=0.5)
+    fit = fit_weighted_enet(ds, EnetConfig(lam=lam, l1_ratio=0.5, tol=1e-12))
     assert fit.beta[0] != 0.0
     assert abs(fit.beta[0] - fit.beta[1]) < 1e-6
 
 
 def test_path_structure_and_warm_start_agreement():
     ds = random_dataset(29, n=50, p=8, effect=1.0)
-    w = propensity_weights(ds.treatments)
-    path = regularization_path(ds, w, n_lambdas=25)
+    path = regularization_path(ds, n_lambdas=25)
     assert path.lambdas[0] == pytest.approx(path.lambda_max)
     assert np.all(np.diff(path.lambdas) < 0)
     first = path.fits[0]
     assert first.active_set == () and first.iterations == 0 and first.converged
     # a cold start at an interior grid point reproduces the warm-started fit
     k = 12
-    cold = fit_weighted_enet(ds, w, EnetConfig(lam=float(path.lambdas[k])))
+    cold = fit_weighted_enet(ds, EnetConfig(lam=float(path.lambdas[k])))
     np.testing.assert_allclose(path.fits[k].beta, cold.beta, atol=1e-7)
     # rss decreases as the penalty relaxes
     rss = [f.weighted_rss for f in path.fits]
@@ -299,7 +293,7 @@ def test_deep_path_matches_scalar_reference(sweep_log):
     equal sweep counts and active sets at every grid point."""
     ds = random_dataset(7, n=60, p=100)
     config = EnetConfig()
-    problem, grid, _ = _path_grid(ds, propensity_weights(ds.treatments), config, 30, None)
+    problem, grid, _ = _path_grid(ds, config, 30, None)
     beta = ref = np.zeros(ds.p)
     largest = 0
     for lam in grid[1:]:
@@ -318,9 +312,8 @@ def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
     steps were accepted; the rejected step is redone by the scalar loop."""
     ds = factor_dataset(1)
     config = EnetConfig()
-    w = propensity_weights(ds.treatments)
-    problem = _prepare(ds, w, standardize=False)
-    top = lambda_max(ds, w)
+    problem = _prepare(ds, standardize=False)
+    top = lambda_max(ds)
     start, _, _ = _cd_solve(problem, config, 0.3 * top)
     assert np.count_nonzero(start) >= wlasso._BLOCK_MIN
     sweep_log.clear()
@@ -370,9 +363,8 @@ def test_small_problem_stays_bit_identical_to_scalar_reference(sweep_log, l1_rat
     and its float arithmetic gives the reference loop's exact bits."""
     ds = random_dataset(19, n=50, p=wlasso._BLOCK_MIN - 1, m=m)
     config = EnetConfig(l1_ratio=l1_ratio)
-    weights = propensity_weights(ds.treatments)
-    path = regularization_path(ds, weights, n_lambdas=30, config=config)
-    problem, grid, _ = _path_grid(ds, weights, config, 30, None)
+    path = regularization_path(ds, n_lambdas=30, config=config)
+    problem, grid, _ = _path_grid(ds, config, 30, None)
     ref = np.zeros(ds.p)
     for fit, lam in zip(path.fits[1:], grid[1:]):
         ref, sweeps, _ = reference_cd_solve(problem, config, lam, ref)
@@ -389,9 +381,8 @@ def test_objective_never_increases_within_a_solve(sweep_log):
         (random_dataset(7, n=60, p=100), 0.05, True),
     ]
     for ds, ratio, takes_block_steps in cases:
-        w = propensity_weights(ds.treatments)
-        problem = _prepare(ds, w, standardize=False)
-        lam = ratio * lambda_max(ds, w)
+        problem = _prepare(ds, standardize=False)
+        lam = ratio * lambda_max(ds)
         trace = []
         sweep_log.clear()
         _cd_solve(problem, EnetConfig(tol=1e-10), lam, objective_trace=trace)
@@ -403,12 +394,11 @@ def test_objective_never_increases_within_a_solve(sweep_log):
 
 def test_standardize_matches_plain_fit_when_unpenalized():
     ds = random_dataset(37, n=60, p=5, m=2)
-    w = propensity_weights(ds.treatments)
-    plain = fit_weighted_enet(ds, w, EnetConfig(lam=0.0, tol=1e-12))
-    scaled = fit_weighted_enet(ds, w, EnetConfig(lam=0.0, tol=1e-12, standardize=True))
+    plain = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
+    scaled = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12, standardize=True))
     np.testing.assert_allclose(scaled.beta, plain.beta, rtol=1e-6, atol=1e-9)
-    top = lambda_max(ds, w, standardize=True)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=top, standardize=True))
+    top = lambda_max(ds, standardize=True)
+    fit = fit_weighted_enet(ds, EnetConfig(lam=top, standardize=True))
     assert fit.active_set == ()
 
 
@@ -420,58 +410,41 @@ def test_constant_outcome_column_is_pinned_at_zero():
     y[:, 1] = 7.0  # zero variance
     y[:, 0] += t
     ds = TrialDataset(t, y)
-    w = propensity_weights(t)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=0.01))
+    fit = fit_weighted_enet(ds, EnetConfig(lam=0.01))
     assert fit.beta[1] == 0.0
     assert np.all(np.isfinite(fit.beta))
     assert 1 not in fit.active_set
-
-
-def test_mismatched_weights_are_rejected():
-    ds = random_dataset(2, n=30, p=3)
-    unbalanced = np.zeros(30, dtype=int)
-    unbalanced[:9] = 1
-    other = propensity_weights(unbalanced)
-    with pytest.raises(DataError, match="inconsistent"):
-        fit_weighted_enet(ds, other, EnetConfig())
-    short = RegressionWeights(np.ones(10), 0.5)
-    with pytest.raises(DataError, match="length"):
-        fit_weighted_enet(ds, short, EnetConfig())
 
 
 def test_subset_rss_hand_example():
     """T = (1,1,0,0), Y = (3,5,1,1): empty-set rss is 2 and the one-column
     rss is 13/11, both exact."""
     ds = TrialDataset([1, 1, 0, 0], [[3.0], [5.0], [1.0], [1.0]])
-    w = propensity_weights(ds.treatments)
-    assert subset_weighted_rss(ds, w, []) == pytest.approx(2.0, rel=1e-14)
-    assert subset_weighted_rss(ds, w, [0]) == pytest.approx(13.0 / 11.0, rel=1e-12)
+    assert subset_weighted_rss(ds, []) == pytest.approx(2.0, rel=1e-14)
+    assert subset_weighted_rss(ds, [0]) == pytest.approx(13.0 / 11.0, rel=1e-12)
 
 
 def test_subset_rss_matches_unpenalized_fit_on_full_set():
     ds = random_dataset(43, n=50, p=4)
-    w = propensity_weights(ds.treatments)
-    fit = fit_weighted_enet(ds, w, EnetConfig(lam=0.0, tol=1e-12))
-    rss = subset_weighted_rss(ds, w, range(ds.p))
+    fit = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
+    rss = subset_weighted_rss(ds, range(ds.p))
     assert fit.weighted_rss == pytest.approx(rss, rel=1e-9)
 
 
 def test_subset_rss_validation():
     ds = random_dataset(44, n=20, p=5)
-    w = propensity_weights(ds.treatments)
     with pytest.raises(DataError, match="duplicate"):
-        subset_weighted_rss(ds, w, [1, 1])
+        subset_weighted_rss(ds, [1, 1])
     with pytest.raises(DataError, match="out of range"):
-        subset_weighted_rss(ds, w, [5])
+        subset_weighted_rss(ds, [5])
     small = random_dataset(45, n=5, p=5)
-    w_small = propensity_weights(small.treatments)
     with pytest.raises(DataError, match="exceeds"):
-        subset_weighted_rss(small, w_small, [0, 1, 2, 3])
+        subset_weighted_rss(small, [0, 1, 2, 3])
     dup = TrialDataset(
         ds.treatments, np.column_stack([ds.outcomes[:, 0], ds.outcomes[:, 0]])
     )
     with pytest.raises(NumericalError, match="singular"):
-        subset_weighted_rss(dup, propensity_weights(dup.treatments), [0, 1])
+        subset_weighted_rss(dup, [0, 1])
 
 
 def test_config_validation():
@@ -485,7 +458,3 @@ def test_config_validation():
         EnetConfig(tol=0.0)
     with pytest.raises(DataError, match="max_iter"):
         EnetConfig(max_iter=0)
-    with pytest.raises(DataError, match="positive finite"):
-        RegressionWeights(np.array([1.0, -1.0]), 0.5)
-    with pytest.raises(DataError, match="pi_hat"):
-        RegressionWeights(np.ones(3), 1.0)
