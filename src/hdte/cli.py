@@ -86,9 +86,10 @@ def _load_dataset(params):
     elif raw_cov:
         covariates = _split_names(raw_cov)
     else:
+        taken = set(outcomes)
         covariates = tuple(
             c for c in header
-            if c != treatment and c not in outcomes and c.startswith("x")
+            if c != treatment and c not in taken and c.startswith("x")
         )
     return load_csv(path, CsvSchema(treatment, outcomes, covariates))
 

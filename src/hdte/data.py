@@ -176,57 +176,104 @@ def _parse_cell(raw: str, row: int, column: str) -> float:
     return value
 
 
+def _schema_columns(header, schema: CsvSchema, path) -> list[int]:
+    """Header positions of the schema's columns, in schema order."""
+    where: dict[str, list[int]] = {}
+    for k, h in enumerate(header):
+        where.setdefault(h.strip(), []).append(k)
+    columns = []
+    for name in (schema.treatment, *schema.outcomes, *schema.covariates):
+        matches = where.get(name, ())
+        if not matches:
+            raise DataError(f"column {name!r} not found in header of {path}")
+        if len(matches) > 1:
+            raise DataError(f"column {name!r} is duplicated in header of {path}")
+        columns.append(matches[0])
+    return columns
+
+
+def _parse_block(text: str, width: int) -> np.ndarray | None:
+    """Every cell of the data block in one ``np.loadtxt`` pass, or ``None``
+    where the block has fewer than two rows or does not come back as one row
+    of ``width`` cells per line (``np.loadtxt`` skips blank lines).
+
+    ``csv.reader`` ends a record at ``\\r``, ``\\n`` or ``\\r\\n``, so the same
+    line split is done here by hand; without a quote, a record's cells are
+    its comma-separated pieces. A quote, or anything else ``float`` does not
+    take, makes ``np.loadtxt`` raise ``ValueError``, as does a ragged row;
+    the numbers it does take are a subset of those ``float(cell.strip())``
+    takes, with the same value.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    return values if values.shape == (len(lines), width) else None
+
+
+def _parse_rows(rows, schema: CsvSchema, columns: list[int], width: int) -> np.ndarray:
+    """The schema's columns, parsed one cell at a time; raises at the first
+    bad cell or row with its 1-based data row number."""
+    others = list(zip(columns[1:], (*schema.outcomes, *schema.covariates)))
+    parsed = []
+    for row_num, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise DataError(
+                f"data row {row_num} has {len(row)} cells, expected {width}"
+            )
+        t_val = _parse_cell(row[columns[0]], row_num, schema.treatment)
+        if t_val not in (0.0, 1.0):
+            raise DataError(
+                f"treatment value must be 0 or 1; found {t_val!r} "
+                f"in column {schema.treatment!r} at data row {row_num}"
+            )
+        parsed.append([t_val, *(_parse_cell(row[k], row_num, c) for k, c in others)])
+    return np.array(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
+
+
 def load_csv(path, schema: CsvSchema) -> TrialDataset:
     """Read a trial dataset from a CSV file with a header row.
 
-    Rows are reported 1-based (excluding the header) in error messages.
-    Missing values are rejected, never imputed.
+    The data block is parsed in one vectorized pass. A block that pass does
+    not take as a clean numeric table (quoted cells, a blank or ragged row,
+    a cell ``np.loadtxt`` rejects) or whose schema columns hold a non-finite
+    value or a treatment other than 0/1 is parsed again cell by cell with
+    ``float(cell.strip())``, which either reads it or raises the error that
+    names the first bad cell. Either way the result and every error are those
+    of the cell-by-cell parser. Rows are reported 1-based (excluding the
+    header) in error messages. Missing values are rejected, never imputed.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise DataError(f"{path} is empty") from None
-        positions = {}
-        for name in (schema.treatment, *schema.outcomes, *schema.covariates):
-            matches = [k for k, h in enumerate(header) if h.strip() == name]
-            if not matches:
-                raise DataError(f"column {name!r} not found in header of {path}")
-            if len(matches) > 1:
-                raise DataError(f"column {name!r} is duplicated in header of {path}")
-            positions[name] = matches[0]
-        width = len(header)
-        treatments, outcome_rows, covariate_rows = [], [], []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise DataError(
-                    f"data row {row_num} has {len(row)} cells, expected {width}"
-                )
-            t_val = _parse_cell(row[positions[schema.treatment]], row_num, schema.treatment)
-            if t_val not in (0.0, 1.0):
-                raise DataError(
-                    f"treatment value must be 0 or 1; found {t_val!r} "
-                    f"in column {schema.treatment!r} at data row {row_num}"
-                )
-            treatments.append(t_val)
-            outcome_rows.append(
-                [_parse_cell(row[positions[c]], row_num, c) for c in schema.outcomes]
-            )
-            if schema.covariates:
-                covariate_rows.append(
-                    [_parse_cell(row[positions[c]], row_num, c) for c in schema.covariates]
-                )
-    if len(treatments) < 2:
-        raise DataError(f"{path} has {len(treatments)} data rows; n >= 2 required")
-    covariates = np.array(covariate_rows) if schema.covariates else None
+        columns = _schema_columns(header, schema, path)
+        try:
+            block = _parse_block(handle.read(), len(header))
+        except (ValueError, UnicodeDecodeError):
+            block = None
+    if block is not None:
+        block = block[:, columns]
+        if not (np.isfinite(block).all() and np.isin(block[:, 0], (0.0, 1.0)).all()):
+            block = None
+    if block is None:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            block = _parse_rows(reader, schema, columns, len(header))
+    if block.shape[0] < 2:
+        raise DataError(f"{path} has {block.shape[0]} data rows; n >= 2 required")
+    n_out = len(schema.outcomes)
     return TrialDataset(
-        np.array(treatments),
-        np.array(outcome_rows),
-        covariates,
+        block[:, 0],
+        block[:, 1:1 + n_out],
+        block[:, 1 + n_out:] if schema.covariates else None,
         column_labels=schema.outcomes,
     )
 
@@ -240,15 +287,13 @@ def write_csv(ds: TrialDataset, path) -> CsvSchema:
     outcome_names = ds.column_labels or tuple(f"y{j}" for j in range(ds.p))
     covariate_names = tuple(f"x{k}" for k in range(ds.m))
     schema = CsvSchema("treatment", outcome_names, covariate_names)
+    covariates = ds.covariates.tolist() if ds.covariates is not None else [[]] * ds.n
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["treatment", *outcome_names, *covariate_names])
-        for i in range(ds.n):
-            row = [str(int(ds.treatments[i]))]
-            row.extend(repr(float(v)) for v in ds.outcomes[i])
-            if ds.covariates is not None:
-                row.extend(repr(float(v)) for v in ds.covariates[i])
-            writer.writerow(row)
+        csv.writer(handle).writerow(["treatment", *outcome_names, *covariate_names])
+        # A number never needs quoting, so data rows are joined as csv.writer
+        # would write them, without its per-field checks.
+        for t, outcomes, covs in zip(ds.treatments.tolist(), ds.outcomes.tolist(), covariates):
+            handle.write(",".join([str(t), *map(repr, outcomes), *map(repr, covs)]) + "\r\n")
     return schema
 
 

@@ -388,16 +388,36 @@ def _method_key(method, position: int) -> str:
     return getattr(method, "__name__", f"custom{position}")
 
 
+def _builtin_selection(method: str, sizes, estimator: str) -> tuple[SelectionSpec, str]:
+    """Spec and estimator of a built-in experiment method; ``"baseline_dim"``
+    is the baseline ranked without adjustment. Raises ``DataError`` for an
+    unknown name."""
+    if method == "baseline_dim":
+        method, estimator = "baseline", "dim"
+    return SelectionSpec(method, size=sizes[-1]), estimator
+
+
+def _check_experiment(methods, sizes, estimator: str) -> tuple[int, ...]:
+    """The sorted distinct ``sizes``, after checking that there is one and
+    that every built-in method name is known: a mistake in the call is an
+    error, not a failure counted in every replicate."""
+    sizes = tuple(sorted(set(int(s) for s in sizes)))
+    if not sizes:
+        raise DataError("an experiment needs at least one subset size")
+    for method in methods:
+        if not callable(method):
+            _builtin_selection(method, sizes, estimator)
+    return sizes
+
+
 def _subsets_by_size(ds: TrialDataset, method, sizes, estimator: str
                      ) -> dict[int, tuple[int, ...]]:
     """Selected subsets per size for one experiment method on one dataset:
-    a custom callable per size, a built-in through :func:`run_selection`.
-    ``"baseline_dim"`` is the baseline ranked without adjustment."""
+    a custom callable per size, a built-in through :func:`run_selection`."""
     if callable(method):
         return {s: tuple(int(j) for j in method(ds, s)) for s in sizes}
-    if method == "baseline_dim":
-        method, estimator = "baseline", "dim"
-    results, _ = run_selection(ds, SelectionSpec(method, size=sizes[-1]), estimator, sizes)
+    spec, estimator = _builtin_selection(method, sizes, estimator)
+    results, _ = run_selection(ds, spec, estimator, sizes)
     return {s: result.selected for s, result in zip(sizes, results)}
 
 
@@ -468,9 +488,9 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
     baseline ranking when covariates are present. Replicate seeds derive from
     ``seed``; a failed replicate is skipped and counted, not fatal.
     """
+    sizes = _check_experiment(methods, sizes, estimator)
     children = np.random.SeedSequence(seed).spawn(replicates)
-    sizes = sorted(set(int(s) for s in sizes))
-    args = [(generator, tuple(methods), tuple(sizes), estimator, child)
+    args = [(generator, tuple(methods), sizes, estimator, child)
             for child in children]
     raw = _run_replicates(_recovery_replicate, args, n_jobs)
     out = {}
@@ -495,10 +515,10 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
     selection happens on the first, the quadratic-form test on the second
     restricted to the selected columns (``test_estimator`` adjustment).
     """
+    sizes = _check_experiment(methods, sizes, estimator)
     children = np.random.SeedSequence(seed).spawn(replicates)
-    sizes = sorted(set(int(s) for s in sizes))
     args = [
-        (generator, tuple(methods), tuple(sizes), estimator, test_estimator,
+        (generator, tuple(methods), sizes, estimator, test_estimator,
          alpha_level, second_sample_size, child)
         for child in children
     ]

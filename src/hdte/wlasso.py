@@ -12,9 +12,14 @@ concentrated out exactly up front: the response and every outcome column are
 replaced by their residuals from a weighted regression on the centered
 covariates, which leaves the ``beta`` subproblem unchanged and makes ``alpha``
 recoverable in closed form. The ``beta`` subproblem is then solved by cyclic
-coordinate descent on precomputed weighted moment matrices (glmnet's
-covariance mode), with an active-set sweep strategy and a final stationarity
-check.
+coordinate descent on weighted moments (glmnet's covariance mode), with an
+active-set sweep strategy and a final stationarity check.
+
+Moments. Moment preparation keeps the weighted concentrated outcomes, the
+cross moments with the response and the Gram diagonal, all O(n p). A Gram
+column is computed the first time its coordinate becomes nonzero and kept
+(:class:`_Gram`), so memory is O(p * |ever active|): a selection at p =
+20,000 never forms the p x p matrix.
 
 Sweeps. Every sweep visits its coordinates in ascending order, either the full
 set or the current nonzero set ``A``. While no sign in ``A`` changes, such a
@@ -23,9 +28,12 @@ single triangular solve on cached blocks of the Gram. The step is accepted
 only if every sign of ``A`` survives and, on a full sweep, every zero
 coordinate stays inside its threshold (one masked product); then it is the
 very sweep the scalar loop would make, up to rounding. Otherwise the scalar
-loop redoes the sweep. Small nonzero sets always take the scalar loop, whose
-float arithmetic gives the same bits as :func:`soft_threshold`. Sweep counts,
-active sets and the stopping rule are those of the plain coordinate loop.
+loop redoes the sweep. Small nonzero sets take the scalar loop, whose float
+arithmetic gives the same bits as :func:`soft_threshold`; on a full sweep
+over many coordinates it runs only at the nonzero ones and passes each run
+of zero coordinates between them in one vectorized test of the loop's own
+condition. Sweep counts, active sets and the stopping rule are those of the
+plain coordinate loop.
 """
 
 from __future__ import annotations
@@ -62,6 +70,18 @@ _DEGENERATE_REL = 1e-14
 # size (up to 137 coordinates), so they cross near 6. The margin above that
 # pays for rebuilding the cached blocks (30-280 us) when the set changes.
 _BLOCK_MIN = 8
+
+# A full sweep whose zero coordinates form runs (between consecutive nonzero
+# coordinates) of at least this mean length passes each run in one
+# vectorized test instead of the scalar loop. Measured per sweep with one
+# BLAS thread on a 2-vCPU Xeon, at converged points with p = 24 to 4000 and
+# 1 to 24 nonzero coefficients: the scalar loop costs about 0.3 us per zero
+# coordinate, a run test about 5 us, so they cross near a mean run of 12-16;
+# at p = 4000 with 1-3 nonzero the vectorized sweep takes 12-20 us against
+# 1.07 ms. Twice the crossover keeps every problem with p < 32 (the 6-24
+# column resolution levels among them) on the plain loop, where there is
+# nothing to gain.
+_ZERO_RUN_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -135,11 +155,67 @@ def soft_threshold(x, threshold):
     return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
+class _Gram:
+    """The weighted Gram ``(1/n) Z'Z`` of the concentrated outcomes ``Z``,
+    entry ``(j, k)`` divided by ``scale_j * scale_k``, built column by column.
+
+    Column ``j`` is computed in O(n p) the first time it is read and kept in a
+    store that grows with the columns read, so memory is O(p * |ever active|)
+    and a solve whose coefficients stay sparse never forms the p x p matrix.
+    An entry already held by an earlier column keeps that value and the
+    diagonal is ``diag``, so the matrix read is exactly symmetric (row ``j``
+    is column ``j``) whatever the order of reading.
+    """
+
+    def __init__(self, z: np.ndarray, scale: np.ndarray, raw_diag: np.ndarray):
+        self._z, self._scale = z, scale
+        self._norm = z.shape[0] * scale   # column j is divided by n scale_j scale
+        self.diag = raw_diag / (scale * scale)
+        p = z.shape[1]
+        self._slot = np.full(p, -1, dtype=np.intp)   # store row of column j
+        self._held = np.empty(p, dtype=np.intp)      # column in store row r
+        self._row = [None] * p                       # column j as a view of its row
+        self._store = np.empty((0, p))
+        self._count = 0
+
+    def _add(self, j: int) -> np.ndarray:
+        count = self._count
+        if count == self._store.shape[0]:
+            grown = np.empty((max(8, 2 * count), self._store.shape[1]))
+            grown[:count] = self._store[:count]
+            self._store = grown
+            for r, k in enumerate(self._held[:count].tolist()):
+                self._row[k] = grown[r]
+        column = self._store[count]
+        np.matmul(self._z.T, self._z[:, j], out=column)
+        column /= self._norm * self._scale[j]
+        column[self._held[:count]] = self._store[:count, j]
+        column[j] = self.diag[j]
+        self._slot[j], self._held[count], self._row[j] = count, j, column
+        self._count = count + 1
+        return column
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        """Row (equally, column) ``j``."""
+        row = self._row[j]
+        return self._add(j) if row is None else row
+
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` (an index array) as a new ``(len(idx), p)`` array."""
+        slots = self._slot[idx]
+        if (slots < 0).any():
+            for j in idx[slots < 0].tolist():
+                self._add(j)
+            slots = self._slot[idx]
+        return self._store[slots]
+
+
 @dataclass(frozen=True)
 class _Problem:
-    """Weighted moment matrices of the covariate-concentrated problem."""
+    """Weighted moments of the covariate-concentrated problem. The Gram is
+    not formed up front; :class:`_Gram` computes the columns a solve reads."""
 
-    gram: np.ndarray          # (p, p): (1/n) Yr' W Yr, in fitting scale
+    gram: _Gram               # (1/n) Yr' W Yr, in fitting scale, on demand
     ty: np.ndarray            # (p,): (1/n) Yr' W tr, in fitting scale
     tt: float                 # (1/n) tr' W tr
     scale: np.ndarray         # (p,) column scales applied (ones if standardize off)
@@ -156,10 +232,10 @@ def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
     n = ds.n
     t = ds.treatments.astype(np.float64)
     w = propensity_weights(t)
+    sqrt_w = np.sqrt(w)
     yc, _ = center_columns(ds.outcomes)
     if ds.m > 0:
         xc, _ = center_columns(ds.covariates)
-        sqrt_w = np.sqrt(w)
         design = xc * sqrt_w[:, None]
         proj_t, _, rank, _ = np.linalg.lstsq(design, sqrt_w * t, rcond=None)
         if rank < ds.m:
@@ -174,19 +250,17 @@ def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
         proj_t = proj_y = None
         tr = t
         yr = yc
-    wy = yr * w[:, None]
-    gram = wy.T @ yr / n
-    gram = (gram + gram.T) / 2.0
-    ty = wy.T @ tr / n
+    z = yr * sqrt_w[:, None]
+    ty = (yr * w[:, None]).T @ tr / n
     tt = float(w @ tr**2 / n)
-    diag = gram.diagonal()
+    diag = np.einsum("ij,ij->j", z, z) / n
     penalized = diag > _DEGENERATE_REL * max(1.0, float(diag.max(initial=0.0)))
     scale = np.ones(ds.p)
     if standardize and penalized.any():
         scale = np.where(penalized, np.sqrt(np.maximum(diag, 0.0)), 1.0)
-        gram = gram / np.outer(scale, scale)
         ty = ty / scale
-    return _Problem(gram, ty, tt, scale, penalized, proj_t, proj_y, yc, xc, t, w)
+    return _Problem(_Gram(z, scale, diag), ty, tt, scale, penalized,
+                    proj_t, proj_y, yc, xc, t, w)
 
 
 def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
@@ -213,7 +287,8 @@ def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
 
     ``ty``, ``diag`` and ``denom`` are Python float lists, so each update runs
     on floats. The inlined shrinkage gives the bits of :func:`soft_threshold`;
-    ``0.0 * z`` reproduces its signed zero and its NaN.
+    ``0.0 * z`` reproduces its signed zero and its NaN. ``gram`` is read only
+    at coordinates that are or become nonzero.
     """
     delta = 0.0
     for j in work:
@@ -245,8 +320,9 @@ class _Block:
     """
 
     def __init__(self, gram, ty, active, ridge):
-        block = gram[np.ix_(active, active)]
-        self.gram, self.ty_full = gram, ty
+        self.rows = gram.rows(active)   # G[active, :]
+        block = self.rows[:, active]
+        self.ty_full = ty
         self.active = active
         self.ty = ty[active]
         self.lower = np.asfortranarray(np.tril(block) + ridge * np.eye(active.size))
@@ -267,7 +343,7 @@ class _Block:
         if full_set is not None:
             if self.zeros is None:
                 zeros = np.setdiff1d(full_set, active, assume_unique=True)
-                cross = self.gram[np.ix_(zeros, active)]
+                cross = self.rows[:, zeros].T   # G[zeros, active]; G is symmetric
                 before = active[None, :] < zeros[:, None]
                 self.zeros = (self.ty_full[zeros],
                               np.hstack([np.where(before, cross, 0.0),
@@ -280,6 +356,34 @@ class _Block:
         return float(np.abs(b_new - b_old).max())
 
 
+def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
+                       gram, ty, diag, denom, lam1) -> float:
+    """The scalar full sweep, with each run of zero coordinates between
+    consecutive ``nonzero`` coordinates passed in one vectorized test.
+    ``ty_vec`` is ``ty`` as an array; the other arguments are those of
+    :func:`_scalar_sweep`.
+
+    A zero ``j`` stays zero in the scalar loop iff ``|ty_j - q_j| <= lam1``
+    for ``q`` as it stands when ``j`` is visited, which for every ``j`` in a
+    run is ``q`` after the nonzero coordinates before it. The test is that
+    very inequality on the same ``q``; from the first coordinate that fails
+    it (or is not a number) the scalar loop runs the rest of the sweep. The
+    result is the full scalar sweep's, bit for bit.
+    """
+    delta, lo = 0.0, 0
+    p = ty_vec.shape[0]
+    for a in (*nonzero.tolist(), p):
+        stays = np.abs(ty_vec[lo:a] - q[lo:a]) <= lam1
+        if not stays.all():
+            start = int(np.searchsorted(full_set, lo + int(stays.argmin())))
+            return max(delta, _scalar_sweep(full_list[start:], beta, q,
+                                            gram, ty, diag, denom, lam1))
+        if a < p:
+            delta = max(delta, _scalar_sweep((a,), beta, q, gram, ty, diag, denom, lam1))
+        lo = a + 1
+    return delta
+
+
 def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
               objective_trace=None) -> tuple[np.ndarray, int, bool]:
     """Cyclic coordinate descent on the concentrated problem.
@@ -290,7 +394,10 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     ``tol`` plus a stationarity check within ``10 * tol`` of the problem scale.
     A sweep whose nonzero set has at least ``_BLOCK_MIN`` coordinates is tried
     as one block step (:class:`_Block`); the scalar loop redoes it if the
-    block step is rejected. ``q = gram @ beta`` is refreshed only when the
+    block step is rejected. Otherwise a full sweep whose zero coordinates
+    form runs of mean length at least ``_ZERO_RUN_MIN`` passes each run in
+    one vectorized test (:func:`_sparse_full_sweep`), with the same result
+    as the scalar loop. ``q = gram @ beta`` is refreshed only when the
     scalar loop, the stationarity check or ``objective_trace`` reads it.
     """
     gram = problem.gram
@@ -298,17 +405,17 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     p = ty.shape[0]
     lam1 = lam * config.l1_ratio
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
-    diag = gram.diagonal().copy()
+    diag = gram.diag
     denom = diag + ridge
     full_set = np.flatnonzero(problem.penalized)
     full_list = full_set.tolist()
     ty_list, diag_list, denom_list = ty.tolist(), diag.tolist(), denom.tolist()
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     beta[~problem.penalized] = 0.0
-    q = gram @ beta if beta.any() else np.zeros(p)
-    q_fresh = True
     nonzero = np.flatnonzero(beta)
+    q, q_fresh = np.zeros(p), nonzero.size == 0
     block = None   # a _Block for ``nonzero``, kept while that set holds
+    scalar_args = (gram, ty_list, diag_list, denom_list, lam1)
     kkt_tol = 10.0 * config.tol * max(
         1.0,
         float(np.max(np.abs(ty), initial=0.0)),
@@ -318,7 +425,7 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     def current_q():
         nonlocal q, q_fresh
         if not q_fresh:
-            q = beta[nonzero] @ gram[nonzero]   # gram is symmetric
+            q = beta[nonzero] @ gram.rows(nonzero)   # gram is symmetric
             q_fresh = True
         return q
 
@@ -334,9 +441,13 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
             if delta is not None:
                 q_fresh = False
         if delta is None:
-            work = full_list if on_full_set else nonzero.tolist()
-            delta = _scalar_sweep(work, beta, current_q(), gram, ty_list,
-                                  diag_list, denom_list, lam1)
+            if not on_full_set:
+                delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)
+            elif full_set.size - nonzero.size >= _ZERO_RUN_MIN * (nonzero.size + 1):
+                delta = _sparse_full_sweep(nonzero, full_set, full_list, ty, beta,
+                                           current_q(), *scalar_args)
+            else:
+                delta = _scalar_sweep(full_list, beta, current_q(), *scalar_args)
             changed = np.flatnonzero(beta)
             if not np.array_equal(changed, nonzero):
                 nonzero, block = changed, None

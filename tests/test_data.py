@@ -1,5 +1,11 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hdte.data import (
     CsvSchema,
@@ -135,6 +141,125 @@ def test_load_csv_rejects_fractional_treatment(tmp_path):
     path.write_text("treatment,y0\n0.5,1.0\n0,2.0\n")
     with pytest.raises(DataError, match="must be 0 or 1"):
         load_csv(path, CsvSchema("treatment", ("y0",)))
+
+
+def test_write_csv_formats_each_value_as_its_float_repr(tmp_path):
+    ds = TrialDataset([1, 0, 1], [[0.1, -2.5e-300], [1e16, 3.0], [-0.0, 1 / 3]],
+                      [[7.0], [np.nextafter(1.0, 2.0)], [-1e-7]])
+    write_csv(ds, tmp_path / "t.csv")
+    lines = [["treatment", "y0", "y1", "x0"]] + [
+        [str(int(ds.treatments[i])), *(repr(float(v)) for v in ds.outcomes[i]),
+         *(repr(float(v)) for v in ds.covariates[i])]
+        for i in range(ds.n)
+    ]
+    expected = "".join(",".join(r) + "\r\n" for r in lines)
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+# The loader property test writes clean tables of numbers (some padded with
+# whitespace) and then applies up to three faults: a cell float(cell.strip())
+# rejects or reads as non-finite, a quoted cell, a short, long or blank row,
+# or text in the column outside the schema.
+_SPECIAL_CELLS = ["1_000", "1__0", "_1", ".5", "5.", "+.5e-3", "1e400", "nan", "-inf",
+                  "Infinity", "", " ", "abc", "1e", "0x10", "1 2", "#1", "1#2", "1,5",
+                  "\u0661", "1\x00", "1\x1c", '1"0', "0.5", "2", "-0"]
+_PADDING = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
+
+
+@st.composite
+def _number(draw, treatment=False):
+    if treatment:
+        text = draw(st.sampled_from(["0", "1", "1.0", "0e0"]))
+    else:
+        text = draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                              st.integers(-10**6, 10**6).map(str)))
+    return draw(_PADDING) + text + draw(_PADDING)
+
+
+@st.composite
+def _csv_text(draw):
+    """Header ``treatment,y0,note,y1,x0`` (``note`` is outside the schema)
+    and up to six data rows, with mixed line ends."""
+    rows = [[draw(_number(treatment=True)), draw(_number()), "1", draw(_number()),
+             draw(_number())] for _ in range(draw(st.integers(0, 6)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["cell", "quote", "short", "long", "blank", "note"]))
+        k = draw(st.integers(0, 4))
+        if fault == "cell" and row:
+            row[k % len(row)] = draw(st.sampled_from(_SPECIAL_CELLS))
+        elif fault == "quote" and row:
+            row[k % len(row)] = '"' + row[k % len(row)].replace('"', '""') + '"'
+        elif fault == "short" and row:
+            del row[k % len(row):]
+        elif fault == "long":
+            row.append("1")
+        elif fault == "blank":
+            row.clear()
+        elif fault == "note" and len(row) > 2:
+            row[2] = "a"
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(["treatment", " y0", "note", "y1 ", "x0"])] + [",".join(r) for r in rows]
+    text = end.join(lines)
+    return text + end if draw(st.booleans()) else text
+
+
+def _oracle_load(text, schema, path):
+    """The schema columns read cell by cell with ``float(cell.strip())``,
+    raising at the first bad cell or row in file order."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader)
+    names = (schema.treatment, *schema.outcomes, *schema.covariates)
+    where = [[h.strip() for h in header].index(name) for name in names]
+    table = []
+    for row_num, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise DataError(f"data row {row_num} has {len(row)} cells, expected {len(header)}")
+        values = []
+        for name, k in zip(names, where):
+            raw = row[k]
+            if raw.strip() == "":
+                raise DataError(f"missing value in column {name!r} at data row {row_num}")
+            try:
+                value = float(raw.strip())
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {raw!r} in column {name!r} at data row {row_num}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {raw!r} in column {name!r} at data row {row_num}")
+            if name == schema.treatment and value not in (0.0, 1.0):
+                raise DataError(f"treatment value must be 0 or 1; found {value!r} "
+                                f"in column {name!r} at data row {row_num}")
+            values.append(value)
+        table.append(values)
+    if len(table) < 2:
+        raise DataError(f"{path} has {len(table)} data rows; n >= 2 required")
+    table = np.array(table)
+    return TrialDataset(table[:, 0], table[:, 1:3], table[:, 3:], schema.outcomes)
+
+
+def _outcome(load):
+    try:
+        ds = load()
+    except (DataError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return tuple(a.dtype.str + a.tobytes().hex() for a in (ds.treatments, ds.outcomes, ds.covariates))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_csv_text())
+@example(text="treatment,y0,note,y1,x0\n1,2,1,3,1#2\n0,1,1,1,1\n")
+@example(text="treatment,y0,note,y1,x0\r\n1,2,1,3,4\r\n\r\n0,1,1,1,1")
+def test_load_csv_matches_the_cell_by_cell_oracle(tmp_path, text):
+    """Either the oracle's arrays, bit for bit, or its exact error."""
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    schema = CsvSchema("treatment", ("y0", "y1"), ("x0",))
+    assert _outcome(lambda: load_csv(path, schema)) == \
+        _outcome(lambda: _oracle_load(text, schema, path))
 
 
 def test_schema_rejects_duplicates_and_empty():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,23 @@ def test_run_selection_dispatches_to_each_selector():
     assert (level, chosen) == select_resolution_level(ds, levels, size=1)
     with pytest.raises(DataError, match="several sizes"):
         run_selection(ds, SelectionSpec(lam=0.15), sizes=(1, 2))
+
+
+def test_select_at_large_p_never_forms_a_p_by_p_matrix():
+    """Penalized selection reads only the Gram columns its path activates:
+    at p = 20,000 its traced peak stays under a tenth of one p x p matrix
+    (3.2 GB)."""
+    p, n = 20_000, 40
+    rng = np.random.default_rng(0)
+    t = np.array([1, 0] * (n // 2))
+    y = rng.standard_normal((n, p))
+    y[:, :3] += 1.5 * t[:, None]
+    ds = TrialDataset(t, y)
+    tracemalloc.start()
+    try:
+        result = sparse_select(ds, size=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.selected) == 5
+    assert peak < p * p * 8 / 10

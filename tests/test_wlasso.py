@@ -239,10 +239,20 @@ def sweep_log(monkeypatch):
     return log
 
 
+def lazy_gram(z):
+    """The on-demand Gram ``(1/n) z'z`` of an ``(n, p)`` matrix, unscaled."""
+    return wlasso._Gram(z, np.ones(z.shape[1]), np.einsum("ij,ij->j", z, z) / z.shape[0])
+
+
+def dense_gram(gram):
+    """Every column of an on-demand Gram, as the ``(p, p)`` matrix."""
+    return gram.rows(np.arange(gram.diag.shape[0]))
+
+
 def reference_cd_solve(problem, config, lam, beta0=None):
     """The one-coordinate-at-a-time loop that ``_cd_solve`` must reproduce:
     same sweep schedule, stopping rule and ``soft_threshold`` update."""
-    gram, ty = problem.gram, problem.ty
+    gram, ty = dense_gram(problem.gram), problem.ty
     lam1 = lam * config.l1_ratio
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
     diag = gram.diagonal().copy()
@@ -250,7 +260,8 @@ def reference_cd_solve(problem, config, lam, beta0=None):
     full_set = np.flatnonzero(problem.penalized)
     beta = np.zeros(ty.shape[0]) if beta0 is None else np.array(beta0, dtype=np.float64)
     beta[~problem.penalized] = 0.0
-    q = gram @ beta if beta.any() else np.zeros(ty.shape[0])
+    nonzero = np.flatnonzero(beta)
+    q = beta[nonzero] @ gram[nonzero]
     kkt_tol = 10.0 * config.tol * max(1.0, float(np.max(np.abs(ty), initial=0.0)),
                                       float(diag.max(initial=0.0)))
     sweeps, on_full_set = 0, True
@@ -274,6 +285,54 @@ def reference_cd_solve(problem, config, lam, beta0=None):
         else:
             on_full_set = False
     return beta, sweeps, False
+
+
+@pytest.mark.parametrize("standardize, m", [(False, 0), (True, 3)])
+def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(standardize, m):
+    """Columns read in any order form an exactly symmetric matrix whose
+    diagonal is bit for bit ``gram.diag``, equal to the dense weighted
+    moments ``(1/n) Yr' W Yr / (scale scale')`` up to rounding."""
+    ds = random_dataset(53, n=50, p=37, m=m)
+    problem = _prepare(ds, standardize)
+    order = np.random.default_rng(0).permutation(ds.p)
+    for j in order[:5]:
+        problem.gram[int(j)]
+    gram = dense_gram(problem.gram)
+    assert gram.tobytes() == gram.T.tobytes()
+    assert gram.diagonal().tobytes() == problem.gram.diag.tobytes()
+    w = propensity_weights(ds.treatments)
+    yr = ds.outcomes - ds.outcomes.mean(axis=0)
+    if m:
+        xc = ds.covariates - ds.covariates.mean(axis=0)
+        sw = np.sqrt(w)[:, None]
+        yr = yr - xc @ np.linalg.lstsq(xc * sw, yr * sw, rcond=None)[0]
+    dense = (yr * w[:, None]).T @ yr / ds.n / np.outer(problem.scale, problem.scale)
+    np.testing.assert_allclose(gram, dense, rtol=1e-10, atol=1e-12)
+
+
+def test_sparse_full_sweep_is_the_scalar_sweep_bit_for_bit():
+    """From random states with a few nonzero coefficients, where zero
+    coordinates sometimes enter mid-sweep: the same ``beta``, ``q`` and
+    largest change, bit for bit."""
+    rng = np.random.default_rng(8)
+    n, p = 30, 120
+    entered = 0
+    for _ in range(100):
+        gram = lazy_gram(rng.standard_normal((n, p)))
+        full = np.arange(p)
+        beta = np.zeros(p)
+        nonzero = np.sort(rng.choice(p, int(rng.integers(0, 5)), replace=False))
+        beta[nonzero] = rng.standard_normal(nonzero.size)
+        q = beta[nonzero] @ gram.rows(nonzero)
+        ty = rng.standard_normal(p) * 0.5
+        lam1 = float(rng.uniform(0.8, 2.0))
+        args = (gram, ty.tolist(), gram.diag.tolist(), (gram.diag + 0.1).tolist(), lam1)
+        b_ref, q_ref = beta.copy(), q.copy()
+        d_ref = wlasso._scalar_sweep(full.tolist(), b_ref, q_ref, *args)
+        d = wlasso._sparse_full_sweep(nonzero, full, full.tolist(), ty, beta, q, *args)
+        assert (d, beta.tobytes(), q.tobytes()) == (d_ref, b_ref.tobytes(), q_ref.tobytes())
+        entered += np.count_nonzero(beta) > nonzero.size
+    assert 10 < entered < 90
 
 
 def factor_dataset(seed, n=80, p=30):
@@ -338,7 +397,8 @@ def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
     one_sweep = EnetConfig(max_iter=1)
     for _ in range(200):
         root = rng.standard_normal((p, p)) + 1.0
-        gram = root.T @ root / p
+        lazy = lazy_gram(root)
+        gram = dense_gram(lazy)
         active = np.sort(rng.choice(p, k, replace=False))
         signs = rng.choice([-1.0, 1.0], k)
         b_old = signs * rng.uniform(0.5, 2.0, k)
@@ -349,7 +409,7 @@ def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
         ty[active] = np.tril(block) @ b_new + np.triu(block, 1) @ b_old + lam * signs
         beta0 = np.zeros(p)
         beta0[active] = b_old
-        problem = SimpleNamespace(gram=gram, ty=ty, penalized=np.ones(p, dtype=bool))
+        problem = SimpleNamespace(gram=lazy, ty=ty, penalized=np.ones(p, dtype=bool))
         beta, _, _ = _cd_solve(problem, one_sweep, lam, beta0=beta0)
         ref, _, _ = reference_cd_solve(problem, one_sweep, lam, beta0)
         np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
@@ -360,16 +420,17 @@ def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
 @pytest.mark.parametrize("l1_ratio, m", [(1.0, 0), (0.5, 2)])
 def test_small_problem_stays_bit_identical_to_scalar_reference(sweep_log, l1_ratio, m):
     """Below ``_BLOCK_MIN`` nonzero coefficients only the scalar loop runs,
-    and its float arithmetic gives the reference loop's exact bits."""
+    and its float arithmetic gives the reference loop's exact bits. Both
+    read one problem, hence one set of Gram entries."""
     ds = random_dataset(19, n=50, p=wlasso._BLOCK_MIN - 1, m=m)
     config = EnetConfig(l1_ratio=l1_ratio)
-    path = regularization_path(ds, n_lambdas=30, config=config)
     problem, grid, _ = _path_grid(ds, config, 30, None)
     ref = np.zeros(ds.p)
-    for fit, lam in zip(path.fits[1:], grid[1:]):
-        ref, sweeps, _ = reference_cd_solve(problem, config, lam, ref)
-        assert fit.iterations == sweeps
-        assert fit.beta.tobytes() == (ref / problem.scale).tobytes()
+    points = list(wlasso._walk_path(problem, grid, config))
+    for (lam, beta, iterations, _), ref_lam in zip(points[1:], grid[1:]):
+        ref, sweeps, _ = reference_cd_solve(problem, config, ref_lam, ref)
+        assert iterations == sweeps
+        assert beta.tobytes() == (ref / problem.scale).tobytes()
     assert {kind for kind, _ in sweep_log} == {"scalar"}
 
 
