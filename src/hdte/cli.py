@@ -64,10 +64,11 @@ def _split_names(raw: str) -> tuple[str, ...]:
 
 def _load_dataset(params):
     path = params["data"]
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         header = next(csv.reader(handle), None)
     if header is None:
         raise DataError(f"{path} is empty")
+    header = [name.strip() for name in header]   # as load_csv matches them
     treatment = params["treatment_col"]
     if params["outcome_cols"]:
         outcomes = _split_names(params["outcome_cols"])

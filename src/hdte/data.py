@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +20,21 @@ __all__ = [
     "random_split",
     "split_indices",
     "center_columns",
+    "check_grouping",
+    "column_group_means",
     "aggregate_columns",
 ]
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    out = np.array(values, dtype=dtype, order="C")
+def _freeze(fresh: np.ndarray) -> np.ndarray:
+    """``fresh`` (an array no one else holds) C-ordered and read-only."""
+    out = np.ascontiguousarray(fresh)
     out.setflags(write=False)
     return out
+
+
+def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    return _freeze(np.array(values, dtype=dtype, order="C"))
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,17 @@ class TrialDataset:
                 )
             object.__setattr__(self, "column_labels", labels)
 
+    @classmethod
+    def _trusted(cls, treatments, outcomes, covariates, column_labels) -> "TrialDataset":
+        """A dataset from arrays derived from a validated dataset, frozen as
+        ``__post_init__`` leaves them (read-only, C-ordered, int64 treatments),
+        without validating them again."""
+        ds = object.__new__(cls)
+        for name, value in (("treatments", treatments), ("outcomes", outcomes),
+                            ("covariates", covariates), ("column_labels", column_labels)):
+            object.__setattr__(ds, name, value)
+        return ds
+
     @property
     def n(self) -> int:
         return self.treatments.shape[0]
@@ -106,12 +125,15 @@ class TrialDataset:
         return self.n - self.n_treated
 
     def take_rows(self, indices) -> "TrialDataset":
-        """Return the row subset ``indices`` as a new dataset."""
+        """Return the row subset ``indices`` as a new dataset. Rows of a
+        validated dataset need no validation beyond the row count."""
         idx = np.asarray(indices, dtype=np.intp)
-        return TrialDataset(
-            self.treatments[idx],
-            self.outcomes[idx],
-            None if self.covariates is None else self.covariates[idx],
+        if idx.size < 2:
+            raise DataError(f"dataset needs n >= 2 rows, got n={idx.size}")
+        return TrialDataset._trusted(
+            _freeze(self.treatments[idx]),
+            _freeze(self.outcomes[idx]),
+            None if self.covariates is None else _freeze(self.covariates[idx]),
             self.column_labels,
         )
 
@@ -192,25 +214,29 @@ def _schema_columns(header, schema: CsvSchema, path) -> list[int]:
     return columns
 
 
-def _parse_block(text: str, width: int) -> np.ndarray | None:
-    """Every cell of the data block in one ``np.loadtxt`` pass, or ``None``
-    where the block has fewer than two rows or does not come back as one row
-    of ``width`` cells per line (``np.loadtxt`` skips blank lines).
+def _parse_block(text: str, width: int, columns: list[int]) -> np.ndarray | None:
+    """The ``columns`` of the data block, in that order, in one
+    ``np.loadtxt`` pass, or ``None`` where the block has fewer than two rows,
+    holds a quote, or has a line of other than ``width`` cells.
 
     ``csv.reader`` ends a record at ``\\r``, ``\\n`` or ``\\r\\n``, so the same
     line split is done here by hand; without a quote, a record's cells are
-    its comma-separated pieces. A quote, or anything else ``float`` does not
-    take, makes ``np.loadtxt`` raise ``ValueError``, as does a ragged row;
-    the numbers it does take are a subset of those ``float(cell.strip())``
-    takes, with the same value.
+    its comma-separated pieces, so the cell count of every line is checked
+    here (``usecols`` takes long rows silently). Cells outside ``columns``
+    are not parsed, so a text column does not leave this path. Anything in
+    ``columns`` that ``float`` does not take makes ``np.loadtxt`` raise
+    ``ValueError``; the numbers it does take are a subset of those
+    ``float(cell.strip())`` takes, with the same value.
     """
+    if '"' in text:
+        return None
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if lines[-1] == "":
         lines.pop()
-    if len(lines) < 2:
+    if len(lines) < 2 or any(line.count(",") != width - 1 for line in lines):
         return None
-    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    return values if values.shape == (len(lines), width) else None
+    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=columns)
+    return values if values.shape == (len(lines), len(columns)) else None
 
 
 def _parse_rows(rows, schema: CsvSchema, columns: list[int], width: int) -> np.ndarray:
@@ -236,34 +262,35 @@ def _parse_rows(rows, schema: CsvSchema, columns: list[int], width: int) -> np.n
 def load_csv(path, schema: CsvSchema) -> TrialDataset:
     """Read a trial dataset from a CSV file with a header row.
 
-    The data block is parsed in one vectorized pass. A block that pass does
-    not take as a clean numeric table (quoted cells, a blank or ragged row,
-    a cell ``np.loadtxt`` rejects) or whose schema columns hold a non-finite
-    value or a treatment other than 0/1 is parsed again cell by cell with
+    The schema's columns of the data block are parsed in one vectorized
+    pass; other columns may hold any unquoted text. A block that pass does
+    not take (a quote anywhere, a blank or ragged row, a schema cell
+    ``np.loadtxt`` rejects) or whose schema columns hold a non-finite value
+    or a treatment other than 0/1 is parsed again cell by cell with
     ``float(cell.strip())``, which either reads it or raises the error that
     names the first bad cell. Either way the result and every error are those
     of the cell-by-cell parser. Rows are reported 1-based (excluding the
     header) in error messages. Missing values are rejected, never imputed.
+    The file is read as UTF-8; a leading byte-order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         try:
             header = next(csv.reader(handle))
         except StopIteration:
             raise DataError(f"{path} is empty") from None
         columns = _schema_columns(header, schema, path)
         try:
-            block = _parse_block(handle.read(), len(header))
-        except (ValueError, UnicodeDecodeError):
+            block = _parse_block(handle.read(), len(header), columns)
+        except ValueError:   # UnicodeDecodeError among them
             block = None
     if block is not None:
-        block = block[:, columns]
         if not (np.isfinite(block).all() and np.isin(block[:, 0], (0.0, 1.0)).all()):
             block = None
     if block is None:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             next(reader)
             block = _parse_rows(reader, schema, columns, len(header))
@@ -323,33 +350,77 @@ def random_split(ds: TrialDataset, fraction: float, seed: int) -> SplitPair:
     return SplitPair(ds.take_rows(first_idx), ds.take_rows(second_idx), int(seed))
 
 
+def _group_index(grouping, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The groups' column indices laid end to end, and each group's width;
+    raises :class:`DataError` for no group, an empty group or an index
+    outside ``[0, p)``."""
+    widths = np.fromiter(map(len, grouping), dtype=np.intp)
+    if widths.size == 0:
+        raise DataError("grouping needs at least one group")
+    if not widths.all():
+        raise DataError(f"group {int(np.argmin(widths))} is empty")
+    idx = np.fromiter(chain.from_iterable(grouping), dtype=np.intp, count=int(widths.sum()))
+    bad = (idx < 0) | (idx >= p)
+    if bad.any():
+        k = int(np.searchsorted(np.cumsum(widths), bad.argmax(), side="right"))
+        raise DataError(f"group {k} has column indices out of range for p={p}")
+    return idx, widths
+
+
+def check_grouping(ds: TrialDataset, grouping) -> None:
+    """Raise :class:`DataError` unless ``grouping`` is a valid column grouping
+    of ``ds`` for :func:`aggregate_columns`: at least one group, no empty
+    group, every index an outcome column, and covariates (if any) laid out
+    like the outcomes."""
+    _group_index(grouping, ds.p)
+    if ds.covariates is not None and ds.m != ds.p:
+        raise DataError(
+            "column grouping needs covariates with the same base layout "
+            f"as outcomes (m={ds.m}, p={ds.p})"
+        )
+
+
+def column_group_means(matrix, grouping) -> np.ndarray:
+    """Column ``g`` of the result is the row-wise mean of the columns of
+    ``matrix`` listed in group ``g`` of ``grouping``.
+
+    Groups of one width are averaged together in one pass, bit for bit the
+    per-group ``matrix[:, group].mean(axis=1)``; no averaging matrix is formed.
+    """
+    arr = np.asarray(matrix, dtype=np.float64)
+    idx, widths = _group_index(grouping, arr.shape[1])
+    n, k = arr.shape[0], widths.size
+    if (widths == widths[0]).all():   # the window case: no scatter into ``out``
+        return arr[:, idx].reshape(n, k, int(widths[0])).mean(axis=2)
+    starts = np.cumsum(widths) - widths
+    out = np.empty((n, k))
+    for width in np.unique(widths).tolist():
+        chosen = np.flatnonzero(widths == width)
+        cols = idx[(starts[chosen, None] + np.arange(width)).ravel()]
+        out[:, chosen] = arr[:, cols].reshape(n, chosen.size, width).mean(axis=2)
+    return out
+
+
 def aggregate_columns(ds: TrialDataset, grouping) -> TrialDataset:
     """Average outcome (and covariate) columns over index groups.
 
     ``grouping`` is a sequence of index lists into the outcome columns; group
-    ``g`` of the result is the row-wise mean of the listed columns. When
-    covariates are present the same grouping is applied to them, so both
-    sides must share the base column layout. Groups are expected to cover
-    windows of equal width, which makes the plain mean the right aggregate.
+    ``g`` of the result is the row-wise mean of the listed columns (see
+    :func:`column_group_means`). When covariates are present the same
+    grouping is applied to them, so both sides must share the base column
+    layout (:func:`check_grouping`). Groups are expected to cover windows of
+    equal width, which makes the plain mean the right aggregate. The means of
+    a validated dataset are checked only for overflow.
     """
-    groups = [np.asarray(g, dtype=np.intp) for g in grouping]
-    if not groups:
-        raise DataError("grouping needs at least one group")
-    for k, g in enumerate(groups):
-        if g.size == 0:
-            raise DataError(f"group {k} is empty")
-        if g.min() < 0 or g.max() >= ds.p:
-            raise DataError(f"group {k} has column indices out of range for p={ds.p}")
-    outcomes = np.column_stack([ds.outcomes[:, g].mean(axis=1) for g in groups])
+    check_grouping(ds, grouping)
+    outcomes = column_group_means(ds.outcomes, grouping)
     covariates = None
     if ds.covariates is not None:
-        if ds.covariates.shape[1] != ds.p:
-            raise DataError(
-                "column grouping needs covariates with the same base layout "
-                f"as outcomes (m={ds.m}, p={ds.p})"
-            )
-        covariates = np.column_stack([ds.covariates[:, g].mean(axis=1) for g in groups])
-    return TrialDataset(ds.treatments, outcomes, covariates)
+        covariates = _freeze(column_group_means(ds.covariates, grouping))
+    if not (np.isfinite(outcomes).all()
+            and (covariates is None or np.isfinite(covariates).all())):
+        raise DataError("column means overflow to non-finite values")
+    return TrialDataset._trusted(ds.treatments, _freeze(outcomes), covariates, None)
 
 
 def center_columns(matrix, weights=None) -> tuple[np.ndarray, np.ndarray]:

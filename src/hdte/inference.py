@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .data import TrialDataset, aggregate_columns, random_split
+from .data import TrialDataset, aggregate_columns, check_grouping, random_split
 from .errors import DataError, HdteError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate
 from .selection import SelectionSpec, run_selection
@@ -183,10 +183,14 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     capped rescaled ``gamma``-quantile per dimension and for the group
     p-value. Split seeds derive deterministically from ``seed``, so reruns
     reproduce the report exactly. Any split failure aborts with the split
-    index in the error message.
+    index in the error message; resolution levels that do not fit ``ds``
+    (see :func:`hdte.data.check_grouping`) are a data error raised before
+    the first split.
     """
     if B < 1:
         raise DataError(f"B must be >= 1, got {B}")
+    for grouping in sel.levels or ():
+        check_grouping(ds, grouping)
     n_slots, offsets = _slot_layout(sel, ds.p)
     seeds = split_seeds(seed, B)
     per_dim = np.ones((B, n_slots))

@@ -1,19 +1,28 @@
 """Outcome subset selection: ranked effects, penalized paths, resolution
 levels, the one dispatch between them, and the population-level target the
-sparse selector estimates."""
+sparse selector estimates.
+
+A penalized selection by size walks the penalty grid and resolves each size
+at the first grid point whose active set reaches it (one loop,
+:func:`_size_selections`, serves plain datasets and resolution levels); a
+selection by penalty reads one fit. Resolution levels are solved from one
+factorization of the split half (:func:`hdte.wlasso.level_problems`), not
+from one aggregated dataset each."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .data import TrialDataset, aggregate_columns
+from .data import TrialDataset
 from .errors import DataError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate
 from .wlasso import (
     EnetConfig,
     fit_weighted_enet,
+    level_problems,
     subset_weighted_rss,
     walk_path,
 )
@@ -169,6 +178,64 @@ def _require_converged(lam: float, sweeps: int, converged: bool) -> None:
         )
 
 
+def _size_selections(walk, sizes, p: int, label: str, rss) -> dict[int, SelectionResult]:
+    """Size-``s`` selections for every ``s`` in ``sizes`` from the path
+    ``walk()`` (an iterator of ``(lam, beta, sweeps, converged)`` down the
+    grid) over ``p`` columns; ``rss(subset)`` gives a subset's restricted
+    weighted RSS.
+
+    Each size is resolved at the first grid point whose active set reaches
+    it, truncated in path-entry order (the order in which columns first
+    became active; same-point entries break ties by ascending index). The
+    walk stops once every size is resolved.
+    """
+    wanted = sorted(set(int(s) for s in sizes))
+    if not wanted:
+        raise DataError("sizes must be nonempty")
+    if wanted[0] < 1 or wanted[-1] > p:
+        raise DataError(f"sizes must be within [1, p={p}], got {wanted}")
+    entry_rank: dict[int, int] = {}
+    results: dict[int, SelectionResult] = {}
+    pending = list(wanted)
+    largest_seen = 0
+    for lam, beta, sweeps, converged in walk():
+        _require_converged(lam, sweeps, converged)
+        active = np.flatnonzero(beta).tolist()
+        for j in active:
+            if j not in entry_rank:
+                entry_rank[j] = len(entry_rank)
+        largest_seen = max(largest_seen, len(active))
+        while pending and len(active) >= pending[0]:
+            s = pending.pop(0)
+            ranked = sorted(active, key=entry_rank.__getitem__)[:s]
+            results[s] = SelectionResult(
+                tuple(ranked), label, lam,
+                tuple(abs(beta.item(j)) for j in ranked), rss(ranked),
+            )
+        if not pending:
+            break
+    if pending:
+        raise DataError(
+            f"penalty path reached its smallest value with at most "
+            f"{largest_seen} active columns; cannot select {pending[0]}"
+        )
+    return results
+
+
+def _penalty_selection(lam: float, beta: np.ndarray, sweeps: int, converged: bool,
+                       label: str, rss) -> SelectionResult:
+    """The active set of one fit, ordered by descending ``|beta|`` (ties by
+    ascending index); ``rss`` as for :func:`_size_selections`."""
+    _require_converged(lam, sweeps, converged)
+    abs_beta = np.abs(beta)
+    active = np.flatnonzero(beta)
+    order = np.lexsort((active, -abs_beta[active])) if active.size else np.zeros(0, np.intp)
+    chosen = tuple(int(active[i]) for i in order)
+    return SelectionResult(
+        chosen, label, float(lam), tuple(float(abs_beta[j]) for j in chosen), rss(chosen),
+    )
+
+
 def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
                     n_lambdas: int = 100,
                     lambda_min_ratio: float | None = None) -> dict[int, SelectionResult]:
@@ -180,41 +247,10 @@ def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
     active; same-point entries break ties by ascending index). Selections for
     nested sizes are therefore prefixes of one another.
     """
-    wanted = sorted(set(int(s) for s in sizes))
-    if not wanted:
-        raise DataError("sizes must be nonempty")
-    if wanted[0] < 1 or wanted[-1] > ds.p:
-        raise DataError(f"sizes must be within [1, p={ds.p}], got {wanted}")
-    label = _method_label(config)
-    entry_rank: dict[int, int] = {}
-    results: dict[int, SelectionResult] = {}
-    pending = list(wanted)
-    largest_seen = 0
-    for lam, beta, sweeps, converged in walk_path(ds, n_lambdas, lambda_min_ratio, config):
-        _require_converged(lam, sweeps, converged)
-        active = np.flatnonzero(beta).tolist()
-        for j in active:
-            if j not in entry_rank:
-                entry_rank[j] = len(entry_rank)
-        largest_seen = max(largest_seen, len(active))
-        while pending and len(active) >= pending[0]:
-            s = pending.pop(0)
-            ranked = sorted(active, key=entry_rank.__getitem__)[:s]
-            results[s] = SelectionResult(
-                tuple(ranked),
-                label,
-                lam,
-                tuple(abs(beta.item(j)) for j in ranked),
-                subset_weighted_rss(ds, ranked),
-            )
-        if not pending:
-            break
-    if pending:
-        raise DataError(
-            f"penalty path reached its smallest value with at most "
-            f"{largest_seen} active columns; cannot select {pending[0]}"
-        )
-    return results
+    return _size_selections(
+        partial(walk_path, ds, n_lambdas, lambda_min_ratio, config), sizes, ds.p,
+        _method_label(config), partial(subset_weighted_rss, ds),
+    )
 
 
 def sparse_select(ds: TrialDataset, *, size: int | None = None,
@@ -233,18 +269,8 @@ def sparse_select(ds: TrialDataset, *, size: int | None = None,
     if size is not None:
         return path_selections(ds, [size], config, n_lambdas, lambda_min_ratio)[size]
     fit = fit_weighted_enet(ds, replace(config, lam=lam))
-    _require_converged(fit.lam, fit.iterations, fit.converged)
-    abs_beta = np.abs(fit.beta)
-    active = np.asarray(fit.active_set, dtype=np.intp)
-    order = np.lexsort((active, -abs_beta[active])) if active.size else np.zeros(0, np.intp)
-    chosen = tuple(int(active[i]) for i in order)
-    return SelectionResult(
-        chosen,
-        _method_label(config),
-        float(lam),
-        tuple(float(abs_beta[j]) for j in chosen),
-        subset_weighted_rss(ds, chosen),
-    )
+    return _penalty_selection(fit.lam, fit.beta, fit.iterations, fit.converged,
+                              _method_label(config), partial(subset_weighted_rss, ds))
 
 
 def population_beta_star(tau, sigma_z, pi: float,
@@ -304,20 +330,25 @@ def select_resolution_level(ds: TrialDataset, levels, *, size: int | None = None
     """Pick the column grouping whose selected subset fits the treatment best.
 
     Each entry of ``levels`` is a grouping of the base outcome columns (see
-    :func:`hdte.data.aggregate_columns`); selection runs per level and the
-    level with the smallest restricted weighted residual wins. Ties go to the
-    earliest listed level, so pass groupings coarsest first.
+    :func:`hdte.data.aggregate_columns`). Per level, the selection
+    :func:`sparse_select` would make on the aggregated dataset is made on the
+    level's problem from :func:`hdte.wlasso.level_problems`, which factors
+    the dataset once for all levels; the level with the smallest restricted
+    weighted residual wins. Ties go to the earliest listed level, so pass
+    groupings coarsest first.
     """
-    levels = list(levels)
-    if not levels:
-        raise DataError("levels must contain at least one grouping")
+    if (size is None) == (lam is None):
+        raise DataError("pass exactly one of size= or lam=")
+    label = _method_label(config)
     best: tuple[int, SelectionResult] | None = None
-    for li, grouping in enumerate(levels):
-        level_ds = aggregate_columns(ds, grouping)
-        sel = sparse_select(
-            level_ds, size=size, lam=lam, config=config,
-            n_lambdas=n_lambdas, lambda_min_ratio=lambda_min_ratio,
-        )
+    for li, level in enumerate(level_problems(ds, levels)):
+        if size is not None:
+            walk = partial(level.walk_path, n_lambdas, lambda_min_ratio, config)
+            sel = _size_selections(walk, [size], level.p, label,
+                                   level.subset_weighted_rss)[size]
+        else:
+            sel = _penalty_selection(*level.solve(replace(config, lam=lam)), label,
+                                     level.subset_weighted_rss)
         if best is None or sel.weighted_rss < best[1].weighted_rss:
             best = (li, sel)
     return best

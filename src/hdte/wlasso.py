@@ -34,16 +34,28 @@ over many coordinates it runs only at the nonzero ones and passes each run
 of zero coordinates between them in one vectorized test of the loop's own
 condition. Sweep counts, active sets and the stopping rule are those of the
 plain coordinate loop.
+
+Resolution levels. The problems of several column groupings of one dataset
+(the levels of multi-resolution selection) come from one QR factorization
+of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``
+(:func:`level_problems`). Averaging columns commutes with centering and
+with the orthogonal factor, so a level's factor is the QR of that ``R``
+with its covariate and outcome blocks averaged. Its trailing outcome block,
+a matrix of at most ``m + p + 1`` rows with the Gram of the concentrated
+outcomes, takes the place of the weighted rows in :class:`_Gram`, so every
+level runs the same solver without aggregating, re-centering or
+re-regressing the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dtrsv as _trsv
 
-from .data import TrialDataset, center_columns
+from .data import TrialDataset, center_columns, check_grouping, column_group_means
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -57,6 +69,8 @@ __all__ = [
     "regularization_path",
     "walk_path",
     "subset_weighted_rss",
+    "LevelProblem",
+    "level_problems",
 ]
 
 # Columns whose weighted second moment falls below this relative floor carry
@@ -158,18 +172,21 @@ def soft_threshold(x, threshold):
 class _Gram:
     """The weighted Gram ``(1/n) Z'Z`` of the concentrated outcomes ``Z``,
     entry ``(j, k)`` divided by ``scale_j * scale_k``, built column by column.
+    ``Z`` is the weighted rows themselves or, for a resolution level, a small
+    triangular factor with the same Gram, so ``n`` is passed on its own.
 
-    Column ``j`` is computed in O(n p) the first time it is read and kept in a
-    store that grows with the columns read, so memory is O(p * |ever active|)
-    and a solve whose coefficients stay sparse never forms the p x p matrix.
+    Column ``j`` is computed in O(rows * p) the first time it is read and kept
+    in a store that grows with the columns read, so memory is O(p * |ever
+    active|) and a solve whose coefficients stay sparse never forms the p x p
+    matrix.
     An entry already held by an earlier column keeps that value and the
     diagonal is ``diag``, so the matrix read is exactly symmetric (row ``j``
     is column ``j``) whatever the order of reading.
     """
 
-    def __init__(self, z: np.ndarray, scale: np.ndarray, raw_diag: np.ndarray):
+    def __init__(self, z: np.ndarray, scale: np.ndarray, raw_diag: np.ndarray, n: int):
         self._z, self._scale = z, scale
-        self._norm = z.shape[0] * scale   # column j is divided by n scale_j scale
+        self._norm = n * scale   # column j is divided by n scale_j scale
         self.diag = raw_diag / (scale * scale)
         p = z.shape[1]
         self._slot = np.full(p, -1, dtype=np.intp)   # store row of column j
@@ -213,19 +230,40 @@ class _Gram:
 @dataclass(frozen=True)
 class _Problem:
     """Weighted moments of the covariate-concentrated problem. The Gram is
-    not formed up front; :class:`_Gram` computes the columns a solve reads."""
+    not formed up front; :class:`_Gram` computes the columns a solve reads.
+    The fields after ``penalized`` serve :func:`_assemble_fit` only; a
+    resolution level's problem leaves them ``None``."""
 
     gram: _Gram               # (1/n) Yr' W Yr, in fitting scale, on demand
     ty: np.ndarray            # (p,): (1/n) Yr' W tr, in fitting scale
     tt: float                 # (1/n) tr' W tr
     scale: np.ndarray         # (p,) column scales applied (ones if standardize off)
     penalized: np.ndarray     # (p,) bool mask, False for degenerate columns
-    proj_t: np.ndarray | None   # (m,) weighted projection of t on centered covariates
-    proj_y: np.ndarray | None   # (m, p) weighted projection of outcomes on same
-    yc: np.ndarray            # centered outcomes (original scale)
-    xc: np.ndarray | None     # centered covariates
-    t: np.ndarray             # raw response (0/1 treatments as float)
-    w: np.ndarray             # regression weights
+    proj_t: np.ndarray | None = None   # (m,) weighted projection of t on centered covariates
+    proj_y: np.ndarray | None = None   # (m, p) weighted projection of outcomes on same
+    yc: np.ndarray | None = None       # centered outcomes (original scale)
+    xc: np.ndarray | None = None       # centered covariates
+    t: np.ndarray | None = None        # raw response (0/1 treatments as float)
+    w: np.ndarray | None = None        # regression weights
+
+
+def _problem(z: np.ndarray, ty: np.ndarray, tt: float, diag: np.ndarray, n: int,
+             standardize: bool, **assembly) -> _Problem:
+    """The problem on weighted concentrated outcomes ``z`` (any rows with the
+    Gram ``n * G``), their raw cross moments ``ty`` and diagonal ``diag``:
+    degenerate columns are masked and, with ``standardize``, the rest scaled
+    to unit second moment."""
+    penalized = diag > _DEGENERATE_REL * max(1.0, float(diag.max(initial=0.0)))
+    scale = np.ones(diag.shape[0])
+    if standardize and penalized.any():
+        scale = np.where(penalized, np.sqrt(np.maximum(diag, 0.0)), 1.0)
+        ty = ty / scale
+    return _Problem(_Gram(z, scale, diag, n), ty, tt, scale, penalized, **assembly)
+
+
+def _require_full_rank(rank: int, m: int) -> None:
+    if rank < m:
+        raise NumericalError(f"singular weighted covariate block (rank {rank} < m={m})")
 
 
 def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
@@ -238,10 +276,7 @@ def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
         xc, _ = center_columns(ds.covariates)
         design = xc * sqrt_w[:, None]
         proj_t, _, rank, _ = np.linalg.lstsq(design, sqrt_w * t, rcond=None)
-        if rank < ds.m:
-            raise NumericalError(
-                f"singular weighted covariate block (rank {rank} < m={ds.m})"
-            )
+        _require_full_rank(rank, ds.m)
         proj_y = np.linalg.lstsq(design, sqrt_w[:, None] * yc, rcond=None)[0]
         tr = t - xc @ proj_t
         yr = yc - xc @ proj_y
@@ -254,13 +289,8 @@ def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
     ty = (yr * w[:, None]).T @ tr / n
     tt = float(w @ tr**2 / n)
     diag = np.einsum("ij,ij->j", z, z) / n
-    penalized = diag > _DEGENERATE_REL * max(1.0, float(diag.max(initial=0.0)))
-    scale = np.ones(ds.p)
-    if standardize and penalized.any():
-        scale = np.where(penalized, np.sqrt(np.maximum(diag, 0.0)), 1.0)
-        ty = ty / scale
-    return _Problem(_Gram(z, scale, diag), ty, tt, scale, penalized,
-                    proj_t, proj_y, yc, xc, t, w)
+    return _problem(z, ty, tt, diag, n, standardize, proj_t=proj_t, proj_y=proj_y,
+                    yc=yc, xc=xc, t=t, w=w)
 
 
 def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
@@ -530,16 +560,18 @@ def _default_min_ratio(n: int, p: int) -> float:
     return 0.01 if p > n else 1e-4
 
 
-def _path_grid(ds: TrialDataset, config: EnetConfig, n_lambdas: int,
+def _path_grid(prepare, n: int, p: int, config: EnetConfig, n_lambdas: int,
                lambda_min_ratio: float | None):
-    """Shared setup for path walks: concentrated problem plus penalty grid."""
+    """Shared setup for path walks over ``n`` rows and ``p`` outcome columns:
+    argument checks, the concentrated problem ``prepare(standardize)`` and
+    the penalty grid."""
     if n_lambdas < 2:
         raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
     if lambda_min_ratio is None:
-        lambda_min_ratio = _default_min_ratio(ds.n, ds.p)
+        lambda_min_ratio = _default_min_ratio(n, p)
     if not 0.0 < lambda_min_ratio < 1.0:
         raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
-    problem = _prepare(ds, config.standardize)
+    problem = prepare(config.standardize)
     lam_top = _lambda_max_from(problem, config.l1_ratio)
     if lam_top <= 0.0:
         raise NumericalError(
@@ -573,7 +605,8 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     lambda_max`` (default ratio 0.01 when p > n, else 1e-4). ``config.lam``
     is ignored; every grid point gets its own fit.
     """
-    problem, grid, lam_top = _path_grid(ds, config, n_lambdas, lambda_min_ratio)
+    problem, grid, lam_top = _path_grid(partial(_prepare, ds), ds.n, ds.p, config,
+                                        n_lambdas, lambda_min_ratio)
     fits = tuple(_assemble_fit(problem, *point)
                  for point in _walk_path(problem, grid, config))
     lambdas = grid.copy()
@@ -587,8 +620,35 @@ def walk_path(ds: TrialDataset, n_lambdas: int = 100,
     ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh original-scale
     array. Builds no :class:`EnetFit`, so a caller that stops early pays only
     for the grid points it reads. Arguments are checked on the call."""
-    problem, grid, _ = _path_grid(ds, config, n_lambdas, lambda_min_ratio)
+    problem, grid, _ = _path_grid(partial(_prepare, ds), ds.n, ds.p, config,
+                                  n_lambdas, lambda_min_ratio)
     return _walk_path(problem, grid, config)
+
+
+def _check_subset(subset, n: int, p: int) -> np.ndarray:
+    """``subset`` as an index array, checked for a restricted regression."""
+    idx = np.asarray(subset, dtype=np.intp)
+    if idx.size != np.unique(idx).size:
+        raise DataError("subset contains duplicate indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= p):
+        raise DataError(f"subset indices out of range for p={p}")
+    if idx.size > min(n - 2, p):
+        raise DataError(
+            f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}"
+        )
+    return idx
+
+
+def _restricted_solve(gram: np.ndarray, rhs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Coefficients of the restricted regression with moments ``gram`` and
+    ``rhs``; raises on a numerically singular ``gram``."""
+    eigvals = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
+        raise NumericalError(
+            f"singular restricted design for subset {tuple(int(j) for j in idx)} "
+            f"(eigenvalue ratio {eigvals[0] / max(eigvals[-1], 1e-300):.2e})"
+        )
+    return np.linalg.solve(gram, rhs)
 
 
 def subset_weighted_rss(ds: TrialDataset, subset) -> float:
@@ -600,27 +660,110 @@ def subset_weighted_rss(ds: TrialDataset, subset) -> float:
     """
     t = ds.treatments.astype(np.float64)
     w = propensity_weights(t)
-    idx = np.asarray(subset, dtype=np.intp)
-    if idx.size != np.unique(idx).size:
-        raise DataError("subset contains duplicate indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= ds.p):
-        raise DataError(f"subset indices out of range for p={ds.p}")
-    if idx.size > min(ds.n - 2, ds.p):
-        raise DataError(
-            f"subset size {idx.size} exceeds min(n - 2, p) = {min(ds.n - 2, ds.p)}"
-        )
+    idx = _check_subset(subset, ds.n, ds.p)
     n = ds.n
     if idx.size == 0:
         return float(w @ t**2 / n)
     yc, _ = center_columns(ds.outcomes[:, idx])
-    gram = (yc * w[:, None]).T @ yc / n
-    eigvals = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
-        raise NumericalError(
-            f"singular restricted design for subset {tuple(int(j) for j in idx)} "
-            f"(eigenvalue ratio {eigvals[0] / max(eigvals[-1], 1e-300):.2e})"
-        )
-    rhs = yc.T @ (w * t) / n
-    beta = np.linalg.solve(gram, rhs)
+    beta = _restricted_solve((yc * w[:, None]).T @ yc / n, yc.T @ (w * t) / n, idx)
     residual = t - yc @ beta
     return float(w @ residual**2 / n)
+
+
+class LevelProblem:
+    """The problem of one resolution level of a dataset, from one small
+    triangular factor.
+
+    The level's data are the dataset's outcome columns (and covariates, which
+    share their layout) averaged by one grouping, as
+    :func:`hdte.data.aggregate_columns` builds them; ``p`` is the number of
+    groups. The factor is the ``R`` of the QR decomposition of
+    ``sqrt(w) [Xc | Yc | t]`` for the level's centered covariates ``Xc``,
+    centered outcomes ``Yc`` and raw treatments ``t``. Every moment a
+    selection reads is a product of its columns: concentrating out the
+    covariates leaves the trailing rows, whose outcome block has the Gram
+    and whose last column the cross moments of the concentrated problem; a
+    subset regression reads the subset's and the treatment's columns. So the
+    methods below give what :func:`walk_path`, :func:`fit_weighted_enet` and
+    :func:`subset_weighted_rss` give on the aggregated dataset, up to
+    rounding, with the one solver, and raise the same errors. Build instances
+    with :func:`level_problems`.
+    """
+
+    def __init__(self, factor: np.ndarray, n: int, m: int, p: int):
+        self._factor, self._m = factor, m
+        self.n, self.p = n, p
+
+    def _prepare(self, standardize: bool) -> _Problem:
+        """As :func:`_prepare` on the aggregated dataset, rank test included."""
+        m, n = self._m, self.n
+        if m:
+            # The rank np.linalg.lstsq finds for the (n, m) weighted covariate
+            # block, whose singular values are those of its factor.
+            sv = np.linalg.svd(self._factor[:m, :m], compute_uv=False)
+            cutoff = np.finfo(np.float64).eps * max(n, m) * sv.max(initial=0.0)
+            _require_full_rank(int((sv > cutoff).sum()), m)
+        z = self._factor[m:, m:m + self.p]
+        t = self._factor[m:, m + self.p]
+        diag = np.einsum("ij,ij->j", z, z) / n
+        return _problem(z, z.T @ t / n, float(t @ t / n), diag, n, standardize)
+
+    def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
+                  config: EnetConfig = EnetConfig()):
+        """As :func:`walk_path` on the level's aggregated dataset."""
+        problem, grid, _ = _path_grid(self._prepare, self.n, self.p, config,
+                                      n_lambdas, lambda_min_ratio)
+        return _walk_path(problem, grid, config)
+
+    def solve(self, config: EnetConfig) -> tuple[float, np.ndarray, int, bool]:
+        """The fit at ``config.lam`` as ``(lam, beta, sweeps, converged)``,
+        one point in the form :meth:`walk_path` yields, with ``beta`` on the
+        original scale; the coefficients of :func:`fit_weighted_enet`."""
+        problem = self._prepare(config.standardize)
+        beta, sweeps, converged = _cd_solve(problem, config, config.lam)
+        return float(config.lam), beta / problem.scale, sweeps, converged
+
+    def subset_weighted_rss(self, subset) -> float:
+        """As :func:`subset_weighted_rss` on the level's aggregated dataset."""
+        idx = _check_subset(subset, self.n, self.p)
+        t = self._factor[:, self._m + self.p]
+        if idx.size == 0:
+            return float(t @ t / self.n)
+        cols = self._factor[:, self._m + idx]
+        beta = _restricted_solve(cols.T @ cols / self.n, cols.T @ t / self.n, idx)
+        residual = t - cols @ beta
+        return float(residual @ residual / self.n)
+
+
+def level_problems(ds: TrialDataset, levels) -> tuple[LevelProblem, ...]:
+    """One :class:`LevelProblem` per column grouping in ``levels``, all from
+    one QR factorization of the dataset's weighted base columns ``sqrt(w)
+    [Xc | Yc | t]`` (see the module notes on resolution levels).
+
+    The cost is O(n (m + p)^2) for the dataset and O((m + p)^3) per level,
+    whatever its number of groups. Groupings are checked up front as
+    :func:`hdte.data.check_grouping` checks them; a level whose averaged
+    covariates are collinear raises :class:`NumericalError` when its problem
+    is solved, as :func:`fit_weighted_enet` does on the aggregated dataset.
+    """
+    levels = list(levels)
+    if not levels:
+        raise DataError("levels must contain at least one grouping")
+    for grouping in levels:
+        check_grouping(ds, grouping)
+    t = ds.treatments.astype(np.float64)
+    sqrt_w = np.sqrt(propensity_weights(t))
+    columns = ds.outcomes if ds.m == 0 else np.hstack([ds.covariates, ds.outcomes])
+    stacked = np.hstack([center_columns(columns)[0], t[:, None]]) * sqrt_w[:, None]
+    base = np.linalg.qr(stacked, mode="r")
+    # Covariates share the outcomes' layout, so one call averages both
+    # blocks, stacked one above the other.
+    parts = 2 if ds.m else 1
+    blocks = np.vstack(np.hsplit(base[:, :-1], parts))
+    problems = []
+    for grouping in levels:
+        means = np.vsplit(column_group_means(blocks, grouping), parts)
+        factor = np.linalg.qr(np.hstack([*means, base[:, -1:]]), mode="r")
+        k = len(grouping)
+        problems.append(LevelProblem(factor, ds.n, k if ds.m else 0, k))
+    return tuple(problems)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hdte.cli import main
+from hdte.cli import _load_dataset, main
 from hdte.data import TrialDataset, write_csv
 
 
@@ -47,6 +47,32 @@ def test_select_writes_selection_and_manifest(trial_csv, tmp_path):
     assert manifest["command"] == "select"
     assert manifest["params"]["s"] == 2
     assert "numpy" in manifest["versions"]
+
+
+@pytest.mark.parametrize("header, encoding", [
+    ("treatment,y0,y1,y2,x0", "utf-8-sig"),
+    ("treatment, y0, y1 ,y2,\tx0", "utf-8"),
+])
+def test_header_names_are_found_with_a_bom_or_padding(tmp_path, header, encoding):
+    """A byte-order mark, or spaces around header names, changes neither the
+    columns found by the y/x prefixes nor the selection."""
+    rng = np.random.default_rng(3)
+    t = np.array([1, 0] * 40)
+    y = rng.standard_normal((80, 3))
+    y[:, 1] += 1.5 * t
+    x = rng.standard_normal(80).tolist()
+    lines = [header] + [",".join([str(ti), *map(repr, row), repr(xi)])
+                        for ti, row, xi in zip(t.tolist(), y.tolist(), x)]
+    path = tmp_path / "trial.csv"
+    path.write_text("\n".join(lines) + "\n", encoding=encoding)
+    ds = _load_dataset({"data": str(path), "treatment_col": "treatment",
+                        "outcome_cols": None, "covariate_cols": None})
+    assert ds.column_labels == ("y0", "y1", "y2")
+    assert ds.covariates[:, 0].tolist() == x
+    outdir = tmp_path / "sel"
+    assert main(["select", str(path), "--s", "1", "--outdir", str(outdir)]) == 0
+    (row,) = _read_rows(outdir / "selection.csv")
+    assert (row["index"], row["label"]) == ("1", "y1")
 
 
 def test_select_baseline_needs_size(trial_csv, tmp_path, capsys):

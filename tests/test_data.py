@@ -7,17 +7,21 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hdte import data
 from hdte.data import (
     CsvSchema,
     TrialDataset,
     aggregate_columns,
     center_columns,
+    check_grouping,
+    column_group_means,
     load_csv,
     random_split,
     split_indices,
     write_csv,
 )
 from hdte.errors import DataError
+from hdte.simharness import window_level_groupings
 
 
 def small_dataset():
@@ -84,6 +88,25 @@ def test_take_rows_preserves_columns():
     assert sub.n == 2
     assert sub.treatments.tolist() == [1, 0]
     np.testing.assert_array_equal(sub.covariates, [[0.5], [1.5]])
+
+
+def assert_frozen(ds):
+    """The array invariants every validated dataset keeps."""
+    assert ds.treatments.dtype == np.int64
+    for arr in (ds.treatments, ds.outcomes, ds.covariates):
+        assert not arr.flags.writeable and arr.flags.c_contiguous
+
+
+def test_derived_datasets_stay_frozen_without_revalidation():
+    ds = small_dataset()
+    for derived in (ds.take_rows([3, 0, 1]), aggregate_columns(ds.replace_outcomes(
+            np.ones((4, 1))), [(0,)]), random_split(ds, 0.5, seed=1).first):
+        assert_frozen(derived)
+    sub = ds.take_rows(np.array([3, 1]))
+    assert sub.treatments.tolist() == [0, 1]
+    assert sub.outcomes.tolist() == [[1.0, 1.0], [5.0, 2.0]]
+    with pytest.raises(DataError, match="n >= 2"):
+        ds.take_rows([2])
 
 
 def test_replace_outcomes_keeps_rows():
@@ -251,6 +274,9 @@ def _outcome(load):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_csv_text())
 @example(text="treatment,y0,note,y1,x0\n1,2,1,3,1#2\n0,1,1,1,1\n")
+@example(text="treatment,y0,note,y1,x0\n1,2,subject 01,3,4\n0,1,subject 02,1,1\n")
+@example(text='treatment,y0,note,y1,x0\n1,2,"a, b",3,4\n0,1,c,1,1\n')
+@example(text="treatment,y0,note,y1,x0\n1,2,a,3,4,5\n0,1,b,1,1\n")
 @example(text="treatment,y0,note,y1,x0\r\n1,2,1,3,4\r\n\r\n0,1,1,1,1")
 def test_load_csv_matches_the_cell_by_cell_oracle(tmp_path, text):
     """Either the oracle's arrays, bit for bit, or its exact error."""
@@ -260,6 +286,40 @@ def test_load_csv_matches_the_cell_by_cell_oracle(tmp_path, text):
     schema = CsvSchema("treatment", ("y0", "y1"), ("x0",))
     assert _outcome(lambda: load_csv(path, schema)) == \
         _outcome(lambda: _oracle_load(text, schema, path))
+
+
+def test_load_csv_parses_around_a_text_column_in_one_pass(tmp_path, monkeypatch):
+    """A text column outside the schema keeps the vectorized pass; a quote
+    anywhere or a long row still goes cell by cell."""
+    path = tmp_path / "t.csv"
+    schema = CsvSchema("treatment", ("y0", "y1"))
+
+    def cell_by_cell(*args):
+        raise AssertionError("fell back to the cell-by-cell parser")
+
+    path.write_text("treatment,y0,note,y1\n1,2.5,id-01 left,3\n0,1,id 02,-1\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_rows", cell_by_cell)
+        ds = load_csv(path, schema)
+    assert ds.outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0]]
+    path.write_text('treatment,y0,note,y1\n1,2.5,"a, b",3\n0,1,c,-1\n')
+    assert load_csv(path, schema).outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0]]
+    path.write_text("treatment,y0,note,y1\n1,2.5,a,3\n0,1,c,-1,7\n")
+    with pytest.raises(DataError, match="data row 2 has 5 cells, expected 4"):
+        load_csv(path, schema)
+    # split at every comma, the quoted cell would hide the missing one
+    path.write_text('treatment,y0,y1,note,tag\n1,2.5,3,"a,b"\n0,1,-1,c,d\n')
+    with pytest.raises(DataError, match="data row 1 has 4 cells, expected 5"):
+        load_csv(path, schema)
+
+
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("treatment,y0\n1,2.0\n0,1.0\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    ds = load_csv(path, CsvSchema("treatment", ("y0",)))
+    assert ds.treatments.tolist() == [1, 0]
+    assert ds.outcomes.tolist() == [[2.0], [1.0]]
 
 
 def test_schema_rejects_duplicates_and_empty():
@@ -319,6 +379,23 @@ def test_aggregate_columns_means_and_covariates():
     np.testing.assert_allclose(out.covariates, [[3.0, 7.0], [2.0, 6.0]])
 
 
+def test_aggregate_columns_is_the_per_group_mean_bit_for_bit():
+    """On the window levels of a 60-minute base layout, and on a grouping of
+    mixed widths, every aggregated column has the bits of the per-group
+    ``mean``."""
+    rng = np.random.default_rng(17)
+    ds = TrialDataset(np.array([1, 0] * 25), 100.0 * rng.random((50, 24)),
+                      rng.standard_normal((50, 24)))
+    mixed = [(3, 1, 2), (0,), tuple(range(4, 24)), (5, 23)]
+    for grouping in [*window_level_groupings((240, 120, 60)), mixed]:
+        out = aggregate_columns(ds, grouping)
+        for got, base in ((out.outcomes, ds.outcomes), (out.covariates, ds.covariates)):
+            want = np.column_stack([base[:, list(g)].mean(axis=1) for g in grouping])
+            assert got.tobytes() == want.tobytes()
+        assert column_group_means(ds.outcomes, grouping).tobytes() == out.outcomes.tobytes()
+        assert_frozen(out)
+
+
 def test_aggregate_columns_validates_groups():
     ds = TrialDataset([0, 1], np.zeros((2, 3)))
     with pytest.raises(DataError, match="at least one group"):
@@ -330,6 +407,12 @@ def test_aggregate_columns_validates_groups():
     mismatched = TrialDataset([0, 1], np.zeros((2, 3)), np.zeros((2, 2)))
     with pytest.raises(DataError, match="base layout"):
         aggregate_columns(mismatched, [(0, 1)])
+    with pytest.raises(DataError, match="base layout"):
+        check_grouping(mismatched, [(0, 1)])
+    with pytest.raises(DataError, match="group 1 has column indices out of range"):
+        column_group_means(np.zeros((2, 3)), [(0, 1), (2, 3)])
+    with np.errstate(over="ignore"), pytest.raises(DataError, match="non-finite"):
+        aggregate_columns(TrialDataset([0, 1], np.full((2, 2), 1e308)), [(0, 1)])
 
 
 def test_center_columns_plain_and_weighted():

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hdte.data import TrialDataset, random_split
 from hdte.errors import DataError, NumericalError
@@ -135,6 +138,18 @@ def test_aggregate_pvalues_matches_brute_oracle():
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_aggregate_pvalues_is_monotone(data):
+    """Raising any p-value never lowers an aggregated one."""
+    b, k = data.draw(st.integers(1, 25)), data.draw(st.integers(1, 4))
+    gamma = data.draw(st.floats(0.01, 0.99))
+    unit = st.floats(0.0, 1.0)
+    low = data.draw(arrays(np.float64, (b, k), elements=unit))
+    high = np.maximum(low, data.draw(arrays(np.float64, (b, k), elements=unit)))
+    assert np.all(aggregate_pvalues(low, gamma) <= aggregate_pvalues(high, gamma))
+
+
 def test_aggregate_pvalues_validation():
     with pytest.raises(DataError, match="2-d"):
         aggregate_pvalues([0.1, 0.2], 0.5)
@@ -258,6 +273,22 @@ def test_multi_split_reports_failing_split():
     )
     with pytest.raises(NumericalError, match="split 0 failed"):
         multi_split(ds, B=2, method="lin", sel=SelectionSpec(size=1), seed=1)
+
+
+@pytest.mark.parametrize("m, levels, match", [
+    (0, [[(0, 9)]], "group 0 has column indices out of range for p=4"),
+    (0, [[(0, 1, 2, 3)], [(0,), ()]], "group 1 is empty"),
+    (3, [[(0, 1), (2, 3)]], r"same base layout as outcomes \(m=3, p=4\)"),
+])
+def test_multi_split_rejects_malformed_levels_as_data_errors(m, levels, match):
+    """Groupings that do not fit the dataset fail as data errors before the
+    first split, not as a numerical failure of split 0."""
+    ds = planted_dataset(4, n=100, p=4)
+    if m:
+        ds = TrialDataset(ds.treatments, ds.outcomes,
+                          np.random.default_rng(4).standard_normal((ds.n, m)))
+    with pytest.raises(DataError, match=match):
+        multi_split(ds, B=3, method="dim", sel=SelectionSpec(size=1, levels=levels))
 
 
 def test_multi_split_validates_b():

@@ -1,10 +1,13 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdte.data import TrialDataset
-from hdte.errors import DataError, NumericalError
+from hdte.data import TrialDataset, aggregate_columns
+from hdte.errors import DataError, HdteError, NumericalError
 from hdte.estimators import EffectEstimate, adjusted_estimate, diff_in_means
 from hdte.selection import (
     SelectionResult,
@@ -291,3 +294,73 @@ def test_select_at_large_p_never_forms_a_p_by_p_matrix():
         tracemalloc.stop()
     assert len(result.selected) == 5
     assert peak < p * p * 8 / 10
+
+
+def reference_level_selections(ds, levels, **kwargs):
+    """Each level selected the way multi-resolution selection used to: the
+    aggregated dataset, then :func:`sparse_select` on it."""
+    return [sparse_select(aggregate_columns(ds, grouping), **kwargs) for grouping in levels]
+
+
+def _outcome(call):
+    """A call's result, or its error class and message with floats masked
+    (a penalty in a message may differ in its last digits)."""
+    try:
+        return call()
+    except HdteError as exc:
+        return type(exc), re.sub(r"\d+\.\d+(e[-+]?\d+)?", "#", str(exc))
+
+
+@st.composite
+def level_cases(draw):
+    """A planted dataset over ``p`` base columns (with covariates of the same
+    layout or none), one to three groupings of distinct nonempty groups, and
+    a size- or penalty-based selection."""
+    p = draw(st.integers(2, 7))
+    n = 2 * draw(st.integers(20, 45))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    t = np.array([1, 0] * (n // 2))
+    rng.shuffle(t)
+    y = rng.standard_normal((n, p))
+    y[:, : 1 + p // 3] += draw(st.floats(0.2, 1.2)) * t[:, None]
+    x = None
+    if draw(st.booleans()):
+        x = rng.standard_normal((n, p))
+        y += 0.6 * x
+    group = st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)
+    grouping = st.lists(group, min_size=1, max_size=p, unique_by=frozenset)
+    levels = draw(st.lists(grouping, min_size=1, max_size=3))
+    config = EnetConfig(l1_ratio=draw(st.sampled_from([1.0, 0.5])),
+                        standardize=draw(st.booleans()))
+    if draw(st.booleans()):
+        tuning = {"size": draw(st.integers(1, min(3, *(len(g) for g in levels))))}
+    else:
+        tuning = {"lam": draw(st.floats(0.005, 0.3))}
+    return TrialDataset(t, y, x), levels, dict(tuning, config=config)
+
+
+@settings(max_examples=150)
+@given(case=level_cases())
+def test_resolution_levels_match_selection_on_aggregated_datasets(case):
+    """Selecting among levels from one factorization per dataset makes the
+    choice the per-level aggregated route makes: the same level and subset
+    (or the same error), tuning within 1e-9 relative, scores and weighted
+    RSS within 1e-8. Where levels tie within rounding either may win: the
+    chosen level's reference RSS is the smallest and no earlier level's is
+    smaller, both up to 1e-9 relative."""
+    ds, levels, kwargs = case
+    got = _outcome(lambda: select_resolution_level(ds, levels, **kwargs))
+    want = _outcome(lambda: reference_level_selections(ds, levels, **kwargs))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    level, sel = got
+    rss = np.array([ref.weighted_rss for ref in want])
+    tol = 1e-9 * rss.min()
+    assert rss[level] <= rss.min() + tol
+    assert np.all(rss[:level] >= rss[level] - tol)
+    ref = want[level]
+    assert (sel.selected, sel.method) == (ref.selected, ref.method)
+    assert sel.tuning == pytest.approx(ref.tuning, rel=1e-9)
+    np.testing.assert_allclose(sel.scores, ref.scores, rtol=0, atol=1e-8)
+    assert sel.weighted_rss == pytest.approx(ref.weighted_rss, rel=0, abs=1e-8)

@@ -1,10 +1,11 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hdte import wlasso
-from hdte.data import TrialDataset
+from hdte.data import TrialDataset, aggregate_columns
 from hdte.errors import DataError, NumericalError
 from hdte.estimators import diff_in_means
 from hdte.wlasso import (
@@ -15,10 +16,12 @@ from hdte.wlasso import (
     _prepare,
     fit_weighted_enet,
     lambda_max,
+    level_problems,
     propensity_weights,
     regularization_path,
     soft_threshold,
     subset_weighted_rss,
+    walk_path,
 )
 
 
@@ -241,7 +244,8 @@ def sweep_log(monkeypatch):
 
 def lazy_gram(z):
     """The on-demand Gram ``(1/n) z'z`` of an ``(n, p)`` matrix, unscaled."""
-    return wlasso._Gram(z, np.ones(z.shape[1]), np.einsum("ij,ij->j", z, z) / z.shape[0])
+    n = z.shape[0]
+    return wlasso._Gram(z, np.ones(z.shape[1]), np.einsum("ij,ij->j", z, z) / n, n)
 
 
 def dense_gram(gram):
@@ -352,7 +356,7 @@ def test_deep_path_matches_scalar_reference(sweep_log):
     equal sweep counts and active sets at every grid point."""
     ds = random_dataset(7, n=60, p=100)
     config = EnetConfig()
-    problem, grid, _ = _path_grid(ds, config, 30, None)
+    problem, grid, _ = _path_grid(partial(_prepare, ds), ds.n, ds.p, config, 30, None)
     beta = ref = np.zeros(ds.p)
     largest = 0
     for lam in grid[1:]:
@@ -424,7 +428,7 @@ def test_small_problem_stays_bit_identical_to_scalar_reference(sweep_log, l1_rat
     read one problem, hence one set of Gram entries."""
     ds = random_dataset(19, n=50, p=wlasso._BLOCK_MIN - 1, m=m)
     config = EnetConfig(l1_ratio=l1_ratio)
-    problem, grid, _ = _path_grid(ds, config, 30, None)
+    problem, grid, _ = _path_grid(partial(_prepare, ds), ds.n, ds.p, config, 30, None)
     ref = np.zeros(ds.p)
     points = list(wlasso._walk_path(problem, grid, config))
     for (lam, beta, iterations, _), ref_lam in zip(points[1:], grid[1:]):
@@ -519,3 +523,62 @@ def test_config_validation():
         EnetConfig(tol=0.0)
     with pytest.raises(DataError, match="max_iter"):
         EnetConfig(max_iter=0)
+
+
+def collinear_dataset(seed, n=200, p=4, spread=1e-6):
+    """Covariates in the outcomes' layout whose first two columns differ by
+    ``spread`` times noise, so the weighted covariate block is nearly
+    singular (condition number about ``1 / spread``); ``spread=0`` makes it
+    singular."""
+    rng = np.random.default_rng(seed)
+    t = np.array([1, 0] * (n // 2))
+    rng.shuffle(t)
+    x = rng.standard_normal((n, p))
+    x[:, 1] = x[:, 0] + spread * rng.standard_normal(n)
+    y = rng.standard_normal((n, p)) + x @ rng.uniform(0.2, 0.8, (p, p))
+    y[:, 0] += 0.8 * t
+    return TrialDataset(t, y, x)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_level_problems_keep_the_conditioning_of_the_row_wise_moments(standardize):
+    """With covariates of condition number about 1e6, a level's moments,
+    path and subset RSS from the shared factor agree to 1e-8 with
+    ``_prepare``'s row-wise least squares on the aggregated dataset."""
+    ds = collinear_dataset(61)
+    levels = [[(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)]]
+    config = EnetConfig(standardize=standardize)
+    for grouping, level in zip(levels, level_problems(ds, levels)):
+        agg = aggregate_columns(ds, grouping)
+        want, got = _prepare(agg, standardize), level._prepare(standardize)
+        np.testing.assert_array_equal(got.penalized, want.penalized)
+        for name in ("ty", "scale", "tt"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-8)
+        np.testing.assert_allclose(dense_gram(got.gram), dense_gram(want.gram),
+                                   rtol=1e-8, atol=1e-8 * want.gram.diag.max())
+        for (lam_g, beta_g, _, _), (lam_w, beta_w, _, _) in zip(
+                level.walk_path(20, config=config), walk_path(agg, 20, config=config)):
+            assert lam_g == pytest.approx(lam_w, rel=1e-8)
+            np.testing.assert_allclose(beta_g, beta_w, rtol=0, atol=1e-8)
+        assert level.subset_weighted_rss([0, 1]) == pytest.approx(
+            subset_weighted_rss(agg, [0, 1]), rel=1e-8)
+    fine = aggregate_columns(ds, levels[0])
+    xc = (fine.covariates - fine.covariates.mean(axis=0)) * np.sqrt(
+        propensity_weights(fine.treatments))[:, None]
+    assert 1e5 < np.linalg.cond(xc) < 1e7
+
+
+def test_level_problems_reject_a_duplicated_covariate_as_prepare_does():
+    ds = collinear_dataset(62, spread=0.0)
+    grouping = [(0,), (1,), (2,), (3,)]
+    (level,) = level_problems(ds, [grouping])
+    message = "singular weighted covariate block \\(rank 3 < m=4\\)"
+    with pytest.raises(NumericalError, match=message):
+        _prepare(aggregate_columns(ds, grouping), False)
+    with pytest.raises(NumericalError, match=message):
+        level.walk_path()
+    with pytest.raises(NumericalError, match=message):
+        level.solve(EnetConfig(lam=0.1))
+    # the subset regression leaves covariates out, on both routes
+    assert level.subset_weighted_rss([2]) == pytest.approx(
+        subset_weighted_rss(aggregate_columns(ds, grouping), [2]), rel=1e-12)
