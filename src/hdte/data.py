@@ -20,7 +20,6 @@ __all__ = [
     "random_split",
     "split_indices",
     "center_columns",
-    "check_grouping",
     "column_group_means",
     "aggregate_columns",
 ]
@@ -125,9 +124,12 @@ class TrialDataset:
         return self.n - self.n_treated
 
     def take_rows(self, indices) -> "TrialDataset":
-        """Return the row subset ``indices`` as a new dataset. Rows of a
-        validated dataset need no validation beyond the row count."""
+        """Return the row subset ``indices`` (a 1-d index array) as a new
+        dataset. Rows of a validated dataset need no validation beyond the
+        index shape and the row count."""
         idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1:
+            raise DataError(f"row indices must be 1-d, got shape {idx.shape}")
         if idx.size < 2:
             raise DataError(f"dataset needs n >= 2 rows, got n={idx.size}")
         return TrialDataset._trusted(
@@ -390,8 +392,6 @@ def column_group_means(matrix, grouping) -> np.ndarray:
     arr = np.asarray(matrix, dtype=np.float64)
     idx, widths = _group_index(grouping, arr.shape[1])
     n, k = arr.shape[0], widths.size
-    if (widths == widths[0]).all():   # the window case: no scatter into ``out``
-        return arr[:, idx].reshape(n, k, int(widths[0])).mean(axis=2)
     starts = np.cumsum(widths) - widths
     out = np.empty((n, k))
     for width in np.unique(widths).tolist():

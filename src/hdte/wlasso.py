@@ -50,7 +50,6 @@ re-regressing the rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dtrsv as _trsv
@@ -230,25 +229,31 @@ class _Gram:
 @dataclass(frozen=True)
 class _Problem:
     """Weighted moments of the covariate-concentrated problem. The Gram is
-    not formed up front; :class:`_Gram` computes the columns a solve reads.
-    The fields after ``penalized`` serve :func:`_assemble_fit` only; a
-    resolution level's problem leaves them ``None``."""
+    not formed up front; :class:`_Gram` computes the columns a solve reads."""
 
     gram: _Gram               # (1/n) Yr' W Yr, in fitting scale, on demand
     ty: np.ndarray            # (p,): (1/n) Yr' W tr, in fitting scale
     tt: float                 # (1/n) tr' W tr
     scale: np.ndarray         # (p,) column scales applied (ones if standardize off)
     penalized: np.ndarray     # (p,) bool mask, False for degenerate columns
-    proj_t: np.ndarray | None = None   # (m,) weighted projection of t on centered covariates
-    proj_y: np.ndarray | None = None   # (m, p) weighted projection of outcomes on same
-    yc: np.ndarray | None = None       # centered outcomes (original scale)
-    xc: np.ndarray | None = None       # centered covariates
-    t: np.ndarray | None = None        # raw response (0/1 treatments as float)
-    w: np.ndarray | None = None        # regression weights
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The dataset's rows as :func:`_assemble_fit` reads them to report a fit
+    (covariate block and residuals); the covariate fields are ``None``
+    without covariates."""
+
+    proj_t: np.ndarray | None   # (m,) weighted projection of t on centered covariates
+    proj_y: np.ndarray | None   # (m, p) weighted projection of outcomes on same
+    yc: np.ndarray              # centered outcomes (original scale)
+    xc: np.ndarray | None       # centered covariates
+    t: np.ndarray               # raw response (0/1 treatments as float)
+    w: np.ndarray               # regression weights
 
 
 def _problem(z: np.ndarray, ty: np.ndarray, tt: float, diag: np.ndarray, n: int,
-             standardize: bool, **assembly) -> _Problem:
+             standardize: bool) -> _Problem:
     """The problem on weighted concentrated outcomes ``z`` (any rows with the
     Gram ``n * G``), their raw cross moments ``ty`` and diagonal ``diag``:
     degenerate columns are masked and, with ``standardize``, the rest scaled
@@ -258,7 +263,7 @@ def _problem(z: np.ndarray, ty: np.ndarray, tt: float, diag: np.ndarray, n: int,
     if standardize and penalized.any():
         scale = np.where(penalized, np.sqrt(np.maximum(diag, 0.0)), 1.0)
         ty = ty / scale
-    return _Problem(_Gram(z, scale, diag, n), ty, tt, scale, penalized, **assembly)
+    return _Problem(_Gram(z, scale, diag, n), ty, tt, scale, penalized)
 
 
 def _require_full_rank(rank: int, m: int) -> None:
@@ -266,7 +271,7 @@ def _require_full_rank(rank: int, m: int) -> None:
         raise NumericalError(f"singular weighted covariate block (rank {rank} < m={m})")
 
 
-def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
+def _prepare(ds: TrialDataset, standardize: bool) -> tuple[_Problem, _Rows]:
     n = ds.n
     t = ds.treatments.astype(np.float64)
     w = propensity_weights(t)
@@ -289,8 +294,8 @@ def _prepare(ds: TrialDataset, standardize: bool) -> _Problem:
     ty = (yr * w[:, None]).T @ tr / n
     tt = float(w @ tr**2 / n)
     diag = np.einsum("ij,ij->j", z, z) / n
-    return _problem(z, ty, tt, diag, n, standardize, proj_t=proj_t, proj_y=proj_y,
-                    yc=yc, xc=xc, t=t, w=w)
+    return (_problem(z, ty, tt, diag, n, standardize),
+            _Rows(proj_t, proj_y, yc, xc, t, w))
 
 
 def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
@@ -505,16 +510,16 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     return beta, sweeps, converged
 
 
-def _assemble_fit(problem: _Problem, lam: float, beta: np.ndarray,
+def _assemble_fit(rows: _Rows, lam: float, beta: np.ndarray,
                   sweeps: int, converged: bool) -> EnetFit:
     """Package a fresh original-scale ``beta`` with its covariate block and RSS."""
-    if problem.xc is not None:
-        alpha = problem.proj_t - problem.proj_y @ beta
-        residual = problem.t - problem.yc @ beta - problem.xc @ alpha
+    if rows.xc is not None:
+        alpha = rows.proj_t - rows.proj_y @ beta
+        residual = rows.t - rows.yc @ beta - rows.xc @ alpha
     else:
         alpha = np.zeros(0)
-        residual = problem.t - problem.yc @ beta
-    rss = float(problem.w @ residual**2 / problem.t.shape[0])
+        residual = rows.t - rows.yc @ beta
+    rss = float(rows.w @ residual**2 / rows.t.shape[0])
     active = tuple(int(j) for j in np.flatnonzero(beta))
     beta.setflags(write=False)
     alpha = np.array(alpha)
@@ -529,9 +534,9 @@ def fit_weighted_enet(ds: TrialDataset, config: EnetConfig) -> EnetFit:
     indicator on centered outcomes (and covariates). Zero-variance outcome
     columns are excluded from the fit with their coefficient pinned at zero.
     """
-    problem = _prepare(ds, config.standardize)
+    problem, rows = _prepare(ds, config.standardize)
     beta_scaled, sweeps, converged = _cd_solve(problem, config, config.lam)
-    return _assemble_fit(problem, config.lam, beta_scaled / problem.scale,
+    return _assemble_fit(rows, config.lam, beta_scaled / problem.scale,
                          sweeps, converged)
 
 
@@ -552,7 +557,7 @@ def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
     """
     if not 0.0 < l1_ratio <= 1.0:
         raise DataError(f"l1_ratio must be in (0, 1], got {l1_ratio}")
-    problem = _prepare(ds, standardize)
+    problem, _ = _prepare(ds, standardize)
     return _lambda_max_from(problem, l1_ratio)
 
 
@@ -560,26 +565,28 @@ def _default_min_ratio(n: int, p: int) -> float:
     return 0.01 if p > n else 1e-4
 
 
-def _path_grid(prepare, n: int, p: int, config: EnetConfig, n_lambdas: int,
-               lambda_min_ratio: float | None):
-    """Shared setup for path walks over ``n`` rows and ``p`` outcome columns:
-    argument checks, the concentrated problem ``prepare(standardize)`` and
-    the penalty grid."""
+def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -> float:
+    """Check the grid arguments of a path walk over ``n`` rows and ``p``
+    outcome columns, before any moment is formed; the grid's ratio."""
     if n_lambdas < 2:
         raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
     if lambda_min_ratio is None:
         lambda_min_ratio = _default_min_ratio(n, p)
     if not 0.0 < lambda_min_ratio < 1.0:
         raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
-    problem = prepare(config.standardize)
+    return lambda_min_ratio
+
+
+def _path_grid(problem: _Problem, config: EnetConfig, n_lambdas: int,
+               min_ratio: float) -> tuple[np.ndarray, float]:
+    """The descending penalty grid of ``problem`` and its ``lambda_max``."""
     lam_top = _lambda_max_from(problem, config.l1_ratio)
     if lam_top <= 0.0:
         raise NumericalError(
             "lambda_max is zero (response is weighted-orthogonal to every "
             "outcome column); the penalty grid is undefined"
         )
-    grid = np.geomspace(lam_top, lam_top * lambda_min_ratio, n_lambdas)
-    return problem, grid, lam_top
+    return np.geomspace(lam_top, lam_top * min_ratio, n_lambdas), lam_top
 
 
 def _walk_path(problem: _Problem, grid: np.ndarray, config: EnetConfig):
@@ -605,9 +612,10 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     lambda_max`` (default ratio 0.01 when p > n, else 1e-4). ``config.lam``
     is ignored; every grid point gets its own fit.
     """
-    problem, grid, lam_top = _path_grid(partial(_prepare, ds), ds.n, ds.p, config,
-                                        n_lambdas, lambda_min_ratio)
-    fits = tuple(_assemble_fit(problem, *point)
+    min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
+    problem, rows = _prepare(ds, config.standardize)
+    grid, lam_top = _path_grid(problem, config, n_lambdas, min_ratio)
+    fits = tuple(_assemble_fit(rows, *point)
                  for point in _walk_path(problem, grid, config))
     lambdas = grid.copy()
     lambdas.setflags(write=False)
@@ -620,8 +628,9 @@ def walk_path(ds: TrialDataset, n_lambdas: int = 100,
     ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh original-scale
     array. Builds no :class:`EnetFit`, so a caller that stops early pays only
     for the grid points it reads. Arguments are checked on the call."""
-    problem, grid, _ = _path_grid(partial(_prepare, ds), ds.n, ds.p, config,
-                                  n_lambdas, lambda_min_ratio)
+    min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
+    problem, _ = _prepare(ds, config.standardize)
+    grid, _ = _path_grid(problem, config, n_lambdas, min_ratio)
     return _walk_path(problem, grid, config)
 
 
@@ -711,8 +720,9 @@ class LevelProblem:
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig()):
         """As :func:`walk_path` on the level's aggregated dataset."""
-        problem, grid, _ = _path_grid(self._prepare, self.n, self.p, config,
-                                      n_lambdas, lambda_min_ratio)
+        min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
+        problem = self._prepare(config.standardize)
+        grid, _ = _path_grid(problem, config, n_lambdas, min_ratio)
         return _walk_path(problem, grid, config)
 
     def solve(self, config: EnetConfig) -> tuple[float, np.ndarray, int, bool]:

@@ -107,6 +107,8 @@ def test_derived_datasets_stay_frozen_without_revalidation():
     assert sub.outcomes.tolist() == [[1.0, 1.0], [5.0, 2.0]]
     with pytest.raises(DataError, match="n >= 2"):
         ds.take_rows([2])
+    with pytest.raises(DataError, match="1-d"):
+        ds.take_rows([[0, 1], [2, 3]])
 
 
 def test_replace_outcomes_keeps_rows():

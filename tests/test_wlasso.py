@@ -1,4 +1,3 @@
-from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +11,7 @@ from hdte.wlasso import (
     EnetConfig,
     _cd_solve,
     _kkt_violation,
+    _min_ratio,
     _path_grid,
     _prepare,
     fit_weighted_enet,
@@ -253,6 +253,14 @@ def dense_gram(gram):
     return gram.rows(np.arange(gram.diag.shape[0]))
 
 
+def path_problem(ds, config, n_lambdas):
+    """The concentrated problem of ``ds`` and the penalty grid a path walk
+    over it uses."""
+    problem, _ = _prepare(ds, config.standardize)
+    ratio = _min_ratio(ds.n, ds.p, n_lambdas, None)
+    return problem, _path_grid(problem, config, n_lambdas, ratio)[0]
+
+
 def reference_cd_solve(problem, config, lam, beta0=None):
     """The one-coordinate-at-a-time loop that ``_cd_solve`` must reproduce:
     same sweep schedule, stopping rule and ``soft_threshold`` update."""
@@ -297,7 +305,7 @@ def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(standar
     diagonal is bit for bit ``gram.diag``, equal to the dense weighted
     moments ``(1/n) Yr' W Yr / (scale scale')`` up to rounding."""
     ds = random_dataset(53, n=50, p=37, m=m)
-    problem = _prepare(ds, standardize)
+    problem, _ = _prepare(ds, standardize)
     order = np.random.default_rng(0).permutation(ds.p)
     for j in order[:5]:
         problem.gram[int(j)]
@@ -356,7 +364,7 @@ def test_deep_path_matches_scalar_reference(sweep_log):
     equal sweep counts and active sets at every grid point."""
     ds = random_dataset(7, n=60, p=100)
     config = EnetConfig()
-    problem, grid, _ = _path_grid(partial(_prepare, ds), ds.n, ds.p, config, 30, None)
+    problem, grid = path_problem(ds, config, 30)
     beta = ref = np.zeros(ds.p)
     largest = 0
     for lam in grid[1:]:
@@ -375,7 +383,7 @@ def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
     steps were accepted; the rejected step is redone by the scalar loop."""
     ds = factor_dataset(1)
     config = EnetConfig()
-    problem = _prepare(ds, standardize=False)
+    problem, _ = _prepare(ds, standardize=False)
     top = lambda_max(ds)
     start, _, _ = _cd_solve(problem, config, 0.3 * top)
     assert np.count_nonzero(start) >= wlasso._BLOCK_MIN
@@ -428,7 +436,7 @@ def test_small_problem_stays_bit_identical_to_scalar_reference(sweep_log, l1_rat
     read one problem, hence one set of Gram entries."""
     ds = random_dataset(19, n=50, p=wlasso._BLOCK_MIN - 1, m=m)
     config = EnetConfig(l1_ratio=l1_ratio)
-    problem, grid, _ = _path_grid(partial(_prepare, ds), ds.n, ds.p, config, 30, None)
+    problem, grid = path_problem(ds, config, 30)
     ref = np.zeros(ds.p)
     points = list(wlasso._walk_path(problem, grid, config))
     for (lam, beta, iterations, _), ref_lam in zip(points[1:], grid[1:]):
@@ -446,7 +454,7 @@ def test_objective_never_increases_within_a_solve(sweep_log):
         (random_dataset(7, n=60, p=100), 0.05, True),
     ]
     for ds, ratio, takes_block_steps in cases:
-        problem = _prepare(ds, standardize=False)
+        problem, _ = _prepare(ds, standardize=False)
         lam = ratio * lambda_max(ds)
         trace = []
         sweep_log.clear()
@@ -550,7 +558,7 @@ def test_level_problems_keep_the_conditioning_of_the_row_wise_moments(standardiz
     config = EnetConfig(standardize=standardize)
     for grouping, level in zip(levels, level_problems(ds, levels)):
         agg = aggregate_columns(ds, grouping)
-        want, got = _prepare(agg, standardize), level._prepare(standardize)
+        want, got = _prepare(agg, standardize)[0], level._prepare(standardize)
         np.testing.assert_array_equal(got.penalized, want.penalized)
         for name in ("ty", "scale", "tt"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-8)
