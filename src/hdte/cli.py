@@ -64,8 +64,11 @@ def _split_names(raw: str) -> tuple[str, ...]:
 
 def _load_dataset(params):
     path = params["data"]
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        header = next(csv.reader(handle), None)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            header = next(csv.reader(handle), None)
+    except UnicodeDecodeError as exc:   # as load_csv reports it
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if header is None:
         raise DataError(f"{path} is empty")
     header = [name.strip() for name in header]   # as load_csv matches them

@@ -36,6 +36,26 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return _freeze(np.array(values, dtype=dtype, order="C"))
 
 
+def _outcome_array(y: np.ndarray, n: int) -> np.ndarray:
+    """Float outcomes ``y`` checked against ``n`` treatments, frozen."""
+    if y.ndim != 2:
+        raise DataError(f"outcomes must be 2-d, got shape {y.shape}")
+    if y.shape[0] != n:
+        raise DataError(f"outcomes have {y.shape[0]} rows but treatments have {n}")
+    if not np.all(np.isfinite(y)):
+        raise DataError("outcomes contain non-finite values")
+    return _frozen_array(y)
+
+
+def _labels(column_labels, p: int) -> tuple[str, ...] | None:
+    if column_labels is None:
+        return None
+    labels = tuple(str(c) for c in column_labels)
+    if len(labels) != p:
+        raise DataError(f"{len(labels)} column labels for {p} outcome columns")
+    return labels
+
+
 @dataclass(frozen=True)
 class TrialDataset:
     """One randomized-trial sample: binary treatments, outcomes, optional covariates.
@@ -61,20 +81,12 @@ class TrialDataset:
             raise DataError(
                 f"treatment values must be 0 or 1; found {t[bad]!r} at row {bad}"
             )
-        y = np.asarray(self.outcomes, dtype=np.float64)
-        if y.ndim != 2:
-            raise DataError(f"outcomes must be 2-d, got shape {y.shape}")
         n = t.shape[0]
-        if n < 2:
+        y = np.asarray(self.outcomes, dtype=np.float64)
+        if y.ndim == 2 and n < 2:   # a shape error is reported first
             raise DataError(f"dataset needs n >= 2 rows, got n={n}")
-        if y.shape[0] != n:
-            raise DataError(
-                f"outcomes have {y.shape[0]} rows but treatments have {n}"
-            )
-        if not np.all(np.isfinite(y)):
-            raise DataError("outcomes contain non-finite values")
         object.__setattr__(self, "treatments", _frozen_array(t_float, np.int64))
-        object.__setattr__(self, "outcomes", _frozen_array(y))
+        object.__setattr__(self, "outcomes", _outcome_array(y, n))
         if self.covariates is not None:
             x = np.asarray(self.covariates, dtype=np.float64)
             if x.ndim != 2 or x.shape[0] != n:
@@ -84,13 +96,8 @@ class TrialDataset:
             if not np.all(np.isfinite(x)):
                 raise DataError("covariates contain non-finite values")
             object.__setattr__(self, "covariates", _frozen_array(x))
-        if self.column_labels is not None:
-            labels = tuple(str(c) for c in self.column_labels)
-            if len(labels) != y.shape[1]:
-                raise DataError(
-                    f"{len(labels)} column labels for {y.shape[1]} outcome columns"
-                )
-            object.__setattr__(self, "column_labels", labels)
+        object.__setattr__(self, "column_labels",
+                           _labels(self.column_labels, self.outcomes.shape[1]))
 
     @classmethod
     def _trusted(cls, treatments, outcomes, covariates, column_labels) -> "TrialDataset":
@@ -140,16 +147,23 @@ class TrialDataset:
         )
 
     def restrict_outcomes(self, indices) -> "TrialDataset":
-        """Return a dataset keeping only the outcome columns ``indices``."""
+        """Return a dataset keeping only the outcome columns ``indices`` (a
+        1-d index array); columns of a validated dataset need no validation."""
         idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1:
+            raise DataError(f"column indices must be 1-d, got shape {idx.shape}")
         labels = None
         if self.column_labels is not None:
             labels = tuple(self.column_labels[j] for j in idx)
-        return TrialDataset(self.treatments, self.outcomes[:, idx], self.covariates, labels)
+        return TrialDataset._trusted(self.treatments, _freeze(self.outcomes[:, idx]),
+                                     self.covariates, labels)
 
     def replace_outcomes(self, outcomes, column_labels=None) -> "TrialDataset":
-        """Return a dataset with ``outcomes`` swapped in (same rows, treatments, covariates)."""
-        return TrialDataset(self.treatments, outcomes, self.covariates, column_labels)
+        """Return a dataset with ``outcomes`` swapped in (same rows, treatments,
+        covariates). Only the new outcomes and labels are validated."""
+        y = _outcome_array(np.asarray(outcomes, dtype=np.float64), self.n)
+        return TrialDataset._trusted(self.treatments, y, self.covariates,
+                                     _labels(column_labels, y.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -273,29 +287,33 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
     names the first bad cell. Either way the result and every error are those
     of the cell-by-cell parser. Rows are reported 1-based (excluding the
     header) in error messages. Missing values are rejected, never imputed.
-    The file is read as UTF-8; a leading byte-order mark is skipped.
+    The file is read as UTF-8; a leading byte-order mark is skipped, and a
+    byte sequence that is not UTF-8 is a :class:`DataError`.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        try:
-            header = next(csv.reader(handle))
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        columns = _schema_columns(header, schema, path)
-        try:
-            block = _parse_block(handle.read(), len(header), columns)
-        except ValueError:   # UnicodeDecodeError among them
-            block = None
-    if block is not None:
-        if not (np.isfinite(block).all() and np.isin(block[:, 0], (0.0, 1.0)).all()):
-            block = None
-    if block is None:
+    try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            next(reader)
-            block = _parse_rows(reader, schema, columns, len(header))
+            try:
+                header = next(csv.reader(handle))
+            except StopIteration:
+                raise DataError(f"{path} is empty") from None
+            columns = _schema_columns(header, schema, path)
+            try:
+                block = _parse_block(handle.read(), len(header), columns)
+            except ValueError:   # UnicodeDecodeError among them
+                block = None
+        if block is not None:
+            if not (np.isfinite(block).all() and np.isin(block[:, 0], (0.0, 1.0)).all()):
+                block = None
+        if block is None:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                reader = csv.reader(handle)
+                next(reader)
+                block = _parse_rows(reader, schema, columns, len(header))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if block.shape[0] < 2:
         raise DataError(f"{path} has {block.shape[0]} data rows; n >= 2 required")
     n_out = len(schema.outcomes)

@@ -16,24 +16,20 @@ coordinate descent on weighted moments (glmnet's covariance mode), with an
 active-set sweep strategy and a final stationarity check.
 
 Moments. Moment preparation keeps the weighted concentrated outcomes, the
-cross moments with the response and the Gram diagonal, all O(n p). A Gram
-column is computed the first time its coordinate becomes nonzero and kept
-(:class:`_Gram`), so memory is O(p * |ever active|): a selection at p =
-20,000 never forms the p x p matrix.
+cross moments with the response and the Gram diagonal, all O(n p). Gram
+columns are computed as a solve reads them (:class:`_Gram`), so a selection
+at p = 20,000 never forms the p x p matrix.
 
-Sweeps. Every sweep visits its coordinates in ascending order, either the full
-set or the current nonzero set ``A``. While no sign in ``A`` changes, such a
-sweep is one Gauss-Seidel step, so once ``|A| >= _BLOCK_MIN`` it runs as a
-single triangular solve on cached blocks of the Gram. The step is accepted
-only if every sign of ``A`` survives and, on a full sweep, every zero
-coordinate stays inside its threshold (one masked product); then it is the
-very sweep the scalar loop would make, up to rounding. Otherwise the scalar
-loop redoes the sweep. Small nonzero sets take the scalar loop, whose float
-arithmetic gives the same bits as :func:`soft_threshold`; on a full sweep
-over many coordinates it runs only at the nonzero ones and passes each run
-of zero coordinates between them in one vectorized test of the loop's own
-condition. Sweep counts, active sets and the stopping rule are those of the
-plain coordinate loop.
+Sweeps. A sweep visits the full coordinate set or the nonzero set ``A``.
+Once ``|A| >= _BLOCK_MIN`` it is one exact step (:class:`_Block`, after
+Osborne, Presnell & Turlach 2000): the minimizer with the signs of ``A``
+fixed, from a Cholesky factor of the active Gram, stopped at the first zero
+crossing. A full sweep keeps it only if no zero coordinate would enter;
+otherwise the scalar loop runs the sweep, and coordinates enter there. The
+scalar loop gives the bits of :func:`soft_threshold` and passes long runs of
+zero coordinates in one vectorized test of its own condition. The stopping
+rule is the plain coordinate loop's and so, to its tolerance, are the
+solutions; sweep counts are far fewer.
 
 Resolution levels. The problems of several column groupings of one dataset
 (the levels of multi-resolution selection) come from one QR factorization
@@ -52,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsv as _trsv
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .data import TrialDataset, center_columns, check_grouping, column_group_means
 from .errors import DataError, NumericalError
@@ -76,24 +72,26 @@ __all__ = [
 # no information about the response and are pinned at beta_j = 0.
 _DEGENERATE_REL = 1e-14
 
-# Sweeps over a nonzero set of at least this many coordinates try the block
-# step. Measured with one BLAS thread on a 2-vCPU Xeon, on the criterion 6
-# design (p = 500) and a p = 24 problem alike: a scalar sweep costs about
-# 3.5 us per nonzero coordinate, a block step about 20 us almost regardless of
-# size (up to 137 coordinates), so they cross near 6. The margin above that
-# pays for rebuilding the cached blocks (30-280 us) when the set changes.
+# Sweeps over a nonzero set of at least this many coordinates take the exact
+# step. One BLAS thread on a 2-vCPU Xeon, p = 500: at |A| = 8 a scalar sweep
+# takes 22 us, an exact step 10 us after 19 us to factor; at |A| = 137, 507
+# us against 48 + 317 us. One exact step does the work of many sweeps.
 _BLOCK_MIN = 8
 
-# A full sweep whose zero coordinates form runs (between consecutive nonzero
-# coordinates) of at least this mean length passes each run in one
-# vectorized test instead of the scalar loop. Measured per sweep with one
-# BLAS thread on a 2-vCPU Xeon, at converged points with p = 24 to 4000 and
-# 1 to 24 nonzero coefficients: the scalar loop costs about 0.3 us per zero
-# coordinate, a run test about 5 us, so they cross near a mean run of 12-16;
-# at p = 4000 with 1-3 nonzero the vectorized sweep takes 12-20 us against
-# 1.07 ms. Twice the crossover keeps every problem with p < 32 (the 6-24
-# column resolution levels among them) on the plain loop, where there is
-# nothing to gain.
+# The exact step's factor counts as failed where a squared pivot falls below
+# this share of its diagonal entry; singular active Grams leave 1e-16-1e-14.
+_PIVOT_MIN = 1e-10
+
+# A column read in a full sweep is computed in one product with up to this
+# many that would enter if the sweep reached them now. One BLAS thread on a
+# 2-vCPU Xeon, n = 500, p = 4000: 0.8 ms per column alone, 0.1 ms in a batch.
+_READ_AHEAD = 64
+
+# A full sweep whose zero coordinates form runs of at least this mean length
+# passes each run in one vectorized test. Measured as above: the scalar loop
+# costs about 0.3 us per zero coordinate and a run test about 5 us, so they
+# cross near 12-16; twice that keeps every p < 32 problem (the 6-24 column
+# resolution levels among them) on the plain loop.
 _ZERO_RUN_MIN = 32
 
 
@@ -170,17 +168,15 @@ def soft_threshold(x, threshold):
 
 class _Gram:
     """The weighted Gram ``(1/n) Z'Z`` of the concentrated outcomes ``Z``,
-    entry ``(j, k)`` divided by ``scale_j * scale_k``, built column by column.
-    ``Z`` is the weighted rows themselves or, for a resolution level, a small
-    triangular factor with the same Gram, so ``n`` is passed on its own.
+    entry ``(j, k)`` divided by ``scale_j * scale_k``. ``Z`` is the weighted
+    rows or, for a resolution level, a small triangular factor with the same
+    Gram, so ``n`` is passed on its own.
 
-    Column ``j`` is computed in O(rows * p) the first time it is read and kept
-    in a store that grows with the columns read, so memory is O(p * |ever
-    active|) and a solve whose coefficients stay sparse never forms the p x p
-    matrix.
-    An entry already held by an earlier column keeps that value and the
-    diagonal is ``diag``, so the matrix read is exactly symmetric (row ``j``
-    is column ``j``) whatever the order of reading.
+    A column is computed the first time it is read, columns read together in
+    one product, and kept, so memory is O(p * |ever read|) and a sparse solve
+    never forms the p x p matrix. An entry already held by an earlier column
+    (within one product, the earlier in reading order) keeps that value and
+    the diagonal is ``diag``, so the matrix read is exactly symmetric.
     """
 
     def __init__(self, z: np.ndarray, scale: np.ndarray, raw_diag: np.ndarray, n: int):
@@ -193,37 +189,62 @@ class _Gram:
         self._row = [None] * p                       # column j as a view of its row
         self._store = np.empty((0, p))
         self._count = 0
+        # (ty, q, lam1) of the full sweep in progress, which visits columns
+        # in ascending order: column j enters when |ty_j - q_j| > lam1.
+        self.hint = (np.zeros(p), np.zeros(p), np.inf)
 
-    def _add(self, j: int) -> np.ndarray:
-        count = self._count
-        if count == self._store.shape[0]:
-            grown = np.empty((max(8, 2 * count), self._store.shape[1]))
-            grown[:count] = self._store[:count]
-            self._store = grown
-            for r, k in enumerate(self._held[:count].tolist()):
-                self._row[k] = grown[r]
-        column = self._store[count]
-        np.matmul(self._z.T, self._z[:, j], out=column)
-        column /= self._norm * self._scale[j]
-        column[self._held[:count]] = self._store[:count, j]
-        column[j] = self.diag[j]
-        self._slot[j], self._held[count], self._row[j] = count, j, column
-        self._count = count + 1
-        return column
+    def _slots(self, idx: np.ndarray) -> np.ndarray:
+        """Store rows of the distinct columns ``idx``, computing those not
+        held in one product ``Z' Z[:, new]``."""
+        slots = self._slot[idx]
+        new = idx[slots < 0]
+        if new.size:
+            count, k = self._count, new.size
+            if count + k > self._store.shape[0]:
+                grown = np.empty((max(8, 2 * count, count + k), self._store.shape[1]))
+                grown[:count] = self._store[:count]
+                self._store = grown
+                for r, j in enumerate(self._held[:count].tolist()):
+                    self._row[j] = grown[r]
+            block = self._store[count:count + k]
+            np.matmul(self._z.T, self._z[:, new], out=block.T)
+            block /= self._norm * self._scale[new, None]
+            block[:, self._held[:count]] = self._store[:count, new].T
+            square = np.triu(block[:, new], 1)
+            block[:, new] = square + square.T + np.diag(self.diag[new])
+            self._slot[new] = np.arange(count, count + k)
+            self._held[count:count + k] = new
+            for r, j in enumerate(new.tolist(), start=count):
+                self._row[j] = self._store[r]
+            self._count = count + k
+            slots = self._slot[idx]
+        return slots
 
     def __getitem__(self, j: int) -> np.ndarray:
-        """Row (equally, column) ``j``."""
-        row = self._row[j]
-        return self._add(j) if row is None else row
+        """Row (equally, column) ``j``. A column not held is read with up to
+        ``_READ_AHEAD - 1`` after it that ``hint`` says would enter now."""
+        if self._row[j] is None:
+            ty, q, lam1 = self.hint
+            later = j + 1 + np.flatnonzero(np.abs(ty[j + 1:] - q[j + 1:]) > lam1)
+            self._slots(np.append(j, later[self._slot[later] < 0][:_READ_AHEAD - 1]))
+        return self._row[j]
 
     def rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows ``idx`` (an index array) as a new ``(len(idx), p)`` array."""
-        slots = self._slot[idx]
-        if (slots < 0).any():
-            for j in idx[slots < 0].tolist():
-                self._add(j)
-            slots = self._slot[idx]
+        slots = self._slots(idx)
         return self._store[slots]
+
+    def block(self, idx: np.ndarray) -> np.ndarray:
+        """The square block ``G[idx][:, idx]`` as a new array."""
+        slots = self._slots(idx)
+        return self._store[np.ix_(slots, idx)]
+
+    def dot(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``values @ G[idx]``, one product over the store without copying rows."""
+        slots = self._slots(idx)
+        coef = np.zeros(self._count)
+        coef[slots] = values
+        return coef @ self._store[:self._count]
 
 
 @dataclass(frozen=True)
@@ -304,27 +325,18 @@ def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
     The smooth-part gradient is ``2 * (q - ty)`` with ``q = gram @ beta``.
     """
     grad = 2.0 * (q - ty)
-    worst = 0.0
-    active = (beta != 0.0) & penalized
-    if active.any():
-        resid = grad[active] + 2.0 * lam1 * np.sign(beta[active]) + 2.0 * ridge * beta[active]
-        worst = float(np.max(np.abs(resid)))
-    inactive = (beta == 0.0) & penalized
-    if inactive.any():
-        slack = np.abs(grad[inactive]) - 2.0 * lam1
-        worst = max(worst, float(np.max(slack, initial=0.0)))
-    return worst
+    active, inactive = (beta != 0.0) & penalized, (beta == 0.0) & penalized
+    resid = grad[active] + 2.0 * lam1 * np.sign(beta[active]) + 2.0 * ridge * beta[active]
+    slack = np.abs(grad[inactive]) - 2.0 * lam1
+    return max(float(np.max(np.abs(resid), initial=0.0)), float(np.max(slack, initial=0.0)))
 
 
 def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
     """One cyclic pass over ``work`` (Python ints), updating ``beta`` and
     ``q = gram @ beta`` in place; returns the largest coefficient change.
-
     ``ty``, ``diag`` and ``denom`` are Python float lists, so each update runs
-    on floats. The inlined shrinkage gives the bits of :func:`soft_threshold`;
-    ``0.0 * z`` reproduces its signed zero and its NaN. ``gram`` is read only
-    at coordinates that are or become nonzero.
-    """
+    on floats with the bits of :func:`soft_threshold` (``0.0 * z`` gives its
+    signed zero and NaN). ``gram`` is read only at nonzero coordinates."""
     delta = 0.0
     for j in work:
         b_old = beta.item(j)
@@ -345,66 +357,74 @@ def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
 
 
 class _Block:
-    """Cached moment blocks for sweeps over one nonzero set ``active``.
+    """The exact step on one nonzero set ``A`` (``active``), from a Cholesky
+    factor of ``G_AA + ridge I``.
 
-    A cyclic sweep over ``active`` that keeps every sign ``s`` is one
-    Gauss-Seidel step, ``(tril(G_AA) + ridge I) b_new = ty_A - lam1 s -
-    triu(G_AA, 1) b_old``. A full sweep also passes the zero coordinates; each
-    zero ``j`` stays zero iff ``|z_j| <= lam1``, where ``z_j`` sees ``b_new``
-    of the active ``k < j`` and ``b_old`` of the active ``k > j``.
+    With the signs ``s`` of ``A`` fixed and every other coordinate at zero,
+    the objective is a quadratic minimized by ``(G_AA + ridge I) b = ty_A -
+    lam1 s``. Where some ``b`` lost its sign the step stops at the first zero
+    crossing and sets that coordinate to exactly zero; the objective falls on
+    the way. A coordinate that left stays in the factor, held at zero by its
+    column of the inverse, so the factor lasts while ``A`` only shrinks.
+    ``factor`` is ``None`` where ``G_AA`` is numerically singular (as when
+    ``|A|`` nears the rank of the rows).
     """
 
     def __init__(self, gram, ty, active, ridge):
-        self.rows = gram.rows(active)   # G[active, :]
-        block = self.rows[:, active]
-        self.ty_full = ty
-        self.active = active
+        self.gram, self.ty_full, self.active = gram, ty, active
         self.ty = ty[active]
-        self.lower = np.asfortranarray(np.tril(block) + ridge * np.eye(active.size))
-        self.upper = np.triu(block, 1)
-        self.zeros = None   # zero-set moments, built on the first full sweep
+        matrix = gram.block(active)
+        diag = matrix.diagonal() + ridge
+        matrix[np.diag_indices(active.size)] = diag
+        factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=1)
+        ok = info == 0 and (factor.diagonal() ** 2 > _PIVOT_MIN * diag).all()
+        self.factor = factor if ok else None
+        self.left = []                              # positions of A that left
+        self.inverse = np.empty((active.size, 0))   # their columns of the inverse
 
-    def sweep(self, beta, lam1, full_set=None) -> float | None:
-        """Apply one sweep to ``beta`` and return its largest coefficient
-        change, or return ``None`` with ``beta`` untouched where the scalar
-        sweep would differ: an active sign changes or, on a full sweep (given
-        ``full_set``), a zero coordinate would enter."""
-        active = self.active
+    def sweep(self, beta, lam1, penalized=None):
+        """Step ``beta``; return ``(delta, q)``, the largest change and, on a
+        full sweep (``penalized`` given) that no zero crossing cut short,
+        ``gram @ beta``. ``(None, None)`` leaves ``beta`` as it was: there is
+        no factor, or on a full sweep a zero ``j`` has ``|ty_j - q_j| > lam1``."""
+        if self.factor is None:
+            return None, None
+        active, left = self.active, self.left
         b_old = beta[active]
         signs = np.sign(b_old)
-        b_new = _trsv(self.lower, self.ty - lam1 * signs - self.upper @ b_old, lower=1)
-        if not (b_new * signs > 0.0).all():
-            return None
-        if full_set is not None:
-            if self.zeros is None:
-                zeros = np.setdiff1d(full_set, active, assume_unique=True)
-                cross = self.rows[:, zeros].T   # G[zeros, active]; G is symmetric
-                before = active[None, :] < zeros[:, None]
-                self.zeros = (self.ty_full[zeros],
-                              np.hstack([np.where(before, cross, 0.0),
-                                         np.where(before, 0.0, cross)]))
-            ty_zeros, rows = self.zeros
-            z = ty_zeros - rows @ np.concatenate([b_new, b_old])
-            if (np.abs(z) > lam1).any():
-                return None
-        beta[active] = b_new
-        return float(np.abs(b_new - b_old).max())
+        b, _ = dpotrs(self.factor, self.ty - lam1 * signs, lower=1)
+        if left:
+            b -= self.inverse @ np.linalg.solve(self.inverse[left], b[left])
+            b[left] = 0.0
+        crossed = (b * signs <= 0.0) & (signs != 0.0)
+        q = None
+        if crossed.any():
+            reach = b_old[crossed] / (b_old[crossed] - b[crossed])
+            first = int(np.flatnonzero(crossed)[reach.argmin()])
+            b = b_old + reach.min() * (b - b_old)
+            b[first] = 0.0
+            b[b * signs < 0.0] = 0.0   # a tie lands within rounding of zero
+            left.append(first)
+            unit = np.eye(1, active.size, first)[0]
+            self.inverse = np.column_stack([self.inverse, dpotrs(self.factor, unit, lower=1)[0]])
+        elif penalized is not None:
+            q = self.gram.dot(active, b)
+            enters = (np.abs(self.ty_full - q) > lam1) & penalized
+            enters[active[b != 0.0]] = False
+            if enters.any():
+                return None, None
+        beta[active] = b
+        return float(np.abs(b - b_old).max()), q
 
 
 def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
                        gram, ty, diag, denom, lam1) -> float:
-    """The scalar full sweep, with each run of zero coordinates between
-    consecutive ``nonzero`` coordinates passed in one vectorized test.
-    ``ty_vec`` is ``ty`` as an array; the other arguments are those of
-    :func:`_scalar_sweep`.
-
-    A zero ``j`` stays zero in the scalar loop iff ``|ty_j - q_j| <= lam1``
-    for ``q`` as it stands when ``j`` is visited, which for every ``j`` in a
-    run is ``q`` after the nonzero coordinates before it. The test is that
-    very inequality on the same ``q``; from the first coordinate that fails
-    it (or is not a number) the scalar loop runs the rest of the sweep. The
-    result is the full scalar sweep's, bit for bit.
-    """
+    """The scalar full sweep, bit for bit, with each run of zero coordinates
+    between consecutive ``nonzero`` ones passed in one vectorized test of the
+    loop's own condition ``|ty_j - q_j| <= lam1`` on the same ``q``; from the
+    first coordinate that fails it (or is not a number) the scalar loop runs
+    the rest. ``ty_vec`` is ``ty`` as an array; the other arguments are those
+    of :func:`_scalar_sweep`."""
     delta, lo = 0.0, 0
     p = ty_vec.shape[0]
     for a in (*nonzero.tolist(), p):
@@ -421,86 +441,76 @@ def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
 
 def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
               objective_trace=None) -> tuple[np.ndarray, int, bool]:
-    """Cyclic coordinate descent on the concentrated problem.
+    """Coordinate descent on the concentrated problem, with exact steps.
 
     Returns ``(beta, sweeps, converged)`` with ``beta`` in fitting scale.
-    Sweeps alternate between the full coordinate set and the current nonzero
-    set; convergence requires a full sweep with max coefficient change below
-    ``tol`` plus a stationarity check within ``10 * tol`` of the problem scale.
-    A sweep whose nonzero set has at least ``_BLOCK_MIN`` coordinates is tried
-    as one block step (:class:`_Block`); the scalar loop redoes it if the
-    block step is rejected. Otherwise a full sweep whose zero coordinates
-    form runs of mean length at least ``_ZERO_RUN_MIN`` passes each run in
-    one vectorized test (:func:`_sparse_full_sweep`), with the same result
-    as the scalar loop. ``q = gram @ beta`` is refreshed only when the
-    scalar loop, the stationarity check or ``objective_trace`` reads it.
+    Sweeps alternate between the full coordinate set and the nonzero set;
+    convergence requires a full sweep with max coefficient change below
+    ``tol`` plus a stationarity check within ``10 * tol`` of the problem
+    scale. A sweep over a nonzero set of at least ``_BLOCK_MIN`` is one exact
+    step (:class:`_Block`), each counted against ``max_iter``; where that
+    step is not taken the scalar loop runs the sweep (on a full sweep with
+    long zero runs, :func:`_sparse_full_sweep`). ``q = gram @ beta`` is
+    refreshed only where it is read.
     """
-    gram = problem.gram
-    ty = problem.ty
+    gram, ty = problem.gram, problem.ty
     p = ty.shape[0]
     lam1 = lam * config.l1_ratio
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
     diag = gram.diag
-    denom = diag + ridge
     full_set = np.flatnonzero(problem.penalized)
     full_list = full_set.tolist()
-    ty_list, diag_list, denom_list = ty.tolist(), diag.tolist(), denom.tolist()
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     beta[~problem.penalized] = 0.0
     nonzero = np.flatnonzero(beta)
-    q, q_fresh = np.zeros(p), nonzero.size == 0
-    block = None   # a _Block for ``nonzero``, kept while that set holds
-    scalar_args = (gram, ty_list, diag_list, denom_list, lam1)
-    kkt_tol = 10.0 * config.tol * max(
-        1.0,
-        float(np.max(np.abs(ty), initial=0.0)),
-        float(diag.max(initial=0.0)),
-    )
+    q = np.zeros(p) if nonzero.size == 0 else None   # None: stale
+    block = None   # the _Block of ``nonzero`` or a superset it came from
+    scalar_args = (gram, ty.tolist(), diag.tolist(), (diag + ridge).tolist(), lam1)
+    kkt_tol = 10.0 * config.tol * max(1.0, float(np.max(np.abs(ty), initial=0.0)),
+                                      float(diag.max(initial=0.0)))
 
     def current_q():
-        nonlocal q, q_fresh
-        if not q_fresh:
+        nonlocal q
+        if q is None:
             q = beta[nonzero] @ gram.rows(nonzero)   # gram is symmetric
-            q_fresh = True
         return q
 
-    sweeps = 0
-    converged = False
-    on_full_set = True
+    sweeps, converged, on_full_set = 0, False, True
     while sweeps < config.max_iter:
         delta = None
         if nonzero.size >= _BLOCK_MIN:
             if block is None:
                 block = _Block(gram, ty, nonzero, ridge)
-            delta = block.sweep(beta, lam1, full_set if on_full_set else None)
-            if delta is not None:
-                q_fresh = False
-        if delta is None:
+            delta, q_step = block.sweep(beta, lam1, problem.penalized if on_full_set else None)
+            q = q if delta is None else q_step
+        exact = delta is not None
+        if not exact:
             if not on_full_set:
                 delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)
-            elif full_set.size - nonzero.size >= _ZERO_RUN_MIN * (nonzero.size + 1):
-                delta = _sparse_full_sweep(nonzero, full_set, full_list, ty, beta,
-                                           current_q(), *scalar_args)
             else:
-                delta = _scalar_sweep(full_list, beta, current_q(), *scalar_args)
-            changed = np.flatnonzero(beta)
-            if not np.array_equal(changed, nonzero):
-                nonzero, block = changed, None
+                gram.hint = (ty, current_q(), lam1)
+                if full_set.size - nonzero.size >= _ZERO_RUN_MIN * (nonzero.size + 1):
+                    delta = _sparse_full_sweep(nonzero, full_set, full_list, ty, beta,
+                                               q, *scalar_args)
+                else:
+                    delta = _scalar_sweep(full_list, beta, q, *scalar_args)
+        changed = np.flatnonzero(beta)
+        if not np.array_equal(changed, nonzero):
+            nonzero = changed
+            if not exact:
+                block = None
         sweeps += 1
         if objective_trace is not None:
-            penalty = 2.0 * lam * (
-                config.l1_ratio * np.abs(beta).sum()
-                + (1.0 - config.l1_ratio) * (beta @ beta)
-            )
-            objective_trace.append(
-                problem.tt - 2.0 * beta @ ty + beta @ current_q() + penalty
-            )
+            objective_trace.append(problem.tt - 2.0 * beta @ ty + beta @ current_q()
+                                   + 2.0 * lam1 * np.abs(beta).sum() + ridge * (beta @ beta))
         if delta < config.tol:
             if on_full_set:
                 if _kkt_violation(beta, current_q(), ty, lam1, ridge,
                                   problem.penalized) <= kkt_tol:
                     converged = True
                     break
+                if exact:
+                    block.factor = None   # the step would repeat; the scalar loop moves
             else:
                 on_full_set = True
         else:
@@ -548,21 +558,13 @@ def _lambda_max_from(problem: _Problem, l1_ratio: float) -> float:
 
 def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
                standardize: bool = False) -> float:
-    """Smallest penalty at which the fitted ``beta`` is identically zero.
-
-    Derived from the stationarity condition at zero: the largest absolute
-    weighted cross moment between the (covariate-concentrated) centered
-    outcome columns and the response, divided by ``l1_ratio``. The response
-    enters uncentered, matching the intercept-free regression.
-    """
+    """Smallest penalty at which the fitted ``beta`` is identically zero: the
+    largest absolute weighted cross moment between the covariate-concentrated
+    centered outcomes and the uncentered response, over ``l1_ratio``."""
     if not 0.0 < l1_ratio <= 1.0:
         raise DataError(f"l1_ratio must be in (0, 1], got {l1_ratio}")
     problem, _ = _prepare(ds, standardize)
     return _lambda_max_from(problem, l1_ratio)
-
-
-def _default_min_ratio(n: int, p: int) -> float:
-    return 0.01 if p > n else 1e-4
 
 
 def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -> float:
@@ -571,7 +573,7 @@ def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -
     if n_lambdas < 2:
         raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
     if lambda_min_ratio is None:
-        lambda_min_ratio = _default_min_ratio(n, p)
+        lambda_min_ratio = 0.01 if p > n else 1e-4
     if not 0.0 < lambda_min_ratio < 1.0:
         raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
     return lambda_min_ratio
@@ -595,10 +597,8 @@ def _walk_path(problem: _Problem, grid: np.ndarray, config: EnetConfig):
     identically zero by construction of ``lambda_max`` and is emitted without
     iterating."""
     beta = np.zeros(problem.ty.shape[0])
-    for k, lam in enumerate(grid):
-        if k == 0:
-            yield float(lam), beta / problem.scale, 0, True
-            continue
+    yield float(grid[0]), beta / problem.scale, 0, True
+    for lam in grid[1:]:
         beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
         yield float(lam), beta / problem.scale, sweeps, converged
 
@@ -642,9 +642,7 @@ def _check_subset(subset, n: int, p: int) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= p):
         raise DataError(f"subset indices out of range for p={p}")
     if idx.size > min(n - 2, p):
-        raise DataError(
-            f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}"
-        )
+        raise DataError(f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}")
     return idx
 
 

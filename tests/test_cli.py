@@ -75,6 +75,25 @@ def test_header_names_are_found_with_a_bom_or_padding(tmp_path, header, encoding
     assert (row["index"], row["label"]) == ("1", "y1")
 
 
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_a_csv_that_is_not_utf8_is_a_data_error(trial_csv, tmp_path, capsys, where):
+    """A 0xff byte in the header, or in the last row of a file long enough
+    that the header decodes cleanly and only the loader meets it, exits 2."""
+    raw = trial_csv.read_bytes()
+    assert len(raw) > 8192   # one decoding chunk
+    if where == "header":
+        raw = raw.replace(b"y1", b"y1\xff", 1)
+    else:
+        raw = raw.rstrip(b"\n") + b"\xff\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    code = main(["select", str(path), "--s", "1", "--outdir", str(tmp_path / "o")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "data"
+    assert "not UTF-8" in record["message"] and "bad.csv" in record["message"]
+
+
 def test_select_baseline_needs_size(trial_csv, tmp_path, capsys):
     code = main(["select", str(trial_csv), "--selection", "baseline",
                  "--outdir", str(tmp_path / "out")])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdte.data import TrialDataset, aggregate_columns
@@ -20,7 +20,7 @@ from hdte.selection import (
     select_resolution_level,
     sparse_select,
 )
-from hdte.wlasso import EnetConfig, fit_weighted_enet
+from hdte.wlasso import EnetConfig, fit_weighted_enet, walk_path
 
 
 def planted_dataset(seed, n=200, p=8, effects=(1.5, 1.0, 0.6)):
@@ -364,3 +364,47 @@ def test_resolution_levels_match_selection_on_aggregated_datasets(case):
     assert sel.tuning == pytest.approx(ref.tuning, rel=1e-9)
     np.testing.assert_allclose(sel.scores, ref.scores, rtol=0, atol=1e-8)
     assert sel.weighted_rss == pytest.approx(ref.weighted_rss, rel=0, abs=1e-8)
+
+
+@st.composite
+def permutation_cases(draw):
+    """A planted dataset (with or without covariates), a permutation of its
+    outcome columns, and a lasso or elastic-net spec."""
+    p = draw(st.integers(2, 12))
+    n = 2 * draw(st.integers(20, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    t = np.array([1, 0] * (n // 2))
+    rng.shuffle(t)
+    y = rng.standard_normal((n, p))
+    y[:, : 1 + p // 3] += draw(st.floats(0.2, 1.2)) * t[:, None]
+    x = rng.standard_normal((n, 2)) if draw(st.booleans()) else None
+    perm = np.array(draw(st.permutations(range(p))))
+    # a tight tol keeps the solver's own error far below the comparison's
+    spec = SelectionSpec(draw(st.sampled_from(["lasso", "enet"])), size=1,
+                         config=EnetConfig(tol=1e-10, standardize=draw(st.booleans())))
+    return TrialDataset(t, y, x), perm, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=permutation_cases(), data=st.data())
+def test_penalized_selection_is_invariant_under_a_column_permutation(case, data):
+    """Lasso and elastic-net selection at a fixed size picks the same columns,
+    mapped back, with the same penalty and scores, after the outcome columns
+    are permuted. Sizes are those the path reaches at one grid point without
+    passing them, so no same-point tie is broken by column index."""
+    ds, perm, spec = case
+    counts = [np.count_nonzero(beta) for _, beta, _, _ in walk_path(ds, config=spec.config)]
+    clean = [s for s in range(1, ds.p + 1)
+             if any(c >= s for c in counts) and next(c for c in counts if c >= s) == s]
+    assume(clean)
+    size = data.draw(st.sampled_from(clean))
+    spec = SelectionSpec(spec.method, size=size, config=spec.config)
+    (want,), _ = run_selection(ds, spec)
+    shuffled = TrialDataset(ds.treatments, ds.outcomes[:, perm], ds.covariates)
+    (got,), _ = run_selection(shuffled, spec)
+    assert sorted(perm[list(got.selected)]) == sorted(want.selected)
+    assert got.tuning == pytest.approx(want.tuning, rel=1e-12)
+    mapped = dict(zip(perm[list(got.selected)], got.scores))
+    np.testing.assert_allclose([mapped[j] for j in want.selected], want.scores,
+                               rtol=0, atol=1e-8)
+    assert got.weighted_rss == pytest.approx(want.weighted_rss, rel=1e-9)

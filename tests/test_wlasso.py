@@ -221,15 +221,22 @@ def test_path_structure_and_warm_start_agreement():
 @pytest.fixture
 def sweep_log(monkeypatch):
     """Record every sweep of ``_cd_solve`` in order: ``("block", accepted)``
-    for a block step, ``("scalar", n)`` for a scalar sweep that flipped the
-    sign of ``n`` coefficients (nonzero to nonzero of the other sign)."""
+    for an exact step, followed by ``("crossing", (left, flipped))`` where an
+    accepted one set ``left`` coefficients to zero and flipped the sign of
+    ``flipped``; ``("scalar", n)`` for a scalar sweep that flipped the sign of
+    ``n`` coefficients (nonzero to nonzero of the other sign)."""
     log = []
     block_sweep, scalar_sweep = wlasso._Block.sweep, wlasso._scalar_sweep
 
-    def block(self, beta, lam1, full_set=None):
-        delta = block_sweep(self, beta, lam1, full_set)
+    def block(self, beta, lam1, penalized=None):
+        before = beta.copy()
+        delta, q = block_sweep(self, beta, lam1, penalized)
         log.append(("block", delta is not None))
-        return delta
+        left = int(np.sum((before != 0.0) & (beta == 0.0)))
+        flipped = int(np.sum(before * beta < 0.0))
+        if left or flipped:
+            log.append(("crossing", (left, flipped)))
+        return delta, q
 
     def scalar(work, beta, *args):
         before = np.sign(beta)
@@ -262,8 +269,10 @@ def path_problem(ds, config, n_lambdas):
 
 
 def reference_cd_solve(problem, config, lam, beta0=None):
-    """The one-coordinate-at-a-time loop that ``_cd_solve`` must reproduce:
-    same sweep schedule, stopping rule and ``soft_threshold`` update."""
+    """The plain one-coordinate-at-a-time loop, with ``_cd_solve``'s sweep
+    schedule, stopping rule and ``soft_threshold`` update: ``_cd_solve``
+    reproduces it bit for bit below ``_BLOCK_MIN`` nonzero coefficients and
+    must reach its optimum (:data:`TIGHT`) above."""
     gram, ty = dense_gram(problem.gram), problem.ty
     lam1 = lam * config.l1_ratio
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
@@ -297,6 +306,13 @@ def reference_cd_solve(problem, config, lam, beta0=None):
         else:
             on_full_set = False
     return beta, sweeps, False
+
+
+# The plain loop run this tightly is the oracle for the solution itself:
+# exact steps reach the same optimum by another route, so sweep counts differ.
+# Started from the solver's answer, it certifies that answer in few sweeps
+# or moves away from it.
+TIGHT = EnetConfig(tol=1e-12)
 
 
 @pytest.mark.parametrize("standardize, m", [(False, 0), (True, 3)])
@@ -360,27 +376,34 @@ def factor_dataset(seed, n=80, p=30):
 
 
 def test_deep_path_matches_scalar_reference(sweep_log):
-    """Past 50 active columns the block steps reproduce the scalar loop:
-    equal sweep counts and active sets at every grid point."""
+    """Past 50 active columns the exact steps reach the plain loop's
+    solutions: at every grid point the active set and convergence of the
+    loop run to 1e-12, coefficients within 1e-8, in at most a fifth of the
+    sweeps the loop takes at the default tolerance."""
     ds = random_dataset(7, n=60, p=100)
     config = EnetConfig()
     problem, grid = path_problem(ds, config, 30)
-    beta = ref = np.zeros(ds.p)
-    largest = 0
+    beta = loose = np.zeros(ds.p)
+    sweeps = loose_sweeps = largest = 0
     for lam in grid[1:]:
-        beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
-        ref, ref_sweeps, ref_converged = reference_cd_solve(problem, config, lam, ref)
-        assert (sweeps, converged) == (ref_sweeps, ref_converged)
-        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
-        assert np.max(np.abs(beta - ref)) <= 1e-10
+        beta, n_sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
+        loose, n_loose, _ = reference_cd_solve(problem, config, lam, loose)
+        tight, _, tight_converged = reference_cd_solve(problem, TIGHT, lam, beta)
+        assert converged == tight_converged
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(tight))
+        assert np.max(np.abs(beta - tight)) <= 1e-8
+        sweeps, loose_sweeps = sweeps + n_sweeps, loose_sweeps + n_loose
         largest = max(largest, np.count_nonzero(beta))
     assert largest > 50
+    assert 5 * sweeps <= loose_sweeps
     assert ("block", True) in sweep_log
 
 
 def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
-    """A warm start far from the solution flips coefficient signs after block
-    steps were accepted; the rejected step is redone by the scalar loop."""
+    """A warm start far from the solution: an exact step that would flip
+    signs stops at the first zero crossing, where exactly one coordinate
+    leaves and no sign flips; a rejected full step is redone by the scalar
+    loop; the fit is the tight reference's."""
     ds = factor_dataset(1)
     config = EnetConfig()
     problem, _ = _prepare(ds, standardize=False)
@@ -389,24 +412,27 @@ def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
     assert np.count_nonzero(start) >= wlasso._BLOCK_MIN
     sweep_log.clear()
     beta, sweeps, converged = _cd_solve(problem, config, 1e-3 * top, beta0=start)
-    ref, ref_sweeps, ref_converged = reference_cd_solve(problem, config, 1e-3 * top, start)
-    accepted = sweep_log.index(("block", True))
-    later = sweep_log[accepted:]
-    rejected = later.index(("block", False))
-    assert later[rejected + 1][0] == "scalar"
-    assert any(kind == "scalar" and flips > 0 for kind, flips in later)
-    assert (sweeps, converged) == (ref_sweeps, ref_converged)
+    ref, _, ref_converged = reference_cd_solve(problem, TIGHT, 1e-3 * top, beta)
+    _, loose_sweeps, _ = reference_cd_solve(problem, config, 1e-3 * top, start)
+    crossings = [value for kind, value in sweep_log if kind == "crossing"]
+    assert crossings and set(crossings) == {(1, 0)}
+    rejected = sweep_log.index(("block", False))
+    assert sweep_log[rejected + 1][0] == "scalar"
+    assert converged and ref_converged
     np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
-    assert np.max(np.abs(beta - ref)) <= 1e-10
+    assert np.max(np.abs(beta - ref)) <= 1e-8
+    assert 5 * sweeps <= loose_sweeps
 
 
 def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
-    """One full sweep whose block step keeps every active sign by
-    construction: the zero coordinates decide whether it is accepted, and
-    either way the result is the scalar sweep's."""
+    """One full sweep whose exact step keeps every active sign by
+    construction: the zero coordinates decide whether it is accepted.
+    Accepted, it is the solution of the tight reference; rejected, the
+    scalar loop's sweep."""
     rng = np.random.default_rng(5)
     p, k = 16, 12
     one_sweep = EnetConfig(max_iter=1)
+    outcomes = set()
     for _ in range(200):
         root = rng.standard_normal((p, p)) + 1.0
         lazy = lazy_gram(root)
@@ -416,17 +442,90 @@ def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
         b_old = signs * rng.uniform(0.5, 2.0, k)
         b_new = signs * rng.uniform(0.5, 2.0, k)
         lam = rng.uniform(4.0, 12.0)
-        block = gram[np.ix_(active, active)]
         ty = rng.standard_normal(p) * 3.0
-        ty[active] = np.tril(block) @ b_new + np.triu(block, 1) @ b_old + lam * signs
+        ty[active] = gram[np.ix_(active, active)] @ b_new + lam * signs
         beta0 = np.zeros(p)
         beta0[active] = b_old
         problem = SimpleNamespace(gram=lazy, ty=ty, penalized=np.ones(p, dtype=bool))
+        sweep_log.clear()
         beta, _, _ = _cd_solve(problem, one_sweep, lam, beta0=beta0)
-        ref, _, _ = reference_cd_solve(problem, one_sweep, lam, beta0)
+        if sweep_log[0] == ("block", True):
+            ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
+            assert ref_converged
+            tolerance = 1e-8
+        else:
+            ref, _, _ = reference_cd_solve(problem, one_sweep, lam, beta0)
+            tolerance = 1e-10
         np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
-        assert np.max(np.abs(beta - ref)) <= 1e-10
-    assert ("block", True) in sweep_log and ("block", False) in sweep_log
+        assert np.max(np.abs(beta - ref)) <= tolerance
+        outcomes.add(sweep_log[0])
+    assert outcomes == {("block", True), ("block", False)}
+
+
+def test_exact_steps_from_random_states_reach_the_solution(sweep_log):
+    """Warm starts with random signs, so exact steps cross zero and some
+    coordinates that left must enter again: every solve ends at the tight
+    reference's solution."""
+    rng = np.random.default_rng(6)
+    p, k = 16, 12
+    for _ in range(100):
+        lazy = lazy_gram(rng.standard_normal((2 * p, p)))
+        beta0 = np.zeros(p)
+        beta0[rng.choice(p, k, replace=False)] = rng.standard_normal(k)
+        ty = rng.standard_normal(p)
+        problem = SimpleNamespace(gram=lazy, ty=ty, penalized=np.ones(p, dtype=bool))
+        lam = float(rng.uniform(0.05, 0.5)) * np.abs(ty).max()
+        # tol as tight as the check, for solves that end on the scalar loop
+        beta, _, converged = _cd_solve(problem, EnetConfig(tol=1e-10), lam, beta0=beta0)
+        ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
+        assert converged and ref_converged
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+        assert np.max(np.abs(beta - ref)) <= 1e-8
+    assert ("crossing", (1, 0)) in sweep_log
+
+
+def test_a_coordinate_that_left_is_tested_on_full_steps():
+    """With ``G = I``: the exact step from all-positive coefficients crosses
+    zero at coordinate 0, whose solution is negative; later steps hold it
+    at zero, and a full step is not accepted while it would enter."""
+    p = 12
+    lazy = lazy_gram(np.sqrt(p) * np.eye(p))
+    active = np.arange(8)
+    ty = np.zeros(p)
+    ty[active] = 1.0
+    ty[0] = -0.3
+    beta = np.zeros(p)
+    beta[active] = 1.0
+    penalized = np.ones(p, dtype=bool)
+    block = wlasso._Block(lazy, ty, active, 0.0)
+    delta, _ = block.sweep(beta, 0.2, penalized)
+    assert delta == 1.0 and beta[0] == 0.0 and np.all(beta[1:8] > 0.0)
+    assert block.sweep(beta, 0.2, None)[0] == pytest.approx(0.2 / 3)
+    np.testing.assert_allclose(beta[:8], [0.0] + [0.8] * 7)
+    assert block.sweep(beta, 0.2, penalized) == (None, None)
+
+
+def test_singular_active_gram_falls_back_to_scalar_sweeps(sweep_log):
+    """With ``|A| = n - m`` nonzero coefficients the active Gram is singular
+    (its factorization fails, or leaves a pivot at rounding level), so the
+    exact step has no factor; the scalar loop runs and the fit converges to
+    the tight reference's solution."""
+    for seed in range(8):
+        ds = random_dataset(seed, n=24, p=40, m=2)
+        problem, _ = _prepare(ds, standardize=False)
+        rng = np.random.default_rng(seed)
+        active = np.sort(rng.choice(ds.p, ds.n - ds.m, replace=False))
+        beta0 = np.zeros(ds.p)
+        beta0[active] = rng.standard_normal(active.size) * 0.1
+        assert wlasso._Block(problem.gram, problem.ty, active, 0.0).factor is None
+        lam = 0.05 * lambda_max(ds)
+        sweep_log.clear()
+        beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=beta0)
+        ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
+        assert sweep_log[0] == ("block", False) and sweep_log[1][0] == "scalar"
+        assert converged and ref_converged
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+        assert np.max(np.abs(beta - ref)) <= 1e-8
 
 
 @pytest.mark.parametrize("l1_ratio, m", [(1.0, 0), (0.5, 2)])
