@@ -156,7 +156,7 @@ def _read_selected_indices(path, p: int) -> tuple[int, ...]:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "index" not in reader.fieldnames:
             raise DataError(f"{path} has no 'index' column")
-        subset = []
+        rows_of: dict[int, int] = {}
         for row_number, row in enumerate(reader, start=2):
             raw = row["index"]
             try:
@@ -170,8 +170,11 @@ def _read_selected_indices(path, p: int) -> tuple[int, ...]:
                     f"{path} row {row_number}: index {j} out of range for "
                     f"{p} outcome columns"
                 )
-            subset.append(j)
-    return tuple(subset)
+            if j in rows_of:
+                raise DataError(f"{path} row {row_number}: index {j} is listed "
+                                f"twice (first at row {rows_of[j]})")
+            rows_of[j] = row_number
+    return tuple(rows_of)
 
 
 def _run_infer(params, outdir: Path) -> None:
@@ -193,12 +196,10 @@ def _run_infer(params, outdir: Path) -> None:
         [j, ds.column_labels[j], _fmt(est.tau_hat[k]), _fmt(se[k]), _fmt(pvals[k])]
         for k, j in enumerate(subset)
     ]
+    # Computed before any CSV is written: it raises on a singular covariance.
+    group = [[_fmt(hotelling_statistic(est)), len(subset), _fmt(hotelling_pvalue(est))]]
     _write_rows(outdir / "per_dim.csv", ["index", "label", "tau_hat", "se", "p"], rows)
-    _write_rows(
-        outdir / "group.csv",
-        ["statistic", "df", "p"],
-        [[_fmt(hotelling_statistic(est)), len(subset), _fmt(hotelling_pvalue(est))]],
-    )
+    _write_rows(outdir / "group.csv", ["statistic", "df", "p"], group)
 
 
 def _run_multisplit(params, outdir: Path) -> None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 
 __all__ = [
     "TrialDataset",
@@ -20,6 +20,8 @@ __all__ = [
     "random_split",
     "split_indices",
     "center_columns",
+    "check_full_rank",
+    "project_columns",
     "column_group_means",
     "aggregate_columns",
 ]
@@ -471,3 +473,30 @@ def center_columns(matrix, weights=None) -> tuple[np.ndarray, np.ndarray]:
     if squeeze:
         return centered[:, 0], means[0]
     return centered, means
+
+
+def check_full_rank(r: np.ndarray, n: int, what: str) -> None:
+    """Raise :class:`NumericalError` naming ``what`` unless the ``(n, m)``
+    matrix with QR factor ``r`` has rank ``m``, counted as ``np.linalg.lstsq``
+    counts it: singular values above ``eps * max(n, m)`` times the largest."""
+    m = r.shape[1]
+    sv = np.linalg.svd(r, compute_uv=False)
+    cutoff = np.finfo(np.float64).eps * max(n, m) * sv.max(initial=0.0)
+    rank = int((sv > cutoff).sum())
+    if rank < m:
+        raise NumericalError(f"singular {what} (rank {rank} < m={m})")
+
+
+def project_columns(design: np.ndarray, columns: np.ndarray,
+                    what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The slopes ``R^{-1} Q' C`` of the ``(n, k)`` columns ``C`` on a
+    centered ``(n, m)`` covariate design ``Q R`` and their residuals ``C -
+    Q Q' C``, orthogonal to the design however ill-conditioned it is. A
+    weighted regression passes both with rows scaled by ``sqrt(w)``. A design
+    of rank below ``m`` (:func:`check_full_rank`) raises, naming ``what``."""
+    q, r = np.linalg.qr(design)
+    check_full_rank(r, design.shape[0], what)
+    coef = q.T @ columns
+    residuals = q @ coef
+    np.subtract(columns, residuals, out=residuals)
+    return np.linalg.solve(r, coef), residuals

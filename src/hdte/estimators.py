@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TrialDataset, center_columns
+from .data import TrialDataset, center_columns, project_columns
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -89,21 +89,12 @@ def _check_arms(ds: TrialDataset) -> tuple[np.ndarray, int, int]:
     return t_mask, n_t, n_c
 
 
-def diff_in_means(ds: TrialDataset, subset=None) -> EffectEstimate:
-    """Difference of arm means and its covariance.
-
-    ``tau_hat`` is the treated-arm mean minus the control-arm mean per outcome
-    column. ``sigma_hat`` sums the within-arm scatter matrices, each divided
-    by its own arm size and rescaled by ``n / n_arm``.
-    """
+def _difference_of_means(ds: TrialDataset, y: np.ndarray, method: str,
+                         subset) -> EffectEstimate:
+    """The estimate :func:`diff_in_means` describes, of the columns ``y`` on
+    the rows of ``ds``: its outcome columns ``subset`` (all for ``None``)
+    adjusted by ``method``."""
     t_mask, n_t, n_c = _check_arms(ds)
-    if subset is not None:
-        idx = np.asarray(subset, dtype=np.intp)
-        y = ds.outcomes[:, idx]
-        index_set = tuple(int(j) for j in idx)
-    else:
-        y = ds.outcomes
-        index_set = tuple(range(ds.p))
     n = ds.n
     y_t = y[t_mask]
     y_c = y[~t_mask]
@@ -114,23 +105,19 @@ def diff_in_means(ds: TrialDataset, subset=None) -> EffectEstimate:
     dev_c = y_c - mean_c
     sigma = (n / n_t) * (dev_t.T @ dev_t) / n_t + (n / n_c) * (dev_c.T @ dev_c) / n_c
     sigma = (sigma + sigma.T) / 2.0
-    return EffectEstimate(tau, sigma, n_t, n_c, n, "dim", index_set)
+    index_set = range(ds.p) if subset is None else subset
+    return EffectEstimate(tau, sigma, n_t, n_c, n, method, index_set)
 
 
-def _centered_slopes(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
-    """OLS slopes of each column of y on x, both centered, via least squares.
+def diff_in_means(ds: TrialDataset, subset=None) -> EffectEstimate:
+    """Difference of arm means and its covariance.
 
-    Uses a rank-revealing solve rather than forming (X'X)^{-1}; a
-    rank-deficient design raises.
+    ``tau_hat`` is the treated-arm mean minus the control-arm mean per outcome
+    column. ``sigma_hat`` sums the within-arm scatter matrices, each divided
+    by its own arm size and rescaled by ``n / n_arm``.
     """
-    xc, _ = center_columns(x)
-    yc, _ = center_columns(y)
-    coef, _, rank, _ = np.linalg.lstsq(xc, yc, rcond=None)
-    if rank < x.shape[1]:
-        raise NumericalError(
-            f"singular covariate design in {what} (rank {rank} < m={x.shape[1]})"
-        )
-    return coef
+    y = ds.outcomes if subset is None else ds.outcomes[:, np.asarray(subset, dtype=np.intp)]
+    return _difference_of_means(ds, y, "dim", subset)
 
 
 def cuped_adjust(ds: TrialDataset) -> AdjustedOutcomes:
@@ -138,13 +125,16 @@ def cuped_adjust(ds: TrialDataset) -> AdjustedOutcomes:
     over the full sample and subtract the fitted covariate contribution.
 
     The pooled regression does not condition on treatment; slopes come from
-    centered data so no explicit intercept is carried.
+    centered data (:func:`hdte.data.project_columns`, which raises on a rank
+    below ``m``), so no explicit intercept is carried.
     """
     if ds.covariates is None:
         raise DataError("dataset has no covariates to adjust on")
     if ds.m >= ds.n:
         raise DataError(f"adjustment needs m < n, got m={ds.m}, n={ds.n}")
-    theta = _centered_slopes(ds.covariates, ds.outcomes, "pooled adjustment")
+    theta, _ = project_columns(center_columns(ds.covariates)[0],
+                               center_columns(ds.outcomes)[0],
+                               "covariate design in pooled adjustment")
     y_tilde = ds.outcomes - ds.covariates @ theta
     return AdjustedOutcomes(y_tilde, theta, "cuped")
 
@@ -152,9 +142,9 @@ def cuped_adjust(ds: TrialDataset) -> AdjustedOutcomes:
 def lin_adjust(ds: TrialDataset) -> AdjustedOutcomes:
     """Per-arm covariate adjustment with cross-weighted slopes.
 
-    Fits the outcome-on-covariate regression separately within each arm and
-    subtracts ``(n_c / n) * theta_treated + (n_t / n) * theta_control`` applied
-    to the covariates.
+    Fits the outcome-on-covariate regression separately within each arm
+    (:func:`hdte.data.project_columns`) and subtracts ``(n_c / n) *
+    theta_treated + (n_t / n) * theta_control`` applied to the covariates.
     """
     if ds.covariates is None:
         raise DataError("dataset has no covariates to adjust on")
@@ -164,8 +154,12 @@ def lin_adjust(ds: TrialDataset) -> AdjustedOutcomes:
             f"per-arm adjustment needs m < min(n_t, n_c), got m={ds.m}, "
             f"n_t={n_t}, n_c={n_c}"
         )
-    theta_t = _centered_slopes(ds.covariates[t_mask], ds.outcomes[t_mask], "treated arm")
-    theta_c = _centered_slopes(ds.covariates[~t_mask], ds.outcomes[~t_mask], "control arm")
+    theta_t, theta_c = (
+        project_columns(center_columns(ds.covariates[arm])[0],
+                        center_columns(ds.outcomes[arm])[0],
+                        f"covariate design in {name}")[0]
+        for arm, name in ((t_mask, "treated arm"), (~t_mask, "control arm"))
+    )
     combined = (n_c / ds.n) * theta_t + (n_t / ds.n) * theta_c
     y_tilde = ds.outcomes - ds.covariates @ combined
     return AdjustedOutcomes(y_tilde, (theta_t, theta_c), "lin")
@@ -185,11 +179,4 @@ def adjusted_estimate(ds: TrialDataset, method: str, subset=None) -> EffectEstim
         raise DataError(f"unknown estimation method {method!r}")
     work = ds if subset is None else ds.restrict_outcomes(subset)
     adjusted = cuped_adjust(work) if method == "cuped" else lin_adjust(work)
-    base = diff_in_means(work.replace_outcomes(adjusted.y_tilde))
-    index_set = base.index_set
-    if subset is not None:
-        idx = np.asarray(subset, dtype=np.intp)
-        index_set = tuple(int(j) for j in idx)
-    return EffectEstimate(
-        base.tau_hat, base.sigma_hat, base.n_t, base.n_c, base.n, method, index_set
-    )
+    return _difference_of_means(ds, adjusted.y_tilde, method, subset)

@@ -8,10 +8,12 @@ The solver minimizes
 where ``w`` are inverse-propensity-squared weights, outcome and covariate
 columns are centered at their unweighted means, the regression carries no
 intercept, and ``alpha`` (the covariate block) is unpenalized. Covariates are
-concentrated out exactly up front: the response and every outcome column are
-replaced by their residuals from a weighted regression on the centered
-covariates, which leaves the ``beta`` subproblem unchanged and makes ``alpha``
-recoverable in closed form. The ``beta`` subproblem is then solved by cyclic
+concentrated out exactly up front by :func:`hdte.data.project_columns`:
+slopes on the weighted centered covariates give a fit's ``alpha``, and the
+weighted residuals of the response and outcome columns its ``beta``
+subproblem and RSS. A block of rank below ``m`` by ``np.linalg.lstsq``'s
+rule (:func:`hdte.data.check_full_rank`) is a :class:`NumericalError`, in a
+resolution level too. The ``beta`` subproblem is then solved by cyclic
 coordinate descent on weighted moments (glmnet's covariance mode), with an
 active-set sweep strategy and a final stationarity check.
 
@@ -50,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .data import TrialDataset, center_columns, check_grouping, column_group_means
+from .data import (TrialDataset, center_columns, check_full_rank, check_grouping,
+                   column_group_means, project_columns)
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -79,8 +82,9 @@ _DEGENERATE_REL = 1e-14
 _BLOCK_MIN = 8
 
 # The exact step's factor counts as failed where a squared pivot falls below
-# this share of its diagonal entry; singular active Grams leave 1e-16-1e-14.
-_PIVOT_MIN = 1e-10
+# this share of its diagonal entry: singular active Grams leave up to 1.3e-10,
+# the factors on criterion 6's and a 250 x 4000 path no less than 3.6e-4.
+_PIVOT_MIN = 1e-8
 
 # A column read in a full sweep is computed in one product with up to this
 # many that would enter if the sweep reached them now. One BLAS thread on a
@@ -261,24 +265,21 @@ class _Problem:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The dataset's rows as :func:`_assemble_fit` reads them to report a fit
-    (covariate block and residuals); the covariate fields are ``None``
-    without covariates."""
+    """What :func:`_assemble_fit` reads to report a fit: the covariate slopes
+    (``None`` without covariates) and the weighted concentrated rows."""
 
-    proj_t: np.ndarray | None   # (m,) weighted projection of t on centered covariates
-    proj_y: np.ndarray | None   # (m, p) weighted projection of outcomes on same
-    yc: np.ndarray              # centered outcomes (original scale)
-    xc: np.ndarray | None       # centered covariates
-    t: np.ndarray               # raw response (0/1 treatments as float)
-    w: np.ndarray               # regression weights
+    slopes: np.ndarray | None   # (m, p + 1) weighted slopes of [Yc | t] on Xc
+    z: np.ndarray               # (n, p) weighted concentrated outcomes, the Gram's rows
+    r_t: np.ndarray             # (n,) weighted concentrated response
 
 
-def _problem(z: np.ndarray, ty: np.ndarray, tt: float, diag: np.ndarray, n: int,
-             standardize: bool) -> _Problem:
-    """The problem on weighted concentrated outcomes ``z`` (any rows with the
-    Gram ``n * G``), their raw cross moments ``ty`` and diagonal ``diag``:
-    degenerate columns are masked and, with ``standardize``, the rest scaled
-    to unit second moment."""
+def _problem(z: np.ndarray, r_t: np.ndarray, n: int, standardize: bool) -> _Problem:
+    """The problem on weighted concentrated outcomes ``z`` and response
+    ``r_t`` (any rows with the moments ``n`` times the problem's): degenerate
+    columns are masked and, with ``standardize``, the rest scaled to unit
+    second moment."""
+    diag = np.einsum("ij,ij->j", z, z) / n
+    ty, tt = z.T @ r_t / n, float(r_t @ r_t / n)
     penalized = diag > _DEGENERATE_REL * max(1.0, float(diag.max(initial=0.0)))
     scale = np.ones(diag.shape[0])
     if standardize and penalized.any():
@@ -287,36 +288,25 @@ def _problem(z: np.ndarray, ty: np.ndarray, tt: float, diag: np.ndarray, n: int,
     return _Problem(_Gram(z, scale, diag, n), ty, tt, scale, penalized)
 
 
-def _require_full_rank(rank: int, m: int) -> None:
-    if rank < m:
-        raise NumericalError(f"singular weighted covariate block (rank {rank} < m={m})")
+def _weighted_columns(ds: TrialDataset) -> np.ndarray:
+    """``sqrt(w) [Xc | Yc | t]``: the centered covariates (if any), the
+    centered outcomes and the raw treatments, rows scaled by root weights."""
+    t = ds.treatments.astype(np.float64)
+    blocks = (ds.outcomes,) if ds.covariates is None else (ds.covariates, ds.outcomes)
+    stacked = np.column_stack([*(center_columns(block)[0] for block in blocks), t])
+    stacked *= np.sqrt(propensity_weights(t))[:, None]
+    return stacked
 
 
 def _prepare(ds: TrialDataset, standardize: bool) -> tuple[_Problem, _Rows]:
-    n = ds.n
-    t = ds.treatments.astype(np.float64)
-    w = propensity_weights(t)
-    sqrt_w = np.sqrt(w)
-    yc, _ = center_columns(ds.outcomes)
-    if ds.m > 0:
-        xc, _ = center_columns(ds.covariates)
-        design = xc * sqrt_w[:, None]
-        proj_t, _, rank, _ = np.linalg.lstsq(design, sqrt_w * t, rcond=None)
-        _require_full_rank(rank, ds.m)
-        proj_y = np.linalg.lstsq(design, sqrt_w[:, None] * yc, rcond=None)[0]
-        tr = t - xc @ proj_t
-        yr = yc - xc @ proj_y
-    else:
-        xc = None
-        proj_t = proj_y = None
-        tr = t
-        yr = yc
-    z = yr * sqrt_w[:, None]
-    ty = (yr * w[:, None]).T @ tr / n
-    tt = float(w @ tr**2 / n)
-    diag = np.einsum("ij,ij->j", z, z) / n
-    return (_problem(z, ty, tt, diag, n, standardize),
-            _Rows(proj_t, proj_y, yc, xc, t, w))
+    """The problem of ``ds`` and its rows: ``sqrt(w) [Yc | t]`` with
+    ``sqrt(w) Xc`` projected out (:func:`hdte.data.project_columns`)."""
+    rows, slopes = _weighted_columns(ds), None
+    if ds.m:
+        slopes, rows = project_columns(rows[:, :ds.m], rows[:, ds.m:],
+                                       "weighted covariate block")
+    z, r_t = rows[:, :ds.p], rows[:, ds.p]
+    return _problem(z, r_t, ds.n, standardize), _Rows(slopes, z, r_t)
 
 
 def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
@@ -522,17 +512,15 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
 
 def _assemble_fit(rows: _Rows, lam: float, beta: np.ndarray,
                   sweeps: int, converged: bool) -> EnetFit:
-    """Package a fresh original-scale ``beta`` with its covariate block and RSS."""
-    if rows.xc is not None:
-        alpha = rows.proj_t - rows.proj_y @ beta
-        residual = rows.t - rows.yc @ beta - rows.xc @ alpha
-    else:
-        alpha = np.zeros(0)
-        residual = rows.t - rows.yc @ beta
-    rss = float(rows.w @ residual**2 / rows.t.shape[0])
+    """Package a fresh original-scale ``beta`` with its covariate block (from
+    the slopes) and RSS (from the weighted residuals ``r_t - z beta``)."""
+    alpha = np.zeros(0)
+    if rows.slopes is not None:
+        alpha = rows.slopes[:, -1] - rows.slopes[:, :-1] @ beta
+    residual = rows.r_t - rows.z @ beta
+    rss = float(residual @ residual / rows.r_t.shape[0])
     active = tuple(int(j) for j in np.flatnonzero(beta))
     beta.setflags(write=False)
-    alpha = np.array(alpha)
     alpha.setflags(write=False)
     return EnetFit(beta, alpha, active, rss, float(lam), sweeps, converged)
 
@@ -705,15 +693,9 @@ class LevelProblem:
         """As :func:`_prepare` on the aggregated dataset, rank test included."""
         m, n = self._m, self.n
         if m:
-            # The rank np.linalg.lstsq finds for the (n, m) weighted covariate
-            # block, whose singular values are those of its factor.
-            sv = np.linalg.svd(self._factor[:m, :m], compute_uv=False)
-            cutoff = np.finfo(np.float64).eps * max(n, m) * sv.max(initial=0.0)
-            _require_full_rank(int((sv > cutoff).sum()), m)
-        z = self._factor[m:, m:m + self.p]
-        t = self._factor[m:, m + self.p]
-        diag = np.einsum("ij,ij->j", z, z) / n
-        return _problem(z, z.T @ t / n, float(t @ t / n), diag, n, standardize)
+            check_full_rank(self._factor[:m, :m], n, "weighted covariate block")
+        return _problem(self._factor[m:, m:m + self.p], self._factor[m:, m + self.p],
+                        n, standardize)
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig()):
@@ -759,11 +741,7 @@ def level_problems(ds: TrialDataset, levels) -> tuple[LevelProblem, ...]:
         raise DataError("levels must contain at least one grouping")
     for grouping in levels:
         check_grouping(ds, grouping)
-    t = ds.treatments.astype(np.float64)
-    sqrt_w = np.sqrt(propensity_weights(t))
-    columns = ds.outcomes if ds.m == 0 else np.hstack([ds.covariates, ds.outcomes])
-    stacked = np.hstack([center_columns(columns)[0], t[:, None]]) * sqrt_w[:, None]
-    base = np.linalg.qr(stacked, mode="r")
+    base = np.linalg.qr(_weighted_columns(ds), mode="r")
     # Covariates share the outcomes' layout, so one call averages both
     # blocks, stacked one above the other.
     parts = 2 if ds.m else 1

@@ -145,6 +145,18 @@ def test_infer_rejects_bad_selection_file(trial_csv, tmp_path, capsys):
                  "--outdir", str(tmp_path / "o2")]) == 2
 
 
+def test_infer_rejects_a_repeated_index(trial_csv, tmp_path, capsys):
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("index\n1\n0\n1\n")
+    outdir = tmp_path / "o"
+    code = main(["infer", str(trial_csv), str(repeated), "--outdir", str(outdir)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "data"
+    assert "row 4: index 1 is listed twice (first at row 2)" in record["message"]
+    assert not list(outdir.glob("*"))
+
+
 def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
     rng = np.random.default_rng(5)
     t = np.array([1, 0] * 20)
@@ -153,10 +165,12 @@ def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
     write_csv(TrialDataset(t, np.hstack([y, y])), data)
     sel = tmp_path / "sel.csv"
     sel.write_text("index\n0\n1\n")
-    code = main(["infer", str(data), str(sel), "--outdir", str(tmp_path / "o")])
+    outdir = tmp_path / "o"
+    code = main(["infer", str(data), str(sel), "--outdir", str(outdir)])
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
+    assert not list(outdir.glob("*"))
 
 
 def test_select_nonconvergence_is_a_numerical_error(trial_csv, tmp_path, capsys):

@@ -12,6 +12,7 @@ from hdte.estimators import (
     diff_in_means,
     lin_adjust,
 )
+from test_wlasso import collinear_dataset
 
 
 def test_diff_in_means_hand_example():
@@ -171,8 +172,42 @@ def test_singular_design_raises():
     x = rng.standard_normal((20, 1))
     dup = np.hstack([x, x])
     ds = TrialDataset(rng.integers(0, 2, 20), rng.standard_normal((20, 1)), dup)
-    with pytest.raises(NumericalError, match="singular"):
+    with pytest.raises(NumericalError, match=r"singular covariate design in pooled "
+                                             r"adjustment \(rank 1 < m=2\)"):
         cuped_adjust(ds)
+
+
+@pytest.mark.parametrize("arm", ["treated", "control"])
+def test_lin_rejects_a_covariate_constant_within_one_arm(arm):
+    """Centered within that arm the covariate is zero, so the arm's design
+    has rank m - 1; the pooled design keeps full rank."""
+    rng = np.random.default_rng(8)
+    t = np.array([1, 0] * 20)
+    x = rng.standard_normal((40, 2))
+    x[t == (arm == "treated"), 1] = 0.3
+    ds = TrialDataset(t, rng.standard_normal((40, 3)), x)
+    with pytest.raises(NumericalError, match=rf"singular covariate design in {arm} "
+                                             r"arm \(rank 1 < m=2\)"):
+        lin_adjust(ds)
+    assert cuped_adjust(ds).theta.shape == (2, 3)
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_adjustment_slopes_match_lstsq_on_nearly_collinear_covariates(seed):
+    """Covariates of condition number about 1e6: pooled and per-arm slopes
+    agree with least squares on the centered rows to 1e-8."""
+    ds = collinear_dataset(seed)
+
+    def oracle(rows):
+        x, y = ds.covariates[rows], ds.outcomes[rows]
+        return np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(axis=0), rcond=None)[0]
+
+    treated = ds.treatments == 1
+    x = ds.covariates
+    assert 1e5 < np.linalg.cond(x - x.mean(axis=0)) < 1e7
+    np.testing.assert_allclose(cuped_adjust(ds).theta, oracle(slice(None)), rtol=1e-8)
+    for got, rows in zip(lin_adjust(ds).theta, (treated, ~treated)):
+        np.testing.assert_allclose(got, oracle(rows), rtol=1e-8)
 
 
 def test_adjusted_estimate_restrict_before_or_after_agree():

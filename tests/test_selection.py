@@ -369,7 +369,8 @@ def test_resolution_levels_match_selection_on_aggregated_datasets(case):
 @st.composite
 def permutation_cases(draw):
     """A planted dataset (with or without covariates), a permutation of its
-    outcome columns, and a lasso or elastic-net spec."""
+    outcome columns, positive scales for the permuted columns (all ones
+    unless the spec standardizes), and a lasso or elastic-net spec."""
     p = draw(st.integers(2, 12))
     n = 2 * draw(st.integers(20, 50))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -382,7 +383,10 @@ def permutation_cases(draw):
     # a tight tol keeps the solver's own error far below the comparison's
     spec = SelectionSpec(draw(st.sampled_from(["lasso", "enet"])), size=1,
                          config=EnetConfig(tol=1e-10, standardize=draw(st.booleans())))
-    return TrialDataset(t, y, x), perm, spec
+    scales = np.ones(p)
+    if spec.config.standardize:
+        scales = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=p, max_size=p)))
+    return TrialDataset(t, y, x), perm, scales, spec
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,9 +394,11 @@ def permutation_cases(draw):
 def test_penalized_selection_is_invariant_under_a_column_permutation(case, data):
     """Lasso and elastic-net selection at a fixed size picks the same columns,
     mapped back, with the same penalty and scores, after the outcome columns
-    are permuted. Sizes are those the path reaches at one grid point without
-    passing them, so no same-point tie is broken by column index."""
-    ds, perm, spec = case
+    are permuted and, when the spec standardizes, rescaled (scores compared
+    after undoing the scale). Sizes are those the path reaches at one grid
+    point without passing them, so no same-point tie is broken by column
+    index."""
+    ds, perm, scales, spec = case
     counts = [np.count_nonzero(beta) for _, beta, _, _ in walk_path(ds, config=spec.config)]
     clean = [s for s in range(1, ds.p + 1)
              if any(c >= s for c in counts) and next(c for c in counts if c >= s) == s]
@@ -400,11 +406,12 @@ def test_penalized_selection_is_invariant_under_a_column_permutation(case, data)
     size = data.draw(st.sampled_from(clean))
     spec = SelectionSpec(spec.method, size=size, config=spec.config)
     (want,), _ = run_selection(ds, spec)
-    shuffled = TrialDataset(ds.treatments, ds.outcomes[:, perm], ds.covariates)
+    shuffled = TrialDataset(ds.treatments, ds.outcomes[:, perm] * scales, ds.covariates)
     (got,), _ = run_selection(shuffled, spec)
     assert sorted(perm[list(got.selected)]) == sorted(want.selected)
     assert got.tuning == pytest.approx(want.tuning, rel=1e-12)
-    mapped = dict(zip(perm[list(got.selected)], got.scores))
+    unscaled = np.multiply(got.scores, scales[list(got.selected)])
+    mapped = dict(zip(perm[list(got.selected)], unscaled))
     np.testing.assert_allclose([mapped[j] for j in want.selected], want.scores,
                                rtol=0, atol=1e-8)
     assert got.weighted_rss == pytest.approx(want.weighted_rss, rel=1e-9)

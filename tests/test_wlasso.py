@@ -651,7 +651,7 @@ def collinear_dataset(seed, n=200, p=4, spread=1e-6):
 def test_level_problems_keep_the_conditioning_of_the_row_wise_moments(standardize):
     """With covariates of condition number about 1e6, a level's moments,
     path and subset RSS from the shared factor agree to 1e-8 with
-    ``_prepare``'s row-wise least squares on the aggregated dataset."""
+    ``_prepare``'s row-wise projection on the aggregated dataset."""
     ds = collinear_dataset(61)
     levels = [[(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)]]
     config = EnetConfig(standardize=standardize)
