@@ -248,7 +248,9 @@ def _parse_block(text: str, width: int, columns: list[int]) -> np.ndarray | None
     """
     if '"' in text:
         return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    # One expression, so that no normalized copy of the text outlives the split.
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
+             else text).split("\n")
     if lines[-1] == "":
         lines.pop()
     if len(lines) < 2 or any(line.count(",") != width - 1 for line in lines):

@@ -22,16 +22,17 @@ cross moments with the response and the Gram diagonal, all O(n p). Gram
 columns are computed as a solve reads them (:class:`_Gram`), so a selection
 at p = 20,000 never forms the p x p matrix.
 
-Sweeps. A sweep visits the full coordinate set or the nonzero set ``A``.
-Once ``|A| >= _BLOCK_MIN`` it is one exact step (:class:`_Block`, after
-Osborne, Presnell & Turlach 2000): the minimizer with the signs of ``A``
-fixed, from a Cholesky factor of the active Gram, stopped at the first zero
-crossing. A full sweep keeps it only if no zero coordinate would enter;
-otherwise the scalar loop runs the sweep, and coordinates enter there. The
-scalar loop gives the bits of :func:`soft_threshold` and passes long runs of
-zero coordinates in one vectorized test of its own condition. The stopping
-rule is the plain coordinate loop's and so, to its tolerance, are the
-solutions; sweep counts are far fewer.
+Sweeps. Once the nonzero set ``A`` has ``_BLOCK_MIN`` coordinates, each
+iteration is one exact step (:class:`_Block`, after Osborne, Presnell &
+Turlach 2000): the minimizer with the signs of ``A`` fixed, from a Cholesky
+factor of the active Gram that a path walk carries down its grid, stopped
+at the first zero crossing. After a step that crosses none, zero coordinates
+with ``|ty_j - q_j| > lam1`` enter the next one with the sign of ``ty_j -
+q_j`` (feature-sign search, Lee, Battle, Raina & Ng 2007), by rows appended
+to the factor. The scalar loop, over the full or the nonzero set, is the one
+fallback; it gives the bits of :func:`soft_threshold` and passes long runs
+of zero coordinates in one vectorized test of its own condition. Solutions
+match the plain coordinate loop's to its tolerance.
 
 Resolution levels. The problems of several column groupings of one dataset
 (the levels of multi-resolution selection) come from one QR factorization
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .data import (TrialDataset, center_columns, check_full_rank, check_grouping,
                    column_group_means, project_columns)
@@ -75,8 +76,8 @@ __all__ = [
 # no information about the response and are pinned at beta_j = 0.
 _DEGENERATE_REL = 1e-14
 
-# Sweeps over a nonzero set of at least this many coordinates take the exact
-# step. One BLAS thread on a 2-vCPU Xeon, p = 500: at |A| = 8 a scalar sweep
+# Iterations on a nonzero set of at least this many coordinates are exact
+# steps. One BLAS thread on a 2-vCPU Xeon, p = 500: at |A| = 8 a scalar sweep
 # takes 22 us, an exact step 10 us after 19 us to factor; at |A| = 137, 507
 # us against 48 + 317 us. One exact step does the work of many sweeps.
 _BLOCK_MIN = 8
@@ -233,15 +234,10 @@ class _Gram:
             self._slots(np.append(j, later[self._slot[later] < 0][:_READ_AHEAD - 1]))
         return self._row[j]
 
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` (an index array) as a new ``(len(idx), p)`` array."""
+    def block(self, idx: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+        """``G[idx][:, cols]`` (``cols`` defaults to ``idx``) as a new array."""
         slots = self._slots(idx)
-        return self._store[slots]
-
-    def block(self, idx: np.ndarray) -> np.ndarray:
-        """The square block ``G[idx][:, idx]`` as a new array."""
-        slots = self._slots(idx)
-        return self._store[np.ix_(slots, idx)]
+        return self._store[np.ix_(slots, idx if cols is None else cols)]
 
     def dot(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``values @ G[idx]``, one product over the store without copying rows."""
@@ -347,64 +343,108 @@ def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
 
 
 class _Block:
-    """The exact step on one nonzero set ``A`` (``active``), from a Cholesky
-    factor of ``G_AA + ridge I``.
+    """The exact step on an ordered coordinate set ``A`` (``order``) from a
+    Cholesky factor ``L`` of ``G_AA + ridge I``, which a path walk carries
+    down its grid: with the signs ``s`` fixed and other coordinates at zero,
+    ``(G_AA + ridge I) b = ty_A - lam1 s``, stopped at the first zero crossing
+    (set to exactly zero). A coordinate that left stays in the factor, held at
+    zero by projecting ``L^-1 (ty_A - lam1 s)`` off its column of ``L^-1`` (in
+    ``basis``); one that enters is appended (:meth:`extend`). The factor is
+    built afresh for a new ridge, when over a quarter of it would be held, or
+    where an extension fails its pivot test or a step would raise the
+    objective; ``ridge`` is ``None`` while none passes."""
 
-    With the signs ``s`` of ``A`` fixed and every other coordinate at zero,
-    the objective is a quadratic minimized by ``(G_AA + ridge I) b = ty_A -
-    lam1 s``. Where some ``b`` lost its sign the step stops at the first zero
-    crossing and sets that coordinate to exactly zero; the objective falls on
-    the way. A coordinate that left stays in the factor, held at zero by its
-    column of the inverse, so the factor lasts while ``A`` only shrinks.
-    ``factor`` is ``None`` where ``G_AA`` is numerically singular (as when
-    ``|A|`` nears the rank of the rows).
-    """
+    def __init__(self, gram, ty):
+        self.gram, self.ty = gram, ty
+        self.ridge = self.failed = None   # the factor's ridge; the set it last failed on
 
-    def __init__(self, gram, ty, active, ridge):
-        self.gram, self.ty_full, self.active = gram, ty, active
-        self.ty = ty[active]
-        matrix = gram.block(active)
-        diag = matrix.diagonal() + ridge
-        matrix[np.diag_indices(active.size)] = diag
-        factor, info = dpotrf(matrix, lower=1, clean=0, overwrite_a=1)
-        ok = info == 0 and (factor.diagonal() ** 2 > _PIVOT_MIN * diag).all()
-        self.factor = factor if ok else None
-        self.left = []                              # positions of A that left
-        self.inverse = np.empty((active.size, 0))   # their columns of the inverse
+    def build(self, target, ridge) -> bool:
+        """Factor the ascending set ``target`` afresh."""
+        self.ridge, self.order = ridge, np.empty(0, dtype=np.intp)
+        self.factor = self.matrix = self.basis = np.empty((0, 0))
+        self.held = self.order
+        return self.extend(target) or self.drop(target)
 
-    def sweep(self, beta, lam1, penalized=None):
-        """Step ``beta``; return ``(delta, q)``, the largest change and, on a
-        full sweep (``penalized`` given) that no zero crossing cut short,
-        ``gram @ beta``. ``(None, None)`` leaves ``beta`` as it was: there is
-        no factor, or on a full sweep a zero ``j`` has ``|ty_j - q_j| > lam1``."""
-        if self.factor is None:
-            return None, None
-        active, left = self.active, self.left
-        b_old = beta[active]
-        signs = np.sign(b_old)
-        b, _ = dpotrs(self.factor, self.ty - lam1 * signs, lower=1)
-        if left:
-            b -= self.inverse @ np.linalg.solve(self.inverse[left], b[left])
-            b[left] = 0.0
+    def drop(self, target) -> bool:
+        """No factor until the set to cover is no longer ``target``."""
+        self.ridge, self.failed = None, (self.ridge, target.tobytes())
+        return False
+
+    def extend(self, new) -> bool:
+        """Append the coordinates ``new``: with ``C = L^-1 G_AV`` their rows
+        are ``[C', chol(G_VV + ridge I - C'C)]``. False, with the factor as it
+        was, where a squared pivot falls below ``_PIVOT_MIN`` of its diagonal
+        entry (as when ``|A|`` nears the rank of the rows)."""
+        k, order = self.order.size, np.concatenate([self.order, new])
+        rows = self.gram.block(new, order)   # [G_VA | G_VV]
+        square = rows[:, k:]
+        square[np.diag_indices(new.size)] += self.ridge
+        cross = dtrtrs(self.factor, rows[:, :k].T, lower=1)[0] if k else rows[:, :0].T
+        tail, info = dpotrf(square - cross.T @ cross, lower=1, clean=0)
+        if info != 0 or not (tail.diagonal() ** 2 > _PIVOT_MIN * square.diagonal()).all():
+            return False
+        factor = np.zeros((order.size, order.size), order="F")
+        factor[:k, :k], factor[k:, :k], factor[k:, k:] = self.factor, cross.T, tail
+        matrix = np.empty_like(factor)   # G_AA + ridge I, for the objective test
+        matrix[:k, :k], matrix[:k, k:], matrix[k:] = self.matrix, rows[:, :k].T, rows
+        self.basis = np.vstack([self.basis, -dtrtrs(tail, cross.T @ self.basis, lower=1)[0]])
+        self.order, self.factor, self.matrix = order, factor, matrix
+        return True
+
+    def cover(self, target, ridge) -> bool:
+        """Make the factor cover the ascending set ``target``, its other
+        coordinates held; False where no factor passes the pivot test."""
+        if ridge == self.ridge:
+            outside = np.zeros(self.ty.shape[0], dtype=bool)
+            outside[target] = True
+            held = ~outside[self.order]
+            outside[self.order] = False
+            new = np.flatnonzero(outside)
+            if 4 * held.sum() <= held.size + new.size and (not new.size or self.extend(new)):
+                keep = held[self.held]
+                self.held, self.basis = self.held[keep], self.basis[:, keep]
+                held[self.held] = False
+                if held.any():   # columns of L^-1 for the coordinates held from now
+                    unit = np.eye(self.order.size)[:, np.flatnonzero(held)]
+                    self.basis = np.hstack([self.basis, dtrtrs(self.factor, unit, lower=1)[0]])
+                    self.held = np.append(self.held, np.flatnonzero(held))
+                return True
+        elif self.failed == (ridge, target.tobytes()):
+            return False
+        return self.build(target, ridge)
+
+    def step(self, beta, lam1, direction, again=True):
+        """Step ``beta`` on the set last covered, with the signs
+        ``direction[order]`` (of ``ty - q`` where a zero coordinate enters).
+        Returns ``(taken, q)``, ``q = gram @ beta`` after a step that crossed
+        no zero. Not taken, ``beta`` stays: a coordinate would enter with the
+        wrong sign, or the step would raise the objective on a fresh factor."""
+        order, held, basis = self.order, self.held, self.basis
+        signs, b_old = direction[order], beta[order]
+        rhs = self.ty[order] - lam1 * signs
+        y = dtrtrs(self.factor, rhs, lower=1)[0]
+        if held.size:
+            y -= basis @ np.linalg.solve(basis.T @ basis, basis.T @ y)
+        b = dtrtrs(self.factor, y, lower=1, trans=1)[0]
+        b[held] = 0.0
         crossed = (b * signs <= 0.0) & (signs != 0.0)
-        q = None
         if crossed.any():
             reach = b_old[crossed] / (b_old[crossed] - b[crossed])
-            first = int(np.flatnonzero(crossed)[reach.argmin()])
+            if reach.min() == 0.0:
+                return False, None
+            first = np.flatnonzero(crossed)[reach.argmin()]
             b = b_old + reach.min() * (b - b_old)
             b[first] = 0.0
             b[b * signs < 0.0] = 0.0   # a tie lands within rounding of zero
-            left.append(first)
-            unit = np.eye(1, active.size, first)[0]
-            self.inverse = np.column_stack([self.inverse, dpotrs(self.factor, unit, lower=1)[0]])
-        elif penalized is not None:
-            q = self.gram.dot(active, b)
-            enters = (np.abs(self.ty_full - q) > lam1) & penalized
-            enters[active[b != 0.0]] = False
-            if enters.any():
-                return None, None
-        beta[active] = b
-        return float(np.abs(b - b_old).max()), q
+        # The objective changes by change' (total - 2 rhs), up to rounding.
+        change, total = b - b_old, self.matrix @ (b + b_old)
+        if change @ (total - 2.0 * rhs) > 1e-10 * np.abs(change) @ (np.abs(total) + np.abs(rhs)):
+            target = np.flatnonzero(direction)
+            if again and self.build(target, self.ridge):
+                return self.step(beta, lam1, direction, again=False)
+            return self.ridge is not None and self.drop(target), None   # a failed build dropped it
+        beta[order] = b
+        return True, None if crossed.any() else self.gram.dot(order, b)
 
 
 def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
@@ -430,18 +470,20 @@ def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
 
 
 def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
-              objective_trace=None) -> tuple[np.ndarray, int, bool]:
+              objective_trace=None, block=None) -> tuple[np.ndarray, int, bool]:
     """Coordinate descent on the concentrated problem, with exact steps.
 
-    Returns ``(beta, sweeps, converged)`` with ``beta`` in fitting scale.
-    Sweeps alternate between the full coordinate set and the nonzero set;
-    convergence requires a full sweep with max coefficient change below
-    ``tol`` plus a stationarity check within ``10 * tol`` of the problem
-    scale. A sweep over a nonzero set of at least ``_BLOCK_MIN`` is one exact
-    step (:class:`_Block`), each counted against ``max_iter``; where that
-    step is not taken the scalar loop runs the sweep (on a full sweep with
-    long zero runs, :func:`_sparse_full_sweep`). ``q = gram @ beta`` is
-    refreshed only where it is read.
+    Returns ``(beta, sweeps, converged)`` with ``beta`` in fitting scale and
+    ``sweeps`` the exact steps, extensions and scalar sweeps (each counted
+    against ``max_iter``). With ``|A| >= _BLOCK_MIN`` an iteration is an exact
+    step (:class:`_Block`, a path walk's ``block``); after one that crosses no
+    zero, zero coordinates with ``|ty_j - q_j| > lam1`` enter the next step
+    with the sign of ``ty_j - q_j``, and with none the fit has converged if
+    the stationarity check holds within ``10 * tol`` of the problem scale.
+    The scalar loop runs where there is no factor, a step is not taken or
+    that check fails; its sweeps alternate between the full set (with long
+    zero runs, :func:`_sparse_full_sweep`) and ``A``, and converge on a full
+    sweep that changes no coefficient by ``tol``, with the same check.
     """
     gram, ty = problem.gram, problem.ty
     p = ty.shape[0]
@@ -454,27 +496,38 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     beta[~problem.penalized] = 0.0
     nonzero = np.flatnonzero(beta)
     q = np.zeros(p) if nonzero.size == 0 else None   # None: stale
-    block = None   # the _Block of ``nonzero`` or a superset it came from
+    block = _Block(gram, ty) if block is None else block
     scalar_args = (gram, ty.tolist(), diag.tolist(), (diag + ridge).tolist(), lam1)
     kkt_tol = 10.0 * config.tol * max(1.0, float(np.max(np.abs(ty), initial=0.0)),
                                       float(diag.max(initial=0.0)))
 
     def current_q():
         nonlocal q
-        if q is None:
-            q = beta[nonzero] @ gram.rows(nonzero)   # gram is symmetric
+        if q is None:   # gram is symmetric; below _BLOCK_MIN, the loop's bits
+            q = (gram.dot(nonzero, beta[nonzero]) if nonzero.size >= _BLOCK_MIN
+                 else beta[nonzero] @ gram.block(nonzero, np.arange(p)))
         return q
 
-    sweeps, converged, on_full_set = 0, False, True
-    while sweeps < config.max_iter:
-        delta = None
-        if nonzero.size >= _BLOCK_MIN:
-            if block is None:
-                block = _Block(gram, ty, nonzero, ridge)
-            delta, q_step = block.sweep(beta, lam1, problem.penalized if on_full_set else None)
-            q = q if delta is None else q_step
-        exact = delta is not None
-        if not exact:
+    def stationary():
+        return _kkt_violation(beta, current_q(), ty, lam1, ridge, problem.penalized) <= kkt_tol
+
+    sweeps, converged, on_full_set, push = 0, False, True, np.zeros(p)
+    while sweeps < config.max_iter and not converged:
+        sweeps += 1
+        direction, push, taken = np.sign(beta) + push, np.zeros(p), False
+        if nonzero.size >= _BLOCK_MIN and block.cover(np.flatnonzero(direction), ridge):
+            taken, q_step = block.step(beta, lam1, direction)
+            q, on_full_set = q_step if taken else q, True
+            if q_step is not None:   # push: the signs of the coordinates that enter
+                enters = (np.abs(ty - q) > lam1) & problem.penalized & (beta == 0.0)
+                push[enters] = np.sign(ty - q)[enters]
+                if enters.any():
+                    sweeps += sweeps < config.max_iter   # the extension
+                elif stationary():
+                    converged = True
+                else:
+                    block.drop(np.flatnonzero(beta))   # the step would repeat
+        if not taken:
             if not on_full_set:
                 delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)
             else:
@@ -484,27 +537,12 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
                                                q, *scalar_args)
                 else:
                     delta = _scalar_sweep(full_list, beta, q, *scalar_args)
-        changed = np.flatnonzero(beta)
-        if not np.array_equal(changed, nonzero):
-            nonzero = changed
-            if not exact:
-                block = None
-        sweeps += 1
+            converged = delta < config.tol and on_full_set and stationary()
+            on_full_set = delta < config.tol
+        nonzero = np.flatnonzero(beta)
         if objective_trace is not None:
             objective_trace.append(problem.tt - 2.0 * beta @ ty + beta @ current_q()
                                    + 2.0 * lam1 * np.abs(beta).sum() + ridge * (beta @ beta))
-        if delta < config.tol:
-            if on_full_set:
-                if _kkt_violation(beta, current_q(), ty, lam1, ridge,
-                                  problem.penalized) <= kkt_tol:
-                    converged = True
-                    break
-                if exact:
-                    block.factor = None   # the step would repeat; the scalar loop moves
-            else:
-                on_full_set = True
-        else:
-            on_full_set = False
     if not np.all(np.isfinite(beta)):
         raise NumericalError("coordinate descent produced non-finite coefficients")
     return beta, sweeps, converged
@@ -583,11 +621,13 @@ def _walk_path(problem: _Problem, grid: np.ndarray, config: EnetConfig):
     """Yield ``(lam, beta, sweeps, converged)`` down the grid with warm
     starts, ``beta`` a fresh original-scale array. The top-of-grid solution is
     identically zero by construction of ``lambda_max`` and is emitted without
-    iterating."""
+    iterating. One :class:`_Block` serves every grid point, so its factor is
+    extended down the path (and rebuilt at each point for an elastic net)."""
     beta = np.zeros(problem.ty.shape[0])
+    block = _Block(problem.gram, problem.ty)
     yield float(grid[0]), beta / problem.scale, 0, True
     for lam in grid[1:]:
-        beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
+        beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta, block=block)
         yield float(lam), beta / problem.scale, sweeps, converged
 
 

@@ -301,6 +301,7 @@ def _outcome(load):
 @example(text='treatment,y0,note,y1,x0\n1,2,"a, b",3,4\n0,1,c,1,1\n')
 @example(text="treatment,y0,note,y1,x0\n1,2,a,3,4,5\n0,1,b,1,1\n")
 @example(text="treatment,y0,note,y1,x0\r\n1,2,1,3,4\r\n\r\n0,1,1,1,1")
+@example(text="treatment,y0,note,y1,x0\n1,2,a,3,4\r0,1,b,1,1\r\n1,5,c,2,2\n0,3,d,4,1\n")
 def test_load_csv_matches_the_cell_by_cell_oracle(tmp_path, text):
     """Either the oracle's arrays, bit for bit, or its exact error."""
     path = tmp_path / "t.csv"
@@ -324,7 +325,10 @@ def test_load_csv_parses_around_a_text_column_in_one_pass(tmp_path, monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(data, "_parse_rows", cell_by_cell)
         ds = load_csv(path, schema)
-    assert ds.outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0]]
+        assert ds.outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0]]
+        # LF rows, a lone CR and a CRLF end records as csv.reader ends them
+        path.write_bytes(b"treatment,y0,note,y1\n1,2.5,a,3\r0,1,b,-1\r\n1,4,c,0\n")
+        assert load_csv(path, schema).outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0], [4.0, 0.0]]
     path.write_text('treatment,y0,note,y1\n1,2.5,"a, b",3\n0,1,c,-1\n')
     assert load_csv(path, schema).outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0]]
     path.write_text("treatment,y0,note,y1\n1,2.5,a,3\n0,1,c,-1,7\n")

@@ -1,5 +1,6 @@
 """Module boundaries of the package: no module imports another module's
-private names, and the covariate regression has one implementation."""
+private names, the covariate regression has one implementation, and so
+does the Cholesky factorization of the solver's exact steps."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,14 @@ def _called_name(node: ast.Call) -> str | None:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def _functions_where(path: Path, tree: ast.AST, hit) -> list[str]:
+    """``file:function`` for each function of ``tree`` whose body has a node
+    for which ``hit`` holds."""
+    return [f"{path.name}:{fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(hit(node) for stmt in fn.body for node in ast.walk(stmt))]
+
+
 def regression_routes(path: Path) -> tuple[list[str], list[str]]:
     """The ``lstsq`` calls of one source file, and the functions that define
     a rank rule: those whose own body takes singular values (``svd``,
@@ -32,16 +41,25 @@ def regression_routes(path: Path) -> tuple[list[str], list[str]]:
     tree = ast.parse(path.read_text(), filename=str(path))
     lstsq = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _called_name(node) == "lstsq"]
-    rules = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        body = [node for stmt in fn.body for node in ast.walk(stmt)]
-        if any(isinstance(node, ast.Call) and _called_name(node) in ("svd", "matrix_rank")
-               or isinstance(node, ast.Attribute) and node.attr == "eps"
-               for node in body):
-            rules.append(f"{path.name}:{fn.name}")
+    rules = _functions_where(path, tree, lambda node: (
+        isinstance(node, ast.Call) and _called_name(node) in ("svd", "matrix_rank")
+        or isinstance(node, ast.Attribute) and node.attr == "eps"))
     return lstsq, rules
+
+
+def factor_routes(path: Path) -> tuple[list[str], list[str]]:
+    """The functions of one source file that call ``dpotrf``, and the lines
+    that import ``scipy.linalg.lapack`` (or a name from it)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _functions_where(path, tree, lambda node: (
+        isinstance(node, ast.Call) and _called_name(node) == "dpotrf"))
+    imports = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               and any(alias.name.startswith("scipy.linalg.lapack") for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module == "scipy.linalg.lapack" or node.module == "scipy.linalg"
+                    and any(alias.name == "lapack" for alias in node.names))]
+    return calls, imports
 
 
 def test_no_module_imports_private_names_of_another():
@@ -81,3 +99,29 @@ def test_regression_routes_are_detected(tmp_path):
     )
     assert regression_routes(sample) == (["sample.py:4", "sample.py:4"],
                                          ["sample.py:rank", "sample.py:check"])
+
+
+def test_one_cholesky_factorization_behind_one_lapack_import():
+    """``dpotrf`` is called in one function, ``wlasso._Block.extend``, so a
+    factor built afresh and one extended by entering coordinates pass the
+    same pivot test; only ``wlasso`` imports LAPACK wrappers."""
+    routes = [factor_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
+    assert [call for calls, _ in routes for call in calls] == ["wlasso.py:extend"]
+    assert [line.split(":")[0] for _, imports in routes for line in imports] == ["wlasso.py"]
+
+
+def test_factor_routes_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import scipy.linalg.lapack\n"
+        "from scipy.linalg import lapack, solve\n"
+        "from scipy.linalg.lapack import dpotrs\n"
+        "from scipy.linalg import cho_factor\n"
+        "def build(a):\n"
+        "    return lapack.dpotrf(a, lower=1)\n"
+        "class Block:\n"
+        "    def extend(self, a):\n"
+        "        return dpotrf(a)[0], dpotrs(a, a)\n"
+    )
+    assert factor_routes(sample) == (["sample.py:build", "sample.py:extend"],
+                                     ["sample.py:1", "sample.py:2", "sample.py:3"])

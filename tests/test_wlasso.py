@@ -3,7 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hdte import wlasso
+from scipy.linalg.lapack import dpotrf
+
+from hdte import LinearModelConfig, LinearModelGenerator, wlasso
 from hdte.data import TrialDataset, aggregate_columns
 from hdte.errors import DataError, NumericalError
 from hdte.estimators import diff_in_means
@@ -220,23 +222,27 @@ def test_path_structure_and_warm_start_agreement():
 
 @pytest.fixture
 def sweep_log(monkeypatch):
-    """Record every sweep of ``_cd_solve`` in order: ``("block", accepted)``
-    for an exact step, followed by ``("crossing", (left, flipped))`` where an
-    accepted one set ``left`` coefficients to zero and flipped the sign of
-    ``flipped``; ``("scalar", n)`` for a scalar sweep that flipped the sign of
+    """Record every iteration of ``_cd_solve`` in order: ``("block", taken)``
+    for an exact step, followed by ``("crossing", (left, flipped))`` where a
+    taken one set ``left`` coefficients to zero and flipped the sign of
+    ``flipped``, and by ``("entered", n)`` where ``n`` zero coordinates
+    entered it; ``("scalar", n)`` for a scalar sweep that flipped the sign of
     ``n`` coefficients (nonzero to nonzero of the other sign)."""
     log = []
-    block_sweep, scalar_sweep = wlasso._Block.sweep, wlasso._scalar_sweep
+    block_step, scalar_sweep = wlasso._Block.step, wlasso._scalar_sweep
 
-    def block(self, beta, lam1, penalized=None):
+    def block(self, beta, lam1, direction):
         before = beta.copy()
-        delta, q = block_sweep(self, beta, lam1, penalized)
-        log.append(("block", delta is not None))
+        taken, q = block_step(self, beta, lam1, direction)
+        log.append(("block", taken))
         left = int(np.sum((before != 0.0) & (beta == 0.0)))
         flipped = int(np.sum(before * beta < 0.0))
         if left or flipped:
             log.append(("crossing", (left, flipped)))
-        return delta, q
+        entered = int(np.sum((before == 0.0) & (beta != 0.0)))
+        if entered:
+            log.append(("entered", entered))
+        return taken, q
 
     def scalar(work, beta, *args):
         before = np.sign(beta)
@@ -244,7 +250,7 @@ def sweep_log(monkeypatch):
         log.append(("scalar", int(np.sum(before * np.sign(beta) < 0))))
         return delta
 
-    monkeypatch.setattr(wlasso._Block, "sweep", block)
+    monkeypatch.setattr(wlasso._Block, "step", block)
     monkeypatch.setattr(wlasso, "_scalar_sweep", scalar)
     return log
 
@@ -257,7 +263,7 @@ def lazy_gram(z):
 
 def dense_gram(gram):
     """Every column of an on-demand Gram, as the ``(p, p)`` matrix."""
-    return gram.rows(np.arange(gram.diag.shape[0]))
+    return gram.block(np.arange(gram.diag.shape[0]))
 
 
 def path_problem(ds, config, n_lambdas):
@@ -351,7 +357,7 @@ def test_sparse_full_sweep_is_the_scalar_sweep_bit_for_bit():
         beta = np.zeros(p)
         nonzero = np.sort(rng.choice(p, int(rng.integers(0, 5)), replace=False))
         beta[nonzero] = rng.standard_normal(nonzero.size)
-        q = beta[nonzero] @ gram.rows(nonzero)
+        q = beta[nonzero] @ gram.block(nonzero, full)
         ty = rng.standard_normal(p) * 0.5
         lam1 = float(rng.uniform(0.8, 2.0))
         args = (gram, ty.tolist(), gram.diag.tolist(), (gram.diag + 0.1).tolist(), lam1)
@@ -376,17 +382,19 @@ def factor_dataset(seed, n=80, p=30):
 
 
 def test_deep_path_matches_scalar_reference(sweep_log):
-    """Past 50 active columns the exact steps reach the plain loop's
+    """Past 50 active columns the exact steps, on a factor carried from
+    point to point as a path walk carries it, reach the plain loop's
     solutions: at every grid point the active set and convergence of the
     loop run to 1e-12, coefficients within 1e-8, in at most a fifth of the
     sweeps the loop takes at the default tolerance."""
     ds = random_dataset(7, n=60, p=100)
     config = EnetConfig()
     problem, grid = path_problem(ds, config, 30)
+    block = wlasso._Block(problem.gram, problem.ty)
     beta = loose = np.zeros(ds.p)
     sweeps = loose_sweeps = largest = 0
     for lam in grid[1:]:
-        beta, n_sweeps, converged = _cd_solve(problem, config, lam, beta0=beta)
+        beta, n_sweeps, converged = _cd_solve(problem, config, lam, beta0=beta, block=block)
         loose, n_loose, _ = reference_cd_solve(problem, config, lam, loose)
         tight, _, tight_converged = reference_cd_solve(problem, TIGHT, lam, beta)
         assert converged == tight_converged
@@ -402,8 +410,9 @@ def test_deep_path_matches_scalar_reference(sweep_log):
 def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
     """A warm start far from the solution: an exact step that would flip
     signs stops at the first zero crossing, where exactly one coordinate
-    leaves and no sign flips; a rejected full step is redone by the scalar
-    loop; the fit is the tight reference's."""
+    leaves and no sign flips; a step not taken (a coordinate would enter
+    with the wrong sign) is redone by the scalar loop; the fit is the tight
+    reference's."""
     ds = factor_dataset(1)
     config = EnetConfig()
     problem, _ = _prepare(ds, standardize=False)
@@ -425,13 +434,14 @@ def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
 
 
 def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
-    """One full sweep whose exact step keeps every active sign by
-    construction: the zero coordinates decide whether it is accepted.
-    Accepted, it is the solution of the tight reference; rejected, the
-    scalar loop's sweep."""
+    """One full step from random states: an exact step that keeps every
+    active sign by construction, then the full-set check. It lands on the
+    restricted solution and no zero coordinate moves; where no zero
+    coordinate violates, that is the fit, the tight reference's solution,
+    and otherwise the violators would enter next."""
     rng = np.random.default_rng(5)
     p, k = 16, 12
-    one_sweep = EnetConfig(max_iter=1)
+    one_step = EnetConfig(max_iter=1)
     outcomes = set()
     for _ in range(200):
         root = rng.standard_normal((p, p)) + 1.0
@@ -448,18 +458,19 @@ def test_single_full_sweep_matches_reference_from_random_states(sweep_log):
         beta0[active] = b_old
         problem = SimpleNamespace(gram=lazy, ty=ty, penalized=np.ones(p, dtype=bool))
         sweep_log.clear()
-        beta, _, _ = _cd_solve(problem, one_sweep, lam, beta0=beta0)
-        if sweep_log[0] == ("block", True):
+        beta, sweeps, converged = _cd_solve(problem, one_step, lam, beta0=beta0)
+        assert sweep_log == [("block", True)] and sweeps == 1
+        np.testing.assert_array_equal(np.flatnonzero(beta), active)
+        assert np.max(np.abs(beta[active] - b_new)) <= 1e-8
+        violators = (np.abs(ty - gram @ beta) > lam) & (beta == 0.0)
+        assert converged == (not violators.any())
+        if converged:
             ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
             assert ref_converged
-            tolerance = 1e-8
-        else:
-            ref, _, _ = reference_cd_solve(problem, one_sweep, lam, beta0)
-            tolerance = 1e-10
-        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
-        assert np.max(np.abs(beta - ref)) <= tolerance
-        outcomes.add(sweep_log[0])
-    assert outcomes == {("block", True), ("block", False)}
+            np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+            assert np.max(np.abs(beta - ref)) <= 1e-8
+        outcomes.add(converged)
+    assert outcomes == {True, False}
 
 
 def test_exact_steps_from_random_states_reach_the_solution(sweep_log):
@@ -486,8 +497,9 @@ def test_exact_steps_from_random_states_reach_the_solution(sweep_log):
 
 def test_a_coordinate_that_left_is_tested_on_full_steps():
     """With ``G = I``: the exact step from all-positive coefficients crosses
-    zero at coordinate 0, whose solution is negative; later steps hold it
-    at zero, and a full step is not accepted while it would enter."""
+    zero at coordinate 0, whose solution is negative; the next step holds it
+    at zero in the same factor, the check after that finds it violating, and
+    it enters again with its own sign, still without a new factor."""
     p = 12
     lazy = lazy_gram(np.sqrt(p) * np.eye(p))
     active = np.arange(8)
@@ -496,36 +508,189 @@ def test_a_coordinate_that_left_is_tested_on_full_steps():
     ty[0] = -0.3
     beta = np.zeros(p)
     beta[active] = 1.0
-    penalized = np.ones(p, dtype=bool)
-    block = wlasso._Block(lazy, ty, active, 0.0)
-    delta, _ = block.sweep(beta, 0.2, penalized)
-    assert delta == 1.0 and beta[0] == 0.0 and np.all(beta[1:8] > 0.0)
-    assert block.sweep(beta, 0.2, None)[0] == pytest.approx(0.2 / 3)
+    block = wlasso._Block(lazy, ty)
+    assert block.cover(active, 0.0)
+    factor = block.factor
+    assert block.step(beta, 0.2, np.sign(beta)) == (True, None)
+    assert beta[0] == 0.0 and np.all(beta[1:8] > 0.0)
+    assert block.cover(np.flatnonzero(beta), 0.0) and block.factor is factor
+    taken, q = block.step(beta, 0.2, np.sign(beta))
     np.testing.assert_allclose(beta[:8], [0.0] + [0.8] * 7)
-    assert block.sweep(beta, 0.2, penalized) == (None, None)
+    np.testing.assert_allclose(q, beta)
+    assert abs(ty[0] - q[0]) > 0.2
+    direction = np.sign(beta)
+    direction[0] = -1.0
+    assert block.cover(np.flatnonzero(direction), 0.0) and block.factor is factor
+    taken, q = block.step(beta, 0.2, direction)
+    np.testing.assert_allclose(beta[:8], [-0.1] + [0.8] * 7)
+    assert np.all(np.abs(ty - q)[8:] <= 0.2)
+
+
+def singular_start(seed):
+    """A problem with ``n = 24`` rows, ``m = 2`` covariates and ``p = 40``
+    outcomes, a warm start with ``|A| = n - m`` nonzero coefficients (so the
+    active Gram is singular) and a penalty well below ``lambda_max``."""
+    ds = random_dataset(seed, n=24, p=40, m=2)
+    problem, _ = _prepare(ds, standardize=False)
+    rng = np.random.default_rng(seed)
+    active = np.sort(rng.choice(ds.p, ds.n - ds.m, replace=False))
+    beta0 = np.zeros(ds.p)
+    beta0[active] = rng.standard_normal(active.size) * 0.1
+    return problem, active, beta0, 0.05 * lambda_max(ds)
 
 
 def test_singular_active_gram_falls_back_to_scalar_sweeps(sweep_log):
-    """With ``|A| = n - m`` nonzero coefficients the active Gram is singular
-    (its factorization fails, or leaves a pivot at rounding level), so the
-    exact step has no factor; the scalar loop runs and the fit converges to
-    the tight reference's solution."""
+    """The singular active Gram's factorization fails, or leaves a pivot at
+    rounding level, so there is no exact step; the scalar loop runs and the
+    fit converges to the tight reference's solution."""
     for seed in range(8):
-        ds = random_dataset(seed, n=24, p=40, m=2)
-        problem, _ = _prepare(ds, standardize=False)
-        rng = np.random.default_rng(seed)
-        active = np.sort(rng.choice(ds.p, ds.n - ds.m, replace=False))
-        beta0 = np.zeros(ds.p)
-        beta0[active] = rng.standard_normal(active.size) * 0.1
-        assert wlasso._Block(problem.gram, problem.ty, active, 0.0).factor is None
-        lam = 0.05 * lambda_max(ds)
+        problem, active, beta0, lam = singular_start(seed)
+        assert not wlasso._Block(problem.gram, problem.ty).cover(active, 0.0)
         sweep_log.clear()
         beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=beta0)
         ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
-        assert sweep_log[0] == ("block", False) and sweep_log[1][0] == "scalar"
+        assert sweep_log[0][0] == "scalar"
         assert converged and ref_converged
         np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
         assert np.max(np.abs(beta - ref)) <= 1e-8
+
+
+def test_a_step_that_would_raise_the_objective_is_not_taken(monkeypatch):
+    """With the pivot test loosened to 1e-10, factors of numerically singular
+    active Grams pass it, and a step on one can raise the objective (by
+    1.6e-3 at seed 6 without the test). Such a step is not taken: the factor
+    is built afresh, or the scalar loop runs. The objective never rises and
+    every fit reaches the tight reference's solution."""
+    monkeypatch.setattr(wlasso, "_PIVOT_MIN", 1e-10)
+    for seed in range(8):
+        problem, _, beta0, lam = singular_start(seed)
+        trace = []
+        beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=beta0,
+                                       objective_trace=trace)
+        ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
+        assert converged and ref_converged
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+        assert np.max(np.abs(beta - ref)) <= 1e-8
+        assert np.all(np.diff(trace) <= 1e-12)
+
+
+def test_extensions_give_the_factor_of_one_fresh_factorization():
+    """Coordinates appended to a factor in several extensions, on a random
+    SPD Gram with a ridge: the factor, and the columns of its inverse that
+    hold coordinates at zero, equal those of one LAPACK factorization of the
+    same ordered set to 1e-12 relative."""
+    rng = np.random.default_rng(12)
+    p, ridge = 40, 0.3
+    lazy = lazy_gram(rng.standard_normal((60, p)))
+    block = wlasso._Block(lazy, np.zeros(p))
+    first = np.sort(rng.choice(p, 10, replace=False))
+    assert block.cover(first, ridge) and block.cover(np.delete(first, [2, 7]), ridge)
+    rest = rng.permutation(np.setdiff1d(np.arange(p), first))
+    for new in np.split(rest[:20], [3, 4, 12]):
+        assert block.extend(new)
+    order = block.order
+    np.testing.assert_array_equal(order, np.concatenate([first, rest[:20]]))
+    fresh, info = dpotrf(dense_gram(lazy)[np.ix_(order, order)] + ridge * np.eye(order.size),
+                         lower=1)
+    assert info == 0
+    factor = np.tril(block.factor)
+    assert np.linalg.norm(factor - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    held = np.linalg.solve(fresh, np.eye(order.size)[:, [2, 7]])
+    assert np.linalg.norm(block.basis - held) <= 1e-12 * np.linalg.norm(held)
+
+
+def test_an_entering_copy_of_an_active_column_falls_back_to_scalar_sweeps(sweep_log):
+    """A column twice an active one violates by ``lam1`` once the active set
+    is solved, and its extension fails the pivot test (its Schur complement
+    is zero), as does a fresh factor of the set: the scalar loop runs, and
+    the fit is the tight reference's."""
+    ds = factor_dataset(2)
+    lam = 0.05 * lambda_max(ds)
+    problem, _ = _prepare(ds, standardize=False)
+    start, _, _ = _cd_solve(problem, EnetConfig(), lam)
+    active = np.flatnonzero(start)
+    assert active.size >= wlasso._BLOCK_MIN
+    copied = int(active[0])
+    wide = TrialDataset(ds.treatments, np.column_stack([ds.outcomes,
+                                                        2.0 * ds.outcomes[:, copied]]))
+    problem, _ = _prepare(wide, standardize=False)
+    assert not wlasso._Block(problem.gram, problem.ty).cover(np.append(active, ds.p), 0.0)
+    sweep_log.clear()
+    beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=np.append(start, 0.0))
+    assert sweep_log[:2] == [("block", True), ("scalar", 0)]
+    ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
+    assert converged and ref_converged
+    np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+    assert np.max(np.abs(beta - ref)) <= 1e-8
+
+
+def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(sweep_log):
+    """With ``tol`` far below rounding the stationarity check fails after an
+    exact step that leaves no violator; repeating that step would change
+    nothing, so the scalar loop runs until ``max_iter``."""
+    ds = factor_dataset(1)
+    problem, _ = _prepare(ds, standardize=False)
+    lam = 0.05 * lambda_max(ds)
+    start, _, converged = _cd_solve(problem, EnetConfig(), lam)
+    assert converged and np.count_nonzero(start) >= wlasso._BLOCK_MIN
+    sweep_log.clear()
+    _, sweeps, converged = _cd_solve(problem, EnetConfig(tol=1e-300, max_iter=6), lam,
+                                     beta0=start)
+    assert not converged and sweeps == 6
+    assert sweep_log[0] == ("block", True)
+    assert [kind for kind, _ in sweep_log[1:]] == ["scalar"] * 5
+
+
+def criterion_6_design():
+    """Replicate 0 of criterion 6's linear model: n = 200, p = 500, m = 50."""
+    config = LinearModelConfig(n=200, p=500, m=50, s_tau=5, alpha=0.4, pi=0.3, seed=0)
+    return LinearModelGenerator(config).replicate(0)[0]
+
+
+def test_enet_path_on_criterion_6_design_matches_the_tight_reference():
+    """With ``l1_ratio = 0.5`` the ridge changes at every grid point, so the
+    walk builds one factor per point and extends it within the point: at
+    every point the fit has the tight reference's active set and
+    coefficients within 1e-8."""
+    config = EnetConfig(l1_ratio=0.5)
+    tight = EnetConfig(l1_ratio=0.5, tol=1e-12)
+    problem, grid = path_problem(criterion_6_design(), config, 100)
+    largest = 0
+    for lam, beta, _, converged in list(wlasso._walk_path(problem, grid, config))[1:]:
+        ref, _, ref_converged = reference_cd_solve(problem, tight, lam, beta)
+        assert converged and ref_converged
+        np.testing.assert_array_equal(np.flatnonzero(beta), np.flatnonzero(ref))
+        assert np.max(np.abs(beta - ref)) <= 1e-8
+        largest = max(largest, np.count_nonzero(beta))
+    assert largest > 100
+
+
+def test_the_walk_carries_its_factor_down_the_path(monkeypatch, sweep_log):
+    """On the benchmark's path design (criterion 6's) the lasso's factor does
+    not depend on the penalty, so the walk builds fewer full factorizations
+    than it has grid points and appends entering coordinates instead; an
+    entering coordinate seldom takes the wrong sign, which leaves its step
+    to the scalar loop."""
+    sizes, calls = [], []
+    extend, factorize = wlasso._Block.extend, wlasso.dpotrf
+
+    def counted_extend(self, new):
+        sizes.append(self.order.size)
+        return extend(self, new)
+
+    def counted_dpotrf(*args, **kwargs):
+        calls.append(sizes[-1])
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(wlasso._Block, "extend", counted_extend)
+    monkeypatch.setattr(wlasso, "dpotrf", counted_dpotrf)
+    config = EnetConfig()
+    problem, grid = path_problem(criterion_6_design(), config, 100)
+    points = list(wlasso._walk_path(problem, grid, config))
+    assert all(converged for *_, converged in points)
+    full = sum(size == 0 for size in calls)
+    assert 0 < full < len(grid) and len(calls) - full > len(grid) / 2
+    assert 5 * sweep_log.count(("block", False)) <= len(calls) - full
 
 
 @pytest.mark.parametrize("l1_ratio, m", [(1.0, 0), (0.5, 2)])
