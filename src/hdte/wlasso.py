@@ -23,16 +23,15 @@ columns are computed as a solve reads them (:class:`_Gram`), so a selection
 at p = 20,000 never forms the p x p matrix.
 
 Sweeps. Once the nonzero set ``A`` has ``_BLOCK_MIN`` coordinates, each
-iteration is one exact step (:class:`_Block`, after Osborne, Presnell &
-Turlach 2000): the minimizer with the signs of ``A`` fixed, from a Cholesky
-factor of the active Gram that a path walk carries down its grid, stopped
-at the first zero crossing. After a step that crosses none, zero coordinates
-with ``|ty_j - q_j| > lam1`` enter the next one with the sign of ``ty_j -
-q_j`` (feature-sign search, Lee, Battle, Raina & Ng 2007), by rows appended
-to the factor. The scalar loop, over the full or the nonzero set, is the one
-fallback; it gives the bits of :func:`soft_threshold` and passes long runs
-of zero coordinates in one vectorized test of its own condition. Solutions
-match the plain coordinate loop's to its tolerance.
+iteration is one exact step (:class:`_Block`, after Osborne, Presnell & Turlach
+2000): the minimizer with the signs of ``A`` fixed, from a Cholesky factor of
+the active Gram that a path walk carries down its grid, stopped at the first
+zero crossing. After a step that crosses none, zero coordinates with ``|ty_j -
+q_j| > lam1`` enter the next one with the sign of ``ty_j - q_j`` (feature-sign
+search, Lee, Battle, Raina & Ng 2007), by rows appended to the factor. The
+scalar loop is the one fallback, with the bits of :func:`soft_threshold`; it
+passes long runs of zero coordinates in one vectorized test of its own
+condition. Solutions match the plain loop's to its tolerance.
 
 Resolution levels. The problems of several column groupings of one dataset
 (the levels of multi-resolution selection) come from one QR factorization
@@ -350,9 +349,9 @@ class _Block:
     (set to exactly zero). A coordinate that left stays in the factor, held at
     zero by projecting ``L^-1 (ty_A - lam1 s)`` off its column of ``L^-1`` (in
     ``basis``); one that enters is appended (:meth:`extend`). The factor is
-    built afresh for a new ridge, when over a quarter of it would be held, or
-    where an extension fails its pivot test or a step would raise the
-    objective; ``ridge`` is ``None`` while none passes."""
+    built afresh for a new ridge, a failed extension or a step that would
+    raise the objective; a fresh factor that fails either test is not built
+    again until the set to cover changes."""
 
     def __init__(self, gram, ty):
         self.gram, self.ty = gram, ty
@@ -366,7 +365,7 @@ class _Block:
         return self.extend(target) or self.drop(target)
 
     def drop(self, target) -> bool:
-        """No factor until the set to cover is no longer ``target``."""
+        """No factor, nor one for ``target`` until the set to cover changes."""
         self.ridge, self.failed = None, (self.ridge, target.tobytes())
         return False
 
@@ -400,7 +399,7 @@ class _Block:
             held = ~outside[self.order]
             outside[self.order] = False
             new = np.flatnonzero(outside)
-            if 4 * held.sum() <= held.size + new.size and (not new.size or self.extend(new)):
+            if not new.size or self.extend(new):
                 keep = held[self.held]
                 self.held, self.basis = self.held[keep], self.basis[:, keep]
                 held[self.held] = False
@@ -440,9 +439,11 @@ class _Block:
         change, total = b - b_old, self.matrix @ (b + b_old)
         if change @ (total - 2.0 * rhs) > 1e-10 * np.abs(change) @ (np.abs(total) + np.abs(rhs)):
             target = np.flatnonzero(direction)
-            if again and self.build(target, self.ridge):
+            if not again:   # the rise is on a fresh factor
+                self.drop(target)
+            elif self.build(target, self.ridge):   # a failed build drops the factor
                 return self.step(beta, lam1, direction, again=False)
-            return self.ridge is not None and self.drop(target), None   # a failed build dropped it
+            return False, None
         beta[order] = b
         return True, None if crossed.any() else self.gram.dot(order, b)
 
@@ -480,10 +481,11 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     zero, zero coordinates with ``|ty_j - q_j| > lam1`` enter the next step
     with the sign of ``ty_j - q_j``, and with none the fit has converged if
     the stationarity check holds within ``10 * tol`` of the problem scale.
-    The scalar loop runs where there is no factor, a step is not taken or
-    that check fails; its sweeps alternate between the full set (with long
-    zero runs, :func:`_sparse_full_sweep`) and ``A``, and converge on a full
-    sweep that changes no coefficient by ``tol``, with the same check.
+    The scalar loop runs where there is no factor or a step is not taken, and
+    for the rest of the solve once that check fails; its sweeps alternate
+    between the full set (with long zero runs, :func:`_sparse_full_sweep`) and
+    ``A``, and converge on a full sweep that changes no coefficient by
+    ``tol``, with the same check.
     """
     gram, ty = problem.gram, problem.ty
     p = ty.shape[0]
@@ -511,11 +513,11 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     def stationary():
         return _kkt_violation(beta, current_q(), ty, lam1, ridge, problem.penalized) <= kkt_tol
 
-    sweeps, converged, on_full_set, push = 0, False, True, np.zeros(p)
+    sweeps, converged, on_full_set, push, exact = 0, False, True, np.zeros(p), True
     while sweeps < config.max_iter and not converged:
         sweeps += 1
         direction, push, taken = np.sign(beta) + push, np.zeros(p), False
-        if nonzero.size >= _BLOCK_MIN and block.cover(np.flatnonzero(direction), ridge):
+        if exact and nonzero.size >= _BLOCK_MIN and block.cover(np.flatnonzero(direction), ridge):
             taken, q_step = block.step(beta, lam1, direction)
             q, on_full_set = q_step if taken else q, True
             if q_step is not None:   # push: the signs of the coordinates that enter
@@ -523,10 +525,8 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
                 push[enters] = np.sign(ty - q)[enters]
                 if enters.any():
                     sweeps += sweeps < config.max_iter   # the extension
-                elif stationary():
-                    converged = True
-                else:
-                    block.drop(np.flatnonzero(beta))   # the step would repeat
+                else:   # after a failed check the scalar loop runs; the factor stays
+                    converged = exact = stationary()
         if not taken:
             if not on_full_set:
                 delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)

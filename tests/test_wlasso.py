@@ -627,18 +627,26 @@ def test_an_entering_copy_of_an_active_column_falls_back_to_scalar_sweeps(sweep_
 def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(sweep_log):
     """With ``tol`` far below rounding the stationarity check fails after an
     exact step that leaves no violator; repeating that step would change
-    nothing, so the scalar loop runs until ``max_iter``."""
+    nothing, so the scalar loop runs until ``max_iter``. The factor passed
+    its tests and is kept: the next solve on the same block steps on it
+    without factoring again."""
     ds = factor_dataset(1)
     problem, _ = _prepare(ds, standardize=False)
     lam = 0.05 * lambda_max(ds)
     start, _, converged = _cd_solve(problem, EnetConfig(), lam)
     assert converged and np.count_nonzero(start) >= wlasso._BLOCK_MIN
+    block = wlasso._Block(problem.gram, problem.ty)
     sweep_log.clear()
-    _, sweeps, converged = _cd_solve(problem, EnetConfig(tol=1e-300, max_iter=6), lam,
-                                     beta0=start)
+    beta, sweeps, converged = _cd_solve(problem, EnetConfig(tol=1e-300, max_iter=6), lam,
+                                        beta0=start, block=block)
     assert not converged and sweeps == 6
     assert sweep_log[0] == ("block", True)
     assert [kind for kind, _ in sweep_log[1:]] == ["scalar"] * 5
+    assert block.ridge == 0.0 and block.failed is None
+    factor = block.factor
+    sweep_log.clear()
+    _, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=beta, block=block)
+    assert converged and sweep_log[0] == ("block", True) and block.factor is factor
 
 
 def criterion_6_design():
