@@ -248,9 +248,12 @@ def _parse_block(text: str, width: int, columns: list[int]) -> np.ndarray | None
     """
     if '"' in text:
         return None
-    # One expression, so that no normalized copy of the text outlives the split.
-    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
-             else text).split("\n")
+    # CRLF text (write_csv's) splits at once; a lone CR or LF is normalized
+    # in one expression, so that no normalized copy outlives the split.
+    lines = text.split("\r\n") if "\r\n" in text else [text]
+    if any("\r" in line or "\n" in line for line in lines):
+        lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
+                 else text).split("\n")
     if lines[-1] == "":
         lines.pop()
     if len(lines) < 2 or any(line.count(",") != width - 1 for line in lines):

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from .data import TrialDataset, aggregate_columns, check_grouping, random_split
 from .errors import DataError, HdteError, NumericalError
@@ -66,8 +66,9 @@ def z_pvalues(est: EffectEstimate, correction: int, two_sided: bool = False) -> 
     """Per-dimension normal-tail p-values ``min(1, correction * tail)``.
 
     The z-score is ``sqrt(n) * |tau_j| / sqrt(sigma_jj)``. The default tail
-    is the single upper tail at ``|z|``; ``two_sided=True`` doubles it, which
-    is the calibrated choice under a two-sided alternative.
+    is the single upper tail ``ndtr(-|z|)`` (as in ``scipy.stats.norm.sf``);
+    ``two_sided=True`` doubles it, which is the calibrated choice under a
+    two-sided alternative.
     """
     if correction < 1:
         raise DataError(f"correction must be >= 1, got {correction}")
@@ -75,7 +76,7 @@ def z_pvalues(est: EffectEstimate, correction: int, two_sided: bool = False) -> 
     if np.any(diag <= 0):
         raise NumericalError("zero variance entry; z-score undefined")
     z = np.sqrt(est.n) * np.abs(est.tau_hat) / np.sqrt(diag)
-    tail = stats.norm.sf(z)
+    tail = ndtr(-z)
     if two_sided:
         tail = 2.0 * tail
     return np.minimum(1.0, correction * tail)
@@ -98,11 +99,12 @@ def hotelling_statistic(est: EffectEstimate) -> float:
 
 def hotelling_pvalue(est: EffectEstimate) -> float:
     """Group-level p-value from the chi-squared reference with ``|subset|``
-    degrees of freedom. An empty subset returns 1."""
+    degrees of freedom, ``chdtrc`` as in ``scipy.stats.chi2.sf``. An empty
+    subset returns 1."""
     s = len(est.index_set)
     if s == 0:
         return 1.0
-    return float(stats.chi2.sf(hotelling_statistic(est), df=s))
+    return float(chdtrc(s, hotelling_statistic(est)))
 
 
 def _split_report(split, method: str, sel: SelectionSpec,

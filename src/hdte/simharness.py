@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .data import TrialDataset, aggregate_columns
 from .errors import DataError, HdteError
@@ -254,11 +253,15 @@ class TraceExperimentConfig:
 
 
 def _ar_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Smooth noise with unit marginal variance along the last axis."""
+    """Smooth C-contiguous noise with unit marginal variance along the last axis:
+    ``y[t] = x[t] + phi * y[t - 1]`` on white noise, one numpy step per time
+    point, the bits of ``scipy.signal.lfilter([1], [1, -phi], x)``."""
     length = shape[-1] + _AR_BURN_IN
     white = rng.standard_normal(shape[:-1] + (length,)) * np.sqrt(1.0 - _NOISE_PHI**2)
-    smooth = lfilter([1.0], [1.0, -_NOISE_PHI], white, axis=-1)
-    return smooth[..., _AR_BURN_IN:]
+    smooth = np.ascontiguousarray(np.moveaxis(white, -1, 0))
+    for t in range(1, length):
+        smooth[t] += _NOISE_PHI * smooth[t - 1]
+    return np.ascontiguousarray(np.moveaxis(smooth[_AR_BURN_IN:], 0, -1))
 
 
 def _glucose_traces(rng: np.random.Generator, n: int, points: int) -> np.ndarray:

@@ -493,13 +493,12 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
     diag = gram.diag
     full_set = np.flatnonzero(problem.penalized)
-    full_list = full_set.tolist()
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     beta[~problem.penalized] = 0.0
     nonzero = np.flatnonzero(beta)
     q = np.zeros(p) if nonzero.size == 0 else None   # None: stale
     block = _Block(gram, ty) if block is None else block
-    scalar_args = (gram, ty.tolist(), diag.tolist(), (diag + ridge).tolist(), lam1)
+    lists = None   # the scalar loop's arguments
     kkt_tol = 10.0 * config.tol * max(1.0, float(np.max(np.abs(ty), initial=0.0)),
                                       float(diag.max(initial=0.0)))
 
@@ -528,6 +527,10 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
                 else:   # after a failed check the scalar loop runs; the factor stays
                     converged = exact = stationary()
         if not taken:
+            if lists is None:   # built the first time the scalar loop runs
+                lists = full_set.tolist(), (gram, ty.tolist(), diag.tolist(),
+                                            (diag + ridge).tolist(), lam1)
+            full_list, scalar_args = lists
             if not on_full_set:
                 delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)
             else:

@@ -302,6 +302,7 @@ def _outcome(load):
 @example(text="treatment,y0,note,y1,x0\n1,2,a,3,4,5\n0,1,b,1,1\n")
 @example(text="treatment,y0,note,y1,x0\r\n1,2,1,3,4\r\n\r\n0,1,1,1,1")
 @example(text="treatment,y0,note,y1,x0\n1,2,a,3,4\r0,1,b,1,1\r\n1,5,c,2,2\n0,3,d,4,1\n")
+@example(text="treatment,y0,note,y1,x0\r\n1,2,a,3,4\r\n0,1,b,1,1\n1,5,c,2,2\r\n")
 def test_load_csv_matches_the_cell_by_cell_oracle(tmp_path, text):
     """Either the oracle's arrays, bit for bit, or its exact error."""
     path = tmp_path / "t.csv"
@@ -338,6 +339,23 @@ def test_load_csv_parses_around_a_text_column_in_one_pass(tmp_path, monkeypatch)
     path.write_text('treatment,y0,y1,note,tag\n1,2.5,3,"a,b"\n0,1,-1,c,d\n')
     with pytest.raises(DataError, match="data row 1 has 4 cells, expected 5"):
         load_csv(path, schema)
+
+
+@pytest.mark.parametrize("body", [b"1,2.5,a,3\r\n0,1,b,-1\r\n1,4,c,0\r\n",
+                                  b"1,2.5,a,3\r\n0,1,b,-1\n1,4,c,0\r\n",
+                                  b"1,2.5,a,3\r0,1,b,-1\r\n1,4,c,0\r\n"])
+def test_crlf_text_with_or_without_a_lone_line_end_keeps_the_one_pass(tmp_path, monkeypatch, body):
+    """CRLF text splits at its CRLFs; a lone LF or CR in it still ends a
+    record, as in ``csv.reader``, without leaving the vectorized pass."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"treatment,y0,note,y1\r\n" + body)
+
+    def cell_by_cell(*args):
+        raise AssertionError("fell back to the cell-by-cell parser")
+
+    monkeypatch.setattr(data, "_parse_rows", cell_by_cell)
+    ds = load_csv(path, CsvSchema("treatment", ("y0", "y1")))
+    assert ds.outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0], [4.0, 0.0]]
 
 
 def test_load_csv_skips_a_byte_order_mark(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats
 
 from hdte.data import TrialDataset, random_split
 from hdte.errors import DataError, NumericalError
@@ -64,6 +65,37 @@ def test_z_pvalues_sign_symmetric():
     est_pos = make_estimate([0.3], [[2.0]], n=50)
     est_neg = make_estimate([-0.3], [[2.0]], n=50)
     assert z_pvalues(est_pos, 1)[0] == z_pvalues(est_neg, 1)[0]
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+@pytest.mark.parametrize("correction", [1, 7])
+def test_z_pvalues_match_scipy_stats_bit_for_bit(two_sided, correction):
+    """The tail ``ndtr(-z)`` is what ``stats.norm.sf(z)`` computes, bit for
+    bit, from ``z = 0`` through the underflow near 38 to huge and infinite z."""
+    rng = np.random.default_rng(12)
+    tau = np.concatenate([rng.uniform(-4.2, 4.2, 993),
+                          [0.0, -0.0, 3.85, 4.0, -1e150, 1e300, np.inf]])
+    sigma = np.diag(rng.uniform(0.5, 2.0, tau.size))
+    est = make_estimate(tau, sigma, n=100)
+    z = np.sqrt(est.n) * np.abs(est.tau_hat) / np.sqrt(np.diag(est.sigma_hat))
+    tail = stats.norm.sf(z)
+    expected = np.minimum(1.0, correction * (2.0 * tail if two_sided else tail))
+    got = z_pvalues(est, correction, two_sided=two_sided)
+    assert got.tobytes() == expected.tobytes()
+    assert got[-2:].tolist() == [0.0, 0.0]
+
+
+def test_hotelling_pvalue_matches_scipy_stats_bit_for_bit():
+    """The tail ``chdtrc(s, x)`` is what ``stats.chi2.sf(x, df=s)`` computes,
+    bit for bit, for 1 to 60 degrees of freedom."""
+    rng = np.random.default_rng(13)
+    for s in range(1, 61):
+        a = rng.standard_normal((s, s))
+        sigma = a @ a.T / s + np.eye(s)
+        for scale in (0.0, 0.01, 0.1, 0.3, 1.0, 3.0):
+            est = make_estimate(scale * rng.standard_normal(s), sigma, n=200)
+            expected = float(stats.chi2.sf(hotelling_statistic(est), df=s))
+            assert np.float64(hotelling_pvalue(est)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_hotelling_frozen_examples():

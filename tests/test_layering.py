@@ -1,8 +1,12 @@
 """Module boundaries of the package: no module imports another module's
 private names, the covariate regression has one implementation, and so
-does the Cholesky factorization of the solver's exact steps."""
+does the Cholesky factorization of the solver's exact steps; only the scipy
+modules the package calls are imported."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hdte"
@@ -60,6 +64,22 @@ def factor_routes(path: Path) -> tuple[list[str], list[str]]:
                and (node.module == "scipy.linalg.lapack" or node.module == "scipy.linalg"
                     and any(alias.name == "lapack" for alias in node.names))]
     return calls, imports
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """``file: module`` for each scipy module one source file imports; a name
+    imported from the bare ``scipy`` package counts as its subpackage."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "scipy":
+            found += ([f"scipy.{alias.name}" for alias in node.names]
+                      if node.module == "scipy" else [node.module])
+    return [f"{path.name}: {module}" for module in found]
 
 
 def test_no_module_imports_private_names_of_another():
@@ -125,3 +145,39 @@ def test_factor_routes_are_detected(tmp_path):
     )
     assert factor_routes(sample) == (["sample.py:build", "sample.py:extend"],
                                      ["sample.py:1", "sample.py:2", "sample.py:3"])
+
+
+def test_scipy_is_imported_only_where_it_is_called():
+    """LAPACK in ``wlasso``, the special functions behind the p-values in
+    ``inference``, and the bare package for the version string in ``cli``:
+    ``import hdte`` does not load all of ``scipy.stats`` or ``scipy.signal``."""
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in scipy_imports(path)]
+    assert found == ["cli.py: scipy", "inference.py: scipy.special",
+                     "wlasso.py: scipy.linalg.lapack"]
+
+
+def test_scipy_imports_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import scipy\n"
+        "import numpy, scipy.stats as st\n"
+        "from scipy import signal, special\n"
+        "from scipy.special import ndtr\n"
+        "from .scipy import stats\n"
+        "import scipyx\n"
+        "def late():\n"
+        "    from scipy.linalg import solve\n"
+    )
+    assert scipy_imports(sample) == [
+        "sample.py: scipy", "sample.py: scipy.stats", "sample.py: scipy.signal",
+        "sample.py: scipy.special", "sample.py: scipy.special", "sample.py: scipy.linalg"]
+
+
+def test_import_hdte_leaves_scipy_stats_and_signal_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hdte\n"
+            "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from hdte.errors import DataError
 from hdte.simharness import (
+    _AR_BURN_IN,
+    _NOISE_PHI,
+    _ar_noise,
     ExperimentMetrics,
     IndependentOutcomesGenerator,
     LinearModelConfig,
@@ -138,6 +142,19 @@ def test_glucose_week_over_week_structure():
     corr = np.corrcoef(tir1, tir2)[0, 1]
     assert 0.45 < corr < 0.75
     assert 0.70 < tir1.mean() < 0.90
+
+
+@pytest.mark.parametrize("shape", [(50, 288), (20, 2, 288), (7, 5)])
+def test_ar_noise_is_the_lfilter_recurrence_bit_for_bit(shape):
+    """The numpy AR(1) recurrence gives the bits of ``lfilter`` on the same
+    white noise, in a C-contiguous array."""
+    for seed in range(3):
+        got = _ar_noise(np.random.default_rng(seed), shape)
+        white = np.random.default_rng(seed).standard_normal(
+            shape[:-1] + (shape[-1] + _AR_BURN_IN,)) * np.sqrt(1.0 - _NOISE_PHI**2)
+        want = lfilter([1.0], [1.0, -_NOISE_PHI], white, axis=-1)[..., _AR_BURN_IN:]
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_compute_tir_hand_example():
