@@ -150,10 +150,15 @@ class TrialDataset:
 
     def restrict_outcomes(self, indices) -> "TrialDataset":
         """Return a dataset keeping only the outcome columns ``indices`` (a
-        1-d index array); columns of a validated dataset need no validation."""
+        1-d array of indices in ``[0, p)``; a negative index is an error, not
+        a count from the end); columns of a validated dataset need no
+        validation."""
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1:
             raise DataError(f"column indices must be 1-d, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.p):
+            raise DataError(f"column indices out of range for p={self.p}: "
+                            f"{idx[(idx < 0) | (idx >= self.p)].tolist()}")
         labels = None
         if self.column_labels is not None:
             labels = tuple(self.column_labels[j] for j in idx)

@@ -116,8 +116,8 @@ def diff_in_means(ds: TrialDataset, subset=None) -> EffectEstimate:
     column. ``sigma_hat`` sums the within-arm scatter matrices, each divided
     by its own arm size and rescaled by ``n / n_arm``.
     """
-    y = ds.outcomes if subset is None else ds.outcomes[:, np.asarray(subset, dtype=np.intp)]
-    return _difference_of_means(ds, y, "dim", subset)
+    work = ds if subset is None else ds.restrict_outcomes(subset)
+    return _difference_of_means(ds, work.outcomes, "dim", subset)
 
 
 def cuped_adjust(ds: TrialDataset) -> AdjustedOutcomes:

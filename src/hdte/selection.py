@@ -2,30 +2,24 @@
 levels, the one dispatch between them, and the population-level target the
 sparse selector estimates.
 
-A penalized selection by size walks the penalty grid and resolves each size
-at the first grid point whose active set reaches it (one loop,
-:func:`_size_selections`, serves plain datasets and resolution levels); a
-selection by penalty reads one fit. Resolution levels are solved from one
-factorization of the split half (:func:`hdte.wlasso.level_problems`), not
-from one aggregated dataset each."""
+A penalized selection is made on a :class:`hdte.wlasso.WeightedProblem`, a
+dataset's or a resolution level's, by one function (:func:`_select`): by
+size it walks the penalty grid and resolves each size at the first grid
+point whose active set reaches it; by penalty it reads one fit. Resolution
+levels are solved from one factorization of the split half
+(:func:`hdte.wlasso.level_problems`), not from one aggregated dataset
+each."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .data import TrialDataset
 from .errors import DataError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate
-from .wlasso import (
-    EnetConfig,
-    fit_weighted_enet,
-    level_problems,
-    subset_weighted_rss,
-    walk_path,
-)
+from .wlasso import EnetConfig, WeightedProblem, level_problems
 
 __all__ = [
     "SelectionSpec",
@@ -46,13 +40,16 @@ _METHODS = ("baseline", "lasso", "enet")
 def method_l1_ratio(method: str, l1_ratio: float | None = None) -> float:
     """The lasso share of the penalty that ``method`` runs with.
 
-    ``None`` gives the method's default: 1.0 for ``"lasso"``, 0.5 otherwise.
+    ``None`` gives the method's default: 0.5 for ``"enet"``, 1.0 otherwise.
     A given share is kept, except that the lasso is share 1 and the elastic
     net is any other share: ``"lasso"`` with a share below 1, or ``"enet"``
-    with share 1, is a contradiction and raises.
+    with share 1, is a contradiction and raises. The unpenalized
+    ``"baseline"`` takes no share and raises on any.
     """
+    if method == "baseline" and l1_ratio is not None:
+        raise DataError(f"baseline selection takes no penalty, got l1_ratio={l1_ratio!r}")
     if l1_ratio is None:
-        return 1.0 if method == "lasso" else 0.5
+        return 0.5 if method == "enet" else 1.0
     if (method == "lasso" and l1_ratio != 1.0) or (method == "enet" and l1_ratio == 1.0):
         raise DataError(
             f"selection {method!r} contradicts l1_ratio={l1_ratio!r}: the lasso "
@@ -66,7 +63,8 @@ class SelectionSpec:
     """How a subset is selected (see :func:`run_selection`).
 
     ``method`` is ``"baseline"`` (ranked studentized effects), ``"lasso"``,
-    or ``"enet"``; penalized methods take exactly one of ``size`` / ``lam``.
+    or ``"enet"``; penalized methods take exactly one of ``size`` / ``lam``,
+    the baseline ``size`` and no penalty.
     ``levels`` (optional) switches on multi-resolution mode: a list of column
     groupings, coarsest first, among which the best-fitting level is chosen
     (see :func:`select_resolution_level`). ``config.l1_ratio`` follows
@@ -86,14 +84,15 @@ class SelectionSpec:
         if self.method == "baseline":
             if self.size is None:
                 raise DataError("baseline selection needs size=")
+            if self.lam is not None:
+                raise DataError(f"baseline selection takes no penalty, got lam={self.lam!r}")
             if self.levels is not None:
                 raise DataError("multi-resolution mode needs a penalized method")
-        else:
-            if (self.size is None) == (self.lam is None):
-                raise DataError("pass exactly one of size= or lam=")
-            l1 = self.config.l1_ratio
-            l1 = method_l1_ratio(self.method, None if l1 == 1.0 else l1)
-            object.__setattr__(self, "config", replace(self.config, l1_ratio=l1))
+        elif (self.size is None) == (self.lam is None):
+            raise DataError("pass exactly one of size= or lam=")
+        l1 = self.config.l1_ratio
+        l1 = method_l1_ratio(self.method, None if l1 == 1.0 else l1)
+        object.__setattr__(self, "config", replace(self.config, l1_ratio=l1))
         if self.levels is not None:
             frozen = tuple(tuple(tuple(int(j) for j in g) for g in lvl) for lvl in self.levels)
             object.__setattr__(self, "levels", frozen)
@@ -178,11 +177,11 @@ def _require_converged(lam: float, sweeps: int, converged: bool) -> None:
         )
 
 
-def _size_selections(walk, sizes, p: int, label: str, rss) -> dict[int, SelectionResult]:
-    """Size-``s`` selections for every ``s`` in ``sizes`` from the path
-    ``walk()`` (an iterator of ``(lam, beta, sweeps, converged)`` down the
-    grid) over ``p`` columns; ``rss(subset)`` gives a subset's restricted
-    weighted RSS.
+def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
+                     n_lambdas: int, lambda_min_ratio: float | None
+                     ) -> dict[int, SelectionResult]:
+    """Size-``s`` selections on ``problem`` for every ``s`` in ``sizes``,
+    from one walk of its penalty path.
 
     Each size is resolved at the first grid point whose active set reaches
     it, truncated in path-entry order (the order in which columns first
@@ -192,13 +191,14 @@ def _size_selections(walk, sizes, p: int, label: str, rss) -> dict[int, Selectio
     wanted = sorted(set(int(s) for s in sizes))
     if not wanted:
         raise DataError("sizes must be nonempty")
-    if wanted[0] < 1 or wanted[-1] > p:
-        raise DataError(f"sizes must be within [1, p={p}], got {wanted}")
+    if wanted[0] < 1 or wanted[-1] > problem.p:
+        raise DataError(f"sizes must be within [1, p={problem.p}], got {wanted}")
+    label = _method_label(config)
     entry_rank: dict[int, int] = {}
     results: dict[int, SelectionResult] = {}
     pending = list(wanted)
     largest_seen = 0
-    for lam, beta, sweeps, converged in walk():
+    for lam, beta, sweeps, converged in problem.walk_path(n_lambdas, lambda_min_ratio, config):
         _require_converged(lam, sweeps, converged)
         active = np.flatnonzero(beta).tolist()
         for j in active:
@@ -210,7 +210,7 @@ def _size_selections(walk, sizes, p: int, label: str, rss) -> dict[int, Selectio
             ranked = sorted(active, key=entry_rank.__getitem__)[:s]
             results[s] = SelectionResult(
                 tuple(ranked), label, lam,
-                tuple(abs(beta.item(j)) for j in ranked), rss(ranked),
+                tuple(abs(beta.item(j)) for j in ranked), problem.subset_weighted_rss(ranked),
             )
         if not pending:
             break
@@ -222,17 +222,23 @@ def _size_selections(walk, sizes, p: int, label: str, rss) -> dict[int, Selectio
     return results
 
 
-def _penalty_selection(lam: float, beta: np.ndarray, sweeps: int, converged: bool,
-                       label: str, rss) -> SelectionResult:
-    """The active set of one fit, ordered by descending ``|beta|`` (ties by
-    ascending index); ``rss`` as for :func:`_size_selections`."""
-    _require_converged(lam, sweeps, converged)
-    abs_beta = np.abs(beta)
-    active = np.flatnonzero(beta)
+def _select(problem: WeightedProblem, size: int | None, lam: float | None,
+            config: EnetConfig, n_lambdas: int,
+            lambda_min_ratio: float | None) -> SelectionResult:
+    """The selection :func:`sparse_select` describes, on ``problem``: by
+    ``size`` from its path, or by ``lam`` the active set of one fit, ordered
+    by descending ``|beta|`` (ties by ascending index)."""
+    if size is not None:
+        return _size_selections(problem, [size], config, n_lambdas, lambda_min_ratio)[size]
+    fit = problem.fit(replace(config, lam=lam))
+    _require_converged(fit.lam, fit.iterations, fit.converged)
+    abs_beta = np.abs(fit.beta)
+    active = np.flatnonzero(fit.beta)
     order = np.lexsort((active, -abs_beta[active])) if active.size else np.zeros(0, np.intp)
     chosen = tuple(int(active[i]) for i in order)
     return SelectionResult(
-        chosen, label, float(lam), tuple(float(abs_beta[j]) for j in chosen), rss(chosen),
+        chosen, _method_label(config), fit.lam, tuple(float(abs_beta[j]) for j in chosen),
+        problem.subset_weighted_rss(chosen),
     )
 
 
@@ -247,10 +253,8 @@ def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
     active; same-point entries break ties by ascending index). Selections for
     nested sizes are therefore prefixes of one another.
     """
-    return _size_selections(
-        partial(walk_path, ds, n_lambdas, lambda_min_ratio, config), sizes, ds.p,
-        _method_label(config), partial(subset_weighted_rss, ds),
-    )
+    return _size_selections(WeightedProblem.from_dataset(ds), sizes, config,
+                            n_lambdas, lambda_min_ratio)
 
 
 def sparse_select(ds: TrialDataset, *, size: int | None = None,
@@ -266,11 +270,8 @@ def sparse_select(ds: TrialDataset, *, size: int | None = None,
     """
     if (size is None) == (lam is None):
         raise DataError("pass exactly one of size= or lam=")
-    if size is not None:
-        return path_selections(ds, [size], config, n_lambdas, lambda_min_ratio)[size]
-    fit = fit_weighted_enet(ds, replace(config, lam=lam))
-    return _penalty_selection(fit.lam, fit.beta, fit.iterations, fit.converged,
-                              _method_label(config), partial(subset_weighted_rss, ds))
+    return _select(WeightedProblem.from_dataset(ds), size, lam, config, n_lambdas,
+                   lambda_min_ratio)
 
 
 def population_beta_star(tau, sigma_z, pi: float,
@@ -339,16 +340,9 @@ def select_resolution_level(ds: TrialDataset, levels, *, size: int | None = None
     """
     if (size is None) == (lam is None):
         raise DataError("pass exactly one of size= or lam=")
-    label = _method_label(config)
     best: tuple[int, SelectionResult] | None = None
     for li, level in enumerate(level_problems(ds, levels)):
-        if size is not None:
-            walk = partial(level.walk_path, n_lambdas, lambda_min_ratio, config)
-            sel = _size_selections(walk, [size], level.p, label,
-                                   level.subset_weighted_rss)[size]
-        else:
-            sel = _penalty_selection(*level.solve(replace(config, lam=lam)), label,
-                                     level.subset_weighted_rss)
+        sel = _select(level, size, lam, config, n_lambdas, lambda_min_ratio)
         if best is None or sel.weighted_rss < best[1].weighted_rss:
             best = (li, sel)
     return best

@@ -33,16 +33,18 @@ scalar loop is the one fallback, with the bits of :func:`soft_threshold`; it
 passes long runs of zero coordinates in one vectorized test of its own
 condition. Solutions match the plain loop's to its tolerance.
 
-Resolution levels. The problems of several column groupings of one dataset
-(the levels of multi-resolution selection) come from one QR factorization
-of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``
-(:func:`level_problems`). Averaging columns commutes with centering and
-with the orthogonal factor, so a level's factor is the QR of that ``R``
-with its covariate and outcome blocks averaged. Its trailing outcome block,
-a matrix of at most ``m + p + 1`` rows with the Gram of the concentrated
-outcomes, takes the place of the weighted rows in :class:`_Gram`, so every
-level runs the same solver without aggregating, re-centering or
-re-regressing the rows.
+Problems and resolution levels. A :class:`WeightedProblem` holds rows with
+the Gram of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``, and
+every fit, path walk and subset regression reads products of them. A
+dataset's rows are its own weighted columns. The problems of several column
+groupings of one dataset (the levels of multi-resolution selection) come
+from one QR factorization of those columns (:func:`level_problems`).
+Averaging columns commutes with centering and with the orthogonal factor,
+so a level's rows are the QR factor of that ``R`` with its covariate and
+outcome blocks averaged: at most ``m + p + 1`` rows, with no aggregating,
+re-centering or re-regressing of the data. The two sources differ only in
+how the covariates are concentrated out: a dataset projects them out of its
+rows, a level reads the trailing block of its factor.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ __all__ = [
     "regularization_path",
     "walk_path",
     "subset_weighted_rss",
-    "LevelProblem",
+    "WeightedProblem",
     "level_problems",
 ]
 
@@ -247,7 +249,7 @@ class _Gram:
 
 
 @dataclass(frozen=True)
-class _Problem:
+class _Moments:
     """Weighted moments of the covariate-concentrated problem. The Gram is
     not formed up front; :class:`_Gram` computes the columns a solve reads."""
 
@@ -258,18 +260,8 @@ class _Problem:
     penalized: np.ndarray     # (p,) bool mask, False for degenerate columns
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """What :func:`_assemble_fit` reads to report a fit: the covariate slopes
-    (``None`` without covariates) and the weighted concentrated rows."""
-
-    slopes: np.ndarray | None   # (m, p + 1) weighted slopes of [Yc | t] on Xc
-    z: np.ndarray               # (n, p) weighted concentrated outcomes, the Gram's rows
-    r_t: np.ndarray             # (n,) weighted concentrated response
-
-
-def _problem(z: np.ndarray, r_t: np.ndarray, n: int, standardize: bool) -> _Problem:
-    """The problem on weighted concentrated outcomes ``z`` and response
+def _moments(z: np.ndarray, r_t: np.ndarray, n: int, standardize: bool) -> _Moments:
+    """The moments of weighted concentrated outcomes ``z`` and response
     ``r_t`` (any rows with the moments ``n`` times the problem's): degenerate
     columns are masked and, with ``standardize``, the rest scaled to unit
     second moment."""
@@ -280,7 +272,7 @@ def _problem(z: np.ndarray, r_t: np.ndarray, n: int, standardize: bool) -> _Prob
     if standardize and penalized.any():
         scale = np.where(penalized, np.sqrt(np.maximum(diag, 0.0)), 1.0)
         ty = ty / scale
-    return _Problem(_Gram(z, scale, diag, n), ty, tt, scale, penalized)
+    return _Moments(_Gram(z, scale, diag, n), ty, tt, scale, penalized)
 
 
 def _weighted_columns(ds: TrialDataset) -> np.ndarray:
@@ -291,17 +283,6 @@ def _weighted_columns(ds: TrialDataset) -> np.ndarray:
     stacked = np.column_stack([*(center_columns(block)[0] for block in blocks), t])
     stacked *= np.sqrt(propensity_weights(t))[:, None]
     return stacked
-
-
-def _prepare(ds: TrialDataset, standardize: bool) -> tuple[_Problem, _Rows]:
-    """The problem of ``ds`` and its rows: ``sqrt(w) [Yc | t]`` with
-    ``sqrt(w) Xc`` projected out (:func:`hdte.data.project_columns`)."""
-    rows, slopes = _weighted_columns(ds), None
-    if ds.m:
-        slopes, rows = project_columns(rows[:, :ds.m], rows[:, ds.m:],
-                                       "weighted covariate block")
-    z, r_t = rows[:, :ds.p], rows[:, ds.p]
-    return _problem(z, r_t, ds.n, standardize), _Rows(slopes, z, r_t)
 
 
 def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
@@ -470,7 +451,7 @@ def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
     return delta
 
 
-def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
+def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
               objective_trace=None, block=None) -> tuple[np.ndarray, int, bool]:
     """Coordinate descent on the concentrated problem, with exact steps.
 
@@ -551,15 +532,17 @@ def _cd_solve(problem: _Problem, config: EnetConfig, lam: float, beta0=None,
     return beta, sweeps, converged
 
 
-def _assemble_fit(rows: _Rows, lam: float, beta: np.ndarray,
-                  sweeps: int, converged: bool) -> EnetFit:
+def _assemble_fit(slopes: np.ndarray | None, rows: np.ndarray, n: int, lam: float,
+                  beta: np.ndarray, sweeps: int, converged: bool) -> EnetFit:
     """Package a fresh original-scale ``beta`` with its covariate block (from
-    the slopes) and RSS (from the weighted residuals ``r_t - z beta``)."""
+    the ``slopes``) and RSS (from the concentrated ``rows`` ``[z | r_t]``,
+    whose residuals ``r_t - z beta`` have the weighted RSS times ``n``)."""
     alpha = np.zeros(0)
-    if rows.slopes is not None:
-        alpha = rows.slopes[:, -1] - rows.slopes[:, :-1] @ beta
-    residual = rows.r_t - rows.z @ beta
-    rss = float(residual @ residual / rows.r_t.shape[0])
+    if slopes is not None:
+        alpha = slopes[:, -1] - slopes[:, :-1] @ beta
+    p = beta.shape[0]
+    residual = rows[:, p] - rows[:, :p] @ beta
+    rss = float(residual @ residual / n)
     active = tuple(int(j) for j in np.flatnonzero(beta))
     beta.setflags(write=False)
     alpha.setflags(write=False)
@@ -573,13 +556,10 @@ def fit_weighted_enet(ds: TrialDataset, config: EnetConfig) -> EnetFit:
     indicator on centered outcomes (and covariates). Zero-variance outcome
     columns are excluded from the fit with their coefficient pinned at zero.
     """
-    problem, rows = _prepare(ds, config.standardize)
-    beta_scaled, sweeps, converged = _cd_solve(problem, config, config.lam)
-    return _assemble_fit(rows, config.lam, beta_scaled / problem.scale,
-                         sweeps, converged)
+    return WeightedProblem.from_dataset(ds).fit(config)
 
 
-def _lambda_max_from(problem: _Problem, l1_ratio: float) -> float:
+def _lambda_max_from(problem: _Moments, l1_ratio: float) -> float:
     if not problem.penalized.any():
         return 0.0
     return float(np.max(np.abs(problem.ty[problem.penalized]))) / l1_ratio
@@ -592,8 +572,8 @@ def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
     centered outcomes and the uncentered response, over ``l1_ratio``."""
     if not 0.0 < l1_ratio <= 1.0:
         raise DataError(f"l1_ratio must be in (0, 1], got {l1_ratio}")
-    problem, _ = _prepare(ds, standardize)
-    return _lambda_max_from(problem, l1_ratio)
+    moments = WeightedProblem.from_dataset(ds).prepare(standardize)[0]
+    return _lambda_max_from(moments, l1_ratio)
 
 
 def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -> float:
@@ -608,7 +588,7 @@ def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -
     return lambda_min_ratio
 
 
-def _path_grid(problem: _Problem, config: EnetConfig, n_lambdas: int,
+def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
                min_ratio: float) -> tuple[np.ndarray, float]:
     """The descending penalty grid of ``problem`` and its ``lambda_max``."""
     lam_top = _lambda_max_from(problem, config.l1_ratio)
@@ -620,7 +600,7 @@ def _path_grid(problem: _Problem, config: EnetConfig, n_lambdas: int,
     return np.geomspace(lam_top, lam_top * min_ratio, n_lambdas), lam_top
 
 
-def _walk_path(problem: _Problem, grid: np.ndarray, config: EnetConfig):
+def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
     """Yield ``(lam, beta, sweeps, converged)`` down the grid with warm
     starts, ``beta`` a fresh original-scale array. The top-of-grid solution is
     identically zero by construction of ``lambda_max`` and is emitted without
@@ -644,10 +624,10 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     is ignored; every grid point gets its own fit.
     """
     min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
-    problem, rows = _prepare(ds, config.standardize)
-    grid, lam_top = _path_grid(problem, config, n_lambdas, min_ratio)
-    fits = tuple(_assemble_fit(rows, *point)
-                 for point in _walk_path(problem, grid, config))
+    moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare(config.standardize)
+    grid, lam_top = _path_grid(moments, config, n_lambdas, min_ratio)
+    fits = tuple(_assemble_fit(slopes, rows, ds.n, *point)
+                 for point in _walk_path(moments, grid, config))
     lambdas = grid.copy()
     lambdas.setflags(write=False)
     return EnetPath(lambdas, fits, lam_top)
@@ -659,10 +639,7 @@ def walk_path(ds: TrialDataset, n_lambdas: int = 100,
     ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh original-scale
     array. Builds no :class:`EnetFit`, so a caller that stops early pays only
     for the grid points it reads. Arguments are checked on the call."""
-    min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
-    problem, _ = _prepare(ds, config.standardize)
-    grid, _ = _path_grid(problem, config, n_lambdas, min_ratio)
-    return _walk_path(problem, grid, config)
+    return WeightedProblem.from_dataset(ds).walk_path(n_lambdas, lambda_min_ratio, config)
 
 
 def _check_subset(subset, n: int, p: int) -> np.ndarray:
@@ -696,82 +673,98 @@ def subset_weighted_rss(ds: TrialDataset, subset) -> float:
     The empty subset returns ``(1/n) * sum_i w_i * t_i**2`` (no regressors, no
     intercept). Covariates are not part of this regression.
     """
-    t = ds.treatments.astype(np.float64)
-    w = propensity_weights(t)
-    idx = _check_subset(subset, ds.n, ds.p)
-    n = ds.n
-    if idx.size == 0:
-        return float(w @ t**2 / n)
-    yc, _ = center_columns(ds.outcomes[:, idx])
-    beta = _restricted_solve((yc * w[:, None]).T @ yc / n, yc.T @ (w * t) / n, idx)
-    residual = t - yc @ beta
-    return float(w @ residual**2 / n)
+    return WeightedProblem.from_dataset(ds).subset_weighted_rss(subset)
 
 
-class LevelProblem:
-    """The problem of one resolution level of a dataset, from one small
-    triangular factor.
+class WeightedProblem:
+    """The weighted problem of a dataset or of one of its resolution levels:
+    ``rows`` with the Gram of ``sqrt(w) [Xc | Yc | t]`` for ``n`` units, ``m``
+    covariate and ``p`` outcome columns (``m`` is 0 without covariates).
 
-    The level's data are the dataset's outcome columns (and covariates, which
-    share their layout) averaged by one grouping, as
-    :func:`hdte.data.aggregate_columns` builds them; ``p`` is the number of
-    groups. The factor is the ``R`` of the QR decomposition of
-    ``sqrt(w) [Xc | Yc | t]`` for the level's centered covariates ``Xc``,
-    centered outcomes ``Yc`` and raw treatments ``t``. Every moment a
-    selection reads is a product of its columns: concentrating out the
-    covariates leaves the trailing rows, whose outcome block has the Gram
-    and whose last column the cross moments of the concentrated problem; a
-    subset regression reads the subset's and the treatment's columns. So the
-    methods below give what :func:`walk_path`, :func:`fit_weighted_enet` and
-    :func:`subset_weighted_rss` give on the aggregated dataset, up to
-    rounding, with the one solver, and raise the same errors. Build instances
-    with :func:`level_problems`.
+    For a dataset (:meth:`from_dataset`) the rows are its own weighted
+    centered columns; for a resolution level (:func:`level_problems`) they
+    are a small triangular factor. Every selection reads products of these
+    columns, so one walk, one fit and one subset regression serve both; the
+    sources differ only in how covariates are concentrated out
+    (:meth:`_concentrate`).
     """
 
-    def __init__(self, factor: np.ndarray, n: int, m: int, p: int):
-        self._factor, self._m = factor, m
-        self.n, self.p = n, p
+    def __init__(self, rows: np.ndarray, n: int, m: int, p: int):
+        self.rows, self.n, self.m, self.p = rows, n, m, p
 
-    def _prepare(self, standardize: bool) -> _Problem:
-        """As :func:`_prepare` on the aggregated dataset, rank test included."""
-        m, n = self._m, self.n
-        if m:
-            check_full_rank(self._factor[:m, :m], n, "weighted covariate block")
-        return _problem(self._factor[m:, m:m + self.p], self._factor[m:, m + self.p],
-                        n, standardize)
+    @classmethod
+    def from_dataset(cls, ds: TrialDataset) -> "WeightedProblem":
+        """The problem of ``ds`` on its weighted rows."""
+        return cls(_weighted_columns(ds), ds.n, ds.m, ds.p)
+
+    def _concentrate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The slopes of ``[Yc | t]`` on ``Xc`` and rows with the Gram of
+        their concentrated residuals: ``sqrt(w) Xc`` projected out of the
+        weighted rows (:func:`hdte.data.project_columns`)."""
+        m = self.m
+        return project_columns(self.rows[:, :m], self.rows[:, m:], "weighted covariate block")
+
+    def prepare(self, standardize: bool) -> tuple[_Moments, np.ndarray | None, np.ndarray]:
+        """The moments of the covariate-concentrated problem, with what
+        reports a fit: the covariate slopes (``None`` without covariates) and
+        the concentrated rows ``[z | r_t]``."""
+        slopes, rows = self._concentrate() if self.m else (None, self.rows)
+        return _moments(rows[:, :self.p], rows[:, self.p], self.n, standardize), slopes, rows
+
+    def fit(self, config: EnetConfig) -> EnetFit:
+        """The fit of :func:`fit_weighted_enet`, on this problem."""
+        moments, slopes, rows = self.prepare(config.standardize)
+        beta, sweeps, converged = _cd_solve(moments, config, config.lam)
+        return _assemble_fit(slopes, rows, self.n, config.lam, beta / moments.scale,
+                             sweeps, converged)
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig()):
-        """As :func:`walk_path` on the level's aggregated dataset."""
+        """The lazy walk of :func:`walk_path`, on this problem."""
         min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
-        problem = self._prepare(config.standardize)
-        grid, _ = _path_grid(problem, config, n_lambdas, min_ratio)
-        return _walk_path(problem, grid, config)
-
-    def solve(self, config: EnetConfig) -> tuple[float, np.ndarray, int, bool]:
-        """The fit at ``config.lam`` as ``(lam, beta, sweeps, converged)``,
-        one point in the form :meth:`walk_path` yields, with ``beta`` on the
-        original scale; the coefficients of :func:`fit_weighted_enet`."""
-        problem = self._prepare(config.standardize)
-        beta, sweeps, converged = _cd_solve(problem, config, config.lam)
-        return float(config.lam), beta / problem.scale, sweeps, converged
+        moments = self.prepare(config.standardize)[0]
+        grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
+        return _walk_path(moments, grid, config)
 
     def subset_weighted_rss(self, subset) -> float:
-        """As :func:`subset_weighted_rss` on the level's aggregated dataset."""
+        """The restricted regression of :func:`subset_weighted_rss`, on this
+        problem: it reads the subset's and the treatment's columns."""
         idx = _check_subset(subset, self.n, self.p)
-        t = self._factor[:, self._m + self.p]
+        t = self.rows[:, self.m + self.p]
         if idx.size == 0:
             return float(t @ t / self.n)
-        cols = self._factor[:, self._m + idx]
+        cols = self.rows[:, self.m + idx]
         beta = _restricted_solve(cols.T @ cols / self.n, cols.T @ t / self.n, idx)
         residual = t - cols @ beta
         return float(residual @ residual / self.n)
 
 
-def level_problems(ds: TrialDataset, levels) -> tuple[LevelProblem, ...]:
-    """One :class:`LevelProblem` per column grouping in ``levels``, all from
-    one QR factorization of the dataset's weighted base columns ``sqrt(w)
-    [Xc | Yc | t]`` (see the module notes on resolution levels).
+class _LevelProblem(WeightedProblem):
+    """A resolution level's problem, on the ``R`` factor of its weighted
+    columns (:func:`level_problems`)."""
+
+    def _concentrate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factor's leading ``m`` rows hold the covariates' ``R``, so the
+        slopes are ``R11^-1 R12`` and the trailing rows ``R22`` have the
+        concentrated Gram. The rank test is :func:`hdte.data.check_full_rank`
+        of ``R11`` with the dataset's ``n``; projecting the factor's rows
+        instead would add ``m`` zero rows, move Gram bits and take the rank
+        cutoff from the factor's row count."""
+        m = self.m
+        check_full_rank(self.rows[:m, :m], self.n, "weighted covariate block")
+        return np.linalg.solve(self.rows[:m, :m], self.rows[:m, m:]), self.rows[m:, m:]
+
+
+def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:
+    """One :class:`WeightedProblem` per column grouping in ``levels``, all
+    from one QR factorization of the dataset's weighted base columns
+    ``sqrt(w) [Xc | Yc | t]`` (see the module notes on resolution levels).
+
+    A level's data are the dataset's outcome columns (and covariates, which
+    share their layout) averaged by one grouping, as
+    :func:`hdte.data.aggregate_columns` builds them; its ``p`` is the number
+    of groups. Its problem gives what the aggregated dataset's does, up to
+    rounding, and raises the same errors.
 
     The cost is O(n (m + p)^2) for the dataset and O((m + p)^3) per level,
     whatever its number of groups. Groupings are checked up front as
@@ -794,5 +787,5 @@ def level_problems(ds: TrialDataset, levels) -> tuple[LevelProblem, ...]:
         means = np.vsplit(column_group_means(blocks, grouping), parts)
         factor = np.linalg.qr(np.hstack([*means, base[:, -1:]]), mode="r")
         k = len(grouping)
-        problems.append(LevelProblem(factor, ds.n, k if ds.m else 0, k))
+        problems.append(_LevelProblem(factor, ds.n, k if ds.m else 0, k))
     return tuple(problems)

@@ -313,6 +313,18 @@ def test_lasso_with_a_mixed_share_is_rejected_by_select_and_multisplit(
     assert records[0]["error"] == "data" and "l1_ratio" in records[0]["message"]
 
 
+@pytest.mark.parametrize("option", [["--lam", "0.3"], ["--l1-ratio", "0.5"]])
+def test_a_baseline_selection_with_a_penalty_option_is_a_data_error(
+        trial_csv, tmp_path, capsys, option):
+    for command in (["select"], ["multisplit", "--B", "2"]):
+        code = main([*command, str(trial_csv), "--s", "2", "--selection", "baseline",
+                     *option, "--outdir", str(tmp_path / command[0])])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "data"
+        assert "baseline selection takes no penalty" in record["message"]
+
+
 MANIFEST_KEYS = {
     "select": {"data", "treatment_col", "outcome_cols", "covariate_cols",
                "selection", "s", "lam", "l1_ratio", "estimator", "n_lambdas",

@@ -224,6 +224,18 @@ def test_adjusted_estimate_restrict_before_or_after_agree():
     assert manual.index_set == (0, 1, 2)
 
 
+@pytest.mark.parametrize("method", ["dim", "cuped", "lin"])
+@pytest.mark.parametrize("bad", [[-1], [0, 6]])
+def test_a_subset_index_outside_the_columns_is_a_data_error(method, bad):
+    """An index below 0 is not the last column, and one at p or above is
+    not a bare IndexError: both are rejected by ``restrict_outcomes``."""
+    rng = np.random.default_rng(22)
+    ds = TrialDataset(np.array([1, 0] * 20), rng.standard_normal((40, 6)),
+                      rng.standard_normal((40, 2)))
+    with pytest.raises(DataError, match="out of range for p=6"):
+        adjusted_estimate(ds, method, subset=bad)
+
+
 def test_adjusted_estimate_dim_passthrough():
     rng = np.random.default_rng(3)
     ds = TrialDataset(rng.integers(0, 2, 30), rng.standard_normal((30, 2)))

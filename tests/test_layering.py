@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module imports another module's
 private names, the covariate regression has one implementation, and so
-does the Cholesky factorization of the solver's exact steps; only the scipy
-modules the package calls are imported."""
+do the Cholesky factorization of the solver's exact steps and the
+propensity weighting; only the scipy modules the package calls are
+imported."""
 
 import ast
 import os
@@ -128,6 +129,18 @@ def test_one_cholesky_factorization_behind_one_lapack_import():
     routes = [factor_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
     assert [call for calls, _ in routes for call in calls] == ["wlasso.py:extend"]
     assert [line.split(":")[0] for _, imports in routes for line in imports] == ["wlasso.py"]
+
+
+def test_propensity_weights_enter_in_one_function():
+    """The weights scale the stacked rows in ``wlasso._weighted_columns``, and
+    every weighted moment is a product of those rows: no other function
+    forms ``w``-weighted moments of its own."""
+    found = [caller for path in sorted(PACKAGE.glob("*.py"))
+             for caller in _functions_where(
+                 path, ast.parse(path.read_text(), filename=str(path)),
+                 lambda node: isinstance(node, ast.Call)
+                 and _called_name(node) == "propensity_weights")]
+    assert found == ["wlasso.py:_weighted_columns"]
 
 
 def test_factor_routes_are_detected(tmp_path):

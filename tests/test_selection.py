@@ -237,6 +237,16 @@ def test_baseline_and_sparse_agree_on_strong_signal():
     assert base.selected == sparse.selected == (0, 1, 2)
 
 
+def test_a_baseline_selection_rejects_penalty_options():
+    assert method_l1_ratio("baseline") == 1.0
+    with pytest.raises(DataError, match="baseline selection takes no penalty"):
+        method_l1_ratio("baseline", 0.5)
+    with pytest.raises(DataError, match="baseline selection takes no penalty, got lam"):
+        SelectionSpec("baseline", size=2, lam=0.3)
+    with pytest.raises(DataError, match="baseline selection takes no penalty, got l1_ratio"):
+        SelectionSpec("baseline", size=2, config=EnetConfig(l1_ratio=0.3))
+
+
 def test_method_l1_ratio_defaults_and_contradictions():
     assert method_l1_ratio("lasso") == 1.0
     assert method_l1_ratio("enet") == 0.5

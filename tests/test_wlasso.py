@@ -11,11 +11,11 @@ from hdte.errors import DataError, NumericalError
 from hdte.estimators import diff_in_means
 from hdte.wlasso import (
     EnetConfig,
+    WeightedProblem,
     _cd_solve,
     _kkt_violation,
     _min_ratio,
     _path_grid,
-    _prepare,
     fit_weighted_enet,
     lambda_max,
     level_problems,
@@ -269,7 +269,7 @@ def dense_gram(gram):
 def path_problem(ds, config, n_lambdas):
     """The concentrated problem of ``ds`` and the penalty grid a path walk
     over it uses."""
-    problem, _ = _prepare(ds, config.standardize)
+    problem = WeightedProblem.from_dataset(ds).prepare(config.standardize)[0]
     ratio = _min_ratio(ds.n, ds.p, n_lambdas, None)
     return problem, _path_grid(problem, config, n_lambdas, ratio)[0]
 
@@ -327,7 +327,7 @@ def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(standar
     diagonal is bit for bit ``gram.diag``, equal to the dense weighted
     moments ``(1/n) Yr' W Yr / (scale scale')`` up to rounding."""
     ds = random_dataset(53, n=50, p=37, m=m)
-    problem, _ = _prepare(ds, standardize)
+    problem = WeightedProblem.from_dataset(ds).prepare(standardize)[0]
     order = np.random.default_rng(0).permutation(ds.p)
     for j in order[:5]:
         problem.gram[int(j)]
@@ -415,7 +415,7 @@ def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
     reference's."""
     ds = factor_dataset(1)
     config = EnetConfig()
-    problem, _ = _prepare(ds, standardize=False)
+    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
     top = lambda_max(ds)
     start, _, _ = _cd_solve(problem, config, 0.3 * top)
     assert np.count_nonzero(start) >= wlasso._BLOCK_MIN
@@ -531,7 +531,7 @@ def singular_start(seed):
     outcomes, a warm start with ``|A| = n - m`` nonzero coefficients (so the
     active Gram is singular) and a penalty well below ``lambda_max``."""
     ds = random_dataset(seed, n=24, p=40, m=2)
-    problem, _ = _prepare(ds, standardize=False)
+    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
     rng = np.random.default_rng(seed)
     active = np.sort(rng.choice(ds.p, ds.n - ds.m, replace=False))
     beta0 = np.zeros(ds.p)
@@ -606,14 +606,14 @@ def test_an_entering_copy_of_an_active_column_falls_back_to_scalar_sweeps(sweep_
     the fit is the tight reference's."""
     ds = factor_dataset(2)
     lam = 0.05 * lambda_max(ds)
-    problem, _ = _prepare(ds, standardize=False)
+    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
     start, _, _ = _cd_solve(problem, EnetConfig(), lam)
     active = np.flatnonzero(start)
     assert active.size >= wlasso._BLOCK_MIN
     copied = int(active[0])
     wide = TrialDataset(ds.treatments, np.column_stack([ds.outcomes,
                                                         2.0 * ds.outcomes[:, copied]]))
-    problem, _ = _prepare(wide, standardize=False)
+    problem = WeightedProblem.from_dataset(wide).prepare(False)[0]
     assert not wlasso._Block(problem.gram, problem.ty).cover(np.append(active, ds.p), 0.0)
     sweep_log.clear()
     beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=np.append(start, 0.0))
@@ -631,7 +631,7 @@ def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(s
     its tests and is kept: the next solve on the same block steps on it
     without factoring again."""
     ds = factor_dataset(1)
-    problem, _ = _prepare(ds, standardize=False)
+    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
     lam = 0.05 * lambda_max(ds)
     start, _, converged = _cd_solve(problem, EnetConfig(), lam)
     assert converged and np.count_nonzero(start) >= wlasso._BLOCK_MIN
@@ -726,7 +726,7 @@ def test_objective_never_increases_within_a_solve(sweep_log):
         (random_dataset(7, n=60, p=100), 0.05, True),
     ]
     for ds, ratio, takes_block_steps in cases:
-        problem, _ = _prepare(ds, standardize=False)
+        problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
         lam = ratio * lambda_max(ds)
         trace = []
         sweep_log.clear()
@@ -824,13 +824,14 @@ def collinear_dataset(seed, n=200, p=4, spread=1e-6):
 def test_level_problems_keep_the_conditioning_of_the_row_wise_moments(standardize):
     """With covariates of condition number about 1e6, a level's moments,
     path and subset RSS from the shared factor agree to 1e-8 with
-    ``_prepare``'s row-wise projection on the aggregated dataset."""
+    the row-wise projection on the aggregated dataset."""
     ds = collinear_dataset(61)
     levels = [[(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)]]
     config = EnetConfig(standardize=standardize)
     for grouping, level in zip(levels, level_problems(ds, levels)):
         agg = aggregate_columns(ds, grouping)
-        want, got = _prepare(agg, standardize)[0], level._prepare(standardize)
+        want = WeightedProblem.from_dataset(agg).prepare(standardize)[0]
+        got = level.prepare(standardize)[0]
         np.testing.assert_array_equal(got.penalized, want.penalized)
         for name in ("ty", "scale", "tt"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-8)
@@ -854,11 +855,28 @@ def test_level_problems_reject_a_duplicated_covariate_as_prepare_does():
     (level,) = level_problems(ds, [grouping])
     message = "singular weighted covariate block \\(rank 3 < m=4\\)"
     with pytest.raises(NumericalError, match=message):
-        _prepare(aggregate_columns(ds, grouping), False)
+        WeightedProblem.from_dataset(aggregate_columns(ds, grouping)).prepare(False)
     with pytest.raises(NumericalError, match=message):
         level.walk_path()
     with pytest.raises(NumericalError, match=message):
-        level.solve(EnetConfig(lam=0.1))
+        level.fit(EnetConfig(lam=0.1))
     # the subset regression leaves covariates out, on both routes
     assert level.subset_weighted_rss([2]) == pytest.approx(
         subset_weighted_rss(aggregate_columns(ds, grouping), [2]), rel=1e-12)
+
+
+def test_a_level_fit_reports_the_covariate_block_and_rss_of_the_aggregated_dataset():
+    """A level's concentration gives the slopes and rows a fit reports:
+    ``alpha_cov`` and the RSS match :func:`fit_weighted_enet` on the
+    aggregated dataset, as ``beta`` does."""
+    ds = collinear_dataset(63, spread=0.5)
+    levels = [[(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)]]
+    for grouping, level in zip(levels, level_problems(ds, levels)):
+        agg = aggregate_columns(ds, grouping)
+        for scale in (0.0, 0.05):
+            config = EnetConfig(lam=scale * lambda_max(agg), tol=1e-12)
+            got, want = level.fit(config), fit_weighted_enet(agg, config)
+            assert got.active_set == want.active_set and len(got.alpha_cov) == agg.m
+            np.testing.assert_allclose(got.beta, want.beta, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.alpha_cov, want.alpha_cov, rtol=1e-10)
+            assert got.weighted_rss == pytest.approx(want.weighted_rss, rel=1e-12)
