@@ -41,8 +41,6 @@ try:
 except PackageNotFoundError:
     _HDTE_VERSION = "unknown"
 
-_SIM_METHODS = ("baseline", "baseline_dim", "lasso", "enet")
-
 
 def _versions() -> dict:
     return {
@@ -264,14 +262,7 @@ def _run_path(params, outdir: Path) -> None:
 
 def _run_simulate(params, outdir: Path) -> None:
     methods = _split_names(params["methods"])
-    unknown = [m for m in methods if m not in _SIM_METHODS]
-    if unknown:
-        raise DataError(
-            f"unknown simulation methods {unknown}; choose from {list(_SIM_METHODS)}"
-        )
     sizes = [int(s) for s in _split_names(params["sizes"])]
-    if not methods or not sizes:
-        raise DataError("need at least one method and one size")
     config = LinearModelConfig(
         n=params["n"], p=params["p"], m=params["m"], s_tau=params["s_tau"],
         alpha=params["alpha"], pi=params["pi"], seed=params["seed"],

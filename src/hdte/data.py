@@ -21,6 +21,7 @@ __all__ = [
     "split_indices",
     "center_columns",
     "check_full_rank",
+    "solve_nonsingular",
     "project_columns",
     "column_group_means",
     "aggregate_columns",
@@ -495,6 +496,22 @@ def check_full_rank(r: np.ndarray, n: int, what: str) -> None:
     rank = int((sv > cutoff).sum())
     if rank < m:
         raise NumericalError(f"singular {what} (rank {rank} < m={m})")
+
+
+def solve_nonsingular(matrix: np.ndarray, rhs: np.ndarray, what: str,
+                      subset) -> np.ndarray:
+    """``matrix^{-1} rhs`` for the small symmetric ``matrix`` of the outcome
+    columns ``subset``. Raises :class:`NumericalError` naming ``what`` and
+    the subset where the ratio of its smallest to its largest eigenvalue is
+    at most 1e-12: the one singularity rule of the subset regression and the
+    group statistic."""
+    eigvals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
+        raise NumericalError(
+            f"singular {what} for subset {tuple(int(j) for j in subset)} "
+            f"(eigenvalue ratio {eigvals[0] / max(eigvals[-1], 1e-300):.2e})"
+        )
+    return np.linalg.solve(matrix, rhs)
 
 
 def project_columns(design: np.ndarray, columns: np.ndarray,

@@ -21,6 +21,7 @@ __all__ = [
     "cuped_adjust",
     "lin_adjust",
     "adjusted_estimate",
+    "check_estimator",
 ]
 
 _METHODS = ("dim", "cuped", "lin")
@@ -78,6 +79,16 @@ class AdjustedOutcomes:
     method: str
 
 
+def check_estimator(ds: TrialDataset, method: str) -> None:
+    """Raise the :class:`DataError` that :func:`adjusted_estimate` raises on
+    any rows of ``ds``: an unknown ``method``, or an adjustment without
+    covariates."""
+    if method not in _METHODS:
+        raise DataError(f"unknown estimation method {method!r}")
+    if method != "dim" and ds.covariates is None:
+        raise DataError("dataset has no covariates to adjust on")
+
+
 def _check_arms(ds: TrialDataset) -> tuple[np.ndarray, int, int]:
     t_mask = ds.treatments == 1
     n_t = int(t_mask.sum())
@@ -128,8 +139,7 @@ def cuped_adjust(ds: TrialDataset) -> AdjustedOutcomes:
     centered data (:func:`hdte.data.project_columns`, which raises on a rank
     below ``m``), so no explicit intercept is carried.
     """
-    if ds.covariates is None:
-        raise DataError("dataset has no covariates to adjust on")
+    check_estimator(ds, "cuped")
     if ds.m >= ds.n:
         raise DataError(f"adjustment needs m < n, got m={ds.m}, n={ds.n}")
     theta, _ = project_columns(center_columns(ds.covariates)[0],
@@ -146,8 +156,7 @@ def lin_adjust(ds: TrialDataset) -> AdjustedOutcomes:
     (:func:`hdte.data.project_columns`) and subtracts ``(n_c / n) *
     theta_treated + (n_t / n) * theta_control`` applied to the covariates.
     """
-    if ds.covariates is None:
-        raise DataError("dataset has no covariates to adjust on")
+    check_estimator(ds, "lin")
     t_mask, n_t, n_c = _check_arms(ds)
     if ds.m >= min(n_t, n_c):
         raise DataError(
@@ -173,10 +182,9 @@ def adjusted_estimate(ds: TrialDataset, method: str, subset=None) -> EffectEstim
     because slopes are fit per outcome column, restricting first or last gives
     the same numbers.
     """
+    check_estimator(ds, method)
     if method == "dim":
         return diff_in_means(ds, subset)
-    if method not in ("cuped", "lin"):
-        raise DataError(f"unknown estimation method {method!r}")
     work = ds if subset is None else ds.restrict_outcomes(subset)
     adjusted = cuped_adjust(work) if method == "cuped" else lin_adjust(work)
     return _difference_of_means(ds, adjusted.y_tilde, method, subset)

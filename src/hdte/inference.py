@@ -9,10 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .data import TrialDataset, aggregate_columns, check_grouping, random_split
+from .data import (TrialDataset, aggregate_columns, check_grouping, random_split,
+                   solve_nonsingular)
 from .errors import DataError, HdteError, NumericalError
-from .estimators import EffectEstimate, adjusted_estimate
-from .selection import SelectionSpec, run_selection
+from .estimators import EffectEstimate, adjusted_estimate, check_estimator
+from .selection import SelectionSpec, check_sizes, run_selection
 
 __all__ = [
     "PValueReport",
@@ -84,17 +85,10 @@ def z_pvalues(est: EffectEstimate, correction: int, two_sided: bool = False) -> 
 
 def hotelling_statistic(est: EffectEstimate) -> float:
     """Quadratic-form statistic ``n * tau' sigma^{-1} tau``."""
-    s = len(est.index_set)
-    if s == 0:
+    if not est.index_set:
         return 0.0
-    eigvals = np.linalg.eigvalsh(est.sigma_hat)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
-        cond = eigvals[-1] / max(eigvals[0], 1e-300)
-        raise NumericalError(
-            f"singular covariance for subset {est.index_set} "
-            f"(condition estimate {cond:.2e}); cannot form the group statistic"
-        )
-    return float(est.n * est.tau_hat @ np.linalg.solve(est.sigma_hat, est.tau_hat))
+    return float(est.n * est.tau_hat @ solve_nonsingular(
+        est.sigma_hat, est.tau_hat, "covariance", est.index_set))
 
 
 def hotelling_pvalue(est: EffectEstimate) -> float:
@@ -109,8 +103,6 @@ def hotelling_pvalue(est: EffectEstimate) -> float:
 
 def _split_report(split, method: str, sel: SelectionSpec,
                   two_sided: bool) -> tuple[PValueReport, int | None]:
-    if method not in ("dim", "cuped", "lin"):
-        raise DataError(f"unknown estimation method {method!r}")
     (result,), level = run_selection(split.first, sel, method)
     subset = result.selected
     if not subset:
@@ -135,6 +127,7 @@ def single_split_pipeline(split, method: str, sel: SelectionSpec,
     statistic. An empty selection yields a report with group p-value 1 and no
     per-dimension entries.
     """
+    check_estimator(split.second, method)
     return _split_report(split, method, sel, two_sided)[0]
 
 
@@ -185,22 +178,28 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     capped rescaled ``gamma``-quantile per dimension and for the group
     p-value. Split seeds derive deterministically from ``seed``, so reruns
     reproduce the report exactly. Any split failure aborts with the split
-    index in the error message; resolution levels that do not fit ``ds``
-    (see :func:`hdte.data.check_grouping`) are a data error raised before
-    the first split.
+    index in the error message. A mistake that would fail every split is a
+    data error, not a failure of split 0: an unknown ``method`` or one
+    without covariates to adjust on, resolution levels that do not fit
+    ``ds`` (see :func:`hdte.data.check_grouping`) or a size beyond the
+    columns (each level's groups) it selects from, all checked before the
+    first split, and a ``fraction`` that leaves a part under 2 rows.
     """
     if B < 1:
         raise DataError(f"B must be >= 1, got {B}")
+    check_estimator(ds, method)
     for grouping in sel.levels or ():
         check_grouping(ds, grouping)
+    if sel.size is not None:
+        check_sizes([sel.size], min(map(len, sel.levels)) if sel.levels else ds.p)
     n_slots, offsets = _slot_layout(sel, ds.p)
     seeds = split_seeds(seed, B)
     per_dim = np.ones((B, n_slots))
     group = np.ones((B, 1))
     subsets = []
     for b in range(B):
+        split = random_split(ds, fraction, int(seeds[b]))   # fails alike for every seed
         try:
-            split = random_split(ds, fraction, int(seeds[b]))
             report, level = _split_report(split, method, sel, two_sided)
         except HdteError as exc:
             raise NumericalError(f"split {b} failed: {exc}") from exc

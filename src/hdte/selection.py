@@ -32,6 +32,7 @@ __all__ = [
     "path_selections",
     "population_beta_star",
     "select_resolution_level",
+    "check_sizes",
 ]
 
 _METHODS = ("baseline", "lasso", "enet")
@@ -139,15 +140,24 @@ class PopulationTarget:
     sigma_z: np.ndarray
 
 
+def check_sizes(sizes, p: int) -> list[int]:
+    """The sorted distinct subset ``sizes``, after checking that there is one
+    and that each selects from ``p`` columns."""
+    wanted = sorted(set(int(s) for s in sizes))
+    if not wanted:
+        raise DataError("sizes must be nonempty")
+    if wanted[0] < 1 or wanted[-1] > p:
+        raise DataError(f"sizes must be within [1, p={p}], got {wanted}")
+    return wanted
+
+
 def baseline_select(est: EffectEstimate, size: int) -> SelectionResult:
     """Top ``size`` outcome columns by studentized effect ``|tau_j| / sqrt(sigma_jj)``.
 
     Ties are broken toward the lower column index. Indices in the result
     refer to the source dataset's columns via ``est.index_set``.
     """
-    k = len(est.index_set)
-    if not 1 <= size <= k:
-        raise DataError(f"size must be in [1, {k}], got {size}")
+    check_sizes([size], len(est.index_set))
     diag = np.diag(est.sigma_hat)
     if np.any(diag <= 0):
         zero = est.index_set[int(np.argmin(diag))]
@@ -188,11 +198,7 @@ def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
     became active; same-point entries break ties by ascending index). The
     walk stops once every size is resolved.
     """
-    wanted = sorted(set(int(s) for s in sizes))
-    if not wanted:
-        raise DataError("sizes must be nonempty")
-    if wanted[0] < 1 or wanted[-1] > problem.p:
-        raise DataError(f"sizes must be within [1, p={problem.p}], got {wanted}")
+    wanted = check_sizes(sizes, problem.p)
     label = _method_label(config)
     entry_rank: dict[int, int] = {}
     results: dict[int, SelectionResult] = {}

@@ -5,6 +5,8 @@ an independent-outcomes model (pure shift on a few columns), and a day-long
 glucose trace generator for time-in-range experiments. On top of those sit
 replicated recovery, power, and semi-synthetic power experiments, all seeded
 and reproducible, with optional process-level parallelism over replicates.
+The three share one replicate loop, which averages each method's results
+over the replicates it did not fail and counts those it did.
 """
 
 from __future__ import annotations
@@ -238,15 +240,11 @@ class TraceExperimentConfig:
                 f"effect duration must be a positive multiple of the "
                 f"{step}-minute grid, got {self.effect_duration_minutes}"
             )
-        if not self.level_window_minutes:
-            raise DataError("need at least one window level")
-        finest = min(self.level_window_minutes)
-        for w in self.level_window_minutes:
-            if w <= 0 or 1440 % w != 0 or w % step != 0 or w % finest != 0:
-                raise DataError(
-                    f"window of {w} minutes must divide the day, align to the "
-                    f"{step}-minute grid, and be a multiple of the finest level"
-                )
+        window_level_groupings(self.level_window_minutes)
+        misaligned = [w for w in self.level_window_minutes if w % step]
+        if misaligned:
+            raise DataError(f"windows of {misaligned} minutes do not align to the "
+                            f"{step}-minute grid")
         lo, hi = self.glucose_range
         if not lo < hi:
             raise DataError(f"glucose_range must be increasing, got {self.glucose_range}")
@@ -354,6 +352,8 @@ def window_level_groupings(level_window_minutes) -> list[tuple[tuple[int, ...], 
     if not durations:
         raise DataError("need at least one window level")
     finest = min(durations)
+    if finest <= 0:
+        raise DataError(f"window durations must be positive, got {durations}")
     levels = []
     for d in durations:
         if d % finest != 0 or 1440 % d != 0:
@@ -385,12 +385,6 @@ class ExperimentMetrics:
     power: float | None = None
 
 
-def _method_key(method, position: int) -> str:
-    if isinstance(method, str):
-        return method
-    return getattr(method, "__name__", f"custom{position}")
-
-
 def _builtin_selection(method: str, sizes, estimator: str) -> tuple[SelectionSpec, str]:
     """Spec and estimator of a built-in experiment method; ``"baseline_dim"``
     is the baseline ranked without adjustment. Raises ``DataError`` for an
@@ -400,17 +394,23 @@ def _builtin_selection(method: str, sizes, estimator: str) -> tuple[SelectionSpe
     return SelectionSpec(method, size=sizes[-1]), estimator
 
 
-def _check_experiment(methods, sizes, estimator: str) -> tuple[int, ...]:
-    """The sorted distinct ``sizes``, after checking that there is one and
-    that every built-in method name is known: a mistake in the call is an
-    error, not a failure counted in every replicate."""
+def _check_experiment(methods, sizes, estimator: str) -> tuple[dict, tuple[int, ...]]:
+    """The methods by result key (a built-in's name, a callable's
+    ``__name__``) and the sorted distinct ``sizes``, after checking that
+    there is a method and a size and that every built-in name is known: a
+    mistake in the call is an error, not a failure counted in every
+    replicate."""
     sizes = tuple(sorted(set(int(s) for s in sizes)))
     if not sizes:
         raise DataError("an experiment needs at least one subset size")
+    if not methods:
+        raise DataError("an experiment needs at least one method")
     for method in methods:
         if not callable(method):
             _builtin_selection(method, sizes, estimator)
-    return sizes
+    keys = [method if isinstance(method, str) else getattr(method, "__name__", f"custom{k}")
+            for k, method in enumerate(methods)]
+    return dict(zip(keys, methods)), sizes
 
 
 def _subsets_by_size(ds: TrialDataset, method, sizes, estimator: str
@@ -424,60 +424,63 @@ def _subsets_by_size(ds: TrialDataset, method, sizes, estimator: str
     return {s: result.selected for s, result in zip(sizes, results)}
 
 
+def _outcomes(tasks: dict, evaluate: Callable) -> dict[str, dict | None]:
+    """``{key: evaluate(item)}`` over one replicate's methods or arms, with
+    ``None`` where the evaluation raises an :class:`HdteError`: a failed
+    replicate of that key, counted by :func:`_run_experiment`, not fatal."""
+    out = {}
+    for key, item in tasks.items():
+        try:
+            out[key] = evaluate(item)
+        except HdteError:
+            out[key] = None
+    return out
+
+
 def _recovery_replicate(args):
     generator, methods, sizes, estimator, child = args
     ds, s_true = generator.replicate(child)
     truth = set(int(j) for j in s_true)
-    out = {}
-    for pos, method in enumerate(methods):
-        key = _method_key(method, pos)
-        try:
-            picks = _subsets_by_size(ds, method, sizes, estimator)
-            out[key] = {s: len(truth & set(sel)) / s for s, sel in picks.items()}
-        except HdteError:
-            out[key] = None
-    return out
+
+    def recovery(method):
+        picks = _subsets_by_size(ds, method, sizes, estimator)
+        return {s: len(truth & set(sel)) / s for s, sel in picks.items()}
+    return _outcomes(methods, recovery)
 
 
 def _power_replicate(args):
     (generator, methods, sizes, estimator, test_estimator, alpha_level,
      n_second, child) = args
     ds1, ds2, _ = generator.replicate_pair(child, n_second)
-    out = {}
-    for pos, method in enumerate(methods):
-        key = _method_key(method, pos)
-        try:
-            picks = _subsets_by_size(ds1, method, sizes, estimator)
-            rejections = {}
-            for s, sel in picks.items():
-                est = adjusted_estimate(ds2, test_estimator, sel)
-                rejections[s] = float(hotelling_pvalue(est) <= alpha_level)
-            out[key] = rejections
-        except HdteError:
-            out[key] = None
-    return out
+
+    def rejections(method):
+        picks = _subsets_by_size(ds1, method, sizes, estimator)
+        return {s: float(hotelling_pvalue(adjusted_estimate(ds2, test_estimator, sel))
+                         <= alpha_level)
+                for s, sel in picks.items()}
+    return _outcomes(methods, rejections)
 
 
-def _run_replicates(worker: Callable, args_list: list, n_jobs: int) -> list:
+def _run_experiment(worker: Callable, args: tuple, keys, replicates: int, seed: int,
+                    n_jobs: int) -> dict[str, tuple[dict | None, int]]:
+    """Run ``worker(args + (child,))`` once per replicate, each ``child``
+    spawned from ``SeedSequence(seed)``, serially or over ``n_jobs``
+    processes. Per key of ``keys``: the entrywise mean of its maps over the
+    replicates in which it did not fail (``None`` if it failed in all), and
+    the number in which it failed."""
+    jobs = [args + (child,) for child in np.random.SeedSequence(seed).spawn(replicates)]
     if n_jobs <= 1:
-        return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        chunk = max(1, len(args_list) // (4 * n_jobs))
-        return list(pool.map(worker, args_list, chunksize=chunk))
-
-
-def _aggregate_by_size(raw: list, methods, replicates: int) -> dict[str, dict]:
-    collected = {}
-    for pos, method in enumerate(methods):
-        key = _method_key(method, pos)
+        raw = [worker(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            raw = list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * n_jobs))))
+    out = {}
+    for key in keys:
         rows = [r[key] for r in raw if r[key] is not None]
-        failures = replicates - len(rows)
-        by_size = None
-        if rows:
-            sizes = rows[0].keys()
-            by_size = {s: float(np.mean([r[s] for r in rows])) for s in sizes}
-        collected[key] = (by_size, failures)
-    return collected
+        means = ({entry: float(np.mean([r[entry] for r in rows])) for entry in rows[0]}
+                 if rows else None)
+        out[key] = means, replicates - len(rows)
+    return out
 
 
 def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: int, *,
@@ -491,17 +494,11 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
     baseline ranking when covariates are present. Replicate seeds derive from
     ``seed``; a failed replicate is skipped and counted, not fatal.
     """
-    sizes = _check_experiment(methods, sizes, estimator)
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    args = [(generator, tuple(methods), sizes, estimator, child)
-            for child in children]
-    raw = _run_replicates(_recovery_replicate, args, n_jobs)
-    out = {}
-    for key, (by_size, failures) in _aggregate_by_size(raw, methods, replicates).items():
-        out[key] = ExperimentMetrics(
-            key, replicates, failures, recovery_rate_by_size=by_size
-        )
-    return out
+    methods, sizes = _check_experiment(methods, sizes, estimator)
+    results = _run_experiment(_recovery_replicate, (generator, methods, sizes, estimator),
+                              methods, replicates, seed, n_jobs)
+    return {key: ExperimentMetrics(key, replicates, failures, recovery_rate_by_size=means)
+            for key, (means, failures) in results.items()}
 
 
 def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, *,
@@ -518,18 +515,26 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
     selection happens on the first, the quadratic-form test on the second
     restricted to the selected columns (``test_estimator`` adjustment).
     """
-    sizes = _check_experiment(methods, sizes, estimator)
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    args = [
-        (generator, tuple(methods), sizes, estimator, test_estimator,
-         alpha_level, second_sample_size, child)
-        for child in children
-    ]
-    raw = _run_replicates(_power_replicate, args, n_jobs)
-    out = {}
-    for key, (by_size, failures) in _aggregate_by_size(raw, methods, replicates).items():
-        out[key] = ExperimentMetrics(key, replicates, failures, power_by_size=by_size)
-    return out
+    methods, sizes = _check_experiment(methods, sizes, estimator)
+    results = _run_experiment(_power_replicate,
+                              (generator, methods, sizes, estimator, test_estimator,
+                               alpha_level, second_sample_size),
+                              methods, replicates, seed, n_jobs)
+    return {key: ExperimentMetrics(key, replicates, failures, power_by_size=means)
+            for key, (means, failures) in results.items()}
+
+
+def _semisynth_arms(config: TraceExperimentConfig) -> dict[str, tuple | None]:
+    """Each arm's name and its window grouping: ``fixed_<d>min`` for every
+    level but the finest (the proposed method's territory, unless it is the
+    only level), then ``proposed``, which selects among all levels."""
+    levels = config.level_window_minutes
+    finest = min(levels)
+    arms = {f"fixed_{d}min": grouping
+            for d, grouping in zip(levels, window_level_groupings(levels))
+            if d != finest or len(levels) == 1}
+    arms["proposed"] = None
+    return arms
 
 
 def _semisynth_replicate(args):
@@ -546,30 +551,24 @@ def _semisynth_replicate(args):
     outcomes = compute_tir(traces[:, :, 1], finest, config.glucose_range)
     covariates = compute_tir(traces[:, :, 0], finest, config.glucose_range)
     ds = TrialDataset(t, outcomes, covariates)
-    groupings = window_level_groupings(config.level_window_minutes)
     multi_split_seed = int(rng.integers(2**31))
-    out = {}
-    for duration in config.level_window_minutes:
-        if duration == finest and len(config.level_window_minutes) > 1:
-            continue  # the finest level is the proposed method's territory
-        grouping = groupings[config.level_window_minutes.index(duration)]
-        level_ds = aggregate_columns(ds, grouping)
-        try:
+
+    def rejection(grouping):
+        """Whether an arm rejects, as a map of one entry (key ``None``): the
+        fixed-window test on ``grouping``, or the proposed pipeline for ``None``."""
+        if grouping is None:
+            p = multi_split(
+                ds, B=B, gamma=gamma, method=estimator,
+                sel=SelectionSpec(method="lasso", size=select_size,
+                                  levels=window_level_groupings(config.level_window_minutes)),
+                seed=multi_split_seed,
+            ).group_aggregated
+        else:
+            level_ds = aggregate_columns(ds, grouping)
             est = adjusted_estimate(level_ds, estimator)
-            p_min = float(z_pvalues(est, correction=level_ds.p, two_sided=True).min())
-            out[f"fixed_{duration}min"] = float(p_min <= alpha_level)
-        except HdteError:
-            out[f"fixed_{duration}min"] = None
-    try:
-        report = multi_split(
-            ds, B=B, gamma=gamma, method=estimator,
-            sel=SelectionSpec(method="lasso", size=select_size, levels=groupings),
-            seed=multi_split_seed,
-        )
-        out["proposed"] = float(report.group_aggregated <= alpha_level)
-    except HdteError:
-        out["proposed"] = None
-    return out
+            p = float(z_pvalues(est, correction=level_ds.p, two_sided=True).min())
+        return {None: float(p <= alpha_level)}
+    return _outcomes(_semisynth_arms(config), rejection)
 
 
 def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
@@ -587,20 +586,12 @@ def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
     level on the full sample and (b) the multi-resolution multi-split
     pipeline. Week 1 supplies covariates for adjustment throughout.
     """
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    args = [
-        (config, B, gamma, select_size, estimator, alpha_level, child)
-        for child in children
-    ]
-    raw = _run_replicates(_semisynth_replicate, args, n_jobs)
-    names = list(raw[0].keys()) if raw else []
-    out = {}
-    for name in names:
-        values = [r[name] for r in raw if r[name] is not None]
-        failures = replicates - len(values)
-        power = float(np.mean(values)) if values else None
-        out[name] = ExperimentMetrics(name, replicates, failures, power=power)
-    return out
+    results = _run_experiment(_semisynth_replicate,
+                              (config, B, gamma, select_size, estimator, alpha_level),
+                              _semisynth_arms(config), replicates, seed, n_jobs)
+    return {name: ExperimentMetrics(name, replicates, failures,
+                                    power=None if means is None else means[None])
+            for name, (means, failures) in results.items()}
 
 
 def write_metrics_csv(results: dict[str, ExperimentMetrics], path) -> None:

@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .data import (TrialDataset, center_columns, check_full_rank, check_grouping,
-                   column_group_means, project_columns)
+                   column_group_means, project_columns, solve_nonsingular)
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -87,11 +87,6 @@ _BLOCK_MIN = 8
 # this share of its diagonal entry: singular active Grams leave up to 1.3e-10,
 # the factors on criterion 6's and a 250 x 4000 path no less than 3.6e-4.
 _PIVOT_MIN = 1e-8
-
-# A column read in a full sweep is computed in one product with up to this
-# many that would enter if the sweep reached them now. One BLAS thread on a
-# 2-vCPU Xeon, n = 500, p = 4000: 0.8 ms per column alone, 0.1 ms in a batch.
-_READ_AHEAD = 64
 
 # A full sweep whose zero coordinates form runs of at least this mean length
 # passes each run in one vectorized test. Measured as above: the scalar loop
@@ -195,9 +190,6 @@ class _Gram:
         self._row = [None] * p                       # column j as a view of its row
         self._store = np.empty((0, p))
         self._count = 0
-        # (ty, q, lam1) of the full sweep in progress, which visits columns
-        # in ascending order: column j enters when |ty_j - q_j| > lam1.
-        self.hint = (np.zeros(p), np.zeros(p), np.inf)
 
     def _slots(self, idx: np.ndarray) -> np.ndarray:
         """Store rows of the distinct columns ``idx``, computing those not
@@ -227,12 +219,9 @@ class _Gram:
         return slots
 
     def __getitem__(self, j: int) -> np.ndarray:
-        """Row (equally, column) ``j``. A column not held is read with up to
-        ``_READ_AHEAD - 1`` after it that ``hint`` says would enter now."""
+        """Row (equally, column) ``j``."""
         if self._row[j] is None:
-            ty, q, lam1 = self.hint
-            later = j + 1 + np.flatnonzero(np.abs(ty[j + 1:] - q[j + 1:]) > lam1)
-            self._slots(np.append(j, later[self._slot[later] < 0][:_READ_AHEAD - 1]))
+            self._slots(np.array([j]))
         return self._row[j]
 
     def block(self, idx: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
@@ -514,13 +503,11 @@ def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
             full_list, scalar_args = lists
             if not on_full_set:
                 delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)
+            elif full_set.size - nonzero.size >= _ZERO_RUN_MIN * (nonzero.size + 1):
+                delta = _sparse_full_sweep(nonzero, full_set, full_list, ty, beta,
+                                           current_q(), *scalar_args)
             else:
-                gram.hint = (ty, current_q(), lam1)
-                if full_set.size - nonzero.size >= _ZERO_RUN_MIN * (nonzero.size + 1):
-                    delta = _sparse_full_sweep(nonzero, full_set, full_list, ty, beta,
-                                               q, *scalar_args)
-                else:
-                    delta = _scalar_sweep(full_list, beta, q, *scalar_args)
+                delta = _scalar_sweep(full_list, beta, current_q(), *scalar_args)
             converged = delta < config.tol and on_full_set and stationary()
             on_full_set = delta < config.tol
         nonzero = np.flatnonzero(beta)
@@ -654,18 +641,6 @@ def _check_subset(subset, n: int, p: int) -> np.ndarray:
     return idx
 
 
-def _restricted_solve(gram: np.ndarray, rhs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Coefficients of the restricted regression with moments ``gram`` and
-    ``rhs``; raises on a numerically singular ``gram``."""
-    eigvals = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
-        raise NumericalError(
-            f"singular restricted design for subset {tuple(int(j) for j in idx)} "
-            f"(eigenvalue ratio {eigvals[0] / max(eigvals[-1], 1e-300):.2e})"
-        )
-    return np.linalg.solve(gram, rhs)
-
-
 def subset_weighted_rss(ds: TrialDataset, subset) -> float:
     """Mean weighted squared residual of the unpenalized regression of the
     treatment indicator on the centered outcome columns in ``subset``.
@@ -734,7 +709,8 @@ class WeightedProblem:
         if idx.size == 0:
             return float(t @ t / self.n)
         cols = self.rows[:, self.m + idx]
-        beta = _restricted_solve(cols.T @ cols / self.n, cols.T @ t / self.n, idx)
+        beta = solve_nonsingular(cols.T @ cols / self.n, cols.T @ t / self.n,
+                                 "restricted design", idx)
         residual = t - cols @ beta
         return float(residual @ residual / self.n)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -323,6 +324,28 @@ def test_a_baseline_selection_with_a_penalty_option_is_a_data_error(
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "data"
         assert "baseline selection takes no penalty" in record["message"]
+
+
+@pytest.mark.parametrize("options, match", [
+    (["--s", "50"], r"sizes must be within \[1, p=10\]"),
+    (["--s", "2", "--fraction", "0.01"], "leaves a part with fewer than 2 rows"),
+    (["--s", "2", "--estimator", "cuped", "--covariate-cols", "none"],
+     "no covariates to adjust on"),
+    (["--s", "2", "--selection", "baseline", "--estimator", "lin",
+      "--covariate-cols", "none"], "no covariates to adjust on"),
+])
+def test_a_multisplit_argument_that_fails_every_split_is_a_data_error(
+        tmp_path, capsys, options, match):
+    """A mistake that does not depend on the rows a split draws exits 2, as
+    ``select`` and ``infer`` report it, not 3 as a failure of split 0."""
+    data = _write_trial(tmp_path / "wide.csv", seed=0, p=10)
+    outdir = tmp_path / "ms"
+    code = main(["multisplit", str(data), "--B", "2", *options, "--outdir", str(outdir)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "data"
+    assert re.search(match, record["message"])
+    assert not outdir.exists() or not list(outdir.glob("*"))
 
 
 MANIFEST_KEYS = {

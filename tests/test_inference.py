@@ -323,6 +323,22 @@ def test_multi_split_rejects_malformed_levels_as_data_errors(m, levels, match):
         multi_split(ds, B=3, method="dim", sel=SelectionSpec(size=1, levels=levels))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(method="foo"), "unknown estimation method 'foo'"),
+    (dict(method="cuped"), "no covariates to adjust on"),
+    (dict(sel=SelectionSpec(size=5)), r"sizes must be within \[1, p=4\]"),
+    (dict(sel=SelectionSpec(size=3, levels=[[(0, 1), (2, 3)], [(0,), (1,), (2,), (3,)]])),
+     r"sizes must be within \[1, p=2\]"),
+    (dict(fraction=0.01), "fewer than 2 rows"),
+])
+def test_multi_split_rejects_a_call_that_fails_every_split(kwargs, match):
+    """A mistake that does not depend on the rows a split draws is a data
+    error, not a numerical failure of split 0."""
+    ds = planted_dataset(4, n=100, p=4)
+    with pytest.raises(DataError, match=match):
+        multi_split(ds, **{"B": 2, "seed": 1, **kwargs})
+
+
 def test_multi_split_validates_b():
     ds = planted_dataset(1, n=100)
     with pytest.raises(DataError, match="B must be"):

@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module imports another module's
 private names, the covariate regression has one implementation, and so
-do the Cholesky factorization of the solver's exact steps and the
-propensity weighting; only the scipy modules the package calls are
+do the Cholesky factorization of the solver's exact steps, the
+propensity weighting, the singularity rule of small solves and the
+experiments' replicate loop; only the scipy modules the package calls are
 imported."""
 
 import ast
@@ -65,6 +66,21 @@ def factor_routes(path: Path) -> tuple[list[str], list[str]]:
                and (node.module == "scipy.linalg.lapack" or node.module == "scipy.linalg"
                     and any(alias.name == "lapack" for alias in node.names))]
     return calls, imports
+
+
+def replicate_routes(path: Path) -> tuple[list[str], list[str]]:
+    """The functions of one source file that spawn seeds from a
+    ``SeedSequence(...)``, and those that catch ``HdteError``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    spawns = _functions_where(path, tree, lambda node: (
+        isinstance(node, ast.Call) and _called_name(node) == "spawn"
+        and isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Call)
+        and _called_name(node.func.value) == "SeedSequence"))
+    catches = _functions_where(path, tree, lambda node: (
+        isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(getattr(name, "id", getattr(name, "attr", None)) == "HdteError"
+                for name in ast.walk(node.type))))
+    return spawns, catches
 
 
 def scipy_imports(path: Path) -> list[str]:
@@ -158,6 +174,49 @@ def test_factor_routes_are_detected(tmp_path):
     )
     assert factor_routes(sample) == (["sample.py:build", "sample.py:extend"],
                                      ["sample.py:1", "sample.py:2", "sample.py:3"])
+
+
+def test_one_replicate_loop_and_one_failure_catch():
+    """The experiments of ``simharness`` spawn replicate seeds in one
+    function, ``_run_experiment``, and turn a method's ``HdteError`` into a
+    failed replicate in one other, ``_outcomes``."""
+    assert replicate_routes(PACKAGE / "simharness.py") == (
+        ["simharness.py:_run_experiment"], ["simharness.py:_outcomes"])
+
+
+def test_replicate_routes_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import numpy as np\n"
+        "def seeds(seed, k):\n"
+        "    return np.random.SeedSequence(seed).spawn(k), spawn(k)\n"
+        "def run(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except (ValueError, errors.HdteError):\n"
+        "        return None\n"
+        "def other(f):\n"
+        "    try:\n"
+        "        return f()\n"
+        "    except HdteError as exc:\n"
+        "        raise ValueError from exc\n"
+        "    except Exception:\n"
+        "        pass\n"
+    )
+    assert replicate_routes(sample) == (["sample.py:seeds"],
+                                        ["sample.py:run", "sample.py:other"])
+
+
+def test_one_singularity_rule_for_small_symmetric_solves():
+    """The subset regression and the group statistic share one rule for a
+    singular matrix, ``data.solve_nonsingular``: criterion 1's argmin and
+    argmax range over the same subsets."""
+    found = [caller for path in sorted(PACKAGE.glob("*.py"))
+             for caller in _functions_where(
+                 path, ast.parse(path.read_text(), filename=str(path)),
+                 lambda node: isinstance(node, ast.Call)
+                 and _called_name(node) == "eigvalsh")]
+    assert found == ["data.py:solve_nonsingular"]
 
 
 def test_scipy_is_imported_only_where_it_is_called():

@@ -252,11 +252,13 @@ def test_recovery_experiment_counts_failures():
 
 @pytest.mark.parametrize("run", [run_recovery_experiment, run_power_experiment])
 def test_experiments_reject_a_call_they_cannot_run(run):
-    """An empty size list or an unknown built-in method name is an error in
-    the call, not a failed replicate."""
+    """An empty size or method list, or an unknown built-in method name, is
+    an error in the call, not a failed replicate."""
     gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
     with pytest.raises(DataError, match="at least one subset size"):
         run(gen, ("lasso",), (), 2, 0)
+    with pytest.raises(DataError, match="at least one method"):
+        run(gen, (), (1,), 2, 0)
     with pytest.raises(DataError, match="unknown selection method 'lasso '"):
         run(gen, ("lasso", "lasso "), (1,), 3, 0)
 
