@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -238,34 +238,43 @@ def _schema_columns(header, schema: CsvSchema, path) -> list[int]:
     return columns
 
 
-def _parse_block(text: str, width: int, columns: list[int]) -> np.ndarray | None:
+def _parse_block(handle, width: int, columns: list[int]) -> np.ndarray | None:
     """The ``columns`` of the data block, in that order, in one
     ``np.loadtxt`` pass, or ``None`` where the block has fewer than two rows,
     holds a quote, or has a line of other than ``width`` cells.
 
-    ``csv.reader`` ends a record at ``\\r``, ``\\n`` or ``\\r\\n``, so the same
-    line split is done here by hand; without a quote, a record's cells are
-    its comma-separated pieces, so the cell count of every line is checked
-    here (``usecols`` takes long rows silently). Cells outside ``columns``
-    are not parsed, so a text column does not leave this path. Anything in
-    ``columns`` that ``float`` does not take makes ``np.loadtxt`` raise
-    ``ValueError``; the numbers it does take are a subset of those
-    ``float(cell.strip())`` takes, with the same value.
+    ``handle`` is opened with ``newline=""`` and read past the header, so its
+    lines end at ``\\r``, ``\\n`` or ``\\r\\n``, as ``csv.reader`` ends a record.
+    Each line is checked as ``np.loadtxt`` reads it, so the block is never
+    held as text and the peak memory of a load is that of its values, not
+    of a whole-file string and its split lines (twice the file). Without a
+    quote, a record's cells are its comma-separated pieces, so the cell
+    count of every line is checked here (``usecols`` takes long rows
+    silently). Cells outside ``columns`` are not parsed, so a text column
+    does not leave this path. Anything in ``columns`` that ``float`` does
+    not take makes ``np.loadtxt`` raise ``ValueError``; the numbers it does
+    take are a subset of those ``float(cell.strip())`` takes, with the same
+    value.
     """
-    if '"' in text:
+    rows = 0   # the lines passed on; -1 once a line is not taken
+
+    def checked_lines():
+        nonlocal rows
+        for line in handle:
+            line = line.rstrip("\r\n")
+            if '"' in line or line.count(",") != width - 1:
+                rows = -1
+                return
+            rows += 1
+            yield line
+
+    lines = checked_lines()
+    first = list(islice(lines, 2))
+    if len(first) < 2:
         return None
-    # CRLF text (write_csv's) splits at once; a lone CR or LF is normalized
-    # in one expression, so that no normalized copy outlives the split.
-    lines = text.split("\r\n") if "\r\n" in text else [text]
-    if any("\r" in line or "\n" in line for line in lines):
-        lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text
-                 else text).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or any(line.count(",") != width - 1 for line in lines):
-        return None
-    values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=columns)
-    return values if values.shape == (len(lines), len(columns)) else None
+    values = np.loadtxt(chain(first, lines), delimiter=",", comments=None, ndmin=2,
+                        usecols=columns)
+    return values if values.shape == (rows, len(columns)) else None
 
 
 def _parse_rows(rows, schema: CsvSchema, columns: list[int], width: int) -> np.ndarray:
@@ -314,7 +323,7 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
                 raise DataError(f"{path} is empty") from None
             columns = _schema_columns(header, schema, path)
             try:
-                block = _parse_block(handle.read(), len(header), columns)
+                block = _parse_block(handle, len(header), columns)
             except ValueError:   # UnicodeDecodeError among them
                 block = None
         if block is not None:
