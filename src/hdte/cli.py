@@ -60,6 +60,14 @@ def _split_names(raw: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in raw.split(",") if name.strip())
 
 
+def _split_ints(raw: str, option: str) -> list[int]:
+    """The comma-separated integers of ``option``; any other value is a data error."""
+    try:
+        return [int(name) for name in _split_names(raw)]
+    except ValueError:
+        raise DataError(f"{option} takes comma-separated integers, got {raw!r}") from None
+
+
 def _load_dataset(params):
     path = params["data"]
     try:
@@ -262,7 +270,7 @@ def _run_path(params, outdir: Path) -> None:
 
 def _run_simulate(params, outdir: Path) -> None:
     methods = _split_names(params["methods"])
-    sizes = [int(s) for s in _split_names(params["sizes"])]
+    sizes = _split_ints(params["sizes"], "--sizes")
     config = LinearModelConfig(
         n=params["n"], p=params["p"], m=params["m"], s_tau=params["s_tau"],
         alpha=params["alpha"], pi=params["pi"], seed=params["seed"],
@@ -285,7 +293,7 @@ def _run_simulate(params, outdir: Path) -> None:
 
 
 def _run_semisynth(params, outdir: Path) -> None:
-    levels = tuple(int(w) for w in _split_names(params["levels"]))
+    levels = tuple(_split_ints(params["levels"], "--levels"))
     config = TraceExperimentConfig(
         n=params["n"],
         effect_magnitude=params["alpha"],

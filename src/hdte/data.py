@@ -356,13 +356,15 @@ def write_csv(ds: TrialDataset, path) -> CsvSchema:
     outcome_names = ds.column_labels or tuple(f"y{j}" for j in range(ds.p))
     covariate_names = tuple(f"x{k}" for k in range(ds.m))
     schema = CsvSchema("treatment", outcome_names, covariate_names)
-    covariates = ds.covariates.tolist() if ds.covariates is not None else [[]] * ds.n
+    covariates = ds.covariates if ds.covariates is not None else np.empty((ds.n, 0))
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(["treatment", *outcome_names, *covariate_names])
         # A number never needs quoting, so data rows are joined as csv.writer
-        # would write them, without its per-field checks.
-        for t, outcomes, covs in zip(ds.treatments.tolist(), ds.outcomes.tolist(), covariates):
-            handle.write(",".join([str(t), *map(repr, outcomes), *map(repr, covs)]) + "\r\n")
+        # would write them, without its per-field checks. Rows are converted
+        # one at a time, so no Python copy of the whole matrix is held.
+        for t, outcomes, covs in zip(ds.treatments.tolist(), ds.outcomes, covariates):
+            handle.write(",".join([str(t), *map(repr, outcomes.tolist()),
+                                   *map(repr, covs.tolist())]) + "\r\n")
     return schema
 
 

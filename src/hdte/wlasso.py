@@ -20,7 +20,8 @@ active-set sweep strategy and a final stationarity check.
 Moments. Moment preparation keeps the weighted concentrated outcomes, the
 cross moments with the response and the Gram diagonal, all O(n p). Gram
 columns are computed as a solve reads them (:class:`_Gram`), so a selection
-at p = 20,000 never forms the p x p matrix.
+at p = 20,000 never forms the p x p matrix; a small Gram (``_GRAM_WHOLE_MAX``)
+is computed whole at its first read, in one product.
 
 Sweeps. Once the nonzero set ``A`` has ``_BLOCK_MIN`` coordinates, each
 iteration is one exact step (:class:`_Block`, after Osborne, Presnell & Turlach
@@ -31,7 +32,10 @@ q_j| > lam1`` enter the next one with the sign of ``ty_j - q_j`` (feature-sign
 search, Lee, Battle, Raina & Ng 2007), by rows appended to the factor. The
 scalar loop is the one fallback, with the bits of :func:`soft_threshold`; it
 passes long runs of zero coordinates in one vectorized test of its own
-condition. Solutions match the plain loop's to its tolerance.
+condition. Solutions match the plain loop's to its tolerance. What does not
+change along a path (the penalized set, the scalar loop's float lists, the
+stationarity check's scale) is computed once per walk and carried with the
+factor, so a solve on a small problem costs about its sweeps.
 
 Problems and resolution levels. A :class:`WeightedProblem` holds rows with
 the Gram of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``, and
@@ -87,6 +91,13 @@ _BLOCK_MIN = 8
 # this share of its diagonal entry: singular active Grams leave up to 1.3e-10,
 # the factors on criterion 6's and a 250 x 4000 path no less than 3.6e-4.
 _PIVOT_MIN = 1e-8
+
+# A Gram whose rows x p x p product is at most this is computed whole at its
+# first read, so its slot bookkeeping runs once per problem. Measured as above
+# on lasso selections of size 2 and 5: whole Grams win below about 6e5 and
+# lose up to 75% above (n = 2000, p = 64). Resolution levels (at most
+# 2p + 1 rows) are whole up to p = 63.
+_GRAM_WHOLE_MAX = 2**19
 
 # A full sweep whose zero coordinates form runs of at least this mean length
 # passes each run in one vectorized test. Measured as above: the scalar loop
@@ -175,9 +186,10 @@ class _Gram:
 
     A column is computed the first time it is read, columns read together in
     one product, and kept, so memory is O(p * |ever read|) and a sparse solve
-    never forms the p x p matrix. An entry already held by an earlier column
-    (within one product, the earlier in reading order) keeps that value and
-    the diagonal is ``diag``, so the matrix read is exactly symmetric.
+    never forms the p x p matrix; for a small Gram (``_GRAM_WHOLE_MAX``) the
+    first read computes every column. An entry already held by an earlier
+    column (within one product, the earlier in reading order) keeps that value
+    and the diagonal is ``diag``, so the matrix read is exactly symmetric.
     """
 
     def __init__(self, z: np.ndarray, scale: np.ndarray, raw_diag: np.ndarray, n: int):
@@ -195,8 +207,13 @@ class _Gram:
         """Store rows of the distinct columns ``idx``, computing those not
         held in one product ``Z' Z[:, new]``."""
         slots = self._slot[idx]
+        p = self._slot.size
+        if self._count == p:
+            return slots
         new = idx[slots < 0]
         if new.size:
+            if self._z.shape[0] * p * p <= _GRAM_WHOLE_MAX:   # the first read: all
+                new = np.arange(p)
             count, k = self._count, new.size
             if count + k > self._store.shape[0]:
                 grown = np.empty((max(8, 2 * count, count + k), self._store.shape[1]))
@@ -224,10 +241,10 @@ class _Gram:
             self._slots(np.array([j]))
         return self._row[j]
 
-    def block(self, idx: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-        """``G[idx][:, cols]`` (``cols`` defaults to ``idx``) as a new array."""
-        slots = self._slots(idx)
-        return self._store[np.ix_(slots, idx if cols is None else cols)]
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """``G[idx]`` as a new array."""
+        slots = self._slots(idx)   # first: it may replace the store
+        return self._store[slots]
 
     def dot(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``values @ G[idx]``, one product over the store without copying rows."""
@@ -278,12 +295,12 @@ def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
     """Largest stationarity violation in gradient units.
 
     The smooth-part gradient is ``2 * (q - ty)`` with ``q = gram @ beta``.
+    The violations are formed at half scale and doubled, which is exact.
     """
-    grad = 2.0 * (q - ty)
-    active, inactive = (beta != 0.0) & penalized, (beta == 0.0) & penalized
-    resid = grad[active] + 2.0 * lam1 * np.sign(beta[active]) + 2.0 * ridge * beta[active]
-    slack = np.abs(grad[inactive]) - 2.0 * lam1
-    return max(float(np.max(np.abs(resid), initial=0.0)), float(np.max(slack, initial=0.0)))
+    half = q - ty
+    violation = np.where(beta == 0.0, np.abs(half) - lam1,
+                         np.abs(half + lam1 * np.sign(beta) + ridge * beta))
+    return 2.0 * float(violation[penalized].max(initial=0.0))
 
 
 def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
@@ -321,11 +338,20 @@ class _Block:
     ``basis``); one that enters is appended (:meth:`extend`). The factor is
     built afresh for a new ridge, a failed extension or a step that would
     raise the objective; a fresh factor that fails either test is not built
-    again until the set to cover changes."""
+    again until the set to cover changes.
 
-    def __init__(self, gram, ty):
-        self.gram, self.ty = gram, ty
+    A block also carries what every solve on its ``problem`` reads: the
+    penalized set, the stationarity check's scale and the scalar loop's float
+    lists, with its denominators for the last ridge solved at."""
+
+    def __init__(self, problem):
+        self.gram, self.ty, diag = problem.gram, problem.ty, problem.gram.diag
         self.ridge = self.failed = None   # the factor's ridge; the set it last failed on
+        self.penalized, self.full_set = problem.penalized, problem.penalized.nonzero()[0]
+        self.kkt_scale = max(1.0, float(np.abs(self.ty).max(initial=0.0)),
+                             float(diag.max(initial=0.0)))
+        self.lists = self.full_set.tolist(), self.ty.tolist(), diag.tolist()
+        self.denom = None, None   # a ridge and the scalar loop's denominators at it
 
     def build(self, target, ridge) -> bool:
         """Factor the ascending set ``target`` afresh."""
@@ -345,7 +371,7 @@ class _Block:
         was, where a squared pivot falls below ``_PIVOT_MIN`` of its diagonal
         entry (as when ``|A|`` nears the rank of the rows)."""
         k, order = self.order.size, np.concatenate([self.order, new])
-        rows = self.gram.block(new, order)   # [G_VA | G_VV]
+        rows = self.gram.rows(new)[:, order]   # [G_VA | G_VV]
         square = rows[:, k:]
         square[np.diag_indices(new.size)] += self.ridge
         cross = dtrtrs(self.factor, rows[:, :k].T, lower=1)[0] if k else rows[:, :0].T
@@ -418,24 +444,21 @@ class _Block:
         return True, None if crossed.any() else self.gram.dot(order, b)
 
 
-def _sparse_full_sweep(nonzero, full_set, full_list, ty_vec, beta, q,
-                       gram, ty, diag, denom, lam1) -> float:
-    """The scalar full sweep, bit for bit, with each run of zero coordinates
-    between consecutive ``nonzero`` ones passed in one vectorized test of the
-    loop's own condition ``|ty_j - q_j| <= lam1`` on the same ``q``; from the
-    first coordinate that fails it (or is not a number) the scalar loop runs
-    the rest. ``ty_vec`` is ``ty`` as an array; the other arguments are those
-    of :func:`_scalar_sweep`."""
-    delta, lo = 0.0, 0
-    p = ty_vec.shape[0]
-    for a in (*nonzero.tolist(), p):
-        stays = np.abs(ty_vec[lo:a] - q[lo:a]) <= lam1
+def _sparse_full_sweep(nonzero, beta, q, block, args) -> float:
+    """The scalar full sweep over ``block``'s penalized set, bit for bit, with
+    each run of zero coordinates between consecutive ``nonzero`` ones passed in
+    one vectorized test of the loop's own condition ``|ty_j - q_j| <= lam1`` on
+    the same ``q``; from the first coordinate that fails it (or is not a
+    number) the scalar loop runs the rest. ``args`` are those of
+    :func:`_scalar_sweep` after ``q``."""
+    delta, lo, ty, lam1 = 0.0, 0, block.ty, args[-1]
+    for a in (*nonzero.tolist(), ty.shape[0]):
+        stays = np.abs(ty[lo:a] - q[lo:a]) <= lam1
         if not stays.all():
-            start = int(np.searchsorted(full_set, lo + int(stays.argmin())))
-            return max(delta, _scalar_sweep(full_list[start:], beta, q,
-                                            gram, ty, diag, denom, lam1))
-        if a < p:
-            delta = max(delta, _scalar_sweep((a,), beta, q, gram, ty, diag, denom, lam1))
+            start = int(np.searchsorted(block.full_set, lo + int(stays.argmin())))
+            return max(delta, _scalar_sweep(block.lists[0][start:], beta, q, *args))
+        if a < ty.shape[0]:
+            delta = max(delta, _scalar_sweep((a,), beta, q, *args))
         lo = a + 1
     return delta
 
@@ -458,63 +481,60 @@ def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
     ``tol``, with the same check.
     """
     gram, ty = problem.gram, problem.ty
-    p = ty.shape[0]
+    block = _Block(problem) if block is None else block
     lam1 = lam * config.l1_ratio
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
-    diag = gram.diag
-    full_set = np.flatnonzero(problem.penalized)
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
-    beta[~problem.penalized] = 0.0
-    nonzero = np.flatnonzero(beta)
-    q = np.zeros(p) if nonzero.size == 0 else None   # None: stale
-    block = _Block(gram, ty) if block is None else block
-    lists = None   # the scalar loop's arguments
-    kkt_tol = 10.0 * config.tol * max(1.0, float(np.max(np.abs(ty), initial=0.0)),
-                                      float(diag.max(initial=0.0)))
+    full_set, full_list, penalized = block.full_set, block.lists[0], block.penalized
+    beta = np.zeros(ty.shape[0]) if beta0 is None else np.array(beta0, dtype=np.float64)
+    beta[~penalized] = 0.0
+    nonzero = beta.nonzero()[0]
+    q = np.zeros(ty.shape[0]) if nonzero.size == 0 else None   # None: stale
+    if block.denom[0] != ridge:
+        block.denom = ridge, (gram.diag + ridge).tolist()
+    args = gram, *block.lists[1:], block.denom[1], lam1   # the scalar loop's
+    kkt_tol = 10.0 * config.tol * block.kkt_scale
 
     def current_q():
         nonlocal q
         if q is None:   # gram is symmetric; below _BLOCK_MIN, the loop's bits
             q = (gram.dot(nonzero, beta[nonzero]) if nonzero.size >= _BLOCK_MIN
-                 else beta[nonzero] @ gram.block(nonzero, np.arange(p)))
+                 else beta[nonzero] @ gram.rows(nonzero))
         return q
 
     def stationary():
-        return _kkt_violation(beta, current_q(), ty, lam1, ridge, problem.penalized) <= kkt_tol
+        return _kkt_violation(beta, current_q(), ty, lam1, ridge, penalized) <= kkt_tol
 
-    sweeps, converged, on_full_set, push, exact = 0, False, True, np.zeros(p), True
+    sweeps, converged, on_full_set, push, exact = 0, False, True, 0.0, True
     while sweeps < config.max_iter and not converged:
         sweeps += 1
-        direction, push, taken = np.sign(beta) + push, np.zeros(p), False
-        if exact and nonzero.size >= _BLOCK_MIN and block.cover(np.flatnonzero(direction), ridge):
-            taken, q_step = block.step(beta, lam1, direction)
-            q, on_full_set = q_step if taken else q, True
-            if q_step is not None:   # push: the signs of the coordinates that enter
-                enters = (np.abs(ty - q) > lam1) & problem.penalized & (beta == 0.0)
-                push[enters] = np.sign(ty - q)[enters]
-                if enters.any():
-                    sweeps += sweeps < config.max_iter   # the extension
-                else:   # after a failed check the scalar loop runs; the factor stays
-                    converged = exact = stationary()
+        taken = False
+        if exact and nonzero.size >= _BLOCK_MIN:
+            direction, push = np.sign(beta) + push, 0.0
+            if block.cover(direction.nonzero()[0], ridge):
+                taken, q_step = block.step(beta, lam1, direction)
+                q, on_full_set = q_step if taken else q, True
+                if q_step is not None:   # push: the signs of the coordinates that enter
+                    gap = ty - q
+                    enters = (np.abs(gap) > lam1) & penalized & (beta == 0.0)
+                    if enters.any():
+                        push = np.where(enters, np.sign(gap), 0.0)
+                        sweeps += sweeps < config.max_iter   # the extension
+                    else:   # after a failed check the scalar loop runs; the factor stays
+                        converged = exact = stationary()
         if not taken:
-            if lists is None:   # built the first time the scalar loop runs
-                lists = full_set.tolist(), (gram, ty.tolist(), diag.tolist(),
-                                            (diag + ridge).tolist(), lam1)
-            full_list, scalar_args = lists
             if not on_full_set:
-                delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *scalar_args)
+                delta = _scalar_sweep(nonzero.tolist(), beta, current_q(), *args)
             elif full_set.size - nonzero.size >= _ZERO_RUN_MIN * (nonzero.size + 1):
-                delta = _sparse_full_sweep(nonzero, full_set, full_list, ty, beta,
-                                           current_q(), *scalar_args)
+                delta = _sparse_full_sweep(nonzero, beta, current_q(), block, args)
             else:
-                delta = _scalar_sweep(full_list, beta, current_q(), *scalar_args)
+                delta = _scalar_sweep(full_list, beta, current_q(), *args)
             converged = delta < config.tol and on_full_set and stationary()
             on_full_set = delta < config.tol
-        nonzero = np.flatnonzero(beta)
+        nonzero = beta.nonzero()[0]
         if objective_trace is not None:
             objective_trace.append(problem.tt - 2.0 * beta @ ty + beta @ current_q()
                                    + 2.0 * lam1 * np.abs(beta).sum() + ridge * (beta @ beta))
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise NumericalError("coordinate descent produced non-finite coefficients")
     return beta, sweeps, converged
 
@@ -547,9 +567,7 @@ def fit_weighted_enet(ds: TrialDataset, config: EnetConfig) -> EnetFit:
 
 
 def _lambda_max_from(problem: _Moments, l1_ratio: float) -> float:
-    if not problem.penalized.any():
-        return 0.0
-    return float(np.max(np.abs(problem.ty[problem.penalized]))) / l1_ratio
+    return float(np.abs(problem.ty[problem.penalized]).max(initial=0.0)) / l1_ratio
 
 
 def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
@@ -563,30 +581,6 @@ def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
     return _lambda_max_from(moments, l1_ratio)
 
 
-def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -> float:
-    """Check the grid arguments of a path walk over ``n`` rows and ``p``
-    outcome columns, before any moment is formed; the grid's ratio."""
-    if n_lambdas < 2:
-        raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
-    if lambda_min_ratio is None:
-        lambda_min_ratio = 0.01 if p > n else 1e-4
-    if not 0.0 < lambda_min_ratio < 1.0:
-        raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
-    return lambda_min_ratio
-
-
-def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
-               min_ratio: float) -> tuple[np.ndarray, float]:
-    """The descending penalty grid of ``problem`` and its ``lambda_max``."""
-    lam_top = _lambda_max_from(problem, config.l1_ratio)
-    if lam_top <= 0.0:
-        raise NumericalError(
-            "lambda_max is zero (response is weighted-orthogonal to every "
-            "outcome column); the penalty grid is undefined"
-        )
-    return np.geomspace(lam_top, lam_top * min_ratio, n_lambdas), lam_top
-
-
 def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
     """Yield ``(lam, beta, sweeps, converged)`` down the grid with warm
     starts, ``beta`` a fresh original-scale array. The top-of-grid solution is
@@ -594,7 +588,7 @@ def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
     iterating. One :class:`_Block` serves every grid point, so its factor is
     extended down the path (and rebuilt at each point for an elastic net)."""
     beta = np.zeros(problem.ty.shape[0])
-    block = _Block(problem.gram, problem.ty)
+    block = _Block(problem)
     yield float(grid[0]), beta / problem.scale, 0, True
     for lam in grid[1:]:
         beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta, block=block)
@@ -610,14 +604,13 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     lambda_max`` (default ratio 0.01 when p > n, else 1e-4). ``config.lam``
     is ignored; every grid point gets its own fit.
     """
-    min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
-    moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare(config.standardize)
-    grid, lam_top = _path_grid(moments, config, n_lambdas, min_ratio)
-    fits = tuple(_assemble_fit(slopes, rows, ds.n, *point)
-                 for point in _walk_path(moments, grid, config))
-    lambdas = grid.copy()
+    problem = WeightedProblem.from_dataset(ds)
+    walk = problem.walk_path(n_lambdas, lambda_min_ratio, config)
+    slopes, rows = problem.concentrated
+    fits = tuple(_assemble_fit(slopes, rows, ds.n, *point) for point in walk)
+    lambdas = np.array([fit.lam for fit in fits])
     lambdas.setflags(write=False)
-    return EnetPath(lambdas, fits, lam_top)
+    return EnetPath(lambdas, fits, fits[0].lam)
 
 
 def walk_path(ds: TrialDataset, n_lambdas: int = 100,
@@ -627,18 +620,6 @@ def walk_path(ds: TrialDataset, n_lambdas: int = 100,
     array. Builds no :class:`EnetFit`, so a caller that stops early pays only
     for the grid points it reads. Arguments are checked on the call."""
     return WeightedProblem.from_dataset(ds).walk_path(n_lambdas, lambda_min_ratio, config)
-
-
-def _check_subset(subset, n: int, p: int) -> np.ndarray:
-    """``subset`` as an index array, checked for a restricted regression."""
-    idx = np.asarray(subset, dtype=np.intp)
-    if idx.size != np.unique(idx).size:
-        raise DataError("subset contains duplicate indices")
-    if idx.size and (idx.min() < 0 or idx.max() >= p):
-        raise DataError(f"subset indices out of range for p={p}")
-    if idx.size > min(n - 2, p):
-        raise DataError(f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}")
-    return idx
 
 
 def subset_weighted_rss(ds: TrialDataset, subset) -> float:
@@ -661,11 +642,12 @@ class WeightedProblem:
     are a small triangular factor. Every selection reads products of these
     columns, so one walk, one fit and one subset regression serve both; the
     sources differ only in how covariates are concentrated out
-    (:meth:`_concentrate`).
+    (:meth:`_concentrate`, once per problem).
     """
 
     def __init__(self, rows: np.ndarray, n: int, m: int, p: int):
         self.rows, self.n, self.m, self.p = rows, n, m, p
+        self.concentrated = None   # (slopes, rows) once a preparation succeeds
 
     @classmethod
     def from_dataset(cls, ds: TrialDataset) -> "WeightedProblem":
@@ -683,7 +665,9 @@ class WeightedProblem:
         """The moments of the covariate-concentrated problem, with what
         reports a fit: the covariate slopes (``None`` without covariates) and
         the concentrated rows ``[z | r_t]``."""
-        slopes, rows = self._concentrate() if self.m else (None, self.rows)
+        if self.concentrated is None:
+            self.concentrated = self._concentrate() if self.m else (None, self.rows)
+        slopes, rows = self.concentrated
         return _moments(rows[:, :self.p], rows[:, self.p], self.n, standardize), slopes, rows
 
     def fit(self, config: EnetConfig) -> EnetFit:
@@ -695,24 +679,39 @@ class WeightedProblem:
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig()):
-        """The lazy walk of :func:`walk_path`, on this problem."""
-        min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
+        """The lazy walk of :func:`walk_path`, on this problem: the grid
+        arguments are checked before any moment is formed."""
+        if n_lambdas < 2:
+            raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
+        if lambda_min_ratio is None:
+            lambda_min_ratio = 0.01 if self.p > self.n else 1e-4
+        if not 0.0 < lambda_min_ratio < 1.0:
+            raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
         moments = self.prepare(config.standardize)[0]
-        grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
+        lam_top = _lambda_max_from(moments, config.l1_ratio)
+        if lam_top <= 0.0:
+            raise NumericalError("lambda_max is zero (response is weighted-orthogonal to "
+                                 "every outcome column); the penalty grid is undefined")
+        grid = np.geomspace(lam_top, lam_top * lambda_min_ratio, n_lambdas)
         return _walk_path(moments, grid, config)
 
     def subset_weighted_rss(self, subset) -> float:
         """The restricted regression of :func:`subset_weighted_rss`, on this
         problem: it reads the subset's and the treatment's columns."""
-        idx = _check_subset(subset, self.n, self.p)
-        t = self.rows[:, self.m + self.p]
+        idx, n, p = np.asarray(subset, dtype=np.intp), self.n, self.p
+        if idx.size != np.unique(idx).size:
+            raise DataError("subset contains duplicate indices")
+        if idx.size and (idx.min() < 0 or idx.max() >= p):
+            raise DataError(f"subset indices out of range for p={p}")
+        if idx.size > min(n - 2, p):
+            raise DataError(f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}")
+        t = self.rows[:, self.m + p]
         if idx.size == 0:
-            return float(t @ t / self.n)
+            return float(t @ t / n)
         cols = self.rows[:, self.m + idx]
-        beta = solve_nonsingular(cols.T @ cols / self.n, cols.T @ t / self.n,
-                                 "restricted design", idx)
+        beta = solve_nonsingular(cols.T @ cols / n, cols.T @ t / n, "restricted design", idx)
         residual = t - cols @ beta
-        return float(residual @ residual / self.n)
+        return float(residual @ residual / n)
 
 
 class _LevelProblem(WeightedProblem):
@@ -743,16 +742,17 @@ def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:
     rounding, and raises the same errors.
 
     The cost is O(n (m + p)^2) for the dataset and O((m + p)^3) per level,
-    whatever its number of groups. Groupings are checked up front as
-    :func:`hdte.data.check_grouping` checks them; a level whose averaged
+    whatever its number of groups. Groupings are checked as
+    :func:`hdte.data.check_grouping` checks them: the covariates' layout with
+    the first grouping up front, every grouping as it is averaged
+    (:func:`hdte.data.column_group_means`). A level whose averaged
     covariates are collinear raises :class:`NumericalError` when its problem
     is solved, as :func:`fit_weighted_enet` does on the aggregated dataset.
     """
     levels = list(levels)
     if not levels:
         raise DataError("levels must contain at least one grouping")
-    for grouping in levels:
-        check_grouping(ds, grouping)
+    check_grouping(ds, levels[0])
     base = np.linalg.qr(_weighted_columns(ds), mode="r")
     # Covariates share the outcomes' layout, so one call averages both
     # blocks, stacked one above the other.

@@ -235,6 +235,18 @@ def test_simulate_rejects_unknown_method(tmp_path, capsys):
     assert "ridge" in record["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--sizes", "1,x"],
+    ["semisynth", "--levels", "60,x"],
+])
+def test_a_list_option_that_is_not_integers_is_a_data_error(tmp_path, capsys, argv):
+    code = main([*argv, "--outdir", str(tmp_path / "out")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "data"
+    assert f"{argv[1]} takes comma-separated integers, got '{argv[2]}'" in record["message"]
+
+
 def test_semisynth_small_run(tmp_path):
     outdir = tmp_path / "ss"
     code = main([

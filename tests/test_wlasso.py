@@ -14,8 +14,6 @@ from hdte.wlasso import (
     WeightedProblem,
     _cd_solve,
     _kkt_violation,
-    _min_ratio,
-    _path_grid,
     fit_weighted_enet,
     lambda_max,
     level_problems,
@@ -263,15 +261,16 @@ def lazy_gram(z):
 
 def dense_gram(gram):
     """Every column of an on-demand Gram, as the ``(p, p)`` matrix."""
-    return gram.block(np.arange(gram.diag.shape[0]))
+    return gram.rows(np.arange(gram.diag.shape[0]))
 
 
 def path_problem(ds, config, n_lambdas):
     """The concentrated problem of ``ds`` and the penalty grid a path walk
     over it uses."""
     problem = WeightedProblem.from_dataset(ds).prepare(config.standardize)[0]
-    ratio = _min_ratio(ds.n, ds.p, n_lambdas, None)
-    return problem, _path_grid(problem, config, n_lambdas, ratio)[0]
+    lam_top = lambda_max(ds, config.l1_ratio, config.standardize)
+    ratio = 0.01 if ds.p > ds.n else 1e-4
+    return problem, np.geomspace(lam_top, lam_top * ratio, n_lambdas)
 
 
 def reference_cd_solve(problem, config, lam, beta0=None):
@@ -357,13 +356,14 @@ def test_sparse_full_sweep_is_the_scalar_sweep_bit_for_bit():
         beta = np.zeros(p)
         nonzero = np.sort(rng.choice(p, int(rng.integers(0, 5)), replace=False))
         beta[nonzero] = rng.standard_normal(nonzero.size)
-        q = beta[nonzero] @ gram.block(nonzero, full)
+        q = beta[nonzero] @ gram.rows(nonzero)
         ty = rng.standard_normal(p) * 0.5
         lam1 = float(rng.uniform(0.8, 2.0))
         args = (gram, ty.tolist(), gram.diag.tolist(), (gram.diag + 0.1).tolist(), lam1)
+        block = wlasso._Block(SimpleNamespace(gram=gram, ty=ty, penalized=full >= 0))
         b_ref, q_ref = beta.copy(), q.copy()
         d_ref = wlasso._scalar_sweep(full.tolist(), b_ref, q_ref, *args)
-        d = wlasso._sparse_full_sweep(nonzero, full, full.tolist(), ty, beta, q, *args)
+        d = wlasso._sparse_full_sweep(nonzero, beta, q, block, args)
         assert (d, beta.tobytes(), q.tobytes()) == (d_ref, b_ref.tobytes(), q_ref.tobytes())
         entered += np.count_nonzero(beta) > nonzero.size
     assert 10 < entered < 90
@@ -390,7 +390,7 @@ def test_deep_path_matches_scalar_reference(sweep_log):
     ds = random_dataset(7, n=60, p=100)
     config = EnetConfig()
     problem, grid = path_problem(ds, config, 30)
-    block = wlasso._Block(problem.gram, problem.ty)
+    block = wlasso._Block(problem)
     beta = loose = np.zeros(ds.p)
     sweeps = loose_sweeps = largest = 0
     for lam in grid[1:]:
@@ -508,7 +508,7 @@ def test_a_coordinate_that_left_is_tested_on_full_steps():
     ty[0] = -0.3
     beta = np.zeros(p)
     beta[active] = 1.0
-    block = wlasso._Block(lazy, ty)
+    block = wlasso._Block(SimpleNamespace(gram=lazy, ty=ty, penalized=np.ones(p, dtype=bool)))
     assert block.cover(active, 0.0)
     factor = block.factor
     assert block.step(beta, 0.2, np.sign(beta)) == (True, None)
@@ -545,7 +545,7 @@ def test_singular_active_gram_falls_back_to_scalar_sweeps(sweep_log):
     fit converges to the tight reference's solution."""
     for seed in range(8):
         problem, active, beta0, lam = singular_start(seed)
-        assert not wlasso._Block(problem.gram, problem.ty).cover(active, 0.0)
+        assert not wlasso._Block(problem).cover(active, 0.0)
         sweep_log.clear()
         beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=beta0)
         ref, _, ref_converged = reference_cd_solve(problem, TIGHT, lam, beta)
@@ -582,7 +582,8 @@ def test_extensions_give_the_factor_of_one_fresh_factorization():
     rng = np.random.default_rng(12)
     p, ridge = 40, 0.3
     lazy = lazy_gram(rng.standard_normal((60, p)))
-    block = wlasso._Block(lazy, np.zeros(p))
+    block = wlasso._Block(SimpleNamespace(gram=lazy, ty=np.zeros(p),
+                                          penalized=np.ones(p, dtype=bool)))
     first = np.sort(rng.choice(p, 10, replace=False))
     assert block.cover(first, ridge) and block.cover(np.delete(first, [2, 7]), ridge)
     rest = rng.permutation(np.setdiff1d(np.arange(p), first))
@@ -614,7 +615,7 @@ def test_an_entering_copy_of_an_active_column_falls_back_to_scalar_sweeps(sweep_
     wide = TrialDataset(ds.treatments, np.column_stack([ds.outcomes,
                                                         2.0 * ds.outcomes[:, copied]]))
     problem = WeightedProblem.from_dataset(wide).prepare(False)[0]
-    assert not wlasso._Block(problem.gram, problem.ty).cover(np.append(active, ds.p), 0.0)
+    assert not wlasso._Block(problem).cover(np.append(active, ds.p), 0.0)
     sweep_log.clear()
     beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=np.append(start, 0.0))
     assert sweep_log[:2] == [("block", True), ("scalar", 0)]
@@ -635,7 +636,7 @@ def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(s
     lam = 0.05 * lambda_max(ds)
     start, _, converged = _cd_solve(problem, EnetConfig(), lam)
     assert converged and np.count_nonzero(start) >= wlasso._BLOCK_MIN
-    block = wlasso._Block(problem.gram, problem.ty)
+    block = wlasso._Block(problem)
     sweep_log.clear()
     beta, sweeps, converged = _cd_solve(problem, EnetConfig(tol=1e-300, max_iter=6), lam,
                                         beta0=start, block=block)
@@ -647,6 +648,54 @@ def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(s
     sweep_log.clear()
     _, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=beta, block=block)
     assert converged and sweep_log[0] == ("block", True) and block.factor is factor
+
+
+def test_solves_sharing_a_block_return_what_they_return_on_a_fresh_one():
+    """A block carries what every solve on its problem reads, keyed on what
+    it depends on: solves that share one block but differ in ``tol`` and
+    ``l1_ratio`` (so in the ridge) give the ``beta``, sweeps and convergence
+    each gives on a fresh block, bit for bit."""
+    ds = random_dataset(23, n=50, p=wlasso._BLOCK_MIN - 1, m=2)
+    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+    lam = 0.05 * lambda_max(ds)
+    shared = wlasso._Block(problem)
+    beta, outcomes = None, set()
+    for config in (EnetConfig(), EnetConfig(tol=1e-300, max_iter=6),
+                   EnetConfig(l1_ratio=0.5), EnetConfig(l1_ratio=0.5, tol=1e-12),
+                   EnetConfig(tol=1e-3)):
+        got = _cd_solve(problem, config, lam, beta0=beta, block=shared)
+        want = _cd_solve(problem, config, lam, beta0=beta, block=wlasso._Block(problem))
+        assert (got[0].tobytes(), *got[1:]) == (want[0].tobytes(), *want[1:])
+        beta = got[0]
+        outcomes.add(got[2])
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_small_gram_is_computed_whole_at_its_first_read(monkeypatch, extra):
+    """Where ``n p^2`` is at most ``_GRAM_WHOLE_MAX`` the first read of the
+    Gram computes every column in one product, and the rest of a selection
+    walk computes none; above it, columns are computed as the solves read
+    them."""
+    products = []
+    slots = wlasso._Gram._slots
+
+    def counted(self, idx):
+        before = self._count
+        out = slots(self, idx)
+        if self._count > before:
+            products.append((before, self._count))
+        return out
+
+    monkeypatch.setattr(wlasso._Gram, "_slots", counted)
+    n = 80
+    p = int(np.sqrt(wlasso._GRAM_WHOLE_MAX / n)) + extra
+    walk = WeightedProblem.from_dataset(random_dataset(31, n=n, p=p)).walk_path(30, 0.2)
+    assert all(converged for *_, converged in walk)
+    if not extra:
+        assert products == [(0, p)]
+    else:
+        assert len(products) > 1 and products[-1][1] < p
 
 
 def criterion_6_design():
