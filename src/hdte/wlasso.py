@@ -95,8 +95,8 @@ _PIVOT_MIN = 1e-8
 # A Gram whose rows x p x p product is at most this is computed whole at its
 # first read, so its slot bookkeeping runs once per problem. Measured as above
 # on lasso selections of size 2 and 5: whole Grams win below about 6e5 and
-# lose up to 75% above (n = 2000, p = 64). Resolution levels (at most
-# 2p + 1 rows) are whole up to p = 63.
+# lose up to 75% above (n = 2000, p = 64). A resolution level's Gram of k
+# groups has at most k + 1 rows, so levels are whole up to k = 80.
 _GRAM_WHOLE_MAX = 2**19
 
 # A full sweep whose zero coordinates form runs of at least this mean length
@@ -481,14 +481,15 @@ def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
     ``tol``, with the same check.
     """
     gram, ty = problem.gram, problem.ty
+    p = ty.shape[0]
     block = _Block(problem) if block is None else block
     lam1 = lam * config.l1_ratio
     ridge = 2.0 * lam * (1.0 - config.l1_ratio)
     full_set, full_list, penalized = block.full_set, block.lists[0], block.penalized
-    beta = np.zeros(ty.shape[0]) if beta0 is None else np.array(beta0, dtype=np.float64)
+    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
     beta[~penalized] = 0.0
     nonzero = beta.nonzero()[0]
-    q = np.zeros(ty.shape[0]) if nonzero.size == 0 else None   # None: stale
+    q = np.zeros(p) if nonzero.size == 0 else None   # None: stale
     if block.denom[0] != ridge:
         block.denom = ridge, (gram.diag + ridge).tolist()
     args = gram, *block.lists[1:], block.denom[1], lam1   # the scalar loop's
@@ -534,7 +535,7 @@ def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
         if objective_trace is not None:
             objective_trace.append(problem.tt - 2.0 * beta @ ty + beta @ current_q()
                                    + 2.0 * lam1 * np.abs(beta).sum() + ridge * (beta @ beta))
-    if not np.isfinite(beta).all():
+    if not np.all(np.isfinite(beta)):
         raise NumericalError("coordinate descent produced non-finite coefficients")
     return beta, sweeps, converged
 
@@ -567,7 +568,9 @@ def fit_weighted_enet(ds: TrialDataset, config: EnetConfig) -> EnetFit:
 
 
 def _lambda_max_from(problem: _Moments, l1_ratio: float) -> float:
-    return float(np.abs(problem.ty[problem.penalized]).max(initial=0.0)) / l1_ratio
+    if not problem.penalized.any():
+        return 0.0
+    return float(np.max(np.abs(problem.ty[problem.penalized]))) / l1_ratio
 
 
 def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
@@ -579,6 +582,30 @@ def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
         raise DataError(f"l1_ratio must be in (0, 1], got {l1_ratio}")
     moments = WeightedProblem.from_dataset(ds).prepare(standardize)[0]
     return _lambda_max_from(moments, l1_ratio)
+
+
+def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -> float:
+    """Check the grid arguments of a path walk over ``n`` rows and ``p``
+    outcome columns, before any moment is formed; the grid's ratio."""
+    if n_lambdas < 2:
+        raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
+    if lambda_min_ratio is None:
+        lambda_min_ratio = 0.01 if p > n else 1e-4
+    if not 0.0 < lambda_min_ratio < 1.0:
+        raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
+    return lambda_min_ratio
+
+
+def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
+               min_ratio: float) -> tuple[np.ndarray, float]:
+    """The descending penalty grid of ``problem`` and its ``lambda_max``."""
+    lam_top = _lambda_max_from(problem, config.l1_ratio)
+    if lam_top <= 0.0:
+        raise NumericalError(
+            "lambda_max is zero (response is weighted-orthogonal to every "
+            "outcome column); the penalty grid is undefined"
+        )
+    return np.geomspace(lam_top, lam_top * min_ratio, n_lambdas), lam_top
 
 
 def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
@@ -604,13 +631,14 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     lambda_max`` (default ratio 0.01 when p > n, else 1e-4). ``config.lam``
     is ignored; every grid point gets its own fit.
     """
-    problem = WeightedProblem.from_dataset(ds)
-    walk = problem.walk_path(n_lambdas, lambda_min_ratio, config)
-    slopes, rows = problem.concentrated
-    fits = tuple(_assemble_fit(slopes, rows, ds.n, *point) for point in walk)
-    lambdas = np.array([fit.lam for fit in fits])
+    min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
+    moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare(config.standardize)
+    grid, lam_top = _path_grid(moments, config, n_lambdas, min_ratio)
+    fits = tuple(_assemble_fit(slopes, rows, ds.n, *point)
+                 for point in _walk_path(moments, grid, config))
+    lambdas = grid.copy()
     lambdas.setflags(write=False)
-    return EnetPath(lambdas, fits, fits[0].lam)
+    return EnetPath(lambdas, fits, lam_top)
 
 
 def walk_path(ds: TrialDataset, n_lambdas: int = 100,
@@ -620,6 +648,18 @@ def walk_path(ds: TrialDataset, n_lambdas: int = 100,
     array. Builds no :class:`EnetFit`, so a caller that stops early pays only
     for the grid points it reads. Arguments are checked on the call."""
     return WeightedProblem.from_dataset(ds).walk_path(n_lambdas, lambda_min_ratio, config)
+
+
+def _check_subset(subset, n: int, p: int) -> np.ndarray:
+    """``subset`` as an index array, checked for a restricted regression."""
+    idx = np.asarray(subset, dtype=np.intp)
+    if idx.size != np.unique(idx).size:
+        raise DataError("subset contains duplicate indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= p):
+        raise DataError(f"subset indices out of range for p={p}")
+    if idx.size > min(n - 2, p):
+        raise DataError(f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}")
+    return idx
 
 
 def subset_weighted_rss(ds: TrialDataset, subset) -> float:
@@ -642,12 +682,11 @@ class WeightedProblem:
     are a small triangular factor. Every selection reads products of these
     columns, so one walk, one fit and one subset regression serve both; the
     sources differ only in how covariates are concentrated out
-    (:meth:`_concentrate`, once per problem).
+    (:meth:`_concentrate`).
     """
 
     def __init__(self, rows: np.ndarray, n: int, m: int, p: int):
         self.rows, self.n, self.m, self.p = rows, n, m, p
-        self.concentrated = None   # (slopes, rows) once a preparation succeeds
 
     @classmethod
     def from_dataset(cls, ds: TrialDataset) -> "WeightedProblem":
@@ -665,9 +704,7 @@ class WeightedProblem:
         """The moments of the covariate-concentrated problem, with what
         reports a fit: the covariate slopes (``None`` without covariates) and
         the concentrated rows ``[z | r_t]``."""
-        if self.concentrated is None:
-            self.concentrated = self._concentrate() if self.m else (None, self.rows)
-        slopes, rows = self.concentrated
+        slopes, rows = self._concentrate() if self.m else (None, self.rows)
         return _moments(rows[:, :self.p], rows[:, self.p], self.n, standardize), slopes, rows
 
     def fit(self, config: EnetConfig) -> EnetFit:
@@ -679,39 +716,24 @@ class WeightedProblem:
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig()):
-        """The lazy walk of :func:`walk_path`, on this problem: the grid
-        arguments are checked before any moment is formed."""
-        if n_lambdas < 2:
-            raise DataError(f"n_lambdas must be >= 2, got {n_lambdas}")
-        if lambda_min_ratio is None:
-            lambda_min_ratio = 0.01 if self.p > self.n else 1e-4
-        if not 0.0 < lambda_min_ratio < 1.0:
-            raise DataError(f"lambda_min_ratio must be in (0, 1), got {lambda_min_ratio}")
+        """The lazy walk of :func:`walk_path`, on this problem."""
+        min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
         moments = self.prepare(config.standardize)[0]
-        lam_top = _lambda_max_from(moments, config.l1_ratio)
-        if lam_top <= 0.0:
-            raise NumericalError("lambda_max is zero (response is weighted-orthogonal to "
-                                 "every outcome column); the penalty grid is undefined")
-        grid = np.geomspace(lam_top, lam_top * lambda_min_ratio, n_lambdas)
+        grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
         return _walk_path(moments, grid, config)
 
     def subset_weighted_rss(self, subset) -> float:
         """The restricted regression of :func:`subset_weighted_rss`, on this
         problem: it reads the subset's and the treatment's columns."""
-        idx, n, p = np.asarray(subset, dtype=np.intp), self.n, self.p
-        if idx.size != np.unique(idx).size:
-            raise DataError("subset contains duplicate indices")
-        if idx.size and (idx.min() < 0 or idx.max() >= p):
-            raise DataError(f"subset indices out of range for p={p}")
-        if idx.size > min(n - 2, p):
-            raise DataError(f"subset size {idx.size} exceeds min(n - 2, p) = {min(n - 2, p)}")
-        t = self.rows[:, self.m + p]
+        idx = _check_subset(subset, self.n, self.p)
+        t = self.rows[:, self.m + self.p]
         if idx.size == 0:
-            return float(t @ t / n)
+            return float(t @ t / self.n)
         cols = self.rows[:, self.m + idx]
-        beta = solve_nonsingular(cols.T @ cols / n, cols.T @ t / n, "restricted design", idx)
+        beta = solve_nonsingular(cols.T @ cols / self.n, cols.T @ t / self.n,
+                                 "restricted design", idx)
         residual = t - cols @ beta
-        return float(residual @ residual / n)
+        return float(residual @ residual / self.n)
 
 
 class _LevelProblem(WeightedProblem):

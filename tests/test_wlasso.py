@@ -14,6 +14,8 @@ from hdte.wlasso import (
     WeightedProblem,
     _cd_solve,
     _kkt_violation,
+    _min_ratio,
+    _path_grid,
     fit_weighted_enet,
     lambda_max,
     level_problems,
@@ -268,9 +270,8 @@ def path_problem(ds, config, n_lambdas):
     """The concentrated problem of ``ds`` and the penalty grid a path walk
     over it uses."""
     problem = WeightedProblem.from_dataset(ds).prepare(config.standardize)[0]
-    lam_top = lambda_max(ds, config.l1_ratio, config.standardize)
-    ratio = 0.01 if ds.p > ds.n else 1e-4
-    return problem, np.geomspace(lam_top, lam_top * ratio, n_lambdas)
+    ratio = _min_ratio(ds.n, ds.p, n_lambdas, None)
+    return problem, _path_grid(problem, config, n_lambdas, ratio)[0]
 
 
 def reference_cd_solve(problem, config, lam, beta0=None):
@@ -650,25 +651,36 @@ def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(s
     assert converged and sweep_log[0] == ("block", True) and block.factor is factor
 
 
-def test_solves_sharing_a_block_return_what_they_return_on_a_fresh_one():
+@pytest.mark.parametrize("design", ["scalar", "exact"])
+def test_solves_sharing_a_block_return_what_they_return_on_a_fresh_one(sweep_log, design):
     """A block carries what every solve on its problem reads, keyed on what
     it depends on: solves that share one block but differ in ``tol`` and
     ``l1_ratio`` (so in the ridge) give the ``beta``, sweeps and convergence
-    each gives on a fresh block, bit for bit."""
-    ds = random_dataset(23, n=50, p=wlasso._BLOCK_MIN - 1, m=2)
+    each gives on a fresh block, bit for bit. Each solve starts from the last
+    solution at its ``l1_ratio``. Below ``_BLOCK_MIN`` only the scalar loop
+    runs. On the wider design exact steps run on the shared block, whose
+    factor each change of ridge builds afresh, and at ``tol = 1e-300`` an
+    exact step that leaves no violator hands over to the scalar loop."""
+    ds = (random_dataset(23, n=50, p=wlasso._BLOCK_MIN - 1, m=2) if design == "scalar"
+          else factor_dataset(1))
     problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
     lam = 0.05 * lambda_max(ds)
     shared = wlasso._Block(problem)
-    beta, outcomes = None, set()
-    for config in (EnetConfig(), EnetConfig(tol=1e-300, max_iter=6),
-                   EnetConfig(l1_ratio=0.5), EnetConfig(l1_ratio=0.5, tol=1e-12),
+    starts, outcomes, handed_over = {}, set(), False
+    for config in (EnetConfig(), EnetConfig(l1_ratio=0.5),
+                   EnetConfig(tol=1e-300, max_iter=6), EnetConfig(l1_ratio=0.5, tol=1e-12),
                    EnetConfig(tol=1e-3)):
-        got = _cd_solve(problem, config, lam, beta0=beta, block=shared)
-        want = _cd_solve(problem, config, lam, beta0=beta, block=wlasso._Block(problem))
+        beta0 = starts.get(config.l1_ratio)
+        sweep_log.clear()
+        got = _cd_solve(problem, config, lam, beta0=beta0, block=shared)
+        kinds = [kind for kind, _ in sweep_log]
+        assert ("block" in kinds) == (design == "exact")
+        handed_over |= kinds[:2] == ["block", "scalar"]
+        want = _cd_solve(problem, config, lam, beta0=beta0, block=wlasso._Block(problem))
         assert (got[0].tobytes(), *got[1:]) == (want[0].tobytes(), *want[1:])
-        beta = got[0]
+        starts[config.l1_ratio] = got[0]
         outcomes.add(got[2])
-    assert outcomes == {True, False}
+    assert outcomes == {True, False} and handed_over == (design == "exact")
 
 
 @pytest.mark.parametrize("extra", [0, 1])
