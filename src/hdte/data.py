@@ -338,13 +338,23 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
         raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     if block.shape[0] < 2:
         raise DataError(f"{path} has {block.shape[0]} data rows; n >= 2 required")
-    n_out = len(schema.outcomes)
-    return TrialDataset(
-        block[:, 0],
-        block[:, 1:1 + n_out],
-        block[:, 1 + n_out:] if schema.covariates else None,
-        column_labels=schema.outcomes,
-    )
+    return TrialDataset._trusted(*_split_block(block, len(schema.outcomes)), schema.outcomes)
+
+
+def _split_block(block: np.ndarray, p: int) -> tuple:
+    """The treatments, outcomes and covariates (``None`` without any) of a
+    validated ``(n, 1 + p + m)`` block, frozen as ``__post_init__`` leaves
+    them, the last two in the block's buffer: in row order, row ``i``'s
+    outcomes move from offset ``i (1 + p + m) + 1`` to ``i p``, overwriting no
+    row not yet moved, and the covariates, copied out first, follow them."""
+    n, width = block.shape
+    treatments, covariates = _frozen_array(block[:, 0], np.int64), np.array(block[:, 1 + p:])
+    flat = block.reshape(-1)
+    for i in range(n):
+        flat[i * p:(i + 1) * p] = flat[i * width + 1:i * width + 1 + p]
+    flat[n * p:n * (width - 1)] = covariates.reshape(-1)
+    covariates = _freeze(flat[n * p:n * (width - 1)].reshape(n, -1)) if width > 1 + p else None
+    return treatments, _freeze(flat[:n * p].reshape(n, p)), covariates
 
 
 def write_csv(ds: TrialDataset, path) -> CsvSchema:

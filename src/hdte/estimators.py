@@ -7,7 +7,7 @@ All estimators return an :class:`EffectEstimate` holding the effect vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,15 @@ class EffectEstimate:
         object.__setattr__(self, "sigma_hat", sigma)
         object.__setattr__(self, "index_set", tuple(int(j) for j in self.index_set))
 
+    @classmethod
+    def _trusted(cls, *values) -> "EffectEstimate":
+        """An estimate of fields built as ``__post_init__`` leaves them (an exactly
+        symmetric ``sigma_hat`` among them), without validating them again."""
+        est = object.__new__(cls)
+        for field, value in zip(fields(cls), values):
+            object.__setattr__(est, field.name, value)
+        return est
+
 
 @dataclass(frozen=True)
 class AdjustedOutcomes:
@@ -116,8 +125,8 @@ def _difference_of_means(ds: TrialDataset, y: np.ndarray, method: str,
     dev_c = y_c - mean_c
     sigma = (n / n_t) * (dev_t.T @ dev_t) / n_t + (n / n_c) * (dev_c.T @ dev_c) / n_c
     sigma = (sigma + sigma.T) / 2.0
-    index_set = range(ds.p) if subset is None else subset
-    return EffectEstimate(tau, sigma, n_t, n_c, n, method, index_set)
+    index_set = tuple(range(ds.p) if subset is None else map(int, subset))
+    return EffectEstimate._trusted(tau, sigma, n_t, n_c, n, method, index_set)
 
 
 def diff_in_means(ds: TrialDataset, subset=None) -> EffectEstimate:

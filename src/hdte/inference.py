@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .data import (TrialDataset, aggregate_columns, check_grouping, random_split,
-                   solve_nonsingular)
+from .data import (TrialDataset, aggregate_columns, check_grouping, solve_nonsingular,
+                   split_indices)
 from .errors import DataError, HdteError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate, check_estimator
 from .selection import SelectionSpec, check_sizes, run_selection
@@ -101,13 +101,15 @@ def hotelling_pvalue(est: EffectEstimate) -> float:
     return float(chdtrc(s, hotelling_statistic(est)))
 
 
-def _split_report(split, method: str, sel: SelectionSpec,
+def _split_report(first: TrialDataset, take_second, method: str, sel: SelectionSpec,
                   two_sided: bool) -> tuple[PValueReport, int | None]:
-    (result,), level = run_selection(split.first, sel, method)
+    """Select on ``first``; then test the subset on the half ``take_second()``
+    returns, built only once the selection has released its working set."""
+    (result,), level = run_selection(first, sel, method)
     subset = result.selected
     if not subset:
         return PValueReport({}, 1.0, None, (), 0), level
-    second = split.second
+    second = take_second()
     if level is not None:
         second = aggregate_columns(second, sel.levels[level])
     est = adjusted_estimate(second, method, subset)
@@ -128,7 +130,7 @@ def single_split_pipeline(split, method: str, sel: SelectionSpec,
     per-dimension entries.
     """
     check_estimator(split.second, method)
-    return _split_report(split, method, sel, two_sided)[0]
+    return _split_report(split.first, lambda: split.second, method, sel, two_sided)[0]
 
 
 def aggregate_pvalues(p_matrix, gamma: float) -> np.ndarray:
@@ -184,6 +186,11 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     ``ds`` (see :func:`hdte.data.check_grouping`) or a size beyond the
     columns (each level's groups) it selects from, all checked before the
     first split, and a ``fraction`` that leaves a part under 2 rows.
+
+    Split ``b`` is :func:`single_split_pipeline` on ``random_split(ds,
+    fraction, split_seeds(seed, B)[b])``, bit for bit, except that the test
+    half is taken only after the selection has returned, so it is never held
+    next to the selection's working set.
     """
     if B < 1:
         raise DataError(f"B must be >= 1, got {B}")
@@ -198,9 +205,11 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     group = np.ones((B, 1))
     subsets = []
     for b in range(B):
-        split = random_split(ds, fraction, int(seeds[b]))   # fails alike for every seed
+        # random_split's rows, which fail alike for every seed
+        first, second = split_indices(ds.n, fraction, int(seeds[b]))
         try:
-            report, level = _split_report(split, method, sel, two_sided)
+            report, level = _split_report(ds.take_rows(first), lambda: ds.take_rows(second),
+                                          method, sel, two_sided)
         except HdteError as exc:
             raise NumericalError(f"split {b} failed: {exc}") from exc
         if sel.levels is not None and report.subset:

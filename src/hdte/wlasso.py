@@ -31,11 +31,11 @@ zero crossing. After a step that crosses none, zero coordinates with ``|ty_j -
 q_j| > lam1`` enter the next one with the sign of ``ty_j - q_j`` (feature-sign
 search, Lee, Battle, Raina & Ng 2007), by rows appended to the factor. The
 scalar loop is the one fallback, with the bits of :func:`soft_threshold`; it
-passes long runs of zero coordinates in one vectorized test of its own
-condition. Solutions match the plain loop's to its tolerance. What does not
-change along a path (the penalized set, the scalar loop's float lists, the
-stationarity check's scale) is computed once per walk and carried with the
-factor, so a solve on a small problem costs about its sweeps.
+passes long runs of zero coordinates in vectorized tests of its own condition,
+resuming after each entry. Solutions match the plain loop's to its tolerance.
+What does not change along a path (the penalized set, the scalar loop's float
+lists, the stationarity check's scale) is computed once per walk and carried
+with the factor, so a solve on a small problem costs about its sweeps.
 
 Problems and resolution levels. A :class:`WeightedProblem` holds rows with
 the Gram of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``, and
@@ -58,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .data import (TrialDataset, center_columns, check_full_rank, check_grouping,
-                   column_group_means, project_columns, solve_nonsingular)
+from .data import (TrialDataset, check_full_rank, check_grouping, column_group_means,
+                   project_columns, solve_nonsingular)
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -282,12 +282,14 @@ def _moments(z: np.ndarray, r_t: np.ndarray, n: int, standardize: bool) -> _Mome
 
 
 def _weighted_columns(ds: TrialDataset) -> np.ndarray:
-    """``sqrt(w) [Xc | Yc | t]``: the centered covariates (if any), the
-    centered outcomes and the raw treatments, rows scaled by root weights."""
-    t = ds.treatments.astype(np.float64)
-    blocks = (ds.outcomes,) if ds.covariates is None else (ds.covariates, ds.outcomes)
-    stacked = np.column_stack([*(center_columns(block)[0] for block in blocks), t])
-    stacked *= np.sqrt(propensity_weights(t))[:, None]
+    """``sqrt(w) [Xc | Yc | t]`` in one buffer: covariates (if any) and outcomes centered
+    as by :func:`hdte.data.center_columns`, raw treatments, rows scaled by root weights."""
+    stacked = np.empty((ds.n, ds.m + ds.p + 1))
+    stacked[:, -1] = ds.treatments
+    for block, lo in ((ds.covariates, 0), (ds.outcomes, ds.m)):
+        if block is not None:
+            np.subtract(block, block.mean(axis=0), out=stacked[:, lo:lo + block.shape[1]])
+    stacked *= np.sqrt(propensity_weights(stacked[:, -1]))[:, None]
     return stacked
 
 
@@ -446,20 +448,18 @@ class _Block:
 
 def _sparse_full_sweep(nonzero, beta, q, block, args) -> float:
     """The scalar full sweep over ``block``'s penalized set, bit for bit, with
-    each run of zero coordinates between consecutive ``nonzero`` ones passed in
-    one vectorized test of the loop's own condition ``|ty_j - q_j| <= lam1`` on
-    the same ``q``; from the first coordinate that fails it (or is not a
-    number) the scalar loop runs the rest. ``args`` are those of
-    :func:`_scalar_sweep` after ``q``."""
-    delta, lo, ty, lam1 = 0.0, 0, block.ty, args[-1]
-    for a in (*nonzero.tolist(), ty.shape[0]):
-        stays = np.abs(ty[lo:a] - q[lo:a]) <= lam1
-        if not stays.all():
-            start = int(np.searchsorted(block.full_set, lo + int(stays.argmin())))
-            return max(delta, _scalar_sweep(block.lists[0][start:], beta, q, *args))
-        if a < ty.shape[0]:
-            delta = max(delta, _scalar_sweep((a,), beta, q, *args))
-        lo = a + 1
+    the zero coordinates between consecutive ``nonzero`` ones passed in vectorized
+    tests of the loop's own condition ``|ty_j - q_j| <= lam1``: a coordinate that
+    fails one (or is not a number) is updated alone, if penalized, and the test
+    resumes after it. ``args`` are those of :func:`_scalar_sweep` after ``q``."""
+    delta, lo, ty, lam1, end = 0.0, 0, block.ty, args[-1], block.ty.shape[0]
+    for a in (*nonzero.tolist(), end):
+        while lo <= a:   # the run [lo, a), then a
+            stays = np.abs(ty[lo:a] - q[lo:a]) <= lam1
+            j = a if stays.all() else lo + int(stays.argmin())
+            if j < end and block.penalized[j]:
+                delta = max(delta, _scalar_sweep((j,), beta, q, *args))
+            lo = j + 1
     return delta
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -7,6 +9,16 @@ settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
 
 _ACCEPTANCE_LINES = []
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the result of ``fn`` and the peak of the memory
+    traced while it ran, in bytes. Tracing always stops on return."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -257,3 +257,34 @@ def test_effect_estimate_validation():
         EffectEstimate(np.zeros(2), np.eye(3), 2, 2, 4, "dim", (0, 1))
     with pytest.raises(DataError, match="add up"):
         EffectEstimate(np.zeros(1), np.eye(1), 2, 3, 4, "dim", (0,))
+
+
+def test_package_estimates_skip_revalidation(monkeypatch):
+    """Estimates built inside the package carry an exactly symmetric
+    ``sigma_hat`` by construction and are not validated again; they equal
+    the validated estimates of the same fields. One a user builds still is
+    validated."""
+    rng = np.random.default_rng(5)
+    ds = TrialDataset(np.tile([0, 1], 20), rng.standard_normal((40, 5)),
+                      rng.standard_normal((40, 2)))
+    calls = [(method, subset) for method in ("dim", "cuped", "lin")
+             for subset in (None, np.array([3, 1]))]
+    estimates = [adjusted_estimate(ds, method, subset) for method, subset in calls]
+    checked = [EffectEstimate(est.tau_hat, est.sigma_hat, est.n_t, est.n_c, est.n,
+                              est.method, est.index_set) for est in estimates]
+
+    def no_validation(self):
+        raise AssertionError("an estimate was validated again")
+
+    monkeypatch.setattr(EffectEstimate, "__post_init__", no_validation)
+    for (method, subset), want in zip(calls, checked):
+        est = adjusted_estimate(ds, method, subset)
+        assert est.sigma_hat.tobytes() == est.sigma_hat.T.tobytes()
+        assert all(type(j) is int for j in est.index_set)
+        for name in ("tau_hat", "sigma_hat"):
+            assert getattr(est, name).tobytes() == getattr(want, name).tobytes()
+        assert (est.n_t, est.n_c, est.n, est.method, est.index_set) == (
+            want.n_t, want.n_c, want.n, want.method, want.index_set)
+    assert diff_in_means(ds, [4]).index_set == (4,)
+    with pytest.raises(AssertionError, match="validated again"):
+        EffectEstimate(np.zeros(1), np.eye(1), 2, 2, 4, "dim", (0,))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from hdte import inference
 from hdte.data import TrialDataset, random_split
 from hdte.errors import DataError, NumericalError
 from hdte.estimators import EffectEstimate
@@ -21,6 +22,9 @@ from hdte.inference import (
     split_seeds,
     z_pvalues,
 )
+from hdte.selection import run_selection
+
+from conftest import traced_peak
 
 
 def make_estimate(tau, sigma, n=100, method="dim"):
@@ -343,3 +347,61 @@ def test_multi_split_validates_b():
     ds = planted_dataset(1, n=100)
     with pytest.raises(DataError, match="B must be"):
         multi_split(ds, B=0)
+
+
+THREE_LEVELS = ([tuple(range(k, k + 4)) for k in range(0, 12, 4)],
+                [(k, k + 1) for k in range(0, 12, 2)], [(k,) for k in range(12)])
+
+
+@pytest.mark.parametrize("method, sel", [
+    ("cuped", SelectionSpec(size=2)),
+    ("lin", SelectionSpec("baseline", size=2)),
+    ("cuped", SelectionSpec(size=1, levels=THREE_LEVELS)),
+])
+def test_multi_split_splits_are_the_pipeline_on_random_split(monkeypatch, method, sel):
+    """Split ``b`` of :func:`multi_split` takes its halves lazily, yet gives
+    what :func:`single_split_pipeline` gives on ``random_split(ds, fraction,
+    seeds[b])``, bit for bit: the subset (in level slots), the per-dimension
+    p-values and the group p-value."""
+    rng = np.random.default_rng(7)
+    n, p = 240, 12
+    t = rng.permutation(np.tile([0, 1], n // 2))
+    x = rng.standard_normal((n, p))
+    y = rng.standard_normal((n, p)) + 0.5 * x
+    y[:, 4:6] += 0.8 * t[:, None]
+    ds = TrialDataset(t, y, x)
+    matrices, aggregate = [], inference.aggregate_pvalues
+    monkeypatch.setattr(inference, "aggregate_pvalues",
+                        lambda pm, gamma: matrices.append(pm.copy()) or aggregate(pm, gamma))
+    report = multi_split(ds, B=6, gamma=0.5, method=method, sel=sel, seed=11, fraction=0.6)
+    per_dim, group = matrices
+    sizes = [len(level) for level in sel.levels or [range(p)]]
+    offsets = np.cumsum([0, *sizes])
+    for b, seed in enumerate(split_seeds(11, 6)):
+        split = random_split(ds, 0.6, int(seed))
+        single = single_split_pipeline(split, method, sel)
+        level = run_selection(split.first, sel, method)[1] or 0
+        slots = tuple(int(offsets[level]) + j for j in single.subset)
+        assert report.per_split_subsets[b] == slots and single.subset
+        want = np.ones(offsets[-1])
+        want[list(slots)] = [single.per_dim[j] for j in single.subset]
+        assert per_dim[b].tobytes() == want.tobytes()
+        assert group[b].tobytes() == np.array([single.group]).tobytes()
+
+
+def test_multi_split_holds_one_half_at_a_time():
+    """The test half is taken after the selection on the first has returned,
+    and the weighted columns are built in one buffer: a cuped multi-split at
+    p >> n peaks at most 3.5 half outcome matrices above its dataset (3.2:
+    the first half, the weighted columns and their covariate residuals),
+    where holding both halves, a centered copy and a stacked copy took 4.2."""
+    rng = np.random.default_rng(1)
+    n, p, m = 400, 2000, 10
+    t = rng.permutation(np.tile([0, 1], n // 2))
+    y = rng.standard_normal((n, p))
+    y[:, :3] += t[:, None]
+    ds = TrialDataset(t, y, rng.standard_normal((n, m)))
+    report, peak = traced_peak(lambda: multi_split(
+        ds, B=2, method="cuped", sel=SelectionSpec(size=5), seed=0))
+    assert all(len(subset) == 5 for subset in report.per_split_subsets)
+    assert peak <= 3.5 * (n // 2) * p * 8

@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from hdte.selection import (
     sparse_select,
 )
 from hdte.wlasso import EnetConfig, fit_weighted_enet, walk_path
+
+from conftest import traced_peak
 
 
 def planted_dataset(seed, n=200, p=8, effects=(1.5, 1.0, 0.6)):
@@ -296,12 +297,7 @@ def test_select_at_large_p_never_forms_a_p_by_p_matrix():
     y = rng.standard_normal((n, p))
     y[:, :3] += 1.5 * t[:, None]
     ds = TrialDataset(t, y)
-    tracemalloc.start()
-    try:
-        result = sparse_select(ds, size=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = traced_peak(lambda: sparse_select(ds, size=5))
     assert len(result.selected) == 5
     assert peak < p * p * 8 / 10
 

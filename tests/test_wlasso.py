@@ -370,6 +370,46 @@ def test_sparse_full_sweep_is_the_scalar_sweep_bit_for_bit():
     assert 10 < entered < 90
 
 
+@pytest.mark.parametrize("case", ["one entry", "two entries", "nan"])
+def test_sparse_full_sweep_resumes_its_run_test_after_an_entry(case, monkeypatch):
+    """A zero coordinate that fails the run test is updated alone, and the
+    test resumes after it on the updated ``q``; an unpenalized one (10) is
+    passed over, as the full list leaves it out. ``beta``, ``q`` and the
+    largest change are those of the scalar sweep over the full list, bit for
+    bit, and the scalar loop never visits more than one coordinate at once."""
+    rng = np.random.default_rng(3)
+    p = 100
+    gram = lazy_gram(rng.standard_normal((30, p)))
+    penalized = np.arange(p) != 10
+    ty = np.zeros(p)
+    ty[[10, 20]] = 5.0   # 20 enters in the run before the nonzero 50
+    if case == "two entries":
+        ty[[60, 80]] = 5.0, -5.0
+    if case == "nan":
+        ty[70] = np.nan
+    beta, nonzero = np.zeros(p), np.array([50])
+    beta[50] = 0.1
+    q = beta[nonzero] @ gram.rows(nonzero)
+    args = (gram, ty.tolist(), gram.diag.tolist(), (gram.diag + 0.1).tolist(), 1.0)
+    block = wlasso._Block(SimpleNamespace(gram=gram, ty=ty, penalized=penalized))
+    b_ref, q_ref = beta.copy(), q.copy()
+    d_ref = wlasso._scalar_sweep(np.flatnonzero(penalized).tolist(), b_ref, q_ref, *args)
+    visits, scalar = [], wlasso._scalar_sweep
+
+    def one_at_a_time(work, *rest):
+        visits.append(len(work))
+        return scalar(work, *rest)
+
+    monkeypatch.setattr(wlasso, "_scalar_sweep", one_at_a_time)
+    d = wlasso._sparse_full_sweep(nonzero, beta, q, block, args)
+    assert (d, beta.tobytes(), q.tobytes()) == (d_ref, b_ref.tobytes(), q_ref.tobytes())
+    assert set(visits) == {1} and beta[10] == 0.0 and beta[20] != 0.0
+    if case == "two entries":
+        assert beta[60] > 0.0 > beta[80]
+    if case == "nan":
+        assert np.isnan(beta[70:]).all() and len(visits) >= 30
+
+
 def factor_dataset(seed, n=80, p=30):
     """Outcomes driven by three shared factors, so columns are correlated."""
     rng = np.random.default_rng(seed)
