@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
+import os
+import signal
+import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -297,6 +301,129 @@ def _parse_rows(rows, schema: CsvSchema, columns: list[int], width: int) -> np.n
     return np.array(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
+# A data block is parsed in parallel when it holds at least two parts of
+# this many bytes: the crossover of two children against one pass, measured
+# on 2 vCPUs as each load in a loop of CLI commands (median load time, serial
+# against parallel): 2.1 MB of 550-column rows 59-62 against 81-84 ms,
+# 8.5 MB of them 225-246 against 168-234 ms, 8.5 MB of 4011-column rows
+# 232-239 against 151-158 ms, 39 MB 945 against 572 ms. Loads alone in a
+# loop cross over near 2 MB, but amid a program's other work the forks, the
+# write faults they leave the parent and a second CPU slow to take up a
+# child cost more.
+_PART_MIN_BYTES = 4 << 20
+
+
+def _line_end(raw, pos: int) -> int | None:
+    """The offset just past the first ``\\n`` at or after ``pos`` of the
+    binary file ``raw``, or ``None`` where none follows."""
+    raw.seek(pos)
+    while chunk := raw.read(1 << 16):
+        k = chunk.find(b"\n")
+        if k >= 0:
+            return pos + k + 1
+        pos += len(chunk)
+    return None
+
+
+def _part_ranges(path) -> list[tuple[int, int]]:
+    """Byte ranges that cover the data block in order, each ending just past
+    a ``\\n`` (the last at the end of the file): as many as the process's
+    affinity set has CPUs, but no more than parts of ``_PART_MIN_BYTES``
+    the block holds. ``[]`` where the block is parsed serially: off Linux,
+    with fewer than two ranges, or where the header holds a quote or ends
+    other than at ``\\n`` or ``\\r\\n`` (a CR-only file has no ``\\n`` to
+    cut at)."""
+    if not sys.platform.startswith("linux"):
+        return []
+    with open(path, "rb") as raw:
+        start, size = _line_end(raw, 0), os.fstat(raw.fileno()).st_size
+        if start is None:
+            return []
+        raw.seek(0)
+        header = raw.read(start)
+        if b'"' in header or b"\r" in header[:-2]:
+            return []
+        parts = min(len(os.sched_getaffinity(0)), (size - start) // _PART_MIN_BYTES)
+        cuts = [start]
+        for k in range(1, parts):
+            # the first line that starts at or after the k-th even cut
+            cut = _line_end(raw, max(cuts[-1], start + k * (size - start) // parts - 1))
+            if cut is None or cut >= size:
+                break
+            cuts.append(cut)
+    ranges = list(zip(cuts, [*cuts[1:], size]))
+    return ranges if len(ranges) > 1 else []
+
+
+def _fill(fd: int, out: np.ndarray) -> bool:
+    """Read the bytes of the C-ordered ``out`` from the pipe ``fd``;
+    ``False`` where the pipe ends first."""
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _parse_parallel(path, ranges, width: int, columns: list[int]) -> np.ndarray | None:
+    """The block :func:`_parse_block` reads, parsed one byte range of
+    ``ranges`` per forked child, or ``None`` where a part is not taken: a
+    child's :func:`_parse_block` returns ``None`` or raises (a decode error
+    among them), or the child dies before it has sent its part.
+
+    A child parses its range and writes its ``(rows, cols)`` and raw values
+    to a pipe, then leaves through ``os._exit`` in a ``finally``: it never
+    returns into the caller's frames and never flushes the stdio buffers it
+    inherited. The parent reads each part into its rows of one block, so it
+    holds the values once, and reaps every child, killing those still
+    running when it stops early (a part not taken, an error, an interrupt).
+    """
+    pids, reads, block = [], [], None
+    try:
+        for lo, hi in ranges:
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        for fd in reads:
+                            os.close(fd)
+                        with open(path, "rb") as raw:
+                            raw.seek(lo)
+                            part = io.BytesIO(raw.read(hi - lo))
+                        values = _parse_block(io.TextIOWrapper(part, encoding="utf-8", newline=""),
+                                              width, columns)
+                        if values is not None:
+                            with open(w, "wb", closefd=False) as out:
+                                out.write(np.array(values.shape, np.int64).tobytes())
+                                out.write(values.data)
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        shapes = [np.zeros(2, np.int64) for _ in reads]
+        if not all(_fill(r, shape) for r, shape in zip(reads, shapes)):
+            return None
+        bounds = np.cumsum([0, *(int(shape[0]) for shape in shapes)]).tolist()
+        out = np.empty((bounds[-1], len(columns)))
+        if all(_fill(r, out[a:b]) for r, a, b in zip(reads, bounds, bounds[1:])):
+            block = out
+        return block
+    except OSError:
+        return None
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            if block is None:   # an unreaped child, even one that has exited, takes a signal
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def load_csv(path, schema: CsvSchema) -> TrialDataset:
     """Read a trial dataset from a CSV file with a header row.
 
@@ -311,6 +438,18 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
     header) in error messages. Missing values are rejected, never imputed.
     The file is read as UTF-8; a leading byte-order mark is skipped, and a
     byte sequence that is not UTF-8 is a :class:`DataError`.
+
+    The vectorized pass takes one of two routes. On Linux, a block of at
+    least two parts of 4 MiB is cut at line ends into as many parts as the
+    process's affinity set has CPUs (``taskset`` limits them), and forked
+    children parse the parts at once; the parent reads them into one block.
+    A load stays serial, one pass in this process, for a smaller block, one
+    CPU, a CR-only file, or a header holding a quote; and where any part is
+    not taken (a child's part would not pass, or a child dies), the whole
+    block takes the serial route, so results and errors do not depend on
+    the route. The serial route's traced peak is 1.25 times the parsed
+    values (``np.loadtxt``'s growing buffer); the parallel one's is the
+    values and the header, 1.03 times on a 500 x 4011 block.
     """
     path = Path(path)
     if not path.exists():
@@ -322,12 +461,17 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
             except StopIteration:
                 raise DataError(f"{path} is empty") from None
             columns = _schema_columns(header, schema, path)
-            try:
-                block = _parse_block(handle, len(header), columns)
-            except ValueError:   # UnicodeDecodeError among them
-                block = None
+            ranges = _part_ranges(path)
+            block = _parse_parallel(path, ranges, len(header), columns) if ranges else None
+            if block is None:
+                try:
+                    block = _parse_block(handle, len(header), columns)
+                except ValueError:   # UnicodeDecodeError among them
+                    block = None
         if block is not None:
-            if not (np.isfinite(block).all() and np.isin(block[:, 0], (0.0, 1.0)).all()):
+            # a NaN or an infinity is the minimum or the maximum of the block
+            finite = np.isfinite([block.min(), block.max()]).all()
+            if not (finite and np.isin(block[:, 0], (0.0, 1.0)).all()):
                 block = None
         if block is None:
             with open(path, newline="", encoding="utf-8-sig") as handle:

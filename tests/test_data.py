@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import io
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -295,24 +298,39 @@ def _outcome(load):
     return tuple(a.dtype.str + a.tobytes().hex() for a in (ds.treatments, ds.outcomes, ds.covariates))
 
 
+_PINNED_CSV = (
+    "treatment,y0,note,y1,x0\n1,2,1,3,1#2\n0,1,1,1,1\n",
+    "treatment,y0,note,y1,x0\n1,2,subject 01,3,4\n0,1,subject 02,1,1\n",
+    'treatment,y0,note,y1,x0\n1,2,"a, b",3,4\n0,1,c,1,1\n',
+    "treatment,y0,note,y1,x0\n1,2,a,3,4,5\n0,1,b,1,1\n",
+    "treatment,y0,note,y1,x0\r\n1,2,1,3,4\r\n\r\n0,1,1,1,1",
+    "treatment,y0,note,y1,x0\n1,2,a,3,4\r0,1,b,1,1\r\n1,5,c,2,2\n0,3,d,4,1\n",
+    "treatment,y0,note,y1,x0\r\n1,2,a,3,4\r\n0,1,b,1,1\n1,5,c,2,2\r\n",
+)
+_ORACLE_SCHEMA = CsvSchema("treatment", ("y0", "y1"), ("x0",))
+
+
+def _write_text(path, text):
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+
+
+def _pinned(test):
+    for text in _PINNED_CSV:
+        test = example(text=text)(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=_csv_text())
-@example(text="treatment,y0,note,y1,x0\n1,2,1,3,1#2\n0,1,1,1,1\n")
-@example(text="treatment,y0,note,y1,x0\n1,2,subject 01,3,4\n0,1,subject 02,1,1\n")
-@example(text='treatment,y0,note,y1,x0\n1,2,"a, b",3,4\n0,1,c,1,1\n')
-@example(text="treatment,y0,note,y1,x0\n1,2,a,3,4,5\n0,1,b,1,1\n")
-@example(text="treatment,y0,note,y1,x0\r\n1,2,1,3,4\r\n\r\n0,1,1,1,1")
-@example(text="treatment,y0,note,y1,x0\n1,2,a,3,4\r0,1,b,1,1\r\n1,5,c,2,2\n0,3,d,4,1\n")
-@example(text="treatment,y0,note,y1,x0\r\n1,2,a,3,4\r\n0,1,b,1,1\n1,5,c,2,2\r\n")
+@_pinned
 def test_load_csv_matches_the_cell_by_cell_oracle(tmp_path, text):
     """Either the oracle's arrays, bit for bit, or its exact error."""
     path = tmp_path / "t.csv"
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
-    schema = CsvSchema("treatment", ("y0", "y1"), ("x0",))
-    assert _outcome(lambda: load_csv(path, schema)) == \
-        _outcome(lambda: _oracle_load(text, schema, path))
+    _write_text(path, text)
+    assert _outcome(lambda: load_csv(path, _ORACLE_SCHEMA)) == \
+        _outcome(lambda: _oracle_load(text, _ORACLE_SCHEMA, path))
 
 
 def test_load_csv_parses_around_a_text_column_in_one_pass(tmp_path, monkeypatch):
@@ -360,6 +378,152 @@ def test_crlf_text_with_or_without_a_lone_line_end_keeps_the_one_pass(tmp_path, 
     assert ds.outcomes.tolist() == [[2.5, 3.0], [1.0, -1.0], [4.0, 0.0]]
 
 
+def _force_parts(patch, parts: int) -> list:
+    """Let ``load_csv`` cut any data block into up to ``parts`` byte ranges,
+    whatever the machine's CPU count (``parts=1`` keeps every load serial);
+    the returned list records, per parallel attempt, whether it gave the
+    block."""
+    taken, parse_parallel = [], data._parse_parallel
+
+    def recorded(*args):
+        block = parse_parallel(*args)
+        taken.append(block is not None)
+        return block
+
+    patch.setattr(data, "_PART_MIN_BYTES", 16)
+    patch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(parts)))
+    patch.setattr(data, "_parse_parallel", recorded)
+    return taken
+
+
+def _routes(monkeypatch, path, schema, parts=3):
+    """The outcomes of a load cut into ``parts`` ranges and of a serial
+    load, and whether each parallel attempt gave the block."""
+    with monkeypatch.context() as patch:
+        taken = _force_parts(patch, parts)
+        parallel = _outcome(lambda: load_csv(path, schema))
+    with monkeypatch.context() as patch:
+        assert not _force_parts(patch, 1)   # no attempt
+        serial = _outcome(lambda: load_csv(path, schema))
+    return parallel, serial, taken
+
+
+def _table_lines(rows=300):
+    """Header ``treatment,y0,note,y1,x0`` (``note``, outside the schema,
+    holds non-ASCII text) and ``rows`` data lines of shortest-repr floats:
+    by default over 16 KiB, so the text read ahead with the header does not
+    reach the last part."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-5, 5, (rows, 3))
+    return ["treatment,y0,note,y1,x0"] + [
+        ",".join([str(i % 2), repr(a), f"sujet-\u00fc{i:02d}", repr(b), repr(c)])
+        for i, (a, b, c) in enumerate(values.tolist())]
+
+
+# Each fault rewrites the last data line (``blank`` puts an empty line before
+# it), so it sits in the last of three parts.
+_LAST_LINE_FAULTS = {
+    "bad cell": lambda line: line.rsplit(",", 1)[0] + ",oops",
+    "quote": lambda line: line.replace("sujet", '"sujet, a"', 1),
+    "ragged": lambda line: line + ",7",
+    "blank": lambda line: "\n" + line,
+    "inf": lambda line: line.rsplit(",", 1)[0] + ",inf",
+    "treatment 2": lambda line: "2" + line[1:],
+    "non-UTF-8": lambda line: line.replace("sujet", "sujet\udcff", 1),
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+@pytest.mark.parametrize("fault", [None, *_LAST_LINE_FAULTS])
+def test_the_parallel_route_gives_the_serial_result(tmp_path, monkeypatch, end, fault):
+    """A block cut into three parts gives the serial route's arrays bit for
+    bit or its exact error, for a fault that only the last part holds."""
+    lines = _table_lines()
+    if fault is not None:
+        lines[-1] = _LAST_LINE_FAULTS[fault](lines[-1]).replace("\n", end)
+    text = end.join(lines) + end
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    fault_at = len((end.join(lines[:-1]) + end).encode("utf-8", "surrogateescape"))
+    with monkeypatch.context() as patch:
+        _force_parts(patch, 3)
+        ranges = data._part_ranges(path)
+    assert len(ranges) == 3 and ranges[-1][0] < fault_at
+    parallel, serial, taken = _routes(monkeypatch, path, _ORACLE_SCHEMA)
+    assert parallel == serial
+    # inf and a treatment of 2 are read, then fail the block's checks
+    assert taken == [fault in (None, "inf", "treatment 2")]
+    # a quoted cell is read cell by cell; every other fault is an error
+    assert (parallel[0] is DataError) is (fault not in (None, "quote"))
+
+
+@pytest.mark.parametrize("layout", ["cr", "cr header", "bom", "quoted header", "short"])
+def test_a_load_the_parallel_route_cannot_cut_stays_serial(tmp_path, monkeypatch, layout):
+    """A CR-only file (no ``\\n`` to cut at), a header ending at a lone
+    ``\\r`` or holding a quote, and a block of one row are parsed serially;
+    a byte-order mark is not."""
+    lines = _table_lines(1 if layout == "short" else 300)
+    if layout == "quoted header":
+        lines[0] = lines[0].replace("note", '"note"')
+    if layout == "cr header":
+        lines[:2] = [lines[0] + "\r" + lines[1]]
+    end = "\r" if layout == "cr" else "\n"
+    prefix = "\ufeff" if layout == "bom" else ""
+    path = tmp_path / "t.csv"
+    path.write_bytes((prefix + end.join(lines) + end).encode())
+    parallel, serial, taken = _routes(monkeypatch, path, _ORACLE_SCHEMA)
+    assert parallel == serial
+    assert taken == ([True] if layout == "bom" else [])
+
+
+@pytest.mark.parametrize("text", _PINNED_CSV)
+@pytest.mark.parametrize("parts", [2, 3])
+def test_pinned_examples_give_the_oracle_result_on_both_routes(tmp_path, monkeypatch, text, parts):
+    path = tmp_path / "t.csv"
+    _write_text(path, text)
+    parallel, serial, _ = _routes(monkeypatch, path, _ORACLE_SCHEMA, parts)
+    assert parallel == serial == _outcome(lambda: _oracle_load(text, _ORACLE_SCHEMA, path))
+
+
+def test_a_load_leaves_no_child_and_writes_buffered_output_once(tmp_path, monkeypatch, capfd):
+    """A load that takes the parallel route, one that falls back (a quote in
+    its last part) and one whose child is killed mid-parse each give the
+    serial result and reap every child; text buffered on stdout before the
+    loads is written once, by this process."""
+    lines = _table_lines()
+    lines[-1] = "1,99.5" + lines[-1][lines[-1].index(",", 2):]
+    path, quoted = tmp_path / "t.csv", tmp_path / "quoted.csv"
+    path.write_text("\n".join(lines) + "\n")
+    quoted.write_text("\n".join([*lines[:-1], _LAST_LINE_FAULTS["quote"](lines[-1])]) + "\n")
+    with monkeypatch.context() as patch:
+        _force_parts(patch, 1)
+        expected = _outcome(lambda: load_csv(path, _ORACLE_SCHEMA))
+    parent, parse_block = os.getpid(), data._parse_block
+
+    def killed_at_the_marked_row(handle, width, columns):
+        def lines_of(handle):
+            for line in handle:
+                if os.getpid() != parent and line.startswith("1,99.5,"):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield line
+        return parse_block(lines_of(handle), width, columns)
+
+    buffered = open(os.dup(1), "w", encoding="utf-8")
+    with contextlib.redirect_stdout(buffered):
+        print("buffered before the loads", end="")
+        taken = _force_parts(monkeypatch, 2)
+        for source, route in ((path, True), (quoted, False), (path, False)):
+            if source is path and not route:
+                monkeypatch.setattr(data, "_parse_block", killed_at_the_marked_row)
+            outcome = _outcome(lambda: load_csv(source, _ORACLE_SCHEMA))
+            assert taken.pop() is route
+            assert outcome == expected
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    buffered.close()
+    assert capfd.readouterr().out == "buffered before the loads"
+
+
 def test_load_csv_holds_no_copy_of_the_file_text(tmp_path):
     """The one pass reads the block line by line: a load's traced peak (the
     parsed values, about 0.45 of the file here) stays under 1.5 times the
@@ -375,12 +539,15 @@ def test_load_csv_holds_no_copy_of_the_file_text(tmp_path):
     assert peak < 1.5 * path.stat().st_size
 
 
-def test_load_csv_holds_its_values_once(tmp_path):
+def test_load_csv_holds_its_values_once(tmp_path, monkeypatch):
     """The outcomes move to the front of the parsed block in place, with the
     covariates behind them, and are not validated again: a load's traced
     peak stays under 1.3 times the bytes of the values it parses, where a
-    copy of the outcomes next to the block takes twice. Both parsers leave
-    the arrays every validated dataset keeps."""
+    copy of the outcomes next to the block takes twice. The serial route
+    peaks at 1.26 here (``np.loadtxt``'s growing buffer), the parallel one
+    at 1.08 (the block its children's parts are read into, and the header's
+    404 names). All parsers leave the arrays every validated dataset
+    keeps."""
     rng = np.random.default_rng(0)
     ds = TrialDataset(np.tile([0, 1], 100), rng.standard_normal((200, 400)),
                       rng.standard_normal((200, 3)))
@@ -389,11 +556,15 @@ def test_load_csv_holds_its_values_once(tmp_path):
     values = ds.n * (1 + ds.p + ds.m) * 8
     loaded, peak = traced_peak(lambda: load_csv(path, schema))
     assert peak <= 1.3 * values
+    with monkeypatch.context() as patch:
+        taken = _force_parts(patch, 2)
+        in_parts, peak = traced_peak(lambda: load_csv(path, schema))
+    assert taken == [True] and peak <= 1.3 * values
     quoted = tmp_path / "quoted.csv"
     quoted.write_text('treatment,y0,x0,y1\n1,"2.5",7,3\n0,1,8,-1\n1,4,9,0\n')
     cell_by_cell = load_csv(quoted, CsvSchema("treatment", ("y0", "y1"), ("x0",)))
     expected = TrialDataset([1, 0, 1], [[2.5, 3], [1, -1], [4, 0]], [[7], [8], [9]])
-    for got, want in ((loaded, ds), (cell_by_cell, expected)):
+    for got, want in ((loaded, ds), (in_parts, ds), (cell_by_cell, expected)):
         assert_frozen(got)
         for name in ("treatments", "outcomes", "covariates"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

@@ -1,9 +1,9 @@
 """Module boundaries of the package: no module imports another module's
 private names, the covariate regression has one implementation, and so
 do the Cholesky factorization of the solver's exact steps, the
-propensity weighting, the singularity rule of small solves and the
-experiments' replicate loop; only the scipy modules the package calls are
-imported."""
+propensity weighting, the singularity rule of small solves, the
+experiments' replicate loop and the forking of worker processes; only the
+scipy modules the package calls are imported."""
 
 import ast
 import os
@@ -81,6 +81,18 @@ def replicate_routes(path: Path) -> tuple[list[str], list[str]]:
         and any(getattr(name, "id", getattr(name, "attr", None)) == "HdteError"
                 for name in ast.walk(node.type))))
     return spawns, catches
+
+
+def process_routes(path: Path) -> tuple[list[str], list[str]]:
+    """The functions of one source file that call ``fork``, and those that
+    call ``_exit``, by any name or attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def callers(name):
+        return _functions_where(path, tree, lambda node: (
+            isinstance(node, ast.Call) and _called_name(node) == name))
+
+    return callers("fork"), callers("_exit")
 
 
 def scipy_imports(path: Path) -> list[str]:
@@ -205,6 +217,35 @@ def test_replicate_routes_are_detected(tmp_path):
     )
     assert replicate_routes(sample) == (["sample.py:seeds"],
                                         ["sample.py:run", "sample.py:other"])
+
+
+def test_one_function_forks_and_leaves_a_child():
+    """``os.fork`` and ``os._exit`` are called in one function,
+    ``data._parse_parallel``, which reaps every child it forks: a child
+    cannot return into the caller's frames from anywhere else."""
+    routes = [process_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
+    assert [call for forks, _ in routes for call in forks] == ["data.py:_parse_parallel"]
+    assert [call for _, exits in routes for call in exits] == ["data.py:_parse_parallel"]
+
+
+def test_process_routes_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n"
+        "from os import fork\n"
+        "def spawn():\n"
+        "    if os.fork() == 0:\n"
+        "        os._exit(0)\n"
+        "def bare():\n"
+        "    return fork()\n"
+        "class Pool:\n"
+        "    def stop(self):\n"
+        "        os._exit(1)\n"
+        "def leave():\n"
+        "    os.exit(0), sys.exit(0), os.forkpty()\n"
+    )
+    assert process_routes(sample) == (["sample.py:spawn", "sample.py:bare"],
+                                      ["sample.py:spawn", "sample.py:stop"])
 
 
 def test_one_singularity_rule_for_small_symmetric_solves():
