@@ -391,8 +391,12 @@ def cli():
                                  "with covariates, else dim).")
 @click.option("--n-lambdas", type=int, default=100, show_default=True)
 @click.option("--lambda-min-ratio", type=float, default=None)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
-@click.option("--max-iter", type=int, default=10_000, show_default=True)
+@click.option("--tol", type=float, default=1e-7, show_default=True,
+              help="Coordinate-descent tolerance of penalty (--lam) and enet "
+                   "selections, as for hdte path; a lasso --s selection reads "
+                   "the path's knots and does not iterate.")
+@click.option("--max-iter", type=int, default=10_000, show_default=True,
+              help="Coordinate-descent sweep cap, as for --tol.")
 @_outdir_option
 def select(**_):
     """Select outcome columns; writes selection.csv."""

@@ -170,13 +170,6 @@ class TrialDataset:
         return TrialDataset._trusted(self.treatments, _freeze(self.outcomes[:, idx]),
                                      self.covariates, labels)
 
-    def replace_outcomes(self, outcomes, column_labels=None) -> "TrialDataset":
-        """Return a dataset with ``outcomes`` swapped in (same rows, treatments,
-        covariates). Only the new outcomes and labels are validated."""
-        y = _outcome_array(np.asarray(outcomes, dtype=np.float64), self.n)
-        return TrialDataset._trusted(self.treatments, y, self.covariates,
-                                     _labels(column_labels, y.shape[1]))
-
 
 @dataclass(frozen=True)
 class SplitPair:

@@ -4,10 +4,10 @@ sparse selector estimates.
 
 A penalized selection is made on a :class:`hdte.wlasso.WeightedProblem`, a
 dataset's or a resolution level's, by one function (:func:`_select`): by
-size it walks the penalty grid and resolves each size at the first grid
-point whose active set reaches it; by penalty it reads one fit. Resolution
-levels are solved from one factorization of the split half
-(:func:`hdte.wlasso.level_problems`), not from one aggregated dataset
+size it goes down the penalty grid, a lasso's by its knots, resolving each
+size at the first grid point whose active set reaches it; by penalty it reads
+one fit. Resolution levels are solved from one factorization of the split
+half (:func:`hdte.wlasso.level_problems`), not from one aggregated dataset
 each."""
 
 from __future__ import annotations
@@ -191,12 +191,12 @@ def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
                      n_lambdas: int, lambda_min_ratio: float | None
                      ) -> dict[int, SelectionResult]:
     """Size-``s`` selections on ``problem`` for every ``s`` in ``sizes``,
-    from one walk of its penalty path.
+    from one pass down its penalty grid (a lasso's read off its knots).
 
     Each size is resolved at the first grid point whose active set reaches
     it, truncated in path-entry order (the order in which columns first
     became active; same-point entries break ties by ascending index). The
-    walk stops once every size is resolved.
+    pass stops once every size is resolved.
     """
     wanted = check_sizes(sizes, problem.p)
     label = _method_label(config)
@@ -204,7 +204,8 @@ def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
     results: dict[int, SelectionResult] = {}
     pending = list(wanted)
     largest_seen = 0
-    for lam, beta, sweeps, converged in problem.walk_path(n_lambdas, lambda_min_ratio, config):
+    for lam, beta, sweeps, converged in problem.walk_path(n_lambdas, lambda_min_ratio, config,
+                                                          knots=True):
         _require_converged(lam, sweeps, converged)
         active = np.flatnonzero(beta).tolist()
         for j in active:

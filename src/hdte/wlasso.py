@@ -35,7 +35,9 @@ passes long runs of zero coordinates in vectorized tests of its own condition,
 resuming after each entry. Solutions match the plain loop's to its tolerance.
 What does not change along a path (the penalized set, the scalar loop's float
 lists, the stationarity check's scale) is computed once per walk and carried
-with the factor, so a solve on a small problem costs about its sweeps.
+with the factor, so a solve on a small problem costs about its sweeps. A lasso
+path is piecewise linear in ``lam``, so size selections read its grid off the
+knots (:func:`_knot_path`) on one such factor, with no coordinate descent.
 
 Problems and resolution levels. A :class:`WeightedProblem` holds rows with
 the Gram of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``, and
@@ -375,16 +377,18 @@ class _Block:
         k, order = self.order.size, np.concatenate([self.order, new])
         rows = self.gram.rows(new)[:, order]   # [G_VA | G_VV]
         square = rows[:, k:]
-        square[np.diag_indices(new.size)] += self.ridge
+        if self.ridge:
+            square[np.diag_indices(new.size)] += self.ridge
         cross = dtrtrs(self.factor, rows[:, :k].T, lower=1)[0] if k else rows[:, :0].T
-        tail, info = dpotrf(square - cross.T @ cross, lower=1, clean=0)
+        tail, info = dpotrf(square - cross.T @ cross if k else square, lower=1, clean=0)
         if info != 0 or not (tail.diagonal() ** 2 > _PIVOT_MIN * square.diagonal()).all():
             return False
         factor = np.zeros((order.size, order.size), order="F")
         factor[:k, :k], factor[k:, :k], factor[k:, k:] = self.factor, cross.T, tail
         matrix = np.empty_like(factor)   # G_AA + ridge I, for the objective test
         matrix[:k, :k], matrix[:k, k:], matrix[k:] = self.matrix, rows[:, :k].T, rows
-        self.basis = np.vstack([self.basis, -dtrtrs(tail, cross.T @ self.basis, lower=1)[0]])
+        self.basis = (np.vstack([self.basis, -dtrtrs(tail, cross.T @ self.basis, lower=1)[0]])
+                      if self.basis.shape[1] else np.empty((order.size, 0)))
         self.order, self.factor, self.matrix = order, factor, matrix
         return True
 
@@ -410,20 +414,24 @@ class _Block:
             return False
         return self.build(target, ridge)
 
+    def solve(self, rhs) -> np.ndarray:
+        """``b`` on ``order``: ``(G_AA + ridge I) b = rhs`` where not held, 0 where held."""
+        y, basis = dtrtrs(self.factor, rhs, lower=1)[0], self.basis
+        if self.held.size:
+            y -= basis @ np.linalg.solve(basis.T @ basis, basis.T @ y)
+        b = dtrtrs(self.factor, y, lower=1, trans=1)[0]
+        b[self.held] = 0.0
+        return b
+
     def step(self, beta, lam1, direction, again=True):
         """Step ``beta`` on the set last covered, with the signs
         ``direction[order]`` (of ``ty - q`` where a zero coordinate enters).
         Returns ``(taken, q)``, ``q = gram @ beta`` after a step that crossed
         no zero. Not taken, ``beta`` stays: a coordinate would enter with the
         wrong sign, or the step would raise the objective on a fresh factor."""
-        order, held, basis = self.order, self.held, self.basis
-        signs, b_old = direction[order], beta[order]
+        order, signs, b_old = self.order, direction[self.order], beta[self.order]
         rhs = self.ty[order] - lam1 * signs
-        y = dtrtrs(self.factor, rhs, lower=1)[0]
-        if held.size:
-            y -= basis @ np.linalg.solve(basis.T @ basis, basis.T @ y)
-        b = dtrtrs(self.factor, y, lower=1, trans=1)[0]
-        b[held] = 0.0
+        b = self.solve(rhs)
         crossed = (b * signs <= 0.0) & (signs != 0.0)
         if crossed.any():
             reach = b_old[crossed] / (b_old[crossed] - b[crossed])
@@ -605,7 +613,11 @@ def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
             "lambda_max is zero (response is weighted-orthogonal to every "
             "outcome column); the penalty grid is undefined"
         )
-    return np.geomspace(lam_top, lam_top * min_ratio, n_lambdas), lam_top
+    # np.geomspace(lam_top, stop, n_lambdas) bit for bit, without its argument handling
+    stop, top = lam_top * min_ratio, np.log10(lam_top)
+    grid = np.power(10.0, np.arange(n_lambdas) * ((np.log10(stop) - top) / (n_lambdas - 1)) + top)
+    grid[0], grid[-1] = lam_top, stop
+    return grid, lam_top
 
 
 def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
@@ -620,6 +632,51 @@ def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
     for lam in grid[1:]:
         beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta, block=block)
         yield float(lam), beta / problem.scale, sweeps, converged
+
+
+def _knot_path(problem: _Moments, grid: np.ndarray):
+    """:func:`_walk_path` for the lasso, exact, at the first grid point below
+    each knot (LARS with the lasso modification, Efron et al. 2004). A column
+    failing the pivot test, as a copy of an active one does, stays out."""
+    p, ty, never = problem.ty.shape[0], problem.ty, ~problem.penalized
+    block, entered, lams, below = _Block(problem), set(), grid.tolist(), -grid
+    # entry k < p of the stacked arrays is the side ty_k - q_k = lam, p + k the side -lam
+    shut, gap = np.concatenate((never, never)), np.concatenate((ty, -ty))
+    sign, beta, left, last = np.zeros(p), np.zeros(p), [], []
+    lam, tie = lams[0], 1e-12 * lams[0]   # knots within tie of each other are one
+    enter = np.flatnonzero(~shut & (gap >= lam - tie)).tolist()
+    while True:
+        shut[last], last = False, [j + p * (sign[j] < 0.0) for j in left]
+        if left:   # its other side opens now, its own after the next knot
+            shut[[j + p * (sign[j] > 0.0) for j in left]] = False
+            beta[left] = sign[left] = 0.0
+        for j in sorted({k % p for k in enter}):   # ascending, each on its own
+            shut[j] = shut[j + p] = True
+            if j in entered or (block.extend(np.array([j])) if entered
+                                else block.build(np.array([j]), 0.0)):
+                entered.add(j)
+                sign[j] = 1.0 if gap[j] > 0.0 else -1.0
+        if left or block.held.size:
+            block.cover(np.flatnonzero(sign), 0.0)
+        order, v = block.order, block.solve(sign[block.order])
+        b, w = beta[order], block.gram.dot(order, v)
+        slope = np.concatenate((w, -w))   # side k is reached once lam has fallen
+        off = (slope >= 1.0) | shut       # by t with gap_k - t slope_k = lam - t
+        reach = np.where(off, np.inf, (lam - gap) / np.where(off, 1.0, 1.0 - slope))
+        falls = b * v < 0.0   # coefficients heading to zero
+        exits = -b[falls] / v[falls] if falls.any() else b[:0]
+        step = max(0.0, min(reach.min(), exits.min(initial=np.inf)))
+        g = np.searchsorted(below, -lam, "right")   # the first grid point below lam
+        if lams[g] > lam - step:
+            at = np.zeros(p)
+            at[order] = b + (lam - lams[g]) * v
+            yield lams[g], at / problem.scale, 0, True
+        if lam - step <= lams[-1]:
+            return
+        beta[order], lam = b + step * v, lam - step
+        gap -= step * slope
+        left = order[falls][exits <= step + tie].tolist() if exits.size else []
+        enter = np.flatnonzero(reach <= step + tie).tolist()
 
 
 def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
@@ -653,7 +710,7 @@ def walk_path(ds: TrialDataset, n_lambdas: int = 100,
 def _check_subset(subset, n: int, p: int) -> np.ndarray:
     """``subset`` as an index array, checked for a restricted regression."""
     idx = np.asarray(subset, dtype=np.intp)
-    if idx.size != np.unique(idx).size:
+    if idx.size != len(set(idx.tolist())):
         raise DataError("subset contains duplicate indices")
     if idx.size and (idx.min() < 0 or idx.max() >= p):
         raise DataError(f"subset indices out of range for p={p}")
@@ -715,12 +772,14 @@ class WeightedProblem:
                              sweeps, converged)
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
-                  config: EnetConfig = EnetConfig()):
-        """The lazy walk of :func:`walk_path`, on this problem."""
+                  config: EnetConfig = EnetConfig(), knots: bool = False):
+        """The lazy walk of :func:`walk_path`, on this problem; with ``knots``, a
+        lasso path's first grid point below each knot, exact (:func:`_knot_path`)."""
         min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
         moments = self.prepare(config.standardize)[0]
         grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
-        return _walk_path(moments, grid, config)
+        return (_knot_path(moments, grid) if knots and config.l1_ratio == 1.0
+                else _walk_path(moments, grid, config))
 
     def subset_weighted_rss(self, subset) -> float:
         """The restricted regression of :func:`subset_weighted_rss`, on this

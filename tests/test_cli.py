@@ -175,12 +175,27 @@ def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
 
 
 def test_select_nonconvergence_is_a_numerical_error(trial_csv, tmp_path, capsys):
-    code = main(["select", str(trial_csv), "--s", "2", "--max-iter", "1",
-                 "--outdir", str(tmp_path / "o")])
-    assert code == 3
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "numerical"
-    assert "did not converge" in record["message"]
+    """The selections that run coordinate descent, an elastic-net size
+    selection and a penalty selection, exit 3 at the sweep cap."""
+    for tuning in (["--selection", "enet", "--s", "2"], ["--lam", "0.1"]):
+        code = main(["select", str(trial_csv), *tuning, "--max-iter", "1",
+                     "--outdir", str(tmp_path / "o")])
+        assert code == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "numerical"
+        assert "did not converge" in record["message"]
+
+
+def test_a_lasso_size_selection_ignores_the_sweep_cap(trial_csv, tmp_path):
+    """A lasso ``--s`` selection reads the path's knots, so ``--max-iter 1``
+    writes the selection the default cap writes."""
+    written = []
+    for cap in ("1", "10000"):
+        outdir = tmp_path / cap
+        assert main(["select", str(trial_csv), "--s", "2", "--max-iter", cap,
+                     "--outdir", str(outdir)]) == 0
+        written.append((outdir / "selection.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_multisplit_outputs(trial_csv, tmp_path):

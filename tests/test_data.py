@@ -104,28 +104,18 @@ def assert_frozen(ds):
 
 def test_derived_datasets_stay_frozen_without_revalidation(monkeypatch):
     ds = small_dataset()
-    replaced = ds.replace_outcomes([[1.0], [2.0], [3.0], [4.0]], column_labels=[7])
     restricted = ds.restrict_outcomes(np.array([1, 0]))
-    for derived in (ds.take_rows([3, 0, 1]), aggregate_columns(ds.replace_outcomes(
-            np.ones((4, 1))), [(0,)]), random_split(ds, 0.5, seed=1).first,
-            replaced, restricted):
+    for derived in (ds.take_rows([3, 0, 1]), random_split(ds, 0.5, seed=1).first,
+                    aggregate_columns(ds.restrict_outcomes([0]), [(0,)]), restricted):
         assert_frozen(derived)
-    assert replaced.column_labels == ("7",) and replaced.outcomes[:, 0].tolist() == [1, 2, 3, 4]
     assert restricted.outcomes.tolist() == [[1.0, 3.0], [2.0, 5.0], [0.0, 1.0], [1.0, 1.0]]
-    assert replaced.covariates is ds.covariates and restricted.treatments is ds.treatments
+    assert restricted.covariates is ds.covariates and restricted.treatments is ds.treatments
 
     def no_validation(self):
         raise AssertionError("a derived dataset was validated again")
 
     monkeypatch.setattr(TrialDataset, "__post_init__", no_validation)
     ds.restrict_outcomes([0])
-    ds.replace_outcomes(np.ones((4, 2)))
-    for bad, message in ((np.ones(4), "2-d"), (np.ones((3, 1)), "rows"),
-                         ([[1.0], [np.nan], [0.0], [0.0]], "non-finite")):
-        with pytest.raises(DataError, match=message):
-            ds.replace_outcomes(bad)
-    with pytest.raises(DataError, match="labels"):
-        ds.replace_outcomes(np.ones((4, 2)), column_labels=("a",))
     with pytest.raises(DataError, match="1-d"):
         ds.restrict_outcomes([[0, 1]])
     sub = ds.take_rows(np.array([3, 1]))
@@ -135,14 +125,6 @@ def test_derived_datasets_stay_frozen_without_revalidation(monkeypatch):
         ds.take_rows([2])
     with pytest.raises(DataError, match="1-d"):
         ds.take_rows([[0, 1], [2, 3]])
-
-
-def test_replace_outcomes_keeps_rows():
-    ds = small_dataset()
-    replaced = ds.replace_outcomes(np.ones((4, 3)))
-    assert replaced.p == 3
-    np.testing.assert_array_equal(replaced.treatments, ds.treatments)
-    np.testing.assert_array_equal(replaced.covariates, ds.covariates)
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

@@ -19,7 +19,9 @@ from hdte.selection import (
     select_resolution_level,
     sparse_select,
 )
-from hdte.wlasso import EnetConfig, fit_weighted_enet, walk_path
+from hdte import wlasso
+from hdte.wlasso import (EnetConfig, WeightedProblem, _kkt_violation, fit_weighted_enet,
+                         walk_path)
 
 from conftest import traced_peak
 
@@ -100,13 +102,16 @@ def test_sparse_select_by_lam_matches_single_fit():
 
 
 def test_nonconverged_fit_is_a_numerical_error():
+    """The routes that iterate (an elastic-net size selection walks its grid,
+    a penalty selection solves one fit) fail loudly at ``max_iter``; a lasso
+    size selection reads the path's knots and does not iterate."""
     ds = planted_dataset(9)
-    one_sweep = EnetConfig(max_iter=1)
     with pytest.raises(NumericalError,
                        match=r"did not converge at lambda=\S+ within max_iter=1 sweeps"):
-        path_selections(ds, [2], one_sweep)
+        path_selections(ds, [2], EnetConfig(l1_ratio=0.5, max_iter=1))
     with pytest.raises(NumericalError, match=r"at lambda=0\.15 within max_iter=1"):
-        sparse_select(ds, lam=0.15, config=one_sweep)
+        sparse_select(ds, lam=0.15, config=EnetConfig(max_iter=1))
+    assert path_selections(ds, [2], EnetConfig(max_iter=1)) == path_selections(ds, [2])
 
 
 def test_sparse_select_needs_exactly_one_tuning():
@@ -421,3 +426,126 @@ def test_penalized_selection_is_invariant_under_a_column_permutation(case, data)
     np.testing.assert_allclose([mapped[j] for j in want.selected], want.scores,
                                rtol=0, atol=1e-8)
     assert got.weighted_rss == pytest.approx(want.weighted_rss, rel=1e-9)
+
+
+@st.composite
+def knot_cases(draw):
+    """A planted design with one constant and one duplicated outcome column,
+    ``p`` below or above ``n``, with or without covariates, standardized or
+    not; the duplicated pair is returned lower index first."""
+    n = 2 * draw(st.integers(12, 40))
+    p = draw(st.integers(5, 3 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    t = np.array([1, 0] * (n // 2))
+    rng.shuffle(t)
+    y = rng.standard_normal((n, p))
+    y[:, : draw(st.integers(1, 5))] += draw(st.floats(0.2, 1.5)) * t[:, None]
+    x = None
+    if draw(st.booleans()):
+        x = rng.standard_normal((n, draw(st.integers(1, 3))))
+        y += x @ rng.standard_normal((x.shape[1], p)) * 0.5
+    constant, copy, source = rng.choice(p, 3, replace=False).tolist()
+    y[:, constant] = 0.37
+    y[:, copy] = y[:, source]
+    config = EnetConfig(standardize=draw(st.booleans()))
+    return TrialDataset(t, y, x), config, sorted((source, copy))
+
+
+def walked_selections(ds, sizes, config, twins=None):
+    """Size selections as a converged walk down the lasso grid makes them,
+    with the two ``twins`` copies of a duplicated column (if any) read as the
+    lower one. From the first grid point where both copies are nonzero the
+    walk's split between them is rounding, so sizes not yet resolved there
+    are left out; ``exhausted`` is whether the grid ran out first."""
+    entry, picks, pending = {}, {}, sorted(sizes)
+    for lam, beta, _, converged in walk_path(ds, config=config):
+        assert converged
+        if twins is not None:
+            low, high = twins
+            if beta[low] and beta[high]:
+                return picks, False
+            beta[low] += beta[high]
+            beta[high] = 0.0
+        active = np.flatnonzero(beta).tolist()
+        for j in active:
+            entry.setdefault(j, len(entry))
+        while pending and len(active) >= pending[0]:
+            ranked = sorted(active, key=entry.__getitem__)[:pending.pop(0)]
+            picks[len(ranked)] = (tuple(ranked), lam, [abs(beta[j]) for j in ranked],
+                                  WeightedProblem.from_dataset(ds).subset_weighted_rss(ranked))
+        if not pending:
+            break
+    return picks, bool(pending)
+
+
+def assert_knots_select_as_the_walk(ds, config, top, twins=None):
+    """The lasso knots' selections at sizes 1 to ``top`` are the walk's
+    (columns, grid penalty and weighted RSS equal, scores within the walk's
+    tolerance), and each grid point the knots report, up to the first with
+    ``top`` active columns, is stationary to 1e-10; returns those points'
+    active sets."""
+    picks, exhausted = walked_selections(ds, range(1, top + 1), config, twins)
+    if exhausted:
+        with pytest.raises(DataError, match="cannot select"):
+            path_selections(ds, range(1, top + 1), config)
+    if picks:
+        got = path_selections(ds, list(picks), config)
+        for s, (selected, lam, scores, rss) in picks.items():
+            assert (got[s].selected, got[s].tuning, got[s].weighted_rss) == (selected, lam, rss)
+            np.testing.assert_allclose(got[s].scores, scores, rtol=0, atol=1e-6)
+    problem = WeightedProblem.from_dataset(ds)
+    moments = problem.prepare(config.standardize)[0]
+    gram, actives = moments.gram.rows(np.arange(ds.p)), []
+    for lam, beta, _, _ in problem.walk_path(config=config, knots=True):
+        fitted = beta * moments.scale
+        violation = _kkt_violation(fitted, fitted @ gram, moments.ty, lam, 0.0, moments.penalized)
+        assert violation <= 1e-10
+        actives.append(set(np.flatnonzero(beta).tolist()))
+        if len(actives[-1]) >= top:
+            break
+    return actives
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=knot_cases())
+def test_lasso_knots_select_what_the_walk_selects(case):
+    """A lasso size selection read off the path's knots picks the columns,
+    grid penalty and weighted RSS of a converged walk down the same grid at
+    sizes 1 to min(10, n // 3), with scores within the walk's tolerance; the
+    duplicated column never enters beside its copy, and every grid point the
+    route reports is stationary to 1e-10."""
+    ds, config, twins = case
+    actives = assert_knots_select_as_the_walk(ds, config, min(10, ds.n // 3, ds.p - 2), twins)
+    assert not any(set(twins) <= active for active in actives)
+
+
+def test_a_coefficient_that_leaves_the_lasso_path_stays_out_on_its_side():
+    """On correlated outcomes a coefficient reaches zero and leaves the path
+    (here a selection of 4 columns shrinks to 3); it is not taken back on its
+    own side at that knot, so the path stays stationary and selects what the
+    walk selects."""
+    rng = np.random.default_rng(360)
+    t = np.array([1, 0] * 20)
+    rng.shuffle(t)
+    y = rng.standard_normal((40, 30))
+    y[:, :3] += 0.8 * t[:, None]
+    y[:, 3:6] += 0.7 * y[:, :3]
+    actives = assert_knots_select_as_the_walk(TrialDataset(t, y), EnetConfig(), 12)
+    assert any(before - after for before, after in zip(actives, actives[1:]))
+
+
+def test_a_lasso_size_selection_runs_no_coordinate_descent(monkeypatch):
+    """A dataset's and a resolution level's lasso size selections read the
+    path's knots and make no coordinate-descent solve; the elastic net still
+    walks its grid."""
+    calls = []
+    solve = wlasso._cd_solve
+    monkeypatch.setattr(wlasso, "_cd_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    ds = planted_dataset(3, p=10)
+    sparse_select(ds, size=3)
+    path_selections(ds, [1, 2, 4])
+    select_resolution_level(ds, [[tuple(range(5)), tuple(range(5, 10))],
+                                 [(j,) for j in range(10)]], size=2)
+    assert calls == []
+    path_selections(ds, [2], EnetConfig(l1_ratio=0.5))
+    assert calls

@@ -862,6 +862,19 @@ def test_constant_outcome_column_is_pinned_at_zero():
     assert 1 not in fit.active_set
 
 
+def test_the_penalty_grid_is_geomspace_bit_for_bit():
+    """The path's grid skips ``np.geomspace``'s argument handling and keeps
+    its values bit for bit."""
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        top, ratio = float(10 ** rng.uniform(-8, 6)), float(rng.uniform(1e-8, 0.999))
+        n = int(rng.integers(2, 400))
+        moments = SimpleNamespace(penalized=np.array([True]), ty=np.array([top]))
+        grid, lam_top = _path_grid(moments, EnetConfig(), n, ratio)
+        assert lam_top == top
+        np.testing.assert_array_equal(grid, np.geomspace(top, top * ratio, n))
+
+
 def test_subset_rss_hand_example():
     """T = (1,1,0,0), Y = (3,5,1,1): empty-set rss is 2 and the one-column
     rss is 13/11, both exact."""
