@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import signal
-import sys
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -14,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .forking import cpu_count, fill, run_forked
 
 __all__ = [
     "TrialDataset",
@@ -326,7 +325,8 @@ def _part_ranges(path) -> list[tuple[int, int]]:
     with fewer than two ranges, or where the header holds a quote or ends
     other than at ``\\n`` or ``\\r\\n`` (a CR-only file has no ``\\n`` to
     cut at)."""
-    if not sys.platform.startswith("linux"):
+    cpus = cpu_count()
+    if cpus < 2:
         return []
     with open(path, "rb") as raw:
         start, size = _line_end(raw, 0), os.fstat(raw.fileno()).st_size
@@ -336,7 +336,7 @@ def _part_ranges(path) -> list[tuple[int, int]]:
         header = raw.read(start)
         if b'"' in header or b"\r" in header[:-2]:
             return []
-        parts = min(len(os.sched_getaffinity(0)), (size - start) // _PART_MIN_BYTES)
+        parts = min(cpus, (size - start) // _PART_MIN_BYTES)
         cuts = [start]
         for k in range(1, parts):
             # the first line that starts at or after the k-th even cut
@@ -348,73 +348,40 @@ def _part_ranges(path) -> list[tuple[int, int]]:
     return ranges if len(ranges) > 1 else []
 
 
-def _fill(fd: int, out: np.ndarray) -> bool:
-    """Read the bytes of the C-ordered ``out`` from the pipe ``fd``;
-    ``False`` where the pipe ends first."""
-    view = memoryview(out).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True
-
-
 def _parse_parallel(path, ranges, width: int, columns: list[int]) -> np.ndarray | None:
     """The block :func:`_parse_block` reads, parsed one byte range of
-    ``ranges`` per forked child, or ``None`` where a part is not taken: a
-    child's :func:`_parse_block` returns ``None`` or raises (a decode error
-    among them), or the child dies before it has sent its part.
+    ``ranges`` per forked child (:func:`hdte.forking.run_forked`), or
+    ``None`` where a part is not taken: a child's :func:`_parse_block`
+    returns ``None`` or raises (a decode error among them), or the child
+    dies before it has sent its part.
 
     A child parses its range and writes its ``(rows, cols)`` and raw values
-    to a pipe, then leaves through ``os._exit`` in a ``finally``: it never
-    returns into the caller's frames and never flushes the stdio buffers it
-    inherited. The parent reads each part into its rows of one block, so it
-    holds the values once, and reaps every child, killing those still
-    running when it stops early (a part not taken, an error, an interrupt).
+    to its pipe. The parent reads each part into its rows of one block, so
+    it holds the values once.
     """
-    pids, reads, block = [], [], None
-    try:
-        for lo, hi in ranges:
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        for fd in reads:
-                            os.close(fd)
-                        with open(path, "rb") as raw:
-                            raw.seek(lo)
-                            part = io.BytesIO(raw.read(hi - lo))
-                        values = _parse_block(io.TextIOWrapper(part, encoding="utf-8", newline=""),
-                                              width, columns)
-                        if values is not None:
-                            with open(w, "wb", closefd=False) as out:
-                                out.write(np.array(values.shape, np.int64).tobytes())
-                                out.write(values.data)
-                    finally:
-                        os._exit(0)
-            finally:
-                os.close(w)
-            pids.append(pid)
-        shapes = [np.zeros(2, np.int64) for _ in reads]
-        if not all(_fill(r, shape) for r, shape in zip(reads, shapes)):
+    def write(k: int, fd: int) -> None:
+        lo, hi = ranges[k]
+        with open(path, "rb") as raw:
+            raw.seek(lo)
+            part = io.BytesIO(raw.read(hi - lo))
+        values = _parse_block(io.TextIOWrapper(part, encoding="utf-8", newline=""),
+                              width, columns)
+        if values is not None:
+            with open(fd, "wb", closefd=False) as out:
+                out.write(np.array(values.shape, np.int64).tobytes())
+                out.write(values.data)
+
+    def read(fds: list[int]) -> np.ndarray | None:
+        shapes = [np.zeros(2, np.int64) for _ in fds]
+        if not all(fill(fd, shape) for fd, shape in zip(fds, shapes)):
             return None
         bounds = np.cumsum([0, *(int(shape[0]) for shape in shapes)]).tolist()
-        out = np.empty((bounds[-1], len(columns)))
-        if all(_fill(r, out[a:b]) for r, a, b in zip(reads, bounds, bounds[1:])):
-            block = out
-        return block
-    except OSError:
+        block = np.empty((bounds[-1], len(columns)))
+        if all(fill(fd, block[a:b]) for fd, a, b in zip(fds, bounds, bounds[1:])):
+            return block
         return None
-    finally:
-        for r in reads:
-            os.close(r)
-        for pid in pids:
-            if block is None:   # an unreaped child, even one that has exited, takes a signal
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+
+    return run_forked(len(ranges), write, read)
 
 
 def load_csv(path, schema: CsvSchema) -> TrialDataset:

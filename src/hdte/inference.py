@@ -4,6 +4,7 @@ and quantile aggregation over repeated random splits."""
 from __future__ import annotations
 
 import math
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .data import (TrialDataset, aggregate_columns, check_grouping, solve_nonsin
                    split_indices)
 from .errors import DataError, HdteError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate, check_estimator
+from .forking import cpu_count, fill, run_forked, single_threaded
 from .selection import SelectionSpec, check_sizes, run_selection
 
 __all__ = [
@@ -170,6 +172,84 @@ def _slot_layout(sel: SelectionSpec, p: int) -> tuple[int, tuple[int, ...]]:
     return int(sum(sizes)), offsets
 
 
+# A multi-split forks when it has at least this many splits: the crossover
+# of the parent and one forked child against the parent alone, measured on a
+# 2-vCPU Xeon with one BLAS thread (medians of 40 calls a side over four of
+# criterion 9's replicates, 4 on the wide design). At B = 4, 5, 6, 7, 8, 10,
+# criterion 9's splits (about 5 ms each) took 22/25/31/44/44/64 ms serially
+# against 26/27/31/38/38/45 ms forked; at B = 5, 8, 10, the splits of a cuped
+# 500 x 4000 design with 10 covariates (about 19 ms each) took 105/161/191
+# against 100/125/154 ms. Each process pays about one split's worth of
+# set-up: the fork and reap, and write faults on the pages the two share.
+_FORK_MIN_SPLITS = 7
+
+
+def _split_shares(B: int) -> int:
+    """How many processes share ``B`` splits: one per CPU of the affinity
+    set, at most ``B``, where forking is safe and pays; else 1."""
+    if B < _FORK_MIN_SPLITS:
+        return 1
+    cpus = min(cpu_count(), B)
+    return cpus if cpus > 1 and single_threaded() else 1
+
+
+def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: SelectionSpec,
+                    fraction: float, two_sided: bool) -> list:
+    """What :func:`multi_split` reads of the splits ``share``, in order:
+    ``(subset, p-values, group p-value, level)`` per split, the p-values
+    those of the subset's columns. The :class:`HdteError` of a split that
+    raises is its entry and ends the list."""
+    out = []
+    for b in share:
+        # random_split's rows, which fail alike for every seed
+        first, second = split_indices(ds.n, fraction, int(seeds[b]))
+        try:
+            report, level = _split_report(ds.take_rows(first), lambda: ds.take_rows(second),
+                                          method, sel, two_sided)
+        except HdteError as exc:
+            out.append(exc)
+            break
+        out.append((report.subset, [report.per_dim[j] for j in report.subset],
+                    report.group, level))
+    return out
+
+
+def _received(fd: int) -> list | None:
+    """The pickled outcomes a child wrote to ``fd`` behind their length, or
+    ``None`` where the pipe ends first."""
+    size = bytearray(8)
+    if not fill(fd, size):
+        return None
+    payload = bytearray(int.from_bytes(size, "little"))
+    return pickle.loads(payload) if fill(fd, payload) else None
+
+
+def _shared_outcomes(B: int, run) -> list:
+    """``run(share)`` for the shares of ``B`` splits ``range(i, B, k)``, in
+    share order, over this process (share 0) and ``k - 1`` forked children
+    (:func:`_split_shares`); the share of a child that dies or raises
+    anything but in a split is run here. One share, ``range(B)``, where no
+    child is forked."""
+    k = _split_shares(B)
+    shares = [range(i, B, k) for i in range(k)]
+
+    def write(child: int, fd: int) -> None:
+        payload = pickle.dumps(run(shares[child + 1]))
+        with open(fd, "wb", closefd=False) as out:
+            out.write(len(payload).to_bytes(8, "little"))
+            out.write(payload)
+
+    def read(fds: list[int]) -> list:
+        parts = [run(shares[0])]
+        for fd, share in zip(fds, shares[1:]):
+            got = _received(fd)
+            parts.append(run(share) if got is None else got)
+        return parts
+
+    parts = run_forked(k - 1, write, read) if k > 1 else None
+    return [run(range(B))] if parts is None else parts
+
+
 def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
                 method: str = "dim", sel: SelectionSpec = SelectionSpec(size=1),
                 seed: int = 0, fraction: float = 0.5,
@@ -191,6 +271,15 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     fraction, split_seeds(seed, B)[b])``, bit for bit, except that the test
     half is taken only after the selection has returned, so it is never held
     next to the selection's working set.
+
+    With at least ``_FORK_MIN_SPLITS`` (7) splits, on Linux with two or
+    more CPUs in the affinity set, in a process that runs one thread and is
+    not a ``multiprocessing`` worker, the splits are shared: split ``b``
+    runs in share ``b mod k``, this process runs share 0 and one forked
+    child each other share (:func:`hdte.forking.run_forked`). The report
+    and the error are the serial ones bit for bit: the outcomes are
+    aggregated here in split order. With BLAS threads unpinned, the BLAS
+    pool's threads keep the splits serial.
     """
     if B < 1:
         raise DataError(f"B must be >= 1, got {B}")
@@ -201,25 +290,23 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
         check_sizes([sel.size], min(map(len, sel.levels)) if sel.levels else ds.p)
     n_slots, offsets = _slot_layout(sel, ds.p)
     seeds = split_seeds(seed, B)
+    parts = _shared_outcomes(B, lambda share: _split_outcomes(ds, seeds, share, method, sel,
+                                                             fraction, two_sided))
     per_dim = np.ones((B, n_slots))
     group = np.ones((B, 1))
     subsets = []
     for b in range(B):
-        # random_split's rows, which fail alike for every seed
-        first, second = split_indices(ds.n, fraction, int(seeds[b]))
-        try:
-            report, level = _split_report(ds.take_rows(first), lambda: ds.take_rows(second),
-                                          method, sel, two_sided)
-        except HdteError as exc:
-            raise NumericalError(f"split {b} failed: {exc}") from exc
-        if sel.levels is not None and report.subset:
-            slots = tuple(offsets[level] + j for j in report.subset)
-        else:
-            slots = report.subset
-        for slot, j in zip(slots, report.subset):
-            per_dim[b, slot] = report.per_dim[j]
-        group[b, 0] = report.group
-        subsets.append(slots)
+        # a share's list ends at its first failing split, which raises here
+        # before any later split of that share is read
+        outcome = parts[b % len(parts)][b // len(parts)]
+        if isinstance(outcome, HdteError):
+            raise NumericalError(f"split {b} failed: {outcome}") from outcome
+        subset, pvals, group_p, level = outcome
+        group[b, 0] = group_p
+        if sel.levels is not None and subset:
+            subset = tuple(offsets[level] + j for j in subset)
+        per_dim[b, list(subset)] = pvals
+        subsets.append(subset)
     agg = aggregate_pvalues(per_dim, gamma)
     agg.setflags(write=False)
     group_agg = float(aggregate_pvalues(group, gamma)[0])

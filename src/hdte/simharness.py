@@ -251,15 +251,18 @@ class TraceExperimentConfig:
 
 
 def _ar_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Smooth C-contiguous noise with unit marginal variance along the last axis:
-    ``y[t] = x[t] + phi * y[t - 1]`` on white noise, one numpy step per time
-    point, the bits of ``scipy.signal.lfilter([1], [1, -phi], x)``."""
+    """Smooth noise with unit marginal variance along the last axis of
+    ``shape``, returned time-major: time is its first axis, then the other
+    axes of ``shape`` in order. ``y[t] = x[t] + phi * y[t - 1]`` on white
+    noise drawn in ``shape``'s order, one numpy step per time point, the bits
+    of ``scipy.signal.lfilter([1], [1, -phi], x)``."""
     length = shape[-1] + _AR_BURN_IN
-    white = rng.standard_normal(shape[:-1] + (length,)) * np.sqrt(1.0 - _NOISE_PHI**2)
-    smooth = np.ascontiguousarray(np.moveaxis(white, -1, 0))
+    white = rng.standard_normal(shape[:-1] + (length,))
+    smooth = np.empty((length, *shape[:-1]))
+    np.multiply(np.moveaxis(white, -1, 0), np.sqrt(1.0 - _NOISE_PHI**2), out=smooth)
     for t in range(1, length):
         smooth[t] += _NOISE_PHI * smooth[t - 1]
-    return np.ascontiguousarray(np.moveaxis(smooth[_AR_BURN_IN:], 0, -1))
+    return smooth[_AR_BURN_IN:]
 
 
 def _glucose_traces(rng: np.random.Generator, n: int, points: int) -> np.ndarray:
@@ -274,15 +277,15 @@ def _glucose_traces(rng: np.random.Generator, n: int, points: int) -> np.ndarray
         np.exp(-0.5 * ((minutes - mid) / sd) ** 2)
         for mid, sd in zip(_MEAL_MINUTES, _MEAL_SD_MINUTES)
     ])  # (3, points)
-    bumps = np.einsum("nkw,kp->npw", amp, shapes)
-    shared = _ar_noise(rng, (n, points))
-    weekly = _ar_noise(rng, (n, 2, points)).transpose(0, 2, 1)
-    noise = _NOISE_SD * (
-        np.sqrt(_NOISE_SHARED_FRAC) * shared[:, :, None]
-        + np.sqrt(1.0 - _NOISE_SHARED_FRAC) * weekly
-    )
-    traces = base + bumps + noise
-    return np.clip(traces, *_TRACE_CLIP)
+    traces = np.einsum("nkw,kp->npw", amp, shapes)
+    traces += base
+    shared = _ar_noise(rng, (n, points))   # (points, n)
+    noise = _ar_noise(rng, (n, 2, points))   # (points, n, 2): the weekly part
+    noise *= np.sqrt(1.0 - _NOISE_SHARED_FRAC)
+    noise += np.sqrt(_NOISE_SHARED_FRAC) * shared[:, :, None]
+    noise *= _NOISE_SD
+    traces += noise.transpose(1, 0, 2)
+    return np.clip(traces, *_TRACE_CLIP, out=traces)
 
 
 def gen_glucose_traces(config: TraceExperimentConfig) -> np.ndarray:

@@ -226,7 +226,8 @@ class _Gram:
             block = self._store[count:count + k]
             np.matmul(self._z.T, self._z[:, new], out=block.T)
             block /= self._norm * self._scale[new, None]
-            block[:, self._held[:count]] = self._store[:count, new].T
+            if count:
+                block[:, self._held[:count]] = self._store[:count, new].T
             square = np.triu(block[:, new], 1)
             block[:, new] = square + square.T + np.diag(self.diag[new])
             self._slot[new] = np.arange(count, count + k)
@@ -559,7 +560,7 @@ def _assemble_fit(slopes: np.ndarray | None, rows: np.ndarray, n: int, lam: floa
     p = beta.shape[0]
     residual = rows[:, p] - rows[:, :p] @ beta
     rss = float(residual @ residual / n)
-    active = tuple(int(j) for j in np.flatnonzero(beta))
+    active = tuple(np.flatnonzero(beta).tolist())
     beta.setflags(write=False)
     alpha.setflags(write=False)
     return EnetFit(beta, alpha, active, rss, float(lam), sweeps, converged)
@@ -750,19 +751,22 @@ class WeightedProblem:
         """The problem of ``ds`` on its weighted rows."""
         return cls(_weighted_columns(ds), ds.n, ds.m, ds.p)
 
-    def _concentrate(self) -> tuple[np.ndarray, np.ndarray]:
+    def _concentrate(self, slopes: bool) -> tuple[np.ndarray | None, np.ndarray]:
         """The slopes of ``[Yc | t]`` on ``Xc`` and rows with the Gram of
         their concentrated residuals: ``sqrt(w) Xc`` projected out of the
-        weighted rows (:func:`hdte.data.project_columns`)."""
+        weighted rows (:func:`hdte.data.project_columns`). The projection
+        gives the slopes either way."""
         m = self.m
         return project_columns(self.rows[:, :m], self.rows[:, m:], "weighted covariate block")
 
-    def prepare(self, standardize: bool) -> tuple[_Moments, np.ndarray | None, np.ndarray]:
+    def prepare(self, standardize: bool,
+                slopes: bool = True) -> tuple[_Moments, np.ndarray | None, np.ndarray]:
         """The moments of the covariate-concentrated problem, with what
-        reports a fit: the covariate slopes (``None`` without covariates) and
-        the concentrated rows ``[z | r_t]``."""
-        slopes, rows = self._concentrate() if self.m else (None, self.rows)
-        return _moments(rows[:, :self.p], rows[:, self.p], self.n, standardize), slopes, rows
+        reports a fit: the covariate slopes (``None`` without covariates, and
+        where ``slopes`` is false they may be) and the concentrated rows
+        ``[z | r_t]``."""
+        coef, rows = self._concentrate(slopes) if self.m else (None, self.rows)
+        return _moments(rows[:, :self.p], rows[:, self.p], self.n, standardize), coef, rows
 
     def fit(self, config: EnetConfig) -> EnetFit:
         """The fit of :func:`fit_weighted_enet`, on this problem."""
@@ -776,7 +780,7 @@ class WeightedProblem:
         """The lazy walk of :func:`walk_path`, on this problem; with ``knots``, a
         lasso path's first grid point below each knot, exact (:func:`_knot_path`)."""
         min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
-        moments = self.prepare(config.standardize)[0]
+        moments = self.prepare(config.standardize, slopes=False)[0]
         grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
         return (_knot_path(moments, grid) if knots and config.l1_ratio == 1.0
                 else _walk_path(moments, grid, config))
@@ -799,16 +803,17 @@ class _LevelProblem(WeightedProblem):
     """A resolution level's problem, on the ``R`` factor of its weighted
     columns (:func:`level_problems`)."""
 
-    def _concentrate(self) -> tuple[np.ndarray, np.ndarray]:
+    def _concentrate(self, slopes: bool) -> tuple[np.ndarray | None, np.ndarray]:
         """The factor's leading ``m`` rows hold the covariates' ``R``, so the
-        slopes are ``R11^-1 R12`` and the trailing rows ``R22`` have the
-        concentrated Gram. The rank test is :func:`hdte.data.check_full_rank`
-        of ``R11`` with the dataset's ``n``; projecting the factor's rows
-        instead would add ``m`` zero rows, move Gram bits and take the rank
-        cutoff from the factor's row count."""
+        slopes are ``R11^-1 R12`` (``None`` unless ``slopes``) and the
+        trailing rows ``R22`` have the concentrated Gram. The rank test is
+        :func:`hdte.data.check_full_rank` of ``R11`` with the dataset's
+        ``n``; projecting the factor's rows instead would add ``m`` zero rows,
+        move Gram bits and take the rank cutoff from the factor's row count."""
         m = self.m
         check_full_rank(self.rows[:m, :m], self.n, "weighted covariate block")
-        return np.linalg.solve(self.rows[:m, :m], self.rows[:m, m:]), self.rows[m:, m:]
+        coef = np.linalg.solve(self.rows[:m, :m], self.rows[:m, m:]) if slopes else None
+        return coef, self.rows[m:, m:]
 
 
 def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:

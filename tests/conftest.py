@@ -1,7 +1,10 @@
+import os
 import tracemalloc
 
 import pytest
 from hypothesis import settings
+
+from hdte import inference
 
 # Property tests draw the same examples on every run, so a tier-1 result is
 # reproducible; a test's own settings (example counts) still apply.
@@ -19,6 +22,22 @@ def traced_peak(fn):
         return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def split_route(patch, cpus: int) -> list:
+    """Let ``multi_split`` share its splits among ``cpus`` processes (1
+    keeps it serial) whatever the machine's CPUs and threads; the returned
+    list records this process's forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    patch.setattr(inference, "single_threaded", lambda: True)
+    patch.setattr(os, "fork", counted)
+    return forks
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ import pytest
 from hdte.cli import _load_dataset, main
 from hdte.data import TrialDataset, write_csv
 
+from conftest import split_route
+
 
 @pytest.fixture
 def trial_csv(tmp_path):
@@ -298,6 +300,21 @@ def test_rerun_multisplit_reproduces_bytes(trial_csv, tmp_path):
     assert main(["rerun", str(outdir / "manifest.json"),
                  "--outdir", str(replay)]) == 0
     assert (replay / "multisplit_per_dim.csv").read_bytes() == original
+
+
+def test_multisplit_writes_the_same_bytes_with_shared_splits(trial_csv, tmp_path, monkeypatch):
+    """Splits shared with forked children give the serial files byte for byte."""
+    written = []
+    for cpus in (2, 1):
+        outdir = tmp_path / f"ms{cpus}"
+        with monkeypatch.context() as patch:
+            forks = split_route(patch, cpus)
+            assert main(["multisplit", str(trial_csv), "--B", "9", "--s", "2",
+                         "--estimator", "cuped", "--outdir", str(outdir)]) == 0
+        assert len(forks) == cpus - 1
+        written.append({name: (outdir / name).read_bytes() for name in
+                        ("multisplit_per_dim.csv", "multisplit_group.csv", "manifest.json")})
+    assert written[0] == written[1]
 
 
 def test_rerun_rejects_broken_manifest(tmp_path, capsys):

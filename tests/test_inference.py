@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from scipy import stats
 
 from hdte import inference
 from hdte.data import TrialDataset, random_split
-from hdte.errors import DataError, NumericalError
+from hdte.errors import DataError, HdteError, NumericalError
 from hdte.estimators import EffectEstimate
 from hdte.wlasso import EnetConfig
 from hdte.inference import (
@@ -24,7 +29,7 @@ from hdte.inference import (
 )
 from hdte.selection import run_selection
 
-from conftest import traced_peak
+from conftest import split_route, traced_peak
 
 
 def make_estimate(tau, sigma, n=100, method="dim"):
@@ -349,6 +354,18 @@ def test_multi_split_validates_b():
         multi_split(ds, B=0)
 
 
+def _covariate_dataset():
+    """240 units, 12 outcomes driven by 12 covariates of their layout, and
+    an effect on outcomes 4 and 5."""
+    rng = np.random.default_rng(7)
+    n, p = 240, 12
+    t = rng.permutation(np.tile([0, 1], n // 2))
+    x = rng.standard_normal((n, p))
+    y = rng.standard_normal((n, p)) + 0.5 * x
+    y[:, 4:6] += 0.8 * t[:, None]
+    return TrialDataset(t, y, x)
+
+
 THREE_LEVELS = ([tuple(range(k, k + 4)) for k in range(0, 12, 4)],
                 [(k, k + 1) for k in range(0, 12, 2)], [(k,) for k in range(12)])
 
@@ -363,13 +380,8 @@ def test_multi_split_splits_are_the_pipeline_on_random_split(monkeypatch, method
     what :func:`single_split_pipeline` gives on ``random_split(ds, fraction,
     seeds[b])``, bit for bit: the subset (in level slots), the per-dimension
     p-values and the group p-value."""
-    rng = np.random.default_rng(7)
-    n, p = 240, 12
-    t = rng.permutation(np.tile([0, 1], n // 2))
-    x = rng.standard_normal((n, p))
-    y = rng.standard_normal((n, p)) + 0.5 * x
-    y[:, 4:6] += 0.8 * t[:, None]
-    ds = TrialDataset(t, y, x)
+    ds = _covariate_dataset()
+    p = ds.p
     matrices, aggregate = [], inference.aggregate_pvalues
     monkeypatch.setattr(inference, "aggregate_pvalues",
                         lambda pm, gamma: matrices.append(pm.copy()) or aggregate(pm, gamma))
@@ -405,3 +417,136 @@ def test_multi_split_holds_one_half_at_a_time():
         ds, B=2, method="cuped", sel=SelectionSpec(size=5), seed=0))
     assert all(len(subset) == 5 for subset in report.per_split_subsets)
     assert peak <= 3.5 * (n // 2) * p * 8
+
+
+def _outcome(call):
+    """A report's bits, or the type and text of the error it raised."""
+    try:
+        report = call()
+    except HdteError as exc:
+        return type(exc), str(exc)
+    return (report.per_dim_aggregated.tobytes(), report.group_aggregated,
+            report.per_split_subsets)
+
+
+def _both_routes(monkeypatch, call, cpus: int):
+    """``call``'s outcome with its splits shared among ``cpus`` processes
+    and serially; each route forks as it should and leaves no child."""
+    outcomes = []
+    for k in (cpus, 1):
+        with monkeypatch.context() as patch:
+            forks = split_route(patch, k)
+            outcomes.append(_outcome(call))
+        assert len(forks) == k - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    return outcomes
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("method, sel", [
+    ("cuped", SelectionSpec(size=2)),
+    ("lin", SelectionSpec("baseline", size=2)),
+    ("cuped", SelectionSpec(size=1, levels=THREE_LEVELS)),
+    ("dim", SelectionSpec(lam=1e3)),   # every split selects nothing
+])
+def test_shared_splits_give_the_serial_report(monkeypatch, cpus, method, sel):
+    ds = _covariate_dataset()
+    shared, serial = _both_routes(monkeypatch, lambda: multi_split(
+        ds, B=9, gamma=0.3, method=method, sel=sel, seed=5), cpus)
+    assert shared == serial and isinstance(serial[0], bytes)
+    if sel.lam is not None:
+        assert serial[2] == ((),) * 9
+
+
+def test_a_multi_split_below_the_crossover_stays_serial(monkeypatch):
+    ds = _covariate_dataset()
+    with monkeypatch.context() as patch:
+        forks = split_route(patch, 2)
+        multi_split(ds, B=inference._FORK_MIN_SPLITS - 1, method="dim")
+        assert not forks
+        multi_split(ds, B=inference._FORK_MIN_SPLITS, method="dim")
+        assert len(forks) == 1
+
+
+def _failing_dataset():
+    """Ten covariates adjusted per arm inside a 24-row half: whether a
+    split fails depends on its rows."""
+    rng = np.random.default_rng(1)
+    t = rng.permutation(np.tile([1, 0], 24))
+    return TrialDataset(t, rng.standard_normal((48, 3)), rng.standard_normal((48, 10)))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("seed, first", [(4, 3), (10, 1)])
+def test_shared_splits_raise_for_the_first_failing_split(monkeypatch, cpus, seed, first):
+    """Splits 3, 5, 6 and 7 fail at seed 4, and 1, 4 and 6-9 at seed 10: the
+    first is in a child's share or in this process's, and other shares fail
+    later or not at all. Either way the error names the first failing split,
+    with the serial route's text."""
+    ds = _failing_dataset()
+    shared, serial = _both_routes(monkeypatch, lambda: multi_split(
+        ds, B=10, method="lin", sel=SelectionSpec(size=1), seed=seed), cpus)
+    assert shared == serial
+    assert serial[0] is NumericalError and serial[1].startswith(f"split {first} failed: ")
+
+
+@pytest.mark.parametrize("fault", ["killed", "raises"])
+def test_a_child_that_dies_leaves_its_share_to_this_process(monkeypatch, fault):
+    """A child killed mid-run, or one raising an error other than a split's,
+    sends no outcomes; its splits are run here, and the report is the
+    serial one."""
+    ds = _covariate_dataset()
+    parent, split_report = os.getpid(), inference._split_report
+
+    def faulty(*args):
+        if os.getpid() != parent:
+            if fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("not a split's error")
+        return split_report(*args)
+
+    call = lambda: multi_split(ds, B=8, method="cuped", sel=SelectionSpec(size=2), seed=2)
+    serial = _both_routes(monkeypatch, call, 2)[1]
+    monkeypatch.setattr(inference, "_split_report", faulty)
+    shared = _both_routes(monkeypatch, call, 2)[0]
+    assert shared == serial
+
+
+def test_a_second_thread_keeps_multi_split_serial():
+    """In a process with one BLAS thread, a multi-split on 2 CPUs forks one
+    child; once a second thread is alive, it never forks, nor does it in a
+    ``multiprocessing`` worker."""
+    code = (
+        "import multiprocessing, os, threading\n"
+        "for var in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+        "    os.environ[var] = '1'\n"
+        "import numpy as np\n"
+        "from hdte.data import TrialDataset\n"
+        "from hdte.inference import SelectionSpec, multi_split\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "rng = np.random.default_rng(0)\n"
+        "ds = TrialDataset(np.tile([0, 1], 50), rng.standard_normal((100, 4)))\n"
+        "multi_split(ds, B=8, sel=SelectionSpec(size=1))\n"
+        "counts = [len(forks)]\n"
+        "stop = threading.Event()\n"
+        "waiter = threading.Thread(target=stop.wait)\n"
+        "waiter.start()\n"
+        "try:\n"
+        "    multi_split(ds, B=8, sel=SelectionSpec(size=1))\n"
+        "finally:\n"
+        "    stop.set()\n"
+        "    waiter.join()\n"
+        "counts.append(len(forks) - counts[0])\n"
+        "multiprocessing.parent_process = lambda: 'a worker'\n"
+        "multi_split(ds, B=8, sel=SelectionSpec(size=1))\n"
+        "print(counts + [len(forks) - sum(counts)])\n"
+    )
+    src = str(Path(inference.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[1, 0, 0]"

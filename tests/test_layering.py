@@ -221,11 +221,12 @@ def test_replicate_routes_are_detected(tmp_path):
 
 def test_one_function_forks_and_leaves_a_child():
     """``os.fork`` and ``os._exit`` are called in one function,
-    ``data._parse_parallel``, which reaps every child it forks: a child
-    cannot return into the caller's frames from anywhere else."""
+    ``forking.run_forked``, which reaps every child it forks, for the CSV
+    parts of ``load_csv`` and the split shares of ``multi_split`` alike: a
+    child cannot return into the caller's frames from anywhere else."""
     routes = [process_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
-    assert [call for forks, _ in routes for call in forks] == ["data.py:_parse_parallel"]
-    assert [call for _, exits in routes for call in exits] == ["data.py:_parse_parallel"]
+    assert [call for forks, _ in routes for call in forks] == ["forking.py:run_forked"]
+    assert [call for _, exits in routes for call in exits] == ["forking.py:run_forked"]
 
 
 def test_process_routes_are_detected(tmp_path):

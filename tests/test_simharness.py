@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from hdte import simharness as sh
 from hdte.errors import DataError
 from hdte.simharness import (
     _AR_BURN_IN,
@@ -144,17 +145,54 @@ def test_glucose_week_over_week_structure():
     assert 0.70 < tir1.mean() < 0.90
 
 
+def _lfilter_noise(rng, shape):
+    """AR(1) noise along the last axis of ``shape`` by ``lfilter``."""
+    white = rng.standard_normal(shape[:-1] + (shape[-1] + _AR_BURN_IN,)) \
+        * np.sqrt(1.0 - _NOISE_PHI**2)
+    return lfilter([1.0], [1.0, -_NOISE_PHI], white, axis=-1)[..., _AR_BURN_IN:]
+
+
 @pytest.mark.parametrize("shape", [(50, 288), (20, 2, 288), (7, 5)])
 def test_ar_noise_is_the_lfilter_recurrence_bit_for_bit(shape):
     """The numpy AR(1) recurrence gives the bits of ``lfilter`` on the same
-    white noise, in a C-contiguous array."""
+    white noise, time-major in a C-contiguous array."""
     for seed in range(3):
         got = _ar_noise(np.random.default_rng(seed), shape)
-        white = np.random.default_rng(seed).standard_normal(
-            shape[:-1] + (shape[-1] + _AR_BURN_IN,)) * np.sqrt(1.0 - _NOISE_PHI**2)
-        want = lfilter([1.0], [1.0, -_NOISE_PHI], white, axis=-1)[..., _AR_BURN_IN:]
-        assert got.flags.c_contiguous and got.shape == want.shape
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        want = _lfilter_noise(np.random.default_rng(seed), shape)
+        assert got.flags.c_contiguous and got.shape == (shape[-1], *shape[:-1])
+        assert np.moveaxis(got, 0, -1).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _reference_traces(config):
+    """The trace formula as first written: each noise array laid out unit by
+    unit, and the sums formed as new arrays."""
+    rng = np.random.default_rng(config.seed)
+    n, points = config.n, config.points_per_day
+    minutes = np.arange(points) * (1440.0 / points)
+    base = rng.normal(sh._BASE_MEAN, sh._BASE_SD, (n, 1, 1))
+    base = base + rng.normal(0.0, sh._WEEK_LEVEL_SD, (n, 1, 2))
+    amp_unit = np.maximum(rng.normal(sh._MEAL_AMP_MEAN, sh._MEAL_AMP_SD, (n, 3)), 0.0)
+    amp = np.maximum(amp_unit[:, :, None] + rng.normal(0.0, sh._MEAL_WEEK_JITTER, (n, 3, 2)),
+                     0.0)
+    shapes = np.stack([np.exp(-0.5 * ((minutes - mid) / sd) ** 2)
+                       for mid, sd in zip(sh._MEAL_MINUTES, sh._MEAL_SD_MINUTES)])
+    bumps = np.einsum("nkw,kp->npw", amp, shapes)
+    shared = _lfilter_noise(rng, (n, points))
+    weekly = _lfilter_noise(rng, (n, 2, points)).transpose(0, 2, 1)
+    noise = sh._NOISE_SD * (np.sqrt(sh._NOISE_SHARED_FRAC) * shared[:, :, None]
+                            + np.sqrt(1.0 - sh._NOISE_SHARED_FRAC) * weekly)
+    return np.clip(base + bumps + noise, *sh._TRACE_CLIP)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("points", [288, 96, 1440])
+def test_glucose_traces_are_the_reference_formula_bit_for_bit(seed, points):
+    """Traces combined time-major and in place keep the reference's random
+    draws in order and its bits, C-ordered."""
+    config = TraceExperimentConfig(n=30, effect_magnitude=5.0, seed=seed, points_per_day=points)
+    got = gen_glucose_traces(config)
+    assert got.flags.c_contiguous and got.shape == (30, points, 2)
+    assert got.tobytes() == _reference_traces(config).tobytes()
 
 
 def test_compute_tir_hand_example():
