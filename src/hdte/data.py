@@ -508,10 +508,11 @@ def random_split(ds: TrialDataset, fraction: float, seed: int) -> SplitPair:
     return SplitPair(ds.take_rows(first_idx), ds.take_rows(second_idx), int(seed))
 
 
-def _group_index(grouping, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The groups' column indices laid end to end, and each group's width;
-    raises :class:`DataError` for no group, an empty group or an index
-    outside ``[0, p)``."""
+def _derive_plan(grouping, p: int) -> tuple[int, tuple]:
+    """The number of groups, and per group width (ascending) the width, the
+    groups of that width and their column indices laid end to end; raises
+    :class:`DataError` for no group, an empty group or an index outside
+    ``[0, p)``."""
     widths = np.fromiter(map(len, grouping), dtype=np.intp)
     if widths.size == 0:
         raise DataError("grouping needs at least one group")
@@ -522,15 +523,45 @@ def _group_index(grouping, p: int) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         k = int(np.searchsorted(np.cumsum(widths), bad.argmax(), side="right"))
         raise DataError(f"group {k} has column indices out of range for p={p}")
-    return idx, widths
+    starts = np.cumsum(widths) - widths
+    parts = []
+    for width in np.unique(widths).tolist():
+        chosen = np.flatnonzero(widths == width)
+        cols = idx[(starts[chosen, None] + np.arange(width)).ravel()]
+        parts.append((width, _freeze(chosen), _freeze(cols)))
+    return widths.size, tuple(parts)
+
+
+# Plans of hashable groupings (the tuples SelectionSpec and
+# window_level_groupings build) by (grouping, p), oldest dropped first.
+_PLANS: dict = {}
+_PLANS_KEPT = 64
+
+
+def _group_plan(grouping, p: int) -> tuple:
+    """:func:`_derive_plan` of ``grouping`` for ``p`` columns, derived once per
+    hashable grouping and ``p``; an unhashable grouping (a list) is planned
+    on every call. A grouping that fails is planned again, and raises again,
+    on every call."""
+    try:
+        plan = _PLANS.get((grouping, p))
+    except TypeError:
+        return _derive_plan(grouping, p)
+    if plan is None:
+        plan = _derive_plan(grouping, p)
+        if len(_PLANS) >= _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[grouping, p] = plan
+    return plan
 
 
 def check_grouping(ds: TrialDataset, grouping) -> None:
     """Raise :class:`DataError` unless ``grouping`` is a valid column grouping
     of ``ds`` for :func:`aggregate_columns`: at least one group, no empty
     group, every index an outcome column, and covariates (if any) laid out
-    like the outcomes."""
-    _group_index(grouping, ds.p)
+    like the outcomes. A tuple grouping is checked against ``ds.p`` columns
+    once, when its plan is derived."""
+    _group_plan(grouping, ds.p)
     if ds.covariates is not None and ds.m != ds.p:
         raise DataError(
             "column grouping needs covariates with the same base layout "
@@ -544,15 +575,14 @@ def column_group_means(matrix, grouping) -> np.ndarray:
 
     Groups of one width are averaged together in one pass, bit for bit the
     per-group ``matrix[:, group].mean(axis=1)``; no averaging matrix is formed.
+    Which columns each pass reads is planned once per tuple grouping and
+    column count.
     """
     arr = np.asarray(matrix, dtype=np.float64)
-    idx, widths = _group_index(grouping, arr.shape[1])
-    n, k = arr.shape[0], widths.size
-    starts = np.cumsum(widths) - widths
-    out = np.empty((n, k))
-    for width in np.unique(widths).tolist():
-        chosen = np.flatnonzero(widths == width)
-        cols = idx[(starts[chosen, None] + np.arange(width)).ravel()]
+    groups, parts = _group_plan(grouping, arr.shape[1])
+    n = arr.shape[0]
+    out = np.empty((n, groups))
+    for width, chosen, cols in parts:
         out[:, chosen] = arr[:, cols].reshape(n, chosen.size, width).mean(axis=2)
     return out
 

@@ -135,6 +135,11 @@ def single_split_pipeline(split, method: str, sel: SelectionSpec,
     return _split_report(split.first, lambda: split.second, method, sel, two_sided)[0]
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 1.0:
+        raise DataError(f"gamma must be in (0, 1), got {gamma}")
+
+
 def aggregate_pvalues(p_matrix, gamma: float) -> np.ndarray:
     """Rescaled empirical-quantile aggregation across splits.
 
@@ -145,8 +150,7 @@ def aggregate_pvalues(p_matrix, gamma: float) -> np.ndarray:
     pm = np.asarray(p_matrix, dtype=np.float64)
     if pm.ndim != 2:
         raise DataError(f"p_matrix must be 2-d (B, k), got shape {pm.shape}")
-    if not 0.0 < gamma < 1.0:
-        raise DataError(f"gamma must be in (0, 1), got {gamma}")
+    _check_gamma(gamma)
     if pm.size and (np.any(pm < 0) or np.any(pm > 1) or not np.all(np.isfinite(pm))):
         raise DataError("p-values must lie in [0, 1]")
     b = pm.shape[0]
@@ -261,11 +265,13 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     p-value. Split seeds derive deterministically from ``seed``, so reruns
     reproduce the report exactly. Any split failure aborts with the split
     index in the error message. A mistake that would fail every split is a
-    data error, not a failure of split 0: an unknown ``method`` or one
-    without covariates to adjust on, resolution levels that do not fit
-    ``ds`` (see :func:`hdte.data.check_grouping`) or a size beyond the
-    columns (each level's groups) it selects from, all checked before the
-    first split, and a ``fraction`` that leaves a part under 2 rows.
+    data error, not a failure of split 0: a ``gamma`` outside (0, 1), an
+    unknown ``method`` or one without covariates to adjust on, resolution
+    levels that do not fit ``ds`` (see :func:`hdte.data.check_grouping`) or
+    a size beyond the columns (each level's groups) it selects from, all
+    checked before the first split, and a ``fraction`` that leaves a part
+    under 2 rows. Checking the levels plans them, so the splits (and forked
+    children) read each level's plan rather than derive it again.
 
     Split ``b`` is :func:`single_split_pipeline` on ``random_split(ds,
     fraction, split_seeds(seed, B)[b])``, bit for bit, except that the test
@@ -283,6 +289,7 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     """
     if B < 1:
         raise DataError(f"B must be >= 1, got {B}")
+    _check_gamma(gamma)
     check_estimator(ds, method)
     for grouping in sel.levels or ():
         check_grouping(ds, grouping)

@@ -251,40 +251,48 @@ class TraceExperimentConfig:
 
 
 def _ar_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Smooth noise with unit marginal variance along the last axis of
-    ``shape``, returned time-major: time is its first axis, then the other
-    axes of ``shape`` in order. ``y[t] = x[t] + phi * y[t - 1]`` on white
-    noise drawn in ``shape``'s order, one numpy step per time point, the bits
-    of ``scipy.signal.lfilter([1], [1, -phi], x)``."""
-    length = shape[-1] + _AR_BURN_IN
-    white = rng.standard_normal(shape[:-1] + (length,))
-    smooth = np.empty((length, *shape[:-1]))
-    np.multiply(np.moveaxis(white, -1, 0), np.sqrt(1.0 - _NOISE_PHI**2), out=smooth)
-    for t in range(1, length):
-        smooth[t] += _NOISE_PHI * smooth[t - 1]
-    return smooth[_AR_BURN_IN:]
+    """Smooth noise of ``shape`` with unit marginal variance along its last
+    axis: ``y[t] = x[t] + phi * y[t - 1]`` on white noise drawn in
+    ``shape``'s order, run in place along the draw's last axis, one numpy
+    step per time point, the bits of ``scipy.signal.lfilter([1], [1, -phi],
+    x)``. The result is a view that skips the burn-in."""
+    white = rng.standard_normal(shape[:-1] + (shape[-1] + _AR_BURN_IN,))
+    white *= np.sqrt(1.0 - _NOISE_PHI**2)
+    for t in range(1, white.shape[-1]):
+        white[..., t] += _NOISE_PHI * white[..., t - 1]
+    return white[..., _AR_BURN_IN:]
 
 
 def _glucose_traces(rng: np.random.Generator, n: int, points: int) -> np.ndarray:
+    """Both weeks' traces, week-major: shape ``(2, n, points)``, C-ordered.
+
+    Each week is summed in place as ``(base + meals) + noise`` with the noise
+    ``SD * (sqrt(f) * shared + sqrt(1 - f) * weekly)``, then the whole buffer
+    is clipped in place."""
     minutes = np.arange(points) * (1440.0 / points)
-    base = rng.normal(_BASE_MEAN, _BASE_SD, (n, 1, 1))
-    base = base + rng.normal(0.0, _WEEK_LEVEL_SD, (n, 1, 2))
+    base = rng.normal(_BASE_MEAN, _BASE_SD, (n, 1))
+    base = base + rng.normal(0.0, _WEEK_LEVEL_SD, (n, 2))
     amp_unit = np.maximum(rng.normal(_MEAL_AMP_MEAN, _MEAL_AMP_SD, (n, 3)), 0.0)
     amp = np.maximum(
         amp_unit[:, :, None] + rng.normal(0.0, _MEAL_WEEK_JITTER, (n, 3, 2)), 0.0
     )
-    shapes = np.stack([
-        np.exp(-0.5 * ((minutes - mid) / sd) ** 2)
-        for mid, sd in zip(_MEAL_MINUTES, _MEAL_SD_MINUTES)
-    ])  # (3, points)
-    traces = np.einsum("nkw,kp->npw", amp, shapes)
-    traces += base
-    shared = _ar_noise(rng, (n, points))   # (points, n)
-    noise = _ar_noise(rng, (n, 2, points))   # (points, n, 2): the weekly part
-    noise *= np.sqrt(1.0 - _NOISE_SHARED_FRAC)
-    noise += np.sqrt(_NOISE_SHARED_FRAC) * shared[:, :, None]
-    noise *= _NOISE_SD
-    traces += noise.transpose(1, 0, 2)
+    shapes = [np.exp(-0.5 * ((minutes - mid) / sd) ** 2)
+              for mid, sd in zip(_MEAL_MINUTES, _MEAL_SD_MINUTES)]
+    # The shared noise's draw, then the weekly noise's, unit by unit.
+    noise = _ar_noise(rng, (3 * n, points))
+    shared, weekly = noise[:n], noise[n:].reshape(n, 2, points)
+    shared *= np.sqrt(_NOISE_SHARED_FRAC)
+    weekly *= np.sqrt(1.0 - _NOISE_SHARED_FRAC)
+    weekly += shared[:, None]
+    weekly *= _NOISE_SD
+    traces = np.empty((2, n, points))
+    meal = np.empty((n, points))
+    for w, week in enumerate(traces):
+        np.multiply(amp[:, 0, w, None], shapes[0], out=week)
+        for k in (1, 2):
+            week += np.multiply(amp[:, k, w, None], shapes[k], out=meal)
+        week += base[:, w, None]
+        week += weekly[:, w]
     return np.clip(traces, *_TRACE_CLIP, out=traces)
 
 
@@ -297,7 +305,8 @@ def gen_glucose_traces(config: TraceExperimentConfig) -> np.ndarray:
     physiological range [40, 400].
     """
     rng = np.random.default_rng(config.seed)
-    return _glucose_traces(rng, config.n, config.points_per_day)
+    return np.ascontiguousarray(
+        _glucose_traces(rng, config.n, config.points_per_day).transpose(1, 2, 0))
 
 
 def apply_window_effect(traces: np.ndarray, interval: tuple[int, int],
@@ -470,9 +479,14 @@ def _run_experiment(worker: Callable, args: tuple, keys, replicates: int, seed: 
     spawned from ``SeedSequence(seed)``, serially or over ``n_jobs``
     processes. Per key of ``keys``: the entrywise mean of its maps over the
     replicates in which it did not fail (``None`` if it failed in all), and
-    the number in which it failed."""
+    the number in which it failed. ``replicates`` or ``n_jobs`` under 1 is
+    a :class:`DataError`, raised before the first replicate."""
+    if replicates < 1:
+        raise DataError(f"replicates must be >= 1, got {replicates}")
+    if n_jobs < 1:
+        raise DataError(f"n_jobs must be >= 1, got {n_jobs}")
     jobs = [args + (child,) for child in np.random.SeedSequence(seed).spawn(replicates)]
-    if n_jobs <= 1:
+    if n_jobs == 1:
         raw = [worker(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
@@ -543,16 +557,16 @@ def _semisynth_arms(config: TraceExperimentConfig) -> dict[str, tuple | None]:
 def _semisynth_replicate(args):
     (config, B, gamma, select_size, estimator, alpha_level, child) = args
     rng = np.random.default_rng(child)
-    traces = _glucose_traces(rng, config.n, config.points_per_day)
+    week1, week2 = _glucose_traces(rng, config.n, config.points_per_day)
     t = (rng.random(config.n) < 0.5).astype(np.int64)
     step = 1440 // config.points_per_day
-    latest_start = 1440 - config.effect_duration_minutes
-    start = int(rng.integers(0, latest_start // step + 1)) * step
-    interval = (start, start + config.effect_duration_minutes)
-    traces = apply_window_effect(traces, interval, config.effect_magnitude, t)
+    first = int(rng.integers(0, (1440 - config.effect_duration_minutes) // step + 1))
+    window = slice(first, first + config.effect_duration_minutes // step)
+    # apply_window_effect's subtraction, in place on the week-2 rows
+    week2[t == 1, window] -= config.effect_magnitude
     finest = min(config.level_window_minutes)
-    outcomes = compute_tir(traces[:, :, 1], finest, config.glucose_range)
-    covariates = compute_tir(traces[:, :, 0], finest, config.glucose_range)
+    outcomes = compute_tir(week2, finest, config.glucose_range)
+    covariates = compute_tir(week1, finest, config.glucose_range)
     ds = TrialDataset(t, outcomes, covariates)
     multi_split_seed = int(rng.integers(2**31))
 

@@ -831,7 +831,8 @@ def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:
     whatever its number of groups. Groupings are checked as
     :func:`hdte.data.check_grouping` checks them: the covariates' layout with
     the first grouping up front, every grouping as it is averaged
-    (:func:`hdte.data.column_group_means`). A level whose averaged
+    (:func:`hdte.data.column_group_means`), which reads the grouping's plan
+    where a check has already derived it. A level whose averaged
     covariates are collinear raises :class:`NumericalError` when its problem
     is solved, as :func:`fit_weighted_enet` does on the aggregated dataset.
     """

@@ -40,6 +40,19 @@ def split_route(patch, cpus: int) -> list:
     return forks
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or exited:
+    the CSV parts, the multi-split shares and the replicate pools all reap
+    theirs before they return."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({pid or 'still running'})")
+
+
 @pytest.fixture
 def criterion_log():
     """Collector for acceptance-criterion result lines, echoed after the run."""

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from hdte import inference
 from hdte.cli import _load_dataset, main
 from hdte.data import TrialDataset, write_csv
 
@@ -262,6 +263,33 @@ def test_a_list_option_that_is_not_integers_is_a_data_error(tmp_path, capsys, ar
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "data"
     assert f"{argv[1]} takes comma-separated integers, got '{argv[2]}'" in record["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semisynth", "--replicates", "0"], "replicates must be >= 1, got 0"),
+    (["semisynth", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
+    (["simulate", "--replicates", "-1"], "replicates must be >= 1, got -1"),
+    (["simulate", "--jobs", "-3"], "n_jobs must be >= 1, got -3"),
+])
+def test_experiments_without_a_replicate_or_a_job_exit_2(tmp_path, capsys, argv, message):
+    """No replicate, or no job to run one, is a data error: nothing is run
+    and no metrics.csv is written."""
+    outdir = tmp_path / "out"
+    assert main([*argv, "--outdir", str(outdir)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": message}
+    assert not (outdir / "metrics.csv").exists()
+
+
+def test_multisplit_with_gamma_outside_the_unit_interval_exits_2(trial_csv, tmp_path, capsys,
+                                                                monkeypatch):
+    splits = []
+    monkeypatch.setattr(inference, "_split_report", lambda *args: splits.append(args))
+    code = main(["multisplit", str(trial_csv), "--B", "10", "--s", "1", "--gamma", "1.5",
+                 "--outdir", str(tmp_path / "ms")])
+    assert code == 2 and not splits
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": "gamma must be in (0, 1), got 1.5"}
 
 
 def test_semisynth_small_run(tmp_path):

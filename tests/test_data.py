@@ -670,6 +670,61 @@ def test_aggregate_columns_validates_groups():
         aggregate_columns(TrialDataset([0, 1], np.full((2, 2), 1e308)), [(0, 1)])
 
 
+def counted_plans(monkeypatch) -> list:
+    """Empty the plan memo for the test; the returned list records, as
+    ``(groups, p)``, each plan derived."""
+    derived, plan = [], data._derive_plan
+    monkeypatch.setattr(data, "_PLANS", {})
+    monkeypatch.setattr(data, "_derive_plan", lambda grouping, p:
+                        derived.append((len(grouping), p)) or plan(grouping, p))
+    return derived
+
+
+def test_a_tuple_grouping_is_planned_once_and_a_list_on_every_call(monkeypatch):
+    """Tuple and list groupings of mixed widths average to the per-group
+    means bit for bit, call after call; a tuple's plan is derived once per
+    column count, a list's on every call."""
+    derived = counted_plans(monkeypatch)
+    y = 100.0 * np.random.default_rng(5).random((30, 24))
+    mixed = [(3, 1, 2), (0,), tuple(range(4, 24)), (5, 23), (7,)]
+    want = np.column_stack([y[:, list(g)].mean(axis=1) for g in mixed])
+    for grouping in (tuple(mixed), mixed):
+        for _ in range(3):
+            assert column_group_means(y, grouping).tobytes() == want.tobytes()
+    assert derived == [(5, 24)] * 4
+    wide = np.hstack([y, y])
+    assert column_group_means(wide, tuple(mixed)).tobytes() == want.tobytes()
+    assert derived[4:] == [(5, 48)]
+    for _, chosen, cols in data._PLANS[tuple(mixed), 48][1]:
+        assert not (chosen.flags.writeable or cols.flags.writeable)
+
+
+def test_a_plan_valid_for_more_columns_does_not_pass_fewer(monkeypatch):
+    """A grouping kept as valid for p=48 still raises its message for p=24,
+    through every function that reads the plan, and a failed plan is not
+    kept."""
+    counted_plans(monkeypatch)
+    grouping = tuple((k, k + 24) for k in range(24))
+    check_grouping(TrialDataset([0, 1], np.zeros((2, 48))), grouping)
+    narrow = TrialDataset([0, 1], np.zeros((2, 24)), np.zeros((2, 24)))
+    for call in (lambda: check_grouping(narrow, grouping),
+                 lambda: aggregate_columns(narrow, grouping),
+                 lambda: column_group_means(narrow.outcomes, grouping)):
+        with pytest.raises(DataError, match="group 0 has column indices out of range for p=24"):
+            call()
+    assert list(data._PLANS) == [(grouping, 48)]
+
+
+def test_the_plan_memo_drops_its_oldest_plan(monkeypatch):
+    derived = counted_plans(monkeypatch)
+    groupings = [((k,),) for k in range(data._PLANS_KEPT + 1)]
+    for grouping in groupings:
+        column_group_means(np.ones((1, 100)), grouping)
+    assert len(data._PLANS) == data._PLANS_KEPT and (groupings[0], 100) not in data._PLANS
+    column_group_means(np.ones((1, 100)), groupings[-1])
+    assert len(derived) == len(groupings)
+
+
 def test_center_columns_plain_and_weighted():
     m = np.array([[1.0, 10.0], [3.0, 30.0]])
     centered, means = center_columns(m)

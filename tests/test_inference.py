@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
-from hdte import inference
+from hdte import data, inference
 from hdte.data import TrialDataset, random_split
 from hdte.errors import DataError, HdteError, NumericalError
 from hdte.estimators import EffectEstimate
@@ -354,6 +354,19 @@ def test_multi_split_validates_b():
         multi_split(ds, B=0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.5, -0.1, math.nan])
+def test_multi_split_checks_gamma_before_the_first_split(monkeypatch, gamma):
+    """A ``gamma`` outside (0, 1) fails every aggregation, so it is a data
+    error raised before any split runs here or in a forked child."""
+    ds = planted_dataset(1, n=100)
+    calls = []
+    monkeypatch.setattr(inference, "_split_report", lambda *args: calls.append(args))
+    forks = split_route(monkeypatch, 2)
+    with pytest.raises(DataError, match=r"gamma must be in \(0, 1\)"):
+        multi_split(ds, B=10, gamma=gamma)
+    assert not calls and not forks
+
+
 def _covariate_dataset():
     """240 units, 12 outcomes driven by 12 covariates of their layout, and
     an effect on outcomes 4 and 5."""
@@ -457,6 +470,27 @@ def test_shared_splits_give_the_serial_report(monkeypatch, cpus, method, sel):
     assert shared == serial and isinstance(serial[0], bytes)
     if sel.lam is not None:
         assert serial[2] == ((),) * 9
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_three_level_multi_split_plans_each_level_once(monkeypatch, tmp_path, cpus):
+    """Each level's grouping is planned once, when multi_split checks it;
+    the splits, in this process or a forked child, read that plan to select
+    and to average the test half."""
+    log, plan = tmp_path / "plans", data._derive_plan
+
+    def logged(grouping, p):
+        with open(log, "a") as out:
+            out.write(f"{len(grouping)} {p}\n")
+        return plan(grouping, p)
+
+    monkeypatch.setattr(data, "_PLANS", {})
+    monkeypatch.setattr(data, "_derive_plan", logged)
+    forks = split_route(monkeypatch, cpus)
+    sel = SelectionSpec(size=1, levels=THREE_LEVELS)
+    report = multi_split(_covariate_dataset(), B=9, method="cuped", sel=sel, seed=5)
+    assert len(forks) == cpus - 1 and all(report.per_split_subsets)
+    assert log.read_text().split("\n") == ["3 12", "6 12", "12 12", ""]
 
 
 def test_a_multi_split_below_the_crossover_stays_serial(monkeypatch):

@@ -155,18 +155,18 @@ def _lfilter_noise(rng, shape):
 @pytest.mark.parametrize("shape", [(50, 288), (20, 2, 288), (7, 5)])
 def test_ar_noise_is_the_lfilter_recurrence_bit_for_bit(shape):
     """The numpy AR(1) recurrence gives the bits of ``lfilter`` on the same
-    white noise, time-major in a C-contiguous array."""
+    white noise, in ``shape``, in place in the draw."""
     for seed in range(3):
         got = _ar_noise(np.random.default_rng(seed), shape)
         want = _lfilter_noise(np.random.default_rng(seed), shape)
-        assert got.flags.c_contiguous and got.shape == (shape[-1], *shape[:-1])
-        assert np.moveaxis(got, 0, -1).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert got.shape == shape and got.base.shape == shape[:-1] + (shape[-1] + _AR_BURN_IN,)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-def _reference_traces(config):
+def _reference_traces(config, rng=None):
     """The trace formula as first written: each noise array laid out unit by
     unit, and the sums formed as new arrays."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     n, points = config.n, config.points_per_day
     minutes = np.arange(points) * (1440.0 / points)
     base = rng.normal(sh._BASE_MEAN, sh._BASE_SD, (n, 1, 1))
@@ -193,6 +193,35 @@ def test_glucose_traces_are_the_reference_formula_bit_for_bit(seed, points):
     got = gen_glucose_traces(config)
     assert got.flags.c_contiguous and got.shape == (30, points, 2)
     assert got.tobytes() == _reference_traces(config).tobytes()
+
+
+class _Tested(Exception):
+    """Carries the dataset a replicate's first arm aggregates."""
+
+
+@pytest.mark.parametrize("points", [288, 96])
+def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, points):
+    """A replicate's week-major traces, with the effect subtracted in place,
+    give the dataset of the reference traces after apply_window_effect, bit
+    for bit: treatments, week-2 outcomes and week-1 covariates."""
+    def first_arm(ds, grouping):
+        raise _Tested(ds)
+
+    monkeypatch.setattr(sh, "aggregate_columns", first_arm)
+    config = TraceExperimentConfig(n=40, effect_magnitude=30.0, seed=0, points_per_day=points)
+    for child in np.random.SeedSequence(3).spawn(4):
+        with pytest.raises(_Tested) as tested:
+            sh._semisynth_replicate((config, 4, 0.25, 1, "dim", 0.05, child))
+        rng = np.random.default_rng(child)
+        traces = _reference_traces(config, rng)
+        t = (rng.random(config.n) < 0.5).astype(np.int64)
+        step = 1440 // points
+        start = int(rng.integers(0, (1440 - 120) // step + 1)) * step
+        traces = apply_window_effect(traces, (start, start + 120), 30.0, t)
+        got = tested.value.args[0]
+        assert got.treatments.tobytes() == t.tobytes()
+        assert got.outcomes.tobytes() == compute_tir(traces[:, :, 1], 60).tobytes()
+        assert got.covariates.tobytes() == compute_tir(traces[:, :, 0], 60).tobytes()
 
 
 def test_compute_tir_hand_example():
@@ -299,6 +328,31 @@ def test_experiments_reject_a_call_they_cannot_run(run):
         run(gen, (), (1,), 2, 0)
     with pytest.raises(DataError, match="unknown selection method 'lasso '"):
         run(gen, ("lasso", "lasso "), (1,), 3, 0)
+
+
+@pytest.mark.parametrize("replicates, n_jobs, match", [
+    (0, 1, "replicates must be >= 1, got 0"),
+    (-2, 1, "replicates must be >= 1, got -2"),
+    (2, 0, "n_jobs must be >= 1, got 0"),
+    (2, -3, "n_jobs must be >= 1, got -3"),
+])
+def test_experiments_need_a_replicate_and_a_job(monkeypatch, replicates, n_jobs, match):
+    """Fewer than one replicate or job is a data error of every driver,
+    raised before the first replicate."""
+    started = []
+    for worker in ("_recovery_replicate", "_power_replicate", "_semisynth_replicate"):
+        monkeypatch.setattr(sh, worker, started.append)
+    gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+    traces = TraceExperimentConfig(n=40, effect_magnitude=5.0, seed=0)
+    runs = [
+        lambda: run_recovery_experiment(gen, ("lasso",), (1,), replicates, 0, n_jobs=n_jobs),
+        lambda: run_power_experiment(gen, ("lasso",), (1,), replicates, 0, n_jobs=n_jobs),
+        lambda: run_semisynth_experiment(traces, replicates, 0, B=2, n_jobs=n_jobs),
+    ]
+    for run in runs:
+        with pytest.raises(DataError, match=match):
+            run()
+    assert not started
 
 
 def test_recovery_experiment_parallel_matches_serial():
