@@ -276,18 +276,15 @@ def _run_simulate(params, outdir: Path) -> None:
         alpha=params["alpha"], pi=params["pi"], seed=params["seed"],
     )
     generator = LinearModelGenerator(config)
-    common = dict(
-        estimator=params["estimator"],
-        n_jobs=params["jobs"],
-    )
     if params["experiment"] == "recovery":
         results = run_recovery_experiment(
-            generator, methods, sizes, params["replicates"], params["seed"], **common
+            generator, methods, sizes, params["replicates"], params["seed"],
+            estimator=params["estimator"],
         )
     else:
         results = run_power_experiment(
             generator, methods, sizes, params["replicates"], params["seed"],
-            second_sample_size=params["second_sample_size"], **common
+            second_sample_size=params["second_sample_size"], estimator=params["estimator"],
         )
     write_metrics_csv(results, outdir / "metrics.csv")
 
@@ -303,7 +300,7 @@ def _run_semisynth(params, outdir: Path) -> None:
     results = run_semisynth_experiment(
         config, params["replicates"], params["seed"],
         B=params["B"], gamma=params["gamma"], select_size=params["s"],
-        estimator=params["estimator"], n_jobs=params["jobs"],
+        estimator=params["estimator"],
     )
     write_metrics_csv(results, outdir / "metrics.csv")
 
@@ -483,7 +480,6 @@ def path(**_):
 @click.option("--second-sample-size", type=int, default=500, show_default=True,
               help="Evaluation sample rows (power experiment).")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @_outdir_option
 def simulate(**_):
     """Replicated recovery or power experiment on the linear outcome model."""
@@ -504,7 +500,6 @@ def simulate(**_):
 @click.option("--estimator", type=click.Choice(["dim", "cuped", "lin"]),
               default="lin", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @_outdir_option
 def semisynth(**_):
     """Fixed-window versus multi-resolution testing on glucose traces."""

@@ -1,24 +1,28 @@
 """Work shared with forked children over pipes: the one place that forks.
 
 A CSV load parses the parts of a large data block in children
-(:func:`hdte.data.load_csv`), and a multi-split runs shares of its splits in
-them (:func:`hdte.inference.multi_split`). Each caller passes a writer that
-a child runs on its pipe and a reader the parent runs on all of them, so
-the forking, reaping and killing below never depend on the caller.
+(:func:`hdte.data.load_csv`); a multi-split runs shares of its splits, and
+an experiment shares of its replicates, in them (:func:`run_shared`). Each
+caller of :func:`run_forked` passes a writer that a child runs on its pipe
+and a reader the parent runs on all of them, so the forking, reaping and
+killing below never depend on the caller.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
+import pickle
 import signal
 import sys
 from typing import Callable, TypeVar
 
-__all__ = ["cpu_count", "single_threaded", "fill", "run_forked"]
+__all__ = ["cpu_count", "single_threaded", "share_count", "fill", "run_forked", "run_shared"]
 
 T = TypeVar("T")
+
+# Set in a forked child, and in its parent until the children are reaped
+_sharing = False
 
 
 def cpu_count() -> int:
@@ -28,13 +32,18 @@ def cpu_count() -> int:
 
 
 def single_threaded() -> bool:
-    """Whether this process runs one thread and is not a ``multiprocessing``
-    worker. A fork copies only the calling thread, so a lock another thread
-    holds stays locked in the child, and a BLAS thread pool is shut down and
-    started again around each fork; a pool's workers, which already share
-    the CPUs, fork nothing more of their own."""
-    return (multiprocessing.parent_process() is None
-            and len(os.listdir("/proc/self/task")) == 1)
+    """Whether this process runs one thread. A fork copies only the calling
+    thread, so a lock another thread holds stays locked in the child, and a
+    BLAS thread pool is shut down and started again around each fork."""
+    return len(os.listdir("/proc/self/task")) == 1
+
+
+def share_count(count: int) -> int:
+    """How many processes share ``count`` pieces of work that call BLAS: one
+    per CPU of the affinity set, at most ``count``, in a process that runs
+    one thread and is not already sharing (so forks never nest); else 1."""
+    k = min(cpu_count(), count)
+    return k if k > 1 and not _sharing and single_threaded() else 1
 
 
 def fill(fd: int, out) -> bool:
@@ -69,9 +78,12 @@ def run_forked(count: int, write: Callable[[int, int], None],
     child order. However ``read`` ends (a result, an error, an interrupt),
     the parent then kills every child and reaps it, so none outlives the
     call; a child that has already exited takes the signal harmlessly until
-    it is reaped.
+    it is reaped. Until then, here and in the children, this process counts
+    as sharing (:func:`share_count`).
     """
-    pids, reads = [], []
+    global _sharing
+    pids, reads, outer = [], [], _sharing
+    _sharing = True
     try:
         cpus = sorted(os.sched_getaffinity(0))
         with open("/proc/self/stat") as stat:   # field 39, the CPU this process is on
@@ -103,3 +115,39 @@ def run_forked(count: int, write: Callable[[int, int], None],
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        _sharing = outer
+
+
+def run_shared(count: int, k: int, run: Callable[[range], list]) -> list:
+    """The results of ``count`` pieces of work in order, from ``run(share)``
+    over the shares ``range(i, count, k)``: share 0 runs in this process,
+    each other in a forked child that pickles its list back. The share of a
+    child that dies or raises is run here, so its error reaches the caller
+    as it does serially. ``run(range(count))`` where ``k`` is 1 or no child
+    is forked. ``run`` may stop early; the results then end before the
+    first piece a share did not reach."""
+    shares = [range(i, count, k) for i in range(k)]
+
+    def write(child: int, fd: int) -> None:
+        with open(fd, "wb", closefd=False) as out:
+            pickle.dump(run(shares[child + 1]), out)
+
+    def read(fds: list[int]) -> list[list]:
+        parts = [run(shares[0])]
+        for fd, share in zip(fds, shares[1:]):
+            with open(fd, "rb", closefd=False) as pipe:
+                try:
+                    parts.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):   # a short pipe
+                    parts.append(run(share))
+        return parts
+
+    parts = run_forked(k - 1, write, read) if k > 1 else None
+    if parts is None:
+        return run(range(count))
+    out = []
+    for i in range(count):
+        if i // k == len(parts[i % k]):
+            break
+        out.append(parts[i % k][i // k])
+    return out

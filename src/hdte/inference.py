@@ -4,7 +4,6 @@ and quantile aggregation over repeated random splits."""
 from __future__ import annotations
 
 import math
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +13,7 @@ from .data import (TrialDataset, aggregate_columns, check_grouping, solve_nonsin
                    split_indices)
 from .errors import DataError, HdteError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate, check_estimator
-from .forking import cpu_count, fill, run_forked, single_threaded
+from .forking import run_shared, share_count
 from .selection import SelectionSpec, check_sizes, run_selection
 
 __all__ = [
@@ -188,15 +187,6 @@ def _slot_layout(sel: SelectionSpec, p: int) -> tuple[int, tuple[int, ...]]:
 _FORK_MIN_SPLITS = 7
 
 
-def _split_shares(B: int) -> int:
-    """How many processes share ``B`` splits: one per CPU of the affinity
-    set, at most ``B``, where forking is safe and pays; else 1."""
-    if B < _FORK_MIN_SPLITS:
-        return 1
-    cpus = min(cpu_count(), B)
-    return cpus if cpus > 1 and single_threaded() else 1
-
-
 def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: SelectionSpec,
                     fraction: float, two_sided: bool) -> list:
     """What :func:`multi_split` reads of the splits ``share``, in order:
@@ -216,42 +206,6 @@ def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: Sel
         out.append((report.subset, [report.per_dim[j] for j in report.subset],
                     report.group, level))
     return out
-
-
-def _received(fd: int) -> list | None:
-    """The pickled outcomes a child wrote to ``fd`` behind their length, or
-    ``None`` where the pipe ends first."""
-    size = bytearray(8)
-    if not fill(fd, size):
-        return None
-    payload = bytearray(int.from_bytes(size, "little"))
-    return pickle.loads(payload) if fill(fd, payload) else None
-
-
-def _shared_outcomes(B: int, run) -> list:
-    """``run(share)`` for the shares of ``B`` splits ``range(i, B, k)``, in
-    share order, over this process (share 0) and ``k - 1`` forked children
-    (:func:`_split_shares`); the share of a child that dies or raises
-    anything but in a split is run here. One share, ``range(B)``, where no
-    child is forked."""
-    k = _split_shares(B)
-    shares = [range(i, B, k) for i in range(k)]
-
-    def write(child: int, fd: int) -> None:
-        payload = pickle.dumps(run(shares[child + 1]))
-        with open(fd, "wb", closefd=False) as out:
-            out.write(len(payload).to_bytes(8, "little"))
-            out.write(payload)
-
-    def read(fds: list[int]) -> list:
-        parts = [run(shares[0])]
-        for fd, share in zip(fds, shares[1:]):
-            got = _received(fd)
-            parts.append(run(share) if got is None else got)
-        return parts
-
-    parts = run_forked(k - 1, write, read) if k > 1 else None
-    return [run(range(B))] if parts is None else parts
 
 
 def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
@@ -278,11 +232,12 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     half is taken only after the selection has returned, so it is never held
     next to the selection's working set.
 
-    With at least ``_FORK_MIN_SPLITS`` (7) splits, on Linux with two or
-    more CPUs in the affinity set, in a process that runs one thread and is
-    not a ``multiprocessing`` worker, the splits are shared: split ``b``
-    runs in share ``b mod k``, this process runs share 0 and one forked
-    child each other share (:func:`hdte.forking.run_forked`). The report
+    With at least ``_FORK_MIN_SPLITS`` (7) splits, the splits are shared
+    among the ``k`` processes :func:`hdte.forking.share_count` allows: one
+    per CPU of the affinity set on Linux, in a process that runs one thread
+    and is not already sharing (a replicate of a shared experiment is). Split
+    ``b`` runs in share ``b mod k``, this process runs share 0 and one forked
+    child each other share (:func:`hdte.forking.run_shared`). The report
     and the error are the serial ones bit for bit: the outcomes are
     aggregated here in split order. With BLAS threads unpinned, the BLAS
     pool's threads keep the splits serial.
@@ -297,15 +252,15 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
         check_sizes([sel.size], min(map(len, sel.levels)) if sel.levels else ds.p)
     n_slots, offsets = _slot_layout(sel, ds.p)
     seeds = split_seeds(seed, B)
-    parts = _shared_outcomes(B, lambda share: _split_outcomes(ds, seeds, share, method, sel,
-                                                             fraction, two_sided))
+    outcomes = run_shared(B, share_count(B) if B >= _FORK_MIN_SPLITS else 1,
+                          lambda share: _split_outcomes(ds, seeds, share, method, sel,
+                                                        fraction, two_sided))
     per_dim = np.ones((B, n_slots))
     group = np.ones((B, 1))
     subsets = []
-    for b in range(B):
-        # a share's list ends at its first failing split, which raises here
-        # before any later split of that share is read
-        outcome = parts[b % len(parts)][b // len(parts)]
+    # a share's list ends at its first failing split, so the outcomes reach
+    # at least the first failing split, which raises here
+    for b, outcome in enumerate(outcomes):
         if isinstance(outcome, HdteError):
             raise NumericalError(f"split {b} failed: {outcome}") from outcome
         subset, pvals, group_p, level = outcome

@@ -4,16 +4,16 @@ Three data sources: a linear outcome model with covariate-modulated effects,
 an independent-outcomes model (pure shift on a few columns), and a day-long
 glucose trace generator for time-in-range experiments. On top of those sit
 replicated recovery, power, and semi-synthetic power experiments, all seeded
-and reproducible, with optional process-level parallelism over replicates.
-The three share one replicate loop, which averages each method's results
-over the replicates it did not fail and counts those it did.
+and reproducible. The three share one replicate loop, which runs the
+replicates on every CPU it may use, averages each method's results over the
+replicates it did not fail and counts those it did.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 from .data import TrialDataset, aggregate_columns
 from .errors import DataError, HdteError
 from .estimators import adjusted_estimate
+from .forking import run_shared, share_count
 from .inference import hotelling_pvalue, multi_split, z_pvalues
 from .selection import SelectionSpec, run_selection
 
@@ -449,8 +450,7 @@ def _outcomes(tasks: dict, evaluate: Callable) -> dict[str, dict | None]:
     return out
 
 
-def _recovery_replicate(args):
-    generator, methods, sizes, estimator, child = args
+def _recovery_replicate(generator, methods, sizes, estimator, child):
     ds, s_true = generator.replicate(child)
     truth = set(int(j) for j in s_true)
 
@@ -460,9 +460,8 @@ def _recovery_replicate(args):
     return _outcomes(methods, recovery)
 
 
-def _power_replicate(args):
-    (generator, methods, sizes, estimator, test_estimator, alpha_level,
-     n_second, child) = args
+def _power_replicate(generator, methods, sizes, estimator, test_estimator, alpha_level,
+                     n_second, child):
     ds1, ds2, _ = generator.replicate_pair(child, n_second)
 
     def rejections(method):
@@ -473,24 +472,25 @@ def _power_replicate(args):
     return _outcomes(methods, rejections)
 
 
-def _run_experiment(worker: Callable, args: tuple, keys, replicates: int, seed: int,
-                    n_jobs: int) -> dict[str, tuple[dict | None, int]]:
-    """Run ``worker(args + (child,))`` once per replicate, each ``child``
-    spawned from ``SeedSequence(seed)``, serially or over ``n_jobs``
-    processes. Per key of ``keys``: the entrywise mean of its maps over the
-    replicates in which it did not fail (``None`` if it failed in all), and
-    the number in which it failed. ``replicates`` or ``n_jobs`` under 1 is
-    a :class:`DataError`, raised before the first replicate."""
+def _run_experiment(replicate: Callable, keys, replicates: int,
+                    seed: int) -> dict[str, tuple[dict | None, int]]:
+    """Run ``replicate(child)`` once per replicate, each ``child`` spawned
+    from ``SeedSequence(seed)``. Per key of ``keys``: the entrywise mean of
+    its maps over the replicates in which it did not fail (``None`` if it
+    failed in all), and the number in which it failed. ``replicates`` under
+    1 is a :class:`DataError`, raised before the first replicate.
+
+    The replicates are shared, replicate ``r`` in share ``r mod k``, among
+    the ``k`` processes :func:`hdte.forking.share_count` allows (one per
+    CPU, in a process that runs one thread); a shared replicate's
+    multi-split runs its splits serially. Only results cross processes, so
+    a method may be any callable, a lambda among them. The means are the
+    serial ones bit for bit: they are taken here in replicate order."""
     if replicates < 1:
         raise DataError(f"replicates must be >= 1, got {replicates}")
-    if n_jobs < 1:
-        raise DataError(f"n_jobs must be >= 1, got {n_jobs}")
-    jobs = [args + (child,) for child in np.random.SeedSequence(seed).spawn(replicates)]
-    if n_jobs == 1:
-        raw = [worker(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            raw = list(pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * n_jobs))))
+    children = np.random.SeedSequence(seed).spawn(replicates)
+    raw = run_shared(replicates, share_count(replicates),
+                     lambda share: [replicate(children[r]) for r in share])
     out = {}
     for key in keys:
         rows = [r[key] for r in raw if r[key] is not None]
@@ -501,8 +501,7 @@ def _run_experiment(worker: Callable, args: tuple, keys, replicates: int, seed: 
 
 
 def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: int, *,
-                            estimator: str = "cuped",
-                            n_jobs: int = 1) -> dict[str, ExperimentMetrics]:
+                            estimator: str = "cuped") -> dict[str, ExperimentMetrics]:
     """Mean recovery rate ``|selected ∩ true| / s`` per method and size.
 
     ``methods`` mixes the built-ins (``"baseline"``, ``"baseline_dim"``,
@@ -512,8 +511,8 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
     ``seed``; a failed replicate is skipped and counted, not fatal.
     """
     methods, sizes = _check_experiment(methods, sizes, estimator)
-    results = _run_experiment(_recovery_replicate, (generator, methods, sizes, estimator),
-                              methods, replicates, seed, n_jobs)
+    results = _run_experiment(partial(_recovery_replicate, generator, methods, sizes, estimator),
+                              methods, replicates, seed)
     return {key: ExperimentMetrics(key, replicates, failures, recovery_rate_by_size=means)
             for key, (means, failures) in results.items()}
 
@@ -522,8 +521,7 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
                          second_sample_size: int = 500,
                          estimator: str = "cuped",
                          test_estimator: str = "lin",
-                         alpha_level: float = 0.05,
-                         n_jobs: int = 1) -> dict[str, ExperimentMetrics]:
+                         alpha_level: float = 0.05) -> dict[str, ExperimentMetrics]:
     """Rejection frequency of the group test at ``alpha_level`` per method
     and size.
 
@@ -533,10 +531,9 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
     restricted to the selected columns (``test_estimator`` adjustment).
     """
     methods, sizes = _check_experiment(methods, sizes, estimator)
-    results = _run_experiment(_power_replicate,
-                              (generator, methods, sizes, estimator, test_estimator,
-                               alpha_level, second_sample_size),
-                              methods, replicates, seed, n_jobs)
+    results = _run_experiment(partial(_power_replicate, generator, methods, sizes, estimator,
+                                      test_estimator, alpha_level, second_sample_size),
+                              methods, replicates, seed)
     return {key: ExperimentMetrics(key, replicates, failures, power_by_size=means)
             for key, (means, failures) in results.items()}
 
@@ -554,8 +551,7 @@ def _semisynth_arms(config: TraceExperimentConfig) -> dict[str, tuple | None]:
     return arms
 
 
-def _semisynth_replicate(args):
-    (config, B, gamma, select_size, estimator, alpha_level, child) = args
+def _semisynth_replicate(config, B, gamma, select_size, estimator, alpha_level, child):
     rng = np.random.default_rng(child)
     week1, week2 = _glucose_traces(rng, config.n, config.points_per_day)
     t = (rng.random(config.n) < 0.5).astype(np.int64)
@@ -591,8 +587,7 @@ def _semisynth_replicate(args):
 def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
                              seed: int, *, B: int = 20, gamma: float = 0.05,
                              select_size: int = 1, estimator: str = "lin",
-                             alpha_level: float = 0.05,
-                             n_jobs: int = 1) -> dict[str, ExperimentMetrics]:
+                             alpha_level: float = 0.05) -> dict[str, ExperimentMetrics]:
     """Rejection frequency of fixed-window testing versus the
     multi-resolution split pipeline on glucose traces.
 
@@ -603,9 +598,9 @@ def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
     level on the full sample and (b) the multi-resolution multi-split
     pipeline. Week 1 supplies covariates for adjustment throughout.
     """
-    results = _run_experiment(_semisynth_replicate,
-                              (config, B, gamma, select_size, estimator, alpha_level),
-                              _semisynth_arms(config), replicates, seed, n_jobs)
+    results = _run_experiment(partial(_semisynth_replicate, config, B, gamma, select_size,
+                                      estimator, alpha_level),
+                              _semisynth_arms(config), replicates, seed)
     return {name: ExperimentMetrics(name, replicates, failures,
                                     power=None if means is None else means[None])
             for name, (means, failures) in results.items()}

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import settings
 
-from hdte import inference
+from hdte import forking
 
 # Property tests draw the same examples on every run, so a tier-1 result is
 # reproducible; a test's own settings (example counts) still apply.
@@ -25,9 +25,11 @@ def traced_peak(fn):
 
 
 def split_route(patch, cpus: int) -> list:
-    """Let ``multi_split`` share its splits among ``cpus`` processes (1
-    keeps it serial) whatever the machine's CPUs and threads; the returned
-    list records this process's forks."""
+    """Let ``multi_split`` share its splits, and an experiment its
+    replicates, among ``cpus`` processes (1 keeps them serial) whatever the
+    machine's CPUs and threads: ``forking.share_count`` then counts the
+    process as single-threaded. The returned list records this process's
+    forks."""
     forks, fork = [], os.fork
 
     def counted():
@@ -35,7 +37,7 @@ def split_route(patch, cpus: int) -> list:
         return fork()
 
     patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    patch.setattr(inference, "single_threaded", lambda: True)
+    patch.setattr(forking, "single_threaded", lambda: True)
     patch.setattr(os, "fork", counted)
     return forks
 
@@ -43,7 +45,7 @@ def split_route(patch, cpus: int) -> list:
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process behind, running or exited:
-    the CSV parts, the multi-split shares and the replicate pools all reap
+    the CSV parts, the split shares and the replicate shares all reap
     theirs before they return."""
     yield
     try:

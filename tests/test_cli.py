@@ -267,13 +267,11 @@ def test_a_list_option_that_is_not_integers_is_a_data_error(tmp_path, capsys, ar
 
 @pytest.mark.parametrize("argv, message", [
     (["semisynth", "--replicates", "0"], "replicates must be >= 1, got 0"),
-    (["semisynth", "--jobs", "0"], "n_jobs must be >= 1, got 0"),
     (["simulate", "--replicates", "-1"], "replicates must be >= 1, got -1"),
-    (["simulate", "--jobs", "-3"], "n_jobs must be >= 1, got -3"),
 ])
-def test_experiments_without_a_replicate_or_a_job_exit_2(tmp_path, capsys, argv, message):
-    """No replicate, or no job to run one, is a data error: nothing is run
-    and no metrics.csv is written."""
+def test_experiments_without_a_replicate_exit_2(tmp_path, capsys, argv, message):
+    """No replicate is a data error: nothing is run and no metrics.csv is
+    written."""
     outdir = tmp_path / "out"
     assert main([*argv, "--outdir", str(outdir)]) == 2
     record = json.loads(capsys.readouterr().err.strip())
@@ -343,6 +341,73 @@ def test_multisplit_writes_the_same_bytes_with_shared_splits(trial_csv, tmp_path
         written.append({name: (outdir / name).read_bytes() for name in
                         ("multisplit_per_dim.csv", "multisplit_group.csv", "manifest.json")})
     assert written[0] == written[1]
+
+
+_EXPERIMENTS = {
+    "recovery": ["simulate", "--experiment", "recovery", "--n", "60", "--p", "10", "--m", "2",
+                 "--s-tau", "3", "--replicates", "4", "--sizes", "1,3",
+                 "--methods", "baseline,lasso"],
+    "power": ["simulate", "--experiment", "power", "--n", "60", "--p", "10", "--m", "2",
+              "--s-tau", "3", "--replicates", "4", "--sizes", "1,3",
+              "--methods", "baseline,lasso", "--second-sample-size", "60"],
+    "semisynth": ["semisynth", "--n", "80", "--alpha", "25", "--replicates", "3", "--B", "8",
+                  "--gamma", "0.25", "--estimator", "dim"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_experiments_write_the_same_metrics_with_shared_replicates(tmp_path, monkeypatch,
+                                                                   experiment):
+    """Replicates shared with a forked child give the serial metrics.csv
+    byte for byte; the semisynth replicates' multi-splits of 8 splits fork
+    nothing more here."""
+    written = []
+    for cpus in (2, 1):
+        outdir = tmp_path / f"out{cpus}"
+        with monkeypatch.context() as patch:
+            forks = split_route(patch, cpus)
+            assert main([*_EXPERIMENTS[experiment], "--outdir", str(outdir)]) == 0
+        assert len(forks) == cpus - 1
+        written.append((outdir / "metrics.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+# The params and metrics.csv of manifests written when the experiment
+# commands took a ``--jobs`` option, here run with ``--jobs 2``.
+_JOBS_MANIFESTS = {
+    "simulate": (
+        {"alpha": 0.5, "estimator": "cuped", "experiment": "recovery", "jobs": 2, "m": 2,
+         "methods": "baseline,lasso", "n": 60, "p": 10, "pi": 0.5, "replicates": 4,
+         "s_tau": 3, "second_sample_size": 500, "seed": 0, "sizes": "1,3"},
+        "method,size,metric,value,replicates,failures\r\n"
+        "baseline,1,recovery_rate,1.0,4,0\r\n"
+        "baseline,3,recovery_rate,0.8333333333333334,4,0\r\n"
+        "lasso,1,recovery_rate,1.0,4,0\r\n"
+        "lasso,3,recovery_rate,0.75,4,0\r\n"),
+    "semisynth": (
+        {"B": 8, "alpha": 25.0, "estimator": "dim", "gamma": 0.25, "jobs": 2,
+         "levels": "240,120,60", "n": 80, "replicates": 3, "s": 1, "seed": 0},
+        "method,size,metric,value,replicates,failures\r\n"
+        "fixed_240min,,power,0.0,3,0\r\n"
+        "fixed_120min,,power,0.3333333333333333,3,0\r\n"
+        "proposed,,power,0.0,3,1\r\n"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_JOBS_MANIFESTS))
+def test_rerun_replays_a_manifest_that_records_jobs(tmp_path, monkeypatch, command):
+    """A manifest's ``jobs`` is ignored: the replicates follow the affinity
+    set, and either route replays the recorded metrics.csv byte for byte."""
+    params, metrics = _JOBS_MANIFESTS[command]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, "params": params}))
+    for cpus in (2, 1):
+        outdir = tmp_path / f"replay{cpus}"
+        with monkeypatch.context() as patch:
+            forks = split_route(patch, cpus)
+            assert main(["rerun", str(manifest), "--outdir", str(outdir)]) == 0
+        assert len(forks) == cpus - 1
+        assert (outdir / "metrics.csv").read_bytes() == metrics.encode()
 
 
 def test_rerun_rejects_broken_manifest(tmp_path, capsys):
@@ -433,9 +498,9 @@ MANIFEST_KEYS = {
              "l1_ratio", "n_lambdas", "lambda_min_ratio", "tol", "max_iter"},
     "simulate": {"experiment", "n", "p", "m", "s_tau", "alpha", "pi",
                  "replicates", "sizes", "methods", "estimator",
-                 "second_sample_size", "seed", "jobs"},
+                 "second_sample_size", "seed"},
     "semisynth": {"n", "alpha", "replicates", "B", "gamma", "s", "levels",
-                  "estimator", "seed", "jobs"},
+                  "estimator", "seed"},
 }
 
 

@@ -547,40 +547,56 @@ def test_a_child_that_dies_leaves_its_share_to_this_process(monkeypatch, fault):
     assert shared == serial
 
 
-def test_a_second_thread_keeps_multi_split_serial():
+def test_a_second_thread_keeps_multi_split_serial(tmp_path):
     """In a process with one BLAS thread, a multi-split on 2 CPUs forks one
-    child; once a second thread is alive, it never forks, nor does it in a
-    ``multiprocessing`` worker."""
+    child; once a second thread is alive, it never forks. Nor do forks
+    nest: an experiment of one replicate leaves its multi-split of 8 splits
+    to fork one child, while one of 2 replicates forks one child for its
+    replicates and neither it nor the child forks a split share. The
+    child's forks are counted through a file."""
     code = (
-        "import multiprocessing, os, threading\n"
+        "import os, pathlib, sys, threading\n"
         "for var in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
         "    os.environ[var] = '1'\n"
         "import numpy as np\n"
         "from hdte.data import TrialDataset\n"
         "from hdte.inference import SelectionSpec, multi_split\n"
+        "from hdte.simharness import TraceExperimentConfig, run_semisynth_experiment\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "forks, fork = [], os.fork\n"
-        "os.fork = lambda: forks.append(1) or fork()\n"
+        "fork = os.fork\n"
+        "def counted():\n"
+        "    with open(sys.argv[1], 'a') as log:\n"
+        "        log.write(f'{os.getpid()}\\n')\n"
+        "    return fork()\n"
+        "os.fork = counted\n"
+        "def forks(call):\n"
+        "    log = pathlib.Path(sys.argv[1])\n"
+        "    log.write_text('')\n"
+        "    call()\n"
+        "    pids = log.read_text().split()\n"
+        "    return len(pids) if set(pids) <= {str(os.getpid())} else pids\n"
         "rng = np.random.default_rng(0)\n"
         "ds = TrialDataset(np.tile([0, 1], 50), rng.standard_normal((100, 4)))\n"
-        "multi_split(ds, B=8, sel=SelectionSpec(size=1))\n"
-        "counts = [len(forks)]\n"
+        "counts = [forks(lambda: multi_split(ds, B=8, sel=SelectionSpec(size=1)))]\n"
         "stop = threading.Event()\n"
         "waiter = threading.Thread(target=stop.wait)\n"
         "waiter.start()\n"
         "try:\n"
-        "    multi_split(ds, B=8, sel=SelectionSpec(size=1))\n"
+        "    counts.append(forks(lambda: multi_split(ds, B=8, sel=SelectionSpec(size=1))))\n"
         "finally:\n"
         "    stop.set()\n"
         "    waiter.join()\n"
-        "counts.append(len(forks) - counts[0])\n"
-        "multiprocessing.parent_process = lambda: 'a worker'\n"
-        "multi_split(ds, B=8, sel=SelectionSpec(size=1))\n"
-        "print(counts + [len(forks) - sum(counts)])\n"
+        "config = TraceExperimentConfig(n=80, effect_magnitude=25.0, seed=0)\n"
+        "for replicates in (1, 2):\n"
+        "    results = []\n"
+        "    counts.append(forks(lambda: results.append(run_semisynth_experiment(\n"
+        "        config, replicates, 13, B=8, gamma=0.25, estimator='dim'))))\n"
+        "    counts.append(results[0]['proposed'].failures)\n"
+        "print(counts)\n"
     )
     src = str(Path(inference.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[1, 0, 0]"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "forks")], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[1, 0, 1, 0, 1, 0]"

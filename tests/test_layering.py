@@ -3,7 +3,8 @@ private names, the covariate regression has one implementation, and so
 do the Cholesky factorization of the solver's exact steps, the
 propensity weighting, the singularity rule of small solves, the
 experiments' replicate loop and the forking of worker processes; only the
-scipy modules the package calls are imported."""
+scipy modules the package calls are imported, and no package that starts
+processes."""
 
 import ast
 import os
@@ -93,6 +94,19 @@ def process_routes(path: Path) -> tuple[list[str], list[str]]:
             isinstance(node, ast.Call) and _called_name(node) == name))
 
     return callers("fork"), callers("_exit")
+
+
+def process_imports(path: Path) -> list[str]:
+    """``file: module`` for each import of one source file from a package
+    that starts processes of its own: ``multiprocessing``,
+    ``concurrent.futures`` or ``subprocess``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 0]
+    return [f"{path.name}: {module}" for module in modules
+            if module.split(".")[0] in ("multiprocessing", "concurrent", "subprocess")]
 
 
 def scipy_imports(path: Path) -> list[str]:
@@ -222,11 +236,15 @@ def test_replicate_routes_are_detected(tmp_path):
 def test_one_function_forks_and_leaves_a_child():
     """``os.fork`` and ``os._exit`` are called in one function,
     ``forking.run_forked``, which reaps every child it forks, for the CSV
-    parts of ``load_csv`` and the split shares of ``multi_split`` alike: a
-    child cannot return into the caller's frames from anywhere else."""
-    routes = [process_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
+    parts of ``load_csv``, the split shares of ``multi_split`` and the
+    replicate shares of the experiments alike: a child cannot return into
+    the caller's frames from anywhere else, and no module starts processes
+    through another package."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    routes = [process_routes(path) for path in sources]
     assert [call for forks, _ in routes for call in forks] == ["forking.py:run_forked"]
     assert [call for _, exits in routes for call in exits] == ["forking.py:run_forked"]
+    assert [line for path in sources for line in process_imports(path)] == []
 
 
 def test_process_routes_are_detected(tmp_path):
@@ -247,6 +265,17 @@ def test_process_routes_are_detected(tmp_path):
     )
     assert process_routes(sample) == (["sample.py:spawn", "sample.py:bare"],
                                       ["sample.py:spawn", "sample.py:stop"])
+    sample.write_text(
+        "import os, multiprocessing.pool\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from .subprocess import run\n"
+        "import concurrency\n"
+        "def late():\n"
+        "    import subprocess\n"
+    )
+    assert process_imports(sample) == ["sample.py: multiprocessing.pool",
+                                       "sample.py: subprocess",
+                                       "sample.py: concurrent.futures"]
 
 
 def test_one_singularity_rule_for_small_symmetric_solves():

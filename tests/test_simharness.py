@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -25,6 +27,8 @@ from hdte.simharness import (
     window_level_groupings,
     write_metrics_csv,
 )
+
+from conftest import split_route
 
 
 def pick_first(ds, size):
@@ -211,7 +215,7 @@ def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, points):
     config = TraceExperimentConfig(n=40, effect_magnitude=30.0, seed=0, points_per_day=points)
     for child in np.random.SeedSequence(3).spawn(4):
         with pytest.raises(_Tested) as tested:
-            sh._semisynth_replicate((config, 4, 0.25, 1, "dim", 0.05, child))
+            sh._semisynth_replicate(config, 4, 0.25, 1, "dim", 0.05, child)
         rng = np.random.default_rng(child)
         traces = _reference_traces(config, rng)
         t = (rng.random(config.n) < 0.5).astype(np.int64)
@@ -330,24 +334,22 @@ def test_experiments_reject_a_call_they_cannot_run(run):
         run(gen, ("lasso", "lasso "), (1,), 3, 0)
 
 
-@pytest.mark.parametrize("replicates, n_jobs, match", [
-    (0, 1, "replicates must be >= 1, got 0"),
-    (-2, 1, "replicates must be >= 1, got -2"),
-    (2, 0, "n_jobs must be >= 1, got 0"),
-    (2, -3, "n_jobs must be >= 1, got -3"),
+@pytest.mark.parametrize("replicates, match", [
+    (0, "replicates must be >= 1, got 0"),
+    (-2, "replicates must be >= 1, got -2"),
 ])
-def test_experiments_need_a_replicate_and_a_job(monkeypatch, replicates, n_jobs, match):
-    """Fewer than one replicate or job is a data error of every driver,
-    raised before the first replicate."""
+def test_experiments_need_a_replicate(monkeypatch, replicates, match):
+    """Fewer than one replicate is a data error of every driver, raised
+    before the first replicate."""
     started = []
     for worker in ("_recovery_replicate", "_power_replicate", "_semisynth_replicate"):
-        monkeypatch.setattr(sh, worker, started.append)
+        monkeypatch.setattr(sh, worker, lambda *args: started.append(args))
     gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
     traces = TraceExperimentConfig(n=40, effect_magnitude=5.0, seed=0)
     runs = [
-        lambda: run_recovery_experiment(gen, ("lasso",), (1,), replicates, 0, n_jobs=n_jobs),
-        lambda: run_power_experiment(gen, ("lasso",), (1,), replicates, 0, n_jobs=n_jobs),
-        lambda: run_semisynth_experiment(traces, replicates, 0, B=2, n_jobs=n_jobs),
+        lambda: run_recovery_experiment(gen, ("lasso",), (1,), replicates, 0),
+        lambda: run_power_experiment(gen, ("lasso",), (1,), replicates, 0),
+        lambda: run_semisynth_experiment(traces, replicates, 0, B=2),
     ]
     for run in runs:
         with pytest.raises(DataError, match=match):
@@ -355,12 +357,51 @@ def test_experiments_need_a_replicate_and_a_job(monkeypatch, replicates, n_jobs,
     assert not started
 
 
-def test_recovery_experiment_parallel_matches_serial():
-    gen = IndependentOutcomesGenerator(n=100, d=6, s_star=2, alpha=1.0, pi=0.5)
-    serial = run_recovery_experiment(gen, ("lasso",), (1, 2), replicates=6, seed=9)
-    parallel = run_recovery_experiment(gen, ("lasso",), (1, 2), replicates=6,
-                                       seed=9, n_jobs=2)
-    assert serial["lasso"].recovery_rate_by_size == parallel["lasso"].recovery_rate_by_size
+def _shared_and_serial(monkeypatch, call):
+    """``call()`` with the replicates shared between two processes, then
+    serially; the shared route forks one child."""
+    results = []
+    for cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            forks = split_route(patch, cpus)
+            results.append(call())
+        assert len(forks) == cpus - 1
+    return results
+
+
+def test_a_lambda_method_gives_the_serial_rates_with_shared_replicates(monkeypatch):
+    """Only results cross processes, so a custom method may be a lambda."""
+    gen = IndependentOutcomesGenerator(n=100, d=8, s_star=2, alpha=0.3, pi=0.5)
+    top = lambda ds, size: np.argsort(
+        ds.outcomes[ds.treatments == 0].mean(axis=0)
+        - ds.outcomes[ds.treatments == 1].mean(axis=0))[:size]
+    shared, serial = _shared_and_serial(monkeypatch, lambda: run_recovery_experiment(
+        gen, ("lasso", top), (1, 2), replicates=6, seed=9))
+    assert set(serial) == {"lasso", "<lambda>"} and serial["<lambda>"].recovery_rate_by_size
+    assert shared == serial
+
+
+class _Faulty(IndependentOutcomesGenerator):
+    """Raises a ``LookupError``, not a package error, in replicate 1."""
+
+    def replicate(self, seed):
+        if seed.spawn_key == (1,):
+            raise LookupError("replicate 1")
+        return super().replicate(seed)
+
+
+def test_an_error_in_a_childs_replicate_reaches_the_caller(monkeypatch):
+    """Replicate 1 runs in the forked child's share: its error ends the
+    child, the share runs again here and the error reaches the caller as it
+    does serially, with no child left."""
+    gen = _Faulty(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+
+    def raises():
+        with pytest.raises(LookupError, match="replicate 1"):
+            run_recovery_experiment(gen, ("lasso",), (1,), replicates=4, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    _shared_and_serial(monkeypatch, raises)
 
 
 def test_power_experiment_smoke():
