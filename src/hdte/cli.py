@@ -111,15 +111,14 @@ def _resolve_estimator(value: str | None, ds) -> str:
 
 
 def _selection_spec(params) -> SelectionSpec:
-    """The ``--selection``/``--s``/``--lam``/``--l1-ratio`` options as a spec."""
+    """The ``--selection``/``--s``/``--lam``/``--l1-ratio`` options as a spec,
+    with ``--tol`` and ``--max-iter`` where the command has them (``select``;
+    ``multisplit`` runs with ``EnetConfig``'s defaults)."""
     method = params["selection"]
     if method == "baseline" and params["s"] is None:
         raise DataError("baseline selection needs --s")
-    config = EnetConfig(
-        l1_ratio=method_l1_ratio(method, params["l1_ratio"]),
-        tol=params.get("tol", 1e-7),
-        max_iter=params.get("max_iter", 10_000),
-    )
+    solver = {key: params[key] for key in ("tol", "max_iter") if key in params}
+    config = EnetConfig(l1_ratio=method_l1_ratio(method, params["l1_ratio"]), **solver)
     return SelectionSpec(method, params["s"], params["lam"], config=config)
 
 

@@ -609,10 +609,8 @@ def aggregate_columns(ds: TrialDataset, grouping) -> TrialDataset:
     return TrialDataset._trusted(ds.treatments, _freeze(outcomes), covariates, None)
 
 
-def center_columns(matrix, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract (weighted) column means; returns ``(centered, means)``.
-
-    With ``weights`` the mean is ``sum(w_i * M_ik) / sum(w_i)``. The input is
+def center_columns(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract column means; returns ``(centered, means)``. The input is
     never modified.
     """
     arr = np.asarray(matrix, dtype=np.float64)
@@ -621,20 +619,7 @@ def center_columns(matrix, weights=None) -> tuple[np.ndarray, np.ndarray]:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise DataError(f"expected a vector or matrix, got shape {arr.shape}")
-    if weights is None:
-        means = arr.mean(axis=0)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (arr.shape[0],):
-            raise DataError(
-                f"weights shape {w.shape} does not match {arr.shape[0]} rows"
-            )
-        if np.any(w < 0):
-            raise DataError("weights must be nonnegative")
-        total = w.sum()
-        if total <= 0:
-            raise DataError("weights sum to zero")
-        means = w @ arr / total
+    means = arr.mean(axis=0)
     centered = arr - means
     if squeeze:
         return centered[:, 0], means[0]

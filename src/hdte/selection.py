@@ -37,6 +37,10 @@ __all__ = [
 
 _METHODS = ("baseline", "lasso", "enet")
 
+# The population support holds the coefficients above this share of the
+# largest coefficient magnitude.
+_SUPPORT_TOL = 1e-10
+
 
 def method_l1_ratio(method: str, l1_ratio: float | None = None) -> float:
     """The lasso share of the penalty that ``method`` runs with.
@@ -281,8 +285,7 @@ def sparse_select(ds: TrialDataset, *, size: int | None = None,
                    lambda_min_ratio)
 
 
-def population_beta_star(tau, sigma_z, pi: float,
-                         support_tol: float = 1e-10) -> PopulationTarget:
+def population_beta_star(tau, sigma_z, pi: float) -> PopulationTarget:
     """Population coefficient vector of the weighted treatment-on-outcomes
     regression, in closed form.
 
@@ -290,7 +293,7 @@ def population_beta_star(tau, sigma_z, pi: float,
     ``(sigma_z + c * tau tau') beta = r * tau``. It is proportional to
     ``sigma_z^{-1} tau`` (rank-one update identity), which is asserted here
     as an internal consistency check. Support is read off with a relative
-    tolerance ``support_tol`` times the largest coefficient magnitude.
+    tolerance, ``_SUPPORT_TOL`` times the largest coefficient magnitude.
     """
     tau = np.asarray(tau, dtype=np.float64)
     sigma_z = np.asarray(sigma_z, dtype=np.float64)
@@ -322,7 +325,7 @@ def population_beta_star(tau, sigma_z, pi: float,
             )
     peak = float(np.abs(beta).max(initial=0.0))
     support = tuple(
-        int(j) for j in np.flatnonzero(np.abs(beta) > support_tol * peak)
+        int(j) for j in np.flatnonzero(np.abs(beta) > _SUPPORT_TOL * peak)
     ) if peak > 0 else ()
     beta = beta.copy()
     beta.setflags(write=False)

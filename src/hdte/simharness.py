@@ -607,25 +607,18 @@ def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
 
 
 def write_metrics_csv(results: dict[str, ExperimentMetrics], path) -> None:
-    """Long-format CSV: one row per method, size, and metric."""
+    """Long-format CSV: one row per method, size, and metric. A method that
+    failed in every replicate has no metric and gets one row with size,
+    metric and value empty, so its failure count is written too."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method", "size", "metric", "value", "replicates", "failures"])
         for key, metrics in results.items():
-            for field_name, label in (
-                ("recovery_rate_by_size", "recovery_rate"),
-                ("power_by_size", "power"),
-            ):
-                by_size = getattr(metrics, field_name)
-                if by_size is None:
-                    continue
-                for s in sorted(by_size):
-                    writer.writerow([
-                        key, s, label, repr(float(by_size[s])),
-                        metrics.replicates, metrics.failures,
-                    ])
+            rows = [[s, label, repr(float(by_size[s]))]
+                    for label, by_size in (("recovery_rate", metrics.recovery_rate_by_size),
+                                           ("power", metrics.power_by_size))
+                    if by_size is not None for s in sorted(by_size)]
             if metrics.power is not None:
-                writer.writerow([
-                    key, "", "power", repr(float(metrics.power)),
-                    metrics.replicates, metrics.failures,
-                ])
+                rows.append(["", "power", repr(float(metrics.power))])
+            for row in rows or [["", "", ""]]:
+                writer.writerow([key, *row, metrics.replicates, metrics.failures])

@@ -6,16 +6,18 @@ The solver minimizes
         + 2 * lam * (l1_ratio * ||beta||_1 + (1 - l1_ratio) * ||beta||_2^2)
 
 where ``w`` are inverse-propensity-squared weights, outcome and covariate
-columns are centered at their unweighted means, the regression carries no
-intercept, and ``alpha`` (the covariate block) is unpenalized. Covariates are
-concentrated out exactly up front by :func:`hdte.data.project_columns`:
-slopes on the weighted centered covariates give a fit's ``alpha``, and the
-weighted residuals of the response and outcome columns its ``beta``
-subproblem and RSS. A block of rank below ``m`` by ``np.linalg.lstsq``'s
-rule (:func:`hdte.data.check_full_rank`) is a :class:`NumericalError`, in a
-resolution level too. The ``beta`` subproblem is then solved by cyclic
-coordinate descent on weighted moments (glmnet's covariance mode), with an
-active-set sweep strategy and a final stationarity check.
+columns are centered at their unweighted means (no column is rescaled, so
+``beta`` is fitted and reported on the outcomes' own units), the regression
+carries no intercept, and ``alpha`` (the covariate block) is unpenalized.
+Covariates are concentrated out exactly up front by
+:func:`hdte.data.project_columns`: slopes on the weighted centered covariates
+give a fit's ``alpha``, and the weighted residuals of the response and
+outcome columns its ``beta`` subproblem and RSS. A block of rank below
+``m`` by ``np.linalg.lstsq``'s rule (:func:`hdte.data.check_full_rank`) is a
+:class:`NumericalError`, in a resolution level too. The ``beta`` subproblem
+is then solved by cyclic coordinate descent on weighted moments (glmnet's
+covariance mode), with an active-set sweep strategy and a final
+stationarity check.
 
 Moments. Moment preparation keeps the weighted concentrated outcomes, the
 cross moments with the response and the Gram diagonal, all O(n p). Gram
@@ -113,15 +115,12 @@ _ZERO_RUN_MIN = 32
 class EnetConfig:
     """Solver settings. ``lam`` is the penalty level, ``l1_ratio`` the lasso
     share of the penalty (1.0 is the pure lasso), ``tol`` the max coefficient
-    change per sweep at which iteration stops, ``standardize`` whether columns
-    are scaled to unit weighted second moment before fitting (coefficients are
-    reported on the original scale either way)."""
+    change per sweep at which iteration stops, ``max_iter`` the sweep cap."""
 
     lam: float = 0.0
     l1_ratio: float = 1.0
     tol: float = 1e-7
     max_iter: int = 10_000
-    standardize: bool = False
 
     def __post_init__(self):
         if self.lam < 0:
@@ -181,10 +180,9 @@ def soft_threshold(x, threshold):
 
 
 class _Gram:
-    """The weighted Gram ``(1/n) Z'Z`` of the concentrated outcomes ``Z``,
-    entry ``(j, k)`` divided by ``scale_j * scale_k``. ``Z`` is the weighted
-    rows or, for a resolution level, a small triangular factor with the same
-    Gram, so ``n`` is passed on its own.
+    """The weighted Gram ``(1/n) Z'Z`` of the concentrated outcomes ``Z``.
+    ``Z`` is the weighted rows or, for a resolution level, a small triangular
+    factor with the same Gram, so ``n`` is passed on its own.
 
     A column is computed the first time it is read, columns read together in
     one product, and kept, so memory is O(p * |ever read|) and a sparse solve
@@ -194,10 +192,8 @@ class _Gram:
     and the diagonal is ``diag``, so the matrix read is exactly symmetric.
     """
 
-    def __init__(self, z: np.ndarray, scale: np.ndarray, raw_diag: np.ndarray, n: int):
-        self._z, self._scale = z, scale
-        self._norm = n * scale   # column j is divided by n scale_j scale
-        self.diag = raw_diag / (scale * scale)
+    def __init__(self, z: np.ndarray, diag: np.ndarray, n: int):
+        self._z, self._n, self.diag = z, n, diag
         p = z.shape[1]
         self._slot = np.full(p, -1, dtype=np.intp)   # store row of column j
         self._held = np.empty(p, dtype=np.intp)      # column in store row r
@@ -225,7 +221,7 @@ class _Gram:
                     self._row[j] = grown[r]
             block = self._store[count:count + k]
             np.matmul(self._z.T, self._z[:, new], out=block.T)
-            block /= self._norm * self._scale[new, None]
+            block /= self._n
             if count:
                 block[:, self._held[:count]] = self._store[:count, new].T
             square = np.triu(block[:, new], 1)
@@ -262,26 +258,20 @@ class _Moments:
     """Weighted moments of the covariate-concentrated problem. The Gram is
     not formed up front; :class:`_Gram` computes the columns a solve reads."""
 
-    gram: _Gram               # (1/n) Yr' W Yr, in fitting scale, on demand
-    ty: np.ndarray            # (p,): (1/n) Yr' W tr, in fitting scale
+    gram: _Gram               # (1/n) Yr' W Yr, on demand
+    ty: np.ndarray            # (p,): (1/n) Yr' W tr
     tt: float                 # (1/n) tr' W tr
-    scale: np.ndarray         # (p,) column scales applied (ones if standardize off)
     penalized: np.ndarray     # (p,) bool mask, False for degenerate columns
 
 
-def _moments(z: np.ndarray, r_t: np.ndarray, n: int, standardize: bool) -> _Moments:
+def _moments(z: np.ndarray, r_t: np.ndarray, n: int) -> _Moments:
     """The moments of weighted concentrated outcomes ``z`` and response
-    ``r_t`` (any rows with the moments ``n`` times the problem's): degenerate
-    columns are masked and, with ``standardize``, the rest scaled to unit
-    second moment."""
+    ``r_t`` (any rows with the moments ``n`` times the problem's), with
+    degenerate columns masked."""
     diag = np.einsum("ij,ij->j", z, z) / n
     ty, tt = z.T @ r_t / n, float(r_t @ r_t / n)
     penalized = diag > _DEGENERATE_REL * max(1.0, float(diag.max(initial=0.0)))
-    scale = np.ones(diag.shape[0])
-    if standardize and penalized.any():
-        scale = np.where(penalized, np.sqrt(np.maximum(diag, 0.0)), 1.0)
-        ty = ty / scale
-    return _Moments(_Gram(z, scale, diag, n), ty, tt, scale, penalized)
+    return _Moments(_Gram(z, diag, n), ty, tt, penalized)
 
 
 def _weighted_columns(ds: TrialDataset) -> np.ndarray:
@@ -476,7 +466,7 @@ def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
               objective_trace=None, block=None) -> tuple[np.ndarray, int, bool]:
     """Coordinate descent on the concentrated problem, with exact steps.
 
-    Returns ``(beta, sweeps, converged)`` with ``beta`` in fitting scale and
+    Returns ``(beta, sweeps, converged)`` with ``beta`` a new array and
     ``sweeps`` the exact steps, extensions and scalar sweeps (each counted
     against ``max_iter``). With ``|A| >= _BLOCK_MIN`` an iteration is an exact
     step (:class:`_Block`, a path walk's ``block``); after one that crosses no
@@ -551,9 +541,9 @@ def _cd_solve(problem: _Moments, config: EnetConfig, lam: float, beta0=None,
 
 def _assemble_fit(slopes: np.ndarray | None, rows: np.ndarray, n: int, lam: float,
                   beta: np.ndarray, sweeps: int, converged: bool) -> EnetFit:
-    """Package a fresh original-scale ``beta`` with its covariate block (from
-    the ``slopes``) and RSS (from the concentrated ``rows`` ``[z | r_t]``,
-    whose residuals ``r_t - z beta`` have the weighted RSS times ``n``)."""
+    """Package a fresh ``beta`` with its covariate block (from the
+    ``slopes``) and RSS (from the concentrated ``rows`` ``[z | r_t]``, whose
+    residuals ``r_t - z beta`` have the weighted RSS times ``n``)."""
     alpha = np.zeros(0)
     if slopes is not None:
         alpha = slopes[:, -1] - slopes[:, :-1] @ beta
@@ -582,14 +572,13 @@ def _lambda_max_from(problem: _Moments, l1_ratio: float) -> float:
     return float(np.max(np.abs(problem.ty[problem.penalized]))) / l1_ratio
 
 
-def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0,
-               standardize: bool = False) -> float:
+def lambda_max(ds: TrialDataset, l1_ratio: float = 1.0) -> float:
     """Smallest penalty at which the fitted ``beta`` is identically zero: the
     largest absolute weighted cross moment between the covariate-concentrated
     centered outcomes and the uncentered response, over ``l1_ratio``."""
     if not 0.0 < l1_ratio <= 1.0:
         raise DataError(f"l1_ratio must be in (0, 1], got {l1_ratio}")
-    moments = WeightedProblem.from_dataset(ds).prepare(standardize)[0]
+    moments = WeightedProblem.from_dataset(ds).prepare()[0]
     return _lambda_max_from(moments, l1_ratio)
 
 
@@ -623,16 +612,17 @@ def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
 
 def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
     """Yield ``(lam, beta, sweeps, converged)`` down the grid with warm
-    starts, ``beta`` a fresh original-scale array. The top-of-grid solution is
-    identically zero by construction of ``lambda_max`` and is emitted without
-    iterating. One :class:`_Block` serves every grid point, so its factor is
-    extended down the path (and rebuilt at each point for an elastic net)."""
+    starts, ``beta`` a copy that the walk never reads. The top-of-grid
+    solution is identically zero by construction of ``lambda_max`` and is
+    emitted without iterating. One :class:`_Block` serves every grid point,
+    so its factor is extended down the path (and rebuilt at each point for an
+    elastic net)."""
     beta = np.zeros(problem.ty.shape[0])
     block = _Block(problem)
-    yield float(grid[0]), beta / problem.scale, 0, True
+    yield float(grid[0]), beta.copy(), 0, True
     for lam in grid[1:]:
         beta, sweeps, converged = _cd_solve(problem, config, lam, beta0=beta, block=block)
-        yield float(lam), beta / problem.scale, sweeps, converged
+        yield float(lam), beta.copy(), sweeps, converged
 
 
 def _knot_path(problem: _Moments, grid: np.ndarray):
@@ -671,7 +661,7 @@ def _knot_path(problem: _Moments, grid: np.ndarray):
         if lams[g] > lam - step:
             at = np.zeros(p)
             at[order] = b + (lam - lams[g]) * v
-            yield lams[g], at / problem.scale, 0, True
+            yield lams[g], at, 0, True
         if lam - step <= lams[-1]:
             return
         beta[order], lam = b + step * v, lam - step
@@ -690,7 +680,7 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     is ignored; every grid point gets its own fit.
     """
     min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
-    moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare(config.standardize)
+    moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare()
     grid, lam_top = _path_grid(moments, config, n_lambdas, min_ratio)
     fits = tuple(_assemble_fit(slopes, rows, ds.n, *point)
                  for point in _walk_path(moments, grid, config))
@@ -702,9 +692,9 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
 def walk_path(ds: TrialDataset, n_lambdas: int = 100,
               lambda_min_ratio: float | None = None, config: EnetConfig = EnetConfig()):
     """The grid of :func:`regularization_path`, walked lazily: an iterator of
-    ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh original-scale
-    array. Builds no :class:`EnetFit`, so a caller that stops early pays only
-    for the grid points it reads. Arguments are checked on the call."""
+    ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh array. Builds
+    no :class:`EnetFit`, so a caller that stops early pays only for the grid
+    points it reads. Arguments are checked on the call."""
     return WeightedProblem.from_dataset(ds).walk_path(n_lambdas, lambda_min_ratio, config)
 
 
@@ -759,28 +749,26 @@ class WeightedProblem:
         m = self.m
         return project_columns(self.rows[:, :m], self.rows[:, m:], "weighted covariate block")
 
-    def prepare(self, standardize: bool,
-                slopes: bool = True) -> tuple[_Moments, np.ndarray | None, np.ndarray]:
+    def prepare(self, slopes: bool = True) -> tuple[_Moments, np.ndarray | None, np.ndarray]:
         """The moments of the covariate-concentrated problem, with what
         reports a fit: the covariate slopes (``None`` without covariates, and
         where ``slopes`` is false they may be) and the concentrated rows
         ``[z | r_t]``."""
         coef, rows = self._concentrate(slopes) if self.m else (None, self.rows)
-        return _moments(rows[:, :self.p], rows[:, self.p], self.n, standardize), coef, rows
+        return _moments(rows[:, :self.p], rows[:, self.p], self.n), coef, rows
 
     def fit(self, config: EnetConfig) -> EnetFit:
         """The fit of :func:`fit_weighted_enet`, on this problem."""
-        moments, slopes, rows = self.prepare(config.standardize)
+        moments, slopes, rows = self.prepare()
         beta, sweeps, converged = _cd_solve(moments, config, config.lam)
-        return _assemble_fit(slopes, rows, self.n, config.lam, beta / moments.scale,
-                             sweeps, converged)
+        return _assemble_fit(slopes, rows, self.n, config.lam, beta, sweeps, converged)
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig(), knots: bool = False):
         """The lazy walk of :func:`walk_path`, on this problem; with ``knots``, a
         lasso path's first grid point below each knot, exact (:func:`_knot_path`)."""
         min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
-        moments = self.prepare(config.standardize, slopes=False)[0]
+        moments = self.prepare(slopes=False)[0]
         grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
         return (_knot_path(moments, grid) if knots and config.l1_ratio == 1.0
                 else _walk_path(moments, grid, config))

@@ -79,6 +79,35 @@ def test_header_names_are_found_with_a_bom_or_padding(tmp_path, header, encoding
     assert (row["index"], row["label"]) == ("1", "y1")
 
 
+def test_outcome_cols_loads_exactly_the_named_columns(trial_csv, tmp_path):
+    """``--outcome-cols y1,y3`` gives two outcome columns in that order, so
+    the planted ``y1`` is selected as index 0."""
+    outdir = tmp_path / "sel"
+    assert main(["select", str(trial_csv), "--outcome-cols", "y1,y3", "--s", "1",
+                 "--outdir", str(outdir)]) == 0
+    (row,) = _read_rows(outdir / "selection.csv")
+    assert (row["index"], row["label"]) == ("0", "y1")
+
+
+def test_a_missing_outcome_column_exits_2(trial_csv, tmp_path, capsys):
+    assert main(["select", str(trial_csv), "--outcome-cols", "y1,nope", "--s", "1",
+                 "--outdir", str(tmp_path / "sel")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "data" and "'nope' not found" in record["message"]
+
+
+def test_covariate_cols_takes_an_explicit_list(trial_csv):
+    """Named covariates replace the ``x`` prefix convention; the outcomes
+    are still found by theirs."""
+    ds = _load_dataset({"data": str(trial_csv), "treatment_col": "treatment",
+                        "outcome_cols": "", "covariate_cols": "x1"})
+    full = _load_dataset({"data": str(trial_csv), "treatment_col": "treatment",
+                          "outcome_cols": "", "covariate_cols": ""})
+    assert ds.column_labels == full.column_labels == ("y0", "y1", "y2", "y3")
+    assert ds.covariates.shape == (120, 1) and full.covariates.shape == (120, 2)
+    assert ds.covariates[:, 0].tobytes() == full.covariates[:, 1].tobytes()
+
+
 @pytest.mark.parametrize("where", ["header", "body"])
 def test_a_csv_that_is_not_utf8_is_a_data_error(trial_csv, tmp_path, capsys, where):
     """A 0xff byte in the header, or in the last row of a file long enough
@@ -231,6 +260,28 @@ def test_path_output(trial_csv, tmp_path):
     assert "0" in last_active and "1" in last_active
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--n-lambdas", "1"], "n_lambdas must be >= 2, got 1"),
+    (["--lambda-min-ratio", "1.5"], "lambda_min_ratio must be in (0, 1), got 1.5"),
+], ids=["n-lambdas", "lambda-min-ratio"])
+def test_path_with_a_bad_grid_exits_2(trial_csv, tmp_path, capsys, option, message):
+    assert main(["path", str(trial_csv), *option, "--outdir", str(tmp_path / "path")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": message}
+
+
+def test_path_on_constant_outcomes_exits_3(tmp_path, capsys):
+    """With every outcome column constant no column is penalized, so the
+    grid's top penalty is zero: a numerical error, and no path.csv."""
+    path = tmp_path / "constant.csv"
+    path.write_text("treatment,y0,y1\n" + "1,1.0,2.0\n0,1.0,2.0\n" * 5)
+    outdir = tmp_path / "path"
+    assert main(["path", str(path), "--outdir", str(outdir)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "numerical" and "lambda_max is zero" in record["message"]
+    assert not (outdir / "path.csv").exists()
+
+
 def test_simulate_recovery(tmp_path):
     outdir = tmp_path / "sim"
     code = main([
@@ -301,6 +352,27 @@ def test_semisynth_small_run(tmp_path):
     rows = _read_rows(outdir / "metrics.csv")
     methods = {r["method"] for r in rows}
     assert {"fixed_240min", "fixed_120min", "proposed"} <= methods
+
+
+def test_an_arm_that_failed_in_every_replicate_keeps_its_row(tmp_path):
+    """The proposed arm fails in all 3 replicates here (at n = 60 a split
+    half's 24 finest-level covariates are collinear); metrics.csv still has
+    its row, with size, metric and value empty, and ``rerun`` writes the
+    same bytes."""
+    outdir = tmp_path / "ss"
+    assert main(["semisynth", "--n", "60", "--alpha", "20", "--replicates", "3",
+                 "--B", "8", "--gamma", "0.25", "--estimator", "dim",
+                 "--outdir", str(outdir)]) == 0
+    written = (outdir / "metrics.csv").read_bytes()
+    assert written.decode().splitlines() == [
+        "method,size,metric,value,replicates,failures",
+        "fixed_240min,,power,0.0,3,0",
+        "fixed_120min,,power,0.0,3,0",
+        "proposed,,,,3,3",
+    ]
+    replay = tmp_path / "replay"
+    assert main(["rerun", str(outdir / "manifest.json"), "--outdir", str(replay)]) == 0
+    assert (replay / "metrics.csv").read_bytes() == written
 
 
 def test_rerun_reproduces_bytes(trial_csv, tmp_path):
@@ -410,12 +482,44 @@ def test_rerun_replays_a_manifest_that_records_jobs(tmp_path, monkeypatch, comma
         assert (outdir / "metrics.csv").read_bytes() == metrics.encode()
 
 
-def test_rerun_rejects_broken_manifest(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    ('{"command": "select"}', "lacks 'command'/'params' fields"),
+    ("not json", "is not valid JSON"),
+    ('{"command": "bogus", "params": {}}', "manifest names unknown command 'bogus'"),
+], ids=["no-params", "not-json", "unknown-command"])
+def test_rerun_rejects_broken_manifest(tmp_path, capsys, text, message):
     bad = tmp_path / "manifest.json"
-    bad.write_text("{\"command\": \"select\"}")
-    assert main(["rerun", str(bad)]) == 2
+    bad.write_text(text)
+    assert main(["rerun", str(bad), "--outdir", str(tmp_path / "out")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
-    assert "params" in record["message"]
+    assert record["error"] == "data" and message in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+# The params and output files of a multisplit manifest written before
+# ``multisplit`` read the solver's tol and max_iter from ``EnetConfig``.
+_OLD_MULTISPLIT = (
+    {"B": 5, "covariate_cols": "", "estimator": None, "fraction": 0.5, "gamma": 0.05,
+     "l1_ratio": None, "lam": 0.05, "outcome_cols": "", "s": None, "seed": 0,
+     "selection": "enet", "treatment_col": "treatment", "two_sided": False},
+    {"multisplit_per_dim.csv": "index,label,p,selection_frequency\r\n"
+                               "0,y0,8.799539141933429e-10,1.0\r\n"
+                               "1,y1,7.457995867366933e-13,1.0\r\n"
+                               "2,y2,1.0,1.0\r\n3,y3,1.0,1.0\r\n",
+     "multisplit_group.csv": "p,gamma,B\r\n2.5237158794972797e-28,0.05,5\r\n"},
+)
+
+
+def test_rerun_replays_an_old_multisplit_manifest(trial_csv, tmp_path):
+    """An elastic-net multisplit, whose penalty fits iterate, replays its
+    recorded files byte for byte with the solver defaults."""
+    params, files = _OLD_MULTISPLIT
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "multisplit",
+                                    "params": dict(params, data=str(trial_csv))}))
+    assert main(["rerun", str(manifest), "--outdir", str(tmp_path / "replay")]) == 0
+    for name, text in files.items():
+        assert (tmp_path / "replay" / name).read_bytes() == text.encode()
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):

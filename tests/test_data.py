@@ -725,14 +725,11 @@ def test_the_plan_memo_drops_its_oldest_plan(monkeypatch):
     assert len(derived) == len(groupings)
 
 
-def test_center_columns_plain_and_weighted():
+def test_center_columns_plain():
     m = np.array([[1.0, 10.0], [3.0, 30.0]])
     centered, means = center_columns(m)
     np.testing.assert_allclose(means, [2.0, 20.0])
     np.testing.assert_allclose(centered, [[-1.0, -10.0], [1.0, 10.0]])
-    centered_w, means_w = center_columns(m, weights=[3.0, 1.0])
-    np.testing.assert_allclose(means_w, [1.5, 15.0])
-    np.testing.assert_allclose(centered_w[:, 0], [-0.5, 1.5])
 
 
 def test_center_columns_vector_input():
@@ -740,12 +737,3 @@ def test_center_columns_vector_input():
     assert centered.shape == (3,)
     np.testing.assert_allclose(means, [2.0])
     np.testing.assert_allclose(centered, [-1.0, 0.0, 1.0])
-
-
-def test_center_columns_weight_errors():
-    with pytest.raises(DataError, match="nonnegative"):
-        center_columns([[1.0], [2.0]], weights=[-1.0, 1.0])
-    with pytest.raises(DataError, match="sum to zero"):
-        center_columns([[1.0], [2.0]], weights=[0.0, 0.0])
-    with pytest.raises(DataError, match="shape"):
-        center_columns([[1.0], [2.0]], weights=[1.0, 1.0, 1.0])

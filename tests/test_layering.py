@@ -2,9 +2,9 @@
 private names, the covariate regression has one implementation, and so
 do the Cholesky factorization of the solver's exact steps, the
 propensity weighting, the singularity rule of small solves, the
-experiments' replicate loop and the forking of worker processes; only the
-scipy modules the package calls are imported, and no package that starts
-processes."""
+experiments' replicate loop and the forking of worker processes; no
+function takes the weights as an argument; only the scipy modules the
+package calls are imported, and no package that starts processes."""
 
 import ast
 import os
@@ -109,6 +109,17 @@ def process_imports(path: Path) -> list[str]:
             if module.split(".")[0] in ("multiprocessing", "concurrent", "subprocess")]
 
 
+def parameters_named(path: Path, name: str) -> list[str]:
+    """``file:function`` for each function or lambda of one source file with
+    a parameter called ``name``, of any kind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{getattr(fn, 'name', '<lambda>')}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and any(arg.arg == name for arg in (
+                *fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs,
+                *filter(None, (fn.args.vararg, fn.args.kwarg))))]
+
+
 def scipy_imports(path: Path) -> list[str]:
     """``file: module`` for each scipy module one source file imports; a name
     imported from the bare ``scipy`` package counts as its subpackage."""
@@ -183,6 +194,33 @@ def test_propensity_weights_enter_in_one_function():
                  lambda node: isinstance(node, ast.Call)
                  and _called_name(node) == "propensity_weights")]
     assert found == ["wlasso.py:_weighted_columns"]
+
+
+def test_no_function_takes_the_weights():
+    """The weights are a fixed function of the treatments, so every entry
+    point derives them (``wlasso.propensity_weights``) and none, public or
+    private, has a ``weights`` parameter through which they could differ."""
+    found = [line for path in sorted(PACKAGE.glob("*.py"))
+             for line in parameters_named(path, "weights")]
+    assert found == []
+
+
+def test_parameters_named_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def center(matrix, weights=None):\n"
+        "    return matrix\n"
+        "class Fit:\n"
+        "    def run(self, *, weights):\n"
+        "        return (lambda weights, /: weights)(weights)\n"
+        "def spread(*weights, **kw):\n"
+        "    return weights\n"
+        "def other(weight, w, *args, **weights_by_arm):\n"
+        "    weights = w\n"
+        "    return weights\n"
+    )
+    assert parameters_named(sample, "weights") == [
+        "sample.py:center", "sample.py:spread", "sample.py:run", "sample.py:<lambda>"]
 
 
 def test_factor_routes_are_detected(tmp_path):

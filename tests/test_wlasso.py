@@ -220,6 +220,21 @@ def test_path_structure_and_warm_start_agreement():
     assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
 
 
+@pytest.mark.parametrize("l1_ratio, knots", [(1.0, False), (0.5, False), (1.0, True)])
+def test_a_walk_never_reads_the_betas_it_yields(l1_ratio, knots):
+    """Each yielded ``beta`` is the caller's: overwriting every one as it
+    arrives changes none of the points after it, warm starts included."""
+    problem = WeightedProblem.from_dataset(random_dataset(29, n=50, p=12, m=2))
+    config = EnetConfig(l1_ratio=l1_ratio)
+    want = [(lam, beta.tobytes(), sweeps)
+            for lam, beta, sweeps, _ in problem.walk_path(30, config=config, knots=knots)]
+    got = []
+    for lam, beta, sweeps, _ in problem.walk_path(30, config=config, knots=knots):
+        got.append((lam, beta.tobytes(), sweeps))
+        beta[:] = 1.0
+    assert len(got) > 5 and got == want
+
+
 @pytest.fixture
 def sweep_log(monkeypatch):
     """Record every iteration of ``_cd_solve`` in order: ``("block", taken)``
@@ -256,9 +271,9 @@ def sweep_log(monkeypatch):
 
 
 def lazy_gram(z):
-    """The on-demand Gram ``(1/n) z'z`` of an ``(n, p)`` matrix, unscaled."""
+    """The on-demand Gram ``(1/n) z'z`` of an ``(n, p)`` matrix."""
     n = z.shape[0]
-    return wlasso._Gram(z, np.ones(z.shape[1]), np.einsum("ij,ij->j", z, z) / n, n)
+    return wlasso._Gram(z, np.einsum("ij,ij->j", z, z) / n, n)
 
 
 def dense_gram(gram):
@@ -269,7 +284,7 @@ def dense_gram(gram):
 def path_problem(ds, config, n_lambdas):
     """The concentrated problem of ``ds`` and the penalty grid a path walk
     over it uses."""
-    problem = WeightedProblem.from_dataset(ds).prepare(config.standardize)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     ratio = _min_ratio(ds.n, ds.p, n_lambdas, None)
     return problem, _path_grid(problem, config, n_lambdas, ratio)[0]
 
@@ -321,13 +336,13 @@ def reference_cd_solve(problem, config, lam, beta0=None):
 TIGHT = EnetConfig(tol=1e-12)
 
 
-@pytest.mark.parametrize("standardize, m", [(False, 0), (True, 3)])
-def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(standardize, m):
+@pytest.mark.parametrize("m", [0, 3])
+def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(m):
     """Columns read in any order form an exactly symmetric matrix whose
     diagonal is bit for bit ``gram.diag``, equal to the dense weighted
-    moments ``(1/n) Yr' W Yr / (scale scale')`` up to rounding."""
+    moments ``(1/n) Yr' W Yr`` up to rounding."""
     ds = random_dataset(53, n=50, p=37, m=m)
-    problem = WeightedProblem.from_dataset(ds).prepare(standardize)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     order = np.random.default_rng(0).permutation(ds.p)
     for j in order[:5]:
         problem.gram[int(j)]
@@ -340,7 +355,7 @@ def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(standar
         xc = ds.covariates - ds.covariates.mean(axis=0)
         sw = np.sqrt(w)[:, None]
         yr = yr - xc @ np.linalg.lstsq(xc * sw, yr * sw, rcond=None)[0]
-    dense = (yr * w[:, None]).T @ yr / ds.n / np.outer(problem.scale, problem.scale)
+    dense = (yr * w[:, None]).T @ yr / ds.n
     np.testing.assert_allclose(gram, dense, rtol=1e-10, atol=1e-12)
 
 
@@ -456,7 +471,7 @@ def test_sign_flip_mid_solve_falls_back_to_scalar_sweep(sweep_log):
     reference's."""
     ds = factor_dataset(1)
     config = EnetConfig()
-    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     top = lambda_max(ds)
     start, _, _ = _cd_solve(problem, config, 0.3 * top)
     assert np.count_nonzero(start) >= wlasso._BLOCK_MIN
@@ -572,7 +587,7 @@ def singular_start(seed):
     outcomes, a warm start with ``|A| = n - m`` nonzero coefficients (so the
     active Gram is singular) and a penalty well below ``lambda_max``."""
     ds = random_dataset(seed, n=24, p=40, m=2)
-    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     rng = np.random.default_rng(seed)
     active = np.sort(rng.choice(ds.p, ds.n - ds.m, replace=False))
     beta0 = np.zeros(ds.p)
@@ -648,14 +663,14 @@ def test_an_entering_copy_of_an_active_column_falls_back_to_scalar_sweeps(sweep_
     the fit is the tight reference's."""
     ds = factor_dataset(2)
     lam = 0.05 * lambda_max(ds)
-    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     start, _, _ = _cd_solve(problem, EnetConfig(), lam)
     active = np.flatnonzero(start)
     assert active.size >= wlasso._BLOCK_MIN
     copied = int(active[0])
     wide = TrialDataset(ds.treatments, np.column_stack([ds.outcomes,
                                                         2.0 * ds.outcomes[:, copied]]))
-    problem = WeightedProblem.from_dataset(wide).prepare(False)[0]
+    problem = WeightedProblem.from_dataset(wide).prepare()[0]
     assert not wlasso._Block(problem).cover(np.append(active, ds.p), 0.0)
     sweep_log.clear()
     beta, _, converged = _cd_solve(problem, EnetConfig(), lam, beta0=np.append(start, 0.0))
@@ -673,7 +688,7 @@ def test_a_failed_check_after_a_final_exact_step_hands_over_to_the_scalar_loop(s
     its tests and is kept: the next solve on the same block steps on it
     without factoring again."""
     ds = factor_dataset(1)
-    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     lam = 0.05 * lambda_max(ds)
     start, _, converged = _cd_solve(problem, EnetConfig(), lam)
     assert converged and np.count_nonzero(start) >= wlasso._BLOCK_MIN
@@ -703,7 +718,7 @@ def test_solves_sharing_a_block_return_what_they_return_on_a_fresh_one(sweep_log
     exact step that leaves no violator hands over to the scalar loop."""
     ds = (random_dataset(23, n=50, p=wlasso._BLOCK_MIN - 1, m=2) if design == "scalar"
           else factor_dataset(1))
-    problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+    problem = WeightedProblem.from_dataset(ds).prepare()[0]
     lam = 0.05 * lambda_max(ds)
     shared = wlasso._Block(problem)
     starts, outcomes, handed_over = {}, set(), False
@@ -815,7 +830,7 @@ def test_small_problem_stays_bit_identical_to_scalar_reference(sweep_log, l1_rat
     for (lam, beta, iterations, _), ref_lam in zip(points[1:], grid[1:]):
         ref, sweeps, _ = reference_cd_solve(problem, config, ref_lam, ref)
         assert iterations == sweeps
-        assert beta.tobytes() == (ref / problem.scale).tobytes()
+        assert beta.tobytes() == ref.tobytes()
     assert {kind for kind, _ in sweep_log} == {"scalar"}
 
 
@@ -827,7 +842,7 @@ def test_objective_never_increases_within_a_solve(sweep_log):
         (random_dataset(7, n=60, p=100), 0.05, True),
     ]
     for ds, ratio, takes_block_steps in cases:
-        problem = WeightedProblem.from_dataset(ds).prepare(False)[0]
+        problem = WeightedProblem.from_dataset(ds).prepare()[0]
         lam = ratio * lambda_max(ds)
         trace = []
         sweep_log.clear()
@@ -836,16 +851,6 @@ def test_objective_never_increases_within_a_solve(sweep_log):
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-12)
         assert (("block", True) in sweep_log) == takes_block_steps
-
-
-def test_standardize_matches_plain_fit_when_unpenalized():
-    ds = random_dataset(37, n=60, p=5, m=2)
-    plain = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
-    scaled = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12, standardize=True))
-    np.testing.assert_allclose(scaled.beta, plain.beta, rtol=1e-6, atol=1e-9)
-    top = lambda_max(ds, standardize=True)
-    fit = fit_weighted_enet(ds, EnetConfig(lam=top, standardize=True))
-    assert fit.active_set == ()
 
 
 def test_constant_outcome_column_is_pinned_at_zero():
@@ -934,20 +939,19 @@ def collinear_dataset(seed, n=200, p=4, spread=1e-6):
     return TrialDataset(t, y, x)
 
 
-@pytest.mark.parametrize("standardize", [False, True])
-def test_level_problems_keep_the_conditioning_of_the_row_wise_moments(standardize):
+def test_level_problems_keep_the_conditioning_of_the_row_wise_moments():
     """With covariates of condition number about 1e6, a level's moments,
     path and subset RSS from the shared factor agree to 1e-8 with
     the row-wise projection on the aggregated dataset."""
     ds = collinear_dataset(61)
     levels = [[(0,), (1,), (2,), (3,)], [(0, 2), (1, 3)]]
-    config = EnetConfig(standardize=standardize)
+    config = EnetConfig()
     for grouping, level in zip(levels, level_problems(ds, levels)):
         agg = aggregate_columns(ds, grouping)
-        want = WeightedProblem.from_dataset(agg).prepare(standardize)[0]
-        got = level.prepare(standardize)[0]
+        want = WeightedProblem.from_dataset(agg).prepare()[0]
+        got = level.prepare()[0]
         np.testing.assert_array_equal(got.penalized, want.penalized)
-        for name in ("ty", "scale", "tt"):
+        for name in ("ty", "tt"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-8)
         np.testing.assert_allclose(dense_gram(got.gram), dense_gram(want.gram),
                                    rtol=1e-8, atol=1e-8 * want.gram.diag.max())
@@ -969,7 +973,7 @@ def test_level_problems_reject_a_duplicated_covariate_as_prepare_does():
     (level,) = level_problems(ds, [grouping])
     message = "singular weighted covariate block \\(rank 3 < m=4\\)"
     with pytest.raises(NumericalError, match=message):
-        WeightedProblem.from_dataset(aggregate_columns(ds, grouping)).prepare(False)
+        WeightedProblem.from_dataset(aggregate_columns(ds, grouping)).prepare()
     with pytest.raises(NumericalError, match=message):
         level.walk_path()
     with pytest.raises(NumericalError, match=message):
