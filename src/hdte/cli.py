@@ -123,7 +123,7 @@ def _selection_spec(params) -> SelectionSpec:
 
 
 def _write_rows(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -157,28 +157,33 @@ def _run_select(params, outdir: Path) -> None:
 
 
 def _read_selected_indices(path, p: int) -> tuple[int, ...]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "index" not in reader.fieldnames:
-            raise DataError(f"{path} has no 'index' column")
-        rows_of: dict[int, int] = {}
-        for row_number, row in enumerate(reader, start=2):
-            raw = row["index"]
-            try:
-                j = int(raw)
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path} row {row_number}: index {raw!r} is not an integer"
-                ) from None
-            if not 0 <= j < p:
-                raise DataError(
-                    f"{path} row {row_number}: index {j} out of range for "
-                    f"{p} outcome columns"
-                )
-            if j in rows_of:
-                raise DataError(f"{path} row {row_number}: index {j} is listed "
-                                f"twice (first at row {rows_of[j]})")
-            rows_of[j] = row_number
+    """The outcome indices of a selection CSV's ``index`` column, in row
+    order; the file is read as UTF-8, as :func:`hdte.data.load_csv` reads."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or "index" not in reader.fieldnames:
+                raise DataError(f"{path} has no 'index' column")
+            rows_of: dict[int, int] = {}
+            for row_number, row in enumerate(reader, start=2):
+                raw = row["index"]
+                try:
+                    j = int(raw)
+                except (TypeError, ValueError):
+                    raise DataError(
+                        f"{path} row {row_number}: index {raw!r} is not an integer"
+                    ) from None
+                if not 0 <= j < p:
+                    raise DataError(
+                        f"{path} row {row_number}: index {j} out of range for "
+                        f"{p} outcome columns"
+                    )
+                if j in rows_of:
+                    raise DataError(f"{path} row {row_number}: index {j} is listed "
+                                    f"twice (first at row {rows_of[j]})")
+                rows_of[j] = row_number
+    except UnicodeDecodeError as exc:   # as load_csv reports it
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
     return tuple(rows_of)
 
 
@@ -318,7 +323,7 @@ def _execute(command: str, params: dict, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     _RUNNERS[command](params, outdir)
     manifest = {"command": command, "params": params, "versions": _versions()}
-    with open(outdir / "manifest.json", "w") as handle:
+    with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
     click.echo(f"{command}: outputs written to {outdir}")
@@ -515,7 +520,9 @@ def rerun(manifest, outdir):
     """
     manifest_path = Path(manifest).resolve()
     try:
-        record = json.loads(manifest_path.read_text())
+        record = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{manifest_path} is not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(record, dict) or "command" not in record or "params" not in record:

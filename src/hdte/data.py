@@ -182,7 +182,8 @@ class SplitPair:
 @dataclass(frozen=True)
 class CsvSchema:
     """Column roles for CSV ingestion: one treatment column, outcome columns,
-    optional covariate columns."""
+    optional covariate columns. Header names are matched stripped, so a name
+    with surrounding whitespace, which no header could match, is an error."""
 
     treatment: str
     outcomes: tuple[str, ...]
@@ -196,6 +197,8 @@ class CsvSchema:
         names = [self.treatment, *self.outcomes, *self.covariates]
         seen = set()
         for name in names:
+            if name != name.strip():
+                raise DataError(f"column {name!r} has surrounding whitespace")
             if name in seen:
                 raise DataError(f"column {name!r} appears twice in the schema")
             seen.add(name)
@@ -293,15 +296,19 @@ def _parse_rows(rows, schema: CsvSchema, columns: list[int], width: int) -> np.n
     return np.array(parsed, dtype=np.float64).reshape(len(parsed), len(columns))
 
 
-# A data block is parsed in parallel when it holds at least two parts of
-# this many bytes: the crossover of two children against one pass, measured
-# on 2 vCPUs as each load in a loop of CLI commands (median load time, serial
-# against parallel): 2.1 MB of 550-column rows 59-62 against 81-84 ms,
-# 8.5 MB of them 225-246 against 168-234 ms, 8.5 MB of 4011-column rows
-# 232-239 against 151-158 ms, 39 MB 945 against 572 ms. Loads alone in a
-# loop cross over near 2 MB, but amid a program's other work the forks, the
-# write faults they leave the parent and a second CPU slow to take up a
-# child cost more.
+# A data block is parsed, and a CSV written, in parallel when it holds at
+# least two parts of this many bytes. For a load it is the crossover of two
+# children against one pass, measured on 2 vCPUs as each load in a loop of
+# CLI commands (median load time, serial against parallel): 2.1 MB of
+# 550-column rows 59-62 against 81-84 ms, 8.5 MB of them 225-246 against
+# 168-234 ms, 8.5 MB of 4011-column rows 232-239 against 151-158 ms, 39 MB
+# 945 against 572 ms. Loads alone in a loop cross over near 2 MB, but amid a
+# program's other work the forks, the write faults they leave the parent and
+# a second CPU slow to take up a child cost more. Writes alone in a loop,
+# on the same CPUs, cross over lower still (median write, serial against
+# two parts, 550-column rows: 0.54 MB 33 against 23 ms, 2.2 MB 138 against
+# 79 ms, 8.6 MB 388 against 281 ms), but they keep this bound, so a file
+# under 8 MiB, such as a 2.1 MB design, is written in one pass.
 _PART_MIN_BYTES = 4 << 20
 
 
@@ -461,24 +468,105 @@ def _split_block(block: np.ndarray, p: int) -> tuple:
     return treatments, _freeze(flat[:n * p].reshape(n, p)), covariates
 
 
+def _line(t: int, outcomes: np.ndarray, covariates: np.ndarray) -> bytes:
+    """One data row of :func:`write_csv`, UTF-8 encoded. A number never needs
+    quoting, so the cells are joined as ``csv.writer`` would write them,
+    without its per-field checks."""
+    return (",".join([str(t), *map(repr, outcomes.tolist()), *map(repr, covariates.tolist())])
+            + "\r\n").encode("utf-8")
+
+
+def _write_lines(out, rows) -> None:
+    """Write each row of ``rows`` to the binary file ``out`` as its
+    :func:`_line`, converting one row at a time, so no Python copy of the
+    whole matrix is held."""
+    for row in rows:
+        out.write(_line(*row))
+
+
+# A child's part is copied from its pipe into the file through a buffer of
+# this many bytes, a pipe's default capacity: no read returns more.
+_COPY_BYTES = 1 << 16
+
+
+def _write_parallel(out, rows, bounds: list[int]) -> bool:
+    """Write the rows ``bounds[0]:bounds[-1]`` to ``out`` (a flushed binary
+    file) as :func:`_write_lines` writes them, in one part per pair of
+    consecutive bounds. ``False`` where :func:`hdte.forking.run_forked`
+    returns ``None`` (a fork or a pipe failed); rows may then have been
+    written, and the caller writes them again.
+
+    This process writes part 0, while forked children format the others:
+    child ``k`` formats part ``k + 1`` into memory and sends its length and
+    then its bytes. This process then copies each child's part into the
+    file in order, :data:`_COPY_BYTES` at a time. A part that arrives short
+    (its child raised or died) is truncated away and written here, so the
+    file's bytes are those of the serial route whatever the children do.
+    """
+    def write(k: int, fd: int) -> None:
+        part = io.BytesIO()
+        _write_lines(part, rows(bounds[k + 1], bounds[k + 2]))
+        view = part.getbuffer()
+        with open(fd, "wb", closefd=False) as pipe:
+            pipe.write(len(view).to_bytes(8, "little"))
+            pipe.write(view)
+
+    def read(fds: list[int]) -> bool:
+        _write_lines(out, rows(bounds[0], bounds[1]))
+        size, chunk = bytearray(8), memoryview(bytearray(_COPY_BYTES))
+        for fd, lo, hi in zip(fds, bounds[1:], bounds[2:]):
+            start = out.tell()
+            left = int.from_bytes(size, "little") if fill(fd, size) else -1
+            while left > 0 and (got := os.readv(fd, [chunk[:left]])):
+                out.write(chunk[:got])
+                left -= got
+            if left:
+                out.seek(start)
+                out.truncate()
+                _write_lines(out, rows(lo, hi))
+        return True
+
+    return run_forked(len(bounds) - 2, write, read) is not None
+
+
 def write_csv(ds: TrialDataset, path) -> CsvSchema:
     """Write ``ds`` to CSV with a header and return the schema that reads it back.
 
     Floats are written in shortest round-trip form, so a load/write/load
-    cycle reproduces values bit for bit.
+    cycle reproduces values bit for bit. The file is UTF-8 whatever the
+    locale, with ``\\r\\n`` line ends. A column label with surrounding
+    whitespace raises :class:`DataError` (:class:`CsvSchema`) before the file
+    is created.
+
+    On Linux, a file estimated (the first row's length times ``n``) at two
+    or more parts of 4 MiB is written in contiguous row parts, as many as
+    the process's affinity set has CPUs and no more than such parts: this
+    process writes the first while forked children format the others
+    (:func:`_write_parallel`). The bytes are the same on either route, and
+    this process holds no part: its traced peak is the serial route's plus
+    a 64 KiB copy buffer.
     """
     outcome_names = ds.column_labels or tuple(f"y{j}" for j in range(ds.p))
     covariate_names = tuple(f"x{k}" for k in range(ds.m))
     schema = CsvSchema("treatment", outcome_names, covariate_names)
     covariates = ds.covariates if ds.covariates is not None else np.empty((ds.n, 0))
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(["treatment", *outcome_names, *covariate_names])
-        # A number never needs quoting, so data rows are joined as csv.writer
-        # would write them, without its per-field checks. Rows are converted
-        # one at a time, so no Python copy of the whole matrix is held.
-        for t, outcomes, covs in zip(ds.treatments.tolist(), ds.outcomes, covariates):
-            handle.write(",".join([str(t), *map(repr, outcomes.tolist()),
-                                   *map(repr, covs.tolist())]) + "\r\n")
+
+    def rows(lo: int, hi: int):
+        return zip(ds.treatments[lo:hi].tolist(), ds.outcomes[lo:hi], covariates[lo:hi])
+
+    header = io.StringIO()
+    csv.writer(header).writerow(["treatment", *outcome_names, *covariate_names])
+    parts = min(cpu_count(), ds.n * len(_line(*next(rows(0, 1)))) // _PART_MIN_BYTES)
+    with open(path, "wb") as out:
+        out.write(header.getvalue().encode("utf-8"))
+        if parts > 1:
+            start = out.tell()
+            out.flush()   # so no child inherits buffered bytes of the file
+            if _write_parallel(out, rows, [ds.n * k // parts for k in range(parts + 1)]):
+                return schema
+            out.seek(start)
+            out.truncate()
+        _write_lines(out, rows(0, ds.n))
     return schema
 
 

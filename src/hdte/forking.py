@@ -1,11 +1,12 @@
 """Work shared with forked children over pipes: the one place that forks.
 
 A CSV load parses the parts of a large data block in children
-(:func:`hdte.data.load_csv`); a multi-split runs shares of its splits, and
-an experiment shares of its replicates, in them (:func:`run_shared`). Each
-caller of :func:`run_forked` passes a writer that a child runs on its pipe
-and a reader the parent runs on all of them, so the forking, reaping and
-killing below never depend on the caller.
+(:func:`hdte.data.load_csv`), and a CSV write formats all but the first row
+part of a large file in them (:func:`hdte.data.write_csv`); a multi-split
+runs shares of its splits, and an experiment shares of its replicates, in
+them (:func:`run_shared`). Each caller of :func:`run_forked` passes a writer
+that a child runs on its pipe and a reader the parent runs on all of them,
+so the forking, reaping and killing below never depend on the caller.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def run_forked(count: int, write: Callable[[int, int], None],
     _sharing = True
     try:
         cpus = sorted(os.sched_getaffinity(0))
-        with open("/proc/self/stat") as stat:   # field 39, the CPU this process is on
-            here = int(stat.read().rsplit(")", 1)[1].split()[36])
+        with open("/proc/self/stat", "rb") as stat:   # field 39, the CPU this process is on
+            here = int(stat.read().rsplit(b")", 1)[1].split()[36])
         first = cpus.index(here) + 1 if here in cpus else 0
         for k in range(count):
             r, w = os.pipe()

@@ -610,7 +610,7 @@ def write_metrics_csv(results: dict[str, ExperimentMetrics], path) -> None:
     """Long-format CSV: one row per method, size, and metric. A method that
     failed in every replicate has no metric and gets one row with size,
     metric and value empty, so its failure count is written too."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["method", "size", "metric", "value", "replicates", "failures"])
         for key, metrics in results.items():

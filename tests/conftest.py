@@ -45,8 +45,8 @@ def split_route(patch, cpus: int) -> list:
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process behind, running or exited:
-    the CSV parts, the split shares and the replicate shares all reap
-    theirs before they return."""
+    the parts of a CSV load and of a CSV write, the split shares and the
+    replicate shares all reap theirs before they return."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)

@@ -496,6 +496,33 @@ def test_rerun_rejects_broken_manifest(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
+
+@pytest.mark.parametrize("command", ["rerun", "infer"])
+def test_a_manifest_or_selection_that_is_not_utf8_is_a_data_error(trial_csv, tmp_path, capsys,
+                                                                   command):
+    """A 0xff byte in a manifest, or in a selection CSV, exits 2 with the
+    one-line error that a data CSV's bad byte gives."""
+    bad = tmp_path / "bad.input"
+    if command == "rerun":
+        bad.write_bytes(b"\xff{}")
+        argv = ["rerun", str(bad)]
+    else:
+        bad.write_bytes(b"index\n\xff")
+        argv = ["infer", str(trial_csv), str(bad)]
+    assert main([*argv, "--outdir", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data",
+                      "message": f"{bad} is not UTF-8 text (invalid start byte)"}
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_select_on_an_empty_file_exits_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    assert main(["select", str(empty), "--s", "1", "--outdir", str(tmp_path / "o")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": f"{empty} is empty"}
+
 # The params and output files of a multisplit manifest written before
 # ``multisplit`` read the solver's tol and max_iter from ``EnetConfig``.
 _OLD_MULTISPLIT = (

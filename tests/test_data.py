@@ -568,6 +568,152 @@ def test_write_csv_holds_no_copy_of_the_matrix(tmp_path):
     assert peaks[1] - peaks[0] < 0.1 * (tmp_path / "200.csv").stat().st_size
 
 
+def _wide_dataset(n=60, p=1000, m=10, labels=None):
+    """A csv_wide-shaped design, ``p`` much larger than ``n``, with covariates:
+    each third of its rows writes to well over a pipe's 64 KiB."""
+    rng = np.random.default_rng(4)
+    return TrialDataset(np.tile([0, 1], n // 2), rng.standard_normal((n, p)) * 1e3,
+                        rng.standard_normal((n, m)), labels)
+
+
+def _in_parts(patch, parts: int) -> list:
+    """Let ``write_csv`` cut any file into up to ``parts`` row parts, and
+    ``load_csv`` any block into up to ``parts`` byte ranges, whatever the
+    machine's CPU count (``parts=1`` keeps both serial); the returned list
+    records the pid of each child this process forks."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    patch.setattr(data, "_PART_MIN_BYTES", 16)
+    patch.setattr(data.os, "sched_getaffinity", lambda pid: set(range(parts)))
+    patch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _written(monkeypatch, ds, path, parts: int, fault=None) -> tuple[bytes, list]:
+    """The bytes ``write_csv`` writes in ``parts`` parts, ``fault(patch,
+    pids)`` applied, and the pids of the children it forked."""
+    with monkeypatch.context() as patch:
+        pids = _in_parts(patch, parts)
+        if fault is not None:
+            fault(patch, pids)
+        write_csv(ds, path)
+    return path.read_bytes(), pids
+
+
+def _kill_mid_part(patch, pids) -> None:
+    """SIGKILL the first child when this process first reads more than 16
+    bytes from a pipe: past a part's length or shape, mid-part."""
+    parent, readv = os.getpid(), os.readv
+
+    def killing(fd, buffers):
+        if os.getpid() == parent and pids and sum(memoryview(b).nbytes for b in buffers) > 16:
+            os.kill(pids[0], signal.SIGKILL)
+            patch.setattr(os, "readv", readv)
+        return readv(fd, buffers)
+
+    patch.setattr(os, "readv", killing)
+
+
+def _raise_in_a_child(patch, pids) -> None:
+    """Make a child raise as it formats the row whose first outcome is
+    marked, before it sends any byte of its part."""
+    parent, line = os.getpid(), data._line
+
+    def raising(t, outcomes, covariates):
+        if os.getpid() != parent and outcomes[0] == 99.5:
+            raise RuntimeError("a child fails mid-part")
+        return line(t, outcomes, covariates)
+
+    patch.setattr(data, "_line", raising)
+
+
+@pytest.mark.parametrize("labels", [None, ("pré-ü", "y,1", 'q"1', "日本")],
+                         ids=["csv_wide", "non-ASCII"])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_write_csv_gives_the_serial_bytes_in_parts(tmp_path, monkeypatch, labels, parts):
+    """A file written in 2 or 3 parts, one in this process and the others
+    formatted by forked children, has the serial route's bytes: UTF-8 with
+    ``\\r\\n`` line ends, labels quoted as ``csv.writer`` quotes them."""
+    ds = _wide_dataset(p=4 if labels else 1000, labels=labels)
+    serial, pids = _written(monkeypatch, ds, tmp_path / "serial.csv", 1)
+    assert not pids
+    written, pids = _written(monkeypatch, ds, tmp_path / "parts.csv", parts)
+    assert len(pids) == parts - 1 and written == serial
+    if labels:
+        assert serial.startswith('treatment,pré-ü,"y,1","q""1",日本,x0,'.encode("utf-8"))
+    schema = write_csv(ds, tmp_path / "again.csv")
+    assert load_csv(tmp_path / "parts.csv", schema).outcomes.tobytes() == ds.outcomes.tobytes()
+
+
+@pytest.mark.parametrize("fault", [_kill_mid_part, _raise_in_a_child],
+                         ids=["killed mid-part", "raises"])
+def test_a_part_that_arrives_short_is_written_here(tmp_path, monkeypatch, fault):
+    """A child killed after it has sent its part's length and some bytes, or
+    one that raises before it sends any, leaves its part short: this process
+    truncates the file back to the part's start and formats the part itself,
+    so the bytes are the serial route's."""
+    base = _wide_dataset()
+    outcomes = base.outcomes.copy()
+    outcomes[30, 0] = 99.5   # in the second of three parts
+    ds = TrialDataset(base.treatments, outcomes, base.covariates)
+    serial, _ = _written(monkeypatch, ds, tmp_path / "serial.csv", 1)
+    written, pids = _written(monkeypatch, ds, tmp_path / "parts.csv", 3, fault)
+    assert len(pids) == 2 and written == serial
+
+
+def test_a_load_child_killed_after_its_shape_gives_the_serial_result(tmp_path, monkeypatch):
+    """A child killed once this process has read its part's shape leaves its
+    values short, so the whole block takes the serial route."""
+    ds = _wide_dataset()
+    path = tmp_path / "wide.csv"
+    schema = write_csv(ds, path)
+    with monkeypatch.context() as patch:
+        taken = _force_parts(patch, 2)
+        pids = _in_parts(patch, 2)
+        _kill_mid_part(patch, pids)
+        killed = _outcome(lambda: load_csv(path, schema))
+    assert len(pids) == 2 and taken == [False]
+    assert killed == _outcome(lambda: load_csv(path, schema))
+
+
+def test_a_write_in_parts_holds_no_part_in_this_process(tmp_path, monkeypatch):
+    """This process copies a child's part through a 64 KiB buffer: its traced
+    peak stays under a tenth of the file, where one part of two would take
+    half of it."""
+    ds = _wide_dataset(n=200)
+    path = tmp_path / "wide.csv"
+    for parts in (2, 3):
+        with monkeypatch.context() as patch:
+            pids = _in_parts(patch, parts)
+            _, peak = traced_peak(lambda: write_csv(ds, path))
+        assert len(pids) == parts - 1 and peak < 0.1 * path.stat().st_size
+
+
+def test_a_label_with_surrounding_whitespace_is_refused_before_the_write(tmp_path):
+    """No header could match such a name, as header names are matched
+    stripped, so neither the schema nor ``write_csv`` takes it."""
+    ds = TrialDataset([1, 0, 1, 0], np.arange(8.0).reshape(4, 2), column_labels=(" a", "b"))
+    with pytest.raises(DataError, match="' a' has surrounding whitespace"):
+        write_csv(ds, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+    for schema in (lambda: CsvSchema("t ", ("a",)), lambda: CsvSchema("t", ("a",), ("x\t",))):
+        with pytest.raises(DataError, match="surrounding whitespace"):
+            schema()
+
+
+def test_load_csv_on_an_empty_file_is_a_data_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(b"")
+    with pytest.raises(DataError, match="empty.csv is empty"):
+        load_csv(path, CsvSchema("treatment", ("y0",)))
+
+
 def test_load_csv_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("treatment,y0\n1,2.0\n0,1.0\n", encoding="utf-8-sig")

@@ -4,7 +4,8 @@ do the Cholesky factorization of the solver's exact steps, the
 propensity weighting, the singularity rule of small solves, the
 experiments' replicate loop and the forking of worker processes; no
 function takes the weights as an argument; only the scipy modules the
-package calls are imported, and no package that starts processes."""
+package calls are imported, and no package that starts processes; and every
+file opened as text names its encoding."""
 
 import ast
 import os
@@ -134,6 +135,34 @@ def scipy_imports(path: Path) -> list[str]:
             found += ([f"scipy.{alias.name}" for alias in node.names]
                       if node.module == "scipy" else [node.module])
     return [f"{path.name}: {module}" for module in found]
+
+
+def unnamed_encodings(path: Path) -> list[str]:
+    """``file:line`` of each call of one source file that opens a file in
+    text mode and names no encoding: ``open`` (builtin, ``io.open`` or a
+    path's method) with a mode not known to hold ``b``, ``read_text`` and
+    ``write_text``. ``os.open`` opens no text."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, owner = _called_name(node), getattr(getattr(node.func, "value", None), "id", None)
+        if name == "open" and owner != "os":
+            # a path's method takes no file argument before the mode
+            at = 1 if isinstance(node.func, ast.Name) or owner == "io" else 0
+            mode = node.args[at] if len(node.args) > at else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if isinstance(mode, ast.Constant) and "b" in mode.value:
+                continue
+            slot = at + 2
+        elif name in ("read_text", "write_text"):
+            slot = 0 if name == "read_text" else 1
+        else:
+            continue
+        if len(node.args) <= slot and all(kw.arg != "encoding" for kw in node.keywords):
+            lines.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(lines)]
 
 
 def test_no_module_imports_private_names_of_another():
@@ -274,10 +303,10 @@ def test_replicate_routes_are_detected(tmp_path):
 def test_one_function_forks_and_leaves_a_child():
     """``os.fork`` and ``os._exit`` are called in one function,
     ``forking.run_forked``, which reaps every child it forks, for the CSV
-    parts of ``load_csv``, the split shares of ``multi_split`` and the
-    replicate shares of the experiments alike: a child cannot return into
-    the caller's frames from anywhere else, and no module starts processes
-    through another package."""
+    parts of ``load_csv`` and of ``write_csv``, the split shares of
+    ``multi_split`` and the replicate shares of the experiments alike: a
+    child cannot return into the caller's frames from anywhere else, and no
+    module starts processes through another package."""
     sources = sorted(PACKAGE.glob("*.py"))
     routes = [process_routes(path) for path in sources]
     assert [call for forks, _ in routes for call in forks] == ["forking.py:run_forked"]
@@ -362,3 +391,31 @@ def test_import_hdte_leaves_scipy_stats_and_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_text_file_names_its_encoding():
+    """CSV, manifest and metrics files are written, and CSV and manifest
+    files read, as UTF-8 whatever the locale."""
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in unnamed_encodings(path)]
+    assert found == []
+
+
+def test_unnamed_encodings_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import io, os\n"
+        "from pathlib import Path\n"
+        "def f(path, fd, mode):\n"
+        "    open(path)\n"
+        "    open(path, 'w', newline='')\n"
+        "    open(path, 'rb'), open(fd, mode='wb', closefd=False)\n"
+        "    open(path, encoding='utf-8'), io.open(path, 'r', -1, 'utf-8')\n"
+        "    io.open(path, 'a')\n"
+        "    os.open(path, os.O_RDONLY)\n"
+        "    Path(path).open('w'), Path(path).open('rb')\n"
+        "    Path(path).open('r', -1, 'utf-8')\n"
+        "    Path(path).read_text(), Path(path).read_text('utf-8')\n"
+        "    Path(path).write_text('x'), Path(path).write_text('x', encoding='utf-8')\n"
+        "    open(path, mode)\n"
+    )
+    assert unnamed_encodings(sample) == [f"sample.py:{line}" for line in (4, 5, 8, 10, 12, 13, 14)]

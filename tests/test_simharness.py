@@ -108,6 +108,10 @@ def test_replicate_pair_starts_with_the_replicate(generator):
 def test_linear_model_config_validation():
     with pytest.raises(DataError, match="n must be"):
         LinearModelConfig(n=3, p=2, m=0, s_tau=1, alpha=1.0, pi=0.5, seed=0)
+    with pytest.raises(DataError, match="need p >= 1 and m >= 0, got p=0, m=0"):
+        LinearModelConfig(n=10, p=0, m=0, s_tau=0, alpha=1.0, pi=0.5, seed=0)
+    with pytest.raises(DataError, match="need p >= 1 and m >= 0, got p=2, m=-1"):
+        LinearModelConfig(n=10, p=2, m=-1, s_tau=1, alpha=1.0, pi=0.5, seed=0)
     with pytest.raises(DataError, match="s_tau"):
         LinearModelConfig(n=10, p=2, m=0, s_tau=3, alpha=1.0, pi=0.5, seed=0)
     with pytest.raises(DataError, match="pi"):
@@ -127,6 +131,8 @@ def test_independent_outcomes_generator():
     assert gap == pytest.approx(0.8, abs=0.15)
     with pytest.raises(DataError, match="s_star"):
         IndependentOutcomesGenerator(n=20, d=3, s_star=4, alpha=1.0, pi=0.5)
+    with pytest.raises(DataError, match=r"pi must be in \(0, 1\), got 0.0"):
+        IndependentOutcomesGenerator(n=20, d=3, s_star=1, alpha=1.0, pi=0.0)
 
 
 def test_glucose_traces_shape_and_range():
@@ -277,9 +283,21 @@ def test_window_level_groupings():
         assert sorted(flat) == list(range(24))
     with pytest.raises(DataError, match="multiple"):
         window_level_groupings((240, 90))
+    with pytest.raises(DataError, match="need at least one window level"):
+        window_level_groupings(())
+    with pytest.raises(DataError, match=r"must be positive, got \(60, 0\)"):
+        window_level_groupings((60, 0))
 
 
 def test_trace_config_validation():
+    with pytest.raises(DataError, match="n must be >= 4, got 3"):
+        TraceExperimentConfig(n=3, effect_magnitude=1.0, seed=0)
+    with pytest.raises(DataError, match=r"windows of \[20, 40\] minutes do not align "
+                                        "to the 15-minute grid"):
+        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0, points_per_day=96,
+                              level_window_minutes=(20, 40))
+    with pytest.raises(DataError, match="need at least one window level"):
+        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0, level_window_minutes=())
     with pytest.raises(DataError, match="grid"):
         TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
                               effect_duration_minutes=7)
