@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import platform
+from contextlib import suppress
 from importlib.metadata import PackageNotFoundError, version as _dist_version
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .data import CsvSchema, load_csv
 from .errors import DataError, HdteError, NumericalError
 from .estimators import adjusted_estimate
 from .inference import hotelling_pvalue, hotelling_statistic, multi_split, z_pvalues
-from .selection import SelectionSpec, method_l1_ratio, run_selection
+from .selection import SelectionSpec, check_sizes, method_l1_ratio, run_selection
 from .simharness import (
     LinearModelConfig,
     LinearModelGenerator,
@@ -274,7 +275,7 @@ def _run_path(params, outdir: Path) -> None:
 
 def _run_simulate(params, outdir: Path) -> None:
     methods = _split_names(params["methods"])
-    sizes = _split_ints(params["sizes"], "--sizes")
+    sizes = check_sizes(_split_ints(params["sizes"], "--sizes"), params["p"])
     config = LinearModelConfig(
         n=params["n"], p=params["p"], m=params["m"], s_tau=params["s_tau"],
         alpha=params["alpha"], pi=params["pi"], seed=params["seed"],
@@ -320,8 +321,17 @@ _RUNNERS = {
 
 
 def _execute(command: str, params: dict, outdir: Path) -> None:
+    """Run ``command`` into ``outdir``; a failed run removes the directories
+    this call made, as far as they are empty."""
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[command](params, outdir)
+    try:
+        _RUNNERS[command](params, outdir)
+    except BaseException:
+        for directory in made:   # innermost first
+            with suppress(OSError):
+                directory.rmdir()
+        raise
     manifest = {"command": command, "params": params, "versions": _versions()}
     with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
@@ -329,16 +339,36 @@ def _execute(command: str, params: dict, outdir: Path) -> None:
     click.echo(f"{command}: outputs written to {outdir}")
 
 
+def _command_params(command: click.Command, values) -> dict:
+    """``values`` (parsed options or a manifest's params) as ``command``'s
+    parameters minus ``--outdir``: each cast by its click parameter, input
+    files resolved to absolute paths, a missing optional one at its default.
+    Other keys (such as an option since removed) are ignored; a missing
+    required value or one its parameter rejects is a :class:`DataError`."""
+    if not isinstance(values, dict):
+        raise DataError(f"params must be an object, got {values!r}")
+    ctx, params = click.Context(command), {}
+    for param in command.params:
+        if param.name == "outdir":
+            continue
+        if param.name not in values and param.required:
+            raise DataError(f"no value for the required parameter {param.name!r}")
+        value = values[param.name] if param.name in values else param.get_default(ctx)
+        try:
+            if isinstance(param.type, click.Path):
+                value = str(Path(value).resolve())
+            params[param.name] = param.type_cast_value(ctx, value)
+        except (click.BadParameter, TypeError) as exc:
+            message = exc.format_message() if isinstance(exc, click.BadParameter) else exc
+            raise DataError(f"parameter {param.name!r}: {message}") from None
+    return params
+
+
 def _execute_invoked() -> None:
-    """Run the invoked click command. Its parameters are the parsed options
-    minus ``--outdir``, with the input files resolved to absolute paths."""
+    """Run the invoked click command with its parsed parameters."""
     ctx = click.get_current_context()
-    params = dict(ctx.params)
-    outdir = _resolve_outdir(params.pop("outdir"))
-    for name in ("data", "selection_csv"):
-        if name in params:
-            params[name] = str(Path(params[name]).resolve())
-    _execute(ctx.command.name, params, outdir)
+    _execute(ctx.command.name, _command_params(ctx.command, ctx.params),
+             _resolve_outdir(ctx.params["outdir"]))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +560,9 @@ def rerun(manifest, outdir):
     command = record["command"]
     if command not in _RUNNERS:
         raise DataError(f"manifest names unknown command {command!r}")
+    params = _command_params(cli.commands[command], record["params"])
     target = _resolve_outdir(outdir) if outdir is not None else manifest_path.parent
-    _execute(command, record["params"], target)
+    _execute(command, params, target)
 
 
 def _error_record(kind: str, message: str) -> None:

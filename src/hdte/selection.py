@@ -2,13 +2,13 @@
 levels, the one dispatch between them, and the population-level target the
 sparse selector estimates.
 
-A penalized selection is made on a :class:`hdte.wlasso.WeightedProblem`, a
-dataset's or a resolution level's, by one function (:func:`_select`): by
-size it goes down the penalty grid, a lasso's by its knots, resolving each
-size at the first grid point whose active set reaches it; by penalty it reads
-one fit. Resolution levels are solved from one factorization of the split
-half (:func:`hdte.wlasso.level_problems`), not from one aggregated dataset
-each."""
+Every selection is made by :func:`run_selection`. A penalized one is made
+on each :class:`hdte.wlasso.WeightedProblem` it builds, the dataset's or
+each resolution level's: by size it goes down the penalty grid, a lasso's by
+its knots, resolving each size at the first grid point whose active set
+reaches it; by penalty it reads one fit. Resolution levels are solved from
+one factorization of the split half (:func:`hdte.wlasso.level_problems`),
+not from one aggregated dataset each."""
 
 from __future__ import annotations
 
@@ -28,10 +28,7 @@ __all__ = [
     "method_l1_ratio",
     "run_selection",
     "baseline_select",
-    "sparse_select",
-    "path_selections",
     "population_beta_star",
-    "select_resolution_level",
     "check_sizes",
 ]
 
@@ -71,10 +68,10 @@ class SelectionSpec:
     or ``"enet"``; penalized methods take exactly one of ``size`` / ``lam``,
     the baseline ``size`` and no penalty.
     ``levels`` (optional) switches on multi-resolution mode: a list of column
-    groupings, coarsest first, among which the best-fitting level is chosen
-    (see :func:`select_resolution_level`). ``config.l1_ratio`` follows
-    :func:`method_l1_ratio`, with ``EnetConfig``'s default share 1 standing
-    for the method's default.
+    groupings, coarsest first, among which the best-fitting level is chosen.
+    ``config.l1_ratio`` follows :func:`method_l1_ratio`, with
+    ``EnetConfig``'s default share 1 standing for the method's default;
+    ``config.lam`` stays 0, as ``lam`` is the one penalty.
     """
 
     method: str = "lasso"
@@ -95,6 +92,8 @@ class SelectionSpec:
                 raise DataError("multi-resolution mode needs a penalized method")
         elif (self.size is None) == (self.lam is None):
             raise DataError("pass exactly one of size= or lam=")
+        if self.config.lam != 0.0:
+            raise DataError(f"the penalty is the spec's lam=, not config.lam={self.config.lam!r}")
         l1 = self.config.l1_ratio
         l1 = method_l1_ratio(self.method, None if l1 == 1.0 else l1)
         object.__setattr__(self, "config", replace(self.config, l1_ratio=l1))
@@ -179,10 +178,6 @@ def baseline_select(est: EffectEstimate, size: int) -> SelectionResult:
     )
 
 
-def _method_label(config: EnetConfig) -> str:
-    return "lasso" if config.l1_ratio == 1.0 else "enet"
-
-
 def _require_converged(lam: float, sweeps: int, converged: bool) -> None:
     if not converged:
         raise NumericalError(
@@ -191,7 +186,7 @@ def _require_converged(lam: float, sweeps: int, converged: bool) -> None:
         )
 
 
-def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
+def _size_selections(problem: WeightedProblem, sizes, spec: SelectionSpec,
                      n_lambdas: int, lambda_min_ratio: float | None
                      ) -> dict[int, SelectionResult]:
     """Size-``s`` selections on ``problem`` for every ``s`` in ``sizes``,
@@ -203,13 +198,12 @@ def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
     pass stops once every size is resolved.
     """
     wanted = check_sizes(sizes, problem.p)
-    label = _method_label(config)
     entry_rank: dict[int, int] = {}
     results: dict[int, SelectionResult] = {}
     pending = list(wanted)
     largest_seen = 0
-    for lam, beta, sweeps, converged in problem.walk_path(n_lambdas, lambda_min_ratio, config,
-                                                          knots=True):
+    for lam, beta, sweeps, converged in problem.walk_path(n_lambdas, lambda_min_ratio,
+                                                          spec.config, knots=True):
         _require_converged(lam, sweeps, converged)
         active = np.flatnonzero(beta).tolist()
         for j in active:
@@ -220,7 +214,7 @@ def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
             s = pending.pop(0)
             ranked = sorted(active, key=entry_rank.__getitem__)[:s]
             results[s] = SelectionResult(
-                tuple(ranked), label, lam,
+                tuple(ranked), spec.method, lam,
                 tuple(abs(beta.item(j)) for j in ranked), problem.subset_weighted_rss(ranked),
             )
         if not pending:
@@ -231,58 +225,6 @@ def _size_selections(problem: WeightedProblem, sizes, config: EnetConfig,
             f"{largest_seen} active columns; cannot select {pending[0]}"
         )
     return results
-
-
-def _select(problem: WeightedProblem, size: int | None, lam: float | None,
-            config: EnetConfig, n_lambdas: int,
-            lambda_min_ratio: float | None) -> SelectionResult:
-    """The selection :func:`sparse_select` describes, on ``problem``: by
-    ``size`` from its path, or by ``lam`` the active set of one fit, ordered
-    by descending ``|beta|`` (ties by ascending index)."""
-    if size is not None:
-        return _size_selections(problem, [size], config, n_lambdas, lambda_min_ratio)[size]
-    fit = problem.fit(replace(config, lam=lam))
-    _require_converged(fit.lam, fit.iterations, fit.converged)
-    abs_beta = np.abs(fit.beta)
-    active = np.flatnonzero(fit.beta)
-    order = np.lexsort((active, -abs_beta[active])) if active.size else np.zeros(0, np.intp)
-    chosen = tuple(int(active[i]) for i in order)
-    return SelectionResult(
-        chosen, _method_label(config), fit.lam, tuple(float(abs_beta[j]) for j in chosen),
-        problem.subset_weighted_rss(chosen),
-    )
-
-
-def path_selections(ds: TrialDataset, sizes, config: EnetConfig = EnetConfig(),
-                    n_lambdas: int = 100,
-                    lambda_min_ratio: float | None = None) -> dict[int, SelectionResult]:
-    """Size-``s`` selections for every ``s`` in ``sizes`` from one path walk.
-
-    Walking the penalty grid from large to small, each requested size is
-    resolved at the first grid point whose active set reaches it, truncated
-    to ``s`` in path-entry order (the order in which columns first became
-    active; same-point entries break ties by ascending index). Selections for
-    nested sizes are therefore prefixes of one another.
-    """
-    return _size_selections(WeightedProblem.from_dataset(ds), sizes, config,
-                            n_lambdas, lambda_min_ratio)
-
-
-def sparse_select(ds: TrialDataset, *, size: int | None = None,
-                  lam: float | None = None, config: EnetConfig = EnetConfig(),
-                  n_lambdas: int = 100,
-                  lambda_min_ratio: float | None = None) -> SelectionResult:
-    """Penalized selection of an outcome subset.
-
-    Exactly one of ``size`` and ``lam`` must be given. With ``size`` the
-    penalty path is walked until the active set first reaches that size and
-    truncated in path-entry order; with ``lam`` the active set of the single
-    fit at that penalty is returned, ordered by descending ``|beta|``.
-    """
-    if (size is None) == (lam is None):
-        raise DataError("pass exactly one of size= or lam=")
-    return _select(WeightedProblem.from_dataset(ds), size, lam, config, n_lambdas,
-                   lambda_min_ratio)
 
 
 def population_beta_star(tau, sigma_z, pi: float) -> PopulationTarget:
@@ -332,61 +274,47 @@ def population_beta_star(tau, sigma_z, pi: float) -> PopulationTarget:
     return PopulationTarget(beta, support, len(support), tau, sigma_z)
 
 
-def select_resolution_level(ds: TrialDataset, levels, *, size: int | None = None,
-                            lam: float | None = None,
-                            config: EnetConfig = EnetConfig(),
-                            n_lambdas: int = 100,
-                            lambda_min_ratio: float | None = None
-                            ) -> tuple[int, SelectionResult]:
-    """Pick the column grouping whose selected subset fits the treatment best.
-
-    Each entry of ``levels`` is a grouping of the base outcome columns (see
-    :func:`hdte.data.aggregate_columns`). Per level, the selection
-    :func:`sparse_select` would make on the aggregated dataset is made on the
-    level's problem from :func:`hdte.wlasso.level_problems`, which factors
-    the dataset once for all levels; the level with the smallest restricted
-    weighted residual wins. Ties go to the earliest listed level, so pass
-    groupings coarsest first.
-    """
-    if (size is None) == (lam is None):
-        raise DataError("pass exactly one of size= or lam=")
-    best: tuple[int, SelectionResult] | None = None
-    for li, level in enumerate(level_problems(ds, levels)):
-        sel = _select(level, size, lam, config, n_lambdas, lambda_min_ratio)
-        if best is None or sel.weighted_rss < best[1].weighted_rss:
-            best = (li, sel)
-    return best
-
-
 def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
                   sizes=None, n_lambdas: int = 100,
                   lambda_min_ratio: float | None = None
                   ) -> tuple[tuple[SelectionResult, ...], int | None]:
-    """Apply ``spec`` to ``ds``: the one place that tells the selection methods apart.
+    """Apply ``spec`` to ``ds``: the one way to make a selection.
 
     The baseline ranks effects estimated with ``estimator`` when ``ds`` has
-    covariates to adjust on, and unadjusted (``"dim"``) otherwise. ``sizes``
-    asks a size-based selection for several sizes at once, from one ranking
-    or one path walk; by default the spec's own ``size`` (or ``lam``) is used.
-    ``n_lambdas`` and ``lambda_min_ratio`` shape the penalty grid of
-    :func:`path_selections`.
+    covariates to adjust on, and unadjusted (``"dim"``) otherwise. A
+    penalized selection is made on the dataset's problem, or on each level's
+    (:func:`hdte.wlasso.level_problems`): by size from its penalty grid
+    (:func:`_size_selections`), by ``spec.lam`` as the active set of one fit
+    in descending ``|beta|`` (ties by ascending index). The level with the
+    smallest restricted weighted RSS wins, the earliest on a tie. ``sizes``
+    asks for several sizes from one ranking or one path walk; ``n_lambdas``
+    and ``lambda_min_ratio`` shape the penalty grid.
 
     Returns one selection per size and, in multi-resolution mode, the index
     of the chosen level (``None`` otherwise).
     """
     if sizes is not None and (spec.lam is not None or spec.levels is not None):
         raise DataError("several sizes need a size-based selection without levels")
-    if spec.levels is not None:
-        level, result = select_resolution_level(
-            ds, spec.levels, size=spec.size, lam=spec.lam, config=spec.config,
-            n_lambdas=n_lambdas, lambda_min_ratio=lambda_min_ratio,
-        )
-        return (result,), level
     if spec.method == "baseline":
         est = adjusted_estimate(ds, estimator if ds.covariates is not None else "dim")
         return tuple(baseline_select(est, s) for s in sizes or (spec.size,)), None
-    if sizes is None:
-        return (sparse_select(ds, size=spec.size, lam=spec.lam, config=spec.config,
-                              n_lambdas=n_lambdas, lambda_min_ratio=lambda_min_ratio),), None
-    picks = path_selections(ds, sizes, spec.config, n_lambdas, lambda_min_ratio)
-    return tuple(picks[s] for s in sizes), None
+    problems = (level_problems(ds, spec.levels) if spec.levels is not None
+                else (WeightedProblem.from_dataset(ds),))
+    best: tuple[int, tuple[SelectionResult, ...]] | None = None
+    for index, problem in enumerate(problems):
+        if spec.lam is None:
+            wanted = (spec.size,) if sizes is None else sizes
+            picks = _size_selections(problem, wanted, spec, n_lambdas, lambda_min_ratio)
+            results = tuple(picks[s] for s in wanted)
+        else:
+            fit = problem.fit(replace(spec.config, lam=spec.lam))
+            _require_converged(fit.lam, fit.iterations, fit.converged)
+            abs_beta = np.abs(fit.beta)
+            active = np.flatnonzero(fit.beta)
+            chosen = active[np.lexsort((active, -abs_beta[active]))].tolist()
+            results = (SelectionResult(chosen, spec.method, fit.lam, abs_beta[chosen].tolist(),
+                                       problem.subset_weighted_rss(chosen)),)
+        if best is None or results[0].weighted_rss < best[1][0].weighted_rss:
+            best = (index, results)
+    index, results = best
+    return results, index if spec.levels is not None else None

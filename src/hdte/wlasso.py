@@ -75,7 +75,6 @@ __all__ = [
     "fit_weighted_enet",
     "lambda_max",
     "regularization_path",
-    "walk_path",
     "subset_weighted_rss",
     "WeightedProblem",
     "level_problems",
@@ -689,15 +688,6 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     return EnetPath(lambdas, fits, lam_top)
 
 
-def walk_path(ds: TrialDataset, n_lambdas: int = 100,
-              lambda_min_ratio: float | None = None, config: EnetConfig = EnetConfig()):
-    """The grid of :func:`regularization_path`, walked lazily: an iterator of
-    ``(lam, beta, sweeps, converged)`` with ``beta`` a fresh array. Builds
-    no :class:`EnetFit`, so a caller that stops early pays only for the grid
-    points it reads. Arguments are checked on the call."""
-    return WeightedProblem.from_dataset(ds).walk_path(n_lambdas, lambda_min_ratio, config)
-
-
 def _check_subset(subset, n: int, p: int) -> np.ndarray:
     """``subset`` as an index array, checked for a restricted regression."""
     idx = np.asarray(subset, dtype=np.intp)
@@ -765,8 +755,12 @@ class WeightedProblem:
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
                   config: EnetConfig = EnetConfig(), knots: bool = False):
-        """The lazy walk of :func:`walk_path`, on this problem; with ``knots``, a
-        lasso path's first grid point below each knot, exact (:func:`_knot_path`)."""
+        """The grid of :func:`regularization_path` on this problem, walked
+        lazily: an iterator of ``(lam, beta, sweeps, converged)`` with
+        ``beta`` a fresh array. Builds no :class:`EnetFit`, so a caller that
+        stops early pays only for the grid points it reads. Arguments are
+        checked on the call. With ``knots``, a lasso path's first grid point
+        below each knot, exact (:func:`_knot_path`)."""
         min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
         moments = self.prepare(slopes=False)[0]
         grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)

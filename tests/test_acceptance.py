@@ -21,7 +21,7 @@ from hdte.inference import (
     multi_split,
     single_split_pipeline,
 )
-from hdte.selection import population_beta_star, sparse_select
+from hdte.selection import population_beta_star, run_selection
 from hdte.simharness import (
     IndependentOutcomesGenerator,
     LinearModelConfig,
@@ -198,7 +198,7 @@ def test_criterion_05_support_recovery_consistency(criterion_log):
     hits = 0
     for k in range(100):
         ds, s_true = gen.replicate(k)
-        sel = sparse_select(ds, size=5)
+        (sel,), _ = run_selection(ds, SelectionSpec(size=5))
         hits += set(sel.selected) == set(int(j) for j in s_true)
     _report(criterion_log, 5, "size-5 selection recovers the exact support at n=2000",
             hits >= 95, f"{hits}/100 replicates")

@@ -187,7 +187,7 @@ def test_infer_rejects_a_repeated_index(trial_csv, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "data"
     assert "row 4: index 1 is listed twice (first at row 2)" in record["message"]
-    assert not list(outdir.glob("*"))
+    assert not outdir.exists()
 
 
 def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
@@ -203,7 +203,7 @@ def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "numerical"
-    assert not list(outdir.glob("*"))
+    assert not outdir.exists()
 
 
 def test_select_nonconvergence_is_a_numerical_error(trial_csv, tmp_path, capsys):
@@ -294,6 +294,33 @@ def test_simulate_recovery(tmp_path):
     assert {r["method"] for r in rows} == {"baseline_dim", "lasso"}
     assert all(r["metric"] == "recovery_rate" for r in rows)
     assert all(0.0 <= float(r["value"]) <= 1.0 for r in rows)
+
+
+def test_simulate_rejects_a_size_beyond_p(tmp_path, capsys):
+    """A size no replicate can select is an error in the call, raised before
+    the first replicate: exit 2 and no metrics.csv."""
+    outdir = tmp_path / "sim"
+    code = main(["simulate", "--p", "5", "--sizes", "9", "--replicates", "1",
+                 "--outdir", str(outdir)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": "sizes must be within [1, p=5], got [9]"}
+    assert not outdir.exists()
+
+
+def test_a_failed_command_removes_only_the_directories_it_made(trial_csv, tmp_path, capsys):
+    """A failed command leaves no output directory it created, parents
+    included; one that existed before stays, with its files."""
+    nested = tmp_path / "a" / "b"
+    assert main(["select", str(trial_csv), "--lam", "-1", "--outdir", str(nested)]) == 2
+    assert not (tmp_path / "a").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "note.txt").write_text("x", encoding="utf-8")
+    assert main(["select", str(trial_csv), "--lam", "-1", "--outdir", str(kept / "o")]) == 2
+    assert [path.name for path in kept.iterdir()] == ["note.txt"]
+    assert main(["select", str(trial_csv), "--lam", "-1", "--outdir", str(kept)]) == 2
+    assert [path.name for path in kept.iterdir()] == ["note.txt"]
 
 
 def test_simulate_rejects_unknown_method(tmp_path, capsys):
@@ -486,10 +513,19 @@ def test_rerun_replays_a_manifest_that_records_jobs(tmp_path, monkeypatch, comma
     ('{"command": "select"}', "lacks 'command'/'params' fields"),
     ("not json", "is not valid JSON"),
     ('{"command": "bogus", "params": {}}', "manifest names unknown command 'bogus'"),
-], ids=["no-params", "not-json", "unknown-command"])
-def test_rerun_rejects_broken_manifest(tmp_path, capsys, text, message):
+    ('{"command": "select", "params": {}}', "no value for the required parameter 'data'"),
+    ('{"command": "select", "params": {"data": 5}}', "parameter 'data': "),
+    ('{"command": "select", "params": {"data": "%s", "s": [2]}}', "parameter 's': "),
+    ('{"command": "select", "params": {"data": "%s", "selection": "ridge"}}',
+     "parameter 'selection': "),
+    ('{"command": "select", "params": [1]}', "params must be an object, got [1]"),
+], ids=["no-params", "not-json", "unknown-command", "no-data", "data-not-a-path",
+        "size-not-an-integer", "unknown-selection", "params-not-an-object"])
+def test_rerun_rejects_broken_manifest(trial_csv, tmp_path, capsys, text, message):
+    """A manifest that cannot be replayed, including a parameter missing or of
+    the wrong type, is a one-line data error that writes nothing."""
     bad = tmp_path / "manifest.json"
-    bad.write_text(text)
+    bad.write_text(text.replace("%s", str(trial_csv)))
     assert main(["rerun", str(bad), "--outdir", str(tmp_path / "out")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "data" and message in record["message"]

@@ -263,6 +263,10 @@ def test_selection_spec_validation_and_l1_defaults():
         SelectionSpec(method="lasso")
     with pytest.raises(DataError, match="exactly one"):
         SelectionSpec(method="enet", size=1, lam=0.1)
+    with pytest.raises(DataError, match=r"the penalty is the spec's lam=, not config.lam=0\.3"):
+        SelectionSpec(size=2, config=EnetConfig(lam=0.3))
+    with pytest.raises(DataError, match="not config.lam"):
+        SelectionSpec(method="enet", lam=0.1, config=EnetConfig(lam=0.2))
 
 
 def test_multi_split_deterministic_and_bounded():

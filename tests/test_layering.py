@@ -2,10 +2,11 @@
 private names, the covariate regression has one implementation, and so
 do the Cholesky factorization of the solver's exact steps, the
 propensity weighting, the singularity rule of small solves, the
-experiments' replicate loop and the forking of worker processes; no
-function takes the weights as an argument; only the scipy modules the
-package calls are imported, and no package that starts processes; and every
-file opened as text names its encoding."""
+experiments' replicate loop and the forking of worker processes; every
+selection is made by one function; no function takes the weights as an
+argument; only the scipy modules the package calls are imported, and no
+package that starts processes; and every file opened as text names its
+encoding."""
 
 import ast
 import os
@@ -108,6 +109,19 @@ def process_imports(path: Path) -> list[str]:
                 if isinstance(node, ast.ImportFrom) and node.level == 0]
     return [f"{path.name}: {module}" for module in modules
             if module.split(".")[0] in ("multiprocessing", "concurrent", "subprocess")]
+
+
+def selection_routes(path: Path) -> tuple[list[str], list[str]]:
+    """The functions of one source file that build a weighted problem (call
+    ``from_dataset`` or ``level_problems``), and the names it imports from
+    the ``selection`` module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    builders = _functions_where(path, tree, lambda node: (
+        isinstance(node, ast.Call) and _called_name(node) in ("from_dataset", "level_problems")))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module, node.level > 0) in (("selection", True), ("hdte.selection", False))
+             for alias in node.names]
+    return builders, names
 
 
 def parameters_named(path: Path, name: str) -> list[str]:
@@ -223,6 +237,38 @@ def test_propensity_weights_enter_in_one_function():
                  lambda node: isinstance(node, ast.Call)
                  and _called_name(node) == "propensity_weights")]
     assert found == ["wlasso.py:_weighted_columns"]
+
+
+def test_one_selection_entry_point():
+    """``selection.run_selection`` is the one way to make a selection: it
+    alone builds the problems selected on, and the modules that select (the
+    CLI, the split pipeline and the experiments) import from ``selection``
+    only it, its spec and the checks they run before it."""
+    assert selection_routes(PACKAGE / "selection.py")[0] == ["selection.py:run_selection"]
+    allowed = {"SelectionSpec", "run_selection", "check_sizes", "method_l1_ratio"}
+    imported = {name for module in ("cli", "inference", "simharness")
+                for name in selection_routes(PACKAGE / f"{module}.py")[1]}
+    assert imported and imported <= allowed
+
+
+def test_selection_routes_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .selection import SelectionSpec, _size_selections\n"
+        "from hdte.selection import baseline_select\n"
+        "from .wlasso import WeightedProblem, level_problems\n"
+        "from selection import run_selection\n"
+        "def pick(ds, levels):\n"
+        "    return WeightedProblem.from_dataset(ds), wlasso.level_problems(ds, levels)\n"
+        "class Search:\n"
+        "    def levels(self, ds):\n"
+        "        return level_problems(ds, self.levels)\n"
+        "def other(ds):\n"
+        "    return from_datasets(ds), ds.from_dataset\n"
+    )
+    assert selection_routes(sample) == (
+        ["sample.py:pick", "sample.py:levels"],
+        ["SelectionSpec", "_size_selections", "baseline_select"])
 
 
 def test_no_function_takes_the_weights():

@@ -13,15 +13,11 @@ from hdte.selection import (
     SelectionSpec,
     baseline_select,
     method_l1_ratio,
-    path_selections,
     population_beta_star,
     run_selection,
-    select_resolution_level,
-    sparse_select,
 )
 from hdte import wlasso
-from hdte.wlasso import (EnetConfig, WeightedProblem, _kkt_violation, fit_weighted_enet,
-                         walk_path)
+from hdte.wlasso import EnetConfig, WeightedProblem, _kkt_violation, fit_weighted_enet
 
 from conftest import traced_peak
 
@@ -34,6 +30,19 @@ def planted_dataset(seed, n=200, p=8, effects=(1.5, 1.0, 0.6)):
     for j, a in enumerate(effects):
         y[:, j] += a * t
     return TrialDataset(t, y)
+
+
+def select(ds, **spec):
+    """The one selection :func:`run_selection` makes for ``SelectionSpec(**spec)``."""
+    (result,), _ = run_selection(ds, SelectionSpec(**spec))
+    return result
+
+
+def size_selections(ds, sizes, method="lasso", config=EnetConfig()):
+    """:func:`run_selection`'s selections at several ``sizes``, by size."""
+    sizes = list(sizes)
+    results, _ = run_selection(ds, SelectionSpec(method, size=1, config=config), sizes=sizes)
+    return dict(zip(sizes, results))
 
 
 def test_baseline_select_orders_by_studentized_effect():
@@ -70,18 +79,18 @@ def test_baseline_select_validation():
         baseline_select(degenerate, 1)
 
 
-def test_sparse_select_by_size_finds_planted_columns():
+def test_a_size_selection_finds_planted_columns():
     ds = planted_dataset(1)
-    sel = sparse_select(ds, size=3)
+    sel = select(ds, size=3)
     assert set(sel.selected) == {0, 1, 2}
     assert sel.selected[0] == 0  # strongest effect enters the path first
     assert sel.method == "lasso"
     assert sel.weighted_rss is not None and sel.weighted_rss > 0
 
 
-def test_path_selections_are_nested_prefixes():
+def test_size_selections_are_nested_prefixes():
     ds = planted_dataset(5)
-    picks = path_selections(ds, [1, 2, 3, 5])
+    picks = size_selections(ds, [1, 2, 3, 5])
     for a, b in zip([1, 2, 3], [2, 3, 5]):
         assert picks[b].selected[: a] == picks[a].selected
     # the restricted fit improves as the subset grows
@@ -90,10 +99,10 @@ def test_path_selections_are_nested_prefixes():
     assert all(picks[s].tuning > 0 for s in picks)
 
 
-def test_sparse_select_by_lam_matches_single_fit():
+def test_a_penalty_selection_matches_single_fit():
     ds = planted_dataset(9)
     lam = 0.15
-    sel = sparse_select(ds, lam=lam)
+    sel = select(ds, lam=lam)
     fit = fit_weighted_enet(ds, EnetConfig(lam=lam))
     assert set(sel.selected) == set(fit.active_set)
     mags = [abs(fit.beta[j]) for j in sel.selected]
@@ -108,21 +117,13 @@ def test_nonconverged_fit_is_a_numerical_error():
     ds = planted_dataset(9)
     with pytest.raises(NumericalError,
                        match=r"did not converge at lambda=\S+ within max_iter=1 sweeps"):
-        path_selections(ds, [2], EnetConfig(l1_ratio=0.5, max_iter=1))
+        size_selections(ds, [2], "enet", EnetConfig(max_iter=1))
     with pytest.raises(NumericalError, match=r"at lambda=0\.15 within max_iter=1"):
-        sparse_select(ds, lam=0.15, config=EnetConfig(max_iter=1))
-    assert path_selections(ds, [2], EnetConfig(max_iter=1)) == path_selections(ds, [2])
+        select(ds, lam=0.15, config=EnetConfig(max_iter=1))
+    assert size_selections(ds, [2], config=EnetConfig(max_iter=1)) == size_selections(ds, [2])
 
 
-def test_sparse_select_needs_exactly_one_tuning():
-    ds = planted_dataset(2)
-    with pytest.raises(DataError, match="exactly one"):
-        sparse_select(ds)
-    with pytest.raises(DataError, match="exactly one"):
-        sparse_select(ds, size=2, lam=0.1)
-
-
-def test_path_selections_reports_exhaustion():
+def test_a_size_selection_reports_exhaustion():
     rng = np.random.default_rng(3)
     n = 60
     t = np.array([1, 0] * (n // 2))
@@ -130,17 +131,19 @@ def test_path_selections_reports_exhaustion():
     y[:, 2] = 4.0  # constant column can never activate
     ds = TrialDataset(t, y)
     with pytest.raises(DataError, match="cannot select 3"):
-        path_selections(ds, [3])
+        select(ds, size=3)
 
 
-def test_path_selections_size_validation():
+def test_size_selections_validate_sizes():
     ds = planted_dataset(4, p=4)
     with pytest.raises(DataError, match="nonempty"):
-        path_selections(ds, [])
+        size_selections(ds, [])
     with pytest.raises(DataError, match="within"):
-        path_selections(ds, [0])
+        size_selections(ds, [0])
     with pytest.raises(DataError, match="within"):
-        path_selections(ds, [5])
+        size_selections(ds, [5])
+    with pytest.raises(DataError, match="within"):
+        select(ds, size=5)
 
 
 def test_population_beta_star_identity_example():
@@ -193,7 +196,7 @@ def test_population_beta_star_validation():
         population_beta_star([1.0, 2.0], np.eye(3), 0.5)
 
 
-def test_select_resolution_level_prefers_matching_granularity():
+def test_multi_resolution_selection_prefers_matching_granularity():
     """An effect confined to one base column favors the fine grouping; an
     effect spread evenly favors the coarse one."""
     rng = np.random.default_rng(31)
@@ -205,24 +208,26 @@ def test_select_resolution_level_prefers_matching_granularity():
     ds = TrialDataset(t, y)
     coarse = [(0, 1, 2, 3)]
     fine = [(0,), (1,), (2,), (3,)]
-    level, sel = select_resolution_level(ds, [coarse, fine], size=1)
+    (sel,), level = run_selection(ds, SelectionSpec(size=1, levels=[coarse, fine]))
     assert level == 1
     assert sel.selected == (2,)
 
     y2 = rng.standard_normal((n, 4)) + 0.8 * t[:, None]
     ds2 = TrialDataset(t, y2)
-    level2, sel2 = select_resolution_level(ds2, [coarse, fine], size=1)
+    (sel2,), level2 = run_selection(ds2, SelectionSpec(size=1, levels=[coarse, fine]))
     assert level2 == 0
     assert sel2.selected == (0,)
 
 
-def test_select_resolution_level_ties_go_to_the_earliest():
+def test_multi_resolution_ties_go_to_the_earliest():
     ds = planted_dataset(7, p=4)
     fine = [(0,), (1,), (2,), (3,)]
-    level, _ = select_resolution_level(ds, [fine, fine], size=2)
+    _, level = run_selection(ds, SelectionSpec(size=2, levels=[fine, fine]))
+    assert level == 0
+    _, level = run_selection(ds, SelectionSpec(lam=0.05, levels=[fine, fine]))
     assert level == 0
     with pytest.raises(DataError, match="at least one grouping"):
-        select_resolution_level(ds, [], size=1)
+        run_selection(ds, SelectionSpec(size=1, levels=[]))
 
 
 def test_selection_result_validation():
@@ -239,7 +244,7 @@ def test_baseline_and_sparse_agree_on_strong_signal():
     ranking and the path order coincide."""
     ds = planted_dataset(15, n=500, effects=(2.0, 1.2, 0.7))
     base = baseline_select(diff_in_means(ds), 3)
-    sparse = sparse_select(ds, size=3)
+    sparse = select(ds, size=3)
     assert base.selected == sparse.selected == (0, 1, 2)
 
 
@@ -278,16 +283,18 @@ def test_run_selection_dispatches_to_each_selector():
     ranked, _ = run_selection(ds, SelectionSpec("baseline", size=4), "dim", (2, 4))
     assert ranked == (baseline_select(diff_in_means(ds), 2),
                       baseline_select(diff_in_means(ds), 4))
-    spec = SelectionSpec("enet", size=4)
-    walked, _ = run_selection(ds, spec, sizes=(1, 4))
-    picks = path_selections(ds, (1, 4), spec.config)
-    assert walked == (picks[1], picks[4])
+    walked, level = run_selection(ds, SelectionSpec("enet", size=4), sizes=(1, 4))
+    assert level is None
+    assert walked == (select(ds, method="enet", size=1), select(ds, method="enet", size=4))
     assert walked[1].method == "enet"
-    (fixed,), _ = run_selection(ds, SelectionSpec("lasso", lam=0.15))
-    assert fixed == sparse_select(ds, lam=0.15)
+    # penalized: the dataset's problem, or each level's, the best-fitting one chosen
+    (fixed,), level = run_selection(ds, SelectionSpec("lasso", lam=0.15))
+    assert level is None and fixed.method == "lasso"
     levels = [[tuple(range(10))], [(j,) for j in range(10)]]
     (chosen,), level = run_selection(ds, SelectionSpec(size=1, levels=levels))
-    assert (level, chosen) == select_resolution_level(ds, levels, size=1)
+    (coarse,), _ = run_selection(ds, SelectionSpec(size=1, levels=levels[:1]))
+    assert level == 1 and chosen.weighted_rss < coarse.weighted_rss
+    assert chosen.selected == select(aggregate_columns(ds, levels[1]), size=1).selected
     with pytest.raises(DataError, match="several sizes"):
         run_selection(ds, SelectionSpec(lam=0.15), sizes=(1, 2))
 
@@ -302,15 +309,15 @@ def test_select_at_large_p_never_forms_a_p_by_p_matrix():
     y = rng.standard_normal((n, p))
     y[:, :3] += 1.5 * t[:, None]
     ds = TrialDataset(t, y)
-    result, peak = traced_peak(lambda: sparse_select(ds, size=5))
+    result, peak = traced_peak(lambda: select(ds, size=5))
     assert len(result.selected) == 5
     assert peak < p * p * 8 / 10
 
 
-def reference_level_selections(ds, levels, **kwargs):
+def reference_level_selections(ds, levels, **spec):
     """Each level selected the way multi-resolution selection used to: the
-    aggregated dataset, then :func:`sparse_select` on it."""
-    return [sparse_select(aggregate_columns(ds, grouping), **kwargs) for grouping in levels]
+    aggregated dataset, then the selection ``spec`` describes on it."""
+    return [select(aggregate_columns(ds, grouping), **spec) for grouping in levels]
 
 
 def _outcome(call):
@@ -327,7 +334,7 @@ def _outcome(call):
 def level_cases(draw):
     """A planted dataset over ``p`` base columns (with covariates of the same
     layout or none), one to three groupings of distinct nonempty groups, and
-    a size- or penalty-based selection."""
+    a size- or penalty-based lasso or elastic-net spec."""
     p = draw(st.integers(2, 7))
     n = 2 * draw(st.integers(20, 45))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -342,12 +349,12 @@ def level_cases(draw):
     group = st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)
     grouping = st.lists(group, min_size=1, max_size=p, unique_by=frozenset)
     levels = draw(st.lists(grouping, min_size=1, max_size=3))
-    config = EnetConfig(l1_ratio=draw(st.sampled_from([1.0, 0.5])))
+    method = draw(st.sampled_from(["lasso", "enet"]))
     if draw(st.booleans()):
         tuning = {"size": draw(st.integers(1, min(3, *(len(g) for g in levels))))}
     else:
         tuning = {"lam": draw(st.floats(0.005, 0.3))}
-    return TrialDataset(t, y, x), levels, dict(tuning, config=config)
+    return TrialDataset(t, y, x), levels, dict(tuning, method=method)
 
 
 @settings(max_examples=150)
@@ -359,13 +366,13 @@ def test_resolution_levels_match_selection_on_aggregated_datasets(case):
     RSS within 1e-8. Where levels tie within rounding either may win: the
     chosen level's reference RSS is the smallest and no earlier level's is
     smaller, both up to 1e-9 relative."""
-    ds, levels, kwargs = case
-    got = _outcome(lambda: select_resolution_level(ds, levels, **kwargs))
-    want = _outcome(lambda: reference_level_selections(ds, levels, **kwargs))
-    if isinstance(want, tuple):
+    ds, levels, spec = case
+    got = _outcome(lambda: run_selection(ds, SelectionSpec(levels=levels, **spec)))
+    want = _outcome(lambda: reference_level_selections(ds, levels, **spec))
+    if not isinstance(want, list):
         assert got == want
         return
-    level, sel = got
+    (sel,), level = got
     rss = np.array([ref.weighted_rss for ref in want])
     tol = 1e-9 * rss.min()
     assert rss[level] <= rss.min() + tol
@@ -404,7 +411,8 @@ def test_penalized_selection_is_invariant_under_a_column_permutation(case, data)
     are permuted. Sizes are those the path reaches at one grid point without
     passing them, so no same-point tie is broken by column index."""
     ds, perm, spec = case
-    counts = [np.count_nonzero(beta) for _, beta, _, _ in walk_path(ds, config=spec.config)]
+    walk = WeightedProblem.from_dataset(ds).walk_path(config=spec.config)
+    counts = [np.count_nonzero(beta) for _, beta, _, _ in walk]
     clean = [s for s in range(1, ds.p + 1)
              if any(c >= s for c in counts) and next(c for c in counts if c >= s) == s]
     assume(clean)
@@ -450,7 +458,7 @@ def walked_selections(ds, sizes, twins=None):
     walk's split between them is rounding, so sizes not yet resolved there
     are left out; ``exhausted`` is whether the grid ran out first."""
     entry, picks, pending = {}, {}, sorted(sizes)
-    for lam, beta, _, converged in walk_path(ds):
+    for lam, beta, _, converged in WeightedProblem.from_dataset(ds).walk_path():
         assert converged
         if twins is not None:
             low, high = twins
@@ -479,9 +487,9 @@ def assert_knots_select_as_the_walk(ds, top, twins=None):
     picks, exhausted = walked_selections(ds, range(1, top + 1), twins)
     if exhausted:
         with pytest.raises(DataError, match="cannot select"):
-            path_selections(ds, range(1, top + 1))
+            size_selections(ds, range(1, top + 1))
     if picks:
-        got = path_selections(ds, list(picks))
+        got = size_selections(ds, picks)
         for s, (selected, lam, scores, rss) in picks.items():
             assert (got[s].selected, got[s].tuning, got[s].weighted_rss) == (selected, lam, rss)
             np.testing.assert_allclose(got[s].scores, scores, rtol=0, atol=1e-6)
@@ -533,10 +541,10 @@ def test_a_lasso_size_selection_runs_no_coordinate_descent(monkeypatch):
     solve = wlasso._cd_solve
     monkeypatch.setattr(wlasso, "_cd_solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
     ds = planted_dataset(3, p=10)
-    sparse_select(ds, size=3)
-    path_selections(ds, [1, 2, 4])
-    select_resolution_level(ds, [[tuple(range(5)), tuple(range(5, 10))],
-                                 [(j,) for j in range(10)]], size=2)
+    select(ds, size=3)
+    size_selections(ds, [1, 2, 4])
+    run_selection(ds, SelectionSpec(size=2, levels=[[tuple(range(5)), tuple(range(5, 10))],
+                                                    [(j,) for j in range(10)]]))
     assert calls == []
-    path_selections(ds, [2], EnetConfig(l1_ratio=0.5))
+    size_selections(ds, [2], "enet")
     assert calls

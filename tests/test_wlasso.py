@@ -23,7 +23,6 @@ from hdte.wlasso import (
     regularization_path,
     soft_threshold,
     subset_weighted_rss,
-    walk_path,
 )
 
 
@@ -956,7 +955,8 @@ def test_level_problems_keep_the_conditioning_of_the_row_wise_moments():
         np.testing.assert_allclose(dense_gram(got.gram), dense_gram(want.gram),
                                    rtol=1e-8, atol=1e-8 * want.gram.diag.max())
         for (lam_g, beta_g, _, _), (lam_w, beta_w, _, _) in zip(
-                level.walk_path(20, config=config), walk_path(agg, 20, config=config)):
+                level.walk_path(20, config=config),
+                WeightedProblem.from_dataset(agg).walk_path(20, config=config)):
             assert lam_g == pytest.approx(lam_w, rel=1e-8)
             np.testing.assert_allclose(beta_g, beta_w, rtol=0, atol=1e-8)
         assert level.subset_weighted_rss([0, 1]) == pytest.approx(
