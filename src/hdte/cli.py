@@ -339,12 +339,21 @@ def _execute(command: str, params: dict, outdir: Path) -> None:
     click.echo(f"{command}: outputs written to {outdir}")
 
 
+# What a numeric parameter takes from a manifest, as from the command line:
+# an integer one a JSON integer or a string click parses, a float one any
+# JSON number; neither takes a bool.
+_NUMBER_KINDS = ((click.types.IntParamType, (int, str)),
+                 (click.types.FloatParamType, (int, float)))
+
+
 def _command_params(command: click.Command, values) -> dict:
     """``values`` (parsed options or a manifest's params) as ``command``'s
     parameters minus ``--outdir``: each cast by its click parameter, input
     files resolved to absolute paths, a missing optional one at its default.
     Other keys (such as an option since removed) are ignored; a missing
-    required value or one its parameter rejects is a :class:`DataError`."""
+    required value, a number of the wrong kind (a bool, or a fraction for an
+    integer: the command line rejects ``--s 2.7``) or a value its parameter
+    rejects is a :class:`DataError`."""
     if not isinstance(values, dict):
         raise DataError(f"params must be an object, got {values!r}")
     ctx, params = click.Context(command), {}
@@ -354,6 +363,11 @@ def _command_params(command: click.Command, values) -> dict:
         if param.name not in values and param.required:
             raise DataError(f"no value for the required parameter {param.name!r}")
         value = values[param.name] if param.name in values else param.get_default(ctx)
+        for kind, accepted in _NUMBER_KINDS:
+            if isinstance(param.type, kind) and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, accepted)):
+                raise DataError(f"parameter {param.name!r}: {value!r} is not "
+                                f"a valid {param.type.name}")
         try:
             if isinstance(param.type, click.Path):
                 value = str(Path(value).resolve())

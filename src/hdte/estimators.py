@@ -1,8 +1,9 @@
 """Difference-in-means and covariate-adjusted treatment effect estimation.
 
-All estimators return an :class:`EffectEstimate` holding the effect vector
-``tau_hat`` and a covariance matrix ``sigma_hat`` normalized so that
-``sigma_hat / n`` estimates ``Var(tau_hat)``.
+:func:`adjusted_estimate` is the one estimator. It returns an
+:class:`EffectEstimate` holding the effect vector ``tau_hat`` and a
+covariance matrix ``sigma_hat`` normalized so that ``sigma_hat / n``
+estimates ``Var(tau_hat)``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from .errors import DataError, NumericalError
 
 __all__ = [
     "EffectEstimate",
-    "AdjustedOutcomes",
-    "diff_in_means",
-    "cuped_adjust",
-    "lin_adjust",
     "adjusted_estimate",
     "check_estimator",
 ]
@@ -75,26 +72,13 @@ class EffectEstimate:
         return est
 
 
-@dataclass(frozen=True)
-class AdjustedOutcomes:
-    """Covariate-adjusted outcome matrix plus the regression coefficients used.
-
-    ``theta`` is ``(m, p)`` for the pooled adjustment and a pair of ``(m, p)``
-    arrays ``(treated, control)`` for the per-arm one.
-    """
-
-    y_tilde: np.ndarray
-    theta: np.ndarray | tuple[np.ndarray, np.ndarray]
-    method: str
-
-
-def check_estimator(ds: TrialDataset, method: str) -> None:
+def check_estimator(ds: TrialDataset | None, method: str) -> None:
     """Raise the :class:`DataError` that :func:`adjusted_estimate` raises on
     any rows of ``ds``: an unknown ``method``, or an adjustment without
-    covariates."""
+    covariates. With ``ds`` ``None`` only the name is checked."""
     if method not in _METHODS:
         raise DataError(f"unknown estimation method {method!r}")
-    if method != "dim" and ds.covariates is None:
+    if method != "dim" and ds is not None and ds.covariates is None:
         raise DataError("dataset has no covariates to adjust on")
 
 
@@ -109,13 +93,49 @@ def _check_arms(ds: TrialDataset) -> tuple[np.ndarray, int, int]:
     return t_mask, n_t, n_c
 
 
-def _difference_of_means(ds: TrialDataset, y: np.ndarray, method: str,
-                         subset) -> EffectEstimate:
-    """The estimate :func:`diff_in_means` describes, of the columns ``y`` on
-    the rows of ``ds``: its outcome columns ``subset`` (all for ``None``)
-    adjusted by ``method``."""
+def _slopes(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
+    """Slopes of the columns ``y`` on the covariates ``x``, both centered
+    (:func:`hdte.data.project_columns`, which raises on a rank below ``m``),
+    so no explicit intercept is carried."""
+    return project_columns(center_columns(x)[0], center_columns(y)[0],
+                           f"covariate design in {what}")[0]
+
+
+def adjusted_estimate(ds: TrialDataset, method: str, subset=None) -> EffectEstimate:
+    """Effects on the outcome columns ``subset`` of ``ds`` (all for ``None``):
+    the difference of arm means of the columns adjusted by ``method``.
+
+    ``"dim"`` adjusts nothing. ``"cuped"`` subtracts the covariates times the
+    slopes of one regression over the full sample, which does not condition
+    on treatment (needs ``m < n``). ``"lin"`` fits the regression within each
+    arm and subtracts the covariates times ``(n_c / n) * theta_treated +
+    (n_t / n) * theta_control`` (needs ``m < min(n_t, n_c)``).
+
+    ``tau_hat`` is the treated-arm mean minus the control-arm mean per
+    column. ``sigma_hat`` sums the within-arm scatter matrices, each divided
+    by its own arm size and rescaled by ``n / n_arm``. Slopes are fit per
+    column, so restricting to ``subset`` before or after estimation gives
+    the same numbers; an index outside the columns is reported before any
+    other check of the rows.
+    """
+    check_estimator(ds, method)
+    y = ds.outcomes if subset is None else ds.restrict_outcomes(subset).outcomes
+    x, n = ds.covariates, ds.n
+    if method == "cuped":
+        if ds.m >= n:
+            raise DataError(f"adjustment needs m < n, got m={ds.m}, n={n}")
+        y = y - x @ _slopes(x, y, "pooled adjustment")
     t_mask, n_t, n_c = _check_arms(ds)
-    n = ds.n
+    if method == "lin":
+        if ds.m >= min(n_t, n_c):
+            raise DataError(
+                f"per-arm adjustment needs m < min(n_t, n_c), got m={ds.m}, "
+                f"n_t={n_t}, n_c={n_c}"
+            )
+        theta_t, theta_c = (_slopes(x[arm], y[arm], name)
+                            for arm, name in ((t_mask, "treated arm"),
+                                              (~t_mask, "control arm")))
+        y = y - x @ ((n_c / n) * theta_t + (n_t / n) * theta_c)
     y_t = y[t_mask]
     y_c = y[~t_mask]
     mean_t = y_t.mean(axis=0)
@@ -127,73 +147,3 @@ def _difference_of_means(ds: TrialDataset, y: np.ndarray, method: str,
     sigma = (sigma + sigma.T) / 2.0
     index_set = tuple(range(ds.p) if subset is None else map(int, subset))
     return EffectEstimate._trusted(tau, sigma, n_t, n_c, n, method, index_set)
-
-
-def diff_in_means(ds: TrialDataset, subset=None) -> EffectEstimate:
-    """Difference of arm means and its covariance.
-
-    ``tau_hat`` is the treated-arm mean minus the control-arm mean per outcome
-    column. ``sigma_hat`` sums the within-arm scatter matrices, each divided
-    by its own arm size and rescaled by ``n / n_arm``.
-    """
-    work = ds if subset is None else ds.restrict_outcomes(subset)
-    return _difference_of_means(ds, work.outcomes, "dim", subset)
-
-
-def cuped_adjust(ds: TrialDataset) -> AdjustedOutcomes:
-    """Pooled covariate adjustment: regress each outcome on the covariates
-    over the full sample and subtract the fitted covariate contribution.
-
-    The pooled regression does not condition on treatment; slopes come from
-    centered data (:func:`hdte.data.project_columns`, which raises on a rank
-    below ``m``), so no explicit intercept is carried.
-    """
-    check_estimator(ds, "cuped")
-    if ds.m >= ds.n:
-        raise DataError(f"adjustment needs m < n, got m={ds.m}, n={ds.n}")
-    theta, _ = project_columns(center_columns(ds.covariates)[0],
-                               center_columns(ds.outcomes)[0],
-                               "covariate design in pooled adjustment")
-    y_tilde = ds.outcomes - ds.covariates @ theta
-    return AdjustedOutcomes(y_tilde, theta, "cuped")
-
-
-def lin_adjust(ds: TrialDataset) -> AdjustedOutcomes:
-    """Per-arm covariate adjustment with cross-weighted slopes.
-
-    Fits the outcome-on-covariate regression separately within each arm
-    (:func:`hdte.data.project_columns`) and subtracts ``(n_c / n) *
-    theta_treated + (n_t / n) * theta_control`` applied to the covariates.
-    """
-    check_estimator(ds, "lin")
-    t_mask, n_t, n_c = _check_arms(ds)
-    if ds.m >= min(n_t, n_c):
-        raise DataError(
-            f"per-arm adjustment needs m < min(n_t, n_c), got m={ds.m}, "
-            f"n_t={n_t}, n_c={n_c}"
-        )
-    theta_t, theta_c = (
-        project_columns(center_columns(ds.covariates[arm])[0],
-                        center_columns(ds.outcomes[arm])[0],
-                        f"covariate design in {name}")[0]
-        for arm, name in ((t_mask, "treated arm"), (~t_mask, "control arm"))
-    )
-    combined = (n_c / ds.n) * theta_t + (n_t / ds.n) * theta_c
-    y_tilde = ds.outcomes - ds.covariates @ combined
-    return AdjustedOutcomes(y_tilde, (theta_t, theta_c), "lin")
-
-
-def adjusted_estimate(ds: TrialDataset, method: str, subset=None) -> EffectEstimate:
-    """Covariate-adjusted estimate: adjust outcomes, then difference of means.
-
-    ``method`` is ``"cuped"`` (pooled slopes), ``"lin"`` (per-arm slopes), or
-    ``"dim"`` (no adjustment). Column restriction happens before adjustment;
-    because slopes are fit per outcome column, restricting first or last gives
-    the same numbers.
-    """
-    check_estimator(ds, method)
-    if method == "dim":
-        return diff_in_means(ds, subset)
-    work = ds if subset is None else ds.restrict_outcomes(subset)
-    adjusted = cuped_adjust(work) if method == "cuped" else lin_adjust(work)
-    return _difference_of_means(ds, adjusted.y_tilde, method, subset)

@@ -26,6 +26,7 @@ __all__ = [
     "single_split_pipeline",
     "aggregate_pvalues",
     "multi_split",
+    "check_multi_split",
     "split_seeds",
 ]
 
@@ -208,6 +209,27 @@ def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: Sel
     return out
 
 
+def check_multi_split(B: int, gamma: float, method: str, sel: SelectionSpec,
+                      ds: TrialDataset | None = None) -> None:
+    """Raise the :class:`DataError` that :func:`multi_split` raises before its
+    first split, in its order: ``B`` under 1, a ``gamma`` outside (0, 1), an
+    unknown ``method`` or one without covariates to adjust on, resolution
+    levels that do not fit ``ds`` (see :func:`hdte.data.check_grouping`) and
+    a size beyond the columns (each level's groups) it selects from. With
+    ``ds`` ``None`` the checks of its covariates, of the levels' fit and of
+    a single level's columns are left out, so a driver that draws the data
+    later checks the rest up front."""
+    if B < 1:
+        raise DataError(f"B must be >= 1, got {B}")
+    _check_gamma(gamma)
+    check_estimator(ds, method)
+    if ds is not None:
+        for grouping in sel.levels or ():
+            check_grouping(ds, grouping)
+    if sel.size is not None and (sel.levels or ds is not None):
+        check_sizes([sel.size], min(map(len, sel.levels)) if sel.levels else ds.p)
+
+
 def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
                 method: str = "dim", sel: SelectionSpec = SelectionSpec(size=1),
                 seed: int = 0, fraction: float = 0.5,
@@ -219,13 +241,11 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     p-value. Split seeds derive deterministically from ``seed``, so reruns
     reproduce the report exactly. Any split failure aborts with the split
     index in the error message. A mistake that would fail every split is a
-    data error, not a failure of split 0: a ``gamma`` outside (0, 1), an
-    unknown ``method`` or one without covariates to adjust on, resolution
-    levels that do not fit ``ds`` (see :func:`hdte.data.check_grouping`) or
-    a size beyond the columns (each level's groups) it selects from, all
-    checked before the first split, and a ``fraction`` that leaves a part
-    under 2 rows. Checking the levels plans them, so the splits (and forked
-    children) read each level's plan rather than derive it again.
+    data error, not a failure of split 0: those of
+    :func:`check_multi_split`, checked before the first split, and a
+    ``fraction`` that leaves a part under 2 rows. Checking the levels plans
+    them, so the splits (and forked children) read each level's plan rather
+    than derive it again.
 
     Split ``b`` is :func:`single_split_pipeline` on ``random_split(ds,
     fraction, split_seeds(seed, B)[b])``, bit for bit, except that the test
@@ -242,14 +262,7 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     aggregated here in split order. With BLAS threads unpinned, the BLAS
     pool's threads keep the splits serial.
     """
-    if B < 1:
-        raise DataError(f"B must be >= 1, got {B}")
-    _check_gamma(gamma)
-    check_estimator(ds, method)
-    for grouping in sel.levels or ():
-        check_grouping(ds, grouping)
-    if sel.size is not None:
-        check_sizes([sel.size], min(map(len, sel.levels)) if sel.levels else ds.p)
+    check_multi_split(B, gamma, method, sel, ds)
     n_slots, offsets = _slot_layout(sel, ds.p)
     seeds = split_seeds(seed, B)
     outcomes = run_shared(B, share_count(B) if B >= _FORK_MIN_SPLITS else 1,

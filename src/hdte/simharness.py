@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import TrialDataset, aggregate_columns
 from .errors import DataError, HdteError
-from .estimators import adjusted_estimate
+from .estimators import adjusted_estimate, check_estimator
 from .forking import run_shared, share_count
-from .inference import hotelling_pvalue, multi_split, z_pvalues
+from .inference import check_multi_split, hotelling_pvalue, multi_split, z_pvalues
 from .selection import SelectionSpec, run_selection
 
 __all__ = [
@@ -385,6 +385,10 @@ def window_level_groupings(level_window_minutes) -> list[tuple[tuple[int, ...], 
 # replicated experiments
 
 
+# The level of every test whose rejection the power experiments count.
+_ALPHA = 0.05
+
+
 @dataclass(frozen=True)
 class ExperimentMetrics:
     """Aggregated results of one method over replicates. Failed replicates
@@ -460,14 +464,13 @@ def _recovery_replicate(generator, methods, sizes, estimator, child):
     return _outcomes(methods, recovery)
 
 
-def _power_replicate(generator, methods, sizes, estimator, test_estimator, alpha_level,
-                     n_second, child):
+def _power_replicate(generator, methods, sizes, estimator, test_estimator, n_second, child):
     ds1, ds2, _ = generator.replicate_pair(child, n_second)
 
     def rejections(method):
         picks = _subsets_by_size(ds1, method, sizes, estimator)
         return {s: float(hotelling_pvalue(adjusted_estimate(ds2, test_estimator, sel))
-                         <= alpha_level)
+                         <= _ALPHA)
                 for s, sel in picks.items()}
     return _outcomes(methods, rejections)
 
@@ -520,19 +523,20 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
 def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, *,
                          second_sample_size: int = 500,
                          estimator: str = "cuped",
-                         test_estimator: str = "lin",
-                         alpha_level: float = 0.05) -> dict[str, ExperimentMetrics]:
-    """Rejection frequency of the group test at ``alpha_level`` per method
-    and size.
+                         test_estimator: str = "lin") -> dict[str, ExperimentMetrics]:
+    """Rejection frequency of the group test at level 0.05 per method and
+    size.
 
     Each replicate draws a selection dataset and an independent evaluation
     dataset of ``second_sample_size`` rows from the same coefficient draw;
     selection happens on the first, the quadratic-form test on the second
-    restricted to the selected columns (``test_estimator`` adjustment).
+    restricted to the selected columns (``test_estimator`` adjustment, whose
+    name is checked before the first replicate).
     """
     methods, sizes = _check_experiment(methods, sizes, estimator)
+    check_estimator(None, test_estimator)
     results = _run_experiment(partial(_power_replicate, generator, methods, sizes, estimator,
-                                      test_estimator, alpha_level, second_sample_size),
+                                      test_estimator, second_sample_size),
                               methods, replicates, seed)
     return {key: ExperimentMetrics(key, replicates, failures, power_by_size=means)
             for key, (means, failures) in results.items()}
@@ -551,7 +555,7 @@ def _semisynth_arms(config: TraceExperimentConfig) -> dict[str, tuple | None]:
     return arms
 
 
-def _semisynth_replicate(config, B, gamma, select_size, estimator, alpha_level, child):
+def _semisynth_replicate(config, B, gamma, sel, estimator, child):
     rng = np.random.default_rng(child)
     week1, week2 = _glucose_traces(rng, config.n, config.points_per_day)
     t = (rng.random(config.n) < 0.5).astype(np.int64)
@@ -570,24 +574,20 @@ def _semisynth_replicate(config, B, gamma, select_size, estimator, alpha_level, 
         """Whether an arm rejects, as a map of one entry (key ``None``): the
         fixed-window test on ``grouping``, or the proposed pipeline for ``None``."""
         if grouping is None:
-            p = multi_split(
-                ds, B=B, gamma=gamma, method=estimator,
-                sel=SelectionSpec(method="lasso", size=select_size,
-                                  levels=window_level_groupings(config.level_window_minutes)),
-                seed=multi_split_seed,
-            ).group_aggregated
+            p = multi_split(ds, B=B, gamma=gamma, method=estimator, sel=sel,
+                            seed=multi_split_seed).group_aggregated
         else:
             level_ds = aggregate_columns(ds, grouping)
             est = adjusted_estimate(level_ds, estimator)
             p = float(z_pvalues(est, correction=level_ds.p, two_sided=True).min())
-        return {None: float(p <= alpha_level)}
+        return {None: float(p <= _ALPHA)}
     return _outcomes(_semisynth_arms(config), rejection)
 
 
 def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
                              seed: int, *, B: int = 20, gamma: float = 0.05,
-                             select_size: int = 1, estimator: str = "lin",
-                             alpha_level: float = 0.05) -> dict[str, ExperimentMetrics]:
+                             select_size: int = 1,
+                             estimator: str = "lin") -> dict[str, ExperimentMetrics]:
     """Rejection frequency of fixed-window testing versus the
     multi-resolution split pipeline on glucose traces.
 
@@ -596,10 +596,15 @@ def run_semisynth_experiment(config: TraceExperimentConfig, replicates: int,
     outcome and covariate matrices at the finest level, then run (a)
     fixed-window multiplicity-corrected per-window tests at every coarser
     level on the full sample and (b) the multi-resolution multi-split
-    pipeline. Week 1 supplies covariates for adjustment throughout.
+    pipeline. Week 1 supplies covariates for adjustment throughout. Either
+    rejects at level 0.05. The pipeline's ``B``, ``gamma``, ``estimator``
+    and ``select_size`` (against the coarsest level's windows) are checked
+    before the first replicate (:func:`hdte.inference.check_multi_split`).
     """
-    results = _run_experiment(partial(_semisynth_replicate, config, B, gamma, select_size,
-                                      estimator, alpha_level),
+    sel = SelectionSpec(method="lasso", size=select_size,
+                        levels=window_level_groupings(config.level_window_minutes))
+    check_multi_split(B, gamma, estimator, sel)
+    results = _run_experiment(partial(_semisynth_replicate, config, B, gamma, sel, estimator),
                               _semisynth_arms(config), replicates, seed)
     return {name: ExperimentMetrics(name, replicates, failures,
                                     power=None if means is None else means[None])

@@ -13,7 +13,7 @@ import numpy as np
 
 from hdte.cli import main as cli_main
 from hdte.data import TrialDataset, random_split, write_csv
-from hdte.estimators import diff_in_means
+from hdte.estimators import adjusted_estimate
 from hdte.inference import (
     SelectionSpec,
     aggregate_pvalues,
@@ -68,7 +68,7 @@ def test_criterion_01_rss_hotelling_equivalence(criterion_log):
         for size in (1, 2, 3):
             subsets = list(itertools.combinations(range(6), size))
             rss = [subset_weighted_rss(ds, s) for s in subsets]
-            stat = [hotelling_statistic(diff_in_means(ds, s)) for s in subsets]
+            stat = [hotelling_statistic(adjusted_estimate(ds, "dim", s)) for s in subsets]
             if set(subsets[int(np.argmin(rss))]) != set(subsets[int(np.argmax(stat))]):
                 _report(criterion_log, 1, "RSS argmin = group-statistic argmax",
                         False, f"mismatch at size {size}")
@@ -88,7 +88,7 @@ def test_criterion_02_weighted_moment_identity(criterion_log):
         rng.shuffle(t)
         ds = TrialDataset(t, rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0))
         w = propensity_weights(ds.treatments)
-        est = diff_in_means(ds)
+        est = adjusted_estimate(ds, "dim")
         yc = ds.outcomes - ds.outcomes.mean(axis=0)
         lhs = (yc * w[:, None]).T @ yc / n
         n_t = ds.n_treated

@@ -357,6 +357,25 @@ def test_experiments_without_a_replicate_exit_2(tmp_path, capsys, argv, message)
     assert not (outdir / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--s", "0"], "sizes must be within [1, p=6], got [0]"),
+    (["--s", "7"], "sizes must be within [1, p=6], got [7]"),
+    (["--B", "0"], "B must be >= 1, got 0"),
+    (["--gamma", "2"], "gamma must be in (0, 1), got 2.0"),
+], ids=["size-0", "size-7", "no-split", "gamma-2"])
+def test_semisynth_rejects_a_pipeline_it_cannot_run(tmp_path, capsys, option, message):
+    """A size beyond the coarsest level's 6 windows, no split or a ``gamma``
+    outside (0, 1) would fail the proposed pipeline in every replicate: it
+    is a data error with ``multi_split``'s message, raised before the first
+    replicate, and no metrics.csv is written."""
+    outdir = tmp_path / "out"
+    argv = ["semisynth", "--n", "60", "--replicates", "2", "--B", "4", *option]
+    assert main([*argv, "--outdir", str(outdir)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": message}
+    assert not (outdir / "metrics.csv").exists()
+
+
 def test_multisplit_with_gamma_outside_the_unit_interval_exits_2(trial_csv, tmp_path, capsys,
                                                                 monkeypatch):
     splits = []
@@ -519,8 +538,17 @@ def test_rerun_replays_a_manifest_that_records_jobs(tmp_path, monkeypatch, comma
     ('{"command": "select", "params": {"data": "%s", "selection": "ridge"}}',
      "parameter 'selection': "),
     ('{"command": "select", "params": [1]}', "params must be an object, got [1]"),
+    ('{"command": "select", "params": {"data": "%s", "s": 2.7}}',
+     "parameter 's': 2.7 is not a valid integer"),
+    ('{"command": "select", "params": {"data": "%s", "s": true}}',
+     "parameter 's': True is not a valid integer"),
+    ('{"command": "select", "params": {"data": "%s", "lam": false}}',
+     "parameter 'lam': False is not a valid float"),
+    ('{"command": "select", "params": {"data": "%s", "lam": "0.1"}}',
+     "parameter 'lam': '0.1' is not a valid float"),
 ], ids=["no-params", "not-json", "unknown-command", "no-data", "data-not-a-path",
-        "size-not-an-integer", "unknown-selection", "params-not-an-object"])
+        "size-not-an-integer", "unknown-selection", "params-not-an-object",
+        "size-a-fraction", "size-a-bool", "penalty-a-bool", "penalty-a-string"])
 def test_rerun_rejects_broken_manifest(trial_csv, tmp_path, capsys, text, message):
     """A manifest that cannot be replayed, including a parameter missing or of
     the wrong type, is a one-line data error that writes nothing."""

@@ -1,24 +1,20 @@
+import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hdte.data import TrialDataset
 from hdte.errors import DataError, NumericalError
-from hdte.estimators import (
-    EffectEstimate,
-    adjusted_estimate,
-    cuped_adjust,
-    diff_in_means,
-    lin_adjust,
-)
+from hdte.estimators import EffectEstimate, adjusted_estimate
 from test_wlasso import collinear_dataset
 
 
 def test_diff_in_means_hand_example():
     """Worked example: treated outcomes (3, 5), control (1, 1)."""
     ds = TrialDataset([1, 1, 0, 0], [[3.0], [5.0], [1.0], [1.0]])
-    est = diff_in_means(ds)
+    est = adjusted_estimate(ds, "dim")
     assert est.tau_hat[0] == pytest.approx(3.0)
     # treated scatter 2, control scatter 0: (4/2) * 2/2 + (4/2) * 0/2 = 2
     assert est.sigma_hat[0, 0] == pytest.approx(2.0)
@@ -34,7 +30,7 @@ def test_diff_in_means_covariance_matches_per_arm_scatter():
     rng.shuffle(t)
     y = rng.standard_normal((n, 4)) @ rng.standard_normal((4, 4))
     ds = TrialDataset(t, y)
-    est = diff_in_means(ds)
+    est = adjusted_estimate(ds, "dim")
     n_t = t.sum()
     n_c = n - n_t
     cov_t = np.cov(y[t == 1].T, ddof=0)
@@ -55,23 +51,51 @@ def test_diff_in_means_unbiased_over_assignments():
         t = np.zeros(n, dtype=int)
         t[list(chosen)] = 1
         y = np.where(t == 1, y1, y0)[:, None]
-        taus.append(diff_in_means(TrialDataset(t, y)).tau_hat[0])
+        taus.append(adjusted_estimate(TrialDataset(t, y), "dim").tau_hat[0])
     assert np.mean(taus) == pytest.approx(true_ate, abs=1e-12)
 
 
 def test_diff_in_means_subset_selects_columns():
     rng = np.random.default_rng(2)
     ds = TrialDataset(rng.integers(0, 2, 40), rng.standard_normal((40, 5)))
-    full = diff_in_means(ds)
-    sub = diff_in_means(ds, subset=[4, 1])
+    full = adjusted_estimate(ds, "dim")
+    sub = adjusted_estimate(ds, "dim", subset=[4, 1])
     assert sub.index_set == (4, 1)
     np.testing.assert_allclose(sub.tau_hat, full.tau_hat[[4, 1]])
     np.testing.assert_allclose(sub.sigma_hat, full.sigma_hat[np.ix_([4, 1], [4, 1])])
 
 
 def test_diff_in_means_needs_two_per_arm():
-    with pytest.raises(DataError, match="at least 2"):
-        diff_in_means(TrialDataset([1, 0, 0, 0], np.zeros((4, 1))))
+    with pytest.raises(DataError, match=r"^each arm needs at least 2 units, got n_t=1, n_c=3$"):
+        adjusted_estimate(TrialDataset([1, 0, 0, 0], np.zeros((4, 1))), "dim")
+
+
+def lstsq_oracle(ds, method):
+    """``(tau_hat, sigma_hat)`` of the ``"cuped"`` or ``"lin"`` estimate
+    rebuilt from least-squares slopes on the centered rows (all rows, or each
+    arm's) and numpy's within-arm covariances."""
+    def slopes(rows):
+        x, y = ds.covariates[rows], ds.outcomes[rows]
+        return np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(axis=0), rcond=None)[0]
+
+    treated = ds.treatments == 1
+    n, n_t = ds.n, int(treated.sum())
+    n_c = n - n_t
+    theta = (slopes(slice(None)) if method == "cuped"
+             else (n_c / n) * slopes(treated) + (n_t / n) * slopes(~treated))
+    y = ds.outcomes - ds.covariates @ theta
+    tau = y[treated].mean(axis=0) - y[~treated].mean(axis=0)
+    sigma = sum((n / arm.sum()) * np.atleast_2d(np.cov(y[arm].T, ddof=0))
+                for arm in (treated, ~treated))
+    return tau, sigma
+
+
+def assert_matches_oracle(ds, method, rtol, atol=0.0):
+    est = adjusted_estimate(ds, method)
+    tau, sigma = lstsq_oracle(ds, method)
+    np.testing.assert_allclose(est.tau_hat, tau, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(est.sigma_hat, sigma, rtol=rtol, atol=atol)
+    return est
 
 
 def test_cuped_exact_on_noiseless_data():
@@ -81,9 +105,7 @@ def test_cuped_exact_on_noiseless_data():
     x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     y = 2.0 * x + 3.0 * t[:, None]
     ds = TrialDataset(t, y, x)
-    adj = cuped_adjust(ds)
-    assert adj.theta[0, 0] == pytest.approx(2.0, abs=1e-12)
-    est = adjusted_estimate(ds, "cuped")
+    est = assert_matches_oracle(ds, "cuped", rtol=0.0, atol=1e-12)
     assert est.tau_hat[0] == pytest.approx(3.0, abs=1e-12)
     assert est.sigma_hat[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert est.method == "cuped"
@@ -96,23 +118,19 @@ def test_cuped_reduces_variance_with_predictive_covariate():
     t = rng.integers(0, 2, n)
     y = 0.5 * t[:, None] + 2.0 * x + rng.standard_normal((n, 1))
     ds = TrialDataset(t, y, x)
-    plain = diff_in_means(ds)
+    plain = adjusted_estimate(ds, "dim")
     adjusted = adjusted_estimate(ds, "cuped")
     assert adjusted.sigma_hat[0, 0] < 0.4 * plain.sigma_hat[0, 0]
     assert adjusted.tau_hat[0] == pytest.approx(0.5, abs=0.1)
 
 
-def test_cuped_slope_matches_lstsq_oracle():
+@pytest.mark.parametrize("method", ["cuped", "lin"])
+def test_adjustment_matches_lstsq_oracle(method):
     rng = np.random.default_rng(11)
     n = 80
     x = rng.standard_normal((n, 3))
-    y = rng.standard_normal((n, 2))
-    ds = TrialDataset(rng.integers(0, 2, n), y, x)
-    adj = cuped_adjust(ds)
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    expected = np.linalg.solve(xc.T @ xc, xc.T @ yc)
-    np.testing.assert_allclose(adj.theta, expected, rtol=1e-9)
+    y = rng.standard_normal((n, 2)) + x @ rng.standard_normal((3, 2))
+    assert_matches_oracle(TrialDataset(rng.integers(0, 2, n), y, x), method, rtol=1e-9)
 
 
 def test_lin_equals_cuped_when_arms_share_the_map():
@@ -131,8 +149,9 @@ def test_lin_equals_cuped_when_arms_share_the_map():
 
 
 def test_lin_handles_heterogeneous_slopes():
-    """When treated and control slopes differ, the per-arm adjustment stays
-    consistent for the average effect; a large sample pins it down."""
+    """When treated and control slopes differ (3 and 1), the per-arm
+    adjustment, built from each arm's own slopes, stays consistent for the
+    average effect; a large sample pins it down."""
     rng = np.random.default_rng(13)
     n = 4000
     x = rng.standard_normal((n, 1))
@@ -140,31 +159,38 @@ def test_lin_handles_heterogeneous_slopes():
     y = 1.0 * t[:, None] + np.where(t[:, None] == 1, 3.0, 1.0) * x \
         + 0.1 * rng.standard_normal((n, 1))
     ds = TrialDataset(t, y, x)
-    est = adjusted_estimate(ds, "lin")
+    est = assert_matches_oracle(ds, "lin", rtol=1e-9)
     assert est.tau_hat[0] == pytest.approx(1.0, abs=0.05)
-    adj = lin_adjust(ds)
-    theta_t, theta_c = adj.theta
-    assert theta_t[0, 0] == pytest.approx(3.0, abs=0.05)
-    assert theta_c[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_adjustment_requires_covariates_and_small_m():
     ds = TrialDataset([1, 1, 0, 0], np.zeros((4, 1)))
-    with pytest.raises(DataError, match="no covariates"):
-        cuped_adjust(ds)
-    with pytest.raises(DataError, match="no covariates"):
-        lin_adjust(ds)
+    for method in ("cuped", "lin"):
+        with pytest.raises(DataError, match=r"^dataset has no covariates to adjust on$"):
+            adjusted_estimate(ds, method)
     rng = np.random.default_rng(0)
     wide = TrialDataset(
         [1, 1, 0, 0], rng.standard_normal((4, 1)), rng.standard_normal((4, 3))
     )
-    with pytest.raises(DataError, match="m < min"):
-        lin_adjust(wide)
+    with pytest.raises(DataError, match=r"^per-arm adjustment needs m < min\(n_t, n_c\), "
+                                        r"got m=3, n_t=2, n_c=2$"):
+        adjusted_estimate(wide, "lin")
     square = TrialDataset(
         [1, 1, 0, 0], rng.standard_normal((4, 1)), rng.standard_normal((4, 4))
     )
-    with pytest.raises(DataError, match="m < n"):
-        cuped_adjust(square)
+    with pytest.raises(DataError, match=r"^adjustment needs m < n, got m=4, n=4$"):
+        adjusted_estimate(square, "cuped")
+
+
+def test_each_adjustment_checks_in_its_order():
+    """``cuped`` checks ``m < n`` before the arms, ``lin`` the arms before
+    ``m < min(n_t, n_c)``."""
+    rng = np.random.default_rng(0)
+    ds = TrialDataset([1, 0, 0, 0], rng.standard_normal((4, 1)), rng.standard_normal((4, 4)))
+    with pytest.raises(DataError, match=r"^adjustment needs m < n, got m=4, n=4$"):
+        adjusted_estimate(ds, "cuped")
+    with pytest.raises(DataError, match=r"^each arm needs at least 2 units, got n_t=1, n_c=3$"):
+        adjusted_estimate(ds, "lin")
 
 
 def test_singular_design_raises():
@@ -172,9 +198,9 @@ def test_singular_design_raises():
     x = rng.standard_normal((20, 1))
     dup = np.hstack([x, x])
     ds = TrialDataset(rng.integers(0, 2, 20), rng.standard_normal((20, 1)), dup)
-    with pytest.raises(NumericalError, match=r"singular covariate design in pooled "
+    with pytest.raises(NumericalError, match=r"^singular covariate design in pooled "
                                              r"adjustment \(rank 1 < m=2\)"):
-        cuped_adjust(ds)
+        adjusted_estimate(ds, "cuped")
 
 
 @pytest.mark.parametrize("arm", ["treated", "control"])
@@ -186,28 +212,22 @@ def test_lin_rejects_a_covariate_constant_within_one_arm(arm):
     x = rng.standard_normal((40, 2))
     x[t == (arm == "treated"), 1] = 0.3
     ds = TrialDataset(t, rng.standard_normal((40, 3)), x)
-    with pytest.raises(NumericalError, match=rf"singular covariate design in {arm} "
+    with pytest.raises(NumericalError, match=rf"^singular covariate design in {arm} "
                                              r"arm \(rank 1 < m=2\)"):
-        lin_adjust(ds)
-    assert cuped_adjust(ds).theta.shape == (2, 3)
+        adjusted_estimate(ds, "lin")
+    assert_matches_oracle(ds, "cuped", rtol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [61, 62])
-def test_adjustment_slopes_match_lstsq_on_nearly_collinear_covariates(seed):
-    """Covariates of condition number about 1e6: pooled and per-arm slopes
-    agree with least squares on the centered rows to 1e-8."""
+def test_adjustment_matches_lstsq_on_nearly_collinear_covariates(seed):
+    """Covariates of condition number about 1e6: pooled and per-arm
+    estimates agree with those from least squares on the centered rows to
+    1e-8."""
     ds = collinear_dataset(seed)
-
-    def oracle(rows):
-        x, y = ds.covariates[rows], ds.outcomes[rows]
-        return np.linalg.lstsq(x - x.mean(axis=0), y - y.mean(axis=0), rcond=None)[0]
-
-    treated = ds.treatments == 1
     x = ds.covariates
     assert 1e5 < np.linalg.cond(x - x.mean(axis=0)) < 1e7
-    np.testing.assert_allclose(cuped_adjust(ds).theta, oracle(slice(None)), rtol=1e-8)
-    for got, rows in zip(lin_adjust(ds).theta, (treated, ~treated)):
-        np.testing.assert_allclose(got, oracle(rows), rtol=1e-8)
+    for method in ("cuped", "lin"):
+        assert_matches_oracle(ds, method, rtol=1e-8)
 
 
 def test_adjusted_estimate_restrict_before_or_after_agree():
@@ -237,13 +257,16 @@ def test_a_subset_index_outside_the_columns_is_a_data_error(method, bad):
 
 
 def test_adjusted_estimate_dim_passthrough():
+    """``"dim"`` gives the same bits with or without covariates; an unknown
+    method is reported before any other check."""
     rng = np.random.default_rng(3)
-    ds = TrialDataset(rng.integers(0, 2, 30), rng.standard_normal((30, 2)))
-    a = adjusted_estimate(ds, "dim")
-    b = diff_in_means(ds)
-    np.testing.assert_array_equal(a.tau_hat, b.tau_hat)
-    with pytest.raises(DataError, match="unknown estimation method"):
-        adjusted_estimate(ds, "ols")
+    t, y = rng.integers(0, 2, 30), rng.standard_normal((30, 2))
+    a = adjusted_estimate(TrialDataset(t, y, rng.standard_normal((30, 40))), "dim")
+    b = adjusted_estimate(TrialDataset(t, y), "dim")
+    assert a.tau_hat.tobytes() == b.tau_hat.tobytes()
+    assert a.sigma_hat.tobytes() == b.sigma_hat.tobytes()
+    with pytest.raises(DataError, match=r"^unknown estimation method 'ols'$"):
+        adjusted_estimate(TrialDataset(t, y), "ols", subset=[7])
 
 
 def test_effect_estimate_validation():
@@ -285,6 +308,64 @@ def test_package_estimates_skip_revalidation(monkeypatch):
             assert getattr(est, name).tobytes() == getattr(want, name).tobytes()
         assert (est.n_t, est.n_c, est.n, est.method, est.index_set) == (
             want.n_t, want.n_c, want.n, want.method, want.index_set)
-    assert diff_in_means(ds, [4]).index_set == (4,)
+    assert adjusted_estimate(ds, "dim", [4]).index_set == (4,)
     with pytest.raises(AssertionError, match="validated again"):
         EffectEstimate(np.zeros(1), np.eye(1), 2, 2, 4, "dim", (0,))
+
+
+RECORDED_CASES = Path(__file__).with_name("estimator_cases.txt")
+
+
+def recorded_case(seed: int):
+    """``(dataset, method, subset)`` of recorded case ``seed``: a small design
+    of random shape, its arms sometimes under 2 units, its covariates
+    sometimes missing, too many, duplicated or constant within the treated
+    arm, and a subset that is all columns, some in any order (repeats and
+    none among them), or one out of range."""
+    rng = np.random.default_rng(seed)
+    n, p, m = int(rng.integers(4, 40)), int(rng.integers(1, 6)), int(rng.integers(0, 6))
+    t = (rng.random(n) < rng.uniform(0.15, 0.85)).astype(np.int64)
+    y = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0)
+    x = None
+    if m:
+        x = rng.standard_normal((n, m))
+        y += x @ rng.standard_normal((m, p))
+        defect = int(rng.integers(6))
+        if defect == 0 and m > 1:
+            x[:, -1] = x[:, 0]
+        elif defect == 1:
+            x[t == 1, 0] = 0.5
+    method = str(rng.choice(["dim", "cuped", "lin", "ols"], p=[0.3, 0.32, 0.32, 0.06]))
+    kind = int(rng.integers(7))
+    subset = (None if kind == 0
+              else rng.permutation(p)[: int(rng.integers(0, p + 1))] if kind == 1
+              else rng.integers(0, p, int(rng.integers(1, 4))) if kind == 2
+              else [int(rng.integers(p)), p if rng.random() < 0.5 else -1] if kind == 3
+              else rng.integers(0, p, 1).tolist() if kind == 4
+              else None)
+    return TrialDataset(t, y, x), method, subset
+
+
+def recorded_outcome(seed: int) -> str:
+    """One line of what ``adjusted_estimate`` gives on case ``seed``: the
+    hash of the bits of ``tau_hat`` and ``sigma_hat`` and the other fields,
+    or the class and message of the error it raises."""
+    ds, method, subset = recorded_case(seed)
+    try:
+        est = adjusted_estimate(ds, method, subset)
+    except Exception as exc:  # every error, of any class, is part of the record
+        return f"{seed} {type(exc).__name__}: {exc}"
+    digest = hashlib.sha256(est.tau_hat.tobytes() + est.sigma_hat.tobytes()).hexdigest()
+    return (f"{seed} {digest[:16]} {est.n_t} {est.n_c} {est.n} {est.method} "
+            f"{list(est.index_set)}")
+
+
+def test_estimates_and_errors_match_the_recorded_cases():
+    """``adjusted_estimate`` gives the recorded bits, fields and errors on
+    every recorded case: those of the estimator before ``diff_in_means``,
+    ``cuped_adjust`` and ``lin_adjust`` were folded into it."""
+    want = RECORDED_CASES.read_text(encoding="utf-8").splitlines()
+    assert len(want) == 400
+    got = [recorded_outcome(seed) for seed in range(len(want))]
+    assert [line for line in got if line not in want] == []
+    assert got == want

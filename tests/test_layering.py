@@ -3,10 +3,10 @@ private names, the covariate regression has one implementation, and so
 do the Cholesky factorization of the solver's exact steps, the
 propensity weighting, the singularity rule of small solves, the
 experiments' replicate loop and the forking of worker processes; every
-selection is made by one function; no function takes the weights as an
-argument; only the scipy modules the package calls are imported, and no
-package that starts processes; and every file opened as text names its
-encoding."""
+selection is made by one function and every estimate by one other; no
+function takes the weights as an argument; only the scipy modules the
+package calls are imported, and no package that starts processes; and
+every file opened as text names its encoding."""
 
 import ast
 import os
@@ -122,6 +122,19 @@ def selection_routes(path: Path) -> tuple[list[str], list[str]]:
              and (node.module, node.level > 0) in (("selection", True), ("hdte.selection", False))
              for alias in node.names]
     return builders, names
+
+
+def estimator_routes(path: Path) -> tuple[list[str], list[str]]:
+    """The public functions one source file defines at module level, and
+    the names it imports from the ``estimators`` module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not node.name.startswith("_")]
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.module, node.level > 0) in (("estimators", True), ("hdte.estimators", False))
+             for alias in node.names]
+    return defined, names
 
 
 def parameters_named(path: Path, name: str) -> list[str]:
@@ -269,6 +282,48 @@ def test_selection_routes_are_detected(tmp_path):
     assert selection_routes(sample) == (
         ["sample.py:pick", "sample.py:levels"],
         ["SelectionSpec", "_size_selections", "baseline_select"])
+
+
+def test_one_estimation_entry_point():
+    """``estimators.adjusted_estimate`` is the one way to estimate effects:
+    ``estimators`` defines no other public function but the check run
+    before it, and the modules that estimate import from ``estimators`` only
+    those two and the estimate's type. The estimators folded into it are
+    gone from the package."""
+    assert sorted(estimator_routes(PACKAGE / "estimators.py")[0]) == [
+        "adjusted_estimate", "check_estimator"]
+    imported = {name for module in ("cli", "inference", "selection", "simharness")
+                for name in estimator_routes(PACKAGE / f"{module}.py")[1]}
+    assert imported and imported <= {"EffectEstimate", "adjusted_estimate", "check_estimator"}
+    import hdte
+    import hdte.estimators
+    gone = ("diff_in_means", "cuped_adjust", "lin_adjust", "AdjustedOutcomes")
+    assert [name for module in (hdte, hdte.estimators) for name in gone
+            if hasattr(module, name) or name in module.__all__] == []
+
+
+def test_estimator_routes_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .estimators import EffectEstimate, _check_arms\n"
+        "from hdte.estimators import adjusted_estimate\n"
+        "from .data import diff_in_means\n"
+        "from estimators import lin_adjust\n"
+        "def diff_in_means(ds):\n"
+        "    def inner(y):\n"
+        "        return y\n"
+        "    return inner\n"
+        "async def cuped_adjust(ds):\n"
+        "    return ds\n"
+        "def _difference_of_means(ds):\n"
+        "    return ds\n"
+        "class Adjusted:\n"
+        "    def lin_adjust(self):\n"
+        "        return self\n"
+    )
+    assert estimator_routes(sample) == (
+        ["diff_in_means", "cuped_adjust"],
+        ["EffectEstimate", "_check_arms", "adjusted_estimate"])
 
 
 def test_no_function_takes_the_weights():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hdte.data import TrialDataset, aggregate_columns
 from hdte.errors import DataError, HdteError, NumericalError
-from hdte.estimators import EffectEstimate, adjusted_estimate, diff_in_means
+from hdte.estimators import EffectEstimate, adjusted_estimate
 from hdte.selection import (
     SelectionResult,
     SelectionSpec,
@@ -243,7 +243,7 @@ def test_baseline_and_sparse_agree_on_strong_signal():
     """With well-separated effects and plenty of data, the studentized
     ranking and the path order coincide."""
     ds = planted_dataset(15, n=500, effects=(2.0, 1.2, 0.7))
-    base = baseline_select(diff_in_means(ds), 3)
+    base = baseline_select(adjusted_estimate(ds, "dim"), 3)
     sparse = select(ds, size=3)
     assert base.selected == sparse.selected == (0, 1, 2)
 
@@ -278,11 +278,11 @@ def test_run_selection_dispatches_to_each_selector():
     assert level is None
     assert base == baseline_select(adjusted_estimate(with_cov, "lin"), 3)
     (plain,), _ = run_selection(ds, SelectionSpec("baseline", size=3), "lin")
-    assert plain == baseline_select(diff_in_means(ds), 3)
+    assert plain == baseline_select(adjusted_estimate(ds, "dim"), 3)
     # several sizes from one ranking or one path walk
     ranked, _ = run_selection(ds, SelectionSpec("baseline", size=4), "dim", (2, 4))
-    assert ranked == (baseline_select(diff_in_means(ds), 2),
-                      baseline_select(diff_in_means(ds), 4))
+    assert ranked == (baseline_select(adjusted_estimate(ds, "dim"), 2),
+                      baseline_select(adjusted_estimate(ds, "dim"), 4))
     walked, level = run_selection(ds, SelectionSpec("enet", size=4), sizes=(1, 4))
     assert level is None
     assert walked == (select(ds, method="enet", size=1), select(ds, method="enet", size=4))

@@ -221,7 +221,8 @@ def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, points):
     config = TraceExperimentConfig(n=40, effect_magnitude=30.0, seed=0, points_per_day=points)
     for child in np.random.SeedSequence(3).spawn(4):
         with pytest.raises(_Tested) as tested:
-            sh._semisynth_replicate(config, 4, 0.25, 1, "dim", 0.05, child)
+            # the first arm raises, so the proposed arm's spec is never read
+            sh._semisynth_replicate(config, 4, 0.25, None, "dim", child)
         rng = np.random.default_rng(child)
         traces = _reference_traces(config, rng)
         t = (rng.random(config.n) < 0.5).astype(np.int64)
@@ -350,6 +351,27 @@ def test_experiments_reject_a_call_they_cannot_run(run):
         run(gen, (), (1,), 2, 0)
     with pytest.raises(DataError, match="unknown selection method 'lasso '"):
         run(gen, ("lasso", "lasso "), (1,), 3, 0)
+
+
+def test_experiments_check_their_estimators_before_the_first_replicate(monkeypatch):
+    """An unknown test estimator of the power experiment, and a pipeline the
+    semi-synthetic experiment cannot run, are data errors raised before the
+    first replicate, with the messages ``multi_split`` gives."""
+    started = []
+    for worker in ("_power_replicate", "_semisynth_replicate"):
+        monkeypatch.setattr(sh, worker, lambda *args: started.append(args))
+    gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+    with pytest.raises(DataError, match=r"^unknown estimation method 'nope'$"):
+        run_power_experiment(gen, ("lasso",), (1,), 3, 0, test_estimator="nope")
+    traces = TraceExperimentConfig(n=40, effect_magnitude=5.0, seed=0,
+                                   level_window_minutes=(480, 240))
+    for kwargs, match in (({"estimator": "ols"}, r"unknown estimation method 'ols'"),
+                          ({"select_size": 4}, r"sizes must be within \[1, p=3\], got \[4\]"),
+                          ({"B": 0}, r"B must be >= 1, got 0"),
+                          ({"gamma": 1.0}, r"gamma must be in \(0, 1\), got 1.0")):
+        with pytest.raises(DataError, match=f"^{match}$"):
+            run_semisynth_experiment(traces, 2, 0, **kwargs)
+    assert not started
 
 
 @pytest.mark.parametrize("replicates, match", [

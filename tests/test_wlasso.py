@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dpotrf
 from hdte import LinearModelConfig, LinearModelGenerator, wlasso
 from hdte.data import TrialDataset, aggregate_columns
 from hdte.errors import DataError, NumericalError
-from hdte.estimators import diff_in_means
+from hdte.estimators import adjusted_estimate
 from hdte.wlasso import (
     EnetConfig,
     WeightedProblem,
@@ -63,7 +63,7 @@ def test_weight_moment_identities():
     n_c = n - n_t
     assert (w * t).sum() / n == pytest.approx(n / n_t, rel=1e-12)
     yc = ds.outcomes - ds.outcomes.mean(axis=0)
-    est = diff_in_means(ds)
+    est = adjusted_estimate(ds, "dim")
     lhs = yc.T @ (w * t) / n
     np.testing.assert_allclose(lhs, (n_c / n_t) * est.tau_hat, rtol=1e-10)
     c = n_c / n_t + n_t / n_c - 1.0
