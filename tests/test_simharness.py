@@ -28,7 +28,7 @@ from hdte.simharness import (
     write_metrics_csv,
 )
 
-from conftest import split_route
+from conftest import split_route, traced_peak
 
 
 def pick_first(ds, size):
@@ -194,14 +194,19 @@ def _reference_traces(config, rng=None):
     return np.clip(base + bumps + noise, *sh._TRACE_CLIP)
 
 
+# Less than one chunk of units, and several chunks with a short last one.
+_TRACE_UNITS = [30, 2 * sh._CHUNK_UNITS + 7]
+
+
+@pytest.mark.parametrize("n", _TRACE_UNITS)
 @pytest.mark.parametrize("seed", [0, 1, 7])
 @pytest.mark.parametrize("points", [288, 96, 1440])
-def test_glucose_traces_are_the_reference_formula_bit_for_bit(seed, points):
-    """Traces combined time-major and in place keep the reference's random
+def test_glucose_traces_are_the_reference_formula_bit_for_bit(seed, points, n):
+    """Traces built chunk by chunk and in place keep the reference's random
     draws in order and its bits, C-ordered."""
-    config = TraceExperimentConfig(n=30, effect_magnitude=5.0, seed=seed, points_per_day=points)
+    config = TraceExperimentConfig(n=n, effect_magnitude=5.0, seed=seed, points_per_day=points)
     got = gen_glucose_traces(config)
-    assert got.flags.c_contiguous and got.shape == (30, points, 2)
+    assert got.flags.c_contiguous and got.shape == (n, points, 2)
     assert got.tobytes() == _reference_traces(config).tobytes()
 
 
@@ -209,30 +214,50 @@ class _Tested(Exception):
     """Carries the dataset a replicate's first arm aggregates."""
 
 
-@pytest.mark.parametrize("points", [288, 96])
-def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, points):
-    """A replicate's week-major traces, with the effect subtracted in place,
-    give the dataset of the reference traces after apply_window_effect, bit
-    for bit: treatments, week-2 outcomes and week-1 covariates."""
+def _first_dataset(monkeypatch, config, child):
+    """The dataset a replicate's first arm aggregates: the first arm raises,
+    so the proposed arm's spec is never read."""
     def first_arm(ds, grouping):
         raise _Tested(ds)
 
     monkeypatch.setattr(sh, "aggregate_columns", first_arm)
-    config = TraceExperimentConfig(n=40, effect_magnitude=30.0, seed=0, points_per_day=points)
+    with pytest.raises(_Tested) as tested:
+        sh._semisynth_replicate(config, 4, 0.25, None, "dim", child)
+    return tested.value.args[0]
+
+
+@pytest.mark.parametrize("n", _TRACE_UNITS)
+@pytest.mark.parametrize("points", [288, 96, 1440])
+def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, points, n):
+    """A replicate's chunked traces, reduced chunk by chunk to week 1's time
+    in range and week 2's in-range masks with and without the effect, give
+    the dataset of the reference traces after apply_window_effect, bit for
+    bit: treatments, week-2 outcomes and week-1 covariates."""
+    config = TraceExperimentConfig(n=n, effect_magnitude=30.0, seed=0, points_per_day=points)
     for child in np.random.SeedSequence(3).spawn(4):
-        with pytest.raises(_Tested) as tested:
-            # the first arm raises, so the proposed arm's spec is never read
-            sh._semisynth_replicate(config, 4, 0.25, None, "dim", child)
+        got = _first_dataset(monkeypatch, config, child)
         rng = np.random.default_rng(child)
         traces = _reference_traces(config, rng)
         t = (rng.random(config.n) < 0.5).astype(np.int64)
         step = 1440 // points
         start = int(rng.integers(0, (1440 - 120) // step + 1)) * step
         traces = apply_window_effect(traces, (start, start + 120), 30.0, t)
-        got = tested.value.args[0]
         assert got.treatments.tobytes() == t.tobytes()
         assert got.outcomes.tobytes() == compute_tir(traces[:, :, 1], 60).tobytes()
         assert got.covariates.tobytes() == compute_tir(traces[:, :, 0], 60).tobytes()
+
+
+def test_a_replicate_and_the_trace_generator_hold_a_chunk_of_traces(monkeypatch):
+    """Traces are built a chunk of units at a time: a replicate's dataset at
+    n=4000 peaks below 2.5 doubles per unit and day point (6.7 when it held
+    both weeks at once), and the generator below twice its output (3.3)."""
+    config = TraceExperimentConfig(n=4000, effect_magnitude=11.0, seed=0)
+    child = np.random.SeedSequence(1).spawn(1)[0]
+    ds, peak = traced_peak(lambda: _first_dataset(monkeypatch, config, child))
+    assert ds.outcomes.shape == (4000, 24)
+    assert peak < 2.5 * config.n * config.points_per_day * 8
+    traces, peak = traced_peak(lambda: gen_glucose_traces(config))
+    assert peak < 2 * traces.nbytes
 
 
 def test_compute_tir_hand_example():
@@ -246,6 +271,9 @@ def test_compute_tir_hand_example():
         compute_tir(trace, 700)
     with pytest.raises(DataError, match="equal windows"):
         compute_tir(np.zeros(6), 360)
+    with pytest.raises(DataError, match=r"^glucose_range must be increasing, "
+                                        r"got \(180.0, 70.0\)$"):
+        compute_tir(trace, 720, (180.0, 70.0))
 
 
 def test_apply_window_effect_placement():
@@ -271,6 +299,10 @@ def test_apply_window_effect_validation():
         apply_window_effect(traces, (720, 840), 10.0, np.array([1, 0, 1]))
     with pytest.raises(DataError, match="must be"):
         apply_window_effect(np.zeros((2, 288)), (720, 840), 10.0, t)
+    # the wording of TrialDataset, which repr()s the value
+    with pytest.raises(DataError, match=r"^treatment values must be 0 or 1; "
+                                        r"found \S*2\)? at row 2$"):
+        apply_window_effect(np.full((4, 288, 2), 150.0), (720, 840), 10.0, [0, 1, 2, 1])
 
 
 def test_window_level_groupings():
@@ -302,6 +334,11 @@ def test_trace_config_validation():
     with pytest.raises(DataError, match="grid"):
         TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
                               effect_duration_minutes=7)
+    # an effect longer than the day has no window to start in
+    with pytest.raises(DataError, match="at most 1440 minutes, got 1500"):
+        TraceExperimentConfig(n=40, effect_magnitude=1.0, seed=0,
+                              effect_duration_minutes=1500)
+    TraceExperimentConfig(n=40, effect_magnitude=1.0, seed=0, effect_duration_minutes=1440)
     with pytest.raises(DataError, match="divide the day"):
         TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
                               points_per_day=100)
@@ -354,15 +391,21 @@ def test_experiments_reject_a_call_they_cannot_run(run):
 
 
 def test_experiments_check_their_estimators_before_the_first_replicate(monkeypatch):
-    """An unknown test estimator of the power experiment, and a pipeline the
+    """An unknown selection estimator of the recovery and power experiments,
+    an unknown test estimator of the power experiment, and a pipeline the
     semi-synthetic experiment cannot run, are data errors raised before the
     first replicate, with the messages ``multi_split`` gives."""
     started = []
-    for worker in ("_power_replicate", "_semisynth_replicate"):
+    for worker in ("_recovery_replicate", "_power_replicate", "_semisynth_replicate"):
         monkeypatch.setattr(sh, worker, lambda *args: started.append(args))
     gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
     with pytest.raises(DataError, match=r"^unknown estimation method 'nope'$"):
         run_power_experiment(gen, ("lasso",), (1,), 3, 0, test_estimator="nope")
+    linear = LinearModelGenerator(LinearModelConfig(n=60, p=6, m=2, s_tau=1, alpha=1.0,
+                                                    pi=0.5, seed=0))
+    for run in (run_recovery_experiment, run_power_experiment):
+        with pytest.raises(DataError, match=r"^unknown estimation method 'nope'$"):
+            run(linear, ("baseline",), (1,), 3, 0, estimator="nope")
     traces = TraceExperimentConfig(n=40, effect_magnitude=5.0, seed=0,
                                    level_window_minutes=(480, 240))
     for kwargs, match in (({"estimator": "ols"}, r"unknown estimation method 'ols'"),
