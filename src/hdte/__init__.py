@@ -5,131 +5,44 @@ per-dimension effects with optional covariate adjustment, select the few
 dimensions that carry the effect via a weighted treatment-on-outcomes
 regression, and test the selected subset on held-out data with sample
 splitting and p-value aggregation.
+
+Names are resolved on first access (PEP 562), so ``import hdte`` loads no
+submodule, nor numpy or scipy; ``hdte.X`` is the defining module's ``X``.
 """
 
-from .data import (
-    CsvSchema,
-    SplitPair,
-    TrialDataset,
-    aggregate_columns,
-    center_columns,
-    column_group_means,
-    load_csv,
-    random_split,
-    split_indices,
-    write_csv,
-)
-from .errors import DataError, HdteError, NumericalError
-from .estimators import EffectEstimate, adjusted_estimate
-from .inference import (
-    MultiSplitReport,
-    PValueReport,
-    SelectionSpec,
-    aggregate_pvalues,
-    hotelling_pvalue,
-    hotelling_statistic,
-    multi_split,
-    single_split_pipeline,
-    split_seeds,
-    z_pvalues,
-)
-from .selection import (
-    PopulationTarget,
-    SelectionResult,
-    baseline_select,
-    method_l1_ratio,
-    population_beta_star,
-    run_selection,
-)
-from .simharness import (
-    ExperimentMetrics,
-    IndependentOutcomesGenerator,
-    LinearModelConfig,
-    LinearModelGenerator,
-    TraceExperimentConfig,
-    apply_window_effect,
-    compute_tir,
-    gen_glucose_traces,
-    gen_independent_outcomes,
-    gen_linear_model,
-    run_power_experiment,
-    run_recovery_experiment,
-    run_semisynth_experiment,
-    window_level_groupings,
-    write_metrics_csv,
-)
-from .wlasso import (
-    EnetConfig,
-    EnetFit,
-    EnetPath,
-    WeightedProblem,
-    fit_weighted_enet,
-    lambda_max,
-    level_problems,
-    propensity_weights,
-    regularization_path,
-    soft_threshold,
-    subset_weighted_rss,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CsvSchema",
-    "DataError",
-    "EffectEstimate",
-    "EnetConfig",
-    "EnetFit",
-    "EnetPath",
-    "ExperimentMetrics",
-    "HdteError",
-    "IndependentOutcomesGenerator",
-    "LinearModelConfig",
-    "LinearModelGenerator",
-    "MultiSplitReport",
-    "NumericalError",
-    "PValueReport",
-    "PopulationTarget",
-    "SelectionResult",
-    "SelectionSpec",
-    "SplitPair",
-    "TraceExperimentConfig",
-    "TrialDataset",
-    "WeightedProblem",
-    "adjusted_estimate",
-    "aggregate_columns",
-    "aggregate_pvalues",
-    "apply_window_effect",
-    "baseline_select",
-    "center_columns",
-    "column_group_means",
-    "compute_tir",
-    "fit_weighted_enet",
-    "gen_glucose_traces",
-    "gen_independent_outcomes",
-    "gen_linear_model",
-    "hotelling_pvalue",
-    "hotelling_statistic",
-    "lambda_max",
-    "level_problems",
-    "load_csv",
-    "method_l1_ratio",
-    "multi_split",
-    "population_beta_star",
-    "propensity_weights",
-    "random_split",
-    "regularization_path",
-    "run_power_experiment",
-    "run_recovery_experiment",
-    "run_selection",
-    "run_semisynth_experiment",
-    "single_split_pipeline",
-    "soft_threshold",
-    "split_indices",
-    "split_seeds",
-    "subset_weighted_rss",
-    "window_level_groupings",
-    "write_csv",
-    "write_metrics_csv",
-    "z_pvalues",
-]
+# Each public name, by its defining module; a module's ``__all__`` is its list.
+_EXPORTS = {
+    "data": ("CsvSchema", "TrialDataset", "aggregate_columns", "center_columns",
+             "column_group_means", "load_csv", "split_indices", "write_csv"),
+    "errors": ("DataError", "HdteError", "NumericalError"),
+    "estimators": ("EffectEstimate", "adjusted_estimate"),
+    "inference": ("MultiSplitReport", "PValueReport", "aggregate_pvalues", "hotelling_pvalue",
+                  "hotelling_statistic", "multi_split", "single_split_pipeline", "split_seeds",
+                  "z_pvalues"),
+    "selection": ("PopulationTarget", "SelectionResult", "SelectionSpec", "baseline_select",
+                  "method_l1_ratio", "population_beta_star", "run_selection"),
+    "simharness": ("ExperimentMetrics", "IndependentOutcomesGenerator", "LinearModelConfig",
+                   "LinearModelGenerator", "TraceExperimentConfig", "apply_window_effect",
+                   "compute_tir", "gen_glucose_traces", "run_power_experiment",
+                   "run_recovery_experiment", "run_semisynth_experiment",
+                   "window_level_groupings", "write_metrics_csv"),
+    "wlasso": ("EnetConfig", "EnetFit", "EnetPath", "WeightedProblem", "fit_weighted_enet",
+               "lambda_max", "level_problems", "propensity_weights", "regularization_path"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,16 +16,11 @@ from .forking import cpu_count, fill, run_forked
 
 __all__ = [
     "TrialDataset",
-    "SplitPair",
     "CsvSchema",
     "load_csv",
     "write_csv",
-    "random_split",
     "split_indices",
     "center_columns",
-    "check_full_rank",
-    "solve_nonsingular",
-    "project_columns",
     "column_group_means",
     "aggregate_columns",
 ]
@@ -51,6 +46,17 @@ def _outcome_array(y: np.ndarray, n: int) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise DataError("outcomes contain non-finite values")
     return _frozen_array(y)
+
+
+def check_treatments(t: np.ndarray) -> np.ndarray:
+    """The treatments array ``t`` as floats, each 0 or 1; else a
+    :class:`DataError` naming the first other value, as given, and its row."""
+    t_float = t.astype(np.float64)
+    bad = np.flatnonzero((t_float != 0.0) & (t_float != 1.0))
+    if bad.size:
+        raise DataError(f"treatment values must be 0 or 1; "
+                        f"found {t[bad[0]].item()!r} at row {bad[0]}")
+    return t_float
 
 
 def _labels(column_labels, p: int) -> tuple[str, ...] | None:
@@ -81,12 +87,7 @@ class TrialDataset:
         t = np.asarray(self.treatments)
         if t.ndim != 1:
             raise DataError(f"treatments must be 1-d, got shape {t.shape}")
-        t_float = t.astype(np.float64)
-        if not np.all(np.isin(t_float, (0.0, 1.0))):
-            bad = np.flatnonzero(~np.isin(t_float, (0.0, 1.0)))[0]
-            raise DataError(
-                f"treatment values must be 0 or 1; found {t[bad]!r} at row {bad}"
-            )
+        t_float = check_treatments(t)
         n = t.shape[0]
         y = np.asarray(self.outcomes, dtype=np.float64)
         if y.ndim == 2 and n < 2:   # a shape error is reported first
@@ -168,15 +169,6 @@ class TrialDataset:
             labels = tuple(self.column_labels[j] for j in idx)
         return TrialDataset._trusted(self.treatments, _freeze(self.outcomes[:, idx]),
                                      self.covariates, labels)
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    """Two disjoint row subsets of a parent dataset plus the seed that made them."""
-
-    first: TrialDataset
-    second: TrialDataset
-    split_seed: int
 
 
 @dataclass(frozen=True)
@@ -571,7 +563,9 @@ def write_csv(ds: TrialDataset, path) -> CsvSchema:
 
 
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices (each sorted ascending) for a two-way random split."""
+    """Row indices of a two-way random split, deterministic in ``seed``: the
+    first part's ``floor(fraction * n + 0.5)`` rows and the rest, each
+    ascending, so ``ds.take_rows`` of either keeps the rows' order."""
     if not 0.0 < fraction < 1.0:
         raise DataError(f"split fraction must be in (0, 1), got {fraction}")
     n_first = int(np.floor(fraction * n + 0.5))
@@ -584,16 +578,6 @@ def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     mask = np.zeros(n, dtype=bool)
     mask[chosen] = True
     return np.flatnonzero(mask), np.flatnonzero(~mask)
-
-
-def random_split(ds: TrialDataset, fraction: float, seed: int) -> SplitPair:
-    """Split ``ds`` into two disjoint row subsets, deterministically in ``seed``.
-
-    Rows keep their original relative order within each part, so concatenating
-    the parts and sorting by parent row index recovers the parent dataset.
-    """
-    first_idx, second_idx = split_indices(ds.n, fraction, seed)
-    return SplitPair(ds.take_rows(first_idx), ds.take_rows(second_idx), int(seed))
 
 
 def _derive_plan(grouping, p: int) -> tuple[int, tuple]:

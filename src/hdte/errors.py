@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["HdteError", "DataError", "NumericalError"]
+
 
 class HdteError(Exception):
     """Base class for all package-specific errors."""

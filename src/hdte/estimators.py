@@ -18,7 +18,6 @@ from .errors import DataError, NumericalError
 __all__ = [
     "EffectEstimate",
     "adjusted_estimate",
-    "check_estimator",
 ]
 
 _METHODS = ("dim", "cuped", "lin")

@@ -18,8 +18,6 @@ import signal
 import sys
 from typing import Callable, TypeVar
 
-__all__ = ["cpu_count", "single_threaded", "share_count", "fill", "run_forked", "run_shared"]
-
 T = TypeVar("T")
 
 # Set in a forked child, and in its parent until the children are reaped

@@ -19,14 +19,12 @@ from .selection import SelectionSpec, check_sizes, run_selection
 __all__ = [
     "PValueReport",
     "MultiSplitReport",
-    "SelectionSpec",
     "z_pvalues",
     "hotelling_statistic",
     "hotelling_pvalue",
     "single_split_pipeline",
     "aggregate_pvalues",
     "multi_split",
-    "check_multi_split",
     "split_seeds",
 ]
 
@@ -103,15 +101,16 @@ def hotelling_pvalue(est: EffectEstimate) -> float:
     return float(chdtrc(s, hotelling_statistic(est)))
 
 
-def _split_report(first: TrialDataset, take_second, method: str, sel: SelectionSpec,
-                  two_sided: bool) -> tuple[PValueReport, int | None]:
-    """Select on ``first``; then test the subset on the half ``take_second()``
-    returns, built only once the selection has released its working set."""
-    (result,), level = run_selection(first, sel, method)
+def _split_report(ds: TrialDataset, rows: tuple[np.ndarray, np.ndarray], method: str,
+                  sel: SelectionSpec, two_sided: bool) -> tuple[PValueReport, int | None]:
+    """One split: select on the rows ``rows[0]`` of ``ds``, then test the
+    subset on the rows ``rows[1]``, taken only once the selection has
+    released its working set."""
+    (result,), level = run_selection(ds.take_rows(rows[0]), sel, method)
     subset = result.selected
     if not subset:
         return PValueReport({}, 1.0, None, (), 0), level
-    second = take_second()
+    second = ds.take_rows(rows[1])
     if level is not None:
         second = aggregate_columns(second, sel.levels[level])
     est = adjusted_estimate(second, method, subset)
@@ -120,10 +119,11 @@ def _split_report(first: TrialDataset, take_second, method: str, sel: SelectionS
     return PValueReport(per_dim, hotelling_pvalue(est), est, subset, len(subset)), level
 
 
-def single_split_pipeline(split, method: str, sel: SelectionSpec,
-                          two_sided: bool = False) -> PValueReport:
-    """Select on ``split.first``, then test the selected subset on
-    ``split.second``.
+def single_split_pipeline(ds: TrialDataset, method: str, sel: SelectionSpec, seed: int,
+                          fraction: float = 0.5, two_sided: bool = False) -> PValueReport:
+    """Split the rows of ``ds`` by :func:`hdte.data.split_indices` at
+    ``fraction`` and ``seed``, select on the first part, then test the
+    selected subset on the second.
 
     ``method`` names the second-half estimator (``"dim"``, ``"cuped"``,
     ``"lin"``). Per-dimension p-values carry a multiplicity correction equal
@@ -131,8 +131,8 @@ def single_split_pipeline(split, method: str, sel: SelectionSpec,
     statistic. An empty selection yields a report with group p-value 1 and no
     per-dimension entries.
     """
-    check_estimator(split.second, method)
-    return _split_report(split.first, lambda: split.second, method, sel, two_sided)[0]
+    check_estimator(ds, method)
+    return _split_report(ds, split_indices(ds.n, fraction, seed), method, sel, two_sided)[0]
 
 
 def _check_gamma(gamma: float) -> None:
@@ -196,11 +196,10 @@ def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: Sel
     raises is its entry and ends the list."""
     out = []
     for b in share:
-        # random_split's rows, which fail alike for every seed
-        first, second = split_indices(ds.n, fraction, int(seeds[b]))
+        # outside the try: a fraction that leaves a part too small fails every seed
+        rows = split_indices(ds.n, fraction, int(seeds[b]))
         try:
-            report, level = _split_report(ds.take_rows(first), lambda: ds.take_rows(second),
-                                          method, sel, two_sided)
+            report, level = _split_report(ds, rows, method, sel, two_sided)
         except HdteError as exc:
             out.append(exc)
             break
@@ -247,10 +246,10 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     them, so the splits (and forked children) read each level's plan rather
     than derive it again.
 
-    Split ``b`` is :func:`single_split_pipeline` on ``random_split(ds,
-    fraction, split_seeds(seed, B)[b])``, bit for bit, except that the test
-    half is taken only after the selection has returned, so it is never held
-    next to the selection's working set.
+    Split ``b`` is ``single_split_pipeline(ds, method, sel, split_seeds(seed,
+    B)[b], fraction, two_sided)``: both run one private function per split,
+    which takes the test half only after the selection has returned, so it
+    is never held next to the selection's working set.
 
     With at least ``_FORK_MIN_SPLITS`` (7) splits, the splits are shared
     among the ``k`` processes :func:`hdte.forking.share_count` allows: one

@@ -29,7 +29,6 @@ __all__ = [
     "run_selection",
     "baseline_select",
     "population_beta_star",
-    "check_sizes",
 ]
 
 _METHODS = ("baseline", "lasso", "enet")

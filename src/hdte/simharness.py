@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import TrialDataset, aggregate_columns
+from .data import TrialDataset, aggregate_columns, check_treatments
 from .errors import DataError, HdteError
 from .estimators import adjusted_estimate, check_estimator
 from .forking import run_shared, share_count
@@ -27,13 +27,10 @@ from .selection import SelectionSpec, run_selection
 
 __all__ = [
     "LinearModelConfig",
-    "LinearModel",
     "LinearModelGenerator",
     "IndependentOutcomesGenerator",
     "TraceExperimentConfig",
     "ExperimentMetrics",
-    "gen_linear_model",
-    "gen_independent_outcomes",
     "gen_glucose_traces",
     "apply_window_effect",
     "compute_tir",
@@ -142,11 +139,6 @@ class LinearModelGenerator:
         return ds1, ds2, s_true
 
 
-def gen_linear_model(config: LinearModelConfig) -> tuple[TrialDataset, np.ndarray]:
-    """One seeded dataset plus the affected column indices."""
-    return LinearModelGenerator(config).replicate(config.seed)
-
-
 @dataclass(frozen=True)
 class IndependentOutcomesGenerator:
     """Mean-shift model: ``Y_ij = alpha * t_i * 1{j < s_star} + eps_ij`` with
@@ -180,12 +172,6 @@ class IndependentOutcomesGenerator:
         rng = np.random.default_rng(seed)
         ds1 = self._sample(rng, self.n)
         return ds1, self._sample(rng, n_second), np.arange(self.s_star)
-
-
-def gen_independent_outcomes(n: int, d: int, s_star: int, alpha: float,
-                             pi: float, seed: int) -> tuple[TrialDataset, np.ndarray]:
-    """One seeded mean-shift dataset plus the affected column indices."""
-    return IndependentOutcomesGenerator(n, d, s_star, alpha, pi).replicate(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +329,9 @@ def apply_window_effect(traces: np.ndarray, interval: tuple[int, int],
         raise DataError(
             f"treatments shape {t.shape} does not match {traces.shape[0]} traces"
         )
-    bad = np.flatnonzero((t != 0) & (t != 1))
-    if bad.size:
-        raise DataError(f"treatment values must be 0 or 1; "
-                        f"found {t[bad[0]]!r} at row {bad[0]}")
+    treated = check_treatments(t) == 1.0
     out = traces.copy()
-    out[t == 1, start // step : end // step, 1] -= magnitude
+    out[treated, start // step : end // step, 1] -= magnitude
     return out
 
 

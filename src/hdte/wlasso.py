@@ -32,9 +32,10 @@ the active Gram that a path walk carries down its grid, stopped at the first
 zero crossing. After a step that crosses none, zero coordinates with ``|ty_j -
 q_j| > lam1`` enter the next one with the sign of ``ty_j - q_j`` (feature-sign
 search, Lee, Battle, Raina & Ng 2007), by rows appended to the factor. The
-scalar loop is the one fallback, with the bits of :func:`soft_threshold`; it
-passes long runs of zero coordinates in vectorized tests of its own condition,
-resuming after each entry. Solutions match the plain loop's to its tolerance.
+scalar loop is the one fallback, with the bits of the soft-threshold update
+``sign(z) max(|z| - lam1, 0) / denom`` in numpy; it passes long runs of zero
+coordinates in vectorized tests of its own condition, resuming after each
+entry. Solutions match the plain loop's to its tolerance.
 What does not change along a path (the penalized set, the scalar loop's float
 lists, the stationarity check's scale) is computed once per walk and carried
 with the factor, so a solve on a small problem costs about its sweeps. A lasso
@@ -71,11 +72,9 @@ __all__ = [
     "EnetFit",
     "EnetPath",
     "propensity_weights",
-    "soft_threshold",
     "fit_weighted_enet",
     "lambda_max",
     "regularization_path",
-    "subset_weighted_rss",
     "WeightedProblem",
     "level_problems",
 ]
@@ -171,11 +170,6 @@ def propensity_weights(treatments) -> np.ndarray:
         raise DataError("weights need both arms present (all-treated or all-control sample)")
     pi_hat = n_t / n
     return np.where(t == 1.0, 1.0 / pi_hat**2, 1.0 / (1.0 - pi_hat) ** 2)
-
-
-def soft_threshold(x, threshold):
-    """Shrink ``x`` toward zero by ``threshold``, clipping at zero."""
-    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
 class _Gram:
@@ -301,8 +295,8 @@ def _scalar_sweep(work, beta, q, gram, ty, diag, denom, lam1) -> float:
     """One cyclic pass over ``work`` (Python ints), updating ``beta`` and
     ``q = gram @ beta`` in place; returns the largest coefficient change.
     ``ty``, ``diag`` and ``denom`` are Python float lists, so each update runs
-    on floats with the bits of :func:`soft_threshold` (``0.0 * z`` gives its
-    signed zero and NaN). ``gram`` is read only at nonzero coordinates."""
+    on floats with the bits of the soft-threshold update in numpy (``0.0 *
+    z`` gives its signed zero and NaN). ``gram`` is read only at nonzero coordinates."""
     delta = 0.0
     for j in work:
         b_old = beta.item(j)
@@ -700,16 +694,6 @@ def _check_subset(subset, n: int, p: int) -> np.ndarray:
     return idx
 
 
-def subset_weighted_rss(ds: TrialDataset, subset) -> float:
-    """Mean weighted squared residual of the unpenalized regression of the
-    treatment indicator on the centered outcome columns in ``subset``.
-
-    The empty subset returns ``(1/n) * sum_i w_i * t_i**2`` (no regressors, no
-    intercept). Covariates are not part of this regression.
-    """
-    return WeightedProblem.from_dataset(ds).subset_weighted_rss(subset)
-
-
 class WeightedProblem:
     """The weighted problem of a dataset or of one of its resolution levels:
     ``rows`` with the Gram of ``sqrt(w) [Xc | Yc | t]`` for ``n`` units, ``m``
@@ -768,8 +752,13 @@ class WeightedProblem:
                 else _walk_path(moments, grid, config))
 
     def subset_weighted_rss(self, subset) -> float:
-        """The restricted regression of :func:`subset_weighted_rss`, on this
-        problem: it reads the subset's and the treatment's columns."""
+        """Mean weighted squared residual of the unpenalized regression of
+        the treatment indicator on the centered outcome columns in
+        ``subset``; it reads the subset's and the treatment's columns.
+
+        The empty subset returns ``(1/n) * sum_i w_i * t_i**2`` (no
+        regressors, no intercept). Covariates are not part of this
+        regression."""
         idx = _check_subset(subset, self.n, self.p)
         t = self.rows[:, self.m + self.p]
         if idx.size == 0:

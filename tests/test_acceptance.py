@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from hdte.cli import main as cli_main
-from hdte.data import TrialDataset, random_split, write_csv
+from hdte.data import TrialDataset, write_csv
 from hdte.estimators import adjusted_estimate
 from hdte.inference import (
     SelectionSpec,
@@ -33,10 +33,10 @@ from hdte.simharness import (
 )
 from hdte.wlasso import (
     EnetConfig,
+    WeightedProblem,
     fit_weighted_enet,
     lambda_max,
     propensity_weights,
-    subset_weighted_rss,
 )
 
 
@@ -67,7 +67,8 @@ def test_criterion_01_rss_hotelling_equivalence(criterion_log):
         ds = _balanced_dataset(rng, 30, 6)
         for size in (1, 2, 3):
             subsets = list(itertools.combinations(range(6), size))
-            rss = [subset_weighted_rss(ds, s) for s in subsets]
+            problem = WeightedProblem.from_dataset(ds)
+            rss = [problem.subset_weighted_rss(s) for s in subsets]
             stat = [hotelling_statistic(adjusted_estimate(ds, "dim", s)) for s in subsets]
             if set(subsets[int(np.argmin(rss))]) != set(subsets[int(np.argmax(stat))]):
                 _report(criterion_log, 1, "RSS argmin = group-statistic argmax",
@@ -232,8 +233,7 @@ def test_criterion_07_null_calibration(criterion_log):
     hits = 0
     for k in range(1000):
         ds, _ = null_gen.replicate(k)
-        report = single_split_pipeline(random_split(ds, 0.5, seed=k), "dim",
-                                       SelectionSpec(size=2))
+        report = single_split_pipeline(ds, "dim", SelectionSpec(size=2), seed=k)
         hits += report.group <= 0.05
     single_rate = hits / 1000
     hits = 0

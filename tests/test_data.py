@@ -19,7 +19,6 @@ from hdte.data import (
     check_grouping,
     column_group_means,
     load_csv,
-    random_split,
     split_indices,
     write_csv,
 )
@@ -58,6 +57,11 @@ def test_dataset_rejects_bad_treatments():
         TrialDataset([1, 2, 0, 0], np.zeros((4, 1)))
     with pytest.raises(DataError, match="row 1"):
         TrialDataset([0, 0.5, 1, 1], np.zeros((4, 1)))
+    # the value as given, not numpy's scalar repr
+    with pytest.raises(DataError, match=r"^treatment values must be 0 or 1; found 2 at row 2$"):
+        TrialDataset([0, 1, 2, 1], np.zeros((4, 2)))
+    with pytest.raises(DataError, match=r"; found 0\.5 at row 1$"):
+        TrialDataset(np.array([0.0, 0.5, 1.0]), np.zeros((3, 1)))
 
 
 def test_dataset_rejects_shape_mismatches():
@@ -105,7 +109,7 @@ def assert_frozen(ds):
 def test_derived_datasets_stay_frozen_without_revalidation(monkeypatch):
     ds = small_dataset()
     restricted = ds.restrict_outcomes(np.array([1, 0]))
-    for derived in (ds.take_rows([3, 0, 1]), random_split(ds, 0.5, seed=1).first,
+    for derived in (ds.take_rows([3, 0, 1]), ds.take_rows(split_indices(ds.n, 0.5, seed=1)[0]),
                     aggregate_columns(ds.restrict_outcomes([0]), [(0,)]), restricted):
         assert_frozen(derived)
     assert restricted.outcomes.tolist() == [[1.0, 3.0], [2.0, 5.0], [0.0, 1.0], [1.0, 1.0]]
@@ -758,16 +762,15 @@ def test_split_indices_rejects_tiny_parts():
         split_indices(10, 1.0, seed=0)
 
 
-def test_random_split_preserves_row_order():
+def test_split_indices_parts_keep_the_row_order():
     rng = np.random.default_rng(5)
     ds = TrialDataset(rng.integers(0, 2, 30), rng.standard_normal((30, 2)))
-    pair = random_split(ds, 0.5, seed=9)
-    assert pair.first.n + pair.second.n == 30
-    assert pair.split_seed == 9
+    first, second = split_indices(ds.n, 0.5, seed=9)
+    assert sorted([*first, *second]) == list(range(30)) and len(first) == 15
     # rows keep their relative order, so each part's outcome rows appear
     # in the parent in the same sequence
     parent = ds.outcomes.tolist()
-    for part in (pair.first, pair.second):
+    for part in (ds.take_rows(first), ds.take_rows(second)):
         positions = [parent.index(row.tolist()) for row in part.outcomes]
         assert positions == sorted(positions)
 

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from hdte import data, inference
-from hdte.data import TrialDataset, random_split
+from hdte.data import TrialDataset, split_indices
 from hdte.errors import DataError, HdteError, NumericalError
 from hdte.estimators import EffectEstimate
 from hdte.wlasso import EnetConfig
@@ -215,21 +215,19 @@ def test_split_seeds_deterministic():
 
 def test_single_split_pipeline_recovers_planted_effect():
     ds = planted_dataset(3, n=600, effect=1.0, s=2)
-    split = random_split(ds, 0.5, seed=5)
-    report = single_split_pipeline(split, "dim", SelectionSpec(size=2))
+    report = single_split_pipeline(ds, "dim", SelectionSpec(size=2), seed=5)
     assert set(report.subset) == {0, 1}
     assert report.correction_factor == 2
     assert set(report.per_dim) == {0, 1}
     assert all(p < 0.01 for p in report.per_dim.values())
     assert report.group < 1e-6
     assert report.estimate.index_set == report.subset
-    assert report.estimate.n == split.second.n
+    assert report.estimate.n == len(split_indices(ds.n, 0.5, 5)[1]) == 300
 
 
 def test_single_split_pipeline_empty_selection():
     ds = planted_dataset(4, n=100, effect=0.0)
-    split = random_split(ds, 0.5, seed=2)
-    report = single_split_pipeline(split, "dim", SelectionSpec(lam=1e6))
+    report = single_split_pipeline(ds, "dim", SelectionSpec(lam=1e6), seed=2)
     assert report.subset == ()
     assert report.per_dim == {}
     assert report.group == 1.0
@@ -239,9 +237,8 @@ def test_single_split_pipeline_empty_selection():
 
 def test_single_split_pipeline_rejects_unknown_estimator():
     ds = planted_dataset(5, n=100)
-    split = random_split(ds, 0.5, seed=1)
     with pytest.raises(DataError, match="unknown estimation method"):
-        single_split_pipeline(split, "anova", SelectionSpec(size=1))
+        single_split_pipeline(ds, "anova", SelectionSpec(size=1), seed=1)
 
 
 def test_selection_spec_validation_and_l1_defaults():
@@ -392,11 +389,11 @@ THREE_LEVELS = ([tuple(range(k, k + 4)) for k in range(0, 12, 4)],
     ("lin", SelectionSpec("baseline", size=2)),
     ("cuped", SelectionSpec(size=1, levels=THREE_LEVELS)),
 ])
-def test_multi_split_splits_are_the_pipeline_on_random_split(monkeypatch, method, sel):
-    """Split ``b`` of :func:`multi_split` takes its halves lazily, yet gives
-    what :func:`single_split_pipeline` gives on ``random_split(ds, fraction,
-    seeds[b])``, bit for bit: the subset (in level slots), the per-dimension
-    p-values and the group p-value."""
+def test_multi_split_splits_are_the_single_split_pipeline(monkeypatch, method, sel):
+    """Split ``b`` of :func:`multi_split` gives what
+    :func:`single_split_pipeline` gives at ``fraction`` and ``seeds[b]``,
+    bit for bit: the subset (in level slots), the per-dimension p-values and
+    the group p-value."""
     ds = _covariate_dataset()
     p = ds.p
     matrices, aggregate = [], inference.aggregate_pvalues
@@ -407,9 +404,9 @@ def test_multi_split_splits_are_the_pipeline_on_random_split(monkeypatch, method
     sizes = [len(level) for level in sel.levels or [range(p)]]
     offsets = np.cumsum([0, *sizes])
     for b, seed in enumerate(split_seeds(11, 6)):
-        split = random_split(ds, 0.6, int(seed))
-        single = single_split_pipeline(split, method, sel)
-        level = run_selection(split.first, sel, method)[1] or 0
+        single = single_split_pipeline(ds, method, sel, int(seed), fraction=0.6)
+        first, _ = split_indices(ds.n, 0.6, int(seed))
+        level = run_selection(ds.take_rows(first), sel, method)[1] or 0
         slots = tuple(int(offsets[level]) + j for j in single.subset)
         assert report.per_split_subsets[b] == slots and single.subset
         want = np.ones(offsets[-1])

@@ -4,15 +4,20 @@ do the Cholesky factorization of the solver's exact steps, the
 propensity weighting, the singularity rule of small solves, the
 experiments' replicate loop and the forking of worker processes; every
 selection is made by one function and every estimate by one other; no
-function takes the weights as an argument; only the scipy modules the
-package calls are imported, and no package that starts processes; and
-every file opened as text names its encoding."""
+function takes the weights as an argument; the solver takes a dataset only
+to build its problem object; the package exports each module's ``__all__``
+once and imports none of its modules until a name is read; only the scipy
+modules the package calls are imported, and no package that starts
+processes; and every file opened as text names its encoding."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hdte"
 
@@ -146,6 +151,30 @@ def parameters_named(path: Path, name: str) -> list[str]:
             and any(arg.arg == name for arg in (
                 *fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs,
                 *filter(None, (fn.args.vararg, fn.args.kwarg))))]
+
+
+def dataset_functions(path: Path) -> list[str]:
+    """The public functions of one source file, and the public methods of
+    its public classes (``Class.method``), that take a parameter annotated
+    ``TrialDataset``, in source order."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def takes_dataset(fn):
+        return any(getattr(arg.annotation, "id", getattr(arg.annotation, "value", None))
+                   == "TrialDataset"
+                   for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs))
+
+    def public(nodes, prefix=""):
+        return [f"{prefix}{node.name}" for node in nodes
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_") and takes_dataset(node)]
+
+    found = []
+    for node in tree.body:
+        found += public([node])
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += public(node.body, f"{node.name}.")
+    return found
 
 
 def scipy_imports(path: Path) -> list[str]:
@@ -458,6 +487,81 @@ def test_one_singularity_rule_for_small_symmetric_solves():
     assert found == ["data.py:solve_nonsingular"]
 
 
+def test_wlasso_takes_a_dataset_only_to_build_a_problem():
+    """``WeightedProblem`` is the solver's one public object: fits, path
+    walks and subset regressions are its methods, and a dataset enters only
+    through ``WeightedProblem.from_dataset`` and ``level_problems``. Three
+    module functions still take a dataset, each a wrapper of a problem's
+    work that ``bench/`` calls or traces: ``fit_weighted_enet`` and
+    ``lambda_max`` (the cold-fit probes and ``path_deep``'s grid check) and
+    ``regularization_path`` (traced in ``hdte path``, whose fits give the
+    sweep counts)."""
+    assert dataset_functions(PACKAGE / "wlasso.py") == [
+        "fit_weighted_enet", "lambda_max", "regularization_path",
+        "WeightedProblem.from_dataset", "level_problems"]
+
+
+def test_dataset_functions_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def fit(ds: TrialDataset, c):\n"
+        "    return c\n"
+        "def _fit(ds: TrialDataset):\n"
+        "    return ds\n"
+        "def other(ds, *, level: 'TrialDataset'):\n"
+        "    return ds\n"
+        "def untyped(ds, t: np.ndarray):\n"
+        "    return ds\n"
+        "class Problem:\n"
+        "    @classmethod\n"
+        "    def build(cls, ds: TrialDataset):\n"
+        "        return cls\n"
+        "    def _concentrate(self, ds: TrialDataset):\n"
+        "        return ds\n"
+        "class _Level:\n"
+        "    def fit(self, ds: TrialDataset):\n"
+        "        return ds\n"
+    )
+    assert dataset_functions(sample) == ["fit", "other", "Problem.build"]
+
+
+def _submodules() -> list:
+    return [importlib.import_module(f"hdte.{path.stem}")
+            for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+
+
+def test_the_package_exports_its_modules_names_once():
+    """``hdte.__all__`` is the union of its modules' ``__all__``, no name in
+    two of them, and ``hdte.X`` is the defining module's own ``X``, so a
+    name patched in its module is patched as the package resolves it. The
+    wrappers and the second split route folded into objects are gone."""
+    import hdte
+    modules = _submodules()
+    names = [name for module in modules for name in getattr(module, "__all__", ())]
+    assert len(names) == len(set(names))
+    assert hdte.__all__ == sorted(names)
+    assert set(hdte.__all__) <= set(dir(hdte))
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            value = getattr(hdte, name)
+            assert value is getattr(module, name)
+            assert value.__module__ == module.__name__, name
+    gone = ("SplitPair", "random_split", "subset_weighted_rss", "soft_threshold",
+            "gen_linear_model", "gen_independent_outcomes")
+    assert [f"{module.__name__}.{name}" for module in (hdte, *modules) for name in gone
+            if hasattr(module, name)] == []
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    """The package resolves only its exported names, and a deleted one
+    fails at the import that names it."""
+    import hdte
+    with pytest.raises(AttributeError, match="^module 'hdte' has no attribute 'nope'$"):
+        hdte.nope
+    with pytest.raises(ImportError, match="cannot import name 'random_split'"):
+        from hdte import random_split  # noqa: F401
+
+
 def test_scipy_is_imported_only_where_it_is_called():
     """LAPACK in ``wlasso``, the special functions behind the p-values in
     ``inference``, and the bare package for the version string in ``cli``:
@@ -485,13 +589,21 @@ def test_scipy_imports_are_detected(tmp_path):
 
 
 def test_import_hdte_leaves_scipy_stats_and_signal_unloaded():
+    """A fresh ``import hdte`` loads none of its modules, so no numpy, scipy
+    or click: a caller can set thread counts before numpy starts. Once the
+    CLI and the experiments are loaded, and with them every module,
+    ``scipy.stats`` and ``scipy.signal`` are still not."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     code = ("import sys, hdte\n"
+            "names = hdte.__all__\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('hdte', 'numpy', 'scipy', 'click')))\n"
+            "import hdte.cli, hdte.simharness\n"
             "print([m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["['hdte']", "[]"]
 
 
 def test_every_text_file_names_its_encoding():

@@ -21,9 +21,13 @@ from hdte.wlasso import (
     level_problems,
     propensity_weights,
     regularization_path,
-    soft_threshold,
-    subset_weighted_rss,
 )
+
+
+def soft_threshold(x, threshold):
+    """Shrink ``x`` toward zero by ``threshold``, clipping at zero: the
+    reference solver's coordinate update."""
+    return np.sign(x) * np.maximum(np.abs(x) - threshold, 0.0)
 
 
 def random_dataset(seed, n=40, p=6, m=0, effect=1.0):
@@ -883,31 +887,33 @@ def test_subset_rss_hand_example():
     """T = (1,1,0,0), Y = (3,5,1,1): empty-set rss is 2 and the one-column
     rss is 13/11, both exact."""
     ds = TrialDataset([1, 1, 0, 0], [[3.0], [5.0], [1.0], [1.0]])
-    assert subset_weighted_rss(ds, []) == pytest.approx(2.0, rel=1e-14)
-    assert subset_weighted_rss(ds, [0]) == pytest.approx(13.0 / 11.0, rel=1e-12)
+    problem = WeightedProblem.from_dataset(ds)
+    assert problem.subset_weighted_rss([]) == pytest.approx(2.0, rel=1e-14)
+    assert problem.subset_weighted_rss([0]) == pytest.approx(13.0 / 11.0, rel=1e-12)
 
 
 def test_subset_rss_matches_unpenalized_fit_on_full_set():
     ds = random_dataset(43, n=50, p=4)
     fit = fit_weighted_enet(ds, EnetConfig(lam=0.0, tol=1e-12))
-    rss = subset_weighted_rss(ds, range(ds.p))
+    rss = WeightedProblem.from_dataset(ds).subset_weighted_rss(range(ds.p))
     assert fit.weighted_rss == pytest.approx(rss, rel=1e-9)
 
 
 def test_subset_rss_validation():
     ds = random_dataset(44, n=20, p=5)
+    problem = WeightedProblem.from_dataset(ds)
     with pytest.raises(DataError, match="duplicate"):
-        subset_weighted_rss(ds, [1, 1])
+        problem.subset_weighted_rss([1, 1])
     with pytest.raises(DataError, match="out of range"):
-        subset_weighted_rss(ds, [5])
+        problem.subset_weighted_rss([5])
     small = random_dataset(45, n=5, p=5)
     with pytest.raises(DataError, match="exceeds"):
-        subset_weighted_rss(small, [0, 1, 2, 3])
+        WeightedProblem.from_dataset(small).subset_weighted_rss([0, 1, 2, 3])
     dup = TrialDataset(
         ds.treatments, np.column_stack([ds.outcomes[:, 0], ds.outcomes[:, 0]])
     )
     with pytest.raises(NumericalError, match="singular"):
-        subset_weighted_rss(dup, [0, 1])
+        WeightedProblem.from_dataset(dup).subset_weighted_rss([0, 1])
 
 
 def test_config_validation():
@@ -960,7 +966,7 @@ def test_level_problems_keep_the_conditioning_of_the_row_wise_moments():
             assert lam_g == pytest.approx(lam_w, rel=1e-8)
             np.testing.assert_allclose(beta_g, beta_w, rtol=0, atol=1e-8)
         assert level.subset_weighted_rss([0, 1]) == pytest.approx(
-            subset_weighted_rss(agg, [0, 1]), rel=1e-8)
+            WeightedProblem.from_dataset(agg).subset_weighted_rss([0, 1]), rel=1e-8)
     fine = aggregate_columns(ds, levels[0])
     xc = (fine.covariates - fine.covariates.mean(axis=0)) * np.sqrt(
         propensity_weights(fine.treatments))[:, None]
@@ -980,7 +986,8 @@ def test_level_problems_reject_a_duplicated_covariate_as_prepare_does():
         level.fit(EnetConfig(lam=0.1))
     # the subset regression leaves covariates out, on both routes
     assert level.subset_weighted_rss([2]) == pytest.approx(
-        subset_weighted_rss(aggregate_columns(ds, grouping), [2]), rel=1e-12)
+        WeightedProblem.from_dataset(aggregate_columns(ds, grouping)).subset_weighted_rss([2]),
+        rel=1e-12)
 
 
 def test_a_level_fit_reports_the_covariate_block_and_rss_of_the_aggregated_dataset():
