@@ -34,7 +34,19 @@ def _freeze(fresh: np.ndarray) -> np.ndarray:
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only C-ordered array of ``dtype``: a copy, unless
+    ``values`` already is such an array and owns its data, which is kept (so
+    a caller hands a fresh array over by making it read-only)."""
+    if (isinstance(values, np.ndarray) and values.dtype == dtype and values.flags.owndata
+            and values.flags.c_contiguous and not values.flags.writeable):
+        return values
     return _freeze(np.array(values, dtype=dtype, order="C"))
+
+
+def _finite(block: np.ndarray) -> bool:
+    """Whether every value of ``block`` is finite, without an array of flags:
+    a NaN or an infinity is its minimum or its maximum."""
+    return bool(np.isfinite([block.min(initial=0.0), block.max(initial=0.0)]).all())
 
 
 def _outcome_array(y: np.ndarray, n: int) -> np.ndarray:
@@ -43,7 +55,7 @@ def _outcome_array(y: np.ndarray, n: int) -> np.ndarray:
         raise DataError(f"outcomes must be 2-d, got shape {y.shape}")
     if y.shape[0] != n:
         raise DataError(f"outcomes have {y.shape[0]} rows but treatments have {n}")
-    if not np.all(np.isfinite(y)):
+    if not _finite(y):
         raise DataError("outcomes contain non-finite values")
     return _frozen_array(y)
 
@@ -73,9 +85,11 @@ class TrialDataset:
     """One randomized-trial sample: binary treatments, outcomes, optional covariates.
 
     Arrays are copied on construction and marked read-only, so instances can
-    be shared freely. ``outcomes`` is ``(n, p)``, ``covariates`` is ``(n, m)``
-    when present, and ``column_labels`` (optional) names the ``p`` outcome
-    columns.
+    be shared freely. A read-only, C-ordered float array that owns its data is
+    kept as it is, not copied: a generator hands its fresh outcome matrix over
+    by making it read-only, so the data are held once. ``outcomes`` is ``(n,
+    p)``, ``covariates`` is ``(n, m)`` when present, and ``column_labels``
+    (optional) names the ``p`` outcome columns.
     """
 
     treatments: np.ndarray
@@ -100,7 +114,7 @@ class TrialDataset:
                 raise DataError(
                     f"covariates must be (n, m) with n={n}, got shape {x.shape}"
                 )
-            if not np.all(np.isfinite(x)):
+            if not _finite(x):
                 raise DataError("covariates contain non-finite values")
             object.__setattr__(self, "covariates", _frozen_array(x))
         object.__setattr__(self, "column_labels",
@@ -138,14 +152,10 @@ class TrialDataset:
         return self.n - self.n_treated
 
     def take_rows(self, indices) -> "TrialDataset":
-        """Return the row subset ``indices`` (a 1-d index array) as a new
-        dataset. Rows of a validated dataset need no validation beyond the
-        index shape and the row count."""
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1:
-            raise DataError(f"row indices must be 1-d, got shape {idx.shape}")
-        if idx.size < 2:
-            raise DataError(f"dataset needs n >= 2 rows, got n={idx.size}")
+        """Return the row subset ``indices`` (checked by :func:`check_rows`)
+        as a new dataset. Rows of a validated dataset need no validation
+        beyond the indices."""
+        idx = check_rows(indices, self.n)
         return TrialDataset._trusted(
             _freeze(self.treatments[idx]),
             _freeze(self.outcomes[idx]),
@@ -169,6 +179,21 @@ class TrialDataset:
             labels = tuple(self.column_labels[j] for j in idx)
         return TrialDataset._trusted(self.treatments, _freeze(self.outcomes[:, idx]),
                                      self.covariates, labels)
+
+
+def check_rows(indices, n: int) -> np.ndarray:
+    """``indices`` as a 1-d index array of at least two rows, each in ``[0,
+    n)`` (a negative index is an error, not a count from the end); else a
+    :class:`DataError`."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.ndim != 1:
+        raise DataError(f"row indices must be 1-d, got shape {idx.shape}")
+    if idx.size < 2:
+        raise DataError(f"dataset needs n >= 2 rows, got n={idx.size}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise DataError(f"row indices out of range for n={n}: "
+                        f"{idx[(idx < 0) | (idx >= n)].tolist()}")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -427,11 +452,9 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
                     block = _parse_block(handle, len(header), columns)
                 except ValueError:   # UnicodeDecodeError among them
                     block = None
-        if block is not None:
-            # a NaN or an infinity is the minimum or the maximum of the block
-            finite = np.isfinite([block.min(), block.max()]).all()
-            if not (finite and np.isin(block[:, 0], (0.0, 1.0)).all()):
-                block = None
+        if block is not None and not (_finite(block)
+                                      and np.isin(block[:, 0], (0.0, 1.0)).all()):
+            block = None
         if block is None:
             with open(path, newline="", encoding="utf-8-sig") as handle:
                 reader = csv.reader(handle)

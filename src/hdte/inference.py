@@ -4,7 +4,7 @@ and quantile aggregation over repeated random splits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
@@ -103,17 +103,21 @@ def hotelling_pvalue(est: EffectEstimate) -> float:
 
 def _split_report(ds: TrialDataset, rows: tuple[np.ndarray, np.ndarray], method: str,
                   sel: SelectionSpec, two_sided: bool) -> tuple[PValueReport, int | None]:
-    """One split: select on the rows ``rows[0]`` of ``ds``, then test the
-    subset on the rows ``rows[1]``, taken only once the selection has
-    released its working set."""
-    (result,), level = run_selection(ds.take_rows(rows[0]), sel, method)
+    """One split: select on the rows ``rows[0]`` of ``ds``, gathered into
+    the selection's weighted columns, then test the subset on the rows
+    ``rows[1]``, taken once the selection has released its working set. A
+    level-free test takes only the subset's columns of those rows, which
+    gives the same estimate, as slopes are fitted per column."""
+    (result,), level = run_selection(ds, sel, method, rows=rows[0])
     subset = result.selected
     if not subset:
         return PValueReport({}, 1.0, None, (), 0), level
-    second = ds.take_rows(rows[1])
-    if level is not None:
-        second = aggregate_columns(second, sel.levels[level])
-    est = adjusted_estimate(second, method, subset)
+    if level is None:
+        second = ds.restrict_outcomes(subset).take_rows(rows[1])
+        est = replace(adjusted_estimate(second, method), index_set=subset)
+    else:
+        second = aggregate_columns(ds.take_rows(rows[1]), sel.levels[level])
+        est = adjusted_estimate(second, method, subset)
     pvals = z_pvalues(est, correction=len(subset), two_sided=two_sided)
     per_dim = {int(j): float(p) for j, p in zip(subset, pvals)}
     return PValueReport(per_dim, hotelling_pvalue(est), est, subset, len(subset)), level
@@ -247,9 +251,11 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     than derive it again.
 
     Split ``b`` is ``single_split_pipeline(ds, method, sel, split_seeds(seed,
-    B)[b], fraction, two_sided)``: both run one private function per split,
-    which takes the test half only after the selection has returned, so it
-    is never held next to the selection's working set.
+    B)[b], fraction, two_sided)``: both run one private function per split.
+    Its selection gathers the first half's rows straight into its weighted
+    columns (``run_selection``'s ``rows``), and it takes the test half only
+    after the selection has returned, without a level only the subset's
+    columns of it, so no half of the outcome matrix is held as a dataset.
 
     With at least ``_FORK_MIN_SPLITS`` (7) splits, the splits are shared
     among the ``k`` processes :func:`hdte.forking.share_count` allows: one

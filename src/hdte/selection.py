@@ -275,9 +275,13 @@ def population_beta_star(tau, sigma_z, pi: float) -> PopulationTarget:
 
 def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
                   sizes=None, n_lambdas: int = 100,
-                  lambda_min_ratio: float | None = None
+                  lambda_min_ratio: float | None = None, rows=None
                   ) -> tuple[tuple[SelectionResult, ...], int | None]:
-    """Apply ``spec`` to ``ds``: the one way to make a selection.
+    """Apply ``spec`` to ``ds``, or to its rows ``rows``: the one way to make
+    a selection. With ``rows`` the result is that on ``ds.take_rows(rows)``
+    bit for bit, but a penalized selection gathers those rows straight into
+    its weighted columns (:meth:`hdte.wlasso.WeightedProblem.from_dataset`),
+    so the row subset is never held beside them.
 
     The baseline ranks effects estimated with ``estimator`` when ``ds`` has
     covariates to adjust on, and unadjusted (``"dim"``) otherwise. A
@@ -295,10 +299,11 @@ def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
     if sizes is not None and (spec.lam is not None or spec.levels is not None):
         raise DataError("several sizes need a size-based selection without levels")
     if spec.method == "baseline":
-        est = adjusted_estimate(ds, estimator if ds.covariates is not None else "dim")
+        part = ds if rows is None else ds.take_rows(rows)
+        est = adjusted_estimate(part, estimator if ds.covariates is not None else "dim")
         return tuple(baseline_select(est, s) for s in sizes or (spec.size,)), None
-    problems = (level_problems(ds, spec.levels) if spec.levels is not None
-                else (WeightedProblem.from_dataset(ds),))
+    problems = (level_problems(ds, spec.levels, rows) if spec.levels is not None
+                else (WeightedProblem.from_dataset(ds, rows),))
     best: tuple[int, tuple[SelectionResult, ...]] | None = None
     for index, problem in enumerate(problems):
         if spec.lam is None:

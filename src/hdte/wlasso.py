@@ -59,12 +59,13 @@ rows, a level reads the trailing block of its factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from .data import (TrialDataset, check_full_rank, check_grouping, column_group_means,
-                   project_columns, solve_nonsingular)
+from .data import (TrialDataset, check_full_rank, check_grouping, check_rows,
+                   column_group_means, project_columns, solve_nonsingular)
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -107,6 +108,11 @@ _GRAM_WHOLE_MAX = 2**19
 # cross near 12-16; twice that keeps every p < 32 problem (the 6-24 column
 # resolution levels among them) on the plain loop.
 _ZERO_RUN_MIN = 32
+
+# Rows gathered into the weighted columns are taken about this many bytes
+# at a time (at least one row). Gathering a whole block takes a copy of it:
+# fancy indexing and ``np.take`` into a strided block both do.
+_GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,17 @@ def propensity_weights(treatments) -> np.ndarray:
     return np.where(t == 1.0, 1.0 / pi_hat**2, 1.0 / (1.0 - pi_hat) ** 2)
 
 
+def _mirror(square: np.ndarray, diag: np.ndarray) -> None:
+    """Make ``square`` symmetric in place: its strict upper triangle copied
+    onto the lower, ``diag`` on the diagonal and every ``-0.0`` made
+    ``+0.0``, the values of the sum of the upper triangle, its transpose and
+    ``diag(diag)``."""
+    k = square.shape[0]
+    np.copyto(square, square.T, where=np.tri(k, k, -1, dtype=bool))
+    np.fill_diagonal(square, diag)
+    square += 0.0
+
+
 class _Gram:
     """The weighted Gram ``(1/n) Z'Z`` of the concentrated outcomes ``Z``.
     ``Z`` is the weighted rows or, for a resolution level, a small triangular
@@ -203,7 +220,8 @@ class _Gram:
             return slots
         new = idx[slots < 0]
         if new.size:
-            if self._z.shape[0] * p * p <= _GRAM_WHOLE_MAX:   # the first read: all
+            whole = self._z.shape[0] * p * p <= _GRAM_WHOLE_MAX
+            if whole:   # the first read: all
                 new = np.arange(p)
             count, k = self._count, new.size
             if count + k > self._store.shape[0]:
@@ -217,8 +235,10 @@ class _Gram:
             block /= self._n
             if count:
                 block[:, self._held[:count]] = self._store[:count, new].T
-            square = np.triu(block[:, new], 1)
-            block[:, new] = square + square.T + np.diag(self.diag[new])
+            square = block if whole else block[:, new]   # whole, the store is square
+            _mirror(square, self.diag[new])
+            if not whole:
+                block[:, new] = square
             self._slot[new] = np.arange(count, count + k)
             self._held[count:count + k] = new
             for r, j in enumerate(new.tolist(), start=count):
@@ -267,14 +287,25 @@ def _moments(z: np.ndarray, r_t: np.ndarray, n: int) -> _Moments:
     return _Moments(_Gram(z, diag, n), ty, tt, penalized)
 
 
-def _weighted_columns(ds: TrialDataset) -> np.ndarray:
-    """``sqrt(w) [Xc | Yc | t]`` in one buffer: covariates (if any) and outcomes centered
-    as by :func:`hdte.data.center_columns`, raw treatments, rows scaled by root weights."""
-    stacked = np.empty((ds.n, ds.m + ds.p + 1))
-    stacked[:, -1] = ds.treatments
+def _weighted_columns(ds: TrialDataset, rows=None) -> np.ndarray:
+    """``sqrt(w) [Xc | Yc | t]`` of the rows ``rows`` of ``ds`` (all for
+    ``None``) in one buffer: covariates (if any) and outcomes centered as by
+    :func:`hdte.data.center_columns`, raw treatments, rows scaled by root
+    weights. Given rows are gathered from ``ds`` straight into the buffer and
+    centered there, the bits of ``ds.take_rows(rows)``'s columns, so that
+    dataset is never built."""
+    idx = None if rows is None else check_rows(rows, ds.n)
+    stacked = np.empty((ds.n if idx is None else idx.size, ds.m + ds.p + 1))
+    stacked[:, -1] = ds.treatments if idx is None else ds.treatments[idx]
     for block, lo in ((ds.covariates, 0), (ds.outcomes, ds.m)):
         if block is not None:
-            np.subtract(block, block.mean(axis=0), out=stacked[:, lo:lo + block.shape[1]])
+            part = stacked[:, lo:lo + block.shape[1]]
+            if idx is not None:   # a chunk of rows at a time, so no copy of the part
+                step = max(1, _GATHER_BYTES // (8 * block.shape[1]))
+                for r in range(0, idx.size, step):
+                    part[r:r + step] = block[idx[r:r + step]]
+                block = part
+            np.subtract(block, block.mean(axis=0), out=part)
     stacked *= np.sqrt(propensity_weights(stacked[:, -1]))[:, None]
     return stacked
 
@@ -338,8 +369,13 @@ class _Block:
         self.penalized, self.full_set = problem.penalized, problem.penalized.nonzero()[0]
         self.kkt_scale = max(1.0, float(np.abs(self.ty).max(initial=0.0)),
                              float(diag.max(initial=0.0)))
-        self.lists = self.full_set.tolist(), self.ty.tolist(), diag.tolist()
         self.denom = None, None   # a ridge and the scalar loop's denominators at it
+
+    @cached_property
+    def lists(self) -> tuple[list, list, list]:
+        """The scalar loop's full set, ``ty`` and Gram diagonal as Python
+        lists, built at its first run (a knot path never runs it)."""
+        return self.full_set.tolist(), self.ty.tolist(), self.gram.diag.tolist()
 
     def build(self, target, ridge) -> bool:
         """Factor the ascending set ``target`` afresh."""
@@ -711,9 +747,12 @@ class WeightedProblem:
         self.rows, self.n, self.m, self.p = rows, n, m, p
 
     @classmethod
-    def from_dataset(cls, ds: TrialDataset) -> "WeightedProblem":
-        """The problem of ``ds`` on its weighted rows."""
-        return cls(_weighted_columns(ds), ds.n, ds.m, ds.p)
+    def from_dataset(cls, ds: TrialDataset, rows=None) -> "WeightedProblem":
+        """The problem of ``ds``, or of its rows ``rows`` (that of
+        ``ds.take_rows(rows)`` bit for bit, without building it), on its
+        weighted rows."""
+        weighted = _weighted_columns(ds, rows)
+        return cls(weighted, weighted.shape[0], ds.m, ds.p)
 
     def _concentrate(self, slopes: bool) -> tuple[np.ndarray | None, np.ndarray]:
         """The slopes of ``[Yc | t]`` on ``Xc`` and rows with the Gram of
@@ -787,10 +826,12 @@ class _LevelProblem(WeightedProblem):
         return coef, self.rows[m:, m:]
 
 
-def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:
+def level_problems(ds: TrialDataset, levels, rows=None) -> tuple[WeightedProblem, ...]:
     """One :class:`WeightedProblem` per column grouping in ``levels``, all
     from one QR factorization of the dataset's weighted base columns
     ``sqrt(w) [Xc | Yc | t]`` (see the module notes on resolution levels).
+    With ``rows``, those of ``ds.take_rows(rows)``, bit for bit, gathered
+    without building it (:meth:`WeightedProblem.from_dataset`).
 
     A level's data are the dataset's outcome columns (and covariates, which
     share their layout) averaged by one grouping, as
@@ -811,7 +852,8 @@ def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:
     if not levels:
         raise DataError("levels must contain at least one grouping")
     check_grouping(ds, levels[0])
-    base = np.linalg.qr(_weighted_columns(ds), mode="r")
+    base = np.linalg.qr(_weighted_columns(ds, rows), mode="r")
+    n = ds.n if rows is None else len(rows)
     # Covariates share the outcomes' layout, so one call averages both
     # blocks, stacked one above the other.
     parts = 2 if ds.m else 1
@@ -821,5 +863,5 @@ def level_problems(ds: TrialDataset, levels) -> tuple[WeightedProblem, ...]:
         means = np.vsplit(column_group_means(blocks, grouping), parts)
         factor = np.linalg.qr(np.hstack([*means, base[:, -1:]]), mode="r")
         k = len(grouping)
-        problems.append(_LevelProblem(factor, ds.n, k if ds.m else 0, k))
+        problems.append(_LevelProblem(factor, n, k if ds.m else 0, k))
     return tuple(problems)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import math
 import os
 import signal
@@ -76,10 +77,40 @@ def test_dataset_rejects_shape_mismatches():
 
 
 def test_dataset_rejects_non_finite():
+    """A NaN or an infinity anywhere in a block, among values all above or
+    all below zero, raises the one message of its block; a frozen block
+    handed over is checked as a copied one is."""
     with pytest.raises(DataError, match="non-finite"):
         TrialDataset([0, 1], [[np.nan], [1.0]])
     with pytest.raises(DataError, match="non-finite"):
         TrialDataset([0, 1], [[1.0], [1.0]], [[np.inf], [0.0]])
+    for bad, sign, frozen in itertools.product((np.nan, np.inf, -np.inf), (1.0, -1.0),
+                                               (False, True)):
+        for at in ((0, 0), (3, 2), (5, 4)):
+            block = sign * (1.0 + np.arange(30.0).reshape(6, 5))
+            block[at] = bad
+            block.setflags(write=not frozen)
+            with pytest.raises(DataError, match=r"^outcomes contain non-finite values$"):
+                TrialDataset([0, 1] * 3, block)
+            with pytest.raises(DataError, match=r"^covariates contain non-finite values$"):
+                TrialDataset([0, 1] * 3, np.zeros((6, 1)), block)
+    assert TrialDataset([0, 1], np.zeros((2, 0))).p == 0
+
+
+def test_a_frozen_owning_array_is_kept_and_any_other_copied():
+    """A read-only C-ordered float array that owns its data is taken over
+    as it is, checked without an n x p temporary; a writable array, a
+    read-only view and an array of another type are copied."""
+    y = np.random.default_rng(0).standard_normal((400, 500))
+    y.setflags(write=False)
+    ds, peak = traced_peak(lambda: TrialDataset(np.tile([0, 1], 200), y))
+    assert ds.outcomes is y and peak < 0.01 * y.nbytes
+    single = y.astype(np.float32)
+    single.setflags(write=False)
+    for other in (y.copy(), y[:, :300], single):
+        kept = TrialDataset(np.tile([0, 1], 200), other).outcomes
+        assert kept is not other and not np.shares_memory(kept, y)
+        assert not kept.flags.writeable and kept.flags.owndata
 
 
 def test_column_labels_checked_and_subset():
@@ -129,6 +160,9 @@ def test_derived_datasets_stay_frozen_without_revalidation(monkeypatch):
         ds.take_rows([2])
     with pytest.raises(DataError, match="1-d"):
         ds.take_rows([[0, 1], [2, 3]])
+    for rows, bad in (([0, 4], "4"), ([-1, 2, 3], "-1"), ([5, 1, -2], "5, -2")):
+        with pytest.raises(DataError, match=rf"^row indices out of range for n=4: \[{bad}\]$"):
+            ds.take_rows(rows)
 
 
 def test_csv_round_trip_is_bit_exact(tmp_path):

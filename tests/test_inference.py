@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from hdte import data, inference
-from hdte.data import TrialDataset, split_indices
+from hdte.data import TrialDataset, aggregate_columns, split_indices
 from hdte.errors import DataError, HdteError, NumericalError
-from hdte.estimators import EffectEstimate
+from hdte.estimators import EffectEstimate, adjusted_estimate
 from hdte.wlasso import EnetConfig
 from hdte.inference import (
     SelectionSpec,
@@ -415,22 +415,52 @@ def test_multi_split_splits_are_the_single_split_pipeline(monkeypatch, method, s
         assert group[b].tobytes() == np.array([single.group]).tobytes()
 
 
+@pytest.mark.parametrize("method, sel", [
+    ("cuped", SelectionSpec(size=2)),
+    ("dim", SelectionSpec("enet", lam=0.05)),
+    ("lin", SelectionSpec("baseline", size=3)),
+    ("cuped", SelectionSpec(size=1, levels=THREE_LEVELS)),
+])
+def test_a_split_is_the_selection_and_test_on_taken_halves(method, sel):
+    """A split selects on its first half's rows gathered from the dataset
+    and tests on the subset's columns of the second half: the report of
+    selecting on ``take_rows`` of the first half and estimating on
+    ``take_rows`` of the second, bit for bit."""
+    ds = _covariate_dataset()
+    for seed in range(3):
+        report = single_split_pipeline(ds, method, sel, seed, fraction=0.6)
+        first, second = split_indices(ds.n, 0.6, seed)
+        (result,), level = run_selection(ds.take_rows(first), sel, method)
+        test_half = ds.take_rows(second)
+        if level is not None:
+            test_half = aggregate_columns(test_half, sel.levels[level])
+        want = adjusted_estimate(test_half, method, result.selected)
+        assert report.subset == result.selected and report.subset
+        for name in ("tau_hat", "sigma_hat"):
+            assert getattr(report.estimate, name).tobytes() == getattr(want, name).tobytes()
+        assert (report.estimate.index_set, report.estimate.n) == (want.index_set, want.n)
+        assert report.group == hotelling_pvalue(want)
+
+
 def test_multi_split_holds_one_half_at_a_time():
-    """The test half is taken after the selection on the first has returned,
-    and the weighted columns are built in one buffer: a cuped multi-split at
-    p >> n peaks at most 3.5 half outcome matrices above its dataset (3.2:
-    the first half, the weighted columns and their covariate residuals),
-    where holding both halves, a centered copy and a stacked copy took 4.2."""
+    """Each split gathers its first half's rows into the selection's
+    weighted columns, and takes the subset's columns of the test half after
+    the selection has returned: a multi-split at p >> n peaks at most 2.3
+    half outcome matrices above its dataset (2.17: the weighted columns,
+    their covariate residuals and the path's O(p) arrays), where the first
+    half as a dataset took 3.2, and holding both halves, a centered copy
+    and a stacked copy 4.2."""
     rng = np.random.default_rng(1)
     n, p, m = 400, 2000, 10
     t = rng.permutation(np.tile([0, 1], n // 2))
     y = rng.standard_normal((n, p))
     y[:, :3] += t[:, None]
     ds = TrialDataset(t, y, rng.standard_normal((n, m)))
-    report, peak = traced_peak(lambda: multi_split(
-        ds, B=2, method="cuped", sel=SelectionSpec(size=5), seed=0))
-    assert all(len(subset) == 5 for subset in report.per_split_subsets)
-    assert peak <= 3.5 * (n // 2) * p * 8
+    for method in ("cuped", "dim"):
+        report, peak = traced_peak(lambda: multi_split(
+            ds, B=2, method=method, sel=SelectionSpec(size=5), seed=0))
+        assert all(len(subset) == 5 for subset in report.per_split_subsets)
+        assert peak <= 2.3 * (n // 2) * p * 8
 
 
 def _outcome(call):

@@ -314,6 +314,48 @@ def test_select_at_large_p_never_forms_a_p_by_p_matrix():
     assert peak < p * p * 8 / 10
 
 
+_HALF_LEVELS = (tuple((j, j + 1, j + 2) for j in range(0, 12, 3)),
+                tuple((j, j + 1) for j in range(0, 12, 2)))
+
+
+@pytest.mark.parametrize("covariates", [False, True])
+@pytest.mark.parametrize("spec", [
+    SelectionSpec("lasso", size=3), SelectionSpec("enet", size=3),
+    SelectionSpec("lasso", lam=0.3), SelectionSpec("enet", lam=0.3),
+    SelectionSpec("lasso", size=2, levels=_HALF_LEVELS),
+    SelectionSpec("enet", lam=0.3, levels=_HALF_LEVELS),
+    SelectionSpec("baseline", size=3),
+], ids=lambda spec: f"{spec.method}-{'size' if spec.size else 'lam'}"
+                    f"{'-levels' if spec.levels else ''}")
+def test_a_selection_on_rows_is_that_on_the_taken_rows(spec, covariates):
+    """``run_selection(ds, spec, rows=r)`` gathers the rows into its weighted
+    columns and gives ``run_selection(ds.take_rows(r), spec)`` bit for bit,
+    errors included, at several sizes too."""
+    rng = np.random.default_rng(4)
+    n, p = 120, 12
+    t = rng.permutation(np.tile([0, 1], n // 2))
+    y = rng.standard_normal((n, p)) + np.outer(t, [1.2, 0.8, 0.5] + [0.0] * (p - 3))
+    x = rng.standard_normal((n, p)) + 0.5 * y if covariates else None
+    ds = TrialDataset(t, y, x)
+    for seed in range(3):
+        rows = np.sort(rng.choice(n, size=60 + 7 * seed, replace=False))
+        for estimator in ("dim", "cuped") if covariates else ("dim",):
+            got = _outcome(lambda: run_selection(ds, spec, estimator, rows=rows))
+            assert got == _outcome(lambda: run_selection(ds.take_rows(rows), spec, estimator))
+        if spec.size and not spec.levels:
+            got = _outcome(lambda: run_selection(ds, spec, sizes=[1, 3, 4], rows=rows))
+            assert got == _outcome(lambda: run_selection(ds.take_rows(rows), spec, sizes=[1, 3, 4]))
+
+
+def test_a_selection_on_rows_checks_them():
+    ds = planted_dataset(0, n=20)
+    for rows, match in (([0, 20], "out of range"), ([3], "n >= 2"), ([[0, 1]], "1-d")):
+        for spec in (SelectionSpec(size=1), SelectionSpec("baseline", size=1),
+                     SelectionSpec(size=1, levels=[[[0, 1], [2, 3]]])):
+            with pytest.raises(DataError, match=match):
+                run_selection(ds, spec, rows=rows)
+
+
 def reference_level_selections(ds, levels, **spec):
     """Each level selected the way multi-resolution selection used to: the
     aggregated dataset, then the selection ``spec`` describes on it."""

@@ -103,6 +103,74 @@ def test_replicate_pair_starts_with_the_replicate(generator):
     assert second.n == 17
 
 
+def _reference_sample(model, rng, n):
+    """``LinearModel.sample``'s formula as first written: the whole noise
+    matrix drawn at once, added to outcomes formed as new arrays. Returns the
+    treatments, outcomes and observed covariates."""
+    cfg = model.config
+    x = rng.standard_normal((n, cfg.m))
+    t = (rng.random(n) < cfg.pi).astype(np.int64)
+    eps = rng.standard_normal((n, cfg.p))
+    y = x @ model.beta.T if cfg.m else np.zeros((n, cfg.p))
+    if cfg.s_tau:
+        lift = np.full((n, cfg.s_tau), cfg.alpha)
+        if cfg.m:
+            lift = lift + x @ model.delta[: cfg.s_tau].T
+        y[:, : cfg.s_tau] += t[:, None] * lift
+    y = y + eps
+    observe = cfg.m if cfg.observe_covariates is None else cfg.observe_covariates
+    return t, y, x[:, :observe] if observe else None
+
+
+def _same_bits(ds, reference):
+    t, y, x = reference
+    assert ds.treatments.tobytes() == t.tobytes()
+    assert ds.outcomes.shape == y.shape and ds.outcomes.tobytes() == y.tobytes()
+    assert (ds.covariates is None) == (x is None)
+    if x is not None:
+        assert ds.covariates.tobytes() == np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize("chunk_bytes", [
+    None,           # the default 2 MiB: 1000 rows of 600 columns take three chunks
+    3 * 4800 + 7,   # 3 rows of 600 columns; neither n = 1000 nor 77 is a multiple of 3
+    2400,           # less than a row: one row per chunk
+])
+@pytest.mark.parametrize("m, s_tau, observe", [(0, 0, None), (0, 4, None), (5, 0, None),
+                                               (5, 4, None), (5, 4, 2)])
+def test_linear_model_is_the_reference_formula_bit_for_bit(monkeypatch, chunk_bytes,
+                                                           m, s_tau, observe):
+    """Outcomes built in place, the noise added a chunk of rows at a time,
+    keep the one-shot formula's draws and bits, for a replicate and for
+    both datasets of a pair."""
+    cfg = LinearModelConfig(n=1000, p=600, m=m, s_tau=s_tau, alpha=0.7, pi=0.4, seed=0,
+                            observe_covariates=observe)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sh, "_NOISE_CHUNK_BYTES", chunk_bytes)
+    gen = LinearModelGenerator(cfg)
+    for seed in (0, 3):
+        ds, _ = gen.replicate(seed)
+        rng = np.random.default_rng(seed)
+        _same_bits(ds, _reference_sample(draw_linear_model(cfg, rng), rng, cfg.n))
+        first, second, _ = gen.replicate_pair(seed, 77)
+        rng = np.random.default_rng(seed)
+        model = draw_linear_model(cfg, rng)
+        _same_bits(first, _reference_sample(model, rng, cfg.n))
+        _same_bits(second, _reference_sample(model, rng, 77))
+
+
+def test_the_linear_model_holds_its_outcomes_once():
+    """A 500 x 4000 replicate peaks at most 1.3 times its output (1.17: the
+    outcomes, a 2 MiB noise buffer and the covariates), where a whole noise
+    matrix and the dataset's copy took 3.04; the dataset keeps the
+    generator's matrix."""
+    gen = LinearModelGenerator(LinearModelConfig(n=500, p=4000, m=10, s_tau=5, alpha=0.5,
+                                                 pi=0.5, seed=0))
+    (ds, _), peak = traced_peak(lambda: gen.replicate(0))
+    assert ds.outcomes.flags.owndata and not ds.outcomes.flags.writeable
+    assert peak <= 1.3 * (ds.outcomes.nbytes + ds.covariates.nbytes + ds.treatments.nbytes)
+
+
 def test_linear_model_config_validation():
     with pytest.raises(DataError, match="n must be"):
         LinearModelConfig(n=3, p=2, m=0, s_tau=1, alpha=1.0, pi=0.5, seed=0)

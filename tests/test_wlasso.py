@@ -362,6 +362,23 @@ def test_on_demand_gram_is_exact_symmetric_and_matches_the_dense_moments(m):
     np.testing.assert_allclose(gram, dense, rtol=1e-10, atol=1e-12)
 
 
+def test_a_gram_block_is_mirrored_in_place_as_the_triangles_sum():
+    """A block's lower triangle, mirrored in place from its upper one, holds
+    the bits of the sum of the upper triangle, its transpose and the
+    diagonal matrix: a -0.0 anywhere off the diagonal reads +0.0."""
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 7, 30):
+        square = rng.standard_normal((k, k))
+        square[rng.random((k, k)) < 0.3] = -0.0
+        diag = np.abs(rng.standard_normal(k))
+        diag[::3] = 0.0
+        upper = np.triu(square, 1)
+        want = upper + upper.T + np.diag(diag)
+        wlasso._mirror(square, diag)
+        assert square.tobytes() == want.tobytes()
+        assert not (np.signbit(square) & (square == 0.0)).any()
+
+
 def test_sparse_full_sweep_is_the_scalar_sweep_bit_for_bit():
     """From random states with a few nonzero coefficients, where zero
     coordinates sometimes enter mid-sweep: the same ``beta``, ``q`` and
@@ -971,6 +988,27 @@ def test_level_problems_keep_the_conditioning_of_the_row_wise_moments():
     xc = (fine.covariates - fine.covariates.mean(axis=0)) * np.sqrt(
         propensity_weights(fine.treatments))[:, None]
     assert 1e5 < np.linalg.cond(xc) < 1e7
+
+
+@pytest.mark.parametrize("gather_bytes", [None, 3 * 8 * 9 + 5, 8])
+@pytest.mark.parametrize("m", [0, 9])
+def test_problems_of_rows_are_those_of_the_taken_rows_bit_for_bit(monkeypatch, gather_bytes, m):
+    """Rows gathered from the dataset into the weighted columns, in one
+    chunk, in chunks of 3 rows with a short last one, or a row at a time,
+    give the problems of ``take_rows`` of them bit for bit: the weighted
+    columns, each level's factor and their row counts."""
+    if gather_bytes is not None:
+        monkeypatch.setattr(wlasso, "_GATHER_BYTES", gather_bytes)
+    ds = random_dataset(71, n=90, p=9, m=m)
+    levels = [[(0, 1, 2), (3, 4, 5), (6, 7, 8)], [(j,) for j in range(9)]]
+    for seed in range(4):
+        rows = np.sort(np.random.default_rng(seed).choice(ds.n, 40 + seed, replace=False))
+        half = ds.take_rows(rows)
+        got, want = WeightedProblem.from_dataset(ds, rows), WeightedProblem.from_dataset(half)
+        assert got.rows.tobytes() == want.rows.tobytes() and got.n == want.n == rows.size
+        for got, want in zip(level_problems(ds, levels, rows), level_problems(half, levels)):
+            assert got.rows.tobytes() == want.rows.tobytes()
+            assert (got.n, got.m, got.p) == (want.n, want.m, want.p)
 
 
 def test_level_problems_reject_a_duplicated_covariate_as_prepare_does():
