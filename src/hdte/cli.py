@@ -23,9 +23,9 @@ import scipy
 
 from .data import CsvSchema, load_csv
 from .errors import DataError, HdteError, NumericalError
-from .estimators import adjusted_estimate
+from .estimators import adjusted_estimate, check_estimator
 from .inference import hotelling_pvalue, hotelling_statistic, multi_split, z_pvalues
-from .selection import SelectionSpec, check_sizes, method_l1_ratio, run_selection
+from .selection import SelectionSpec, method_l1_ratio, run_selection
 from .simharness import (
     LinearModelConfig,
     LinearModelGenerator,
@@ -106,9 +106,10 @@ def _load_dataset(params):
 
 
 def _resolve_estimator(value: str | None, ds) -> str:
-    if value is not None:
-        return value
-    return "cuped" if ds.covariates is not None else "dim"
+    if value is None:
+        return ds.usable_estimator("cuped")
+    check_estimator(ds, value)
+    return value
 
 
 def _selection_spec(params) -> SelectionSpec:
@@ -189,26 +190,22 @@ def _read_selected_indices(path, p: int) -> tuple[int, ...]:
 
 
 def _run_infer(params, outdir: Path) -> None:
+    correction = params["correction"]
+    if correction is not None and correction < 1:   # as z_pvalues, which an empty subset skips
+        raise DataError(f"correction must be >= 1, got {correction}")
     ds = _load_dataset(params)
     subset = _read_selected_indices(params["selection_csv"], ds.p)
     method = _resolve_estimator(params["estimator"], ds)
-    est = adjusted_estimate(ds, method, subset) if subset else None
-    if est is None:
-        _write_rows(outdir / "per_dim.csv", ["index", "label", "tau_hat", "se", "p"], [])
-        _write_rows(outdir / "group.csv", ["statistic", "df", "p"],
-                    [[_fmt(0.0), 0, _fmt(1.0)]])
-        return
-    correction = params["correction"]
-    if correction is None:
-        correction = len(subset)
-    pvals = z_pvalues(est, correction=correction, two_sided=params["two_sided"])
-    se = np.sqrt(np.diag(est.sigma_hat) / est.n)
-    rows = [
-        [j, ds.column_labels[j], _fmt(est.tau_hat[k]), _fmt(se[k]), _fmt(pvals[k])]
-        for k, j in enumerate(subset)
-    ]
-    # Computed before any CSV is written: it raises on a singular covariance.
-    group = [[_fmt(hotelling_statistic(est)), len(subset), _fmt(hotelling_pvalue(est))]]
+    rows, group = [], [[_fmt(0.0), 0, _fmt(1.0)]]
+    if subset:
+        est = adjusted_estimate(ds, method, subset)
+        pvals = z_pvalues(est, correction=len(subset) if correction is None else correction,
+                          two_sided=params["two_sided"])
+        se = np.sqrt(np.diag(est.sigma_hat) / est.n)
+        rows = [[j, ds.column_labels[j], _fmt(est.tau_hat[k]), _fmt(se[k]), _fmt(pvals[k])]
+                for k, j in enumerate(subset)]
+        # Computed before any CSV is written: it raises on a singular covariance.
+        group = [[_fmt(hotelling_statistic(est)), len(subset), _fmt(hotelling_pvalue(est))]]
     _write_rows(outdir / "per_dim.csv", ["index", "label", "tau_hat", "se", "p"], rows)
     _write_rows(outdir / "group.csv", ["statistic", "df", "p"], group)
 
@@ -275,7 +272,7 @@ def _run_path(params, outdir: Path) -> None:
 
 def _run_simulate(params, outdir: Path) -> None:
     methods = _split_names(params["methods"])
-    sizes = check_sizes(_split_ints(params["sizes"], "--sizes"), params["p"])
+    sizes = _split_ints(params["sizes"], "--sizes")
     config = LinearModelConfig(
         n=params["n"], p=params["p"], m=params["m"], s_tau=params["s_tau"],
         alpha=params["alpha"], pi=params["pi"], seed=params["seed"],

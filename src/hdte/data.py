@@ -151,6 +151,10 @@ class TrialDataset:
     def n_control(self) -> int:
         return self.n - self.n_treated
 
+    def usable_estimator(self, method: str) -> str:
+        """``method``, or the unadjusted ``"dim"`` where there are no covariates."""
+        return method if self.covariates is not None else "dim"
+
     def take_rows(self, indices) -> "TrialDataset":
         """Return the row subset ``indices`` (checked by :func:`check_rows`)
         as a new dataset. Rows of a validated dataset need no validation

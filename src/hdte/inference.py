@@ -33,17 +33,15 @@ __all__ = [
 class PValueReport:
     """Per-dimension and group p-values for one tested subset.
 
-    ``per_dim`` maps outcome column index to its multiplicity-corrected
-    p-value; ``correction_factor`` is the multiplicity used (the subset
-    size). ``estimate`` is the second-half effect estimate the p-values came
-    from (``None`` when the subset is empty).
+    ``per_dim`` maps outcome column index to its p-value, corrected for
+    the multiplicity ``len(subset)``. ``estimate`` is the second-half effect
+    estimate the p-values came from (``None`` when the subset is empty).
     """
 
     per_dim: dict[int, float]
     group: float
     estimate: EffectEstimate | None
     subset: tuple[int, ...]
-    correction_factor: int
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ def _split_report(ds: TrialDataset, rows: tuple[np.ndarray, np.ndarray], method:
     (result,), level = run_selection(ds, sel, method, rows=rows[0])
     subset = result.selected
     if not subset:
-        return PValueReport({}, 1.0, None, (), 0), level
+        return PValueReport({}, 1.0, None, ()), level
     if level is None:
         second = ds.restrict_outcomes(subset).take_rows(rows[1])
         est = replace(adjusted_estimate(second, method), index_set=subset)
@@ -120,7 +118,7 @@ def _split_report(ds: TrialDataset, rows: tuple[np.ndarray, np.ndarray], method:
         est = adjusted_estimate(second, method, subset)
     pvals = z_pvalues(est, correction=len(subset), two_sided=two_sided)
     per_dim = {int(j): float(p) for j, p in zip(subset, pvals)}
-    return PValueReport(per_dim, hotelling_pvalue(est), est, subset, len(subset)), level
+    return PValueReport(per_dim, hotelling_pvalue(est), est, subset), level
 
 
 def single_split_pipeline(ds: TrialDataset, method: str, sel: SelectionSpec, seed: int,

@@ -202,7 +202,7 @@ def _size_selections(problem: WeightedProblem, sizes, spec: SelectionSpec,
     pending = list(wanted)
     largest_seen = 0
     for lam, beta, sweeps, converged in problem.walk_path(n_lambdas, lambda_min_ratio,
-                                                          spec.config, knots=True):
+                                                          spec.config):
         _require_converged(lam, sweeps, converged)
         active = np.flatnonzero(beta).tolist()
         for j in active:
@@ -283,8 +283,8 @@ def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
     its weighted columns (:meth:`hdte.wlasso.WeightedProblem.from_dataset`),
     so the row subset is never held beside them.
 
-    The baseline ranks effects estimated with ``estimator`` when ``ds`` has
-    covariates to adjust on, and unadjusted (``"dim"``) otherwise. A
+    The baseline ranks effects estimated with ``estimator``, unadjusted
+    where ``ds`` has no covariates (``ds.usable_estimator``). A
     penalized selection is made on the dataset's problem, or on each level's
     (:func:`hdte.wlasso.level_problems`): by size from its penalty grid
     (:func:`_size_selections`), by ``spec.lam`` as the active set of one fit
@@ -300,7 +300,7 @@ def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
         raise DataError("several sizes need a size-based selection without levels")
     if spec.method == "baseline":
         part = ds if rows is None else ds.take_rows(rows)
-        est = adjusted_estimate(part, estimator if ds.covariates is not None else "dim")
+        est = adjusted_estimate(part, ds.usable_estimator(estimator))
         return tuple(baseline_select(est, s) for s in sizes or (spec.size,)), None
     problems = (level_problems(ds, spec.levels, rows) if spec.levels is not None
                 else (WeightedProblem.from_dataset(ds, rows),))

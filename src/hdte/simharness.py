@@ -23,7 +23,7 @@ from .errors import DataError, HdteError
 from .estimators import adjusted_estimate, check_estimator
 from .forking import run_shared, share_count
 from .inference import check_multi_split, hotelling_pvalue, multi_split, z_pvalues
-from .selection import SelectionSpec, run_selection
+from .selection import SelectionSpec, check_sizes, run_selection
 
 __all__ = [
     "LinearModelConfig",
@@ -53,8 +53,7 @@ class LinearModelConfig:
     Outcomes follow ``Y_ij = x_i' b_j + t_i * (alpha + x_i' d_j) * 1{j < s_tau}
     + eps_ij`` with standard normal covariates and noise, Bernoulli(``pi``)
     treatment, ``b_j`` entries uniform on [-1, 1] and ``d_j`` entries uniform
-    on [0, 1]. ``observe_covariates`` limits how many covariate columns the
-    returned dataset exposes (generation always uses all ``m``).
+    on [0, 1]. The dataset holds all ``m`` covariates.
     """
 
     n: int
@@ -64,7 +63,6 @@ class LinearModelConfig:
     alpha: float
     pi: float
     seed: int
-    observe_covariates: int | None = None
 
     def __post_init__(self):
         if self.n < 4:
@@ -75,11 +73,6 @@ class LinearModelConfig:
             raise DataError(f"s_tau must be in [0, p={self.p}], got {self.s_tau}")
         if not 0.0 < self.pi < 1.0:
             raise DataError(f"pi must be in (0, 1), got {self.pi}")
-        if self.observe_covariates is not None and not 0 <= self.observe_covariates <= self.m:
-            raise DataError(
-                f"observe_covariates must be in [0, m={self.m}], "
-                f"got {self.observe_covariates}"
-            )
 
 
 @dataclass(frozen=True)
@@ -108,9 +101,7 @@ class LinearModel:
             y[:, : cfg.s_tau] += t[:, None] * lift
         _add_noise(rng, y)
         y.setflags(write=False)
-        observe = cfg.m if cfg.observe_covariates is None else cfg.observe_covariates
-        covariates = x[:, :observe] if observe else None
-        return TrialDataset(t, y, covariates), np.arange(cfg.s_tau)
+        return TrialDataset(t, y, x if cfg.m else None), np.arange(cfg.s_tau)
 
 
 # Rows of noise are drawn into one reused buffer of about this many bytes
@@ -145,6 +136,10 @@ class LinearModelGenerator:
 
     config: LinearModelConfig
 
+    @property
+    def p(self) -> int:
+        return self.config.p
+
     def replicate(self, seed) -> tuple[TrialDataset, np.ndarray]:
         rng = np.random.default_rng(seed)
         return draw_linear_model(self.config, rng).sample(rng)
@@ -176,6 +171,10 @@ class IndependentOutcomesGenerator:
             raise DataError(f"s_star must be in [0, d={self.d}], got {self.s_star}")
         if not 0.0 < self.pi < 1.0:
             raise DataError(f"pi must be in (0, 1), got {self.pi}")
+
+    @property
+    def p(self) -> int:
+        return self.d
 
     def _sample(self, rng: np.random.Generator, n: int) -> TrialDataset:
         """Draw one dataset of ``n`` rows. Draw order: treatments, noise."""
@@ -217,45 +216,37 @@ _NOISE_SHARED_FRAC = 0.5
 _TRACE_CLIP = (40.0, 400.0)
 _AR_BURN_IN = 60
 
+# The experiment's fixed design: a day of 288 points (5 minutes apart), a
+# 120-minute effect window and the 70-180 mg/dL target range.
+_POINTS_PER_DAY = 288
+_EFFECT_MINUTES = 120
+_GLUCOSE_RANGE = (70.0, 180.0)
+
 
 @dataclass(frozen=True)
 class TraceExperimentConfig:
     """Settings for the semi-synthetic time-in-range experiment.
 
-    Traces cover one day on a regular grid (288 points = 5 minutes apart),
-    two weeks per unit: week 1 supplies covariates, week 2 outcomes. The
-    treatment subtracts ``effect_magnitude`` from week-2 glucose inside a
-    random grid-aligned interval of ``effect_duration_minutes``.
+    Traces cover one day on the fixed ``_POINTS_PER_DAY`` grid, two weeks
+    per unit: week 1 supplies covariates, week 2 outcomes. The treatment
+    subtracts ``effect_magnitude`` from week-2 glucose inside a random
+    grid-aligned interval of ``_EFFECT_MINUTES``.
     """
 
     n: int
     effect_magnitude: float
     seed: int
-    points_per_day: int = 288
-    effect_duration_minutes: int = 120
-    glucose_range: tuple[float, float] = (70.0, 180.0)
     level_window_minutes: tuple[int, ...] = (240, 120, 60)
 
     def __post_init__(self):
         if self.n < 4:
             raise DataError(f"n must be >= 4, got {self.n}")
-        if self.points_per_day < 1 or 1440 % self.points_per_day != 0:
-            raise DataError(
-                f"points_per_day must divide the day evenly, got {self.points_per_day}"
-            )
-        step = 1440 // self.points_per_day
-        duration = self.effect_duration_minutes
-        if not 0 < duration <= 1440 or duration % step != 0:
-            raise DataError(
-                f"effect duration must be a positive multiple of the "
-                f"{step}-minute grid of at most 1440 minutes, got {duration}"
-            )
         window_level_groupings(self.level_window_minutes)
+        step = 1440 // _POINTS_PER_DAY
         misaligned = [w for w in self.level_window_minutes if w % step]
         if misaligned:
             raise DataError(f"windows of {misaligned} minutes do not align to the "
                             f"{step}-minute grid")
-        _check_glucose_range(self.glucose_range)
 
 
 def _ar_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -279,14 +270,15 @@ def _ar_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 _CHUNK_UNITS = 200
 
 
-def _trace_chunks(rng: np.random.Generator, n: int, points: int):
+def _trace_chunks(rng: np.random.Generator, n: int):
     """Yields ``(rows, traces)``: the units ``rows`` (a slice of at most
-    ``_CHUNK_UNITS``) and their weeks, ``(2, k, points)`` in one reused
+    ``_CHUNK_UNITS``) and their weeks, ``(2, k, _POINTS_PER_DAY)`` in one reused
     buffer that the caller reduces or copies before the next chunk. Each
     week is summed in place as ``(base + meals) + noise`` with the noise
     ``SD * (sqrt(f) * shared + sqrt(1 - f) * weekly)`` and clipped. The
     weekly noise is drawn chunk by chunk after all units' other draws, and
     successive draws continue the stream, so the chunk size keeps the bits."""
+    points = _POINTS_PER_DAY
     minutes = np.arange(points) * (1440.0 / points)
     base = rng.normal(_BASE_MEAN, _BASE_SD, (n, 1))
     base = base + rng.normal(0.0, _WEEK_LEVEL_SD, (n, 2))
@@ -318,7 +310,7 @@ def _trace_chunks(rng: np.random.Generator, n: int, points: int):
 
 
 def gen_glucose_traces(config: TraceExperimentConfig) -> np.ndarray:
-    """Two weeks of day-averaged glucose traces, shape ``(n, points, 2)``.
+    """Two weeks of day-averaged glucose traces, shape ``(n, 288, 2)``.
 
     Week-over-week structure (baseline level, meal amplitudes, and half the
     noise variance are shared within a unit) gives day-level time-in-range a
@@ -326,8 +318,8 @@ def gen_glucose_traces(config: TraceExperimentConfig) -> np.ndarray:
     physiological range [40, 400].
     """
     rng = np.random.default_rng(config.seed)
-    traces = np.empty((config.n, config.points_per_day, 2))
-    for rows, chunk in _trace_chunks(rng, config.n, config.points_per_day):
+    traces = np.empty((config.n, _POINTS_PER_DAY, 2))
+    for rows, chunk in _trace_chunks(rng, config.n):
         traces[rows] = chunk.transpose(1, 2, 0)
     return traces
 
@@ -357,13 +349,6 @@ def apply_window_effect(traces: np.ndarray, interval: tuple[int, int],
     return out
 
 
-def _check_glucose_range(glucose_range) -> tuple[float, float]:
-    lo, hi = glucose_range
-    if not lo < hi:
-        raise DataError(f"glucose_range must be increasing, got {glucose_range}")
-    return lo, hi
-
-
 def _window_means(in_range: np.ndarray, window_minutes: int) -> np.ndarray:
     """The share of true entries in each window along the last axis; a count
     of 0/1 values is exact, so this has the bits of their float mean."""
@@ -379,14 +364,14 @@ def _window_means(in_range: np.ndarray, window_minutes: int) -> np.ndarray:
     return in_range.reshape(in_range.shape[:-1] + (n_windows, width)).sum(axis=-1) / width
 
 
-def compute_tir(trace, window_minutes: int, glucose_range=(70.0, 180.0)) -> np.ndarray:
-    """Fraction of readings inside ``glucose_range`` (inclusive) per window.
+def compute_tir(trace, window_minutes: int) -> np.ndarray:
+    """Fraction of readings inside ``_GLUCOSE_RANGE`` (inclusive) per window.
 
     ``trace`` has day points along its last axis; the result replaces that
     axis with one entry per ``window_minutes`` window.
     """
     arr = np.asarray(trace, dtype=np.float64)
-    lo, hi = _check_glucose_range(glucose_range)
+    lo, hi = _GLUCOSE_RANGE
     return _window_means((arr >= lo) & (arr <= hi), window_minutes)
 
 
@@ -447,15 +432,13 @@ def _builtin_selection(method: str, sizes, estimator: str) -> tuple[SelectionSpe
     return SelectionSpec(method, size=sizes[-1]), estimator
 
 
-def _check_experiment(methods, sizes, estimator: str) -> tuple[dict, tuple[int, ...]]:
+def _check_experiment(generator, methods, sizes, estimator: str) -> tuple[dict, tuple]:
     """The methods by result key (a built-in's name, a callable's
-    ``__name__``) and the sorted distinct ``sizes``, after checking that
-    there is a method and a size and that ``estimator`` and every built-in
-    name are known: a mistake in the call is an error, not a failure
-    counted in every replicate."""
-    sizes = tuple(sorted(set(int(s) for s in sizes)))
-    if not sizes:
-        raise DataError("an experiment needs at least one subset size")
+    ``__name__``) and the sizes checked against the generator's ``p`` by
+    :func:`hdte.selection.check_sizes`, after checking that there is a
+    method and that ``estimator`` and every built-in name are known: a
+    mistake in the call is an error, not a failure in every replicate."""
+    sizes = tuple(check_sizes(sizes, generator.p))
     if not methods:
         raise DataError("an experiment needs at least one method")
     check_estimator(None, estimator)
@@ -501,8 +484,9 @@ def _recovery_replicate(generator, methods, sizes, estimator, child):
     return _outcomes(methods, recovery)
 
 
-def _power_replicate(generator, methods, sizes, estimator, test_estimator, n_second, child):
+def _power_replicate(generator, methods, sizes, estimator, n_second, child):
     ds1, ds2, _ = generator.replicate_pair(child, n_second)
+    test_estimator = ds2.usable_estimator("lin")
 
     def rejections(method):
         picks = _subsets_by_size(ds1, method, sizes, estimator)
@@ -550,7 +534,7 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
     baseline ranking when covariates are present. Replicate seeds derive from
     ``seed``; a failed replicate is skipped and counted, not fatal.
     """
-    methods, sizes = _check_experiment(methods, sizes, estimator)
+    methods, sizes = _check_experiment(generator, methods, sizes, estimator)
     results = _run_experiment(partial(_recovery_replicate, generator, methods, sizes, estimator),
                               methods, replicates, seed)
     return {key: ExperimentMetrics(key, replicates, failures, recovery_rate_by_size=means)
@@ -559,21 +543,19 @@ def run_recovery_experiment(generator, methods, sizes, replicates: int, seed: in
 
 def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, *,
                          second_sample_size: int = 500,
-                         estimator: str = "cuped",
-                         test_estimator: str = "lin") -> dict[str, ExperimentMetrics]:
+                         estimator: str = "cuped") -> dict[str, ExperimentMetrics]:
     """Rejection frequency of the group test at level 0.05 per method and
     size.
 
     Each replicate draws a selection dataset and an independent evaluation
     dataset of ``second_sample_size`` rows from the same coefficient draw;
     selection happens on the first, the quadratic-form test on the second
-    restricted to the selected columns (``test_estimator`` adjustment, whose
-    name is checked before the first replicate).
+    restricted to the selected columns, by ``"lin"``, or ``"dim"`` where the
+    second has no covariates (:meth:`hdte.data.TrialDataset.usable_estimator`).
     """
-    methods, sizes = _check_experiment(methods, sizes, estimator)
-    check_estimator(None, test_estimator)
+    methods, sizes = _check_experiment(generator, methods, sizes, estimator)
     results = _run_experiment(partial(_power_replicate, generator, methods, sizes, estimator,
-                                      test_estimator, second_sample_size),
+                                      second_sample_size),
                               methods, replicates, seed)
     return {key: ExperimentMetrics(key, replicates, failures, power_by_size=means)
             for key, (means, failures) in results.items()}
@@ -594,22 +576,22 @@ def _semisynth_arms(config: TraceExperimentConfig) -> dict[str, tuple | None]:
 
 def _semisynth_replicate(config, B, gamma, sel, estimator, child):
     rng = np.random.default_rng(child)
-    n, points = config.n, config.points_per_day
+    n, points = config.n, _POINTS_PER_DAY
     finest = min(config.level_window_minutes)
-    lo, hi = config.glucose_range
+    lo, hi = _GLUCOSE_RANGE
     covariates = np.empty((n, 1440 // finest))
     # Week 2 in range as drawn and less the effect, as apply_window_effect
     # subtracts it: the treatments and the window are drawn after the traces.
     untreated, treated = np.empty((2, n, points), dtype=bool)
-    for rows, (week1, week2) in _trace_chunks(rng, n, points):
-        covariates[rows] = compute_tir(week1, finest, config.glucose_range)
+    for rows, (week1, week2) in _trace_chunks(rng, n):
+        covariates[rows] = compute_tir(week1, finest)
         np.logical_and(week2 >= lo, week2 <= hi, out=untreated[rows])
         week2 -= config.effect_magnitude
         np.logical_and(week2 >= lo, week2 <= hi, out=treated[rows])
     t = (rng.random(n) < 0.5).astype(np.int64)
     step = 1440 // points
-    first = int(rng.integers(0, (1440 - config.effect_duration_minutes) // step + 1))
-    window = slice(first, first + config.effect_duration_minutes // step)
+    first = int(rng.integers(0, (1440 - _EFFECT_MINUTES) // step + 1))
+    window = slice(first, first + _EFFECT_MINUTES // step)
     untreated[t == 1, window] = treated[t == 1, window]
     ds = TrialDataset(t, _window_means(untreated, finest), covariates)
     multi_split_seed = int(rng.integers(2**31))

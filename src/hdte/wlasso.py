@@ -158,11 +158,10 @@ class EnetFit:
 
 @dataclass(frozen=True)
 class EnetPath:
-    """Fits along a descending penalty grid; ``lambdas[0] == lambda_max``."""
+    """Fits along a descending penalty grid from :func:`lambda_max`."""
 
     lambdas: np.ndarray
     fits: tuple[EnetFit, ...]
-    lambda_max: float
 
 
 def propensity_weights(treatments) -> np.ndarray:
@@ -624,8 +623,8 @@ def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -
 
 
 def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
-               min_ratio: float) -> tuple[np.ndarray, float]:
-    """The descending penalty grid of ``problem`` and its ``lambda_max``."""
+               min_ratio: float) -> np.ndarray:
+    """The descending penalty grid of ``problem``, from its ``lambda_max``."""
     lam_top = _lambda_max_from(problem, config.l1_ratio)
     if lam_top <= 0.0:
         raise NumericalError(
@@ -636,7 +635,7 @@ def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
     stop, top = lam_top * min_ratio, np.log10(lam_top)
     grid = np.power(10.0, np.arange(n_lambdas) * ((np.log10(stop) - top) / (n_lambdas - 1)) + top)
     grid[0], grid[-1] = lam_top, stop
-    return grid, lam_top
+    return grid
 
 
 def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
@@ -710,12 +709,11 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     """
     min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
     moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare()
-    grid, lam_top = _path_grid(moments, config, n_lambdas, min_ratio)
+    grid = _path_grid(moments, config, n_lambdas, min_ratio)
     fits = tuple(_assemble_fit(slopes, rows, ds.n, *point)
                  for point in _walk_path(moments, grid, config))
-    lambdas = grid.copy()
-    lambdas.setflags(write=False)
-    return EnetPath(lambdas, fits, lam_top)
+    grid.setflags(write=False)
+    return EnetPath(grid, fits)
 
 
 def _check_subset(subset, n: int, p: int) -> np.ndarray:
@@ -777,17 +775,18 @@ class WeightedProblem:
         return _assemble_fit(slopes, rows, self.n, config.lam, beta, sweeps, converged)
 
     def walk_path(self, n_lambdas: int = 100, lambda_min_ratio: float | None = None,
-                  config: EnetConfig = EnetConfig(), knots: bool = False):
+                  config: EnetConfig = EnetConfig()):
         """The grid of :func:`regularization_path` on this problem, walked
         lazily: an iterator of ``(lam, beta, sweeps, converged)`` with
         ``beta`` a fresh array. Builds no :class:`EnetFit`, so a caller that
         stops early pays only for the grid points it reads. Arguments are
-        checked on the call. With ``knots``, a lasso path's first grid point
-        below each knot, exact (:func:`_knot_path`)."""
+        checked on the call. A lasso path yields its first grid point below
+        each knot, exact (:func:`_knot_path`); an elastic net descends every
+        grid point by coordinate descent (:func:`_walk_path`)."""
         min_ratio = _min_ratio(self.n, self.p, n_lambdas, lambda_min_ratio)
         moments = self.prepare(slopes=False)[0]
-        grid, _ = _path_grid(moments, config, n_lambdas, min_ratio)
-        return (_knot_path(moments, grid) if knots and config.l1_ratio == 1.0
+        grid = _path_grid(moments, config, n_lambdas, min_ratio)
+        return (_knot_path(moments, grid) if config.l1_ratio == 1.0
                 else _walk_path(moments, grid, config))
 
     def subset_weighted_rss(self, subset) -> float:

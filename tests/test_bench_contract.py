@@ -1,13 +1,15 @@
 """What the benchmark in ``bench/`` reads of the package still exists: every
-``hdte`` name its scripts read resolves, every layer it traces is loaded by
-its imports, and every function it traces is defined but those already cut
-from the package, whose metrics read zero. A cut of the public surface then
+``hdte`` name its scripts read resolves, every call they make on one binds
+to its signature, every layer it traces is loaded by its imports, and every
+function it traces is defined but those already cut from the package, whose
+metrics read zero. A cut of the public surface, a parameter among them, then
 fails here rather than breaking a benchmark run or silently zeroing one of
 its per-layer metrics. ``bench/`` is only read."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -47,8 +49,9 @@ def hdte_reads(path: Path) -> list[str]:
     return [name for name in reads if name and name.split(".")[0] == "hdte"]
 
 
-def resolves(dotted: str) -> bool:
-    """Whether ``hdte.a.b`` names something, importing submodules on the way."""
+def _resolve(dotted: str):
+    """What ``hdte.a.b`` names, importing submodules on the way; ``None`` if
+    it names nothing."""
     value = importlib.import_module("hdte")
     for part in dotted.split(".")[1:]:
         if hasattr(value, part):
@@ -57,8 +60,40 @@ def resolves(dotted: str) -> bool:
         try:
             value = importlib.import_module(f"{value.__name__}.{part}")
         except (AttributeError, ImportError):
-            return False
-    return True
+            return None
+    return value
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``hdte.a.b`` names something, importing submodules on the way."""
+    return _resolve(dotted) is not None
+
+
+def hdte_calls(path: Path) -> list[tuple[int, str, int | None, tuple[str, ...]]]:
+    """``(line, name, positional, keywords)`` for each call one source file
+    makes on an ``hdte`` attribute chain: the number of positional arguments
+    (``None`` where one is starred) and the names of the keyword arguments
+    (a ``**`` mapping left out)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(node.lineno, name,
+             None if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args),
+             tuple(kw.arg for kw in node.keywords if kw.arg is not None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for name in [_dotted(node.func)] if name and name.split(".")[0] == "hdte"]
+
+
+def unbound_calls(path: Path) -> list[str]:
+    """``file:line: name`` for each call of :func:`hdte_calls` whose arguments
+    do not bind to the signature of what it calls (``bind_partial``: a
+    missing argument is left to the run)."""
+    unbound = []
+    for line, name, positional, keywords in hdte_calls(path):
+        try:
+            inspect.signature(_resolve(name)).bind_partial(
+                *[None] * (positional or 0), **dict.fromkeys(keywords))
+        except TypeError:
+            unbound.append(f"{path.name}:{line}: {name}")
+    return unbound
 
 
 def _spans():
@@ -90,6 +125,37 @@ def test_hdte_reads_are_detected(tmp_path):
         "hdte.cli.multi_split", "hdte.data", "hdte.lambda_max"]
     assert resolves("hdte.cli.main") and resolves("hdte.EnetConfig")
     assert not resolves("hdte.random_split") and not resolves("hdte.cli.nope")
+
+
+def test_every_call_the_benchmark_makes_binds():
+    """Every keyword (and the count of positional arguments) that ``bench/``
+    passes to an ``hdte`` callable is one its signature takes, so deleting a
+    parameter it sets (``LinearModelConfig``'s ``seed=``, say) fails here."""
+    paths = sorted(BENCH.glob("*.py"))
+    called = {name for path in paths for _, name, _, keywords in hdte_calls(path) if keywords}
+    assert {"hdte.LinearModelConfig", "hdte.TraceExperimentConfig",
+            "hdte.simharness.run_semisynth_experiment"} <= called
+    assert [call for path in paths for call in unbound_calls(path)] == []
+
+
+def test_unbound_calls_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import hdte\n"
+        "def op(ds, args):\n"
+        "    hdte.LinearModelConfig(n=4, p=1, m=0, s_tau=0, alpha=0.0, pi=0.5, seed=0)\n"
+        "    hdte.LinearModelConfig(n=4, p=1, m=0, s_tau=0, alpha=0.0, pi=0.5, nope=1)\n"
+        "    hdte.compute_tir(ds, 60, window=1), hdte.compute_tir(ds, 60, (70, 180))\n"
+        "    hdte.lambda_max(*args, l1_ratio=1.0), hdte.cli.main([], **args), ds.fit(nope=1)\n"
+    )
+    assert [call[1:] for call in hdte_calls(sample)] == [
+        ("hdte.LinearModelConfig", 0, ("n", "p", "m", "s_tau", "alpha", "pi", "seed")),
+        ("hdte.LinearModelConfig", 0, ("n", "p", "m", "s_tau", "alpha", "pi", "nope")),
+        ("hdte.compute_tir", 2, ("window",)), ("hdte.compute_tir", 3, ()),
+        ("hdte.lambda_max", None, ("l1_ratio",)), ("hdte.cli.main", 1, ())]
+    assert unbound_calls(sample) == ["sample.py:4: hdte.LinearModelConfig",
+                                     "sample.py:5: hdte.compute_tir",
+                                     "sample.py:5: hdte.compute_tir"]
 
 
 def test_every_traced_function_but_the_cut_ones_exists():

@@ -164,6 +164,51 @@ def test_infer_empty_selection(trial_csv, tmp_path):
     assert group == {"statistic": "0.0", "df": "0", "p": "1.0"}
 
 
+@pytest.mark.parametrize("correction", ["0", "-3"])
+@pytest.mark.parametrize("selected", ["", "0\n"], ids=["empty", "one-row"])
+def test_infer_checks_the_correction_whatever_the_selection(trial_csv, tmp_path, capsys,
+                                                            correction, selected):
+    """A correction under 1 is a data error with ``z_pvalues``' message,
+    also where an empty selection leaves no p-value to correct: exit 2 and
+    no output."""
+    sel = tmp_path / "sel.csv"
+    sel.write_text("index\n" + selected)
+    outdir = tmp_path / "inf"
+    code = main(["infer", str(trial_csv), str(sel), "--correction", correction,
+                 "--outdir", str(outdir)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": f"correction must be >= 1, got {correction}"}
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--s", "2", "--selection", "baseline"],
+    ["select", "--s", "2"],
+    ["infer", "SELECTION"],
+])
+def test_an_adjustment_without_covariates_is_a_data_error(tmp_path, capsys, argv):
+    """``--estimator lin`` on a covariate-free CSV exits 2, before writing
+    anything, from the commands that would ignore it: a selection that
+    ranks unadjusted or does not estimate (while its manifest recorded
+    ``lin``), and a test of an empty selection. ``multisplit`` already
+    rejected it."""
+    rng = np.random.default_rng(2)
+    t = np.array([1, 0] * 30)
+    data = tmp_path / "plain.csv"
+    write_csv(TrialDataset(t, rng.standard_normal((60, 4))), data)
+    sel = tmp_path / "sel.csv"
+    sel.write_text("index\n")
+    argv = [str(sel) if arg == "SELECTION" else arg for arg in argv]
+    outdir = tmp_path / "out"
+    code = main([argv[0], str(data), *argv[1:], "--estimator", "lin",
+                 "--outdir", str(outdir)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": "dataset has no covariates to adjust on"}
+    assert not outdir.exists()
+
+
 def test_infer_rejects_bad_selection_file(trial_csv, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("index\n9\n")
@@ -306,6 +351,18 @@ def test_simulate_rejects_a_size_beyond_p(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record == {"error": "data", "message": "sizes must be within [1, p=5], got [9]"}
     assert not outdir.exists()
+
+
+def test_simulate_power_without_covariates_tests_unadjusted(tmp_path):
+    """Without covariates the power test is unadjusted, so a covariate-free
+    model's replicates reach the test instead of all failing."""
+    outdir = tmp_path / "sim"
+    assert main(["simulate", "--experiment", "power", "--m", "0", "--p", "6", "--n", "60",
+                 "--replicates", "2", "--sizes", "1", "--methods", "lasso",
+                 "--second-sample-size", "60", "--outdir", str(outdir)]) == 0
+    (row,) = _read_rows(outdir / "metrics.csv")
+    assert (row["method"], row["size"], row["metric"]) == ("lasso", "1", "power")
+    assert (row["replicates"], row["failures"]) == ("2", "0")
 
 
 def test_a_failed_command_removes_only_the_directories_it_made(trial_csv, tmp_path, capsys):

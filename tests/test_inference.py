@@ -217,8 +217,9 @@ def test_single_split_pipeline_recovers_planted_effect():
     ds = planted_dataset(3, n=600, effect=1.0, s=2)
     report = single_split_pipeline(ds, "dim", SelectionSpec(size=2), seed=5)
     assert set(report.subset) == {0, 1}
-    assert report.correction_factor == 2
-    assert set(report.per_dim) == {0, 1}
+    assert list(report.per_dim) == list(report.subset)
+    # corrected for the multiplicity of the subset's size
+    assert list(report.per_dim.values()) == z_pvalues(report.estimate, correction=2).tolist()
     assert all(p < 0.01 for p in report.per_dim.values())
     assert report.group < 1e-6
     assert report.estimate.index_set == report.subset
@@ -232,7 +233,6 @@ def test_single_split_pipeline_empty_selection():
     assert report.per_dim == {}
     assert report.group == 1.0
     assert report.estimate is None
-    assert report.correction_factor == 0
 
 
 def test_single_split_pipeline_rejects_unknown_estimator():

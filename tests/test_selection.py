@@ -493,6 +493,14 @@ def knot_cases(draw):
     return TrialDataset(t, y, x), sorted((source, copy))
 
 
+def coordinate_descent_walk(ds):
+    """The points of a coordinate-descent walk down the default lasso grid of
+    ``ds``, as ``hdte path`` walks it; ``walk_path`` reads the knots."""
+    moments, config = WeightedProblem.from_dataset(ds).prepare()[0], EnetConfig()
+    grid = wlasso._path_grid(moments, config, 100, wlasso._min_ratio(ds.n, ds.p, 100, None))
+    return wlasso._walk_path(moments, grid, config)
+
+
 def walked_selections(ds, sizes, twins=None):
     """Size selections as a converged walk down the lasso grid makes them,
     with the two ``twins`` copies of a duplicated column (if any) read as the
@@ -500,7 +508,7 @@ def walked_selections(ds, sizes, twins=None):
     walk's split between them is rounding, so sizes not yet resolved there
     are left out; ``exhausted`` is whether the grid ran out first."""
     entry, picks, pending = {}, {}, sorted(sizes)
-    for lam, beta, _, converged in WeightedProblem.from_dataset(ds).walk_path():
+    for lam, beta, _, converged in coordinate_descent_walk(ds):
         assert converged
         if twins is not None:
             low, high = twins
@@ -538,7 +546,7 @@ def assert_knots_select_as_the_walk(ds, top, twins=None):
     problem = WeightedProblem.from_dataset(ds)
     moments = problem.prepare()[0]
     gram, actives = moments.gram.rows(np.arange(ds.p)), []
-    for lam, beta, _, _ in problem.walk_path(knots=True):
+    for lam, beta, _, _ in problem.walk_path():
         violation = _kkt_violation(beta, beta @ gram, moments.ty, lam, 0.0, moments.penalized)
         assert violation <= 1e-10
         actives.append(set(np.flatnonzero(beta).tolist()))

@@ -60,17 +60,6 @@ def test_linear_model_effect_magnitude():
     assert ds.treatments.mean() == pytest.approx(0.5, abs=0.05)
 
 
-def test_linear_model_observe_covariates_truncates():
-    cfg = LinearModelConfig(n=40, p=4, m=6, s_tau=1, alpha=1.0, pi=0.5, seed=3,
-                            observe_covariates=2)
-    full = LinearModelConfig(n=40, p=4, m=6, s_tau=1, alpha=1.0, pi=0.5, seed=3)
-    ds, _ = LinearModelGenerator(cfg).replicate(3)
-    ds_full, _ = LinearModelGenerator(full).replicate(3)
-    assert ds.m == 2
-    np.testing.assert_array_equal(ds.covariates, ds_full.covariates[:, :2])
-    np.testing.assert_array_equal(ds.outcomes, ds_full.outcomes)
-
-
 def test_replicate_pair_shares_the_coefficient_draw():
     cfg = LinearModelConfig(n=30, p=5, m=2, s_tau=2, alpha=1.0, pi=0.5, seed=0)
     gen = LinearModelGenerator(cfg)
@@ -106,7 +95,7 @@ def test_replicate_pair_starts_with_the_replicate(generator):
 def _reference_sample(model, rng, n):
     """``LinearModel.sample``'s formula as first written: the whole noise
     matrix drawn at once, added to outcomes formed as new arrays. Returns the
-    treatments, outcomes and observed covariates."""
+    treatments, outcomes and covariates."""
     cfg = model.config
     x = rng.standard_normal((n, cfg.m))
     t = (rng.random(n) < cfg.pi).astype(np.int64)
@@ -118,8 +107,7 @@ def _reference_sample(model, rng, n):
             lift = lift + x @ model.delta[: cfg.s_tau].T
         y[:, : cfg.s_tau] += t[:, None] * lift
     y = y + eps
-    observe = cfg.m if cfg.observe_covariates is None else cfg.observe_covariates
-    return t, y, x[:, :observe] if observe else None
+    return t, y, x if cfg.m else None
 
 
 def _same_bits(ds, reference):
@@ -136,15 +124,13 @@ def _same_bits(ds, reference):
     3 * 4800 + 7,   # 3 rows of 600 columns; neither n = 1000 nor 77 is a multiple of 3
     2400,           # less than a row: one row per chunk
 ])
-@pytest.mark.parametrize("m, s_tau, observe", [(0, 0, None), (0, 4, None), (5, 0, None),
-                                               (5, 4, None), (5, 4, 2)])
+@pytest.mark.parametrize("m, s_tau", [(0, 0), (0, 4), (5, 0), (5, 4)])
 def test_linear_model_is_the_reference_formula_bit_for_bit(monkeypatch, chunk_bytes,
-                                                           m, s_tau, observe):
+                                                           m, s_tau):
     """Outcomes built in place, the noise added a chunk of rows at a time,
     keep the one-shot formula's draws and bits, for a replicate and for
     both datasets of a pair."""
-    cfg = LinearModelConfig(n=1000, p=600, m=m, s_tau=s_tau, alpha=0.7, pi=0.4, seed=0,
-                            observe_covariates=observe)
+    cfg = LinearModelConfig(n=1000, p=600, m=m, s_tau=s_tau, alpha=0.7, pi=0.4, seed=0)
     if chunk_bytes is not None:
         monkeypatch.setattr(sh, "_NOISE_CHUNK_BYTES", chunk_bytes)
     gen = LinearModelGenerator(cfg)
@@ -182,9 +168,6 @@ def test_linear_model_config_validation():
         LinearModelConfig(n=10, p=2, m=0, s_tau=3, alpha=1.0, pi=0.5, seed=0)
     with pytest.raises(DataError, match="pi"):
         LinearModelConfig(n=10, p=2, m=0, s_tau=1, alpha=1.0, pi=1.0, seed=0)
-    with pytest.raises(DataError, match="observe_covariates"):
-        LinearModelConfig(n=10, p=2, m=2, s_tau=1, alpha=1.0, pi=0.5, seed=0,
-                          observe_covariates=5)
 
 
 def test_independent_outcomes_generator():
@@ -243,7 +226,7 @@ def _reference_traces(config, rng=None):
     """The trace formula as first written: each noise array laid out unit by
     unit, and the sums formed as new arrays."""
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    n, points = config.n, config.points_per_day
+    n, points = config.n, sh._POINTS_PER_DAY
     minutes = np.arange(points) * (1440.0 / points)
     base = rng.normal(sh._BASE_MEAN, sh._BASE_SD, (n, 1, 1))
     base = base + rng.normal(0.0, sh._WEEK_LEVEL_SD, (n, 1, 2))
@@ -266,13 +249,12 @@ _TRACE_UNITS = [30, 2 * sh._CHUNK_UNITS + 7]
 
 @pytest.mark.parametrize("n", _TRACE_UNITS)
 @pytest.mark.parametrize("seed", [0, 1, 7])
-@pytest.mark.parametrize("points", [288, 96, 1440])
-def test_glucose_traces_are_the_reference_formula_bit_for_bit(seed, points, n):
+def test_glucose_traces_are_the_reference_formula_bit_for_bit(seed, n):
     """Traces built chunk by chunk and in place keep the reference's random
     draws in order and its bits, C-ordered."""
-    config = TraceExperimentConfig(n=n, effect_magnitude=5.0, seed=seed, points_per_day=points)
+    config = TraceExperimentConfig(n=n, effect_magnitude=5.0, seed=seed)
     got = gen_glucose_traces(config)
-    assert got.flags.c_contiguous and got.shape == (n, points, 2)
+    assert got.flags.c_contiguous and got.shape == (n, 288, 2)
     assert got.tobytes() == _reference_traces(config).tobytes()
 
 
@@ -293,20 +275,18 @@ def _first_dataset(monkeypatch, config, child):
 
 
 @pytest.mark.parametrize("n", _TRACE_UNITS)
-@pytest.mark.parametrize("points", [288, 96, 1440])
-def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, points, n):
+def test_a_semisynth_replicate_tests_the_reference_dataset(monkeypatch, n):
     """A replicate's chunked traces, reduced chunk by chunk to week 1's time
     in range and week 2's in-range masks with and without the effect, give
     the dataset of the reference traces after apply_window_effect, bit for
     bit: treatments, week-2 outcomes and week-1 covariates."""
-    config = TraceExperimentConfig(n=n, effect_magnitude=30.0, seed=0, points_per_day=points)
+    config = TraceExperimentConfig(n=n, effect_magnitude=30.0, seed=0)
     for child in np.random.SeedSequence(3).spawn(4):
         got = _first_dataset(monkeypatch, config, child)
         rng = np.random.default_rng(child)
         traces = _reference_traces(config, rng)
         t = (rng.random(config.n) < 0.5).astype(np.int64)
-        step = 1440 // points
-        start = int(rng.integers(0, (1440 - 120) // step + 1)) * step
+        start = int(rng.integers(0, (1440 - 120) // 5 + 1)) * 5
         traces = apply_window_effect(traces, (start, start + 120), 30.0, t)
         assert got.treatments.tobytes() == t.tobytes()
         assert got.outcomes.tobytes() == compute_tir(traces[:, :, 1], 60).tobytes()
@@ -321,7 +301,7 @@ def test_a_replicate_and_the_trace_generator_hold_a_chunk_of_traces(monkeypatch)
     child = np.random.SeedSequence(1).spawn(1)[0]
     ds, peak = traced_peak(lambda: _first_dataset(monkeypatch, config, child))
     assert ds.outcomes.shape == (4000, 24)
-    assert peak < 2.5 * config.n * config.points_per_day * 8
+    assert peak < 2.5 * config.n * sh._POINTS_PER_DAY * 8
     traces, peak = traced_peak(lambda: gen_glucose_traces(config))
     assert peak < 2 * traces.nbytes
 
@@ -337,9 +317,6 @@ def test_compute_tir_hand_example():
         compute_tir(trace, 700)
     with pytest.raises(DataError, match="equal windows"):
         compute_tir(np.zeros(6), 360)
-    with pytest.raises(DataError, match=r"^glucose_range must be increasing, "
-                                        r"got \(180.0, 70.0\)$"):
-        compute_tir(trace, 720, (180.0, 70.0))
 
 
 def test_apply_window_effect_placement():
@@ -390,26 +367,12 @@ def test_window_level_groupings():
 def test_trace_config_validation():
     with pytest.raises(DataError, match="n must be >= 4, got 3"):
         TraceExperimentConfig(n=3, effect_magnitude=1.0, seed=0)
-    with pytest.raises(DataError, match=r"windows of \[20, 40\] minutes do not align "
-                                        "to the 15-minute grid"):
-        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0, points_per_day=96,
-                              level_window_minutes=(20, 40))
+    with pytest.raises(DataError, match=r"windows of \[32, 16\] minutes do not align "
+                                        "to the 5-minute grid"):
+        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
+                              level_window_minutes=(32, 16))
     with pytest.raises(DataError, match="need at least one window level"):
         TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0, level_window_minutes=())
-    with pytest.raises(DataError, match="grid"):
-        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
-                              effect_duration_minutes=7)
-    # an effect longer than the day has no window to start in
-    with pytest.raises(DataError, match="at most 1440 minutes, got 1500"):
-        TraceExperimentConfig(n=40, effect_magnitude=1.0, seed=0,
-                              effect_duration_minutes=1500)
-    TraceExperimentConfig(n=40, effect_magnitude=1.0, seed=0, effect_duration_minutes=1440)
-    with pytest.raises(DataError, match="divide the day"):
-        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
-                              points_per_day=100)
-    with pytest.raises(DataError, match="increasing"):
-        TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
-                              glucose_range=(180.0, 70.0))
     with pytest.raises(DataError, match="window"):
         TraceExperimentConfig(n=20, effect_magnitude=1.0, seed=0,
                               level_window_minutes=(240, 90))
@@ -447,7 +410,7 @@ def test_experiments_reject_a_call_they_cannot_run(run):
     """An empty size or method list, or an unknown built-in method name, is
     an error in the call, not a failed replicate."""
     gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
-    with pytest.raises(DataError, match="at least one subset size"):
+    with pytest.raises(DataError, match="^sizes must be nonempty$"):
         run(gen, ("lasso",), (), 2, 0)
     with pytest.raises(DataError, match="at least one method"):
         run(gen, (), (1,), 2, 0)
@@ -455,17 +418,49 @@ def test_experiments_reject_a_call_they_cannot_run(run):
         run(gen, ("lasso", "lasso "), (1,), 3, 0)
 
 
+@pytest.mark.parametrize("generator", [
+    LinearModelGenerator(LinearModelConfig(n=60, p=5, m=2, s_tau=1, alpha=1.0, pi=0.5,
+                                           seed=0)),
+    IndependentOutcomesGenerator(n=60, d=5, s_star=1, alpha=1.0, pi=0.5),
+], ids=["linear", "independent"])
+@pytest.mark.parametrize("run", [run_recovery_experiment, run_power_experiment])
+def test_experiments_check_sizes_against_the_outcome_count(monkeypatch, generator, run):
+    """A size beyond the generator's ``p`` outcome columns is the data error
+    of ``check_sizes``, raised before the first replicate, not a failure of
+    every method in every replicate (that hid the valid size 2 too)."""
+    started = []
+    for worker in ("_recovery_replicate", "_power_replicate"):
+        monkeypatch.setattr(sh, worker, lambda *args: started.append(args))
+    assert generator.p == 5
+    with pytest.raises(DataError, match=r"^sizes must be within \[1, p=5\], got \[2, 9\]$"):
+        run(generator, ("lasso", "baseline"), (9, 2), 3, 0)
+    assert not started
+
+
+@pytest.mark.parametrize("m, test_estimator", [(0, "dim"), (2, "lin")])
+def test_the_power_test_adjusts_by_lin_where_there_are_covariates(monkeypatch, m,
+                                                                 test_estimator):
+    """The group test on the evaluation dataset is ``lin``-adjusted where it
+    has covariates and unadjusted where it has none, so the replicates of a
+    covariate-free model reach the test rather than all failing."""
+    gen = LinearModelGenerator(LinearModelConfig(n=60, p=6, m=m, s_tau=1, alpha=1.0,
+                                                 pi=0.5, seed=0))
+    used, estimate = [], sh.adjusted_estimate
+    monkeypatch.setattr(sh, "adjusted_estimate",
+                        lambda ds, method, *rest: used.append(method) or estimate(ds, method, *rest))
+    child = np.random.SeedSequence(0).spawn(1)[0]
+    rejections = sh._power_replicate(gen, {"lasso": "lasso"}, (1, 2), "cuped", 60, child)
+    assert used == [test_estimator] * 2 and set(rejections["lasso"]) == {1, 2}
+
+
 def test_experiments_check_their_estimators_before_the_first_replicate(monkeypatch):
     """An unknown selection estimator of the recovery and power experiments,
-    an unknown test estimator of the power experiment, and a pipeline the
-    semi-synthetic experiment cannot run, are data errors raised before the
-    first replicate, with the messages ``multi_split`` gives."""
+    and a pipeline the semi-synthetic experiment cannot run, are data errors
+    raised before the first replicate, with the messages ``multi_split``
+    gives."""
     started = []
     for worker in ("_recovery_replicate", "_power_replicate", "_semisynth_replicate"):
         monkeypatch.setattr(sh, worker, lambda *args: started.append(args))
-    gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
-    with pytest.raises(DataError, match=r"^unknown estimation method 'nope'$"):
-        run_power_experiment(gen, ("lasso",), (1,), 3, 0, test_estimator="nope")
     linear = LinearModelGenerator(LinearModelConfig(n=60, p=6, m=2, s_tau=1, alpha=1.0,
                                                     pi=0.5, seed=0))
     for run in (run_recovery_experiment, run_power_experiment):
@@ -556,12 +551,10 @@ def test_power_experiment_smoke():
     strong = IndependentOutcomesGenerator(n=200, d=6, s_star=1, alpha=1.0, pi=0.5)
     null = IndependentOutcomesGenerator(n=200, d=6, s_star=0, alpha=0.0, pi=0.5)
     res_strong = run_power_experiment(
-        strong, ("lasso",), (1,), replicates=10, seed=3,
-        second_sample_size=200, test_estimator="dim",
+        strong, ("lasso",), (1,), replicates=10, seed=3, second_sample_size=200,
     )
     res_null = run_power_experiment(
-        null, ("lasso",), (1,), replicates=10, seed=3,
-        second_sample_size=200, test_estimator="dim",
+        null, ("lasso",), (1,), replicates=10, seed=3, second_sample_size=200,
     )
     assert res_strong["lasso"].power_by_size[1] >= 0.8
     assert res_null["lasso"].power_by_size[1] <= 0.3

@@ -210,7 +210,7 @@ def test_enet_pulls_duplicate_columns_together():
 def test_path_structure_and_warm_start_agreement():
     ds = random_dataset(29, n=50, p=8, effect=1.0)
     path = regularization_path(ds, n_lambdas=25)
-    assert path.lambdas[0] == pytest.approx(path.lambda_max)
+    assert path.lambdas[0] == lambda_max(ds)
     assert np.all(np.diff(path.lambdas) < 0)
     first = path.fits[0]
     assert first.active_set == () and first.iterations == 0 and first.converged
@@ -226,13 +226,19 @@ def test_path_structure_and_warm_start_agreement():
 @pytest.mark.parametrize("l1_ratio, knots", [(1.0, False), (0.5, False), (1.0, True)])
 def test_a_walk_never_reads_the_betas_it_yields(l1_ratio, knots):
     """Each yielded ``beta`` is the caller's: overwriting every one as it
-    arrives changes none of the points after it, warm starts included."""
-    problem = WeightedProblem.from_dataset(random_dataset(29, n=50, p=12, m=2))
+    arrives changes none of the points after it, warm starts included. A
+    lasso's ``walk_path`` reads the knots; its coordinate-descent walk is
+    ``hdte path``'s."""
+    ds = random_dataset(29, n=50, p=12, m=2)
     config = EnetConfig(l1_ratio=l1_ratio)
-    want = [(lam, beta.tobytes(), sweeps)
-            for lam, beta, sweeps, _ in problem.walk_path(30, config=config, knots=knots)]
+
+    def walk():
+        if knots or l1_ratio < 1.0:
+            return WeightedProblem.from_dataset(ds).walk_path(30, config=config)
+        return wlasso._walk_path(*path_problem(ds, config, 30), config)
+    want = [(lam, beta.tobytes(), sweeps) for lam, beta, sweeps, _ in walk()]
     got = []
-    for lam, beta, sweeps, _ in problem.walk_path(30, config=config, knots=knots):
+    for lam, beta, sweeps, _ in walk():
         got.append((lam, beta.tobytes(), sweeps))
         beta[:] = 1.0
     assert len(got) > 5 and got == want
@@ -289,7 +295,7 @@ def path_problem(ds, config, n_lambdas):
     over it uses."""
     problem = WeightedProblem.from_dataset(ds).prepare()[0]
     ratio = _min_ratio(ds.n, ds.p, n_lambdas, None)
-    return problem, _path_grid(problem, config, n_lambdas, ratio)[0]
+    return problem, _path_grid(problem, config, n_lambdas, ratio)
 
 
 def reference_cd_solve(problem, config, lam, beta0=None):
@@ -895,8 +901,8 @@ def test_the_penalty_grid_is_geomspace_bit_for_bit():
         top, ratio = float(10 ** rng.uniform(-8, 6)), float(rng.uniform(1e-8, 0.999))
         n = int(rng.integers(2, 400))
         moments = SimpleNamespace(penalized=np.array([True]), ty=np.array([top]))
-        grid, lam_top = _path_grid(moments, EnetConfig(), n, ratio)
-        assert lam_top == top
+        grid = _path_grid(moments, EnetConfig(), n, ratio)
+        assert grid[0] == top
         np.testing.assert_array_equal(grid, np.geomspace(top, top * ratio, n))
 
 
