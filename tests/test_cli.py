@@ -185,14 +185,16 @@ def test_infer_checks_the_correction_whatever_the_selection(trial_csv, tmp_path,
 @pytest.mark.parametrize("argv", [
     ["select", "--s", "2", "--selection", "baseline"],
     ["select", "--s", "2"],
+    ["select", "--lam", "0.1"],
     ["infer", "SELECTION"],
+    ["multisplit", "--B", "6", "--s", "2"],
 ])
 def test_an_adjustment_without_covariates_is_a_data_error(tmp_path, capsys, argv):
     """``--estimator lin`` on a covariate-free CSV exits 2, before writing
     anything, from the commands that would ignore it: a selection that
     ranks unadjusted or does not estimate (while its manifest recorded
-    ``lin``), and a test of an empty selection. ``multisplit`` already
-    rejected it."""
+    ``lin``), and a test of an empty selection. ``multisplit``, which
+    adjusts on every split, gives the same error."""
     rng = np.random.default_rng(2)
     t = np.array([1, 0] * 30)
     data = tmp_path / "plain.csv"

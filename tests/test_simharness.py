@@ -453,6 +453,18 @@ def test_the_power_test_adjusts_by_lin_where_there_are_covariates(monkeypatch, m
     assert used == [test_estimator] * 2 and set(rejections["lasso"]) == {1, 2}
 
 
+
+def test_the_power_test_of_independent_outcomes_is_unadjusted(monkeypatch):
+    """The independent-outcomes generator draws no covariates, so its group
+    test is ``dim`` and its replicates reach the test."""
+    gen = IndependentOutcomesGenerator(n=60, d=5, s_star=1, alpha=1.0, pi=0.5)
+    used, estimate = [], sh.adjusted_estimate
+    monkeypatch.setattr(sh, "adjusted_estimate",
+                        lambda ds, method, *rest: used.append(method) or estimate(ds, method, *rest))
+    child = np.random.SeedSequence(0).spawn(1)[0]
+    rejections = sh._power_replicate(gen, {"lasso": "lasso"}, (1, 2), "cuped", 60, child)
+    assert used == ["dim"] * 2 and set(rejections["lasso"]) == {1, 2}
+
 def test_experiments_check_their_estimators_before_the_first_replicate(monkeypatch):
     """An unknown selection estimator of the recovery and power experiments,
     and a pipeline the semi-synthetic experiment cannot run, are data errors

@@ -223,6 +223,27 @@ def test_path_structure_and_warm_start_agreement():
     assert all(a >= b - 1e-12 for a, b in zip(rss, rss[1:]))
 
 
+
+@pytest.mark.parametrize("l1_ratio", [1.0, 0.5])
+def test_walk_path_reads_a_lassos_knots_and_descends_an_elastic_nets_grid(l1_ratio):
+    """``walk_path`` takes its walk from the penalty, on the grid of
+    ``regularization_path``: a lasso yields the exact knot walk, at fewer
+    points than the grid has; an elastic net yields coordinate descent at
+    every grid point. Both bit for bit."""
+    ds = random_dataset(29, n=50, p=12, m=2)
+    config = EnetConfig(l1_ratio=l1_ratio)
+    problem, grid = path_problem(ds, config, 30)
+    reference = (wlasso._knot_path(problem, grid) if l1_ratio == 1.0
+                 else wlasso._walk_path(problem, grid, config))
+    want = [(lam, beta.tobytes(), sweeps, converged)
+            for lam, beta, sweeps, converged in reference]
+    got = [(lam, beta.tobytes(), sweeps, converged) for lam, beta, sweeps, converged
+           in WeightedProblem.from_dataset(ds).walk_path(30, config=config)]
+    assert got == want
+    lams = [lam for lam, *_ in got]
+    assert set(lams) <= set(grid.tolist()) and lams == sorted(lams, reverse=True)
+    assert (len(lams) < grid.size) if l1_ratio == 1.0 else lams == grid.tolist()
+
 @pytest.mark.parametrize("l1_ratio, knots", [(1.0, False), (0.5, False), (1.0, True)])
 def test_a_walk_never_reads_the_betas_it_yields(l1_ratio, knots):
     """Each yielded ``beta`` is the caller's: overwriting every one as it
