@@ -753,6 +753,16 @@ def solve_nonsingular(matrix: np.ndarray, rhs: np.ndarray, what: str,
     return np.linalg.solve(matrix, rhs)
 
 
+def covariate_coefficients(design: np.ndarray, columns: np.ndarray,
+                           what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Q``, ``Q' C`` and the slopes of :func:`project_columns`, for a
+    caller that gives ``C`` up before it forms the residuals ``C - Q Q' C``."""
+    q, r = np.linalg.qr(design)
+    check_full_rank(r, design.shape[0], what)
+    coef = q.T @ columns
+    return q, coef, np.linalg.solve(r, coef)
+
+
 def project_columns(design: np.ndarray, columns: np.ndarray,
                     what: str) -> tuple[np.ndarray, np.ndarray]:
     """The slopes ``R^{-1} Q' C`` of the ``(n, k)`` columns ``C`` on a
@@ -760,9 +770,7 @@ def project_columns(design: np.ndarray, columns: np.ndarray,
     Q Q' C``, orthogonal to the design however ill-conditioned it is. A
     weighted regression passes both with rows scaled by ``sqrt(w)``. A design
     of rank below ``m`` (:func:`check_full_rank`) raises, naming ``what``."""
-    q, r = np.linalg.qr(design)
-    check_full_rank(r, design.shape[0], what)
-    coef = q.T @ columns
+    q, coef, slopes = covariate_coefficients(design, columns, what)
     residuals = q @ coef
     np.subtract(columns, residuals, out=residuals)
-    return np.linalg.solve(r, coef), residuals
+    return slopes, residuals

@@ -9,7 +9,7 @@ where ``w`` are inverse-propensity-squared weights, outcome and covariate
 columns are centered at their unweighted means (no column is rescaled, so
 ``beta`` is fitted and reported on the outcomes' own units), the regression
 carries no intercept, and ``alpha`` (the covariate block) is unpenalized.
-Covariates are concentrated out exactly up front by
+Covariates are concentrated out exactly up front, with the bits of
 :func:`hdte.data.project_columns`: slopes on the weighted centered covariates
 give a fit's ``alpha``, and the weighted residuals of the response and
 outcome columns its ``beta`` subproblem and RSS. A block of rank below
@@ -52,8 +52,9 @@ Averaging columns commutes with centering and with the orthogonal factor,
 so a level's rows are the QR factor of that ``R`` with its covariate and
 outcome blocks averaged: at most ``m + p + 1`` rows, with no aggregating,
 re-centering or re-regressing of the data. The two sources differ only in
-how the covariates are concentrated out: a dataset projects them out of its
-rows, a level reads the trailing block of its factor.
+how the covariates are concentrated out: a dataset concentrates in place,
+its residuals taking the place of its rows, which it reads again from the
+dataset where it needs them; a level reads the trailing block of its factor.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .data import (TrialDataset, check_full_rank, check_grouping, check_rows,
-                   column_group_means, project_columns, solve_nonsingular)
+                   column_group_means, covariate_coefficients, solve_nonsingular)
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -109,10 +110,11 @@ _GRAM_WHOLE_MAX = 2**19
 # resolution levels among them) on the plain loop.
 _ZERO_RUN_MIN = 32
 
-# Rows gathered into the weighted columns are taken about this many bytes
-# at a time (at least one row). Gathering a whole block takes a copy of it:
-# fancy indexing and ``np.take`` into a strided block both do.
-_GATHER_BYTES = 1 << 18
+# Rows gathered into the weighted columns, or again into their residuals, are
+# taken about this many bytes at a time (at least one row); a chunk's ufuncs
+# add buffers of up to 8192 elements. Gathering a whole block takes a copy of
+# it: fancy indexing and ``np.take`` into a strided block both do.
+_GATHER_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -158,9 +160,8 @@ class EnetFit:
 
 @dataclass(frozen=True)
 class EnetPath:
-    """Fits along a descending penalty grid from :func:`lambda_max`."""
+    """Fits down a penalty grid from :func:`lambda_max`, one per point (``lam``)."""
 
-    lambdas: np.ndarray
     fits: tuple[EnetFit, ...]
 
 
@@ -205,7 +206,7 @@ class _Gram:
         self._z, self._n, self.diag = z, n, diag
         p = z.shape[1]
         self._slot = np.full(p, -1, dtype=np.intp)   # store row of column j
-        self._held = np.empty(p, dtype=np.intp)      # column in store row r
+        self._held = np.empty(0, dtype=np.intp)      # column in store row r
         self._row = [None] * p                       # column j as a view of its row
         self._store = np.empty((0, p))
         self._count = 0
@@ -226,7 +227,7 @@ class _Gram:
             if count + k > self._store.shape[0]:
                 grown = np.empty((max(8, 2 * count, count + k), self._store.shape[1]))
                 grown[:count] = self._store[:count]
-                self._store = grown
+                self._store, self._held = grown, np.resize(self._held, grown.shape[0])
                 for r, j in enumerate(self._held[:count].tolist()):
                     self._row[j] = grown[r]
             block = self._store[count:count + k]
@@ -286,13 +287,13 @@ def _moments(z: np.ndarray, r_t: np.ndarray, n: int) -> _Moments:
     return _Moments(_Gram(z, diag, n), ty, tt, penalized)
 
 
-def _weighted_columns(ds: TrialDataset, rows=None) -> np.ndarray:
+def _weighted_columns(ds: TrialDataset, rows=None) -> tuple[np.ndarray, tuple]:
     """``sqrt(w) [Xc | Yc | t]`` of the rows ``rows`` of ``ds`` (all for
-    ``None``) in one buffer: covariates (if any) and outcomes centered as by
+    ``None``) in one buffer, and its source ``(ds, rows, outcome means, root
+    weights)``: covariates (if any) and outcomes centered as by
     :func:`hdte.data.center_columns`, raw treatments, rows scaled by root
     weights. Given rows are gathered from ``ds`` straight into the buffer and
-    centered there, the bits of ``ds.take_rows(rows)``'s columns, so that
-    dataset is never built."""
+    centered there, the bits of ``ds.take_rows(rows)``'s columns; that dataset is never built."""
     idx = None if rows is None else check_rows(rows, ds.n)
     stacked = np.empty((ds.n if idx is None else idx.size, ds.m + ds.p + 1))
     stacked[:, -1] = ds.treatments if idx is None else ds.treatments[idx]
@@ -304,9 +305,11 @@ def _weighted_columns(ds: TrialDataset, rows=None) -> np.ndarray:
                 for r in range(0, idx.size, step):
                     part[r:r + step] = block[idx[r:r + step]]
                 block = part
-            np.subtract(block, block.mean(axis=0), out=part)
-    stacked *= np.sqrt(propensity_weights(stacked[:, -1]))[:, None]
-    return stacked
+            means = block.mean(axis=0)   # the outcomes' last
+            np.subtract(block, means, out=part)
+    root = np.sqrt(propensity_weights(stacked[:, -1]))
+    stacked *= root[:, None]
+    return stacked, (ds, idx, means, root)
 
 
 def _kkt_violation(beta, q, ty, lam1, ridge, penalized) -> float:
@@ -659,11 +662,12 @@ def _knot_path(problem: _Moments, grid: np.ndarray):
     failing the pivot test, as a copy of an active one does, stays out."""
     p, ty, never = problem.ty.shape[0], problem.ty, ~problem.penalized
     block, entered, lams, below = _Block(problem), set(), grid.tolist(), -grid
-    # entry k < p of the stacked arrays is the side ty_k - q_k = lam, p + k the side -lam
-    shut, gap = np.concatenate((never, never)), np.concatenate((ty, -ty))
-    sign, beta, left, last = np.zeros(p), np.zeros(p), [], []
-    lam, tie = lams[0], 1e-12 * lams[0]   # knots within tie of each other are one
-    enter = np.flatnonzero(~shut & (gap >= lam - tie)).tolist()
+    # entry k < p of the stacked arrays (filled in place) is the side gap_k = ty_k - q_k =
+    # lam, p + k the side -gap_k = lam, from gap_k: lam + gap_k has lam - (-gap_k)'s bits
+    shut, gap, room = np.concatenate((never, never)), ty.copy(), np.empty(p)
+    sign, beta, reach, off = np.zeros(p), np.zeros(p), np.empty(2 * p), np.empty_like(shut)
+    lam, tie, left, last = lams[0], 1e-12 * lams[0], [], []   # knots within tie are one
+    enter = np.flatnonzero(~shut & (np.concatenate((ty, -ty)) >= lam - tie)).tolist()
     while True:
         shut[last], last = False, [j + p * (sign[j] < 0.0) for j in left]
         if left:   # its other side opens now, its own after the next knot
@@ -679,9 +683,15 @@ def _knot_path(problem: _Moments, grid: np.ndarray):
             block.cover(np.flatnonzero(sign), 0.0)
         order, v = block.order, block.solve(sign[block.order])
         b, w = beta[order], block.gram.dot(order, v)
-        slope = np.concatenate((w, -w))   # side k is reached once lam has fallen
-        off = (slope >= 1.0) | shut       # by t with gap_k - t slope_k = lam - t
-        reach = np.where(off, np.inf, (lam - gap) / np.where(off, 1.0, 1.0 - slope))
+        np.greater_equal(w, 1.0, out=off[:p])   # a side with slope w_k or -w_k is
+        np.less_equal(w, -1.0, out=off[p:])     # reached once lam has fallen by t
+        closed = np.flatnonzero(off | shut)     # with gap_k - t slope_k = lam - t
+        np.subtract(1.0, w, out=reach[:p])
+        np.add(1.0, w, out=reach[p:])
+        reach[closed] = 1.0   # set, not masked: a masked ufunc takes several times longer
+        np.divide(np.subtract(lam, gap, out=room), reach[:p], out=reach[:p])
+        np.divide(np.add(lam, gap, out=room), reach[p:], out=reach[p:])
+        reach[closed] = np.inf
         falls = b * v < 0.0   # coefficients heading to zero
         exits = -b[falls] / v[falls] if falls.any() else b[:0]
         step = max(0.0, min(reach.min(), exits.min(initial=np.inf)))
@@ -693,9 +703,9 @@ def _knot_path(problem: _Moments, grid: np.ndarray):
         if lam - step <= lams[-1]:
             return
         beta[order], lam = b + step * v, lam - step
-        gap -= step * slope
+        gap -= np.multiply(step, w, out=room)
         left = order[falls][exits <= step + tie].tolist() if exits.size else []
-        enter = np.flatnonzero(reach <= step + tie).tolist()
+        enter = np.flatnonzero(np.less_equal(reach, step + tie, out=off)).tolist()
 
 
 def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
@@ -710,10 +720,8 @@ def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
     min_ratio = _min_ratio(ds.n, ds.p, n_lambdas, lambda_min_ratio)
     moments, slopes, rows = WeightedProblem.from_dataset(ds).prepare()
     grid = _path_grid(moments, config, n_lambdas, min_ratio)
-    fits = tuple(_assemble_fit(slopes, rows, ds.n, *point)
-                 for point in _walk_path(moments, grid, config))
-    grid.setflags(write=False)
-    return EnetPath(grid, fits)
+    return EnetPath(tuple(_assemble_fit(slopes, rows, ds.n, *point)
+                          for point in _walk_path(moments, grid, config)))
 
 
 def _check_subset(subset, n: int, p: int) -> np.ndarray:
@@ -738,27 +746,57 @@ class WeightedProblem:
     are a small triangular factor. Every selection reads products of these
     columns, so one walk, one fit and one subset regression serve both; the
     sources differ only in how covariates are concentrated out
-    (:meth:`_concentrate`).
+    (:meth:`_concentrate`); a dataset with covariates holds one buffer of
+    rows, as its concentrated residuals replace ``rows`` (``None`` then).
     """
 
-    def __init__(self, rows: np.ndarray, n: int, m: int, p: int):
-        self.rows, self.n, self.m, self.p = rows, n, m, p
+    def __init__(self, rows: np.ndarray, n: int, m: int, p: int, source=None):
+        self.rows, self.n, self.m, self.p, self._source = rows, n, m, p, source
 
     @classmethod
     def from_dataset(cls, ds: TrialDataset, rows=None) -> "WeightedProblem":
         """The problem of ``ds``, or of its rows ``rows`` (that of
         ``ds.take_rows(rows)`` bit for bit, without building it), on its
         weighted rows."""
-        weighted = _weighted_columns(ds, rows)
-        return cls(weighted, weighted.shape[0], ds.m, ds.p)
+        weighted, source = _weighted_columns(ds, rows)
+        return cls(weighted, weighted.shape[0], ds.m, ds.p, source if ds.m else None)
 
     def _concentrate(self, slopes: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        """The slopes of ``[Yc | t]`` on ``Xc`` and rows with the Gram of
-        their concentrated residuals: ``sqrt(w) Xc`` projected out of the
-        weighted rows (:func:`hdte.data.project_columns`). The projection
-        gives the slopes either way."""
-        m = self.m
-        return project_columns(self.rows[:, :m], self.rows[:, m:], "weighted covariate block")
+        """The slopes of ``[Yc | t]`` on ``Xc`` and the concentrated rows,
+        :func:`hdte.data.project_columns`'s bit for bit, computed once: the
+        weighted rows go once ``Q' [Yc | t]`` is taken, ``Q Q' [Yc | t]`` is
+        one product (in chunks BLAS takes other kernels) and ``[Yc | t]``,
+        read again, is subtracted in place. Slopes not asked for are not kept;
+        a later call that asks for them gathers the weighted rows again."""
+        if self.rows is None and slopes and self._concentrated[0] is None:
+            self.rows = _weighted_columns(*self._source[:2])[0]
+        if self.rows is not None:
+            q, coef, found = covariate_coefficients(
+                self.rows[:, :self.m], self.rows[:, self.m:], "weighted covariate block")
+            self.rows = None   # before the product, which takes a buffer as large
+            rows = q @ coef
+            del q, coef
+            step = max(1, _GATHER_BYTES // (8 * self.p))
+            chunk, t = np.empty((min(step, self.n), self.p)), np.empty(min(step, self.n))
+            for lo in range(0, self.n, step):
+                part, k = rows[lo:lo + step], min(step, self.n - lo)
+                self._read(chunk[:k], t[:k], lo)
+                np.subtract(chunk[:k], part[:, :-1], out=part[:, :-1])
+                np.subtract(t[:k], part[:, -1], out=part[:, -1])
+            self._concentrated = found if slopes else None, rows
+        return self._concentrated
+
+    def _read(self, out: np.ndarray, t: np.ndarray, lo: int = 0, cols=slice(None)) -> None:
+        """``sqrt(w) Yc[:, cols]`` and ``sqrt(w) t`` of the rows from ``lo`` on
+        into ``out`` and ``t``, from the dataset by the elementwise operations
+        of :func:`_weighted_columns` on the same values, so with its bits."""
+        ds, idx, means, root = self._source
+        pos = slice(lo, lo + out.shape[0])
+        rows = np.arange(pos.start, pos.stop) if idx is None else idx[pos]
+        np.take(ds.outcomes[:, cols], rows, axis=0, out=out, mode="clip")   # "raise" buffers
+        out -= means[cols]
+        out *= root[pos, None]
+        np.multiply(ds.treatments[rows], root[pos], out=t)
 
     def prepare(self, slopes: bool = True) -> tuple[_Moments, np.ndarray | None, np.ndarray]:
         """The moments of the covariate-concentrated problem, with what
@@ -792,16 +830,20 @@ class WeightedProblem:
     def subset_weighted_rss(self, subset) -> float:
         """Mean weighted squared residual of the unpenalized regression of
         the treatment indicator on the centered outcome columns in
-        ``subset``; it reads the subset's and the treatment's columns.
+        ``subset``; it reads the subset's and the treatment's columns, for a
+        dataset with covariates again, in the rows' layout (and BLAS route).
 
         The empty subset returns ``(1/n) * sum_i w_i * t_i**2`` (no
         regressors, no intercept). Covariates are not part of this
         regression."""
         idx = _check_subset(subset, self.n, self.p)
-        t = self.rows[:, self.m + self.p]
+        if self._source is None:
+            t, cols = self.rows[:, self.m + self.p], self.rows[:, self.m + idx]
+        else:
+            t, cols = np.empty(2 * self.n)[::2], np.empty((idx.size, self.n)).T
+            self._read(cols, t, cols=idx)
         if idx.size == 0:
             return float(t @ t / self.n)
-        cols = self.rows[:, self.m + idx]
         beta = solve_nonsingular(cols.T @ cols / self.n, cols.T @ t / self.n,
                                  "restricted design", idx)
         residual = t - cols @ beta
@@ -851,7 +893,7 @@ def level_problems(ds: TrialDataset, levels, rows=None) -> tuple[WeightedProblem
     if not levels:
         raise DataError("levels must contain at least one grouping")
     check_grouping(ds, levels[0])
-    base = np.linalg.qr(_weighted_columns(ds, rows), mode="r")
+    base = np.linalg.qr(_weighted_columns(ds, rows)[0], mode="r")
     n = ds.n if rows is None else len(rows)
     # Covariates share the outcomes' layout, so one call averages both
     # blocks, stacked one above the other.

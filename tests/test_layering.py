@@ -236,8 +236,9 @@ def test_private_import_is_detected(tmp_path):
 
 def test_one_covariate_projection_and_one_rank_rule():
     """No module solves least squares with ``lstsq``; every covariate
-    regression goes through ``data.project_columns``, and its rank rule is
-    defined once, in ``data.check_full_rank``."""
+    regression goes through ``data.project_columns`` or its first half,
+    ``data.covariate_coefficients``, and its rank rule is defined once, in
+    ``data.check_full_rank``."""
     routes = [regression_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
     assert [call for lstsq, _ in routes for call in lstsq] == []
     assert [rule for _, rules in routes for rule in rules] == ["data.py:check_full_rank"]

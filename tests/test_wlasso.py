@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg.lapack import dpotrf
 
 from hdte import LinearModelConfig, LinearModelGenerator, wlasso
-from hdte.data import TrialDataset, aggregate_columns
+from hdte.data import TrialDataset, aggregate_columns, covariate_coefficients, project_columns
 from hdte.errors import DataError, NumericalError
 from hdte.estimators import adjusted_estimate
 from hdte.wlasso import (
@@ -210,13 +210,14 @@ def test_enet_pulls_duplicate_columns_together():
 def test_path_structure_and_warm_start_agreement():
     ds = random_dataset(29, n=50, p=8, effect=1.0)
     path = regularization_path(ds, n_lambdas=25)
-    assert path.lambdas[0] == lambda_max(ds)
-    assert np.all(np.diff(path.lambdas) < 0)
+    lambdas = [fit.lam for fit in path.fits]
+    assert lambdas[0] == lambda_max(ds)
+    assert np.all(np.diff(lambdas) < 0)
     first = path.fits[0]
     assert first.active_set == () and first.iterations == 0 and first.converged
     # a cold start at an interior grid point reproduces the warm-started fit
     k = 12
-    cold = fit_weighted_enet(ds, EnetConfig(lam=float(path.lambdas[k])))
+    cold = fit_weighted_enet(ds, EnetConfig(lam=lambdas[k]))
     np.testing.assert_allclose(path.fits[k].beta, cold.beta, atol=1e-7)
     # rss decreases as the penalty relaxes
     rss = [f.weighted_rss for f in path.fits]
@@ -1036,6 +1037,87 @@ def test_problems_of_rows_are_those_of_the_taken_rows_bit_for_bit(monkeypatch, g
         for got, want in zip(level_problems(ds, levels, rows), level_problems(half, levels)):
             assert got.rows.tobytes() == want.rows.tobytes()
             assert (got.n, got.m, got.p) == (want.n, want.m, want.p)
+
+
+def reference_rss(weighted, m, p, subset):
+    """The restricted weighted RSS read straight off the weighted columns
+    ``sqrt(w) [Xc | Yc | t]``, in their own layout."""
+    n, idx = weighted.shape[0], np.asarray(subset, dtype=np.intp)
+    t = weighted[:, m + p]
+    if idx.size == 0:
+        return float(t @ t / n)
+    cols = weighted[:, m + idx]
+    beta = np.linalg.solve(cols.T @ cols / n, cols.T @ t / n)
+    residual = t - cols @ beta
+    return float(residual @ residual / n)
+
+
+@pytest.mark.parametrize("gather_bytes", [None, 3 * 8 * 30 + 5, 8])
+@pytest.mark.parametrize("half", [False, True])
+def test_a_concentration_in_place_has_the_bits_of_project_columns(monkeypatch, gather_bytes, half):
+    """A dataset's problem gives its weighted columns up and reads them
+    again, in one chunk, in chunks of 3 rows with a short last one, or a row
+    at a time: its slopes and concentrated rows are ``project_columns``'s of
+    the weighted columns bit for bit, for the whole dataset and for rows."""
+    if gather_bytes is not None:
+        monkeypatch.setattr(wlasso, "_GATHER_BYTES", gather_bytes)
+    ds = random_dataset(73, n=90, p=30, m=4)
+    rows = np.sort(np.random.default_rng(5).choice(ds.n, 41, replace=False)) if half else None
+    problem = WeightedProblem.from_dataset(ds, rows)
+    weighted = problem.rows
+    want_slopes, want_rows = project_columns(weighted[:, :4], weighted[:, 4:],
+                                             "weighted covariate block")
+    _, slopes, got_rows = problem.prepare()
+    assert problem.rows is None
+    assert slopes.tobytes() == want_slopes.tobytes()
+    assert got_rows.tobytes() == want_rows.tobytes()
+    assert got_rows.shape == want_rows.shape and got_rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize("route", ["fresh", "walk", "fit"])
+@pytest.mark.parametrize("m", [0, 4])
+def test_subset_rss_has_the_bits_of_the_weighted_columns(route, m):
+    """A subset regression reads its columns and the treatment again from the
+    dataset where the problem has covariates: its RSS is the one read off the
+    weighted columns bit for bit, for the empty subset too, before the
+    problem is prepared, after a path walk and after a fit."""
+    ds = random_dataset(75, n=80, p=25, m=m)
+    rows = np.sort(np.random.default_rng(6).choice(ds.n, 43, replace=False))
+    subsets = [[], [3], [0, 7, 2], list(range(0, 25, 2))]
+    for problem in (WeightedProblem.from_dataset(ds), WeightedProblem.from_dataset(ds, rows)):
+        weighted = problem.rows
+        if route == "walk":
+            list(problem.walk_path(20))
+        elif route == "fit":
+            problem.fit(EnetConfig(lam=0.05))
+        for subset in subsets:
+            want = reference_rss(weighted, m, ds.p, subset)
+            assert problem.subset_weighted_rss(subset).hex() == want.hex()
+
+
+def test_a_problem_concentrates_once(monkeypatch):
+    """A second ``prepare`` reads what the first concentrated, with no second
+    concentration; slopes a walk did not keep are concentrated again, with
+    the bits they would have had."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return covariate_coefficients(*args)
+
+    monkeypatch.setattr(wlasso, "covariate_coefficients", counted)
+    ds = random_dataset(77, n=60, p=20, m=3)
+    problem = WeightedProblem.from_dataset(ds)
+    want_slopes = project_columns(problem.rows[:, :3], problem.rows[:, 3:], "block")[0]
+    first, second = problem.prepare(), problem.prepare()
+    assert len(calls) == 1
+    assert first[1] is second[1] and first[2] is second[2]
+    assert first[0].ty.tobytes() == second[0].ty.tobytes()
+    walked = WeightedProblem.from_dataset(ds)
+    assert walked.prepare(slopes=False)[1] is None and len(calls) == 2
+    _, slopes, rows = walked.prepare()
+    assert len(calls) == 3 and walked.prepare()[1] is slopes
+    assert slopes.tobytes() == want_slopes.tobytes() and rows.tobytes() == first[2].tobytes()
 
 
 def test_level_problems_reject_a_duplicated_covariate_as_prepare_does():
