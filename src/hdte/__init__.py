@@ -25,11 +25,10 @@ _EXPORTS = {
                   "z_pvalues"),
     "selection": ("PopulationTarget", "SelectionResult", "SelectionSpec", "baseline_select",
                   "method_l1_ratio", "population_beta_star", "run_selection"),
-    "simharness": ("ExperimentMetrics", "IndependentOutcomesGenerator", "LinearModelConfig",
-                   "LinearModelGenerator", "TraceExperimentConfig", "apply_window_effect",
-                   "compute_tir", "gen_glucose_traces", "run_power_experiment",
-                   "run_recovery_experiment", "run_semisynth_experiment",
-                   "window_level_groupings", "write_metrics_csv"),
+    "simharness": ("ExperimentMetrics", "LinearModelConfig", "LinearModelGenerator",
+                   "TraceExperimentConfig", "apply_window_effect", "compute_tir",
+                   "gen_glucose_traces", "run_power_experiment", "run_recovery_experiment",
+                   "run_semisynth_experiment", "window_level_groupings", "write_metrics_csv"),
     "wlasso": ("EnetConfig", "EnetFit", "EnetPath", "WeightedProblem", "fit_weighted_enet",
                "lambda_max", "level_problems", "propensity_weights", "regularization_path"),
 }

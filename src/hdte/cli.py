@@ -21,7 +21,7 @@ import click
 import numpy as np
 import scipy
 
-from .data import CsvSchema, load_csv
+from .data import CsvSchema, load_csv, open_text
 from .errors import DataError, HdteError, NumericalError
 from .estimators import adjusted_estimate, check_estimator
 from .inference import hotelling_pvalue, hotelling_statistic, multi_split, z_pvalues
@@ -71,11 +71,8 @@ def _split_ints(raw: str, option: str) -> list[int]:
 
 def _load_dataset(params):
     path = params["data"]
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            header = next(csv.reader(handle), None)
-    except UnicodeDecodeError as exc:   # as load_csv reports it
-        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    with open_text(path) as handle:
+        header = next(csv.reader(handle), None)
     if header is None:
         raise DataError(f"{path} is empty")
     header = [name.strip() for name in header]   # as load_csv matches them
@@ -160,32 +157,26 @@ def _run_select(params, outdir: Path) -> None:
 
 def _read_selected_indices(path, p: int) -> tuple[int, ...]:
     """The outcome indices of a selection CSV's ``index`` column, in row
-    order; the file is read as UTF-8, as :func:`hdte.data.load_csv` reads."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None or "index" not in reader.fieldnames:
-                raise DataError(f"{path} has no 'index' column")
-            rows_of: dict[int, int] = {}
-            for row_number, row in enumerate(reader, start=2):
-                raw = row["index"]
-                try:
-                    j = int(raw)
-                except (TypeError, ValueError):
-                    raise DataError(
-                        f"{path} row {row_number}: index {raw!r} is not an integer"
-                    ) from None
-                if not 0 <= j < p:
-                    raise DataError(
-                        f"{path} row {row_number}: index {j} out of range for "
-                        f"{p} outcome columns"
-                    )
-                if j in rows_of:
-                    raise DataError(f"{path} row {row_number}: index {j} is listed "
-                                    f"twice (first at row {rows_of[j]})")
-                rows_of[j] = row_number
-    except UnicodeDecodeError as exc:   # as load_csv reports it
-        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    order; the file is read as :func:`hdte.data.load_csv` reads its text."""
+    with open_text(path) as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or "index" not in reader.fieldnames:
+            raise DataError(f"{path} has no 'index' column")
+        rows_of: dict[int, int] = {}
+        for row_number, row in enumerate(reader, start=2):
+            raw = row["index"]
+            try:
+                j = int(raw)
+            except (TypeError, ValueError):
+                message = f"{path} row {row_number}: index {raw!r} is not an integer"
+                raise DataError(message) from None
+            if not 0 <= j < p:
+                raise DataError(f"{path} row {row_number}: index {j} out of range for "
+                                f"{p} outcome columns")
+            if j in rows_of:
+                raise DataError(f"{path} row {row_number}: index {j} is listed "
+                                f"twice (first at row {rows_of[j]})")
+            rows_of[j] = row_number
     return tuple(rows_of)
 
 
@@ -561,9 +552,8 @@ def rerun(manifest, outdir):
     """
     manifest_path = Path(manifest).resolve()
     try:
-        record = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{manifest_path} is not UTF-8 text ({exc.reason})") from None
+        with open_text(manifest_path) as handle:
+            record = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DataError(f"{manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(record, dict) or "command" not in record or "params" not in record:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -412,6 +413,19 @@ def _parse_parallel(path, ranges, width: int, columns: list[int]) -> np.ndarray 
     return run_forked(len(ranges), write, read)
 
 
+@contextmanager
+def open_text(path):
+    """``path`` open for reading as UTF-8 text, a leading byte-order mark
+    skipped and line ends left to the ``csv`` module. A byte sequence that
+    is not UTF-8, met anywhere in the ``with`` block, is a
+    :class:`DataError` naming ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, schema: CsvSchema) -> TrialDataset:
     """Read a trial dataset from a CSV file with a header row.
 
@@ -442,30 +456,27 @@ def load_csv(path, schema: CsvSchema) -> TrialDataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            try:
-                header = next(csv.reader(handle))
-            except StopIteration:
-                raise DataError(f"{path} is empty") from None
-            columns = _schema_columns(header, schema, path)
-            ranges = _part_ranges(path)
-            block = _parse_parallel(path, ranges, len(header), columns) if ranges else None
-            if block is None:
-                try:
-                    block = _parse_block(handle, len(header), columns)
-                except ValueError:   # UnicodeDecodeError among them
-                    block = None
-        if block is not None and not (_finite(block)
-                                      and np.isin(block[:, 0], (0.0, 1.0)).all()):
-            block = None
+    with open_text(path) as handle:
+        try:
+            header = next(csv.reader(handle))
+        except StopIteration:
+            raise DataError(f"{path} is empty") from None
+        columns = _schema_columns(header, schema, path)
+        ranges = _part_ranges(path)
+        block = _parse_parallel(path, ranges, len(header), columns) if ranges else None
         if block is None:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                reader = csv.reader(handle)
-                next(reader)
-                block = _parse_rows(reader, schema, columns, len(header))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+            try:
+                block = _parse_block(handle, len(header), columns)
+            except ValueError:   # UnicodeDecodeError among them
+                block = None
+    if block is not None and not (_finite(block)
+                                  and np.isin(block[:, 0], (0.0, 1.0)).all()):
+        block = None
+    if block is None:
+        with open_text(path) as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            block = _parse_rows(reader, schema, columns, len(header))
     if block.shape[0] < 2:
         raise DataError(f"{path} has {block.shape[0]} data rows; n >= 2 required")
     return TrialDataset._trusted(*_split_block(block, len(schema.outcomes)), schema.outcomes)
@@ -589,10 +600,18 @@ def write_csv(ds: TrialDataset, path) -> CsvSchema:
     return schema
 
 
+def check_seed(seed: int) -> None:
+    """Raise :class:`DataError` for a negative ``seed``, which numpy's seeds
+    reject: the one seed rule of the splits and the experiments."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+
+
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of a two-way random split, deterministic in ``seed``: the
     first part's ``floor(fraction * n + 0.5)`` rows and the rest, each
     ascending, so ``ds.take_rows`` of either keeps the rows' order."""
+    check_seed(seed)
     if not 0.0 < fraction < 1.0:
         raise DataError(f"split fraction must be in (0, 1), got {fraction}")
     n_first = int(np.floor(fraction * n + 0.5))
@@ -755,22 +774,13 @@ def solve_nonsingular(matrix: np.ndarray, rhs: np.ndarray, what: str,
 
 def covariate_coefficients(design: np.ndarray, columns: np.ndarray,
                            what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Q``, ``Q' C`` and the slopes of :func:`project_columns`, for a
-    caller that gives ``C`` up before it forms the residuals ``C - Q Q' C``."""
+    """The regression of the ``(n, k)`` columns ``C`` on a centered ``(n, m)``
+    covariate design ``Q R``: ``Q``, ``Q' C`` and the slopes ``R^{-1} Q' C``.
+    A caller that needs the residuals forms ``C - Q (Q' C)``, orthogonal to
+    the design however ill-conditioned it is. A weighted regression passes
+    both with rows scaled by ``sqrt(w)``; a design of rank below ``m``
+    (:func:`check_full_rank`) raises, naming ``what``."""
     q, r = np.linalg.qr(design)
     check_full_rank(r, design.shape[0], what)
     coef = q.T @ columns
     return q, coef, np.linalg.solve(r, coef)
-
-
-def project_columns(design: np.ndarray, columns: np.ndarray,
-                    what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The slopes ``R^{-1} Q' C`` of the ``(n, k)`` columns ``C`` on a
-    centered ``(n, m)`` covariate design ``Q R`` and their residuals ``C -
-    Q Q' C``, orthogonal to the design however ill-conditioned it is. A
-    weighted regression passes both with rows scaled by ``sqrt(w)``. A design
-    of rank below ``m`` (:func:`check_full_rank`) raises, naming ``what``."""
-    q, coef, slopes = covariate_coefficients(design, columns, what)
-    residuals = q @ coef
-    np.subtract(columns, residuals, out=residuals)
-    return slopes, residuals

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import TrialDataset, center_columns, project_columns
+from .data import TrialDataset, center_columns, covariate_coefficients
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -94,10 +94,10 @@ def _check_arms(ds: TrialDataset) -> tuple[np.ndarray, int, int]:
 
 def _slopes(x: np.ndarray, y: np.ndarray, what: str) -> np.ndarray:
     """Slopes of the columns ``y`` on the covariates ``x``, both centered
-    (:func:`hdte.data.project_columns`, which raises on a rank below ``m``),
-    so no explicit intercept is carried."""
-    return project_columns(center_columns(x)[0], center_columns(y)[0],
-                           f"covariate design in {what}")[0]
+    (:func:`hdte.data.covariate_coefficients`, which raises on a rank below
+    ``m``), so no explicit intercept is carried and no residual is formed."""
+    return covariate_coefficients(center_columns(x)[0], center_columns(y)[0],
+                                  f"covariate design in {what}")[2]
 
 
 def adjusted_estimate(ds: TrialDataset, method: str, subset=None) -> EffectEstimate:

@@ -9,8 +9,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import chdtrc, ndtr
 
-from .data import (TrialDataset, aggregate_columns, check_grouping, solve_nonsingular,
-                   split_indices)
+from .data import (TrialDataset, aggregate_columns, check_grouping, check_seed,
+                   solve_nonsingular, split_indices)
 from .errors import DataError, HdteError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate, check_estimator
 from .forking import run_shared, share_count
@@ -166,6 +166,7 @@ def aggregate_pvalues(p_matrix, gamma: float) -> np.ndarray:
 
 def split_seeds(seed: int, count: int) -> np.ndarray:
     """Child seeds for repeated splits, deterministic in ``(seed, count)``."""
+    check_seed(seed)
     return np.random.SeedSequence(seed).generate_state(count, dtype=np.uint32)
 
 
@@ -243,10 +244,10 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     reproduce the report exactly. Any split failure aborts with the split
     index in the error message. A mistake that would fail every split is a
     data error, not a failure of split 0: those of
-    :func:`check_multi_split`, checked before the first split, and a
-    ``fraction`` that leaves a part under 2 rows. Checking the levels plans
-    them, so the splits (and forked children) read each level's plan rather
-    than derive it again.
+    :func:`check_multi_split`, checked before the first split, a negative
+    ``seed`` and a ``fraction`` that leaves a part under 2 rows. Checking the
+    levels plans them, so the splits (and forked children) read each level's
+    plan rather than derive it again.
 
     Split ``b`` is ``single_split_pipeline(ds, method, sel, split_seeds(seed,
     B)[b], fraction, two_sided)``: both run one private function per split.

@@ -1,12 +1,13 @@
 """Synthetic and semi-synthetic experiment drivers.
 
-Three data sources: a linear outcome model with covariate-modulated effects,
-an independent-outcomes model (pure shift on a few columns), and a day-long
-glucose trace generator for time-in-range experiments. On top of those sit
-replicated recovery, power, and semi-synthetic power experiments, all seeded
-and reproducible. The three share one replicate loop, which runs the
-replicates on every CPU it may use, averages each method's results over the
-replicates it did not fail and counts those it did.
+Two data sources: a linear outcome model with covariate-modulated effects
+(without covariates, ``m = 0``, a pure shift on a few independent columns)
+and a day-long glucose trace generator for time-in-range experiments. On
+top of those sit replicated recovery, power, and semi-synthetic power
+experiments, all seeded and reproducible. The three share one replicate
+loop, which runs the replicates on every CPU it may use, averages each
+method's results over the replicates it did not fail and counts those it
+did.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import TrialDataset, aggregate_columns, check_treatments
+from .data import TrialDataset, aggregate_columns, check_seed, check_treatments
 from .errors import DataError, HdteError
 from .estimators import adjusted_estimate, check_estimator
 from .forking import run_shared, share_count
@@ -28,7 +29,6 @@ from .selection import SelectionSpec, check_sizes, run_selection
 __all__ = [
     "LinearModelConfig",
     "LinearModelGenerator",
-    "IndependentOutcomesGenerator",
     "TraceExperimentConfig",
     "ExperimentMetrics",
     "gen_glucose_traces",
@@ -53,7 +53,8 @@ class LinearModelConfig:
     Outcomes follow ``Y_ij = x_i' b_j + t_i * (alpha + x_i' d_j) * 1{j < s_tau}
     + eps_ij`` with standard normal covariates and noise, Bernoulli(``pi``)
     treatment, ``b_j`` entries uniform on [-1, 1] and ``d_j`` entries uniform
-    on [0, 1]. The dataset holds all ``m`` covariates.
+    on [0, 1]. The dataset holds all ``m`` covariates; at ``m = 0``, none,
+    and ``Y_ij = alpha * t_i * 1{j < s_tau} + eps_ij`` is a pure mean shift.
     """
 
     n: int
@@ -153,46 +154,6 @@ class LinearModelGenerator:
         ds1, s_true = model.sample(rng)
         ds2, _ = model.sample(rng, n_second)
         return ds1, ds2, s_true
-
-
-@dataclass(frozen=True)
-class IndependentOutcomesGenerator:
-    """Mean-shift model: ``Y_ij = alpha * t_i * 1{j < s_star} + eps_ij`` with
-    independent standard normal noise and no covariates."""
-
-    n: int
-    d: int
-    s_star: int
-    alpha: float
-    pi: float
-
-    def __post_init__(self):
-        if not 0 <= self.s_star <= self.d:
-            raise DataError(f"s_star must be in [0, d={self.d}], got {self.s_star}")
-        if not 0.0 < self.pi < 1.0:
-            raise DataError(f"pi must be in (0, 1), got {self.pi}")
-
-    @property
-    def p(self) -> int:
-        return self.d
-
-    def _sample(self, rng: np.random.Generator, n: int) -> TrialDataset:
-        """Draw one dataset of ``n`` rows. Draw order: treatments, noise."""
-        t = (rng.random(n) < self.pi).astype(np.int64)
-        y = rng.standard_normal((n, self.d))
-        y[:, : self.s_star] += self.alpha * t[:, None]
-        y.setflags(write=False)   # handed to the dataset, uncopied
-        return TrialDataset(t, y)
-
-    def replicate(self, seed) -> tuple[TrialDataset, np.ndarray]:
-        return self._sample(np.random.default_rng(seed), self.n), np.arange(self.s_star)
-
-    def replicate_pair(self, seed, n_second: int
-                       ) -> tuple[TrialDataset, TrialDataset, np.ndarray]:
-        """A selection dataset, then an independent evaluation dataset."""
-        rng = np.random.default_rng(seed)
-        ds1 = self._sample(rng, self.n)
-        return ds1, self._sample(rng, n_second), np.arange(self.s_star)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +463,8 @@ def _run_experiment(replicate: Callable, keys, replicates: int,
     from ``SeedSequence(seed)``. Per key of ``keys``: the entrywise mean of
     its maps over the replicates in which it did not fail (``None`` if it
     failed in all), and the number in which it failed. ``replicates`` under
-    1 is a :class:`DataError`, raised before the first replicate.
+    1 and a negative ``seed`` (:func:`hdte.data.check_seed`) are a
+    :class:`DataError`, raised before the first replicate.
 
     The replicates are shared, replicate ``r`` in share ``r mod k``, among
     the ``k`` processes :func:`hdte.forking.share_count` allows (one per
@@ -512,6 +474,7 @@ def _run_experiment(replicate: Callable, keys, replicates: int,
     serial ones bit for bit: they are taken here in replicate order."""
     if replicates < 1:
         raise DataError(f"replicates must be >= 1, got {replicates}")
+    check_seed(seed)
     children = np.random.SeedSequence(seed).spawn(replicates)
     raw = run_shared(replicates, share_count(replicates),
                      lambda share: [replicate(children[r]) for r in share])

@@ -9,10 +9,10 @@ where ``w`` are inverse-propensity-squared weights, outcome and covariate
 columns are centered at their unweighted means (no column is rescaled, so
 ``beta`` is fitted and reported on the outcomes' own units), the regression
 carries no intercept, and ``alpha`` (the covariate block) is unpenalized.
-Covariates are concentrated out exactly up front, with the bits of
-:func:`hdte.data.project_columns`: slopes on the weighted centered covariates
-give a fit's ``alpha``, and the weighted residuals of the response and
-outcome columns its ``beta`` subproblem and RSS. A block of rank below
+Covariates are concentrated out exactly up front by
+:func:`hdte.data.covariate_coefficients`: slopes on the weighted centered
+covariates give a fit's ``alpha``, and the weighted residuals of the response
+and outcome columns its ``beta`` subproblem and RSS. A block of rank below
 ``m`` by ``np.linalg.lstsq``'s rule (:func:`hdte.data.check_full_rank`) is a
 :class:`NumericalError`, in a resolution level too. The ``beta`` subproblem
 is then solved by cyclic coordinate descent on weighted moments (glmnet's
@@ -762,12 +762,13 @@ class WeightedProblem:
         return cls(weighted, weighted.shape[0], ds.m, ds.p, source if ds.m else None)
 
     def _concentrate(self, slopes: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        """The slopes of ``[Yc | t]`` on ``Xc`` and the concentrated rows,
-        :func:`hdte.data.project_columns`'s bit for bit, computed once: the
-        weighted rows go once ``Q' [Yc | t]`` is taken, ``Q Q' [Yc | t]`` is
-        one product (in chunks BLAS takes other kernels) and ``[Yc | t]``,
-        read again, is subtracted in place. Slopes not asked for are not kept;
-        a later call that asks for them gathers the weighted rows again."""
+        """The slopes of ``[Yc | t]`` on ``Xc`` and the concentrated rows
+        ``[Yc | t] - Q Q' [Yc | t]`` (:func:`hdte.data.covariate_coefficients`),
+        computed once: the weighted rows go once ``Q' [Yc | t]`` is taken,
+        ``Q Q' [Yc | t]`` is one product (in chunks BLAS takes other kernels)
+        and ``[Yc | t]``, read again, is subtracted in place. Slopes not asked
+        for are not kept; a later call that asks for them gathers the weighted
+        rows again."""
         if self.rows is None and slopes and self._concentrated[0] is None:
             self.rows = _weighted_columns(*self._source[:2])[0]
         if self.rows is not None:

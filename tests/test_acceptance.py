@@ -23,7 +23,6 @@ from hdte.inference import (
 )
 from hdte.selection import population_beta_star, run_selection
 from hdte.simharness import (
-    IndependentOutcomesGenerator,
     LinearModelConfig,
     LinearModelGenerator,
     TraceExperimentConfig,
@@ -228,8 +227,8 @@ def test_criterion_06_recovery_and_power_ordering(criterion_log):
 
 
 def test_criterion_07_null_calibration(criterion_log):
-    null_gen = IndependentOutcomesGenerator(n=400, d=20, s_star=0,
-                                            alpha=0.0, pi=0.5)
+    null_gen = LinearModelGenerator(LinearModelConfig(n=400, p=20, m=0, s_tau=0,
+                                                      alpha=0.0, pi=0.5, seed=0))
     hits = 0
     for k in range(1000):
         ds, _ = null_gen.replicate(k)

@@ -416,6 +416,23 @@ def test_experiments_without_a_replicate_exit_2(tmp_path, capsys, argv, message)
     assert not (outdir / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["multisplit", "%s", "--s", "1", "--B", "2"],
+    ["simulate", "--n", "40", "--p", "5", "--m", "1", "--replicates", "1", "--sizes", "1",
+     "--methods", "lasso"],
+    ["semisynth", "--n", "20", "--replicates", "1", "--B", "2"],
+], ids=["multisplit", "simulate", "semisynth"])
+def test_a_negative_seed_exits_2(trial_csv, tmp_path, capsys, argv):
+    """A seed numpy would reject is a one-line data error, raised before the
+    first split or replicate, and the output directory is removed."""
+    outdir = tmp_path / "out"
+    argv = [str(trial_csv) if arg == "%s" else arg for arg in argv]
+    assert main([*argv, "--seed", "-1", "--outdir", str(outdir)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": "seed must be >= 0, got -1"}
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("option, message", [
     (["--s", "0"], "sizes must be within [1, p=6], got [0]"),
     (["--s", "7"], "sizes must be within [1, p=6], got [7]"),
@@ -618,6 +635,18 @@ def test_rerun_rejects_broken_manifest(trial_csv, tmp_path, capsys, text, messag
     assert record["error"] == "data" and message in record["message"]
     assert not (tmp_path / "out").exists()
 
+
+
+def test_rerun_skips_a_byte_order_mark(trial_csv, tmp_path):
+    """A manifest is read as a data CSV is: a leading byte-order mark, as an
+    editor may add on saving it, is skipped."""
+    outdir = tmp_path / "sel"
+    assert main(["select", str(trial_csv), "--s", "2", "--outdir", str(outdir)]) == 0
+    manifest = outdir / "manifest.json"
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    assert main(["rerun", str(manifest), "--outdir", str(tmp_path / "again")]) == 0
+    assert ((tmp_path / "again" / "selection.csv").read_bytes()
+            == (outdir / "selection.csv").read_bytes())
 
 
 @pytest.mark.parametrize("command", ["rerun", "infer"])

@@ -12,7 +12,7 @@ from hdte import data
 from hdte.data import TrialDataset, load_csv, write_csv
 from hdte.inference import multi_split
 from hdte.selection import SelectionSpec
-from hdte.simharness import IndependentOutcomesGenerator, run_recovery_experiment
+from hdte.simharness import LinearModelConfig, LinearModelGenerator, run_recovery_experiment
 
 from conftest import split_route
 
@@ -46,7 +46,8 @@ def _multi_split(tmp_path):
 
 
 def _experiment(tmp_path):
-    gen = IndependentOutcomesGenerator(n=80, d=6, s_star=2, alpha=0.5, pi=0.5)
+    gen = LinearModelGenerator(LinearModelConfig(n=80, p=6, m=0, s_tau=2, alpha=0.5, pi=0.5,
+                                                 seed=0))
     return lambda: run_recovery_experiment(gen, ("lasso",), (1, 2), replicates=6, seed=4)
 
 

@@ -368,6 +368,25 @@ def test_multi_split_checks_gamma_before_the_first_split(monkeypatch, gamma):
     assert not calls and not forks
 
 
+@pytest.mark.parametrize("run", [
+    lambda ds: multi_split(ds, B=10, seed=-1),
+    lambda ds: single_split_pipeline(ds, "dim", SelectionSpec(size=1), seed=-1),
+], ids=["multi_split", "single_split_pipeline"])
+def test_a_negative_seed_is_a_data_error_before_the_first_split(monkeypatch, run):
+    """numpy rejects a negative seed with a bare ``ValueError``; it is the
+    data error of ``check_seed``, raised before any split runs here or in a
+    forked child."""
+    ds = planted_dataset(1, n=100)
+    calls = []
+    monkeypatch.setattr(inference, "_split_report", lambda *args: calls.append(args))
+    forks = split_route(monkeypatch, 2)
+    with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+        run(ds)
+    assert not calls and not forks
+    with pytest.raises(DataError, match=r"^seed must be >= 0, got -3$"):
+        split_indices(ds.n, 0.5, -3)
+
+
 def _covariate_dataset():
     """240 units, 12 outcomes driven by 12 covariates of their layout, and
     an effect on outcomes 4 and 5."""

@@ -1,14 +1,14 @@
 """Module boundaries of the package: no module imports another module's
 private names, the covariate regression has one implementation, and so
-do the Cholesky factorization of the solver's exact steps, the
-propensity weighting, the singularity rule of small solves, the
-experiments' replicate loop and the forking of worker processes; every
-selection is made by one function and every estimate by one other; no
-function takes the weights as an argument; the solver takes a dataset only
-to build its problem object; the package exports each module's ``__all__``
-once and imports none of its modules until a name is read; only the scipy
-modules the package calls are imported, and no package that starts
-processes; and every file opened as text names its encoding."""
+do the reading of input text, the Cholesky factorization of the solver's
+exact steps, the propensity weighting, the singularity rule of small
+solves, the experiments' replicate loop and the forking of worker
+processes; every selection is made by one function and every estimate by
+one other; no function takes the weights as an argument; the solver takes a
+dataset only to build its problem object; the package exports each
+module's ``__all__`` once and imports none of its modules until a name is
+read; only the scipy modules the package calls are imported, and no package
+that starts processes; and every file opened as text names its encoding."""
 
 import ast
 import importlib
@@ -48,17 +48,35 @@ def _functions_where(path: Path, tree: ast.AST, hit) -> list[str]:
             and any(hit(node) for stmt in fn.body for node in ast.walk(stmt))]
 
 
-def regression_routes(path: Path) -> tuple[list[str], list[str]]:
-    """The ``lstsq`` calls of one source file, and the functions that define
-    a rank rule: those whose own body takes singular values (``svd``,
+def regression_routes(path: Path) -> tuple[list[str], list[str], list[str]]:
+    """The ``lstsq`` calls of one source file, the functions that regress on
+    a QR factor (call ``qr`` in a mode other than ``"r"``, which gives ``Q``
+    too) or are named ``project_columns``, and the functions that define a
+    rank rule: those whose own body takes singular values (``svd``,
     ``matrix_rank``) or reads a machine epsilon (``.eps``)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lstsq = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and _called_name(node) == "lstsq"]
+    regressions = sorted({*_functions_where(path, tree, lambda node: (
+        isinstance(node, ast.Call) and _called_name(node) == "qr"
+        and not any(kw.arg == "mode" and getattr(kw.value, "value", None) == "r"
+                    for kw in node.keywords))),
+        *(f"{path.name}:{fn.name}" for fn in ast.walk(tree)
+          if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+          and fn.name == "project_columns")})
     rules = _functions_where(path, tree, lambda node: (
         isinstance(node, ast.Call) and _called_name(node) in ("svd", "matrix_rank")
         or isinstance(node, ast.Attribute) and node.attr == "eps"))
-    return lstsq, rules
+    return lstsq, regressions, rules
+
+
+def decode_catches(path: Path) -> list[str]:
+    """The functions of one source file that catch ``UnicodeDecodeError``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return _functions_where(path, tree, lambda node: (
+        isinstance(node, ast.ExceptHandler) and node.type is not None
+        and any(getattr(name, "id", getattr(name, "attr", None)) == "UnicodeDecodeError"
+                for name in ast.walk(node.type))))
 
 
 def factor_routes(path: Path) -> tuple[list[str], list[str]]:
@@ -236,19 +254,20 @@ def test_private_import_is_detected(tmp_path):
 
 def test_one_covariate_projection_and_one_rank_rule():
     """No module solves least squares with ``lstsq``; every covariate
-    regression goes through ``data.project_columns`` or its first half,
-    ``data.covariate_coefficients``, and its rank rule is defined once, in
-    ``data.check_full_rank``."""
+    regression goes through ``data.covariate_coefficients``, the one function
+    that takes a QR factor's ``Q`` (no module defines ``project_columns``
+    again), and its rank rule is defined once, in ``data.check_full_rank``."""
     routes = [regression_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
-    assert [call for lstsq, _ in routes for call in lstsq] == []
-    assert [rule for _, rules in routes for rule in rules] == ["data.py:check_full_rank"]
+    assert [call for lstsq, _, _ in routes for call in lstsq] == []
+    assert [fn for _, found, _ in routes for fn in found] == ["data.py:covariate_coefficients"]
+    assert [rule for _, _, rules in routes for rule in rules] == ["data.py:check_full_rank"]
 
 
 def test_regression_routes_are_detected(tmp_path):
     sample = tmp_path / "sample.py"
     sample.write_text(
         "import numpy as np\n"
-        "from numpy.linalg import lstsq\n"
+        "from numpy.linalg import lstsq, qr\n"
         "def fit(x, y):\n"
         "    return np.linalg.lstsq(x, y, rcond=None)[0], lstsq(x, y)\n"
         "def rank(r):\n"
@@ -256,9 +275,48 @@ def test_regression_routes_are_detected(tmp_path):
         "class Level:\n"
         "    def check(self, sv):\n"
         "        return sv > np.finfo(float).eps * sv.max()\n"
+        "def project_columns(design, columns):\n"
+        "    return columns\n"
+        "def solve(x, y):\n"
+        "    q, r = qr(x)\n"
+        "    return np.linalg.solve(r, q.T @ y)\n"
+        "def factor(x):\n"
+        "    return np.linalg.qr(x, mode='r'), np.linalg.qr(x, mode='complete')\n"
     )
-    assert regression_routes(sample) == (["sample.py:4", "sample.py:4"],
-                                         ["sample.py:rank", "sample.py:check"])
+    assert regression_routes(sample) == (
+        ["sample.py:4", "sample.py:4"],
+        ["sample.py:factor", "sample.py:project_columns", "sample.py:solve"],
+        ["sample.py:rank", "sample.py:check"])
+
+
+def test_one_function_reads_input_text():
+    """Every input text file (a data CSV, a selection CSV, a manifest) is
+    opened by ``data.open_text``, the one function that turns a byte
+    sequence that is not UTF-8 into a data error."""
+    found = [fn for path in sorted(PACKAGE.glob("*.py")) for fn in decode_catches(path)]
+    assert found == ["data.py:open_text"]
+
+
+def test_decode_catches_are_detected(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "def read(path):\n"
+        "    try:\n"
+        "        return open(path, encoding='utf-8').read()\n"
+        "    except (OSError, UnicodeDecodeError):\n"
+        "        return None\n"
+        "def load(path):\n"
+        "    try:\n"
+        "        return parse(path)\n"
+        "    except builtins.UnicodeDecodeError as exc:\n"
+        "        raise ValueError from exc\n"
+        "def wide(path):\n"
+        "    try:\n"
+        "        return parse(path)\n"
+        "    except ValueError:\n"
+        "        return None\n"
+    )
+    assert decode_catches(sample) == ["sample.py:read", "sample.py:load"]
 
 
 def test_one_cholesky_factorization_behind_one_lapack_import():
@@ -548,7 +606,8 @@ def test_the_package_exports_its_modules_names_once():
             assert value is getattr(module, name)
             assert value.__module__ == module.__name__, name
     gone = ("SplitPair", "random_split", "subset_weighted_rss", "soft_threshold",
-            "gen_linear_model", "gen_independent_outcomes")
+            "gen_linear_model", "gen_independent_outcomes", "IndependentOutcomesGenerator",
+            "project_columns")
     assert [f"{module.__name__}.{name}" for module in (hdte, *modules) for name in gone
             if hasattr(module, name)] == []
 

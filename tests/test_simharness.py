@@ -11,7 +11,6 @@ from hdte.simharness import (
     _NOISE_PHI,
     _ar_noise,
     ExperimentMetrics,
-    IndependentOutcomesGenerator,
     LinearModelConfig,
     LinearModelGenerator,
     TraceExperimentConfig,
@@ -78,7 +77,8 @@ def test_replicate_pair_shares_the_coefficient_draw():
 @pytest.mark.parametrize("generator", [
     LinearModelGenerator(LinearModelConfig(n=30, p=5, m=2, s_tau=2, alpha=1.0,
                                            pi=0.5, seed=0)),
-    IndependentOutcomesGenerator(n=30, d=5, s_star=2, alpha=1.0, pi=0.5),
+    LinearModelGenerator(LinearModelConfig(n=30, p=5, m=0, s_tau=2, alpha=1.0,
+                                           pi=0.5, seed=0)),
 ])
 def test_replicate_pair_starts_with_the_replicate(generator):
     first, second, s_true = generator.replicate_pair(13, n_second=17)
@@ -168,20 +168,6 @@ def test_linear_model_config_validation():
         LinearModelConfig(n=10, p=2, m=0, s_tau=3, alpha=1.0, pi=0.5, seed=0)
     with pytest.raises(DataError, match="pi"):
         LinearModelConfig(n=10, p=2, m=0, s_tau=1, alpha=1.0, pi=1.0, seed=0)
-
-
-def test_independent_outcomes_generator():
-    ds, s_true = IndependentOutcomesGenerator(n=3000, d=5, s_star=2, alpha=0.8,
-                                              pi=0.5).replicate(4)
-    np.testing.assert_array_equal(s_true, [0, 1])
-    assert ds.covariates is None
-    t = ds.treatments.astype(bool)
-    gap = ds.outcomes[t, 0].mean() - ds.outcomes[~t, 0].mean()
-    assert gap == pytest.approx(0.8, abs=0.15)
-    with pytest.raises(DataError, match="s_star"):
-        IndependentOutcomesGenerator(n=20, d=3, s_star=4, alpha=1.0, pi=0.5)
-    with pytest.raises(DataError, match=r"pi must be in \(0, 1\), got 0.0"):
-        IndependentOutcomesGenerator(n=20, d=3, s_star=1, alpha=1.0, pi=0.0)
 
 
 def test_glucose_traces_shape_and_range():
@@ -379,7 +365,8 @@ def test_trace_config_validation():
 
 
 def test_recovery_experiment_smoke():
-    gen = IndependentOutcomesGenerator(n=150, d=8, s_star=2, alpha=1.2, pi=0.5)
+    gen = LinearModelGenerator(LinearModelConfig(n=150, p=8, m=0, s_tau=2, alpha=1.2,
+                                                 pi=0.5, seed=0))
     results = run_recovery_experiment(
         gen, ("baseline_dim", "lasso", pick_first), (1, 2), replicates=8, seed=1
     )
@@ -398,7 +385,8 @@ def test_recovery_experiment_smoke():
 
 
 def test_recovery_experiment_counts_failures():
-    gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+    gen = LinearModelGenerator(LinearModelConfig(n=60, p=4, m=0, s_tau=1, alpha=1.0,
+                                                 pi=0.5, seed=0))
     results = run_recovery_experiment(gen, (always_fails,), (1,), replicates=5, seed=2)
     metrics = results["always_fails"]
     assert metrics.failures == 5
@@ -409,7 +397,8 @@ def test_recovery_experiment_counts_failures():
 def test_experiments_reject_a_call_they_cannot_run(run):
     """An empty size or method list, or an unknown built-in method name, is
     an error in the call, not a failed replicate."""
-    gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+    gen = LinearModelGenerator(LinearModelConfig(n=60, p=4, m=0, s_tau=1, alpha=1.0,
+                                                 pi=0.5, seed=0))
     with pytest.raises(DataError, match="^sizes must be nonempty$"):
         run(gen, ("lasso",), (), 2, 0)
     with pytest.raises(DataError, match="at least one method"):
@@ -421,7 +410,8 @@ def test_experiments_reject_a_call_they_cannot_run(run):
 @pytest.mark.parametrize("generator", [
     LinearModelGenerator(LinearModelConfig(n=60, p=5, m=2, s_tau=1, alpha=1.0, pi=0.5,
                                            seed=0)),
-    IndependentOutcomesGenerator(n=60, d=5, s_star=1, alpha=1.0, pi=0.5),
+    LinearModelGenerator(LinearModelConfig(n=60, p=5, m=0, s_tau=1, alpha=1.0, pi=0.5,
+                                           seed=0)),
 ], ids=["linear", "independent"])
 @pytest.mark.parametrize("run", [run_recovery_experiment, run_power_experiment])
 def test_experiments_check_sizes_against_the_outcome_count(monkeypatch, generator, run):
@@ -452,18 +442,6 @@ def test_the_power_test_adjusts_by_lin_where_there_are_covariates(monkeypatch, m
     rejections = sh._power_replicate(gen, {"lasso": "lasso"}, (1, 2), "cuped", 60, child)
     assert used == [test_estimator] * 2 and set(rejections["lasso"]) == {1, 2}
 
-
-
-def test_the_power_test_of_independent_outcomes_is_unadjusted(monkeypatch):
-    """The independent-outcomes generator draws no covariates, so its group
-    test is ``dim`` and its replicates reach the test."""
-    gen = IndependentOutcomesGenerator(n=60, d=5, s_star=1, alpha=1.0, pi=0.5)
-    used, estimate = [], sh.adjusted_estimate
-    monkeypatch.setattr(sh, "adjusted_estimate",
-                        lambda ds, method, *rest: used.append(method) or estimate(ds, method, *rest))
-    child = np.random.SeedSequence(0).spawn(1)[0]
-    rejections = sh._power_replicate(gen, {"lasso": "lasso"}, (1, 2), "cuped", 60, child)
-    assert used == ["dim"] * 2 and set(rejections["lasso"]) == {1, 2}
 
 def test_experiments_check_their_estimators_before_the_first_replicate(monkeypatch):
     """An unknown selection estimator of the recovery and power experiments,
@@ -499,7 +477,8 @@ def test_experiments_need_a_replicate(monkeypatch, replicates, match):
     started = []
     for worker in ("_recovery_replicate", "_power_replicate", "_semisynth_replicate"):
         monkeypatch.setattr(sh, worker, lambda *args: started.append(args))
-    gen = IndependentOutcomesGenerator(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+    gen = LinearModelGenerator(LinearModelConfig(n=60, p=4, m=0, s_tau=1, alpha=1.0,
+                                                 pi=0.5, seed=0))
     traces = TraceExperimentConfig(n=40, effect_magnitude=5.0, seed=0)
     runs = [
         lambda: run_recovery_experiment(gen, ("lasso",), (1,), replicates, 0),
@@ -526,7 +505,8 @@ def _shared_and_serial(monkeypatch, call):
 
 def test_a_lambda_method_gives_the_serial_rates_with_shared_replicates(monkeypatch):
     """Only results cross processes, so a custom method may be a lambda."""
-    gen = IndependentOutcomesGenerator(n=100, d=8, s_star=2, alpha=0.3, pi=0.5)
+    gen = LinearModelGenerator(LinearModelConfig(n=100, p=8, m=0, s_tau=2, alpha=0.3,
+                                                 pi=0.5, seed=0))
     top = lambda ds, size: np.argsort(
         ds.outcomes[ds.treatments == 0].mean(axis=0)
         - ds.outcomes[ds.treatments == 1].mean(axis=0))[:size]
@@ -536,7 +516,7 @@ def test_a_lambda_method_gives_the_serial_rates_with_shared_replicates(monkeypat
     assert shared == serial
 
 
-class _Faulty(IndependentOutcomesGenerator):
+class _Faulty(LinearModelGenerator):
     """Raises a ``LookupError``, not a package error, in replicate 1."""
 
     def replicate(self, seed):
@@ -549,7 +529,7 @@ def test_an_error_in_a_childs_replicate_reaches_the_caller(monkeypatch):
     """Replicate 1 runs in the forked child's share: its error ends the
     child, the share runs again here and the error reaches the caller as it
     does serially, with no child left."""
-    gen = _Faulty(n=60, d=4, s_star=1, alpha=1.0, pi=0.5)
+    gen = _Faulty(LinearModelConfig(n=60, p=4, m=0, s_tau=1, alpha=1.0, pi=0.5, seed=0))
 
     def raises():
         with pytest.raises(LookupError, match="replicate 1"):
@@ -560,8 +540,10 @@ def test_an_error_in_a_childs_replicate_reaches_the_caller(monkeypatch):
 
 
 def test_power_experiment_smoke():
-    strong = IndependentOutcomesGenerator(n=200, d=6, s_star=1, alpha=1.0, pi=0.5)
-    null = IndependentOutcomesGenerator(n=200, d=6, s_star=0, alpha=0.0, pi=0.5)
+    strong = LinearModelGenerator(LinearModelConfig(n=200, p=6, m=0, s_tau=1, alpha=1.0,
+                                                    pi=0.5, seed=0))
+    null = LinearModelGenerator(LinearModelConfig(n=200, p=6, m=0, s_tau=0, alpha=0.0,
+                                                  pi=0.5, seed=0))
     res_strong = run_power_experiment(
         strong, ("lasso",), (1,), replicates=10, seed=3, second_sample_size=200,
     )

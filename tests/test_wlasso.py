@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg.lapack import dpotrf
 
 from hdte import LinearModelConfig, LinearModelGenerator, wlasso
-from hdte.data import TrialDataset, aggregate_columns, covariate_coefficients, project_columns
+from hdte.data import TrialDataset, aggregate_columns, covariate_coefficients
 from hdte.errors import DataError, NumericalError
 from hdte.estimators import adjusted_estimate
 from hdte.wlasso import (
@@ -1037,6 +1037,13 @@ def test_problems_of_rows_are_those_of_the_taken_rows_bit_for_bit(monkeypatch, g
         for got, want in zip(level_problems(ds, levels, rows), level_problems(half, levels)):
             assert got.rows.tobytes() == want.rows.tobytes()
             assert (got.n, got.m, got.p) == (want.n, want.m, want.p)
+
+
+def project_columns(design, columns, what):
+    """The reference covariate regression: the slopes of ``columns`` on the
+    centered ``design`` and their residuals ``C - Q Q' C``, formed whole."""
+    q, coef, slopes = covariate_coefficients(design, columns, what)
+    return slopes, columns - q @ coef
 
 
 def reference_rss(weighted, m, p, subset):
