@@ -133,10 +133,79 @@ def _fmt(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command implementations (params dicts are JSON round-trippable)
+# click wiring: each parameter that several commands share is declared once
+
+_FILE = click.Path(exists=True, dir_okay=False)
+_DATA = click.Argument(["data"], type=_FILE)
+_SCHEMA = (
+    click.Option(["--treatment-col"], default="treatment", show_default=True,
+                 help="Treatment indicator column."),
+    click.Option(["--outcome-cols"], default="", metavar="NAMES",
+                 help="Comma-separated outcome columns (default: columns "
+                      "starting with 'y')."),
+    click.Option(["--covariate-cols"], default="", metavar="NAMES",
+                 help="Comma-separated covariate columns; 'none' disables "
+                      "(default: columns starting with 'x')."),
+)
+_L1_RATIO = click.Option(["--l1-ratio"], type=float, default=None,
+                         help="Elastic net mixing (default 1.0, or 0.5 for an enet "
+                              "selection).")
+_SELECTION = (
+    click.Option(["--selection"], type=click.Choice(["lasso", "enet", "baseline"]),
+                 default="lasso", show_default=True),
+    click.Option(["--s"], type=int, default=None, help="Target subset size."),
+    click.Option(["--lam"], type=float, default=None, help="Fixed penalty level."),
+    _L1_RATIO,
+)
+_GRID = (
+    click.Option(["--n-lambdas"], type=int, default=100, show_default=True),
+    click.Option(["--lambda-min-ratio"], type=float, default=None),
+    click.Option(["--tol"], type=float, default=1e-7, show_default=True,
+                 help="Coordinate-descent tolerance of each penalty fit; a lasso "
+                      "selection by size reads the path's knots and does not iterate."),
+    click.Option(["--max-iter"], type=int, default=10_000, show_default=True,
+                 help="Coordinate-descent sweep cap, as for --tol."),
+)
+_ESTIMATORS = click.Choice(["dim", "cuped", "lin"])
+_ADJUSTMENT = click.Option(["--estimator"], type=_ESTIMATORS, default=None,
+                           help="Adjustment (default: cuped with covariates, else dim).")
+_TWO_SIDED = click.Option(["--two-sided"], is_flag=True, help="Double the normal tail.")
+_GAMMA = click.Option(["--gamma"], type=float, default=0.05, show_default=True,
+                      help="Aggregation quantile.")
+_REPLICATES = click.Option(["--replicates"], type=int, default=20, show_default=True)
+_SEED = click.Option(["--seed"], type=int, default=0, show_default=True)
+_OUTDIR = click.Option(["--outdir"], default=None, metavar="DIR",
+                       help="Output directory (default: $HDTE_OUTDIR, else '.').")
 
 
-def _run_select(params, outdir: Path) -> None:
+@click.group()
+@click.version_option(_HDTE_VERSION, prog_name="hdte")
+def cli():
+    """Treatment effect analysis for many outcome dimensions."""
+
+
+class _Analysis(click.Command):
+    """An analysis command: ``@cli.command(cls=_Analysis, params=[...])`` on
+    a runner ``(params, outdir)`` declares it, with the runner's docstring
+    as its help. :func:`_execute` runs the runner and writes the manifest,
+    both when the command is invoked and when ``rerun`` replays one."""
+
+    def invoke(self, ctx: click.Context) -> None:
+        _execute(self, _command_params(self, ctx.params), _resolve_outdir(ctx.params["outdir"]))
+
+
+# ---------------------------------------------------------------------------
+# the analysis commands (params dicts are JSON round-trippable)
+
+
+@cli.command(cls=_Analysis, params=[
+    _DATA, *_SCHEMA, *_SELECTION,
+    click.Option(["--estimator"], type=_ESTIMATORS, default=None,
+                 help="Baseline ranking estimator (default: cuped with covariates, "
+                      "else dim)."),
+    *_GRID, _OUTDIR])
+def select(params, outdir: Path) -> None:
+    """Select outcome columns; writes selection.csv."""
     ds = _load_dataset(params)
     (result,), _ = run_selection(
         ds, _selection_spec(params), _resolve_estimator(params["estimator"], ds),
@@ -155,13 +224,19 @@ def _run_select(params, outdir: Path) -> None:
     )
 
 
-def _read_selected_indices(path, p: int) -> tuple[int, ...]:
+def _read_selected_indices(path, labels: tuple[str, ...]) -> tuple[int, ...]:
     """The outcome indices of a selection CSV's ``index`` column, in row
-    order; the file is read as :func:`hdte.data.load_csv` reads its text."""
+    order; the file is read as :func:`hdte.data.load_csv` reads its text.
+    Where it has a ``label`` column, each row's label, stripped as
+    ``load_csv`` matches header names, must be ``labels`` at its index: a
+    CSV that orders its outcomes differently is an error, not a test of
+    other columns."""
+    p = len(labels)
     with open_text(path) as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "index" not in reader.fieldnames:
             raise DataError(f"{path} has no 'index' column")
+        labelled = "label" in reader.fieldnames
         rows_of: dict[int, int] = {}
         for row_number, row in enumerate(reader, start=2):
             raw = row["index"]
@@ -173,6 +248,9 @@ def _read_selected_indices(path, p: int) -> tuple[int, ...]:
             if not 0 <= j < p:
                 raise DataError(f"{path} row {row_number}: index {j} out of range for "
                                 f"{p} outcome columns")
+            if labelled and (row["label"] or "").strip() != labels[j]:
+                raise DataError(f"{path} row {row_number}: label {row['label']!r} is not "
+                                f"the data's label {labels[j]!r} at index {j}")
             if j in rows_of:
                 raise DataError(f"{path} row {row_number}: index {j} is listed "
                                 f"twice (first at row {rows_of[j]})")
@@ -180,12 +258,22 @@ def _read_selected_indices(path, p: int) -> tuple[int, ...]:
     return tuple(rows_of)
 
 
-def _run_infer(params, outdir: Path) -> None:
+@cli.command(cls=_Analysis, params=[
+    _DATA, click.Argument(["selection_csv"], type=_FILE), *_SCHEMA, _ADJUSTMENT,
+    click.Option(["--correction"], type=int, default=None,
+                 help="Multiplicity factor (default: subset size)."),
+    _TWO_SIDED, _OUTDIR])
+def infer(params, outdir: Path) -> None:
+    """Test a selected subset on held-out data; writes per_dim.csv and group.csv.
+
+    DATA should be independent of the sample the selection was computed on;
+    reusing the selection sample invalidates the p-values.
+    """
     correction = params["correction"]
     if correction is not None and correction < 1:   # as z_pvalues, which an empty subset skips
         raise DataError(f"correction must be >= 1, got {correction}")
     ds = _load_dataset(params)
-    subset = _read_selected_indices(params["selection_csv"], ds.p)
+    subset = _read_selected_indices(params["selection_csv"], ds.column_labels)
     method = _resolve_estimator(params["estimator"], ds)
     rows, group = [], [[_fmt(0.0), 0, _fmt(1.0)]]
     if subset:
@@ -201,7 +289,16 @@ def _run_infer(params, outdir: Path) -> None:
     _write_rows(outdir / "group.csv", ["statistic", "df", "p"], group)
 
 
-def _run_multisplit(params, outdir: Path) -> None:
+@cli.command(cls=_Analysis, params=[
+    _DATA, *_SCHEMA,
+    click.Option(["--B", "B"], type=int, default=50, show_default=True,
+                 help="Number of random splits."),
+    _GAMMA, *_SELECTION, _ADJUSTMENT,
+    click.Option(["--fraction"], type=float, default=0.5, show_default=True,
+                 help="Fraction of rows in the selection half."),
+    _TWO_SIDED, _SEED, _OUTDIR])
+def multisplit(params, outdir: Path) -> None:
+    """Aggregate select-then-test over many random splits."""
     ds = _load_dataset(params)
     report = multi_split(
         ds,
@@ -234,7 +331,9 @@ def _run_multisplit(params, outdir: Path) -> None:
     )
 
 
-def _run_path(params, outdir: Path) -> None:
+@cli.command(cls=_Analysis, params=[_DATA, *_SCHEMA, _L1_RATIO, *_GRID, _OUTDIR])
+def path(params, outdir: Path) -> None:
+    """Trace the penalty path; writes path.csv."""
     ds = _load_dataset(params)
     config = EnetConfig(
         l1_ratio=params["l1_ratio"] if params["l1_ratio"] is not None else 1.0,
@@ -261,7 +360,28 @@ def _run_path(params, outdir: Path) -> None:
     )
 
 
-def _run_simulate(params, outdir: Path) -> None:
+@cli.command(cls=_Analysis, params=[
+    click.Option(["--experiment"], type=click.Choice(["recovery", "power"]),
+                 default="recovery", show_default=True),
+    click.Option(["--n"], type=int, default=500, show_default=True),
+    click.Option(["--p"], type=int, default=100, show_default=True),
+    click.Option(["--m"], type=int, default=10, show_default=True),
+    click.Option(["--s-tau"], type=int, default=5, show_default=True),
+    click.Option(["--alpha"], type=float, default=0.5, show_default=True,
+                 help="Treatment effect magnitude."),
+    click.Option(["--pi"], type=float, default=0.5, show_default=True,
+                 help="Treatment probability."),
+    _REPLICATES,
+    click.Option(["--sizes"], default="1,2,3,4,5", show_default=True),
+    click.Option(["--methods"], default="baseline_dim,baseline,lasso,enet",
+                 show_default=True),
+    click.Option(["--estimator"], type=_ESTIMATORS, default="cuped", show_default=True,
+                 help="Baseline ranking adjustment."),
+    click.Option(["--second-sample-size"], type=int, default=500, show_default=True,
+                 help="Evaluation sample rows (power experiment)."),
+    _SEED, _OUTDIR])
+def simulate(params, outdir: Path) -> None:
+    """Replicated recovery or power experiment on the linear outcome model."""
     methods = _split_names(params["methods"])
     sizes = _split_ints(params["sizes"], "--sizes")
     config = LinearModelConfig(
@@ -282,7 +402,21 @@ def _run_simulate(params, outdir: Path) -> None:
     write_metrics_csv(results, outdir / "metrics.csv")
 
 
-def _run_semisynth(params, outdir: Path) -> None:
+@cli.command(cls=_Analysis, params=[
+    click.Option(["--n"], type=int, default=200, show_default=True),
+    click.Option(["--alpha"], type=float, default=8.0, show_default=True,
+                 help="Glucose reduction inside the treated window (mg/dL)."),
+    _REPLICATES,
+    click.Option(["--B", "B"], type=int, default=20, show_default=True),
+    _GAMMA,
+    click.Option(["--s"], type=int, default=1, show_default=True,
+                 help="Subset size per split."),
+    click.Option(["--levels"], default="240,120,60", show_default=True,
+                 help="Window durations in minutes, coarsest first."),
+    click.Option(["--estimator"], type=_ESTIMATORS, default="lin", show_default=True),
+    _SEED, _OUTDIR])
+def semisynth(params, outdir: Path) -> None:
+    """Fixed-window versus multi-resolution testing on glucose traces."""
     levels = tuple(_split_ints(params["levels"], "--levels"))
     config = TraceExperimentConfig(
         n=params["n"],
@@ -298,33 +432,23 @@ def _run_semisynth(params, outdir: Path) -> None:
     write_metrics_csv(results, outdir / "metrics.csv")
 
 
-_RUNNERS = {
-    "select": _run_select,
-    "infer": _run_infer,
-    "multisplit": _run_multisplit,
-    "path": _run_path,
-    "simulate": _run_simulate,
-    "semisynth": _run_semisynth,
-}
-
-
-def _execute(command: str, params: dict, outdir: Path) -> None:
+def _execute(command: _Analysis, params: dict, outdir: Path) -> None:
     """Run ``command`` into ``outdir``; a failed run removes the directories
     this call made, as far as they are empty."""
     made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        _RUNNERS[command](params, outdir)
+        command.callback(params, outdir)
     except BaseException:
         for directory in made:   # innermost first
             with suppress(OSError):
                 directory.rmdir()
         raise
-    manifest = {"command": command, "params": params, "versions": _versions()}
+    manifest = {"command": command.name, "params": params, "versions": _versions()}
     with open(outdir / "manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    click.echo(f"{command}: outputs written to {outdir}")
+    click.echo(f"{command.name}: outputs written to {outdir}")
 
 
 # What a numeric parameter takes from a manifest, as from the command line:
@@ -366,185 +490,7 @@ def _command_params(command: click.Command, values) -> dict:
     return params
 
 
-def _execute_invoked() -> None:
-    """Run the invoked click command with its parsed parameters."""
-    ctx = click.get_current_context()
-    _execute(ctx.command.name, _command_params(ctx.command, ctx.params),
-             _resolve_outdir(ctx.params["outdir"]))
-
-
-# ---------------------------------------------------------------------------
-# click wiring
-
-
-def _schema_options(fn):
-    for option in (
-        click.option("--covariate-cols", default="", metavar="NAMES",
-                     help="Comma-separated covariate columns; 'none' disables "
-                          "(default: columns starting with 'x')."),
-        click.option("--outcome-cols", default="", metavar="NAMES",
-                     help="Comma-separated outcome columns (default: columns "
-                          "starting with 'y')."),
-        click.option("--treatment-col", default="treatment", show_default=True,
-                     help="Treatment indicator column."),
-    ):
-        fn = option(fn)
-    return fn
-
-
-def _outdir_option(fn):
-    return click.option(
-        "--outdir", default=None, metavar="DIR",
-        help="Output directory (default: $HDTE_OUTDIR, else '.').",
-    )(fn)
-
-
-_data_argument = click.argument(
-    "data", type=click.Path(exists=True, dir_okay=False)
-)
-
-
-@click.group()
-@click.version_option(_HDTE_VERSION, prog_name="hdte")
-def cli():
-    """Treatment effect analysis for many outcome dimensions."""
-
-
-@cli.command()
-@_data_argument
-@_schema_options
-@click.option("--selection", type=click.Choice(["lasso", "enet", "baseline"]),
-              default="lasso", show_default=True)
-@click.option("--s", type=int, default=None, help="Target subset size.")
-@click.option("--lam", type=float, default=None, help="Fixed penalty level.")
-@click.option("--l1-ratio", type=float, default=None,
-              help="Elastic net mixing (default 1.0 for lasso, 0.5 for enet).")
-@click.option("--estimator", type=click.Choice(["dim", "cuped", "lin"]),
-              default=None, help="Baseline ranking estimator (default: cuped "
-                                 "with covariates, else dim).")
-@click.option("--n-lambdas", type=int, default=100, show_default=True)
-@click.option("--lambda-min-ratio", type=float, default=None)
-@click.option("--tol", type=float, default=1e-7, show_default=True,
-              help="Coordinate-descent tolerance of penalty (--lam) and enet "
-                   "selections, as for hdte path; a lasso --s selection reads "
-                   "the path's knots and does not iterate.")
-@click.option("--max-iter", type=int, default=10_000, show_default=True,
-              help="Coordinate-descent sweep cap, as for --tol.")
-@_outdir_option
-def select(**_):
-    """Select outcome columns; writes selection.csv."""
-    _execute_invoked()
-
-
-@cli.command()
-@_data_argument
-@click.argument("selection_csv", type=click.Path(exists=True, dir_okay=False))
-@_schema_options
-@click.option("--estimator", type=click.Choice(["dim", "cuped", "lin"]),
-              default=None, help="Adjustment (default: cuped with covariates, "
-                                 "else dim).")
-@click.option("--correction", type=int, default=None,
-              help="Multiplicity factor (default: subset size).")
-@click.option("--two-sided", is_flag=True, help="Double the normal tail.")
-@_outdir_option
-def infer(**_):
-    """Test a selected subset on held-out data; writes per_dim.csv and group.csv.
-
-    DATA should be independent of the sample the selection was computed on;
-    reusing the selection sample invalidates the p-values.
-    """
-    _execute_invoked()
-
-
-@cli.command()
-@_data_argument
-@_schema_options
-@click.option("--B", "B", type=int, default=50, show_default=True,
-              help="Number of random splits.")
-@click.option("--gamma", type=float, default=0.05, show_default=True,
-              help="Aggregation quantile.")
-@click.option("--selection", type=click.Choice(["lasso", "enet", "baseline"]),
-              default="lasso", show_default=True)
-@click.option("--s", type=int, default=None, help="Target subset size.")
-@click.option("--lam", type=float, default=None, help="Fixed penalty level.")
-@click.option("--l1-ratio", type=float, default=None)
-@click.option("--estimator", type=click.Choice(["dim", "cuped", "lin"]),
-              default=None)
-@click.option("--fraction", type=float, default=0.5, show_default=True,
-              help="Fraction of rows in the selection half.")
-@click.option("--two-sided", is_flag=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_outdir_option
-def multisplit(**_):
-    """Aggregate select-then-test over many random splits."""
-    _execute_invoked()
-
-
-@cli.command()
-@_data_argument
-@_schema_options
-@click.option("--l1-ratio", type=float, default=None,
-              help="Elastic net mixing (default 1.0).")
-@click.option("--n-lambdas", type=int, default=100, show_default=True)
-@click.option("--lambda-min-ratio", type=float, default=None)
-@click.option("--tol", type=float, default=1e-7, show_default=True)
-@click.option("--max-iter", type=int, default=10_000, show_default=True)
-@_outdir_option
-def path(**_):
-    """Trace the penalty path; writes path.csv."""
-    _execute_invoked()
-
-
-@cli.command()
-@click.option("--experiment", type=click.Choice(["recovery", "power"]),
-              default="recovery", show_default=True)
-@click.option("--n", type=int, default=500, show_default=True)
-@click.option("--p", type=int, default=100, show_default=True)
-@click.option("--m", type=int, default=10, show_default=True)
-@click.option("--s-tau", type=int, default=5, show_default=True)
-@click.option("--alpha", type=float, default=0.5, show_default=True,
-              help="Treatment effect magnitude.")
-@click.option("--pi", type=float, default=0.5, show_default=True,
-              help="Treatment probability.")
-@click.option("--replicates", type=int, default=20, show_default=True)
-@click.option("--sizes", default="1,2,3,4,5", show_default=True)
-@click.option("--methods", default="baseline_dim,baseline,lasso,enet",
-              show_default=True)
-@click.option("--estimator", type=click.Choice(["dim", "cuped", "lin"]),
-              default="cuped", show_default=True,
-              help="Baseline ranking adjustment.")
-@click.option("--second-sample-size", type=int, default=500, show_default=True,
-              help="Evaluation sample rows (power experiment).")
-@click.option("--seed", type=int, default=0, show_default=True)
-@_outdir_option
-def simulate(**_):
-    """Replicated recovery or power experiment on the linear outcome model."""
-    _execute_invoked()
-
-
-@cli.command()
-@click.option("--n", type=int, default=200, show_default=True)
-@click.option("--alpha", type=float, default=8.0, show_default=True,
-              help="Glucose reduction inside the treated window (mg/dL).")
-@click.option("--replicates", type=int, default=20, show_default=True)
-@click.option("--B", "B", type=int, default=20, show_default=True)
-@click.option("--gamma", type=float, default=0.05, show_default=True)
-@click.option("--s", type=int, default=1, show_default=True,
-              help="Subset size per split.")
-@click.option("--levels", default="240,120,60", show_default=True,
-              help="Window durations in minutes, coarsest first.")
-@click.option("--estimator", type=click.Choice(["dim", "cuped", "lin"]),
-              default="lin", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_outdir_option
-def semisynth(**_):
-    """Fixed-window versus multi-resolution testing on glucose traces."""
-    _execute_invoked()
-
-
-@cli.command()
-@click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
-@_outdir_option
+@cli.command(params=[click.Argument(["manifest"], type=_FILE), _OUTDIR])
 def rerun(manifest, outdir):
     """Replay a manifest.json; regenerates its CSVs byte for byte.
 
@@ -558,10 +504,10 @@ def rerun(manifest, outdir):
         raise DataError(f"{manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(record, dict) or "command" not in record or "params" not in record:
         raise DataError(f"{manifest_path} lacks 'command'/'params' fields")
-    command = record["command"]
-    if command not in _RUNNERS:
-        raise DataError(f"manifest names unknown command {command!r}")
-    params = _command_params(cli.commands[command], record["params"])
+    command = cli.commands.get(record["command"])
+    if not isinstance(command, _Analysis):
+        raise DataError(f"manifest names unknown command {record['command']!r}")
+    params = _command_params(command, record["params"])
     target = _resolve_outdir(outdir) if outdir is not None else manifest_path.parent
     _execute(command, params, target)
 
@@ -582,9 +528,6 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         _error_record("usage", exc.format_message())
         return 1
-    except DataError as exc:
-        _error_record("data", str(exc))
-        return 2
     except NumericalError as exc:
         _error_record("numerical", str(exc))
         return 3

@@ -124,6 +124,15 @@ def _add_noise(rng: np.random.Generator, y: np.ndarray) -> None:
         y[lo:lo + chunk.shape[0]] += chunk
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with an int ``seed`` held to the seed
+    rule (:func:`hdte.data.check_seed`) first; the ``SeedSequence``
+    children that the experiments pass go straight through."""
+    if isinstance(seed, (int, np.integer)):
+        check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def draw_linear_model(config: LinearModelConfig, rng: np.random.Generator) -> LinearModel:
     """Draw model coefficients. Draw order: slope matrix, then effect slopes."""
     beta = rng.uniform(-1.0, 1.0, (config.p, config.m))
@@ -142,14 +151,14 @@ class LinearModelGenerator:
         return self.config.p
 
     def replicate(self, seed) -> tuple[TrialDataset, np.ndarray]:
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         return draw_linear_model(self.config, rng).sample(rng)
 
     def replicate_pair(self, seed, n_second: int
                        ) -> tuple[TrialDataset, TrialDataset, np.ndarray]:
         """Two datasets sharing one coefficient draw (selection set, then an
         independent evaluation set from the same model)."""
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         model = draw_linear_model(self.config, rng)
         ds1, s_true = model.sample(rng)
         ds2, _ = model.sample(rng, n_second)
@@ -278,7 +287,7 @@ def gen_glucose_traces(config: TraceExperimentConfig) -> np.ndarray:
     correlation of roughly 0.6 between the weeks. Values are clipped to the
     physiological range [40, 400].
     """
-    rng = np.random.default_rng(config.seed)
+    rng = _rng(config.seed)
     traces = np.empty((config.n, _POINTS_PER_DAY, 2))
     for rows, chunk in _trace_chunks(rng, config.n):
         traces[rows] = chunk.transpose(1, 2, 0)
@@ -515,7 +524,11 @@ def run_power_experiment(generator, methods, sizes, replicates: int, seed: int, 
     selection happens on the first, the quadratic-form test on the second
     restricted to the selected columns, by ``"lin"``, or ``"dim"`` where the
     second has no covariates (:meth:`hdte.data.TrialDataset.usable_estimator`).
+    A ``second_sample_size`` under 4, the least ``LinearModelConfig.n``, is a
+    :class:`DataError` raised before the first replicate.
     """
+    if second_sample_size < 4:
+        raise DataError(f"second_sample_size must be >= 4, got {second_sample_size}")
     methods, sizes = _check_experiment(generator, methods, sizes, estimator)
     results = _run_experiment(partial(_power_replicate, generator, methods, sizes, estimator,
                                       second_sample_size),

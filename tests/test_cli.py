@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hdte import inference
-from hdte.cli import _load_dataset, main
+from hdte.cli import _load_dataset, cli, main
 from hdte.data import TrialDataset, write_csv
 
 from conftest import split_route
@@ -237,6 +237,38 @@ def test_infer_rejects_a_repeated_index(trial_csv, tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_infer_checks_the_selection_labels_against_the_data(trial_csv, tmp_path, capsys):
+    """A selection CSV's labels must name the data's outcomes at its
+    indices, matched stripped as header names are: on a CSV that orders its
+    outcomes the other way, ``infer`` exits 2 before writing anything."""
+    sel_dir = tmp_path / "sel"
+    assert main(["select", str(trial_csv), "--s", "1", "--outdir", str(sel_dir)]) == 0
+    selection = sel_dir / "selection.csv"
+    (row,) = _read_rows(selection)
+    with open(trial_csv, newline="") as handle:
+        rows = list(csv.reader(handle))
+    outcomes = [k for k, name in enumerate(rows[0]) if name.startswith("y")]
+    order = [0, *outcomes[::-1], *(k for k in range(1, len(rows[0])) if k not in outcomes)]
+    reordered = tmp_path / "reordered.csv"
+    with open(reordered, "w", newline="") as handle:
+        csv.writer(handle).writerows([[r[k] for k in order] for r in rows])
+    outdir = tmp_path / "inf"
+    assert main(["infer", str(reordered), str(selection), "--outdir", str(outdir)]) == 2
+    j = int(row["index"])
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "data", "message": (
+        f"{selection} row 2: label {row['label']!r} is not the data's label "
+        f"'y{len(outcomes) - 1 - j}' at index {j}")}
+    assert not outdir.exists()
+
+    padded = tmp_path / "padded.csv"
+    padded.write_text(f"index,label\n{j}, {row['label']} \n")
+    for name, sel in (("inf", selection), ("padded", padded)):
+        assert main(["infer", str(trial_csv), str(sel), "--outdir", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "inf" / "per_dim.csv").read_bytes()
+            == (tmp_path / "padded" / "per_dim.csv").read_bytes())
+
+
 def test_infer_singular_covariance_is_a_numerical_error(tmp_path, capsys):
     rng = np.random.default_rng(5)
     t = np.array([1, 0] * 20)
@@ -405,15 +437,18 @@ def test_a_list_option_that_is_not_integers_is_a_data_error(tmp_path, capsys, ar
 @pytest.mark.parametrize("argv, message", [
     (["semisynth", "--replicates", "0"], "replicates must be >= 1, got 0"),
     (["simulate", "--replicates", "-1"], "replicates must be >= 1, got -1"),
+    (["simulate", "--experiment", "power", "--n", "40", "--p", "5", "--m", "1",
+      "--replicates", "3", "--sizes", "1", "--methods", "lasso", "--second-sample-size", "3"],
+     "second_sample_size must be >= 4, got 3"),
 ])
 def test_experiments_without_a_replicate_exit_2(tmp_path, capsys, argv, message):
-    """No replicate is a data error: nothing is run and no metrics.csv is
-    written."""
+    """No replicate, or a second sample too small to draw, is a data error:
+    nothing is run and the output directory is removed."""
     outdir = tmp_path / "out"
     assert main([*argv, "--outdir", str(outdir)]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record == {"error": "data", "message": message}
-    assert not (outdir / "metrics.csv").exists()
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -720,6 +755,92 @@ def test_version_and_help_exit_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "select" in out and "multisplit" in out
+
+
+# Each command's parameters in order: name, opts, type name, default (none
+# for a required argument), flag-ness and required-ness.
+_SCHEMA = [("treatment_col", ("--treatment-col",), "text", "treatment", False, False),
+           ("outcome_cols", ("--outcome-cols",), "text", "", False, False),
+           ("covariate_cols", ("--covariate-cols",), "text", "", False, False)]
+_DATA = [("data", ("data",), "file", None, False, True), *_SCHEMA]
+_SELECTION = [("selection", ("--selection",), "choice", "lasso", False, False),
+              ("s", ("--s",), "integer", None, False, False),
+              ("lam", ("--lam",), "float", None, False, False),
+              ("l1_ratio", ("--l1-ratio",), "float", None, False, False)]
+_GRID = [("n_lambdas", ("--n-lambdas",), "integer", 100, False, False),
+         ("lambda_min_ratio", ("--lambda-min-ratio",), "float", None, False, False),
+         ("tol", ("--tol",), "float", 1e-7, False, False),
+         ("max_iter", ("--max-iter",), "integer", 10_000, False, False)]
+_ESTIMATOR = ("estimator", ("--estimator",), "choice", None, False, False)
+_TWO_SIDED = ("two_sided", ("--two-sided",), "boolean", False, True, False)
+_SEED = ("seed", ("--seed",), "integer", 0, False, False)
+_OUTDIR = ("outdir", ("--outdir",), "text", None, False, False)
+_OPTION_SURFACE = {
+    "select": [*_DATA, *_SELECTION, _ESTIMATOR, *_GRID, _OUTDIR],
+    "infer": [*_DATA[:1], ("selection_csv", ("selection_csv",), "file", None, False, True),
+              *_SCHEMA, _ESTIMATOR, ("correction", ("--correction",), "integer", None,
+                                     False, False), _TWO_SIDED, _OUTDIR],
+    "multisplit": [*_DATA, ("B", ("--B",), "integer", 50, False, False),
+                   ("gamma", ("--gamma",), "float", 0.05, False, False), *_SELECTION,
+                   _ESTIMATOR, ("fraction", ("--fraction",), "float", 0.5, False, False),
+                   _TWO_SIDED, _SEED, _OUTDIR],
+    "path": [*_DATA, _SELECTION[-1], *_GRID, _OUTDIR],
+    "simulate": [("experiment", ("--experiment",), "choice", "recovery", False, False),
+                 ("n", ("--n",), "integer", 500, False, False),
+                 ("p", ("--p",), "integer", 100, False, False),
+                 ("m", ("--m",), "integer", 10, False, False),
+                 ("s_tau", ("--s-tau",), "integer", 5, False, False),
+                 ("alpha", ("--alpha",), "float", 0.5, False, False),
+                 ("pi", ("--pi",), "float", 0.5, False, False),
+                 ("replicates", ("--replicates",), "integer", 20, False, False),
+                 ("sizes", ("--sizes",), "text", "1,2,3,4,5", False, False),
+                 ("methods", ("--methods",), "text", "baseline_dim,baseline,lasso,enet",
+                  False, False),
+                 ("estimator", ("--estimator",), "choice", "cuped", False, False),
+                 ("second_sample_size", ("--second-sample-size",), "integer", 500,
+                  False, False),
+                 _SEED, _OUTDIR],
+    "semisynth": [("n", ("--n",), "integer", 200, False, False),
+                  ("alpha", ("--alpha",), "float", 8.0, False, False),
+                  ("replicates", ("--replicates",), "integer", 20, False, False),
+                  ("B", ("--B",), "integer", 20, False, False),
+                  ("gamma", ("--gamma",), "float", 0.05, False, False),
+                  ("s", ("--s",), "integer", 1, False, False),
+                  ("levels", ("--levels",), "text", "240,120,60", False, False),
+                  ("estimator", ("--estimator",), "choice", "lin", False, False),
+                  _SEED, _OUTDIR],
+    "rerun": [("manifest", ("manifest",), "file", None, False, True), _OUTDIR],
+}
+
+
+def test_the_option_surface_is_pinned():
+    """Every command's parameters, in order, as the command line and a
+    manifest know them, and the values of each choice."""
+    surface = {
+        name: [(p.name, tuple(p.opts), p.type.name, None if p.required else p.default,
+                getattr(p, "is_flag", False), p.required) for p in command.params]
+        for name, command in cli.commands.items()
+    }
+    assert surface == _OPTION_SURFACE
+    choices = {(name, p.name): tuple(p.type.choices) for name, command in cli.commands.items()
+               for p in command.params if p.type.name == "choice"}
+    estimators = {(name, "estimator"): ("dim", "cuped", "lin")
+                  for name in ("select", "infer", "multisplit", "simulate", "semisynth")}
+    assert choices == {**estimators, ("select", "selection"): ("lasso", "enet", "baseline"),
+                       ("multisplit", "selection"): ("lasso", "enet", "baseline"),
+                       ("simulate", "experiment"): ("recovery", "power")}
+
+
+def test_rerun_replays_exactly_the_analysis_commands(tmp_path, capsys):
+    """A manifest may name any of the six analysis commands, and no other."""
+    manifest = tmp_path / "manifest.json"
+    for name in [*cli.commands, "nope"]:
+        manifest.write_text(json.dumps({"command": name, "params": []}))
+        assert main(["rerun", str(manifest), "--outdir", str(tmp_path / "out")]) == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        replayed = message == "params must be an object, got []"
+        assert replayed == (name in {"select", "infer", "multisplit", "path", "simulate",
+                                     "semisynth"}), message
 
 
 def test_lasso_with_a_mixed_share_is_rejected_by_select_and_multisplit(

@@ -491,6 +491,36 @@ def test_experiments_need_a_replicate(monkeypatch, replicates, match):
     assert not started
 
 
+@pytest.mark.parametrize("size", [3, 0])
+def test_the_power_experiment_needs_a_second_sample_it_can_draw(monkeypatch, size):
+    """A second sample under ``LinearModelConfig``'s least ``n`` of 4 rows
+    is a data error that names the parameter, raised before the first
+    replicate, not a failure of every replicate."""
+    started = []
+    monkeypatch.setattr(sh, "_power_replicate", lambda *args: started.append(args))
+    gen = LinearModelGenerator(LinearModelConfig(n=40, p=5, m=1, s_tau=1, alpha=1.0,
+                                                 pi=0.5, seed=0))
+    with pytest.raises(DataError, match=f"^second_sample_size must be >= 4, got {size}$"):
+        run_power_experiment(gen, ("lasso",), (1,), 3, 0, second_sample_size=size)
+    assert not started
+
+
+_GENERATOR = LinearModelGenerator(LinearModelConfig(n=30, p=5, m=2, s_tau=2, alpha=1.0,
+                                                    pi=0.5, seed=0))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: gen_glucose_traces(TraceExperimentConfig(n=8, effect_magnitude=1.0, seed=-1)),
+    lambda: _GENERATOR.replicate(-1),
+    lambda: _GENERATOR.replicate_pair(np.int64(-1), 10),
+], ids=["traces", "replicate", "replicate_pair"])
+def test_a_negative_generator_seed_is_a_data_error(draw):
+    """The seed rule of the splits and the experiments holds where a
+    generator hands an int seed to numpy."""
+    with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+        draw()
+
+
 def _shared_and_serial(monkeypatch, call):
     """``call()`` with the replicates shared between two processes, then
     serially; the shared route forks one child."""
