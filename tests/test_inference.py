@@ -434,6 +434,73 @@ def test_multi_split_splits_are_the_single_split_pipeline(monkeypatch, method, s
         assert group[b].tobytes() == np.array([single.group]).tobytes()
 
 
+def _semisynth_dataset(n=200):
+    """A semisynth replicate's layout: 60-minute time in range of week 2 as
+    outcomes and of week 1 as covariates, with a planted window effect."""
+    from hdte.simharness import (TraceExperimentConfig, apply_window_effect, compute_tir,
+                                 gen_glucose_traces)
+    traces = gen_glucose_traces(TraceExperimentConfig(n=n, effect_magnitude=15.0, seed=3))
+    t = np.random.default_rng(3).permutation(np.tile([0, 1], n // 2))
+    traces = apply_window_effect(traces, (600, 720), 15.0, t)
+    return TrialDataset(t, compute_tir(traces[:, :, 1], 60), compute_tir(traces[:, :, 0], 60))
+
+
+def _criterion_7_dataset():
+    from hdte.simharness import LinearModelConfig, LinearModelGenerator
+    return LinearModelGenerator(LinearModelConfig(
+        n=400, p=20, m=0, s_tau=0, alpha=0.0, pi=0.5, seed=0)).replicate(10_003)[0]
+
+
+def _semisynth_levels():
+    from hdte.simharness import window_level_groupings
+    return window_level_groupings((240, 120, 60))
+
+
+@pytest.mark.parametrize("design, method, size, levels", [
+    (_semisynth_dataset, "lin", 2, _semisynth_levels),
+    (_covariate_dataset, "cuped", 1, lambda: THREE_LEVELS),
+    (_criterion_7_dataset, "dim", 2, lambda: None),
+    (_covariate_dataset, "cuped", 2, lambda: None),
+], ids=["semisynth-levels", "three-levels", "criterion-7", "cuped"])
+@pytest.mark.parametrize("B", [1, inference._FORK_MIN_SPLITS - 1, inference._FORK_MIN_SPLITS])
+def test_one_split_one_answer(monkeypatch, design, method, size, levels, B):
+    """Split ``b`` of ``multi_split(ds, B, ...)`` has the subset and level of
+    ``single_split_pipeline(ds, ..., split_seeds(seed, B)[b])`` and its
+    p-values bit for bit, on designs with and without resolution levels and
+    at split counts on both sides of the fork threshold, shared among two
+    processes where the route shares them."""
+    ds, sel = design(), SelectionSpec(size=size, levels=levels())
+    matrices, aggregate = [], inference.aggregate_pvalues
+    monkeypatch.setattr(inference, "aggregate_pvalues",
+                        lambda pm, gamma: matrices.append(pm.copy()) or aggregate(pm, gamma))
+    split_route(monkeypatch, 2)
+    report = multi_split(ds, B=B, gamma=0.5, method=method, sel=sel, seed=21)
+    per_dim, group = matrices
+    offsets = np.cumsum([0, *(len(level) for level in sel.levels or [range(ds.p)])])
+    for b, seed in enumerate(split_seeds(21, B)):
+        single = single_split_pipeline(ds, method, sel, int(seed))
+        first, _ = split_indices(ds.n, 0.5, int(seed))
+        level = run_selection(ds, sel, method, rows=first)[1] or 0
+        slots = tuple(int(offsets[level]) + j for j in single.subset)
+        assert report.per_split_subsets[b] == slots
+        want = np.ones(offsets[-1])
+        want[list(slots)] = [single.per_dim[j] for j in single.subset]
+        assert per_dim[b].tobytes() == want.tobytes()
+        assert group[b].tobytes() == np.array([single.group]).tobytes()
+
+
+@pytest.mark.parametrize("seed, first", [(4, 3), (10, 1)])
+def test_the_first_failing_split_fails_as_its_single_split(seed, first):
+    """A multi-split raises for its first failing split with the error that
+    split's single-split pipeline raises."""
+    ds, sel = _failing_dataset(), SelectionSpec(size=1)
+    with pytest.raises(HdteError) as single:
+        single_split_pipeline(ds, "lin", sel, int(split_seeds(seed, 10)[first]))
+    with pytest.raises(NumericalError, match="^split ") as multi:
+        multi_split(ds, B=10, method="lin", sel=sel, seed=seed)
+    assert str(multi.value) == f"split {first} failed: {single.value}"
+
+
 @pytest.mark.parametrize("method, sel", [
     ("cuped", SelectionSpec(size=2)),
     ("dim", SelectionSpec("enet", lam=0.05)),
