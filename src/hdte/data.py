@@ -744,31 +744,45 @@ def center_columns(matrix) -> tuple[np.ndarray, np.ndarray]:
     return centered, means
 
 
-def check_full_rank(r: np.ndarray, n: int, what: str) -> None:
-    """Raise :class:`NumericalError` naming ``what`` unless the ``(n, m)``
-    matrix with QR factor ``r`` has rank ``m``, counted as ``np.linalg.lstsq``
-    counts it: singular values above ``eps * max(n, m)`` times the largest."""
-    m = r.shape[1]
+def full_rank_errors(r: np.ndarray, n: int, what: str) -> list:
+    """Per QR factor in the stack ``r`` ``(B, m, m)`` of an ``(n, m)``
+    matrix: ``None`` where the matrix has rank ``m``, counted as
+    ``np.linalg.lstsq`` counts it (singular values above ``eps * max(n, m)``
+    times the largest), else a :class:`NumericalError` naming ``what``."""
+    m = r.shape[-1]
     sv = np.linalg.svd(r, compute_uv=False)
-    cutoff = np.finfo(np.float64).eps * max(n, m) * sv.max(initial=0.0)
-    rank = int((sv > cutoff).sum())
-    if rank < m:
-        raise NumericalError(f"singular {what} (rank {rank} < m={m})")
+    cutoff = np.finfo(np.float64).eps * max(n, m) * sv.max(axis=-1, initial=0.0)
+    return [None if rank == m else NumericalError(f"singular {what} (rank {rank} < m={m})")
+            for rank in (sv > cutoff[:, None]).sum(axis=-1).tolist()]
+
+
+def check_full_rank(r: np.ndarray, n: int, what: str) -> None:
+    """Raise the error :func:`full_rank_errors` gives the one factor ``r``."""
+    (error,) = full_rank_errors(r[None], n, what)
+    if error is not None:
+        raise error
+
+
+def singular_errors(matrix: np.ndarray, what: str, subsets) -> list:
+    """Per small symmetric matrix in the stack ``matrix`` ``(B, s, s)``, of
+    the outcome columns ``subsets[b]``: a :class:`NumericalError` naming
+    ``what`` and the subset where the ratio of its smallest to its largest
+    eigenvalue is at most 1e-12, else ``None``. The one singularity rule of
+    the subset regression and the group statistic."""
+    eigvals = np.linalg.eigvalsh((matrix + matrix.mT) / 2.0)
+    low, high = eigvals[:, 0].tolist(), np.maximum(eigvals[:, -1], 1e-300).tolist()
+    return [NumericalError(f"singular {what} for subset {tuple(int(j) for j in subset)} "
+                           f"(eigenvalue ratio {lo / hi:.2e})") if lo <= 1e-12 * hi else None
+            for lo, hi, subset in zip(low, high, subsets)]
 
 
 def solve_nonsingular(matrix: np.ndarray, rhs: np.ndarray, what: str,
                       subset) -> np.ndarray:
     """``matrix^{-1} rhs`` for the small symmetric ``matrix`` of the outcome
-    columns ``subset``. Raises :class:`NumericalError` naming ``what`` and
-    the subset where the ratio of its smallest to its largest eigenvalue is
-    at most 1e-12: the one singularity rule of the subset regression and the
-    group statistic."""
-    eigvals = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-    if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
-        raise NumericalError(
-            f"singular {what} for subset {tuple(int(j) for j in subset)} "
-            f"(eigenvalue ratio {eigvals[0] / max(eigvals[-1], 1e-300):.2e})"
-        )
+    columns ``subset``; raises the error :func:`singular_errors` finds."""
+    (error,) = singular_errors(matrix[None], what, [subset])
+    if error is not None:
+        raise error
     return np.linalg.solve(matrix, rhs)
 
 

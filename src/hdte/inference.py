@@ -99,26 +99,36 @@ def hotelling_pvalue(est: EffectEstimate) -> float:
     return float(chdtrc(s, hotelling_statistic(est)))
 
 
-def _split_report(ds: TrialDataset, rows: tuple[np.ndarray, np.ndarray], method: str,
-                  sel: SelectionSpec, two_sided: bool) -> tuple[PValueReport, int | None]:
-    """One split: select on the rows ``rows[0]`` of ``ds``, gathered into
-    the selection's weighted columns, then test the subset on the rows
-    ``rows[1]``, taken once the selection has released its working set. A
-    level-free test takes only the subset's columns of those rows, which
-    gives the same estimate, as slopes are fitted per column."""
-    (result,), level = run_selection(ds, sel, method, rows=rows[0])
-    subset = result.selected
-    if not subset:
-        return PValueReport({}, 1.0, None, ()), level
-    if level is None:
-        second = ds.restrict_outcomes(subset).take_rows(rows[1])
-        est = replace(adjusted_estimate(second, method), index_set=subset)
-    else:
-        second = aggregate_columns(ds.take_rows(rows[1]), sel.levels[level])
-        est = adjusted_estimate(second, method, subset)
-    pvals = z_pvalues(est, correction=len(subset), two_sided=two_sided)
-    per_dim = {int(j): float(p) for j, p in zip(subset, pvals)}
-    return PValueReport(per_dim, hotelling_pvalue(est), est, subset), level
+def _split_reports(ds: TrialDataset, halves: list, method: str, sel: SelectionSpec,
+                   two_sided: bool):
+    """Per split ``(selection rows, test rows)`` of ``halves``, in order: its
+    report and level, to the first split that raises. The first halves are
+    selected on together where the splits are stacked (:func:`_stacked`,
+    ``run_selection`` on a 2-d array of row sets), else one at a time, each
+    gathered into the selection's weighted columns; then each subset is
+    tested on its test half, taken only then. A level-free test takes only
+    the subset's columns of those rows, which gives the same estimate, as
+    slopes are fitted per column."""
+    firsts = [first for first, _ in halves]
+    picks = (run_selection(ds, sel, method, rows=np.array(firsts)) if _stacked(ds, sel)
+             else (run_selection(ds, sel, method, rows=first) for first in firsts))
+    for (_, test), pick in zip(halves, picks):
+        if isinstance(pick, HdteError):
+            raise pick
+        (result,), level = pick
+        subset = result.selected
+        if not subset:
+            yield PValueReport({}, 1.0, None, ()), level
+            continue
+        if level is None:
+            second = ds.restrict_outcomes(subset).take_rows(test)
+            est = replace(adjusted_estimate(second, method), index_set=subset)
+        else:
+            second = aggregate_columns(ds.take_rows(test), sel.levels[level])
+            est = adjusted_estimate(second, method, subset)
+        pvals = z_pvalues(est, correction=len(subset), two_sided=two_sided)
+        per_dim = {int(j): float(p) for j, p in zip(subset, pvals)}
+        yield PValueReport(per_dim, hotelling_pvalue(est), est, subset), level
 
 
 def single_split_pipeline(ds: TrialDataset, method: str, sel: SelectionSpec, seed: int,
@@ -134,7 +144,8 @@ def single_split_pipeline(ds: TrialDataset, method: str, sel: SelectionSpec, see
     per-dimension entries.
     """
     check_estimator(ds, method)
-    return _split_report(ds, split_indices(ds.n, fraction, seed), method, sel, two_sided)[0]
+    halves = [split_indices(ds.n, fraction, seed)]
+    return next(_split_reports(ds, halves, method, sel, two_sided))[0]
 
 
 def _check_gamma(gamma: float) -> None:
@@ -179,16 +190,31 @@ def _slot_layout(sel: SelectionSpec, p: int) -> tuple[int, tuple[int, ...]]:
     return int(sum(sizes)), offsets
 
 
-# A multi-split forks when it has at least this many splits: the crossover
-# of the parent and one forked child against the parent alone, measured on a
-# 2-vCPU Xeon with one BLAS thread (medians of 40 calls a side over four of
-# criterion 9's replicates, 4 on the wide design). At B = 4, 5, 6, 7, 8, 10,
-# criterion 9's splits (about 5 ms each) took 22/25/31/44/44/64 ms serially
-# against 26/27/31/38/38/45 ms forked; at B = 5, 8, 10, the splits of a cuped
-# 500 x 4000 design with 10 covariates (about 19 ms each) took 105/161/191
-# against 100/125/154 ms. Each process pays about one split's worth of
-# set-up: the fork and reap, and write faults on the pages the two share.
+# A multi-split that selects on one split at a time forks when it has at
+# least this many splits: the crossover of the parent and one forked child
+# against the parent alone, measured on a 2-vCPU Xeon with one BLAS thread
+# (medians of 40 calls a side, 4 on the wide design). At B = 5, 8, 10, the
+# splits of a cuped 500 x 4000 design with 10 covariates (about 19 ms each)
+# took 105/161/191 ms serially against 100/125/154 ms forked. Each process
+# pays about one split's worth of set-up: the fork and reap, and write
+# faults on the pages the two share.
 _FORK_MIN_SPLITS = 7
+
+# A lasso's size selections on a dataset of at most this many weighted
+# columns (m + p + 1) are made on all first halves at once, stacked, and
+# never forked. Measured as above on four of criterion 9's replicates (B =
+# 20, 49 columns with the covariates): 28-31 ms, against 53-60 ms a split at
+# a time and 37-45 ms with those shared with a forked child; criterion 7's
+# 50 splits (n = 400, p = 20) took 17 ms, against 32-39 and 22-27 ms. Sharing
+# the stacked splits with a child took 26-27 ms, a gain of about what the
+# write faults after a fork (about 1,000 of 3-5 us a process) cost the work
+# that follows it. A stacked split holds O((m + p)^2) floats.
+_STACK_COLUMNS = 64
+
+
+def _stacked(ds: TrialDataset, sel: SelectionSpec) -> bool:
+    """Whether a multi-split of ``sel`` on ``ds`` stacks its splits."""
+    return sel.method == "lasso" and sel.lam is None and ds.m + ds.p + 1 <= _STACK_COLUMNS
 
 
 def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: SelectionSpec,
@@ -197,17 +223,15 @@ def _split_outcomes(ds: TrialDataset, seeds, share: range, method: str, sel: Sel
     ``(subset, p-values, group p-value, level)`` per split, the p-values
     those of the subset's columns. The :class:`HdteError` of a split that
     raises is its entry and ends the list."""
+    # drawn before the first selection: a fraction that leaves a part too small fails every seed
+    halves = [split_indices(ds.n, fraction, int(seeds[b])) for b in share]
     out = []
-    for b in share:
-        # outside the try: a fraction that leaves a part too small fails every seed
-        rows = split_indices(ds.n, fraction, int(seeds[b]))
-        try:
-            report, level = _split_report(ds, rows, method, sel, two_sided)
-        except HdteError as exc:
-            out.append(exc)
-            break
-        out.append((report.subset, [report.per_dim[j] for j in report.subset],
-                    report.group, level))
+    try:
+        for report, level in _split_reports(ds, halves, method, sel, two_sided):
+            out.append((report.subset, [report.per_dim[j] for j in report.subset],
+                        report.group, level))
+    except HdteError as exc:
+        out.append(exc)
     return out
 
 
@@ -250,16 +274,22 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     plan rather than derive it again.
 
     Split ``b`` is ``single_split_pipeline(ds, method, sel, split_seeds(seed,
-    B)[b], fraction, two_sided)``: both run one private function per split.
-    Its selection gathers the first half's rows straight into its weighted
-    columns (``run_selection``'s ``rows``), and it takes the test half only
-    after the selection has returned, without a level only the subset's
-    columns of it, so no half of the outcome matrix is held as a dataset.
+    B)[b], fraction, two_sided)``: both run one private function on their
+    halves, drawn up front. A lasso's size selections on a dataset of at most
+    ``_STACK_COLUMNS`` (64) weighted columns (``m + p + 1``) are made on all
+    first halves at once: each is gathered and factored on its own, and
+    their levels' (or their own) problems are stacked and selected on by one
+    knot walk per level (``run_selection`` on a 2-d array of row sets).
+    Otherwise a selection gathers one first half's rows straight into its
+    weighted columns. A test half is taken only after its selection, without
+    a level only the subset's columns of it, so no half of the outcome
+    matrix is held as a dataset.
 
-    With at least ``_FORK_MIN_SPLITS`` (7) splits, the splits are shared
-    among the ``k`` processes :func:`hdte.forking.share_count` allows: one
-    per CPU of the affinity set on Linux, in a process that runs one thread
-    and is not already sharing (a replicate of a shared experiment is). Split
+    Splits selected one at a time are shared, from ``_FORK_MIN_SPLITS`` (7)
+    splits on, among the ``k`` processes :func:`hdte.forking.share_count`
+    allows: one per CPU of the affinity set on Linux, in a process that runs
+    one thread and is not already sharing (a replicate of a shared
+    experiment is). Split
     ``b`` runs in share ``b mod k``, this process runs share 0 and one forked
     child each other share (:func:`hdte.forking.run_shared`). The report
     and the error are the serial ones bit for bit: the outcomes are
@@ -269,7 +299,8 @@ def multi_split(ds: TrialDataset, B: int = 50, gamma: float = 0.05,
     check_multi_split(B, gamma, method, sel, ds)
     n_slots, offsets = _slot_layout(sel, ds.p)
     seeds = split_seeds(seed, B)
-    outcomes = run_shared(B, share_count(B) if B >= _FORK_MIN_SPLITS else 1,
+    outcomes = run_shared(B, share_count(B) if B >= _FORK_MIN_SPLITS and not _stacked(ds, sel)
+                          else 1,
                           lambda share: _split_outcomes(ds, seeds, share, method, sel,
                                                         fraction, two_sided))
     per_dim = np.ones((B, n_slots))

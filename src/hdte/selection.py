@@ -8,7 +8,9 @@ each resolution level's: by size it goes down the penalty grid, a lasso's by
 its knots, resolving each size at the first grid point whose active set
 reaches it; by penalty it reads one fit. Resolution levels are solved from
 one factorization of the split half (:func:`hdte.wlasso.level_problems`),
-not from one aggregated dataset each."""
+not from one aggregated dataset each. A lasso's size selections on several
+row sets (a multi-split's first halves) are made together, on their
+stacked problems."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import TrialDataset
-from .errors import DataError, NumericalError
+from .errors import DataError, HdteError, NumericalError
 from .estimators import EffectEstimate, adjusted_estimate
 from .wlasso import EnetConfig, WeightedProblem, level_problems
 
@@ -219,10 +221,7 @@ def _size_selections(problem: WeightedProblem, sizes, spec: SelectionSpec,
         if not pending:
             break
     if pending:
-        raise DataError(
-            f"penalty path reached its smallest value with at most "
-            f"{largest_seen} active columns; cannot select {pending[0]}"
-        )
+        raise _exhausted(largest_seen, pending[0])
     return results
 
 
@@ -275,8 +274,7 @@ def population_beta_star(tau, sigma_z, pi: float) -> PopulationTarget:
 
 def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
                   sizes=None, n_lambdas: int = 100,
-                  lambda_min_ratio: float | None = None, rows=None
-                  ) -> tuple[tuple[SelectionResult, ...], int | None]:
+                  lambda_min_ratio: float | None = None, rows=None):
     """Apply ``spec`` to ``ds``, or to its rows ``rows``: the one way to make
     a selection. With ``rows`` the result is that on ``ds.take_rows(rows)``
     bit for bit, but a penalized selection gathers those rows straight into
@@ -294,10 +292,37 @@ def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
     and ``lambda_min_ratio`` shape the penalty grid.
 
     Returns one selection per size and, in multi-resolution mode, the index
-    of the chosen level (``None`` otherwise).
+    of the chosen level (``None`` otherwise). A lasso's size selection also
+    takes ``rows`` as a 2-d array, a row set per row (a multi-split's first
+    halves), and returns a list with that return, or the
+    :class:`HdteError` raised in its place, per row set: their problems
+    (those of their levels, or of their factored weighted columns) are set
+    up stacked, and one knot walk per level serves them all
+    (``_LevelStack.size_selections``).
     """
     if sizes is not None and (spec.lam is not None or spec.levels is not None):
         raise DataError("several sizes need a size-based selection without levels")
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        if spec.method != "lasso" or spec.lam is not None or sizes is not None:
+            raise DataError("row sets are selected on together by a lasso's size only")
+        try:
+            stacks = level_problems(ds, spec.levels, rows)
+        except HdteError as exc:   # a row set whose weights raise: each row set on its own
+            return [exc] if len(rows) == 1 else [
+                pick for part in rows for pick in run_selection(
+                    ds, spec, estimator, None, n_lambdas, lambda_min_ratio, part[None])]
+        size = check_sizes([spec.size], min(stack.k for stack in stacks))[0]
+        out = []
+        for levels in zip(*(stack.size_selections(size, n_lambdas, lambda_min_ratio)
+                            for stack in stacks)):   # a row set's picks, level by level
+            error = next((pick for pick in levels if not isinstance(pick, tuple)), None)
+            if error is not None:   # the first level's error
+                out.append(_exhausted(error, size) if isinstance(error, int) else error)
+                continue
+            best = min(range(len(levels)), key=lambda i: levels[i][3])   # the first least RSS
+            result = SelectionResult(levels[best][0], spec.method, *levels[best][1:])
+            out.append(((result,), None if spec.levels is None else best))
+        return out
     if spec.method == "baseline":
         part = ds if rows is None else ds.take_rows(rows)
         est = adjusted_estimate(part, ds.usable_estimator(estimator))
@@ -322,3 +347,9 @@ def run_selection(ds: TrialDataset, spec: SelectionSpec, estimator: str = "dim",
             best = (index, results)
     index, results = best
     return results, index if spec.levels is not None else None
+
+
+def _exhausted(largest: int, size: int) -> DataError:
+    """The error of a size selection whose grid ran out at ``largest``."""
+    return DataError(f"penalty path reached its smallest value with at most "
+                     f"{largest} active columns; cannot select {size}")

@@ -40,7 +40,8 @@ What does not change along a path (the penalized set, the scalar loop's float
 lists, the stationarity check's scale) is computed once per walk and carried
 with the factor, so a solve on a small problem costs about its sweeps. A lasso
 path is piecewise linear in ``lam``, so size selections read its grid off the
-knots (:func:`_knot_path`) on one such factor, with no coordinate descent.
+knots (:func:`_knot_walks`), with no coordinate descent; one walk advances
+the paths of several problems with whole Grams at once.
 
 Problems and resolution levels. A :class:`WeightedProblem` holds rows with
 the Gram of the weighted stacked columns ``sqrt(w) [Xc | Yc | t]``, and
@@ -55,6 +56,9 @@ re-centering or re-regressing of the data. The two sources differ only in
 how the covariates are concentrated out: a dataset concentrates in place,
 its residuals taking the place of its rows, which it reads again from the
 dataset where it needs them; a level reads the trailing block of its factor.
+The levels of several row sets of one dataset (a multi-split's first halves)
+are set up stacked, one factorization per row set and every step after it
+once for all (``_LevelStack``).
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from .data import (TrialDataset, check_full_rank, check_grouping, check_rows,
-                   column_group_means, covariate_coefficients, solve_nonsingular)
+                   column_group_means, covariate_coefficients, full_rank_errors,
+                   singular_errors, solve_nonsingular)
 from .errors import DataError, NumericalError
 
 __all__ = [
@@ -179,13 +184,13 @@ def propensity_weights(treatments) -> np.ndarray:
 
 
 def _mirror(square: np.ndarray, diag: np.ndarray) -> None:
-    """Make ``square`` symmetric in place: its strict upper triangle copied
-    onto the lower, ``diag`` on the diagonal and every ``-0.0`` made
-    ``+0.0``, the values of the sum of the upper triangle, its transpose and
-    ``diag(diag)``."""
-    k = square.shape[0]
-    np.copyto(square, square.T, where=np.tri(k, k, -1, dtype=bool))
-    np.fill_diagonal(square, diag)
+    """Make ``square`` (or each of a stack) symmetric in place: its strict
+    upper triangle copied onto the lower, ``diag`` on the diagonal and every
+    ``-0.0`` made ``+0.0``, the values of the sum of the upper triangle, its
+    transpose and ``diag(diag)``."""
+    k = square.shape[-1]
+    np.copyto(square, square.mT, where=np.tri(k, k, -1, dtype=bool))
+    square[..., range(k), range(k)] = diag
     square += 0.0
 
 
@@ -257,6 +262,11 @@ class _Gram:
         """``G[idx]`` as a new array."""
         slots = self._slots(idx)   # first: it may replace the store
         return self._store[slots]
+
+    def block(self, idx: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``G[idx][:, cols]`` as a new array."""
+        slots = self._slots(idx)
+        return self._store[slots[:, None], cols]
 
     def dot(self, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
         """``values @ G[idx]``, one product over the store without copying rows."""
@@ -625,19 +635,27 @@ def _min_ratio(n: int, p: int, n_lambdas: int, lambda_min_ratio: float | None) -
     return lambda_min_ratio
 
 
+_ZERO_TOP = ("lambda_max is zero (response is weighted-orthogonal to every "
+             "outcome column); the penalty grid is undefined")
+
+
 def _path_grid(problem: _Moments, config: EnetConfig, n_lambdas: int,
                min_ratio: float) -> np.ndarray:
     """The descending penalty grid of ``problem``, from its ``lambda_max``."""
     lam_top = _lambda_max_from(problem, config.l1_ratio)
     if lam_top <= 0.0:
-        raise NumericalError(
-            "lambda_max is zero (response is weighted-orthogonal to every "
-            "outcome column); the penalty grid is undefined"
-        )
-    # np.geomspace(lam_top, stop, n_lambdas) bit for bit, without its argument handling
+        raise NumericalError(_ZERO_TOP)
+    return _path_grids(np.array([lam_top]), n_lambdas, min_ratio)[0]
+
+
+def _path_grids(lam_top: np.ndarray, n_lambdas: int, min_ratio: float) -> np.ndarray:
+    """One descending grid (row) from each positive ``lambda_max`` in
+    ``lam_top``: ``np.geomspace(top, top * min_ratio, n_lambdas)`` bit for
+    bit, without its argument handling."""
     stop, top = lam_top * min_ratio, np.log10(lam_top)
-    grid = np.power(10.0, np.arange(n_lambdas) * ((np.log10(stop) - top) / (n_lambdas - 1)) + top)
-    grid[0], grid[-1] = lam_top, stop
+    step = (np.log10(stop) - top) / (n_lambdas - 1)
+    grid = np.power(10.0, np.arange(n_lambdas) * step[:, None] + top[:, None])
+    grid[:, 0], grid[:, -1] = lam_top, stop
     return grid
 
 
@@ -656,56 +674,122 @@ def _walk_path(problem: _Moments, grid: np.ndarray, config: EnetConfig):
         yield float(lam), beta.copy(), sweeps, converged
 
 
+def _knot_walks(gram, diag, ty, penalized, grids, live, errors):
+    """Lasso paths of problems with ``ty`` ``(B, p)`` down ``grids`` (a row
+    each), exact at the first grid point below each knot (LARS with the
+    lasso modification, Efron et al. 2004), a knot of each ``live`` walk per
+    iteration; the caller may clear ``live``. Yields ``(inside, g, beta)``:
+    the walks with a grid point before their next knot, its index ``g`` and
+    the coefficients there. ``gram`` is one problem's :class:`_Gram` or a
+    stack of whole Grams ``(B, p, p)``, read at the columns entered so far:
+    a direction solves ``G_AA v = s_A`` on the active set ``A``, all walks in
+    one stacked solve with the identity outside ``A``, and a column entering
+    for the first time passes the pivot test where its Schur complement
+    against those columns is above ``_PIVOT_MIN`` of its diagonal entry. A
+    column failing it, as a copy of an active one does, stays out while its
+    ``|gap|`` stays at ``lam``; once it rises above, the path has left these
+    knots, and the walk stores a :class:`NumericalError` in ``errors[b]``
+    and stops rather than yield a point that is not stationary."""
+    count, p = ty.shape
+    walks, lam, tie, gap = np.arange(count), grids[:, 0].copy(), 1e-12 * grids[:, 0], ty.copy()
+    (beta, sign), (entered, failed, left) = np.zeros((2, count, p)), np.zeros((3, count, p), bool)
+    order, held = np.zeros((count, 0), dtype=np.intp), np.zeros(count, dtype=np.intp)
+    shut = np.hstack((~penalized, ~penalized))   # side k < p: gap_k = lam; p + k: -gap_k = lam
+    last, reach, room = np.zeros_like(shut), np.empty((count, 2 * p)), np.empty((count, p))
+    enter = ~shut & (np.hstack((ty, -ty)) >= (lam - tie)[:, None])
+
+    def block(cols):   # G[order, cols] per walk
+        if isinstance(gram, _Gram):
+            return gram.block(order[0], cols[0])[None]
+        return gram[walks[:, None, None], order[:, :, None], cols[:, None, :]]
+
+    def solve(mask, rhs):   # G_EE x = rhs on the entered columns in ``mask``
+        square = np.where(mask[:, :, None] & mask[:, None, :], block(order), np.eye(mask.shape[1]))
+        return np.linalg.solve(square, rhs[..., None])[..., 0]
+
+    def stop(ends, t):   # where a failed column's |gap| passed lam, t below it
+        off = failed & (np.abs(gap - t[:, None] * w) > (lam - t + tie)[:, None])
+        for b in np.flatnonzero(ends & live & off.any(axis=1)):
+            errors[b], live[b] = NumericalError(
+                f"lasso path lost at {np.count_nonzero(sign[b])} active columns: column "
+                f"{off[b].argmax()} failed the pivot test but is no copy of them"), False
+
+    while live.any():
+        if last.any():   # a leaving column's own side opens after the next knot
+            shut &= ~last
+            last[:] = False
+        if left.any():   # its other side now
+            last = np.hstack((left & (sign > 0.0), left & (sign < 0.0)))
+            shut &= ~np.hstack((last[:, p:], last[:, :p]))
+            beta[left] = sign[left] = 0.0
+        pending = (enter[:, :p] | enter[:, p:]) & live[:, None]
+        while pending.any():   # the lowest entering column of each walk, one at a time
+            b = np.flatnonzero(pending.any(axis=1))
+            j, head = pending[b].argmax(axis=1), np.zeros(count, dtype=np.intp)
+            head[b] = j
+            valid = np.arange(order.shape[1]) < held[:, None]
+            cross = block(head[:, None])[..., 0] * valid
+            pivot = (diag[walks, head] - (cross * solve(valid, cross)).sum(axis=1))[b]
+            passed, again = pivot > _PIVOT_MIN * diag[b, j], entered[b, j]
+            pending[b, j] = False
+            shut[b, j] = shut[b, j + p] = True
+            ok, new = again | passed, passed & ~again
+            sign[b[ok], j[ok]] = np.where(gap[b[ok], j[ok]] > 0.0, 1.0, -1.0)
+            failed[b[~ok], j[~ok]] = entered[b[new], j[new]] = True
+            if new.any() and held[b[new]].max() == order.shape[1]:
+                order = np.hstack((order, np.zeros((count, 1), dtype=np.intp)))
+            order[b[new], held[b[new]]] = j[new]
+            held[b[new]] += 1
+        valid = np.arange(order.shape[1]) < held[:, None]
+        cells = (np.nonzero(valid)[0], order[valid])   # (walk, column) of each entered column
+        s_entered = np.take_along_axis(sign, order, axis=1) * valid
+        v = solve(s_entered != 0.0, s_entered)   # the direction on the entered columns
+        w = (gram.dot(order[0], v[0])[None] if isinstance(gram, _Gram) else
+             (v[:, None, :] @ np.take_along_axis(gram, order[:, :, None], axis=1))[:, 0])
+        reach[:, :p] = w   # a side with slope w_k or -w_k is reached once lam has
+        np.negative(w, out=reach[:, p:])   # fallen by t with gap_k - t slope_k = lam - t
+        closed = shut | (reach >= 1.0)
+        np.subtract(1.0, reach, out=reach)
+        reach[closed] = 1.0
+        np.divide(np.subtract(lam[:, None], gap, out=room), reach[:, :p], out=reach[:, :p])
+        np.divide(np.add(lam[:, None], gap, out=room), reach[:, p:], out=reach[:, p:])
+        reach[closed] = np.inf
+        b = np.take_along_axis(beta, order, axis=1)
+        falls = b * v < 0.0   # coefficients heading to zero
+        exits = np.divide(-b, v, out=np.full(b.shape, np.inf), where=falls)
+        step = np.maximum(0.0, np.minimum(reach.min(axis=1), exits.min(axis=1, initial=np.inf)))
+        g = np.minimum((grids >= lam[:, None]).sum(axis=1), grids.shape[1] - 1)
+        t = lam - grids[walks, g]   # the first grid point below lam, t below it
+        if failed.any():
+            stop(t < step, t)
+        inside = live & (t < step)
+        if failed.any():   # at the knot, after the grid point, or at the grid's end
+            stop(live, np.minimum(step, lam - grids[:, -1]))
+        ends = lam - step <= grids[:, -1]
+        at = beta.copy()
+        at[cells] += (t[:, None] * v)[valid]
+        yield inside, g, at
+        live &= ~ends
+        step = np.where(live, step, 0.0)
+        beta[cells] += (step[:, None] * v)[valid]
+        lam -= step
+        gap -= step[:, None] * w
+        left = np.zeros((count, p), dtype=bool)
+        left[cells] = (falls & (exits <= (step + tie)[:, None]))[valid]
+        enter = reach <= (step + tie)[:, None]
+
+
 def _knot_path(problem: _Moments, grid: np.ndarray):
     """:func:`_walk_path` for the lasso, exact, at the first grid point below
-    each knot (LARS with the lasso modification, Efron et al. 2004). A column
-    failing the pivot test, as a copy of an active one does, stays out."""
-    p, ty, never = problem.ty.shape[0], problem.ty, ~problem.penalized
-    block, entered, lams, below = _Block(problem), set(), grid.tolist(), -grid
-    # entry k < p of the stacked arrays (filled in place) is the side gap_k = ty_k - q_k =
-    # lam, p + k the side -gap_k = lam, from gap_k: lam + gap_k has lam - (-gap_k)'s bits
-    shut, gap, room = np.concatenate((never, never)), ty.copy(), np.empty(p)
-    sign, beta, reach, off = np.zeros(p), np.zeros(p), np.empty(2 * p), np.empty_like(shut)
-    lam, tie, left, last = lams[0], 1e-12 * lams[0], [], []   # knots within tie are one
-    enter = np.flatnonzero(~shut & (np.concatenate((ty, -ty)) >= lam - tie)).tolist()
-    while True:
-        shut[last], last = False, [j + p * (sign[j] < 0.0) for j in left]
-        if left:   # its other side opens now, its own after the next knot
-            shut[[j + p * (sign[j] > 0.0) for j in left]] = False
-            beta[left] = sign[left] = 0.0
-        for j in sorted({k % p for k in enter}):   # ascending, each on its own
-            shut[j] = shut[j + p] = True
-            if j in entered or (block.extend(np.array([j])) if entered
-                                else block.build(np.array([j]), 0.0)):
-                entered.add(j)
-                sign[j] = 1.0 if gap[j] > 0.0 else -1.0
-        if left or block.held.size:
-            block.cover(np.flatnonzero(sign), 0.0)
-        order, v = block.order, block.solve(sign[block.order])
-        b, w = beta[order], block.gram.dot(order, v)
-        np.greater_equal(w, 1.0, out=off[:p])   # a side with slope w_k or -w_k is
-        np.less_equal(w, -1.0, out=off[p:])     # reached once lam has fallen by t
-        closed = np.flatnonzero(off | shut)     # with gap_k - t slope_k = lam - t
-        np.subtract(1.0, w, out=reach[:p])
-        np.add(1.0, w, out=reach[p:])
-        reach[closed] = 1.0   # set, not masked: a masked ufunc takes several times longer
-        np.divide(np.subtract(lam, gap, out=room), reach[:p], out=reach[:p])
-        np.divide(np.add(lam, gap, out=room), reach[p:], out=reach[p:])
-        reach[closed] = np.inf
-        falls = b * v < 0.0   # coefficients heading to zero
-        exits = -b[falls] / v[falls] if falls.any() else b[:0]
-        step = max(0.0, min(reach.min(), exits.min(initial=np.inf)))
-        g = np.searchsorted(below, -lam, "right")   # the first grid point below lam
-        if lams[g] > lam - step:
-            at = np.zeros(p)
-            at[order] = b + (lam - lams[g]) * v
-            yield lams[g], at, 0, True
-        if lam - step <= lams[-1]:
-            return
-        beta[order], lam = b + step * v, lam - step
-        gap -= np.multiply(step, w, out=room)
-        left = order[falls][exits <= step + tie].tolist() if exits.size else []
-        enter = np.flatnonzero(np.less_equal(reach, step + tie, out=off)).tolist()
+    each knot: the :func:`_knot_walks` of one problem, raising its error."""
+    errors = [None]
+    for inside, g, beta in _knot_walks(problem.gram, problem.gram.diag[None], problem.ty[None],
+                                       problem.penalized[None], grid[None], np.ones(1, bool),
+                                       errors):
+        if inside[0]:
+            yield float(grid[g[0]]), beta[0], 0, True
+        if errors[0] is not None:
+            raise errors[0]
 
 
 def regularization_path(ds: TrialDataset, n_lambdas: int = 100,
@@ -851,6 +935,68 @@ class WeightedProblem:
         return float(residual @ residual / self.n)
 
 
+class _LevelStack:
+    """The problems of one resolution level, or of a dataset's own columns,
+    on several row sets of one size, their factors stacked ``(B, rows, m +
+    k + 1)`` (:func:`level_problems`)."""
+
+    def __init__(self, factors: np.ndarray, n: int, m: int, k: int):
+        self.factors, self.n, self.m, self.k = factors, n, m, k
+
+    def problem(self, b: int) -> WeightedProblem:
+        """The problem of row set ``b``."""
+        return _LevelProblem(self.factors[b], self.n, self.m, self.k)
+
+    def size_selections(self, size: int, n_lambdas: int, lambda_min_ratio) -> list:
+        """Per row set, what :func:`hdte.selection.run_selection` reads off
+        its problem's lasso walk at ``size``: ``(columns in entry order, grid
+        penalty, |beta| there, weighted RSS)``, the :class:`HdteError` the
+        problem raises (on its covariates, grid, walk or RSS, in that order),
+        or the largest active set its walk reached before the grid ran out.
+        Moments and grids come from stacked products, and one knot walk
+        serves every row set (:func:`_knot_walks`)."""
+        m, n, count = self.m, self.n, self.factors.shape[0]
+        min_ratio = _min_ratio(n, self.k, n_lambdas, lambda_min_ratio)
+        errors = (full_rank_errors(self.factors[:, :m, :m], n, "weighted covariate block")
+                  if m else [None] * count)
+        z, r_t = self.factors[:, m:, m:-1], self.factors[:, m:, -1:]
+        diag = (z * z).sum(axis=1) / n
+        gram, ty = z.mT @ z / n, (z.mT @ r_t)[..., 0] / n
+        _mirror(gram, diag)
+        penalized = diag > _DEGENERATE_REL * np.maximum(1.0, diag.max(axis=1, keepdims=True))
+        lam_top = np.where(penalized, np.abs(ty), 0.0).max(axis=1)
+        out = [error or (NumericalError(_ZERO_TOP) if top <= 0.0 else None)
+               for error, top in zip(errors, lam_top.tolist())]
+        live = np.array([pick is None for pick in out])
+        grids = _path_grids(np.where(live, lam_top, 1.0), n_lambdas, min_ratio)
+        first, largest = np.full((count, self.k), grids.shape[1]), np.zeros(count, dtype=int)
+        for inside, g, beta in _knot_walks(gram, diag, ty, penalized, grids, live, out):
+            nonzero = (beta != 0.0) & inside[:, None]   # ranked by first grid point, then index
+            first = np.where(nonzero, np.minimum(first, g[:, None]), first)
+            largest = np.maximum(largest, nonzero.sum(axis=1))
+            for b in np.flatnonzero(nonzero.sum(axis=1) >= size):
+                cols = np.flatnonzero(nonzero[b])
+                cols = cols[np.argsort(first[b, cols], kind="stable")][:size]
+                out[b], live[b] = (cols.tolist(), float(grids[b, g[b]]),
+                                   np.abs(beta[b, cols]).tolist()), False
+        done = [b for b, pick in enumerate(out) if isinstance(pick, tuple)]
+        if done:   # each pick's weighted RSS, the regression of subset_weighted_rss
+            picked, rows = np.array([out[b][0] for b in done]), self.factors[done]
+            cols, t = np.take_along_axis(rows, m + picked[:, None, :], axis=2), rows[:, :, -1:]
+            gram = cols.mT @ cols / n
+            try:
+                _check_subset(picked[0], n, self.k)
+                errors = singular_errors(gram, "restricted design", picked)
+            except DataError as exc:
+                errors = [exc] * len(done)
+            fine = np.array([error is None for error in errors])
+            residual = t[fine] - cols[fine] @ np.linalg.solve(gram[fine], cols[fine].mT @ t[fine] / n)
+            rss = iter((np.square(residual[..., 0]).sum(axis=1) / n).tolist())
+            for b, error in zip(done, errors):
+                out[b] = error or (*out[b], next(rss))
+        return [int(largest[b]) if pick is None else pick for b, pick in enumerate(out)]
+
+
 class _LevelProblem(WeightedProblem):
     """A resolution level's problem, on the ``R`` factor of its weighted
     columns (:func:`level_problems`)."""
@@ -868,12 +1014,17 @@ class _LevelProblem(WeightedProblem):
         return coef, self.rows[m:, m:]
 
 
-def level_problems(ds: TrialDataset, levels, rows=None) -> tuple[WeightedProblem, ...]:
+def level_problems(ds: TrialDataset, levels, rows=None) -> tuple:
     """One :class:`WeightedProblem` per column grouping in ``levels``, all
     from one QR factorization of the dataset's weighted base columns
     ``sqrt(w) [Xc | Yc | t]`` (see the module notes on resolution levels).
     With ``rows``, those of ``ds.take_rows(rows)``, bit for bit, gathered
-    without building it (:meth:`WeightedProblem.from_dataset`).
+    without building it (:meth:`WeightedProblem.from_dataset`). With
+    ``rows`` a 2-d array, a row set per row (a multi-split's first halves),
+    each level's problems of those row sets come stacked, one
+    ``_LevelStack`` per level, or with ``levels`` ``None`` one of the row
+    sets' own factors: each row set is factored on its own, and every step
+    after that runs once over the stack, with each problem's bits.
 
     A level's data are the dataset's outcome columns (and covariates, which
     share their layout) averaged by one grouping, as
@@ -890,20 +1041,26 @@ def level_problems(ds: TrialDataset, levels, rows=None) -> tuple[WeightedProblem
     covariates are collinear raises :class:`NumericalError` when its problem
     is solved, as :func:`fit_weighted_enet` does on the aggregated dataset.
     """
-    levels = list(levels)
-    if not levels:
-        raise DataError("levels must contain at least one grouping")
-    check_grouping(ds, levels[0])
-    base = np.linalg.qr(_weighted_columns(ds, rows)[0], mode="r")
-    n = ds.n if rows is None else len(rows)
+    if levels is not None:
+        levels = list(levels)
+        if not levels:
+            raise DataError("levels must contain at least one grouping")
+        check_grouping(ds, levels[0])
+    stacked = isinstance(rows, np.ndarray) and rows.ndim == 2
+    row_sets = rows if stacked else [rows]
+    base = np.stack([np.linalg.qr(_weighted_columns(ds, part)[0], mode="r") for part in row_sets])
+    n = ds.n if row_sets[0] is None else len(row_sets[0])
+    if levels is None:
+        return (_LevelStack(base, n, ds.m, ds.p),)
     # Covariates share the outcomes' layout, so one call averages both
-    # blocks, stacked one above the other.
-    parts = 2 if ds.m else 1
-    blocks = np.vstack(np.hsplit(base[:, :-1], parts))
-    problems = []
+    # blocks of every factor, stacked one above the other.
+    count, r, parts = base.shape[0], base.shape[1], 2 if ds.m else 1
+    blocks = base[:, :, :-1].reshape(count, r, parts, ds.p).transpose(0, 2, 1, 3)
+    stacks = []
     for grouping in levels:
-        means = np.vsplit(column_group_means(blocks, grouping), parts)
-        factor = np.linalg.qr(np.hstack([*means, base[:, -1:]]), mode="r")
         k = len(grouping)
-        problems.append(_LevelProblem(factor, n, k if ds.m else 0, k))
-    return tuple(problems)
+        means = column_group_means(blocks.reshape(-1, ds.p), grouping)
+        means = means.reshape(count, parts, r, k).transpose(0, 2, 1, 3).reshape(count, r, -1)
+        factors = np.linalg.qr(np.concatenate([means, base[:, :, -1:]], axis=2), mode="r")
+        stacks.append(_LevelStack(factors, n, k if ds.m else 0, k))
+    return tuple(stacks) if stacked else tuple(s.problem(0) for s in stacks)

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import settings
 
-from hdte import forking
+from hdte import forking, inference
 
 # Property tests draw the same examples on every run, so a tier-1 result is
 # reproducible; a test's own settings (example counts) still apply.
@@ -40,6 +40,15 @@ def split_route(patch, cpus: int) -> list:
     patch.setattr(forking, "single_threaded", lambda: True)
     patch.setattr(os, "fork", counted)
     return forks
+
+
+def per_split_route(patch, cpus: int) -> list:
+    """:func:`split_route`, with every multi-split on the route of a design
+    too wide to stack its splits (``inference._STACK_COLUMNS``): one split's
+    problem at a time, shared among ``cpus`` processes from
+    ``inference._FORK_MIN_SPLITS`` splits on."""
+    patch.setattr(inference, "_STACK_COLUMNS", 0)
+    return split_route(patch, cpus)
 
 
 @pytest.fixture(autouse=True)

@@ -9,7 +9,7 @@ from hdte import inference
 from hdte.cli import _load_dataset, cli, main
 from hdte.data import TrialDataset, write_csv
 
-from conftest import split_route
+from conftest import per_split_route, split_route
 
 
 @pytest.fixture
@@ -490,7 +490,7 @@ def test_semisynth_rejects_a_pipeline_it_cannot_run(tmp_path, capsys, option, me
 def test_multisplit_with_gamma_outside_the_unit_interval_exits_2(trial_csv, tmp_path, capsys,
                                                                 monkeypatch):
     splits = []
-    monkeypatch.setattr(inference, "_split_report", lambda *args: splits.append(args))
+    monkeypatch.setattr(inference, "_split_reports", lambda *args: splits.append(args))
     code = main(["multisplit", str(trial_csv), "--B", "10", "--s", "1", "--gamma", "1.5",
                  "--outdir", str(tmp_path / "ms")])
     assert code == 2 and not splits
@@ -558,18 +558,19 @@ def test_rerun_multisplit_reproduces_bytes(trial_csv, tmp_path):
 
 
 def test_multisplit_writes_the_same_bytes_with_shared_splits(trial_csv, tmp_path, monkeypatch):
-    """Splits shared with forked children give the serial files byte for byte."""
+    """Splits shared with forked children give the serial files byte for
+    byte, as do splits stacked in this process."""
     written = []
-    for cpus in (2, 1):
+    for cpus in (2, 1, 0):
         outdir = tmp_path / f"ms{cpus}"
         with monkeypatch.context() as patch:
-            forks = split_route(patch, cpus)
+            forks = per_split_route(patch, cpus) if cpus else split_route(patch, 2)
             assert main(["multisplit", str(trial_csv), "--B", "9", "--s", "2",
                          "--estimator", "cuped", "--outdir", str(outdir)]) == 0
-        assert len(forks) == cpus - 1
+        assert len(forks) == max(cpus - 1, 0)
         written.append({name: (outdir / name).read_bytes() for name in
                         ("multisplit_per_dim.csv", "multisplit_group.csv", "manifest.json")})
-    assert written[0] == written[1]
+    assert written[0] == written[1] == written[2]
 
 
 _EXPERIMENTS = {

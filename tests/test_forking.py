@@ -14,7 +14,7 @@ from hdte.inference import multi_split
 from hdte.selection import SelectionSpec
 from hdte.simharness import LinearModelConfig, LinearModelGenerator, run_recovery_experiment
 
-from conftest import split_route
+from conftest import per_split_route
 
 
 def _dataset() -> TrialDataset:
@@ -59,11 +59,11 @@ def test_a_failed_second_fork_gives_the_serial_result(tmp_path, monkeypatch, cal
     returns ``None``, and the caller runs serially."""
     call = caller(tmp_path)
     with monkeypatch.context() as patch:
-        split_route(patch, 1)
+        per_split_route(patch, 1)
         serial = call()
     attempts = []
     with monkeypatch.context() as patch:
-        split_route(patch, 3)
+        per_split_route(patch, 3)
         patch.setattr(data, "_PART_MIN_BYTES", 16)
         fork = os.fork
 

@@ -29,7 +29,7 @@ from hdte.inference import (
 )
 from hdte.selection import run_selection
 
-from conftest import split_route, traced_peak
+from conftest import per_split_route, split_route, traced_peak
 
 
 def make_estimate(tau, sigma, n=100, method="dim"):
@@ -361,7 +361,7 @@ def test_multi_split_checks_gamma_before_the_first_split(monkeypatch, gamma):
     error raised before any split runs here or in a forked child."""
     ds = planted_dataset(1, n=100)
     calls = []
-    monkeypatch.setattr(inference, "_split_report", lambda *args: calls.append(args))
+    monkeypatch.setattr(inference, "_split_reports", lambda *args: calls.append(args))
     forks = split_route(monkeypatch, 2)
     with pytest.raises(DataError, match=r"gamma must be in \(0, 1\)"):
         multi_split(ds, B=10, gamma=gamma)
@@ -378,7 +378,7 @@ def test_a_negative_seed_is_a_data_error_before_the_first_split(monkeypatch, run
     forked child."""
     ds = planted_dataset(1, n=100)
     calls = []
-    monkeypatch.setattr(inference, "_split_report", lambda *args: calls.append(args))
+    monkeypatch.setattr(inference, "_split_reports", lambda *args: calls.append(args))
     forks = split_route(monkeypatch, 2)
     with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
         run(ds)
@@ -463,17 +463,19 @@ def _semisynth_levels():
     (_covariate_dataset, "cuped", 2, lambda: None),
 ], ids=["semisynth-levels", "three-levels", "criterion-7", "cuped"])
 @pytest.mark.parametrize("B", [1, inference._FORK_MIN_SPLITS - 1, inference._FORK_MIN_SPLITS])
-def test_one_split_one_answer(monkeypatch, design, method, size, levels, B):
+@pytest.mark.parametrize("route", [split_route, per_split_route], ids=["stacked", "per-split"])
+def test_one_split_one_answer(monkeypatch, design, method, size, levels, B, route):
     """Split ``b`` of ``multi_split(ds, B, ...)`` has the subset and level of
     ``single_split_pipeline(ds, ..., split_seeds(seed, B)[b])`` and its
-    p-values bit for bit, on designs with and without resolution levels and
-    at split counts on both sides of the fork threshold, shared among two
-    processes where the route shares them."""
+    p-values bit for bit, on designs with and without resolution levels, on
+    stacked splits and on splits taken one at a time, at split counts on
+    both sides of the fork threshold, shared among two processes where the
+    route shares them."""
     ds, sel = design(), SelectionSpec(size=size, levels=levels())
     matrices, aggregate = [], inference.aggregate_pvalues
     monkeypatch.setattr(inference, "aggregate_pvalues",
                         lambda pm, gamma: matrices.append(pm.copy()) or aggregate(pm, gamma))
-    split_route(monkeypatch, 2)
+    route(monkeypatch, 2)
     report = multi_split(ds, B=B, gamma=0.5, method=method, sel=sel, seed=21)
     per_dim, group = matrices
     offsets = np.cumsum([0, *(len(level) for level in sel.levels or [range(ds.p)])])
@@ -562,12 +564,13 @@ def _outcome(call):
 
 
 def _both_routes(monkeypatch, call, cpus: int):
-    """``call``'s outcome with its splits shared among ``cpus`` processes
-    and serially; each route forks as it should and leaves no child."""
+    """``call``'s outcome with its splits, one at a time, shared among
+    ``cpus`` processes and serially; each route forks as it should and
+    leaves no child."""
     outcomes = []
     for k in (cpus, 1):
         with monkeypatch.context() as patch:
-            forks = split_route(patch, k)
+            forks = per_split_route(patch, k)
             outcomes.append(_outcome(call))
         assert len(forks) == k - 1
         with pytest.raises(ChildProcessError):
@@ -591,11 +594,11 @@ def test_shared_splits_give_the_serial_report(monkeypatch, cpus, method, sel):
         assert serial[2] == ((),) * 9
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cpus", [0, 1, 2])
 def test_a_three_level_multi_split_plans_each_level_once(monkeypatch, tmp_path, cpus):
     """Each level's grouping is planned once, when multi_split checks it;
-    the splits, in this process or a forked child, read that plan to select
-    and to average the test half."""
+    the splits, stacked (``cpus`` 0) or one at a time in this process or a
+    forked child, read that plan to select and to average the test half."""
     log, plan = tmp_path / "plans", data._derive_plan
 
     def logged(grouping, p):
@@ -605,21 +608,29 @@ def test_a_three_level_multi_split_plans_each_level_once(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(data, "_PLANS", {})
     monkeypatch.setattr(data, "_derive_plan", logged)
-    forks = split_route(monkeypatch, cpus)
+    forks = per_split_route(monkeypatch, cpus) if cpus else split_route(monkeypatch, 2)
     sel = SelectionSpec(size=1, levels=THREE_LEVELS)
     report = multi_split(_covariate_dataset(), B=9, method="cuped", sel=sel, seed=5)
-    assert len(forks) == cpus - 1 and all(report.per_split_subsets)
+    assert len(forks) == max(cpus - 1, 0) and all(report.per_split_subsets)
     assert log.read_text().split("\n") == ["3 12", "6 12", "12 12", ""]
 
 
 def test_a_multi_split_below_the_crossover_stays_serial(monkeypatch):
+    """Splits taken one at a time are shared from ``_FORK_MIN_SPLITS`` on;
+    stacked splits (a design of at most ``_STACK_COLUMNS`` weighted columns,
+    with or without levels) are never shared."""
     ds = _covariate_dataset()
     with monkeypatch.context() as patch:
-        forks = split_route(patch, 2)
+        forks = per_split_route(patch, 2)
         multi_split(ds, B=inference._FORK_MIN_SPLITS - 1, method="dim")
         assert not forks
         multi_split(ds, B=inference._FORK_MIN_SPLITS, method="dim")
         assert len(forks) == 1
+    with monkeypatch.context() as patch:
+        forks = split_route(patch, 2)
+        for sel in (SelectionSpec(size=1), SelectionSpec(size=1, levels=THREE_LEVELS)):
+            multi_split(ds, B=4 * inference._FORK_MIN_SPLITS, method="dim", sel=sel)
+        assert not forks
 
 
 def _failing_dataset():
@@ -650,7 +661,7 @@ def test_a_child_that_dies_leaves_its_share_to_this_process(monkeypatch, fault):
     sends no outcomes; its splits are run here, and the report is the
     serial one."""
     ds = _covariate_dataset()
-    parent, split_report = os.getpid(), inference._split_report
+    parent, split_report = os.getpid(), inference._split_reports
 
     def faulty(*args):
         if os.getpid() != parent:
@@ -661,24 +672,26 @@ def test_a_child_that_dies_leaves_its_share_to_this_process(monkeypatch, fault):
 
     call = lambda: multi_split(ds, B=8, method="cuped", sel=SelectionSpec(size=2), seed=2)
     serial = _both_routes(monkeypatch, call, 2)[1]
-    monkeypatch.setattr(inference, "_split_report", faulty)
+    monkeypatch.setattr(inference, "_split_reports", faulty)
     shared = _both_routes(monkeypatch, call, 2)[0]
     assert shared == serial
 
 
 def test_a_second_thread_keeps_multi_split_serial(tmp_path):
-    """In a process with one BLAS thread, a multi-split on 2 CPUs forks one
-    child; once a second thread is alive, it never forks. Nor do forks
-    nest: an experiment of one replicate leaves its multi-split of 8 splits
-    to fork one child, while one of 2 replicates forks one child for its
-    replicates and neither it nor the child forks a split share. The
-    child's forks are counted through a file."""
+    """In a process with one BLAS thread, a multi-split of 8 splits taken
+    one at a time (65 weighted columns) on 2 CPUs forks one child; once a
+    second thread is alive, it never forks. An experiment's multi-split of
+    stacked splits forks nothing, so one replicate forks nothing and 2
+    replicates fork one child for their replicates. Nor do forks nest: work
+    shared with a child that runs the first multi-split forks that child
+    alone. The child's forks are counted through a file."""
     code = (
         "import os, pathlib, sys, threading\n"
         "for var in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
         "    os.environ[var] = '1'\n"
         "import numpy as np\n"
         "from hdte.data import TrialDataset\n"
+        "from hdte.forking import run_shared\n"
         "from hdte.inference import SelectionSpec, multi_split\n"
         "from hdte.simharness import TraceExperimentConfig, run_semisynth_experiment\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -695,7 +708,7 @@ def test_a_second_thread_keeps_multi_split_serial(tmp_path):
         "    pids = log.read_text().split()\n"
         "    return len(pids) if set(pids) <= {str(os.getpid())} else pids\n"
         "rng = np.random.default_rng(0)\n"
-        "ds = TrialDataset(np.tile([0, 1], 50), rng.standard_normal((100, 4)))\n"
+        "ds = TrialDataset(np.tile([0, 1], 50), rng.standard_normal((100, 64)))\n"
         "counts = [forks(lambda: multi_split(ds, B=8, sel=SelectionSpec(size=1)))]\n"
         "stop = threading.Event()\n"
         "waiter = threading.Thread(target=stop.wait)\n"
@@ -711,6 +724,8 @@ def test_a_second_thread_keeps_multi_split_serial(tmp_path):
         "    counts.append(forks(lambda: results.append(run_semisynth_experiment(\n"
         "        config, replicates, 13, B=8, gamma=0.25, estimator='dim'))))\n"
         "    counts.append(results[0]['proposed'].failures)\n"
+        "split = lambda share: [multi_split(ds, B=8, sel=SelectionSpec(size=1)) for _ in share]\n"
+        "counts.append(forks(lambda: run_shared(2, 2, split)))\n"
         "print(counts)\n"
     )
     src = str(Path(inference.__file__).resolve().parents[1])
@@ -718,4 +733,4 @@ def test_a_second_thread_keeps_multi_split_serial(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "forks")], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[1, 0, 1, 0, 1, 0]"
+    assert out.stdout.strip() == "[1, 0, 0, 0, 1, 0, 1]"

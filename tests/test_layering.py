@@ -256,11 +256,12 @@ def test_one_covariate_projection_and_one_rank_rule():
     """No module solves least squares with ``lstsq``; every covariate
     regression goes through ``data.covariate_coefficients``, the one function
     that takes a QR factor's ``Q`` (no module defines ``project_columns``
-    again), and its rank rule is defined once, in ``data.check_full_rank``."""
+    again), and its rank rule is defined once, in ``data.full_rank_errors``
+    (which ``data.check_full_rank`` raises for one factor)."""
     routes = [regression_routes(path) for path in sorted(PACKAGE.glob("*.py"))]
     assert [call for lstsq, _, _ in routes for call in lstsq] == []
     assert [fn for _, found, _ in routes for fn in found] == ["data.py:covariate_coefficients"]
-    assert [rule for _, _, rules in routes for rule in rules] == ["data.py:check_full_rank"]
+    assert [rule for _, _, rules in routes for rule in rules] == ["data.py:full_rank_errors"]
 
 
 def test_regression_routes_are_detected(tmp_path):
@@ -536,14 +537,15 @@ def test_process_routes_are_detected(tmp_path):
 
 def test_one_singularity_rule_for_small_symmetric_solves():
     """The subset regression and the group statistic share one rule for a
-    singular matrix, ``data.solve_nonsingular``: criterion 1's argmin and
-    argmax range over the same subsets."""
+    singular matrix, ``data.singular_errors`` (which ``data.solve_nonsingular``
+    raises for one matrix): criterion 1's argmin and argmax range over the
+    same subsets."""
     found = [caller for path in sorted(PACKAGE.glob("*.py"))
              for caller in _functions_where(
                  path, ast.parse(path.read_text(), filename=str(path)),
                  lambda node: isinstance(node, ast.Call)
                  and _called_name(node) == "eigvalsh")]
-    assert found == ["data.py:solve_nonsingular"]
+    assert found == ["data.py:singular_errors"]
 
 
 def test_wlasso_takes_a_dataset_only_to_build_a_problem():

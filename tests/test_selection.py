@@ -375,6 +375,32 @@ def test_a_selection_on_rows_checks_them():
                 run_selection(ds, spec, rows=rows)
 
 
+def test_row_sets_selected_together_are_each_row_sets_selection():
+    """A lasso's size selections on a 2-d array of row sets (stacked, one
+    knot walk per level) are, per row set, the selection on that row set
+    alone: the same columns and level, and the grid penalty and weighted
+    RSS to rounding, as their moments come from the stacked factors. A row
+    set whose selection raises (here one with a single arm) holds its
+    error. No other selection takes row sets."""
+    ds = planted_dataset(2, n=120, p=12)
+    levels = [[tuple(range(k, k + 4)) for k in range(0, 12, 4)], [(k,) for k in range(12)]]
+    rng = np.random.default_rng(5)
+    rows = np.sort([rng.choice(ds.n, 60, replace=False) for _ in range(6)], axis=1)
+    rows[3] = np.flatnonzero(ds.treatments)
+    for spec in (SelectionSpec(size=2), SelectionSpec(size=2, levels=levels)):
+        picks = run_selection(ds, spec, rows=rows)
+        with pytest.raises(DataError, match="both arms") as single:
+            run_selection(ds, spec, rows=rows[3])
+        assert len(picks) == 6 and str(picks[3]) == str(single.value)
+        for b in (0, 1, 2, 4, 5):
+            ((got,), level), ((want,), want_level) = picks[b], run_selection(ds, spec, rows=rows[b])
+            assert (got.selected, level) == (want.selected, want_level)
+            assert got.tuning == pytest.approx(want.tuning, rel=1e-12)
+            assert got.weighted_rss == pytest.approx(want.weighted_rss, rel=1e-9)
+    with pytest.raises(DataError, match="by a lasso's size only"):
+        run_selection(ds, SelectionSpec("enet", size=2), rows=rows)
+
+
 def reference_level_selections(ds, levels, **spec):
     """Each level selected the way multi-resolution selection used to: the
     aggregated dataset, then the selection ``spec`` describes on it."""
@@ -600,6 +626,47 @@ def test_a_coefficient_that_leaves_the_lasso_path_stays_out_on_its_side():
     y[:, 3:6] += 0.7 * y[:, :3]
     actives = assert_knots_select_as_the_walk(TrialDataset(t, y), 12)
     assert any(before - after for before, after in zip(actives, actives[1:]))
+
+
+@pytest.mark.parametrize("replicate, reached", [(0, 131), (2, 130)])
+def test_a_knot_walk_stops_where_a_failed_pivot_leaves_the_path(replicate, reached):
+    """Near the rank of criterion 6's concentrated rows (200 x 500, 50
+    covariates) a column fails the pivot test without copying an active
+    one; once its gap passes the penalty the walk raises, naming the active
+    columns it holds, and every point it yielded is stationary. A selection
+    one past the largest active set the walk reached raises that error."""
+    from hdte.simharness import LinearModelConfig, LinearModelGenerator
+    gen = LinearModelGenerator(LinearModelConfig(200, 500, 50, 5, 0.4, 0.3, 0))
+    ds, _ = gen.replicate(replicate)
+    problem = WeightedProblem.from_dataset(ds)
+    moments = problem.prepare()[0]
+    gram, counts = moments.gram.rows(np.arange(ds.p)), []
+    with pytest.raises(NumericalError, match=r"^lasso path lost at 130 active columns: "):
+        for lam, beta, _, _ in problem.walk_path():
+            violation = _kkt_violation(beta, beta @ gram, moments.ty, lam, 0.0,
+                                       moments.penalized)
+            assert violation <= 1e-10
+            counts.append(np.count_nonzero(beta))
+    assert max(counts) == reached
+    with pytest.raises(NumericalError, match=r"^lasso path lost at 130 active columns: "):
+        run_selection(ds, SelectionSpec(size=reached + 1), "cuped")
+
+
+def test_a_copy_kept_out_to_the_grids_end_leaves_the_walk_on_the_path():
+    """A copy of an active column fails the pivot test and its gap stays at
+    the penalty, so a walk that holds it out down to the bottom of the grid
+    reports every point and then runs out of the grid, as when nothing is
+    kept out."""
+    rng = np.random.default_rng(8)
+    t = rng.permutation(np.tile([0, 1], 49))
+    y = rng.standard_normal((98, 4))
+    y[:, 0] += 0.9 * t
+    y[:, 3] = y[:, 2]
+    ds = TrialDataset(t, y, rng.standard_normal((98, 1)))
+    points = list(WeightedProblem.from_dataset(ds).walk_path())
+    assert points and max(np.count_nonzero(beta) for _, beta, _, _ in points) == 3
+    with pytest.raises(DataError, match="at most 3 active columns; cannot select 4"):
+        run_selection(ds, SelectionSpec(size=4))
 
 
 def test_a_lasso_size_selection_runs_no_coordinate_descent(monkeypatch):
